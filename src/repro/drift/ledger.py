@@ -16,6 +16,11 @@ a bounded, reconcilable debt instead of silent garbage:
   from closed epochs and never touches live ones — the fencing
   invariant that makes sweeping safe while queries run.
 
+An entry is forgotten once it is **dropped and its epoch closed** —
+nothing can owe or fence it any more — so a long-lived client's ledger
+holds its live cascades and outstanding leaks, not its history.  The
+highest epoch ever seen survives the pruning as a scalar.
+
 With a ``path`` the ledger persists as JSON after every mutation, so a
 restarted client can still reap what a crashed one leaked.
 """
@@ -60,6 +65,10 @@ class ObjectLedger:
         self._entries: Dict[Tuple[str, str], LedgerEntry] = {}
         #: epochs whose deployment may still execute
         self._live_epochs: Set[int] = set()
+        #: high-water mark over every epoch ever opened or recorded
+        self._max_epoch = 0
+        #: entries currently in ``STATUS_LEAKED``
+        self._leaked = 0
         if path and os.path.exists(path):
             self._load(path)
 
@@ -68,13 +77,22 @@ class ObjectLedger:
     def open_epoch(self, epoch: int) -> int:
         with self._lock:
             self._live_epochs.add(epoch)
+            self._max_epoch = max(self._max_epoch, epoch)
         self._persist()
         return epoch
 
     def close_epoch(self, epoch: int) -> None:
-        """Retire ``epoch``: its undropped objects become reapable."""
+        """Retire ``epoch``: its undropped objects become reapable, its
+        dropped ones are forgotten."""
         with self._lock:
             self._live_epochs.discard(epoch)
+            settled = [
+                key
+                for key, entry in self._entries.items()
+                if entry.epoch == epoch and entry.status == STATUS_DROPPED
+            ]
+            for key in settled:
+                del self._entries[key]
         self._persist()
 
     def live_epochs(self) -> Set[int]:
@@ -90,7 +108,8 @@ class ObjectLedger:
     def record(self, db: str, kind: str, name: str, epoch: int) -> None:
         with self._lock:
             entry = LedgerEntry(db=db, kind=kind, name=name, epoch=epoch)
-            self._entries[entry.key] = entry
+            self._store(entry.key, entry)
+            self._max_epoch = max(self._max_epoch, epoch)
         self._persist()
 
     def mark_dropped(self, db: str, name: str) -> None:
@@ -104,8 +123,24 @@ class ObjectLedger:
             key = (db, name.lower())
             entry = self._entries.get(key)
             if entry is not None and entry.status != status:
-                self._entries[key] = replace(entry, status=status)
+                self._store(key, replace(entry, status=status))
         self._persist()
+
+    def _store(self, key: Tuple[str, str], entry: LedgerEntry) -> None:
+        """Put ``entry`` under ``key`` (lock held), keeping the leaked
+        count; a dropped entry of a closed epoch is forgotten instead."""
+        previous = self._entries.get(key)
+        if previous is not None and previous.status == STATUS_LEAKED:
+            self._leaked -= 1
+        if entry.status == STATUS_LEAKED:
+            self._leaked += 1
+        if (
+            entry.status == STATUS_DROPPED
+            and entry.epoch not in self._live_epochs
+        ):
+            self._entries.pop(key, None)
+        else:
+            self._entries[key] = entry
 
     # -- queries --------------------------------------------------------
 
@@ -122,16 +157,15 @@ class ObjectLedger:
 
     def leaked_count(self) -> int:
         """Cumulative outstanding leaked objects (reaping pays it down)."""
-        return len(self.leaked_entries())
+        with self._lock:
+            return self._leaked
 
     def max_epoch(self) -> int:
         """Highest epoch ever recorded — a restarted client resumes its
         delegation counter above this so new object names can never
         collide with a crashed predecessor's leaked ones."""
         with self._lock:
-            known = [e.epoch for e in self._entries.values()]
-            known.extend(self._live_epochs)
-            return max(known, default=0)
+            return self._max_epoch
 
     def owns(self, name: str) -> bool:
         """Whether ``name`` matches this ledger's delegated-object shape.
@@ -165,6 +199,7 @@ class ObjectLedger:
             payload = {
                 "namespace": self.namespace,
                 "live_epochs": sorted(self._live_epochs),
+                "max_epoch": self._max_epoch,
                 "entries": [
                     {
                         "db": e.db,
@@ -186,6 +221,9 @@ class ObjectLedger:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         self._live_epochs = set(payload.get("live_epochs", []))
+        self._max_epoch = max(
+            [int(payload.get("max_epoch", 0)), *self._live_epochs]
+        )
         for raw in payload.get("entries", []):
             entry = LedgerEntry(
                 db=raw["db"],
@@ -194,4 +232,5 @@ class ObjectLedger:
                 epoch=int(raw["epoch"]),
                 status=raw.get("status", STATUS_LIVE),
             )
-            self._entries[entry.key] = entry
+            self._store(entry.key, entry)
+            self._max_epoch = max(self._max_epoch, entry.epoch)

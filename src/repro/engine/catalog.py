@@ -8,6 +8,7 @@ ordinary relations and the planner turns their scans into foreign scans.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.stats import TableStats, compute_stats
@@ -27,29 +28,48 @@ class BaseTable:
         self.schema = schema.unqualified()
         self.rows: List[tuple] = list(rows) if rows is not None else []
         self.temporary = temporary
-        self._stats: Optional[TableStats] = None
+        #: how many times the contents changed, and the statistics
+        #: tagged with the count they were computed under — a scan that
+        #: an invalidation overtakes stores a tag nobody will accept
+        self._generation = 0
+        self._generation_lock = threading.Lock()
+        self._stats: Optional[Tuple[int, TableStats]] = None
+        #: the catalog holding this table (set by :meth:`Catalog.add`),
+        #: told whenever the table's contents change
+        self._catalog: Optional["Catalog"] = None
 
     @property
     def stats(self) -> TableStats:
-        if self._stats is None:
-            self._stats = compute_stats(self.schema, self.rows)
-        return self._stats
+        cached = self._stats
+        if cached is not None and cached[0] == self._generation:
+            return cached[1]
+        generation = self._generation
+        stats = compute_stats(self.schema, self.rows)
+        self._stats = (generation, stats)
+        return stats
 
     def invalidate_stats(self) -> None:
+        """Announce that schema or rows changed: statistics are
+        recomputed on next read and the catalog version moves on."""
+        with self._generation_lock:
+            self._generation += 1
         self._stats = None
+        if self._catalog is not None:
+            self._catalog.bump_version()
 
     def insert(self, rows) -> int:
-        count = 0
-        for row in rows:
+        """Append a batch, all or nothing: an arity error leaves the
+        table (and its statistics) untouched."""
+        batch = [tuple(row) for row in rows]
+        for row in batch:
             if len(row) != len(self.schema):
                 raise CatalogError(
                     f"row arity {len(row)} does not match table "
                     f"{self.name!r} with {len(self.schema)} columns"
                 )
-            self.rows.append(tuple(row))
-            count += 1
+        self.rows.extend(batch)
         self.invalidate_stats()
-        return count
+        return len(batch)
 
 
 class View:
@@ -80,13 +100,29 @@ CatalogObject = object  # BaseTable | View | ForeignTable
 
 
 class Catalog(TableResolver):
-    """Name → object map with resolver support for the plan builder."""
+    """Name → object map with resolver support for the plan builder.
+
+    ``version`` counts every change a local plan or estimate could
+    observe — objects added, replaced or dropped, rows inserted,
+    statistics invalidated, servers registered.  It only ever grows, and
+    a writer changes state *first* and bumps *second*, so a reader that
+    notes the version before it reads can tell afterwards whether what
+    it read is still current (see :class:`VersionStamp`).  It is this
+    engine's private counter and unrelated to
+    ``GlobalCatalog.catalog_version``.
+    """
 
     def __init__(self, database_name: str):
         self.database_name = database_name
         self._objects: Dict[str, CatalogObject] = {}
+        self.version = 0
+        self._version_lock = threading.Lock()
 
     # -- management ----------------------------------------------------------
+
+    def bump_version(self) -> None:
+        with self._version_lock:
+            self.version += 1
 
     def add(self, obj: CatalogObject, replace: bool = False) -> None:
         key = obj.name.lower()
@@ -96,6 +132,9 @@ class Catalog(TableResolver):
                 f"{self.database_name!r}"
             )
         self._objects[key] = obj
+        if isinstance(obj, BaseTable):
+            obj._catalog = self
+        self.bump_version()
 
     def drop(self, name: str, kind: Optional[str] = None) -> None:
         key = name.lower()
@@ -112,6 +151,7 @@ class Catalog(TableResolver):
                     f"object {name!r} is a {obj.kind}, not a {kind}"
                 )
         del self._objects[key]
+        self.bump_version()
 
     def get(self, name: str) -> Optional[CatalogObject]:
         return self._objects.get(name.lower())
@@ -159,3 +199,28 @@ class Catalog(TableResolver):
                 source_db=self.database_name,
             )
         raise CatalogError(f"cannot scan object {name!r}")
+
+
+class VersionStamp(Dict[Catalog, int]):
+    """The catalog versions a plan or estimate was computed under.
+
+    Maps every engine catalog that was read — the planning engine's own
+    and, transitively, each remote's it consulted — to the version noted
+    *before* the read.  Versions only grow, so when one catalog is read
+    twice the older version is kept: a change between the two reads
+    must invalidate whatever was derived from them.
+    """
+
+    def note(self, catalog: Catalog) -> None:
+        """Record that ``catalog`` is about to be read."""
+        self.merge({catalog: catalog.version})
+
+    def merge(self, other: Dict[Catalog, int]) -> None:
+        for catalog, version in other.items():
+            self[catalog] = min(self.get(catalog, version), version)
+
+    def is_current(self) -> bool:
+        """Whether nothing that was read has changed since."""
+        return all(
+            catalog.version == version for catalog, version in self.items()
+        )

@@ -9,17 +9,26 @@ reads results or EXPLAIN estimates back.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional
 
-from repro.engine.catalog import BaseTable, Catalog, ForeignTable, View
-from repro.engine.cost import CostModel, ExplainInfo
+from repro.engine.catalog import (
+    BaseTable,
+    Catalog,
+    ForeignTable,
+    VersionStamp,
+    View,
+)
+from repro.engine.cost import CardinalityEstimator, CostModel, ExplainInfo
 from repro.engine.planner import LocalPlanner
 from repro.engine.profiles import EngineProfile, profile_for
 from repro.engine.result import Result
 from repro.engine.stats import TableStats
 from repro.errors import CatalogError, ExecutionError
 from repro.obs.runtime import current_context
+from repro.relational import algebra
 from repro.relational.builder import build_plan
 from repro.relational.expressions import compile_expression
 from repro.relational.schema import Field, Schema
@@ -27,6 +36,10 @@ from repro.sql import ast
 from repro.sql.dialects import dialect_for
 from repro.sql.parser import parse_statement
 from repro.sql.render import Renderer
+
+
+#: statement texts :class:`ExecutionTrace` keeps (the most recent ones)
+STATEMENT_LOG_LENGTH = 64
 
 
 @dataclass
@@ -37,7 +50,9 @@ class ExecutionTrace:
     rows_processed: int = 0
     rows_returned: int = 0
     last_plan_text: str = ""
-    statement_log: List[str] = field(default_factory=list)
+    statement_log: Deque[str] = field(
+        default_factory=lambda: deque(maxlen=STATEMENT_LOG_LENGTH)
+    )
 
     def reset(self) -> None:
         self.statements = 0
@@ -45,6 +60,18 @@ class ExecutionTrace:
         self.rows_returned = 0
         self.last_plan_text = ""
         self.statement_log.clear()
+
+
+class _Planned(NamedTuple):
+    """One plan-memo entry (immutable; EXPLAIN replaces it with a copy
+    that carries the estimate)."""
+
+    #: the optimized logical plan — physical operators are built per
+    #: execution and never kept
+    plan: algebra.LogicalPlan
+    #: every catalog version the plan (and ``info``) was derived under
+    stamp: VersionStamp
+    info: Optional[ExplainInfo] = None
 
 
 class Database:
@@ -89,6 +116,12 @@ class Database:
         #: ``exec_seconds`` — the calibration harness's data source.
         self.instrument_execution = False
         self._servers: Dict[str, object] = {}
+        #: statement (in this engine's dialect) -> its local plan, for
+        #: as long as nothing the plan read has changed; holds entries
+        #: of one catalog version only (see :meth:`_planned`)
+        self._memo: Dict[str, _Planned] = {}
+        self._memo_version = 0
+        self._memo_lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, profile={self.profile.name!r})"
@@ -106,6 +139,7 @@ class Database:
     def register_server(self, name: str, server) -> None:
         """Register a SQL/MED server (a :class:`RemoteServer`)."""
         self._servers[name.lower()] = server
+        self.catalog.bump_version()
 
     def server(self, name: str):
         server = self._servers.get(name.lower())
@@ -167,10 +201,53 @@ class Database:
 
     # -- queries -------------------------------------------------------------------
 
+    def _planned(self, select, explain: bool = False) -> _Planned:
+        """The local plan of ``select`` (with its estimate when
+        ``explain``), computed once per catalog version.
+
+        The plan memo: keyed on the statement rendered in this engine's
+        dialect (so literals of different type never share an entry)
+        and stamped with this catalog's version, read *before*
+        planning, plus the stamp of every remote consulted on the way.
+        An entry is served only while its whole stamp is current.  Every
+        stamp contains this engine's own version, so the dict is dropped
+        wholesale the first time it is touched under a newer one — the
+        per-query-unique object names of delegated cascades cannot pile
+        up.  The lock guards the dict only; planning, which recurses
+        into other engines, runs outside it, so two threads may plan
+        the same statement at once (harmless) but neither can be handed
+        a stale entry.
+        """
+        key = self.dialect.render(select)
+        version = self.catalog.version
+        with self._memo_lock:
+            if self._memo_version < version:
+                self._memo = {}
+                self._memo_version = version
+            entry = self._memo.get(key)
+        if entry is not None and not entry.stamp.is_current():
+            entry = None
+        if entry is not None and (entry.info is not None or not explain):
+            return entry
+        stamp = VersionStamp({self.catalog: version})
+        estimator = self.planner.make_estimator(stamp)
+        if entry is None:
+            plan = self.planner.optimize(
+                build_plan(select, self.catalog), estimator
+            )
+        else:
+            plan = entry.plan
+            stamp.merge(entry.stamp)
+        info = self._explain(plan, estimator) if explain else None
+        entry = _Planned(plan, stamp, info)
+        with self._memo_lock:
+            if self._memo_version == version:
+                self._memo[key] = entry
+        return entry
+
     def execute_select(self, select) -> Result:
         """Execute a query AST (SELECT or UNION ALL)."""
-        plan = build_plan(select, self.catalog)
-        plan = self.planner.optimize(plan)
+        plan = self._planned(select).plan
         physical_plan = self.planner.to_physical(plan)
         if self.instrument_execution:
             from repro.engine.instrument import instrument_plan
@@ -190,11 +267,22 @@ class Database:
             ctx.record_operator_tree(physical_plan, db=self.name)
         return Result(plan.schema.unqualified(), rows)
 
-    def explain_select(self, select) -> ExplainInfo:
-        """Plan + cost a query without executing it (EXPLAIN)."""
-        plan = build_plan(select, self.catalog)
-        plan = self.planner.optimize(plan)
-        estimator = self.planner.make_estimator()
+    def explain_select(
+        self, select, reads: Optional[VersionStamp] = None
+    ) -> ExplainInfo:
+        """Plan + cost a query without executing it (EXPLAIN).
+
+        A caller that derives something cacheable from the estimate
+        passes ``reads`` to learn which catalog versions it rests on.
+        """
+        entry = self._planned(select, explain=True)
+        if reads is not None:
+            reads.merge(entry.stamp)
+        return entry.info
+
+    def _explain(
+        self, plan: algebra.LogicalPlan, estimator: CardinalityEstimator
+    ) -> ExplainInfo:
         cost = self.cost_model.plan_cost(plan, estimator)
         rows = estimator.estimate_rows(plan)
         text = (

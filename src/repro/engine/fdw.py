@@ -20,6 +20,7 @@ from repro.sql import ast
 from repro.sql.render import render
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.catalog import VersionStamp
     from repro.engine.database import Database
     from repro.net.network import Network
 
@@ -74,18 +75,29 @@ class RemoteServer:
         return result
 
     # -- metadata path (planner support) -------------------------------------
+    #
+    # A planner that memoizes what it derives from these answers passes
+    # ``reads``; the catalog versions the remote side read to produce
+    # the answer (its own and, through its own foreign tables, those of
+    # the engines below it) are merged into it.
 
-    def remote_row_estimate(self, object_name: str) -> float:
+    def remote_row_estimate(
+        self, object_name: str, reads: Optional["VersionStamp"] = None
+    ) -> float:
         """Remote EXPLAIN-based row estimate for ``object_name``."""
         query = ast.Select(
             items=(ast.SelectItem(ast.Star()),),
             from_items=(ast.TableRef((object_name,)),),
         )
-        info = self.remote.explain_select(query)
+        info = self.remote.explain_select(query, reads)
         return info.estimated_rows
 
-    def remote_table_stats(self, object_name: str) -> Optional[TableStats]:
+    def remote_table_stats(
+        self, object_name: str, reads: Optional["VersionStamp"] = None
+    ) -> Optional[TableStats]:
         """Column statistics if the remote object is a stored table."""
+        if reads is not None:
+            reads.note(self.remote.catalog)
         return self.remote.table_stats(object_name)
 
 

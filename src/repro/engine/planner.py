@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.engine import physical, vector
-from repro.engine.catalog import BaseTable, ForeignTable
+from repro.engine.catalog import BaseTable, ForeignTable, VersionStamp
 from repro.engine.cost import CardinalityEstimator, ScanStats
 from repro.engine.fdw import ForeignScan, build_remote_query, strip_qualifiers
 from repro.errors import CatalogError, ExecutionError
@@ -37,8 +37,15 @@ class LocalPlanner:
         self._db = database
 
     # -- logical optimization ----------------------------------------------
+    #
+    # ``reads`` is the caller's accumulator of what the statistics
+    # depended on beyond this engine's own catalog: every remote
+    # consulted adds the versions its answer was read under.  The
+    # database's plan memo passes one per build.
 
-    def scan_stats(self, scan: algebra.Scan) -> ScanStats:
+    def scan_stats(
+        self, scan: algebra.Scan, reads: Optional[VersionStamp] = None
+    ) -> ScanStats:
         """Statistics provider backing the cardinality estimator."""
         obj = self._db.catalog.get(scan.table)
         if isinstance(obj, BaseTable):
@@ -48,26 +55,39 @@ class LocalPlanner:
             )
         if isinstance(obj, ForeignTable):
             server = self._db.server(obj.server)
-            remote_stats = server.remote_table_stats(obj.remote_object)
+            remote_stats = server.remote_table_stats(obj.remote_object, reads)
             if remote_stats is not None:
                 return ScanStats(
                     row_count=float(remote_stats.row_count),
                     columns=remote_stats.columns,
                 )
-            rows = server.remote_row_estimate(obj.remote_object)
+            rows = server.remote_row_estimate(obj.remote_object, reads)
             return ScanStats(row_count=rows, columns={})
         if scan.placeholder:
             rows = scan.estimated_rows if scan.estimated_rows else 1000.0
             return ScanStats(row_count=rows, columns={})
         raise CatalogError(f"cannot scan object {scan.table!r}")
 
-    def make_estimator(self) -> CardinalityEstimator:
-        return CardinalityEstimator(self.scan_stats)
+    def make_estimator(
+        self, reads: Optional[VersionStamp] = None
+    ) -> CardinalityEstimator:
+        return CardinalityEstimator(
+            lambda scan: self.scan_stats(scan, reads)
+        )
 
-    def optimize(self, plan: algebra.LogicalPlan) -> algebra.LogicalPlan:
-        """Run the logical rewrite pipeline with local statistics."""
+    def optimize(
+        self,
+        plan: algebra.LogicalPlan,
+        estimator: Optional[CardinalityEstimator] = None,
+    ) -> algebra.LogicalPlan:
+        """Run the logical rewrite pipeline with local statistics.
+
+        A caller that goes on to cost the result passes its
+        ``estimator`` so the statistics fetched here (remote ones
+        included) are not fetched again."""
         plan = push_filters(plan)
-        estimator = self.make_estimator()
+        if estimator is None:
+            estimator = self.make_estimator()
         plan = reorder_joins(
             plan,
             cardinality=estimator.estimate_rows,

@@ -66,6 +66,14 @@ def _orderable(values: Sequence[object]) -> bool:
     )
 
 
+#: Exact value types whose orderability and width ``compute_stats``
+#: decides per column from the type set instead of per value.
+_NONE_TYPE = type(None)
+_NUMERIC_TYPES = frozenset({int, float})
+_WIDTH_4_TYPES = frozenset({int, bool})
+_WIDTH_8_TYPES = frozenset({float, datetime.date, datetime.datetime})
+_PLAIN_TYPES = _WIDTH_4_TYPES | _WIDTH_8_TYPES | {str}
+
 #: ANALYZE-style sampling bound: larger tables are profiled on a sample.
 DEFAULT_SAMPLE_SIZE = 20_000
 
@@ -89,10 +97,23 @@ def compute_stats(
         sample = rows
         scale = 1.0
 
+    # One transposition instead of one ``row[index]`` per value; a row
+    # shorter than the schema truncates it, and the columns it cuts off
+    # are read the per-row way below (which raises, as it always did).
+    transposed = list(zip(*sample))
     columns: Dict[str, ColumnStats] = {}
     for index, field in enumerate(schema):
-        non_null = [row[index] for row in sample if row[index] is not None]
-        null_count = int((len(sample) - len(non_null)) * scale)
+        if index < len(transposed):
+            column: Sequence[object] = transposed[index]
+        else:
+            column = [row[index] for row in sample]
+        types = set(map(type, column))
+        if _NONE_TYPE in types:
+            types.discard(_NONE_TYPE)
+            non_null = [value for value in column if value is not None]
+        else:
+            non_null = column
+        null_count = int((len(column) - len(non_null)) * scale)
         distinct = len(set(non_null))
         if scale > 1.0 and non_null:
             if distinct >= 0.85 * len(non_null):
@@ -102,16 +123,32 @@ def compute_stats(
                 ndv = distinct
         else:
             ndv = distinct
-        if non_null and _orderable(non_null):
+        # Orderability and width follow from the *set of exact types*
+        # for the plain types; anything else (subclasses, Decimal, ...)
+        # takes the per-value route.
+        if types <= _PLAIN_TYPES:
+            orderable = types <= _NUMERIC_TYPES or (
+                len(types) == 1 and bool not in types
+            )
+        else:
+            orderable = _orderable(non_null)
+        if non_null and orderable:
             min_value: Optional[object] = min(non_null)
             max_value: Optional[object] = max(non_null)
         else:
             min_value = max_value = None
-        avg_width = (
-            sum(_value_width(v) for v in non_null) / len(non_null)
-            if non_null
-            else float(field.type.byte_width())
-        )
+        if not non_null:
+            avg_width = float(field.type.byte_width())
+        elif types <= _WIDTH_4_TYPES:
+            avg_width = 4.0
+        elif types <= _WIDTH_8_TYPES:
+            avg_width = 8.0
+        elif types == {str}:
+            avg_width = float(sum(map(len, non_null))) / len(non_null)
+        else:
+            avg_width = sum(_value_width(v) for v in non_null) / len(
+                non_null
+            )
         columns[field.name.lower()] = ColumnStats(
             ndv=ndv,
             null_count=null_count,

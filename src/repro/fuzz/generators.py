@@ -14,7 +14,11 @@ the oracle:
 * ``partition`` — a query spec plus a hash/range partitioning of the
   fuzz tables across a four-engine federation, checked by the
   partition-parity oracle (partitioned and unpartitioned deployments
-  must return identical rows through XDB).
+  must return identical rows through XDB);
+* ``memo`` — a script of plan / query / DDL / INSERT / drift steps on a
+  three-engine foreign-table chain, checked after every step by the
+  plan-memo oracle (no engine may still serve a plan or estimate that
+  differs from one made from scratch).
 
 Identifier and string pools concentrate on capability edges: quote
 characters of all three dialects, ``/`` (the MariaDB CONNECTION
@@ -172,7 +176,7 @@ def generate_case(rng: random.Random) -> Dict[str, object]:
         }
     if roll < 0.80:
         return _gen_query(rng)
-    if roll < 0.93:
+    if roll < 0.90:
         return {
             "kind": "pushdown",
             "remote_profile": rng.choice(["postgres", "mariadb", "hive"]),
@@ -181,7 +185,65 @@ def generate_case(rng: random.Random) -> Dict[str, object]:
             ),
             "project_all": rng.random() < 0.4,
         }
+    if roll < 0.93:
+        return gen_memo_case(rng)
     return gen_partition_case(rng)
+
+
+def gen_memo_case(rng: random.Random) -> Dict[str, object]:
+    """A script over the plan-memo oracle's chain (``A.v_a`` reads
+    ``B.v_b`` reads ``C.t``; ``lt`` is local to A): plans and queries
+    that fill the memos, interleaved with every kind of change that
+    must empty them."""
+    literal = rng.choice(["1", "1.0", "7", "30"])
+    threshold = rng.randint(0, 35)
+    rows = ", ".join(
+        f"({rng.randint(0, 60)}, {rng.randint(0, 40) / 2.0})"
+        for _ in range(rng.randint(1, 30))
+    )
+    reads = [
+        ["explain", "A", "SELECT * FROM v_a"],
+        ["query", "A", "SELECT v_a.c, lt.b FROM v_a, lt WHERE v_a.a = lt.a"],
+        ["explain", "A", f"SELECT c FROM v_a WHERE a = {literal}"],
+        ["explain", "B", "SELECT * FROM v_b"],
+        ["query", "B", f"SELECT a FROM v_b WHERE a > {threshold}"],
+    ]
+    writes = [
+        ["sql", "C", f"INSERT INTO t VALUES {rows}"],
+        ["sql", "A", "INSERT INTO lt VALUES (3, 'new'), (4, 'new')"],
+        [
+            "sql",
+            "B",
+            "CREATE OR REPLACE VIEW v_b AS "
+            f"SELECT a, c FROM ft_c WHERE a > {threshold}",
+        ],
+        ["sql", "B", "CREATE OR REPLACE TABLE snap AS SELECT a FROM ft_c"],
+        ["sql", "A", "CREATE TABLE aux (x INTEGER)"],
+        ["sql", "A", "DROP TABLE IF EXISTS aux"],
+        ["drift", "C", {"table": "t", "kind": "add_column", "column": "z"}],
+        [
+            "drift",
+            "C",
+            {
+                "table": "t",
+                "kind": "retype_column",
+                "column": "c",
+                "new_type": ["INTEGER"],
+            },
+        ],
+    ]
+    steps = []
+    for _ in range(rng.randint(2, 5)):
+        steps.append(rng.choice(reads))
+        if rng.random() < 0.5:
+            steps.append(rng.choice(reads))
+        steps.append(rng.choice(writes))
+    steps.append(rng.choice(reads))
+    return {
+        "kind": "memo",
+        "remote_profile": rng.choice(["postgres", "mariadb", "hive"]),
+        "steps": steps,
+    }
 
 
 def gen_partition_case(rng: random.Random) -> Dict[str, object]:

@@ -1,7 +1,8 @@
 """Fuzz oracles: round-trip, differential execution, pushdown,
-drift-recovery, partition, feedback, and partial-result parity.
+drift-recovery, partition, feedback, partial-result, and plan-memo
+parity.
 
-Seven invariants, each cheap to state and brutal to uphold:
+Eight invariants, each cheap to state and brutal to uphold:
 
 1. **Round-trip**: for every dialect, ``render(stmt)`` must parse back
    to the same AST (modulo the recorded surface ``syntax``) and a
@@ -37,6 +38,12 @@ Seven invariants, each cheap to state and brutal to uphold:
    row-multiset *subset* of the fault-free oracle, and the reported
    completeness is exactly the row-weighted fraction implied by the
    reported missing partitions (never below the policy floor).
+8. **Plan-memo parity**: after every DDL / INSERT / drift step on a
+   chain of engines reading each other through foreign tables, each
+   entry an engine's local-plan memo would still serve equals the plan
+   and estimate computed from scratch on the engines as they now are —
+   a cached local plan is never served across a change it was not
+   built for.
 """
 
 from __future__ import annotations
@@ -47,15 +54,16 @@ from typing import Dict, List
 from repro.core.client import XDB
 from repro.drift.mutate import apply_drift
 from repro.engine.database import Database
+from repro.errors import ReproError, SQLError
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
 from repro.fuzz.generators import query_statement, spec_to_statement
+from repro.relational.builder import build_plan
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.dialects import available_dialects, dialect_for
 from repro.sql.parser import parse_statement
 from repro.sql.types import DOUBLE, INTEGER, varchar
-from repro.errors import SQLError
 
 DIALECTS = tuple(available_dialects())
 PROFILES = ("postgres", "mariadb", "hive")
@@ -632,6 +640,124 @@ def check_feedback(spec: Dict[str, object]) -> List[str]:
     return []
 
 
+# -- plan-memo parity --------------------------------------------------------
+
+
+def chain_deployment(profile: str = "postgres") -> Deployment:
+    """``A.v_a -> A.ft_b => B.v_b -> B.ft_c => C.t`` (``=>`` a foreign
+    hop): a base table two hops below the view A plans, plus a local
+    table ``lt`` on A.  B runs the spec's vendor profile."""
+    deployment = Deployment({"A": "postgres", "B": profile, "C": "postgres"})
+    deployment.load_table(
+        "C",
+        "t",
+        Schema([Field("a", INTEGER), Field("c", DOUBLE)]),
+        [(i % 40, (i * 3 % 50) / 2.0) for i in range(120)],
+    )
+    deployment.load_table(
+        "A",
+        "lt",
+        Schema([Field("a", INTEGER), Field("b", varchar(8))]),
+        [(i % 25, f"v{i % 9}") for i in range(50)],
+    )
+    columns = (ast.ColumnDef("a", INTEGER), ast.ColumnDef("c", DOUBLE))
+    for db, name, server, remote, view in (
+        ("B", "ft_c", "C", "t", "v_b"),
+        ("A", "ft_b", "B", "v_b", "v_a"),
+    ):
+        database = deployment.database(db)
+        database.execute(
+            database.dialect.render(
+                ast.CreateForeignTable(
+                    name=name,
+                    columns=columns,
+                    server=server,
+                    remote_object=remote,
+                )
+            )
+        )
+        database.execute(f"CREATE VIEW {view} AS SELECT a, c FROM {name}")
+    return deployment
+
+
+def memo_failures(databases) -> List[str]:
+    """Invariant 8 on live engines: every memo entry that would still
+    be served, against a plan and estimate made from scratch.
+
+    Engines are judged one by one, so the fresh plan of an engine may
+    consult the memo of the engine below it — whose entries are judged
+    by the same loop."""
+    failures: List[str] = []
+    for database in databases:
+        for key, entry in list(database._memo.items()):
+            if not entry.stamp.is_current():
+                continue
+            try:
+                estimator = database.planner.make_estimator()
+                plan = database.planner.optimize(
+                    build_plan(parse_statement(key), database.catalog),
+                    estimator,
+                )
+                info = database._explain(plan, estimator)
+            except Exception as exc:
+                failures.append(
+                    f"{database.name}: memo still serves {key!r} but "
+                    f"planning it from scratch fails: {exc!r}"
+                )
+                continue
+            if plan.pretty() != entry.plan.pretty():
+                failures.append(
+                    f"{database.name}: memo serves a stale plan for "
+                    f"{key!r}: {entry.plan.pretty()!r} vs fresh "
+                    f"{plan.pretty()!r}"
+                )
+            elif entry.info is not None and entry.info != info:
+                failures.append(
+                    f"{database.name}: memo serves a stale estimate for "
+                    f"{key!r}: {entry.info!r} vs fresh {info!r}"
+                )
+    return failures
+
+
+def check_memo(spec: Dict[str, object]) -> List[str]:
+    """Plan-memo parity across a scripted sequence of steps.
+
+    ``steps`` are ``["explain" | "query" | "sql", db, text]`` — plan,
+    run, or execute DDL / INSERT on one engine — and ``["drift", db,
+    {SchemaDrift fields}]``.  A step the engines refuse (a query over a
+    drifted-away column, say) is part of the script, not a finding;
+    :func:`memo_failures` is checked after every step.
+    """
+    deployment = chain_deployment(str(spec.get("remote_profile", "postgres")))
+    databases = list(deployment.databases.values())
+    failures: List[str] = []
+    for index, (op, db, payload) in enumerate(spec["steps"]):
+        database = deployment.database(db)
+        try:
+            if op == "explain":
+                database.explain_select(parse_statement(payload))
+            elif op == "query":
+                database.execute_select(parse_statement(payload))
+            elif op == "sql":
+                database.execute(payload)
+            elif op == "drift":
+                fields = dict(payload)
+                if fields.get("new_type") is not None:
+                    fields["new_type"] = tuple(fields["new_type"])
+                apply_drift(database, SchemaDrift(db=db, **fields))
+            else:
+                return [f"unknown memo step {op!r}"]
+        except ReproError:
+            pass
+        except Exception as exc:
+            failures.append(f"step {index} {op} on {db} crashed: {exc!r}")
+        failures.extend(
+            f"after step {index} ({op} on {db}): {failure}"
+            for failure in memo_failures(databases)
+        )
+    return failures
+
+
 def run_case(spec: Dict[str, object]) -> List[str]:
     """Run every applicable oracle; empty list means the case passed."""
     kind = spec["kind"]
@@ -645,6 +771,8 @@ def run_case(spec: Dict[str, object]) -> List[str]:
         return check_partial(spec)
     if kind == "feedback":
         return check_feedback(spec)
+    if kind == "memo":
+        return check_memo(spec)
     try:
         stmt = spec_to_statement(spec)
     except Exception as exc:

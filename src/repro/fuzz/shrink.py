@@ -99,6 +99,10 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
             yield {**spec, "where_value": None}
         if spec.get("project_all"):
             yield {**spec, "project_all": False}
+    if spec.get("kind") == "memo":
+        steps = spec["steps"]
+        for index in range(len(steps)):
+            yield {**spec, "steps": steps[:index] + steps[index + 1 :]}
     if spec.get("kind") == "partition":
         if spec.get("co_partition"):
             yield {**spec, "co_partition": False}

@@ -86,6 +86,10 @@ class Network:
         self._degraded: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._default_link = LAN
         self.log: List[TransferRecord] = []
+        #: control messages repeat (same link, tag and size) for as long
+        #: as the federation lives; the log holds one shared instance
+        #: per distinct record instead of one object per message
+        self._control_records: Dict[TransferRecord, TransferRecord] = {}
 
     # -- topology ------------------------------------------------------------
 
@@ -229,6 +233,28 @@ class Network:
         tag: str = "data",
         protocol: str = "binary",
     ) -> TransferRecord:
+        return self._log(
+            self._new_record(src, dst, payload_bytes, rows, tag, protocol)
+        )
+
+    def record_control_message(
+        self, src: str, dst: str, tag: str = "control"
+    ) -> TransferRecord:
+        """A small request/response pair (DDL, EXPLAIN consultation)."""
+        record = self._new_record(
+            src, dst, CONTROL_MESSAGE_BYTES, 0, tag, "binary"
+        )
+        return self._log(self._control_records.setdefault(record, record))
+
+    def _new_record(
+        self,
+        src: str,
+        dst: str,
+        payload_bytes: int,
+        rows: int,
+        tag: str,
+        protocol: str,
+    ) -> TransferRecord:
         if src not in self._nodes or dst not in self._nodes:
             raise NetworkError(
                 f"transfer between unknown nodes {src!r} -> {dst!r}"
@@ -241,16 +267,17 @@ class Network:
             raise NetworkError(
                 f"no route from {src!r} to {dst!r} (link forbidden)"
             )
-        seconds = self.link_for(src, dst).transfer_time(payload_bytes)
-        record = TransferRecord(
+        return TransferRecord(
             src=src,
             dst=dst,
             payload_bytes=payload_bytes,
             rows=rows,
             tag=tag,
             protocol=protocol,
-            seconds=seconds,
+            seconds=self.link_for(src, dst).transfer_time(payload_bytes),
         )
+
+    def _log(self, record: TransferRecord) -> TransferRecord:
         self.log.append(record)
         # Attribute the transfer to the active query's observation
         # context (span + simulated clock + metrics), if any.
@@ -258,14 +285,6 @@ class Network:
         if ctx is not None:
             ctx.record_transfer(record)
         return record
-
-    def record_control_message(
-        self, src: str, dst: str, tag: str = "control"
-    ) -> TransferRecord:
-        """A small request/response pair (DDL, EXPLAIN consultation)."""
-        return self.record_transfer(
-            src, dst, CONTROL_MESSAGE_BYTES, rows=0, tag=tag
-        )
 
     def transfer_time(self, src: str, dst: str, payload_bytes: int) -> float:
         return self.link_for(src, dst).transfer_time(payload_bytes)

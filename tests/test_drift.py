@@ -426,6 +426,32 @@ def test_ledger_persists_and_fences_across_restart(tmp_path):
     prepared.close()
 
 
+def test_ledger_forgets_settled_entries_but_not_its_high_water(tmp_path):
+    path = str(tmp_path / "ledger.json")
+    ledger = ObjectLedger(path=path)
+    # a cascade that cleans up: close first, then each DROP lands
+    ledger.open_epoch(1)
+    ledger.record("A", "VIEW", "xv_1_1", 1)
+    ledger.record("B", "TABLE", "xm_1_2", 1)
+    ledger.close_epoch(1)
+    ledger.mark_dropped("A", "xv_1_1")
+    ledger.mark_leaked("B", "xm_1_2")
+    assert [e.name for e in ledger.entries()] == ["xm_1_2"]
+    assert ledger.leaked_count() == 1
+    # a rolled-back cascade: marks land first, then the epoch closes
+    ledger.open_epoch(2)
+    ledger.record("A", "VIEW", "xv_2_1", 2)
+    ledger.mark_dropped("A", "xv_2_1")
+    assert ledger.entry_for("A", "xv_2_1") is not None  # epoch still live
+    ledger.close_epoch(2)
+    assert ledger.entry_for("A", "xv_2_1") is None
+    # paying the leak down forgets it too; the high-water mark stays
+    ledger.mark_dropped("B", "xm_1_2")
+    assert ledger.entries() == [] and ledger.leaked_count() == 0
+    assert ledger.max_epoch() == 2
+    assert ObjectLedger(path=path).max_epoch() == 2
+
+
 # -- prepared queries under drift ----------------------------------------
 
 

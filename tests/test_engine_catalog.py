@@ -86,3 +86,47 @@ def test_resolver_rejects_foreign_database_qualifier():
 def test_resolver_resolves_foreign_table_like_a_relation():
     resolved = make_catalog().resolve_table(("f",))
     assert resolved.schema is not None
+
+
+def test_insert_is_all_or_nothing():
+    catalog = make_catalog()
+    table = catalog.get("t")
+    assert table.stats.row_count == 2
+    version = catalog.version
+    with pytest.raises(CatalogError):
+        table.insert([(3,), (4,), (5, 6), (7,)])
+    assert table.rows == [(1,), (2,)]
+    assert table.stats.row_count == 2
+    assert catalog.version == version
+
+
+def test_insert_batch_bumps_the_version_once():
+    catalog = make_catalog()
+    table = catalog.get("t")
+    version = catalog.version
+    assert table.insert([(i,) for i in range(100)]) == 100
+    assert catalog.version == version + 1
+    assert table.stats.row_count == 102
+
+
+def test_version_counts_every_observable_change():
+    catalog = Catalog("DB")
+    seen = [catalog.version]
+
+    def moved() -> bool:
+        seen.append(catalog.version)
+        return seen[-1] > seen[-2]
+
+    table = BaseTable("t", SCHEMA, [(1,)])
+    catalog.add(table)
+    assert moved()
+    catalog.add(BaseTable("t", SCHEMA, [(2,)]), replace=True)
+    assert moved()
+    catalog.get("t").invalidate_stats()
+    assert moved()
+    table.insert([(3,)])  # replaced, but still announces to its catalog
+    assert moved()
+    catalog.drop("t")
+    assert moved()
+    BaseTable("loose", SCHEMA).insert([(1,)])  # no catalog: nothing to tell
+    assert not moved()

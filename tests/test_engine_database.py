@@ -125,6 +125,19 @@ def test_trace_accumulates(db):
     assert len(db.trace.statement_log) == 2
 
 
+def test_statement_log_keeps_only_the_latest(db):
+    from repro.engine.database import STATEMENT_LOG_LENGTH
+
+    db.trace.reset()
+    for i in range(STATEMENT_LOG_LENGTH + 10):
+        db.execute(f"SELECT id FROM people WHERE id = {i}")
+    assert db.trace.statements == STATEMENT_LOG_LENGTH + 10
+    assert len(db.trace.statement_log) == STATEMENT_LOG_LENGTH
+    assert db.trace.statement_log[-1].endswith(
+        f"= {STATEMENT_LOG_LENGTH + 9}"
+    )
+
+
 def test_table_stats_for_views_is_none(db):
     db.execute("CREATE VIEW v AS SELECT id FROM people")
     assert db.table_stats("v") is None

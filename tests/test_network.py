@@ -107,3 +107,18 @@ def test_transfer_time_seconds_recorded():
     network = Network.on_premise(["db1"], cloud_nodes=["mw"])
     record = network.record_transfer("db1", "mw", 12_500_000)
     assert record.seconds == pytest.approx(1.025, rel=0.01)
+
+
+def test_control_messages_share_one_record_per_distinct_value():
+    network = Network.on_premise(["a", "b"])
+    first = network.record_control_message("a", "b", tag="consult")
+    again = network.record_control_message("a", "b", tag="consult")
+    other = network.record_control_message("a", "b", tag="delegation")
+    assert again is first and other is not first
+    assert len(network.log) == 3
+    assert network.total_bytes() == 3 * first.payload_bytes
+    # a degraded link is a different record, not a rewritten shared one
+    network.degrade_link("a", "b", latency_factor=10.0)
+    slow = network.record_control_message("a", "b", tag="consult")
+    assert slow is not first and slow.seconds > first.seconds
+    assert network.log[0].seconds == first.seconds
