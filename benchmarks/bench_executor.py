@@ -3,6 +3,10 @@
 Measures rows/sec for the four core operator shapes (scan+project,
 filter, hash join, grouped aggregation) on synthetic fact/dim tables,
 in both execution modes of :class:`repro.engine.database.Database`.
+The hash join is measured in both FROM orders: ``fact, dim`` puts the
+small table on the right, ``dim, fact`` on the left — the orientation a
+smallest-first join order produces and the one a build-always-right
+executor loses on.
 
 Standalone (unlike the ``bench_fig*`` pytest modules) so CI can gate on
 it cheaply::
@@ -12,7 +16,8 @@ it cheaply::
 
 Writes ``benchmarks/results/BENCH_executor.json``; ``--check`` exits
 non-zero if batch mode is slower than row mode on the join or
-aggregation microbenchmark (the regression gate).
+aggregation microbenchmark, or if the flipped join's batch-mode rate
+falls below 0.8x the join's (the regression gates).
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ BENCHES = {
         "SELECT f.v, d.name FROM fact f, dim d WHERE f.did = d.id",
         "fact",
     ),
+    "join_flipped": (
+        "SELECT f.v, d.name FROM dim d, fact f WHERE f.did = d.id",
+        "fact",
+    ),
     "aggregate": (
         "SELECT g, SUM(v) AS s, COUNT(*) AS n, AVG(v) AS a "
         "FROM fact GROUP BY g",
@@ -51,6 +60,11 @@ BENCHES = {
 
 #: Microbenchmarks the --check gate requires batch mode to win.
 GATED = ("join", "aggregate")
+
+#: --check also requires ``join_flipped`` to reach this fraction of
+#: ``join``'s batch-mode rate: the same join, whichever side of the
+#: FROM list the small table is on.
+FLIPPED_FLOOR = 0.8
 
 
 def build_database(mode: str, fact_rows: int, dim_rows: int) -> Database:
@@ -143,25 +157,38 @@ def main(argv=None) -> int:
                         help="output JSON path")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if batch is slower than row on the "
-                             "join or aggregation microbenchmark")
+                             "join or aggregation microbenchmark, or the "
+                             "flipped join is below 0.8x the join")
     args = parser.parse_args(argv)
 
     report = run(args.rows, args.dims, args.repeat)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"{'bench':10s} {'row_s':>8s} {'batch_s':>8s} {'speedup':>8s}")
+    print(f"{'bench':12s} {'row_s':>8s} {'batch_s':>8s} {'speedup':>8s}")
     failures = []
     for name, entry in report["benches"].items():
         print(
-            f"{name:10s} {entry['row_seconds']:8.3f} "
+            f"{name:12s} {entry['row_seconds']:8.3f} "
             f"{entry['batch_seconds']:8.3f} {entry['speedup']:7.2f}x"
         )
         if name in GATED and entry["speedup"] < 1.0:
             failures.append(name)
+    benches = report["benches"]
+    flipped = (
+        benches["join_flipped"]["batch_rows_per_sec"]
+        / benches["join"]["batch_rows_per_sec"]
+    )
+    print(f"join_flipped / join batch rate: {flipped:.2f}x")
     print(f"wrote {args.out}")
     if args.check and failures:
         print(f"FAIL: batch slower than row on: {', '.join(failures)}")
+        return 1
+    if args.check and flipped < FLIPPED_FLOOR:
+        print(
+            f"FAIL: join_flipped runs at {flipped:.2f}x of join's "
+            f"batch rate (floor {FLIPPED_FLOOR}x)"
+        )
         return 1
     return 0
 

@@ -7,7 +7,8 @@ cost constant is exercised by at least one operator:
 
 * ``seq_scan_cost_per_row`` — full scans of ``fact``;
 * ``cpu_tuple_cost`` — filters, projections, limits, nested loops;
-* ``hash_build_cost_per_row`` — hash joins and aggregations;
+* ``hash_build_cost_per_row`` — hash joins (small table on either
+  side of the FROM list) and aggregations;
 * ``sort_cost_factor`` — ORDER BY over ``fact``;
 * ``foreign_fetch_cost_per_row`` — ``ffact``, a foreign table served
   by the remote engine over the simulated network.
@@ -121,6 +122,13 @@ def build_workload(
         (
             "join",
             "SELECT COUNT(*) AS n FROM fact, dim "
+            "WHERE fact.did = dim.id",
+        ),
+        (
+            # the same join from the other side of the FROM list, so
+            # the build constant is fitted on both orientations
+            "join_flipped",
+            "SELECT COUNT(*) AS n FROM dim, fact "
             "WHERE fact.did = dim.id",
         ),
         ("aggregate", "SELECT did, SUM(val) AS s FROM fact GROUP BY did"),

@@ -292,10 +292,18 @@ class ProjectOp(PhysicalPlan):
 
 
 class HashJoin(PhysicalPlan):
-    """Equi hash join; builds on the right input, probes with the left.
+    """Equi hash join: a hash table on one input, probed with the other.
 
-    SQL semantics: NULL keys never match.  ``kind`` is INNER or LEFT;
-    ``residual`` is an optional extra predicate over the joined row.
+    The table is built on the right input unless the planner found the
+    left one the smaller (``build_left``); whichever side is built, an
+    output row is the left row followed by the right row.
+
+    SQL semantics: NULL keys never match (they are never inserted, so a
+    probe key carrying a NULL finds nothing).  ``kind`` is INNER or
+    LEFT; ``residual`` is an optional extra predicate over the joined
+    row.  Only a plain INNER join may build on the left: a LEFT join's
+    preserved rows fall out of the probe loop for free, whereas a build
+    side would need a matched bitmap and a tail pass to preserve them.
     """
 
     def __init__(
@@ -309,10 +317,16 @@ class HashJoin(PhysicalPlan):
         residual: Optional[RowFn] = None,
         left_key_kernels: Optional[Sequence[Callable]] = None,
         right_key_kernels: Optional[Sequence[Callable]] = None,
+        build_left: bool = False,
     ):
         super().__init__()
         if kind not in ("INNER", "LEFT"):
             raise ExecutionError(f"unsupported hash-join kind {kind!r}")
+        if build_left and (kind != "INNER" or residual is not None):
+            raise ExecutionError(
+                "only an INNER hash join without a residual can build "
+                "on its left input"
+            )
         self.left = left
         self.right = right
         self.left_keys = list(left_keys)
@@ -326,46 +340,60 @@ class HashJoin(PhysicalPlan):
         self.right_key_kernels = (
             list(right_key_kernels) if right_key_kernels is not None else None
         )
+        self.build_left = build_left
 
     def children(self) -> List[PhysicalPlan]:
         return [self.left, self.right]
 
+    def _sides(self):
+        """``(build, probe)``, each ``(input, key fns, key kernels)``."""
+        left = (self.left, self.left_keys, self.left_key_kernels)
+        right = (self.right, self.right_keys, self.right_key_kernels)
+        return (left, right) if self.build_left else (right, left)
+
     def _produce(self) -> Iterator[tuple]:
-        if len(self.left_keys) == 1:
-            yield from self._produce_single_key()
+        (build, build_keys, _), (probe, probe_keys, _) = self._sides()
+        if len(build_keys) == 1:
+            yield from self._produce_single_key(
+                build, build_keys[0], probe, probe_keys[0]
+            )
             return
         table: Dict[tuple, List[tuple]] = {}
-        right_keys = self.right_keys
-        for row in self.right.rows():
-            key = tuple(fn(row) for fn in right_keys)
+        for row in build.rows():
+            key = tuple(fn(row) for fn in build_keys)
             if any(value is None for value in key):
                 continue
             table.setdefault(key, []).append(row)
 
-        left_keys = self.left_keys
         residual = self.residual
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
+        build_left = self.build_left
 
-        for row in self.left.rows():
-            key = tuple(fn(row) for fn in left_keys)
+        for row in probe.rows():
+            key = tuple(fn(row) for fn in probe_keys)
             matched = False
             if not any(value is None for value in key):
-                for right_row in table.get(key, ()):
-                    joined = row + right_row
+                for match in table.get(key, ()):
+                    joined = match + row if build_left else row + match
                     if residual is None or residual(joined):
                         matched = True
                         yield joined
             if left_outer and not matched:
                 yield row + pad
 
-    def _produce_single_key(self) -> Iterator[tuple]:
+    def _produce_single_key(
+        self,
+        build: PhysicalPlan,
+        build_key: RowFn,
+        probe: PhysicalPlan,
+        probe_key: RowFn,
+    ) -> Iterator[tuple]:
         """Single-key joins skip per-row key-tuple construction and the
         None scan — the overwhelmingly common case in the workloads."""
         table: Dict[object, List[tuple]] = {}
-        right_key = self.right_keys[0]
-        for row in self.right.rows():
-            key = right_key(row)
+        for row in build.rows():
+            key = build_key(row)
             if key is None:
                 continue
             bucket = table.get(key)
@@ -374,23 +402,27 @@ class HashJoin(PhysicalPlan):
             else:
                 bucket.append(row)
 
-        left_key = self.left_keys[0]
         residual = self.residual
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
+        build_left = self.build_left
         lookup = table.get
 
-        for row in self.left.rows():
-            key = left_key(row)
+        for row in probe.rows():
+            key = probe_key(row)
             bucket = lookup(key) if key is not None else None
             if bucket:
+                if build_left:
+                    for match in bucket:
+                        yield match + row
+                    continue
                 if residual is None:
-                    for right_row in bucket:
-                        yield row + right_row
+                    for match in bucket:
+                        yield row + match
                     continue
                 matched = False
-                for right_row in bucket:
-                    joined = row + right_row
+                for match in bucket:
+                    joined = row + match
                     if residual(joined):
                         matched = True
                         yield joined
@@ -401,63 +433,63 @@ class HashJoin(PhysicalPlan):
 
     # -- batch path --------------------------------------------------------
 
-    def _build_table(self) -> Tuple[Dict[object, object], bool]:
-        """Consume the right input (as batches) into the hash table.
+    @staticmethod
+    def _key_stream(
+        batch: ColumnBatch,
+        rows: List[tuple],
+        fns: Sequence[RowFn],
+        kernels: Optional[Sequence[Callable]],
+    ):
+        """One join key per row of ``batch``: the bare value for a
+        single-key join, a tuple otherwise."""
+        if kernels is not None:
+            key_columns = [kernel(batch) for kernel in kernels]
+        else:
+            key_columns = [[fn(row) for row in rows] for fn in fns]
+        return key_columns[0] if len(fns) == 1 else zip(*key_columns)
+
+    def _build_table(
+        self,
+        build: PhysicalPlan,
+        fns: Sequence[RowFn],
+        kernels: Optional[Sequence[Callable]],
+    ) -> Tuple[Dict[object, object], bool]:
+        """Consume the build input (as batches) into the hash table.
 
         Returns ``(table, unique)``.  While no key collides, each value
         is the matching row itself (a tuple); the first collision turns
         values into list buckets and flips ``unique`` — the probe side
-        uses the all-unique case (PK–FK joins, the common shape in the
-        workloads) for a comprehension-based fast path.
+        uses the all-unique case (PK–FK joins built on the PK side, the
+        common shape in the workloads) for a comprehension-based fast
+        path.
         """
         table: Dict[object, object] = {}
         unique = True
-        kernels = self.right_key_kernels
-        single = len(self.right_keys) == 1
-        for batch in self.right.batches():
+        single = len(fns) == 1
+        for batch in build.batches():
             rows = batch.rows()
-            if kernels is not None:
-                key_columns = [kernel(batch) for kernel in kernels]
-            else:
-                fns = self.right_keys
-                key_columns = [
-                    [fn(row) for row in rows] for fn in fns
-                ]
-            if single:
-                for key, row in zip(key_columns[0], rows):
-                    if key is None:
-                        continue
-                    existing = table.get(key)
-                    if existing is None:
-                        table[key] = row
-                    elif existing.__class__ is list:
-                        existing.append(row)
-                    else:
-                        table[key] = [existing, row]
-                        unique = False
-            else:
-                for packed in zip(*key_columns, rows):
-                    row = packed[-1]
-                    key = packed[:-1]
-                    if None in key:
-                        continue
-                    existing = table.get(key)
-                    if existing is None:
-                        table[key] = row
-                    elif existing.__class__ is list:
-                        existing.append(row)
-                    else:
-                        table[key] = [existing, row]
-                        unique = False
+            for key, row in zip(
+                self._key_stream(batch, rows, fns, kernels), rows
+            ):
+                if (key is None) if single else (None in key):
+                    continue
+                existing = table.get(key)
+                if existing is None:
+                    table[key] = row
+                elif existing.__class__ is list:
+                    existing.append(row)
+                else:
+                    table[key] = [existing, row]
+                    unique = False
         return table, unique
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        table, unique = self._build_table()
-        kernels = self.left_key_kernels
-        single = len(self.left_keys) == 1
+        build, (probe, probe_keys, probe_kernels) = self._sides()
+        table, unique = self._build_table(*build)
         residual = self.residual
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
+        build_left = self.build_left
         fast = unique and residual is None
         if not fast:
             # The generic probe loop expects list buckets.
@@ -468,26 +500,27 @@ class HashJoin(PhysicalPlan):
         width = len(self.schema)
         remaining = hint
 
-        for batch in self.left.batches():
+        for batch in probe.batches():
             rows = batch.rows()
-            if kernels is not None:
-                key_columns = [kernel(batch) for kernel in kernels]
-            else:
-                fns = self.left_keys
-                key_columns = [[fn(row) for row in rows] for fn in fns]
+            # NULL and missing keys both come back as None: NULL keys
+            # are never inserted, so a NULL probe cannot match.
+            matches = map(
+                lookup,
+                self._key_stream(batch, rows, probe_keys, probe_kernels),
+            )
             if fast:
-                # All build keys are unique: probe with a C-level
-                # map over dict.get and one comprehension.  NULL and
-                # missing keys both come back as None (NULL keys are
-                # never inserted, so a NULL probe cannot match).
-                keys = (
-                    key_columns[0] if single else zip(*key_columns)
-                )
-                matches = map(lookup, keys)
+                # All build keys are unique: the C-level map over
+                # dict.get feeds one comprehension.
                 if left_outer:
                     out = [
                         row + (match if match is not None else pad)
                         for row, match in zip(rows, matches)
+                    ]
+                elif build_left:
+                    out = [
+                        match + row
+                        for row, match in zip(rows, matches)
+                        if match is not None
                     ]
                 else:
                     out = [
@@ -495,51 +528,22 @@ class HashJoin(PhysicalPlan):
                         for row, match in zip(rows, matches)
                         if match is not None
                     ]
-                if not out:
-                    continue
-                result = ColumnBatch(rows=out, width=width)
-                if remaining is not None:
-                    result = result.head(remaining)
-                    remaining -= result.length
-                    yield result
-                    if remaining <= 0:
-                        return
-                else:
-                    yield result
-                continue
-            out: List[tuple] = []
-            append = out.append
-            if single:
-                for key, row in zip(key_columns[0], rows):
-                    bucket = lookup(key) if key is not None else None
-                    if bucket:
-                        if residual is None:
-                            for right_row in bucket:
-                                append(row + right_row)
-                            continue
-                        matched = False
-                        for right_row in bucket:
-                            joined = row + right_row
-                            if residual(joined):
-                                matched = True
-                                append(joined)
-                        if matched:
-                            continue
-                    if left_outer:
-                        append(row + pad)
             else:
-                for packed in zip(*key_columns, rows):
-                    row = packed[-1]
-                    key = packed[:-1]
-                    bucket = lookup(key) if None not in key else None
+                out = []
+                append = out.append
+                for row, bucket in zip(rows, matches):
                     if bucket:
+                        if build_left:
+                            for match in bucket:
+                                append(match + row)
+                            continue
                         if residual is None:
-                            for right_row in bucket:
-                                append(row + right_row)
+                            for match in bucket:
+                                append(row + match)
                             continue
                         matched = False
-                        for right_row in bucket:
-                            joined = row + right_row
+                        for match in bucket:
+                            joined = row + match
                             if residual(joined):
                                 matched = True
                                 append(joined)
@@ -560,7 +564,11 @@ class HashJoin(PhysicalPlan):
                 yield result
 
     def label(self) -> str:
-        return f"HashJoin[{self.kind}, {len(self.left_keys)} keys]"
+        side = "left" if self.build_left else "right"
+        return (
+            f"HashJoin[{self.kind}, {len(self.left_keys)} keys, "
+            f"build={side}]"
+        )
 
 
 class NestedLoopJoin(PhysicalPlan):

@@ -84,7 +84,9 @@ class LocalPlanner:
 
         A caller that goes on to cost the result passes its
         ``estimator`` so the statistics fetched here (remote ones
-        included) are not fetched again."""
+        included) are not fetched again.  The inputs of every INNER
+        join come back carrying their ``estimated_rows``, which is
+        what :meth:`_plan_join` picks the hash build side from."""
         plan = push_filters(plan)
         if estimator is None:
             estimator = self.make_estimator()
@@ -94,6 +96,7 @@ class LocalPlanner:
             ndv=estimator.estimate_ndv,
         )
         plan = prune_columns(plan)
+        _estimate_join_inputs(plan, estimator)
         return plan
 
     # -- physical lowering -----------------------------------------------------
@@ -349,13 +352,14 @@ class LocalPlanner:
                 left, right, plan.schema, None, plan.kind
             )
 
-        keys = plan.equi_keys()
-        if keys is None:
+        split = plan.hash_keys()
+        if split is None:
             condition = compile_predicate(plan.condition, plan.schema)
             return physical.NestedLoopJoin(
                 left, right, plan.schema, condition, plan.kind
             )
 
+        keys, residual = split
         left_fns = [
             compile_expression(left_ref, plan.left.schema).fn
             for left_ref, _ in keys
@@ -372,16 +376,56 @@ class LocalPlanner:
             vector.compile_kernel(right_ref, plan.right.schema)
             for _, right_ref in keys
         ]
+        # The rule ``CostModel.node_self_cost`` prices: the hash table
+        # goes on the input expected to be the smaller.  A tie or a
+        # missing estimate keeps the right input, and so does every
+        # join whose probe loop must start from the left row — a LEFT
+        # join pads it, a residual reads ``left ++ right``.
+        left_rows = plan.left.estimated_rows
+        right_rows = plan.right.estimated_rows
+        build_left = (
+            plan.kind == "INNER"
+            and residual is None
+            and left_rows is not None
+            and right_rows is not None
+            and left_rows < right_rows
+        )
         return physical.HashJoin(
             left,
             right,
             left_fns,
             right_fns,
             plan.schema,
-            kind="INNER" if plan.kind == "INNER" else plan.kind,
+            kind=plan.kind,
+            residual=(
+                compile_predicate(residual, plan.schema)
+                if residual is not None
+                else None
+            ),
             left_key_kernels=left_kernels,
             right_key_kernels=right_kernels,
+            build_left=build_left,
         )
+
+
+def _estimate_join_inputs(
+    plan: algebra.LogicalPlan, estimator: CardinalityEstimator
+) -> None:
+    """Estimate both inputs of every INNER join of an optimized plan.
+
+    Pruning rebuilt the nodes the join-order search had estimated, so
+    the final tree is estimated again — but only below INNER joins:
+    the search estimated each of their inputs, which leaves every scan
+    down there in ``estimator``'s cache, and no remote is consulted a
+    second time.  A LEFT join builds on its right input whatever the
+    sizes and a plan without joins has no side to choose; estimating
+    those would consult remotes that planning never asked.
+    """
+    if isinstance(plan, algebra.Join) and plan.kind == "INNER":
+        estimator.estimate_rows(plan.left)
+        estimator.estimate_rows(plan.right)
+    for child in plan.children():
+        _estimate_join_inputs(child, estimator)
 
 
 def _union_branches(plan: algebra.Union) -> List[algebra.LogicalPlan]:

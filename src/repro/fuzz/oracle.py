@@ -682,7 +682,9 @@ def chain_deployment(profile: str = "postgres") -> Deployment:
 
 def memo_failures(databases) -> List[str]:
     """Invariant 8 on live engines: every memo entry that would still
-    be served, against a plan and estimate made from scratch.
+    be served, against a plan and estimate made from scratch — and the
+    operators both lower to, since a plan carries the estimates its
+    hash joins' build sides are chosen from.
 
     Engines are judged one by one, so the fresh plan of an engine may
     consult the memo of the engine below it — whose entries are judged
@@ -699,6 +701,8 @@ def memo_failures(databases) -> List[str]:
                     estimator,
                 )
                 info = database._explain(plan, estimator)
+                lowered = database.planner.to_physical(plan).pretty()
+                served = database.planner.to_physical(entry.plan).pretty()
             except Exception as exc:
                 failures.append(
                     f"{database.name}: memo still serves {key!r} but "
@@ -710,6 +714,13 @@ def memo_failures(databases) -> List[str]:
                     f"{database.name}: memo serves a stale plan for "
                     f"{key!r}: {entry.plan.pretty()!r} vs fresh "
                     f"{plan.pretty()!r}"
+                )
+            elif lowered != served:
+                # same logical plan, other operators: the hash joins'
+                # build sides were chosen from estimates since moved
+                failures.append(
+                    f"{database.name}: memo serves stale operators for "
+                    f"{key!r}: {served!r} vs fresh {lowered!r}"
                 )
             elif entry.info is not None and entry.info != info:
                 failures.append(

@@ -191,6 +191,10 @@ class Project(LogicalPlan):
         return f"Project[{cols}]"
 
 
+#: (left column, right column) of each ``left_col = right_col`` conjunct
+KeyPairs = List[Tuple[ast.ColumnRef, ast.ColumnRef]]
+
+
 class Join(LogicalPlan):
     """A binary join; ``condition`` may be None for a cross join."""
 
@@ -223,36 +227,52 @@ class Join(LogicalPlan):
         left, right = children
         return Join(left, right, self.condition, self.kind)
 
-    def equi_keys(
+    def hash_keys(
         self,
-    ) -> Optional[List[Tuple[ast.ColumnRef, ast.ColumnRef]]]:
-        """(left, right) column pairs if the condition is a pure equi-join.
+    ) -> Optional[Tuple[KeyPairs, Optional[ast.Expression]]]:
+        """The condition split for a hash join: ``(pairs, residual)``.
 
-        Returns None when any conjunct is not ``left_col = right_col``
+        ``pairs`` are the (left, right) columns of every ``left_col =
+        right_col`` conjunct; ``residual`` is the conjunction of all
+        other conjuncts (None when there are none), to be evaluated on
+        each key match.  Returns None when no conjunct can be hashed on
         (those joins fall back to nested loops in the executor).
         """
-        if self.condition is None:
-            return None
-        pairs: List[Tuple[ast.ColumnRef, ast.ColumnRef]] = []
+        pairs: KeyPairs = []
+        rest: List[ast.Expression] = []
         left_schema, right_schema = self.left.schema, self.right.schema
         for conjunct in ast.conjuncts(self.condition):
-            if not (
+            if (
                 isinstance(conjunct, ast.BinaryOp)
                 and conjunct.op == "="
                 and isinstance(conjunct.left, ast.ColumnRef)
                 and isinstance(conjunct.right, ast.ColumnRef)
             ):
-                return None
-            first, second = conjunct.left, conjunct.right
-            if _resolves(left_schema, first) and _resolves(right_schema, second):
-                pairs.append((first, second))
-            elif _resolves(left_schema, second) and _resolves(
-                right_schema, first
-            ):
-                pairs.append((second, first))
-            else:
-                return None
-        return pairs
+                first, second = conjunct.left, conjunct.right
+                if _resolves(left_schema, first) and _resolves(
+                    right_schema, second
+                ):
+                    pairs.append((first, second))
+                    continue
+                if _resolves(left_schema, second) and _resolves(
+                    right_schema, first
+                ):
+                    pairs.append((second, first))
+                    continue
+            rest.append(conjunct)
+        if not pairs:
+            return None
+        return pairs, ast.conjoin(rest)
+
+    def equi_keys(self) -> Optional[KeyPairs]:
+        """(left, right) column pairs if the condition is a pure equi-join.
+
+        Returns None when any conjunct is not ``left_col = right_col``.
+        """
+        split = self.hash_keys()
+        if split is None or split[1] is not None:
+            return None
+        return split[0]
 
     def label(self) -> str:
         from repro.sql.render import render

@@ -168,6 +168,10 @@ EDGE_QUERIES = [
     "SELECT t.k, t.s, u.w FROM t LEFT JOIN u ON t.k = u.k",
     # LEFT join with residual-free duplicate matches.
     "SELECT t.s, u.w FROM t LEFT JOIN u ON t.k = u.k WHERE t.k IS NOT NULL",
+    # Mixed ON conditions: hashed on the equi conjunct, the rest is a
+    # residual; a left row whose every match fails it is padded once.
+    "SELECT t.k, t.s, u.w FROM t LEFT JOIN u ON t.k = u.k AND u.w > 10",
+    "SELECT t.k, u.w FROM t LEFT JOIN u ON t.k = u.k AND u.w > 30 AND t.v < 4",
     # DISTINCT rows and DISTINCT aggregates.
     "SELECT DISTINCT k, v FROM t",
     "SELECT COUNT(DISTINCT v) AS dv, SUM(DISTINCT v) AS sv FROM t",

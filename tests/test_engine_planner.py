@@ -8,6 +8,7 @@ from repro.engine.fdw import ForeignScan
 from repro.errors import ExecutionError
 from repro.relational import algebra
 from repro.relational.builder import build_plan
+from repro.relational.expressions import compile_predicate
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_statement
 from repro.sql.types import INTEGER, varchar
@@ -70,6 +71,69 @@ def test_left_join_lowered_to_hash_left(db):
     plan = lower(db, "SELECT t.v FROM t LEFT JOIN u ON t.k = u.k")
     (join,) = find_ops(plan, physical.HashJoin)
     assert join.kind == "LEFT"
+
+
+@pytest.mark.parametrize("kind", ["INNER", "LEFT"])
+def test_mixed_condition_hashes_with_a_residual(kind):
+    """An equi conjunct plus anything else used to run as a nested
+    loop (seconds at a few thousand rows a side); it hashes on the equi
+    conjunct and checks the rest on each key match."""
+    database = Database("D")
+    database.create_table(
+        "a",
+        Schema([Field("x", INTEGER), Field("y", INTEGER)]),
+        [(1, 10), (1, 11), (2, 20), (None, 30), (4, 40), (5, 50)],
+    )
+    database.create_table(
+        "b",
+        Schema([Field("x", INTEGER), Field("z", INTEGER)]),
+        [(1, 1), (1, 5), (2, 7), (None, 0), (5, 9), (6, 2)],
+    )
+    join_sql = "JOIN" if kind == "INNER" else "LEFT JOIN"
+    logical = build_plan(
+        parse_statement(
+            f"SELECT * FROM a {join_sql} b "
+            "ON a.x = b.x AND b.z < 6 AND a.y <> 11"
+        ),
+        database.catalog,
+    )
+    while not isinstance(logical, algebra.Join):
+        (logical,) = logical.children()
+    pairs, residual = logical.hash_keys()
+    assert len(pairs) == 1 and residual is not None
+    assert logical.equi_keys() is None
+
+    def lowered():
+        (join,) = find_ops(
+            database.planner.to_physical(logical), physical.HashJoin
+        )
+        return join
+
+    join = lowered()
+    assert join.kind == kind and join.residual is not None
+    assert not join.build_left
+    nested = physical.NestedLoopJoin(
+        join.left.clone(),
+        join.right.clone(),
+        logical.schema,
+        compile_predicate(logical.condition, logical.schema),
+        kind,
+    )
+    want = list(nested.rows())
+    matched = [(1, 10, 1, 1), (1, 10, 1, 5)]
+    padded = [
+        row + (None, None)
+        for row in [(1, 11), (2, 20), (None, 30), (4, 40), (5, 50)]
+    ]
+    assert sorted(want, key=repr) == sorted(
+        matched + (padded if kind == "LEFT" else []), key=repr
+    )
+    assert list(join.rows()) == want
+    batch_join = lowered()
+    assert [
+        row for batch in batch_join.batches() for row in batch.rows()
+    ] == want
+    assert batch_join.rows_out == join.rows_out == len(want)
 
 
 def test_aggregate_and_sort_lowering(db):
