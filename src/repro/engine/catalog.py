@@ -11,15 +11,31 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.stats import TableStats, compute_stats
+from repro.engine.stats import (
+    DEFAULT_SAMPLE_SIZE,
+    REANALYZE_FRACTION,
+    TableStats,
+    compute_stats,
+)
 from repro.errors import CatalogError
+from repro.obs.runtime import current_context
 from repro.relational.builder import ResolvedTable, TableResolver
 from repro.relational.schema import Schema
 from repro.sql import ast
 
 
 class BaseTable:
-    """A stored relation: schema, rows, and (lazily computed) statistics."""
+    """A stored relation: schema, rows, and an ANALYZE snapshot of its
+    statistics.
+
+    ``stats`` is what the last analysis saw, ``row_count`` included, and
+    stays that way while writes append no more than
+    :data:`~repro.engine.stats.REANALYZE_FRACTION` of it: between two
+    analyses ``stats.row_count <= len(rows) <= (1 + fraction) *
+    stats.row_count`` plus one batch.  The write that goes past the
+    bound invalidates the snapshot (and moves the catalog version); the
+    next read takes a new one.
+    """
 
     kind = "TABLE"
 
@@ -28,29 +44,62 @@ class BaseTable:
         self.schema = schema.unqualified()
         self.rows: List[tuple] = list(rows) if rows is not None else []
         self.temporary = temporary
-        #: how many times the contents changed, and the statistics
-        #: tagged with the count they were computed under — a scan that
-        #: an invalidation overtakes stores a tag nobody will accept
+        #: how many times the snapshot was invalidated, and the
+        #: statistics tagged with the count they were computed under — a
+        #: scan that an invalidation overtakes stores a tag nobody will
+        #: accept
         self._generation = 0
         self._generation_lock = threading.Lock()
         self._stats: Optional[Tuple[int, TableStats]] = None
+        #: held while analyzing, so concurrent readers of a table
+        #: without a snapshot pay for one scan, not one each
+        self._analyze_lock = threading.Lock()
         #: the catalog holding this table (set by :meth:`Catalog.add`),
-        #: told whenever the table's contents change
+        #: told whenever the snapshot is invalidated
         self._catalog: Optional["Catalog"] = None
 
-    @property
-    def stats(self) -> TableStats:
+    def _snapshot(self) -> Optional[TableStats]:
+        """The current snapshot, if there is one."""
         cached = self._stats
         if cached is not None and cached[0] == self._generation:
             return cached[1]
-        generation = self._generation
+        return None
+
+    @property
+    def stats(self) -> TableStats:
+        stats = self._snapshot()
+        if stats is not None:
+            return stats
+        with self._analyze_lock:
+            generation = self._generation
+            stats = self._snapshot()
+            if stats is None:
+                stats = self._analyze()
+                self._stats = (generation, stats)
+            return stats
+
+    def _analyze(self) -> TableStats:
         stats = compute_stats(self.schema, self.rows)
-        self._stats = (generation, stats)
+        ctx = current_context()
+        if ctx is not None:
+            labels = {
+                "db": (
+                    self._catalog.database_name
+                    if self._catalog is not None
+                    else None
+                ),
+                "table": self.name,
+            }
+            profiled = min(stats.row_count, DEFAULT_SAMPLE_SIZE)
+            ctx.metrics.inc("engine.stats.analyze", **labels)
+            ctx.metrics.inc("engine.stats.analyze_rows", profiled, **labels)
+            ctx.tracer.add_event("analyze", rows=profiled, **labels)
         return stats
 
     def invalidate_stats(self) -> None:
-        """Announce that schema or rows changed: statistics are
-        recomputed on next read and the catalog version moves on."""
+        """Announce that schema or rows changed beyond what the snapshot
+        may lag by: statistics are recomputed on next read and the
+        catalog version moves on."""
         with self._generation_lock:
             self._generation += 1
         self._stats = None
@@ -59,7 +108,9 @@ class BaseTable:
 
     def insert(self, rows) -> int:
         """Append a batch, all or nothing: an arity error leaves the
-        table (and its statistics) untouched."""
+        table (and its statistics) untouched.  The snapshot is kept —
+        and the catalog version with it — until the rows appended since
+        exceed ``REANALYZE_FRACTION`` of the rows it counted."""
         batch = [tuple(row) for row in rows]
         for row in batch:
             if len(row) != len(self.schema):
@@ -68,7 +119,13 @@ class BaseTable:
                     f"{self.name!r} with {len(self.schema)} columns"
                 )
         self.rows.extend(batch)
-        self.invalidate_stats()
+        snapshot = self._snapshot()
+        if (
+            snapshot is None
+            or len(self.rows) - snapshot.row_count
+            > REANALYZE_FRACTION * snapshot.row_count
+        ):
+            self.invalidate_stats()
         return len(batch)
 
 
@@ -103,8 +160,11 @@ class Catalog(TableResolver):
     """Name → object map with resolver support for the plan builder.
 
     ``version`` counts every change a local plan or estimate could
-    observe — objects added, replaced or dropped, rows inserted,
-    statistics invalidated, servers registered.  It only ever grows, and
+    observe — objects added, replaced or dropped, statistics
+    invalidated, servers registered.  Plans and estimates read a
+    table's statistics snapshot, never its rows, so an INSERT moves the
+    version only when it invalidates the snapshot
+    (:meth:`BaseTable.insert`).  It only ever grows, and
     a writer changes state *first* and bumps *second*, so a reader that
     notes the version before it reads can tell afterwards whether what
     it read is still current (see :class:`VersionStamp`).  It is this

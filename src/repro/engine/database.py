@@ -209,14 +209,18 @@ class Database:
         dialect (so literals of different type never share an entry)
         and stamped with this catalog's version, read *before*
         planning, plus the stamp of every remote consulted on the way.
-        An entry is served only while its whole stamp is current.  Every
-        stamp contains this engine's own version, so the dict is dropped
-        wholesale the first time it is touched under a newer one — the
-        per-query-unique object names of delegated cascades cannot pile
-        up.  The lock guards the dict only; planning, which recurses
-        into other engines, runs outside it, so two threads may plan
-        the same statement at once (harmless) but neither can be handed
-        a stale entry.
+        An entry is served only while its whole stamp is current.  A
+        plan and its estimate read statistics snapshots, never rows
+        (:class:`~repro.engine.catalog.BaseTable`), so an INSERT moves a
+        version — and retires entries — only when it takes its table
+        past the re-ANALYZE bound; DDL, drift and a new server always
+        do.  Every stamp contains this engine's own version, so the
+        dict is dropped wholesale the first time it is touched under a
+        newer one — the per-query-unique object names of delegated
+        cascades cannot pile up.  The lock guards the dict only;
+        planning, which recurses into other engines, runs outside it,
+        so two threads may plan the same statement at once (harmless)
+        but neither can be handed a stale entry.
         """
         key = self.dialect.render(select)
         version = self.catalog.version

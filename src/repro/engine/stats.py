@@ -1,8 +1,11 @@
 """Table and column statistics used by the cost-based planners.
 
-Statistics are computed exactly (the simulated tables are small enough);
-real engines would sample.  They feed selectivity estimation in
-:mod:`repro.engine.cost` and, via EXPLAIN consulting, XDB's annotator.
+Statistics are ANALYZE snapshots: computed over the stored rows (a seeded
+sample of them above ``DEFAULT_SAMPLE_SIZE``) when a table is first read
+and again only after writes have grown it by ``REANALYZE_FRACTION``
+(:class:`repro.engine.catalog.BaseTable`).  They feed selectivity
+estimation in :mod:`repro.engine.cost` and, via EXPLAIN consulting, XDB's
+annotator.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ _PLAIN_TYPES = _WIDTH_4_TYPES | _WIDTH_8_TYPES | {str}
 
 #: ANALYZE-style sampling bound: larger tables are profiled on a sample.
 DEFAULT_SAMPLE_SIZE = 20_000
+
+#: A table is re-analyzed once the rows appended since its last analysis
+#: exceed this fraction of the rows that analysis counted (PostgreSQL's
+#: ``autovacuum_analyze_scale_factor``); until then its statistics —
+#: ``row_count`` included — are the snapshot that analysis took.
+REANALYZE_FRACTION = 0.1
 
 
 def compute_stats(

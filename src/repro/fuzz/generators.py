@@ -194,12 +194,17 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
     """A script over the plan-memo oracle's chain (``A.v_a`` reads
     ``B.v_b`` reads ``C.t``; ``lt`` is local to A): plans and queries
     that fill the memos, interleaved with every kind of change that
-    must empty them."""
+    must empty them — and INSERT batches on both sides of the
+    re-ANALYZE bound (12 rows for the 120 of ``t``, 5 for the 50 of
+    ``lt``), which must empty them only past it."""
     literal = rng.choice(["1", "1.0", "7", "30"])
     threshold = rng.randint(0, 35)
     rows = ", ".join(
         f"({rng.randint(0, 60)}, {rng.randint(0, 40) / 2.0})"
         for _ in range(rng.randint(1, 30))
+    )
+    local_rows = ", ".join(
+        f"({rng.randint(0, 30)}, 'new')" for _ in range(rng.randint(1, 10))
     )
     reads = [
         ["explain", "A", "SELECT * FROM v_a"],
@@ -210,7 +215,7 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
     ]
     writes = [
         ["sql", "C", f"INSERT INTO t VALUES {rows}"],
-        ["sql", "A", "INSERT INTO lt VALUES (3, 'new'), (4, 'new')"],
+        ["sql", "A", f"INSERT INTO lt VALUES {local_rows}"],
         [
             "sql",
             "B",

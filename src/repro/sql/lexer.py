@@ -1,4 +1,4 @@
-"""A hand-written SQL lexer.
+"""The SQL lexer: one compiled alternation, matched token by token.
 
 The lexer is dialect-tolerant on purpose: it accepts double-quoted
 (PostgreSQL) *and* backtick-quoted (MariaDB/Hive) identifiers, so a single
@@ -7,17 +7,53 @@ front end can read the SQL text that each simulated vendor emits.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List
 
 from repro.errors import LexerError
 from repro.sql.tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenKind
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-_SPACE = frozenset(" \t\r\n")
+
+def _quoted(quote: str) -> str:
+    """A ``quote``-delimited body in which a doubled quote is an escaped
+    one; the lookahead keeps the match from ending on the first half of
+    such a pair when the literal is never closed."""
+    return f"{quote}[^{quote}]*(?:{quote}{quote}[^{quote}]*)*{quote}(?!{quote})"
+
+
+#: Every match is optional whitespace followed by exactly one named
+#: group, so ``lastgroup`` names the token.  Alternatives are tried in
+#: order: comments before the ``-`` and ``/`` operators, FLOAT before
+#: INTEGER, and each ``bad_*`` after the well-formed form it is the
+#: unterminated opening of.  Character classes are ASCII on purpose
+#: (``\d`` and ``\s`` would admit Unicode digits and spaces).
+_match_token = re.compile(
+    r"[ \t\r\n]*(?:"
+    + "|".join(
+        [
+            r"(?P<word>[A-Za-z_][A-Za-z0-9_$]*)",
+            r"(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))",
+            r"(?P<integer>[0-9]+)",
+            f"(?P<string>{_quoted(chr(39))})",
+            f"(?P<quoted>{_quoted(chr(34))}|{_quoted('`')})",
+            r"(?P<comment>--[^\n]*|/\*[\s\S]*?\*/)",
+            r"(?P<bad_comment>/\*)",
+            "(?P<operator>" + "|".join(map(re.escape, OPERATORS)) + ")",
+            "(?P<punctuation>[" + re.escape("".join(PUNCTUATION)) + "])",
+            r"(?P<bad_string>')",
+            r"(?P<bad_quoted>[\"`])",
+            r"(?P<bad_character>[\s\S])",
+            r"(?P<eof>\Z)",
+        ]
+    )
+    + ")"
+).match
+
+_UNTERMINATED = {
+    "bad_comment": "unterminated block comment",
+    "bad_string": "unterminated string literal",
+    "bad_quoted": "unterminated quoted identifier",
+}
 
 
 class Lexer:
@@ -25,158 +61,83 @@ class Lexer:
 
     def __init__(self, text: str):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
     def tokens(self) -> Iterator[Token]:
         """Yield tokens until (and including) an EOF token."""
+        text = self._text
+        pos = 0
+        # 1-based line of ``pos`` and the offset its line starts at;
+        # only whitespace, comments and quoted tokens can hold newlines
+        line = 1
+        line_start = 0
         while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                yield self._token(TokenKind.EOF, "")
-                return
-            yield self._next_token()
-
-    # -- internals ---------------------------------------------------------
-
-    def _token(self, kind: TokenKind, value) -> Token:
-        return Token(kind, value, self._line, self._column)
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self._pos, self._line, self._column)
-
-    def _advance(self, count: int = 1) -> str:
-        """Consume ``count`` characters, maintaining line/column counters."""
-        consumed = self._text[self._pos : self._pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return consumed
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in _SPACE:
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
+            match = _match_token(text, pos)
+            group = match.lastgroup
+            start = match.start(group)
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
+            pos = match.end()
+            column = start - line_start + 1
+            if group == "word":
+                word = text[start:pos]
+                upper = word.upper()
+                if upper in KEYWORDS:
+                    yield Token(TokenKind.KEYWORD, upper, line, column)
                 else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        ch = self._peek()
-        if ch in _IDENT_START:
-            return self._lex_word()
-        if ch in _DIGITS:
-            return self._lex_number()
-        if ch == "'":
-            return self._lex_string()
-        if ch in ('"', "`"):
-            return self._lex_quoted_identifier(ch)
-        for op in OPERATORS:
-            if self._text.startswith(op, self._pos):
-                token = self._token(TokenKind.OPERATOR, op)
-                self._advance(len(op))
-                return token
-        if ch in PUNCTUATION:
-            token = self._token(TokenKind.PUNCTUATION, ch)
-            self._advance()
-            return token
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_word(self) -> Token:
-        line, column = self._line, self._column
-        start = self._pos
-        while self._pos < len(self._text) and self._peek() in _IDENT_CONT:
-            self._advance()
-        word = self._text[start : self._pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenKind.KEYWORD, upper, line, column)
-        return Token(TokenKind.IDENTIFIER, word, line, column)
-
-    def _lex_number(self) -> Token:
-        line, column = self._line, self._column
-        start = self._pos
-        is_float = False
-        while self._pos < len(self._text) and self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            is_float = True
-            self._advance()
-            while self._pos < len(self._text) and self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._pos < len(self._text) and self._peek() in _DIGITS:
-                self._advance()
-        text = self._text[start : self._pos]
-        if is_float:
-            return Token(TokenKind.FLOAT, float(text), line, column)
-        return Token(TokenKind.INTEGER, int(text), line, column)
-
-    def _lex_string(self) -> Token:
-        line, column = self._line, self._column
-        self._advance()  # opening quote
-        parts: List[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote: '' -> '
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(TokenKind.STRING, "".join(parts), line, column)
-            parts.append(ch)
-            self._advance()
-
-    def _lex_quoted_identifier(self, quote: str) -> Token:
-        line, column = self._line, self._column
-        self._advance()  # opening quote
-        parts: List[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise self._error("unterminated quoted identifier")
-            ch = self._peek()
-            if ch == quote:
-                if self._peek(1) == quote:
-                    parts.append(quote)
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(
-                    TokenKind.QUOTED_IDENTIFIER, "".join(parts), line, column
+                    yield Token(TokenKind.IDENTIFIER, word, line, column)
+                continue
+            if group == "punctuation":
+                yield Token(
+                    TokenKind.PUNCTUATION, text[start:pos], line, column
                 )
-            parts.append(ch)
-            self._advance()
+                continue
+            if group == "integer":
+                yield Token(
+                    TokenKind.INTEGER, int(text[start:pos]), line, column
+                )
+                continue
+            if group == "operator":
+                yield Token(TokenKind.OPERATOR, text[start:pos], line, column)
+                continue
+            if group == "float":
+                yield Token(
+                    TokenKind.FLOAT, float(text[start:pos]), line, column
+                )
+                continue
+            if group == "string" or group == "quoted":
+                quote = text[start]
+                kind = (
+                    TokenKind.STRING
+                    if group == "string"
+                    else TokenKind.QUOTED_IDENTIFIER
+                )
+                body = text[start + 1 : pos - 1]
+                yield Token(
+                    kind, body.replace(quote + quote, quote), line, column
+                )
+            elif group == "eof":
+                yield Token(TokenKind.EOF, "", line, column)
+                return
+            elif group == "bad_character":
+                raise LexerError(
+                    f"unexpected character {text[start]!r}",
+                    start,
+                    line,
+                    column,
+                )
+            elif group != "comment":
+                # an opening with no close: reported where the input ends
+                pos = len(text)
+            newlines = text.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, pos) + 1
+            if group in _UNTERMINATED:
+                raise LexerError(
+                    _UNTERMINATED[group], pos, line, pos - line_start + 1
+                )
 
 
 def tokenize(text: str) -> List[Token]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.planner import LocalPlanner
 from repro.engine.profiles import clear_calibrated
 from repro.federation.deployment import Deployment
 from repro.relational.schema import Field, Schema
@@ -22,6 +25,20 @@ def _isolate_calibrated_profiles():
     """
     yield
     clear_calibrated()
+
+
+@pytest.fixture
+def optimize_calls(monkeypatch):
+    """Counts entries into ``LocalPlanner.optimize`` per engine name."""
+    calls = Counter()
+    original = LocalPlanner.optimize
+
+    def counting(self, plan, estimator=None):
+        calls[self._db.name] += 1
+        return original(self, plan, estimator)
+
+    monkeypatch.setattr(LocalPlanner, "optimize", counting)
+    return calls
 
 
 def normalized_rows(rows, places: int = 2):

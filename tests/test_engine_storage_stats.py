@@ -76,11 +76,19 @@ def test_min_max_skipped_for_mixed_unorderable():
 
 
 def test_base_table_insert_and_stats_invalidation():
+    """Statistics are the last analysis's snapshot, ``row_count``
+    included: kept while INSERTs add at most a tenth of it, replaced by
+    the first read after the write that goes past that."""
     table = BaseTable("t", SCHEMA, make_rows(10))
-    before = table.stats.row_count
+    before = table.stats
     table.insert([(100, "a", 1.0, datetime.date(2020, 1, 1))])
-    assert before == 10
-    assert table.stats.row_count == 11
+    assert table.stats is before  # 10 %: at the bound
+    assert before.row_count == 10
+    table.insert([(101, "a", 1.0, datetime.date(2020, 1, 1))])
+    after = table.stats  # 20 %: past it
+    assert after is not before
+    assert after.row_count == 12
+    assert after.column("k").max_value == 101
 
 
 def test_base_table_insert_arity_check():
