@@ -7,13 +7,14 @@ carries the §VI-E phase breakdown (prep / lopt / ann / exec), the
 delegation plan with per-edge movement statistics (Table IV), and the
 transfer summary for the data-movement experiments (Fig. 14).
 
-The planning machinery itself lives in :mod:`repro.core.pipeline`: a
-submission is a :class:`~repro.core.pipeline.PlanState` driven through
-the re-enterable stage sequence by :class:`~repro.core.pipeline.
-PlanPipeline`, and every recovery flavour (outage, drift, blown
-estimate) is a stage re-entry within the repair budget.  This module
-keeps the user-facing surface: :class:`XDB`, :class:`XDBReport`, and
-:class:`PreparedQuery`.
+The machinery itself lives in :mod:`repro.core.pipeline`: a submission
+is a :class:`~repro.core.pipeline.PlanState` driven through the
+re-enterable stage sequence by :class:`~repro.core.pipeline.
+PlanPipeline`, whose ``execute`` is the only execute path and whose
+recovery table is the only recovery routine.  This module keeps the
+user-facing surface: :class:`XDB` (``submit`` enters the pipeline at
+``parse``), :class:`PreparedQuery` (a retained state that re-enters at
+``execute``), and the :class:`XDBReport` both are answered with.
 
 Every submission runs inside one :class:`~repro.obs.context.
 QueryContext`: the phase breakdown, transfer summary, resilience
@@ -28,7 +29,7 @@ submissions cannot leak observations into each other.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.annotate import Annotation, PlanAnnotator
@@ -40,37 +41,24 @@ from repro.core.pipeline import (  # noqa: F401  (RecoveryReport re-export)
     PlanPipeline,
     PlanState,
     RecoveryReport,
-    _slots,
 )
 from repro.core.plan import DelegationPlan
-from repro.core.timing import (
-    ScheduleResult,
-    attribute_edge_stats,
-    simulate_schedule,
-)
+
+# noqa: F401 — the perf benchmark's tracer replaces these two names in
+# this module's namespace (benchmarks/perf/spans.py BOUNDARIES).
+from repro.core.timing import ScheduleResult, simulate_schedule  # noqa: F401
 from repro.drift.ledger import ObjectLedger
 from repro.drift.reaper import OrphanReaper, ReapReport
 from repro.engine.result import Result
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    OptimizerError,
-    OverloadError,
-    ReproError,
-    SchemaDriftError,
-)
+from repro.errors import OptimizerError, ReproError
 from repro.federation.deployment import Deployment
-from repro.feedback.harvest import harvest_execution
+from repro.feedback.harvest import harvest_execution  # noqa: F401
 from repro.feedback.report import qerror_table
 from repro.feedback.store import FeedbackOverlay, FeedbackStore, Observation
 from repro.net.metrics import ResilienceSummary, TransferSummary
 from repro.obs.context import QueryContext
-from repro.qos import PRIORITY_NORMAL, QoSPolicy, QoSReport
+from repro.qos import QoSPolicy, QoSReport
 from repro.sql import ast
-
-#: transfer tags on the execution critical path for prepared
-#: re-executions (no annotation phase, so no consult/probe traffic)
-_PREPARED_CONTROL_TAGS = ("delegation", "control")
 
 
 @dataclass
@@ -80,28 +68,28 @@ class XDBReport:
     result: Result
     plan: DelegationPlan
     deployed: DeployedQuery
-    #: None for re-executions of a prepared query (no annotation phase)
+    #: None for executions of a prepared query (no annotation phase)
     annotation: Optional[Annotation]
     schedule: ScheduleResult
     #: simulated seconds per phase: prep / lopt / ann / exec — phase
     #: times include any simulated retry backoff spent in that phase
-    phases: Dict[str, float] = field(default_factory=dict)
-    transfers: Optional[TransferSummary] = None
-    consultations: int = 0
+    phases: Dict[str, float]
+    transfers: TransferSummary
+    consultations: int
     #: per-connector retry/failure counters for this submission
-    resilience: Optional[ResilienceSummary] = None
-    #: plan-repair activity (None for prepared-query re-executions that
-    #: re-ran a frozen deployment without any recovery)
-    recovery: Optional[RecoveryReport] = None
+    resilience: ResilienceSummary
+    #: what the recovery scopes did for this submission (untouched in
+    #: the common case — see :attr:`RecoveryReport.touched`)
+    recovery: RecoveryReport
     #: the observation context the submission ran under: span tree,
     #: context-scoped metrics, attributed transfers, trace exports
-    context: Optional[QueryContext] = None
+    context: QueryContext
     #: QoS receipt — admission wait, deadline spend, staleness — when
     #: the submission carried a :class:`~repro.qos.QoSPolicy`
-    qos: Optional[QoSReport] = None
+    qos: Optional[QoSReport]
     #: Q-Error observations harvested from this execution (estimate vs
     #: actual per task boundary and base-table scan)
-    feedback: List[Observation] = field(default_factory=list)
+    feedback: List[Observation]
 
     @property
     def total_seconds(self) -> float:
@@ -119,27 +107,23 @@ class XDBReport:
             + self.phases.get("ann", 0.0)
         )
 
+    def _phase_line(self) -> str:
+        return "phases: " + ", ".join(
+            f"{name}={seconds:.3f}s" for name, seconds in self.phases.items()
+        )
+
     def describe(self) -> str:
         lines = [
             f"delegation plan ({self.plan.task_count()} tasks, "
             f"root @ {self.plan.root.annotation}):",
             self.plan.describe(),
-            "phases: "
-            + ", ".join(
-                f"{name}={seconds:.3f}s"
-                for name, seconds in self.phases.items()
-            ),
+            self._phase_line(),
+            f"data moved: {self.transfers.total_megabytes:.3f} MB in "
+            f"{self.transfers.transfer_count} transfers",
         ]
-        if self.transfers is not None:
-            lines.append(
-                f"data moved: {self.transfers.total_megabytes:.3f} MB in "
-                f"{self.transfers.transfer_count} transfers"
-            )
-        if self.resilience is not None and self.resilience.degraded:
+        if self.resilience.degraded:
             lines.append(f"resilience: {self.resilience.describe()}")
-        if self.recovery is not None and (
-            self.recovery.repaired or self.recovery.adapted
-        ):
+        if self.recovery.touched:
             lines.append(f"recovery: {self.recovery.describe()}")
         if self.qos is not None:
             lines.append(f"qos: {self.qos.describe()}")
@@ -147,12 +131,7 @@ class XDBReport:
 
     def explain_analyze(self) -> str:
         """EXPLAIN ANALYZE-style span tree for this submission."""
-        if self.context is None:
-            return "no observation context recorded"
-        header = "phases: " + ", ".join(
-            f"{name}={seconds:.3f}s" for name, seconds in self.phases.items()
-        )
-        out = header + "\n" + self.context.explain_tree()
+        out = self._phase_line() + "\n" + self.context.explain_tree()
         if self.feedback:
             table = qerror_table(self.feedback)
             if table:
@@ -165,50 +144,30 @@ class XDBReport:
     def _branch_resilience_section(self) -> str:
         """Branch-level fault handling for EXPLAIN ANALYZE output.
 
-        Summarizes how the submission survived: branch-scoped repairs
-        (failover / re-route / partial degrade), whole-query repairs,
-        and speculative-execution (hedging) activity from the parallel
+        Summarizes how the submission survived: what each recovery
+        scope did (:meth:`RecoveryReport.parts`) and the
+        speculative-execution (hedging) activity of the parallel
         gather.  Empty when nothing happened — the section only shows
         up on submissions that exercised a fault domain.
         """
-        lines: List[str] = []
-        recovery = self.recovery
-        if recovery is not None:
-            for action, db, table in recovery.branch_events:
-                where = f"{db}.{table}" if table else db
-                lines.append(f"  branch {action}: {where}")
-            if recovery.repair_attempts:
-                repaired = ", ".join(recovery.repaired_dbs)
-                lines.append(
-                    f"  query repairs: {recovery.repair_attempts}"
-                    + (f" (around {repaired})" if repaired else "")
-                )
-            if recovery.partial:
-                missing = ", ".join(recovery.missing_partitions)
-                lines.append(
-                    f"  partial answer: {recovery.completeness:.1%} "
-                    f"complete (missing {missing})"
-                )
-        if self.context is not None:
-            metrics = self.context.metrics
-            launched = int(metrics.value("parallel.hedges_launched"))
-            if launched:
-                lines.append(
-                    f"  hedges: {launched} launched, "
-                    f"{int(metrics.value('parallel.hedges_won'))} won, "
-                    f"{int(metrics.value('parallel.hedges_wasted'))} wasted"
-                )
-            cancelled = int(metrics.value("parallel.branches_cancelled"))
-            if cancelled:
-                lines.append(f"  branches cancelled: {cancelled}")
+        lines = [f"  {part}" for part in self.recovery.parts()]
+        metrics = self.context.metrics
+        launched = int(metrics.value("parallel.hedges_launched"))
+        if launched:
+            lines.append(
+                f"  hedges: {launched} launched, "
+                f"{int(metrics.value('parallel.hedges_won'))} won, "
+                f"{int(metrics.value('parallel.hedges_wasted'))} wasted"
+            )
+        cancelled = int(metrics.value("parallel.branches_cancelled"))
+        if cancelled:
+            lines.append(f"  branches cancelled: {cancelled}")
         if not lines:
             return ""
         return "branch resilience:\n" + "\n".join(lines)
 
     def to_chrome_trace(self) -> Dict[str, object]:
         """Chrome trace-event JSON for this submission's span tree."""
-        if self.context is None:
-            raise OptimizerError("no observation context recorded")
         return self.context.to_chrome_trace()
 
 
@@ -313,14 +272,6 @@ class XDB:
             on_drift=self._invalidate_prepared,
         )
 
-    @property
-    def _metadata_fresh(self) -> bool:
-        return self.pipeline.metadata_fresh
-
-    @_metadata_fresh.setter
-    def _metadata_fresh(self, value: bool) -> None:
-        self.pipeline.metadata_fresh = value
-
     # -- public API --------------------------------------------------------------
 
     def submit(
@@ -351,26 +302,47 @@ class XDB:
         the in-flight DDL back under the deadline's grace budget before
         raising a structured :class:`~repro.errors.DeadlineExceeded`.
         """
-        # Engines that recovered since the last submission get their
+        state = self.pipeline.new_state(query, budget=self.repair_budget)
+        return self._run(state, qos, cleanup, refresh_metadata)
+
+    def _run(
+        self,
+        state: PlanState,
+        qos: Optional[QoSPolicy],
+        cleanup: bool,
+        refresh_metadata: bool = False,
+    ) -> XDBReport:
+        """One pass of ``state`` through the pipeline, under a fresh
+        :class:`QueryContext` — the body of both entry points.
+
+        A state that has not been planned yet (``submit``) runs the
+        planning phases first; a prepared query's state enters at
+        ``execute`` and reports zero planning phases.
+        """
+        # Engines that recovered since the last entry get their
         # deferred orphan sweep now, outside the query's context (and
         # never allowed to fail the query itself).
         try:
             self.reaper.sweep_pending()
         except ReproError:
             pass
-        priority = qos.priority if qos is not None else PRIORITY_NORMAL
-        state = self.pipeline.new_state(query, budget=self.repair_budget)
-        ctx = QueryContext(label=state.label, qos=qos)
+        plans = state.dplan is None
+        ctx = QueryContext(label=state.label or "prepared", qos=qos)
         with ctx:
-            prep_span, lopt_span, ann_span = self.pipeline.plan(
-                state, ctx, refresh_metadata=refresh_metadata
-            )
-            self.pipeline.execute(state, ctx, cleanup=cleanup, qos=qos)
+            phases = {"prep": 0.0, "lopt": 0.0, "ann": 0.0}
+            if plans:
+                spans = self.pipeline.plan(state, ctx, refresh_metadata)
+                for name, span in zip(phases, spans):
+                    phases[name] = ctx.phase_seconds(span)
+            self.pipeline.execute(state, ctx, cleanup=cleanup)
+            phases["exec"] = state.exec_seconds
 
+            recovery = state.recovery
             qos_report = None
             if qos is not None:
+                stale = bool(state.stale_reason)
                 qos_report = QoSReport(
-                    priority=priority,
+                    priority=qos.priority,
                     deadline_seconds=qos.deadline_seconds,
                     deadline_remaining_seconds=(
                         ctx.deadline.remaining_seconds
@@ -379,38 +351,38 @@ class XDB:
                     ),
                     admission_wait_seconds=ctx.admission_wait_seconds,
                     admission_sim_seconds=ctx.admission_sim_seconds,
-                    admitted_engines=list(state.admitted_engines),
+                    admitted_engines=list(state.lease.engines),
+                    stale_read=stale,
+                    staleness_seconds=(
+                        self.pipeline.staleness(state) if stale else None
+                    ),
+                    stale_reason=state.stale_reason,
+                    partial=recovery.partial,
+                    completeness=recovery.completeness,
+                    missing_partitions=list(recovery.missing_partitions),
                 )
-                if state.recovery is not None and state.recovery.partial:
-                    qos_report.partial = True
-                    qos_report.completeness = state.recovery.completeness
-                    qos_report.missing_partitions = list(
-                        state.recovery.missing_partitions
-                    )
 
             resilience = ctx.resilience_summary(self.connectors)
             resilience.leaked_objects = self.ledger.leaked_count()
-            report = XDBReport(
+            # The planning fields describe the planning *this* entry
+            # did: an execution that entered at ``execute`` consulted
+            # nobody.
+            annotation = state.annotation if plans else None
+            return XDBReport(
                 result=state.result,
                 plan=state.dplan,
                 deployed=state.deployed,
-                annotation=state.annotation,
+                annotation=annotation,
                 schedule=state.schedule,
-                phases={
-                    "prep": ctx.phase_seconds(prep_span),
-                    "lopt": ctx.phase_seconds(lopt_span),
-                    "ann": ctx.phase_seconds(ann_span),
-                    "exec": state.exec_seconds,
-                },
+                phases=phases,
                 transfers=state.transfers,
-                consultations=state.annotation.consultations,
+                consultations=annotation.consultations if plans else 0,
                 resilience=resilience,
-                recovery=state.recovery,
+                recovery=recovery,
                 context=ctx,
                 qos=qos_report,
                 feedback=list(state.observations),
             )
-        return report
 
     def reap(self, dbs: Optional[List[str]] = None) -> ReapReport:
         """Reconcile engine-held delegated objects against the ledger.
@@ -425,9 +397,7 @@ class XDB:
 
     def explain(self, query: Union[str, ast.Select]) -> str:
         """Produce the delegation plan (Table IV style) without executing."""
-        state = self.pipeline.new_state(query, budget=0)
-        self.pipeline.plan_offline(state)
-        return state.dplan.describe()
+        return self.plan_query(query).describe()
 
     def explain_analyze(
         self,
@@ -454,7 +424,7 @@ class XDB:
     ) -> DelegationPlan:
         """Optimize + annotate + finalize, returning the delegation plan."""
         state = self.pipeline.new_state(query, budget=0)
-        self.pipeline.plan_offline(state)
+        self.pipeline.plan(state)
         return state.dplan
 
     def prepare(self, query: Union[str, ast.Select]) -> "PreparedQuery":
@@ -468,11 +438,9 @@ class XDB:
         re-planning).
         """
         state = self.pipeline.new_state(query, budget=0)
-        self.pipeline.plan_offline(state)
-        deployed = self.delegator.delegate(state.dplan)
-        prepared = PreparedQuery(
-            self, deployed, select=state.select, label=state.label
-        )
+        self.pipeline.plan(state)
+        self.pipeline.deploy(state)
+        prepared = PreparedQuery(self, state)
         self._prepared.add(prepared)
         return prepared
 
@@ -489,113 +457,59 @@ class XDB:
     def _invalidate_prepared(self, db: str, table: str) -> None:
         """Mark prepared queries scanning ``db.table`` as stale."""
         for prepared in list(self._prepared):
-            prepared._note_drift(db, table)
-
-    def _sniff_drift(
-        self, exc: BaseException, dplan: Optional[DelegationPlan]
-    ) -> Optional[SchemaDriftError]:
-        return self.pipeline.sniff_drift(exc, dplan)
-
-    @staticmethod
-    def _parse(query: Union[str, ast.Select]) -> ast.Statement:
-        return PlanPipeline.parse(query)
-
-    @staticmethod
-    def _placement(dplan: DelegationPlan) -> Dict[str, str]:
-        return PlanPipeline.placement(dplan)
-
-    @staticmethod
-    def _unavailable_db(exc: BaseException) -> Optional[str]:
-        return PlanPipeline.unavailable_db(exc)
+            scanned = PlanPipeline.placement(prepared.state.dplan)
+            if table.lower() in {name.lower() for name in scanned}:
+                prepared.state.stale_plan = True
 
 
 class PreparedQuery:
     """A delegated query kept deployed for repeated execution.
 
-    Use as a context manager (or call :meth:`close`) so the short-lived
-    views / foreign tables are dropped from the DBMSes afterwards.
-
-    Every :meth:`execute` runs under a *fresh* :class:`QueryContext`,
-    so repeated executions report identical, independent numbers —
-    counters cannot leak from one run into the next.
+    The handle is a retained :class:`PlanState`: every :meth:`execute`
+    re-enters the pipeline at the ``execute`` stage under a *fresh*
+    :class:`QueryContext`, so repeated executions report identical,
+    independent numbers — counters cannot leak from one run into the
+    next.  Use as a context manager (or call :meth:`close`) so the
+    short-lived views / foreign tables are dropped from the DBMSes
+    afterwards.
     """
 
-    def __init__(
-        self,
-        xdb: XDB,
-        deployed: DeployedQuery,
-        select: Optional[ast.Statement] = None,
-        label: str = "",
-    ):
+    def __init__(self, xdb: XDB, state: PlanState):
         self._xdb = xdb
-        self.deployed = deployed
-        #: the source query AST, kept so schema drift (or a blown
-        #: estimate) can trigger a full replan of this handle
-        self._select = select
-        #: the source SQL text — prepared contexts used to label every
-        #: span "prepared"; now they carry the actual query
-        self._label = label
+        #: the planned, deployed state — source query, plan and cascade
+        #: — that schema drift or a blown estimate replans in place
+        self.state = state
         self.executions = 0
         self._closed = False
-        #: set when the catalog learned a table this plan scans has
-        #: drifted — the next execute replans (or serves a bounded
-        #: stale read) instead of running the stale cascade
-        self._stale_plan = False
-        #: set when the last execution's Q-Error blew the threshold —
-        #: the next execute replans against the warmed feedback store
-        #: (the learned cardinalities re-steer the join-order DP)
-        self._estimates_blown = False
-        #: executions counted at the current deployment's creation —
-        #: the first run after (re)delegation uses the CTAS snapshots
-        self._deploy_execution = 0
-        #: simulated time the materialization snapshots were last built
-        #: (the CTAS of delegation counts as the first refresh)
-        self._refreshed_at = xdb.deployment.health.clock.now()
+
+    @property
+    def deployed(self) -> Optional[DeployedQuery]:
+        """The cascade currently deployed (None between a recovery that
+        tore it down and the execution that re-delegates)."""
+        return self.state.deployed
 
     @property
     def plan(self) -> DelegationPlan:
-        return self.deployed.plan
+        return self.state.dplan
 
     @property
     def stale_plan(self) -> bool:
         """Whether the deployed cascade predates a known schema drift."""
-        return self._stale_plan
+        return self.state.stale_plan
 
     def invalidate(self) -> None:
         """Force the next :meth:`execute` to replan before running."""
-        self._stale_plan = True
-
-    def _note_drift(self, db: str, table: str) -> None:
-        """Client callback: ``db.table`` drifted — stale if we scan it."""
-        placement = XDB._placement(self.deployed.plan)
-        if table.lower() in {name.lower() for name in placement}:
-            self._stale_plan = True
+        self.state.stale_plan = True
 
     def staleness_seconds(self) -> float:
         """Age of the materialization snapshots (simulated seconds)."""
-        now = self._xdb.deployment.health.clock.now()
-        return max(now - self._refreshed_at, 0.0)
-
-    def _degradable(self, qos: Optional[QoSPolicy]) -> bool:
-        """Whether a stale answer is an acceptable fallback right now:
-        the caller opted into a staleness bound and the existing
-        snapshots are still within it."""
-        return (
-            qos is not None
-            and qos.max_staleness_seconds is not None
-            and self.staleness_seconds() <= qos.max_staleness_seconds
-        )
-
-    def _snapshot_hosts_blocked(self) -> bool:
-        """Any materialization host with an open breaker right now."""
-        health = self._xdb.deployment.health
-        return any(
-            health.is_open(db)
-            for db in {db for db, _, _ in self.deployed.materializations}
-        )
+        return self._xdb.pipeline.staleness(self.state)
 
     def execute(self, qos: Optional[QoSPolicy] = None) -> XDBReport:
         """Run the deployed XDB query against the current base data.
+
+        The first execution reads the snapshots its delegation built;
+        later ones re-materialize the explicit edges first.
 
         Graceful degradation: a policy with ``max_staleness_seconds``
         set allows the execution to fall back to the *existing*
@@ -605,13 +519,13 @@ class PreparedQuery:
         snapshots are younger than the bound.  The served staleness is
         recorded in ``report.qos``.
 
-        Schema drift: when the catalog learns a scanned table drifted
-        (or this execution trips over the drift itself), the handle
-        re-introspects the table and — within the client's
-        ``repair_budget`` — either serves a staleness-bounded read
-        from the existing snapshots (``report.qos.stale_reason ==
-        "drift"``) or replans end to end: re-optimize, re-delegate,
-        swap the deployed cascade, and retry.
+        Recovery: the execution draws on the same recovery table as
+        ``submit``, within the client's ``repair_budget``.  When the
+        catalog learns a scanned table drifted, the handle either
+        serves a staleness-bounded read from the existing snapshots
+        (``report.qos.stale_reason == "drift"``) or replans end to
+        end; an execution that trips over the drift itself
+        re-introspects the table and replans.
 
         Cardinality feedback: when the client carries a feedback store
         and an execution's worst Q-Error blows the adaptivity
@@ -621,283 +535,17 @@ class PreparedQuery:
         """
         if self._closed:
             raise OptimizerError("prepared query is closed")
-        budget = self._xdb.repair_budget
-        recovery = RecoveryReport()
-        while True:
-            if self._stale_plan:
-                if self._degradable(qos) and self.deployed.materializations:
-                    # The snapshots predate the drift and are inside
-                    # the caller's staleness bound: serve them rather
-                    # than paying for a replan.
-                    try:
-                        report = self._execute_once(qos, prefer_stale=True)
-                        if recovery.drifted:
-                            report.recovery = recovery
-                        return report
-                    except (DeadlineExceeded, OverloadError):
-                        raise
-                    except ReproError:
-                        # The stale cascade cannot answer it either
-                        # (the drifted table feeds a view): replan.
-                        pass
-                self._replan()
-            elif self._estimates_blown and self._select is not None:
-                # The warmed feedback store holds the corrected
-                # cardinalities; re-enter the pipeline at optimize.
-                self._replan()
-                recovery.adaptations += 1
-            try:
-                report = self._execute_once(qos, prefer_stale=False)
-            except SchemaDriftError as drift:
-                if budget <= 0:
-                    raise
-                budget -= 1
-                self._absorb_drift(drift, recovery)
-                continue
-            except ReproError as exc:
-                drift = self._xdb._sniff_drift(exc, self.deployed.plan)
-                if drift is None or budget <= 0:
-                    raise
-                budget -= 1
-                self._absorb_drift(drift, recovery)
-                continue
-            if recovery.drifted or recovery.adapted:
-                report.recovery = recovery
-            return report
-
-    def _absorb_drift(
-        self, drift: SchemaDriftError, recovery: RecoveryReport
-    ) -> None:
-        """Adopt the drifted table's live schema; mark the plan stale."""
-        recovery.drift_events += 1
-        key = (drift.db, drift.table)
-        if key not in recovery.drifted_tables:
-            recovery.drifted_tables.append(key)
-        self._xdb.catalog.reintrospect(drift.db, drift.table)
-        if self._xdb.feedback is not None:
-            self._xdb.feedback.invalidate_table(drift.db, drift.table)
-        self._stale_plan = True
-
-    def _replan(self) -> None:
-        """Re-optimize and re-delegate against the refreshed catalog.
-
-        Re-enters the planning pipeline at the ``optimize`` stage (the
-        catalog refresh is deliberately skipped — the prepared handle
-        trusts its catalog, which drift recovery already refreshed).
-        Swaps in the fresh cascade before tearing down the old one, so
-        a failing replan leaves the previous deployment intact (still
-        executable for staleness-bounded reads).
-        """
         xdb = self._xdb
-        if self._select is None:
-            raise OptimizerError(
-                "prepared query is stale after schema drift and kept no "
-                "source query to replan from"
-            )
-        state = xdb.pipeline.new_state(self._select, budget=0)
-        state.select = self._select
-        state.stage = "optimize"
-        xdb.pipeline.plan_offline(state)
-        fresh = xdb.delegator.delegate(state.dplan)
-        old = self.deployed
-        self.deployed = fresh
-        self._stale_plan = False
-        self._estimates_blown = False
-        self._deploy_execution = self.executions
-        self._refreshed_at = xdb.deployment.health.clock.now()
-        try:
-            old.cleanup()
-        except ReproError:
-            # Leaked objects are in the ledger; the reaper collects
-            # them once their engine is reachable again.
-            pass
-
-    def _execute_once(
-        self, qos: Optional[QoSPolicy], prefer_stale: bool = False
-    ) -> XDBReport:
-        """One execution attempt of the currently deployed cascade."""
-        network = self._xdb.deployment.network
-        health = self._xdb.deployment.health
-        gate = self._xdb.deployment.workload_gate
-        priority = qos.priority if qos is not None else PRIORITY_NORMAL
-        ctx = QueryContext(label=self._label or "prepared", qos=qos)
-        stale_read = prefer_stale
-        stale_reason = "drift" if prefer_stale else ""
-        with ctx:
-            tracer = ctx.tracer
-            lease = None
-            try:
-                with tracer.span("exec", kind="phase") as exec_span:
-                    if stale_read:
-                        # Drift-degraded read: the snapshots already
-                        # hold the answer, admit the root engine only.
-                        engines = [self.deployed.root_db]
-                    else:
-                        engines = sorted(
-                            {
-                                task.annotation
-                                for task in self.deployed.plan.tasks.values()
-                            }
-                        )
-                    ctx.enter_phase("admission")
-                    try:
-                        with tracer.span("admit", kind="step"):
-                            lease = gate.acquire(
-                                engines,
-                                priority=priority,
-                                deadline=ctx.deadline,
-                            )
-                            ctx.record_admission(lease)
-                    except OverloadError:
-                        if stale_read or not self._degradable(qos):
-                            raise
-                        # Saturated engine set, acceptable staleness:
-                        # serve from the snapshots, admitting against
-                        # the root engine only.
-                        stale_read = True
-                        stale_reason = "overload"
-                        with tracer.span("admit", kind="step"):
-                            lease = gate.acquire(
-                                [self.deployed.root_db],
-                                priority=priority,
-                                deadline=ctx.deadline,
-                            )
-                            ctx.record_admission(lease)
-                    refresh = (
-                        self.executions > self._deploy_execution
-                        and not stale_read
-                    )
-                    if (
-                        refresh
-                        and self._snapshot_hosts_blocked()
-                        and self._degradable(qos)
-                    ):
-                        stale_read = True
-                        stale_reason = "breaker-open"
-                        refresh = False
-                    if refresh:
-                        # First execution already materialized during
-                        # delegation; later ones rebuild the snapshots.
-                        ctx.enter_phase("refresh")
-                        try:
-                            with tracer.span("refresh", kind="step"):
-                                self.deployed.refresh_materializations()
-                            self._refreshed_at = health.clock.now()
-                        except CircuitOpenError:
-                            if not self._degradable(qos):
-                                raise
-                            stale_read = True
-                            stale_reason = "breaker-open"
-                    if stale_read:
-                        tracer.add_event(
-                            "stale-read",
-                            staleness_seconds=self.staleness_seconds(),
-                        )
-                    root_connector = self._xdb.connectors[
-                        self.deployed.root_db
-                    ]
-                    ctx.enter_phase("execute")
-                    with tracer.span("execute", kind="step"):
-                        result = root_connector.run_query(
-                            self.deployed.xdb_query,
-                            self._xdb.deployment.client_node,
-                        )
-                    if ctx.deadline is not None:
-                        ctx.deadline.check(
-                            "execute", detail="post-execution"
-                        )
-                    self.executions += 1
-                    attribute_edge_stats(
-                        self.deployed, exec_span.subtree_records()
-                    )
-                    with tracer.span("schedule", kind="step"):
-                        schedule = simulate_schedule(
-                            self.deployed,
-                            self._xdb.connectors,
-                            network,
-                            self._xdb.deployment.client_node,
-                            result_bytes=result.byte_size(),
-                            worker_slots=_slots(self._xdb.deployment),
-                        )
-                    observations = harvest_execution(
-                        self.deployed.plan,
-                        exec_span,
-                        self._xdb.catalog,
-                        len(result.rows),
-                    )
-                    if self._xdb.feedback is not None and observations:
-                        with tracer.span("harvest", kind="step"):
-                            self._xdb.feedback.observe_many(observations)
-                        threshold = (
-                            self._xdb.pipeline.adaptivity_threshold
-                            if self._xdb.pipeline.adaptivity_threshold
-                            is not None
-                            else 2.0
-                        )
-                        worst = max(
-                            (obs.q_error for obs in observations),
-                            default=1.0,
-                        )
-                        if worst > threshold and self._select is not None:
-                            self._estimates_blown = True
-            finally:
-                if lease is not None:
-                    lease.release()
-
-            qos_report = None
-            if qos is not None:
-                qos_report = QoSReport(
-                    priority=priority,
-                    deadline_seconds=qos.deadline_seconds,
-                    deadline_remaining_seconds=(
-                        ctx.deadline.remaining_seconds
-                        if ctx.deadline is not None
-                        else None
-                    ),
-                    admission_wait_seconds=ctx.admission_wait_seconds,
-                    admission_sim_seconds=ctx.admission_sim_seconds,
-                    admitted_engines=(
-                        list(lease.engines) if lease is not None else []
-                    ),
-                    stale_read=stale_read,
-                    staleness_seconds=(
-                        self.staleness_seconds() if stale_read else None
-                    ),
-                    stale_reason=stale_reason if stale_read else "",
-                )
-
-            resilience = ctx.resilience_summary(self._xdb.connectors)
-            resilience.leaked_objects = self._xdb.ledger.leaked_count()
-            report = XDBReport(
-                result=result,
-                plan=self.deployed.plan,
-                deployed=self.deployed,
-                annotation=None,
-                schedule=schedule,
-                phases={
-                    "prep": 0.0,
-                    "lopt": 0.0,
-                    "ann": 0.0,
-                    "exec": (
-                        schedule.total_seconds
-                        + ctx.control_seconds(
-                            exec_span, tags=_PREPARED_CONTROL_TAGS
-                        )
-                        + ctx.backoff_in(exec_span)
-                    ),
-                },
-                transfers=ctx.transfer_summary(exec_span),
-                resilience=resilience,
-                context=ctx,
-                qos=qos_report,
-                feedback=observations,
-            )
+        xdb.pipeline.rearm(self.state, budget=xdb.repair_budget)
+        report = xdb._run(self.state, qos, cleanup=False)
+        self.executions += 1
         return report
 
     def close(self) -> None:
         """Drop every deployed object."""
         if not self._closed:
-            self.deployed.cleanup()
+            if self.state.deployed is not None:
+                self.state.deployed.cleanup()
             self._closed = True
 
     def __enter__(self) -> "PreparedQuery":

@@ -1,25 +1,23 @@
 """The re-enterable planning pipeline (parse → … → execute).
 
-One submission used to be a ~350-line monolith in ``XDB.submit``, with
-the annotate/finalize repair loop copy-pasted into drift recovery and
-the prepared-query replan.  This module folds all of it into a single
-:class:`PlanPipeline` over an explicit, typed :class:`PlanState`:
+One submission is a :class:`PlanState` driven through
 
     parse → catalog → optimize → annotate → finalize → delegate → execute
 
 Every stage writes its output onto the state and advances
-``state.stage``; re-running the pipeline skips completed stages.  All
-three recovery flavours become *stage re-entry within the repair
-budget*:
+``state.stage``; running the pipeline again skips completed stages.
+:meth:`PlanPipeline.execute` is the only code that admits, delegates,
+runs, schedules and harvests a query.  A prepared query is the same
+pipeline entered later: its state keeps the deployed cascade
+(``state.deployed``), and each re-execution enters at ``execute``,
+where *no cascade yet → delegate* and *cascade retained → refresh the
+``xm_`` snapshots, or serve them stale when the policy allows* are the
+one branch.
 
-* **outage repair** re-enters at ``annotate`` (the annotator sees the
-  open breaker and routes replicated tables to a surviving holder);
-* **schema drift** re-enters at ``optimize`` (the catalog re-adopted
-  the live schema, so the plan must be rebuilt from the source query);
-* **blown estimates** (new — the Q-Error loop) re-enter at
-  ``annotate`` with the already-materialized producer tasks pinned as
-  scans of their ``xm_`` snapshots, so only the *unexecuted suffix* of
-  the plan is re-annotated and re-delegated.
+Recovery is stage re-entry, and it exists once: :meth:`PlanPipeline.
+_recover` classifies a failure's cause chain in a single walk and looks
+the remedy up in :data:`RECOVERY` — failure class → scope → the budget
+it draws from → re-entry stage → what survives the re-entry.
 
 The pipeline also closes the cardinality-feedback loop: after every
 execution it harvests (estimate, actual) pairs from the delegation
@@ -56,10 +54,12 @@ from repro.engine.result import Result
 from repro.errors import (
     BindError,
     CatalogError,
+    CircuitOpenError,
     DeadlineExceeded,
     DelegationError,
     EngineUnavailableError,
     OptimizerError,
+    OverloadError,
     ReproError,
     SchemaDriftError,
     TypeCheckError,
@@ -72,7 +72,7 @@ from repro.health import BreakerEvent
 from repro.net.metrics import TransferSummary
 from repro.obs.clock import wall_now
 from repro.obs.context import QueryContext
-from repro.qos import PRIORITY_NORMAL, QoSPolicy
+from repro.qos import PRIORITY_NORMAL, AdmissionLease, QoSPolicy
 from repro.relational import algebra
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -101,13 +101,80 @@ def _stage_index(stage: str) -> int:
         )
 
 
+def _pending(state: "PlanState", stage: str) -> bool:
+    """Whether ``state`` still has to run ``stage``."""
+    return _stage_index(state.stage) <= _stage_index(stage)
+
+
+#: Branch-scoped recoveries one submission may spend, independently of
+#: the whole-query ``repair_budget`` — so in-place branch repairs never
+#: eat the budget a later engine outage needs.
+BRANCH_REPAIR_BUDGET = 2
+
+
+@dataclass(frozen=True)
+class Remedy:
+    """One row of the failure-domain table (DESIGN.md §6)."""
+
+    #: the narrowest domain that absorbs the failure:
+    #: ``call`` < ``branch`` < ``stage`` < ``query``
+    scope: str
+    #: the :class:`PlanState` counter one recovery draws from (None:
+    #: bounded by the policy's staleness bound, not by a count)
+    budget: Optional[str]
+    #: the stage the state re-enters at
+    reentry: str
+    #: what survives the re-entry; everything else is torn down
+    pins: str
+
+
+#: Failure class → remedy, narrowest scope first.  :meth:`PlanPipeline.
+#: _recover` tries a failure's candidate classes in the order
+#: :meth:`PlanPipeline.classify` diagnosed them and escalates to the
+#: next when a remedy cannot help or its budget is spent.
+RECOVERY: Dict[str, Remedy] = {
+    # A retained cascade answers from its existing snapshots, within
+    # the policy's staleness bound.
+    "overload": Remedy("call", None, "execute", "the cascade"),
+    "breaker-open": Remedy("call", None, "execute", "the cascade"),
+    # Only the failed branch re-annotates; completed siblings are pinned.
+    "shard-outage": Remedy("branch", "branch_budget", "annotate", "salvage"),
+    "branch-outage": Remedy("branch", "branch_budget", "annotate", "salvage"),
+    # The plan is rebuilt from the source query on the adopted schema.
+    "schema-drift": Remedy("stage", "budget", "optimize", "nothing"),
+    # Only the unexecuted suffix re-annotates, on observed row counts.
+    "blown-estimate": Remedy("stage", "adapt_budget", "annotate", "producers"),
+    # The breaker trips and the whole plan routes around the engine.
+    "engine-outage": Remedy("query", "budget", "annotate", "nothing"),
+}
+
+#: the failures a retained cascade may answer stale
+_CALL_SCOPED = {OverloadError: "overload", CircuitOpenError: "breaker-open"}
+
+
+@dataclass(frozen=True)
+class Failure:
+    """A failure's cause chain, walked once (:meth:`PlanPipeline.classify`)."""
+
+    exc: BaseException
+    #: candidate keys of :data:`RECOVERY`, most specific diagnosis first
+    classes: Tuple[str, ...] = ()
+    #: the DBMS an outage blames (None: unrepairable — every holder of
+    #: some table is down — or no outage in the chain at all)
+    db: Optional[str] = None
+    #: the struck shard of a shard-scoped outage
+    table: Optional[str] = None
+    #: ``(task_id, db, kind, name)`` snapshots a failed delegation kept
+    salvage: Tuple[Tuple[int, str, str, str], ...] = ()
+
+
 @dataclass
 class RecoveryReport:
     """What the self-healing layer did for one submission.
 
-    Present on every report; :attr:`repaired` distinguishes the common
-    untouched case from submissions the plan-repair loop had to
-    re-annotate around an engine outage.
+    Present on every report, prepared re-executions included;
+    :attr:`touched` distinguishes the common untouched case from
+    submissions some recovery scope acted on.
     """
 
     #: how many times the repair loop re-planned (0 = no repair needed)
@@ -179,24 +246,29 @@ class RecoveryReport:
                 diff[table] = (before, db)
         return diff
 
+    @property
+    def touched(self) -> bool:
+        """Whether any recovery scope acted on this submission."""
+        return (
+            self.repaired
+            or self.drifted
+            or self.adapted
+            or self.branch_repaired
+            or self.partial
+        )
+
     def describe(self) -> str:
-        if (
-            not self.repaired
-            and not self.drifted
-            and not self.adapted
-            and not self.branch_repaired
-            and not self.partial
-        ):
+        if not self.touched:
             return "no repair needed"
-        parts = []
-        if self.branch_repaired:
-            events = ", ".join(
-                f"{action} {db + '.' if db else ''}{table or '?'}"
-                for action, db, table in self.branch_events
-            )
-            parts.append(
-                f"{self.branch_repairs} branch repair(s) ({events})"
-            )
+        return "; ".join(self.parts())
+
+    def parts(self) -> List[str]:
+        """One line per recovery scope that acted (``describe`` joins
+        them; ``explain_analyze`` lists them)."""
+        parts = [
+            f"branch {action}: {f'{db}.{table}' if table else db}"
+            for action, db, table in self.branch_events
+        ]
         if self.partial:
             parts.append(
                 f"partial answer: {self.completeness:.1%} complete, "
@@ -247,7 +319,7 @@ class RecoveryReport:
                     f"{self.adaptations} feedback replan(s) "
                     f"(learned cardinalities)"
                 )
-        return "; ".join(parts)
+        return parts
 
 
 @dataclass
@@ -259,12 +331,14 @@ class PlanState:
     label: str = ""
     #: the next stage to run — re-entry resets this to an earlier one
     stage: str = "parse"
-    #: remaining repair budget (outage / drift / adaptation re-entries)
+    #: remaining repair budget (outage / drift re-entries)
     budget: int = 0
     #: remaining *branch*-scoped recovery budget — spent on in-place
     #: branch failover / shard quarantine / partial degradation, kept
     #: separate so branch repairs never eat the whole-query budget
     branch_budget: int = 0
+    #: one adaptation round per entry (guards the Q-Error loop)
+    adapt_budget: int = 0
     select: Optional[ast.Statement] = None
     logical_plan: Optional[algebra.LogicalPlan] = None
     annotation: Optional[Annotation] = None
@@ -273,24 +347,41 @@ class PlanState:
     result: Optional[Result] = None
     schedule: Optional[ScheduleResult] = None
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
-    #: one adaptation round per submission (guards the Q-Error loop)
-    adapted: bool = False
-    #: (db, kind, name) materializations kept across an adaptation,
-    #: awaiting re-fencing under the adapted deployment's epoch
+    #: (db, kind, name) materializations kept across a re-entry,
+    #: awaiting re-fencing under the next deployment's epoch
     pending_keeps: List[Tuple[str, str, str]] = field(default_factory=list)
     #: Q-Error observations harvested from the execution
     observations: List[Observation] = field(default_factory=list)
     exec_seconds: float = 0.0
     transfers: Optional[TransferSummary] = None
-    admitted_engines: List[str] = field(default_factory=list)
+    #: the admission tokens the current entry holds (released, but
+    #: kept for the report, once the entry is over)
+    lease: Optional[AdmissionLease] = None
+    # -- what a retained cascade (a prepared query) carries between
+    # -- executions; a one-shot submission never reads these back
+    #: root-query runs the deployed cascade has answered (the first
+    #: reads the CTAS snapshots of its delegation, later ones refresh)
+    runs: int = 0
+    #: simulated time the ``xm_`` snapshots were last built
+    refreshed_at: float = 0.0
+    #: the catalog learned a table this plan scans has drifted: the
+    #: next entry replans (or serves a bounded stale read)
+    stale_plan: bool = False
+    #: the last run's worst Q-Error blew the adaptivity threshold: the
+    #: next entry replans against the warmed feedback store
+    estimates_blown: bool = False
+    #: why this entry answers from the existing snapshots without a
+    #: refresh — "overload", "breaker-open" or "drift" ("" = fresh)
+    stale_reason: str = ""
 
 
 class PlanPipeline:
-    """Drives a :class:`PlanState` through the planning stages.
+    """Drives a :class:`PlanState` through the pipeline's stages.
 
-    Owns the one and only annotate/finalize repair loop; ``XDB.submit``,
-    drift recovery, mid-query adaptation, and prepared-query replans
-    all re-enter the pipeline at a stage instead of duplicating it.
+    Owns the one execute path and the one recovery routine:
+    ``XDB.submit`` enters at ``parse``, a prepared query re-enters at
+    ``execute`` with its cascade retained, and every recovery re-enters
+    at the stage :data:`RECOVERY` names instead of duplicating either.
     """
 
     def __init__(
@@ -302,7 +393,6 @@ class PlanPipeline:
         finalizer: PlanFinalizer,
         delegator: DelegationEngine,
         repair_budget: int = 2,
-        branch_repair_budget: int = 2,
         feedback: Optional[FeedbackStore] = None,
         adaptivity_threshold: Optional[float] = None,
         on_drift: Optional[Callable[[str, str], None]] = None,
@@ -315,13 +405,11 @@ class PlanPipeline:
         self.finalizer = finalizer
         self.delegator = delegator
         self.repair_budget = repair_budget
-        #: budget for branch-scoped recoveries (failover / partial),
-        #: spent independently of the whole-query ``repair_budget``
-        self.branch_repair_budget = branch_repair_budget
         #: the persistent Q-Error feedback store (None = loop disabled)
         self.feedback = feedback
         #: Q-Error above which a materialized task boundary triggers a
-        #: mid-query suffix replan (None = adaptivity disabled)
+        #: mid-query suffix replan, and a retained cascade replans
+        #: before its next execution (None = adaptivity disabled)
         self.adaptivity_threshold = adaptivity_threshold
         #: callback(db, table) on drift re-introspection — the client
         #: invalidates prepared handles scanning the table
@@ -333,22 +421,32 @@ class PlanPipeline:
     def new_state(
         self, query: Union[str, ast.Statement], budget: Optional[int] = None
     ) -> PlanState:
-        return PlanState(
-            query=query,
-            label=self.label_of(query),
-            budget=self.repair_budget if budget is None else budget,
-            branch_budget=self.branch_repair_budget,
+        state = PlanState(query=query, label=self.label_of(query))
+        return self.rearm(state, budget)
+
+    def rearm(
+        self, state: PlanState, budget: Optional[int] = None
+    ) -> PlanState:
+        """Fresh budgets and a fresh recovery report for one entry, so
+        each execution of a retained state reports — and is bounded —
+        independently of the previous ones."""
+        state.budget = self.repair_budget if budget is None else budget
+        state.branch_budget = BRANCH_REPAIR_BUDGET
+        state.adapt_budget = 1
+        state.stale_reason = ""
+        if state.recovery.partial:
+            # A degraded cascade is never served undeclared: the next
+            # entry replans in full (and degrades again, if it must).
+            state.stage = "optimize"
+        state.recovery = RecoveryReport(
+            placement_before=self.placement(state.dplan)
         )
+        return state
 
     @staticmethod
     def label_of(query: Union[str, ast.Statement]) -> str:
-        """The query's SQL text, for trace labels and jitter seeding.
-
-        AST submissions used to label their spans ``"<ast>"``; now they
-        render back to SQL so traces stay readable (the literal
-        ``"<ast>"`` survives only as the fallback for unrenderable
-        statements).
-        """
+        """The query's SQL text, for trace labels and jitter seeding
+        (``"<ast>"`` only for a statement that cannot be rendered)."""
         if isinstance(query, str):
             return query
         try:
@@ -377,6 +475,30 @@ class PlanPipeline:
             return contextlib.nullcontext()
         return tracer.span(name, kind="step")
 
+    @staticmethod
+    @contextlib.contextmanager
+    def _phase(ctx: Optional[QueryContext], name: str):
+        """A phase span (None offline) around a group of stages."""
+        if ctx is None:
+            yield None
+            return
+        with ctx.tracer.span(name, kind="phase") as span:
+            ctx.enter_phase(name)
+            yield span
+
+    def _optimize(self, state: PlanState, tracer=None) -> None:
+        with self._step(tracer, "optimize"):
+            plan = self.optimizer.optimize(state.select)
+            missing = state.recovery.missing_partitions
+            if missing:
+                # A partial answer stays partial across re-entries.
+                pruned, _ = prune_missing_shards(plan, missing)
+                if pruned is not None:
+                    self._reestimate(pruned)
+                    plan = pruned
+            state.logical_plan = plan
+        state.stage = "annotate"
+
     def _annotate_finalize(self, state: PlanState, tracer=None) -> None:
         """THE annotate+finalize body — every caller re-enters here."""
         with self._step(tracer, "annotate"):
@@ -387,359 +509,133 @@ class PlanPipeline:
             )
         state.stage = "delegate"
 
-    def _annotate_with_repair(
-        self, state: PlanState, tracer, phase: str = "ann"
-    ) -> None:
-        """Annotate+finalize with the outage-repair loop around it."""
-        health = self.deployment.health
-        while True:
-            try:
-                self._annotate_finalize(state, tracer)
-                return
-            except EngineUnavailableError as exc:
-                db = self.unavailable_db(exc)
-                if db is None or state.budget <= 0:
-                    raise
-                state.budget -= 1
-                state.recovery.repair_attempts += 1
-                state.recovery.repaired_dbs.append(db)
-                tracer.add_event("repair", db=db, phase=phase)
-                health.report_outage(
-                    db, "annotation-time consultation failed"
-                )
-
     # -- planning ----------------------------------------------------------
 
     def plan(
         self,
         state: PlanState,
-        ctx: QueryContext,
+        ctx: Optional[QueryContext] = None,
         refresh_metadata: bool = False,
     ):
-        """Run the planning stages under ``ctx``'s tracer.
+        """Run the planning stages the state has not passed yet.
 
-        Returns the (prep, lopt, ann) phase spans for the report's
-        phase breakdown.  Stages the state already passed are skipped,
-        so a re-entered state resumes where it was reset to.
+        Under ``ctx`` the stages run inside the prep / lopt / ann phase
+        spans, which are returned for the report's phase breakdown, and
+        an annotation-time outage is repaired within ``state.budget``.
+        Without one (``explain`` / ``plan_query`` / ``prepare``) the
+        same stage bodies run untraced and the first failure
+        propagates.  A re-entered state resumes where it was reset to —
+        re-entry at ``optimize`` correctly skips the catalog refresh.
         """
-        tracer = ctx.tracer
-
-        with tracer.span("prep", kind="phase") as prep_span:
-            ctx.enter_phase("prep")
-            if _stage_index(state.stage) <= _stage_index("parse"):
-                with tracer.span("parse", kind="step"):
+        tracer = ctx.tracer if ctx is not None else None
+        with self._phase(ctx, "prep") as prep_span:
+            if _pending(state, "parse"):
+                with self._step(tracer, "parse"):
                     state.select = self.parse(state.query)
                 state.stage = "catalog"
-            if _stage_index(state.stage) <= _stage_index("catalog"):
+            if _pending(state, "catalog"):
                 if refresh_metadata or not self.metadata_fresh:
-                    with tracer.span("catalog-refresh", kind="step"):
+                    with self._step(tracer, "catalog-refresh"):
                         self.catalog.refresh()
                     self.metadata_fresh = True
                 state.stage = "optimize"
-
-        with tracer.span("lopt", kind="phase") as lopt_span:
-            ctx.enter_phase("lopt")
-            if _stage_index(state.stage) <= _stage_index("optimize"):
-                with tracer.span("optimize", kind="step"):
-                    state.logical_plan = self.optimizer.optimize(
-                        state.select
-                    )
-                state.stage = "annotate"
-
-        with tracer.span("ann", kind="phase") as ann_span:
-            ctx.enter_phase("ann")
-            if _stage_index(state.stage) <= _stage_index("finalize"):
-                self._annotate_with_repair(state, tracer, phase="ann")
+        with self._phase(ctx, "lopt") as lopt_span:
+            if _pending(state, "optimize"):
+                self._optimize(state, tracer)
+        with self._phase(ctx, "ann") as ann_span:
+            while _pending(state, "finalize"):
+                try:
+                    self._annotate_finalize(state, tracer)
+                except EngineUnavailableError as exc:
+                    if ctx is None or not self._repair_query(
+                        state, "engine-outage", self.classify(exc), ctx
+                    ):
+                        raise
             state.recovery.placement_before = self.placement(state.dplan)
-
         return prep_span, lopt_span, ann_span
 
-    def plan_offline(
-        self, state: PlanState, refresh_metadata: bool = False
-    ) -> PlanState:
-        """Run the planning stages without a query context.
+    def deploy(
+        self, state: PlanState, tracer=None, salvage: bool = False
+    ) -> None:
+        """The delegate stage: deploy ``state.dplan`` and retain it.
 
-        Used by ``explain`` / ``plan_query`` / ``prepare`` (from the
-        ``parse`` stage) and by prepared-query replans (re-entry at
-        ``optimize``, which correctly skips the catalog refresh).  No
-        repair loop: offline planning propagates the first failure.
+        A cascade the state still held (a stale handle replanning)
+        stays executable until the fresh one is up, then is torn down.
+        Snapshots an earlier re-entry kept are adopted: their old epoch
+        closed with the cascade they came from, so they were
+        momentarily reapable; re-recording them under the new (live)
+        epoch fences them again, and prepending them to
+        ``created_objects`` makes the final cleanup drop them last
+        (consumers before producers).
         """
-        if _stage_index(state.stage) <= _stage_index("parse"):
-            state.select = self.parse(state.query)
-            state.stage = "catalog"
-        if _stage_index(state.stage) <= _stage_index("catalog"):
-            if refresh_metadata or not self.metadata_fresh:
-                self.catalog.refresh()
-                self.metadata_fresh = True
-            state.stage = "optimize"
-        if _stage_index(state.stage) <= _stage_index("optimize"):
-            state.logical_plan = self.optimizer.optimize(state.select)
-            state.stage = "annotate"
-        if _stage_index(state.stage) <= _stage_index("finalize"):
-            self._annotate_finalize(state, None)
-        return state
+        with self._step(tracer, "delegate"):
+            deployed = self.delegator.delegate(state.dplan, salvage=salvage)
+        superseded, state.deployed = state.deployed, deployed
+        state.stage = "execute"
+        state.runs = 0
+        state.stale_plan = state.estimates_blown = False
+        state.refreshed_at = self.deployment.health.clock.now()
+        self._teardown(superseded)
+        for keep in state.pending_keeps:
+            db, kind, name = keep
+            deployed.created_objects.insert(0, keep)
+            if deployed.ledger is not None:
+                deployed.ledger.record(db, kind, name, deployed.epoch)
+        state.pending_keeps = []
 
     # -- execution ---------------------------------------------------------
 
     def execute(
-        self,
-        state: PlanState,
-        ctx: QueryContext,
-        cleanup: bool = True,
-        qos: Optional[QoSPolicy] = None,
+        self, state: PlanState, ctx: QueryContext, cleanup: bool = True
     ) -> PlanState:
-        """Delegate and execute the planned state (the exec phase).
+        """Delegate (unless a cascade is retained) and run the query.
 
-        Self-healing re-enters earlier stages in place: an outage
-        re-annotates, drift re-optimizes, and a blown estimate pins the
-        materialized producers and re-annotates the suffix — all within
-        ``state.budget``.
+        The exec phase of every entry point.  ``cleanup=False`` retains
+        the cascade on the state: the next call refreshes its ``xm_``
+        snapshots — or serves them stale, see :meth:`_serve_stale` —
+        and re-runs the XDB query without re-planning.  Failures
+        re-enter earlier stages in place through :meth:`_recover`.
         """
-        network = self.deployment.network
-        health = self.deployment.health
-        gate = self.deployment.workload_gate
-        priority = qos.priority if qos is not None else PRIORITY_NORMAL
-        tracer = ctx.tracer
-        recovery = state.recovery
-
-        lease = None
-        deployed = None
+        tracer, recovery = ctx.tracer, state.recovery
+        retained = state.deployed
+        state.lease = None
         try:
             with tracer.span("exec", kind="phase") as exec_span:
-                repair_start: Optional[Tuple[float, float]] = None
-                while True:
-                    deployed = None
-                    state.deployed = None
-                    try:
-                        if state.dplan is None:
-                            # Re-enter at the annotate stage: the
-                            # annotator now sees the open breaker (or
-                            # the pinned plan), so replicated tables
-                            # land on a healthy holder and Rule 4 drops
-                            # the dead candidate.
-                            self._annotate_finalize(state, tracer)
-                        dplan = state.dplan
-                        # Lazy drift verification: once per table per
-                        # catalog epoch.  A refresh pre-marks everything
-                        # it read, so the common case is an empty list —
-                        # no span, no engine calls.
-                        pending = self.catalog.unverified(
-                            self.placement(dplan)
-                        )
-                        if pending:
-                            with tracer.span("verify", kind="step"):
-                                for vdb, vtable in pending:
-                                    self.catalog.verify_table(vdb, vtable)
-                        engines = sorted(
-                            {
-                                task.annotation
-                                for task in dplan.tasks.values()
-                            }
-                        )
-                        if lease is not None and set(lease.engines) != set(
-                            engines
-                        ):
-                            # The repaired plan routes around the outage
-                            # onto a different engine set: swap the
-                            # admission tokens to match.
-                            lease.release()
-                            lease = None
-                        if lease is None:
-                            ctx.enter_phase("admission")
-                            with tracer.span("admit", kind="step"):
-                                lease = gate.acquire(
-                                    engines,
-                                    priority=priority,
-                                    deadline=ctx.deadline,
-                                )
-                                ctx.record_admission(lease)
-                        # Straggler hedging is pure overhead on a
-                        # saturated federation: the capacity probe here
-                        # decides whether the execution layer may launch
-                        # speculative duplicates at all.
-                        ctx.hedge_multiplier = (
-                            qos.hedge_multiplier if qos is not None else None
-                        )
-                        ctx.hedging_allowed = gate.allow_hedge(engines)
-                        ctx.enter_phase("delegate")
-                        with tracer.span("delegate", kind="step"):
-                            # With branch budget left, a mid-cascade
-                            # failure salvages the completed sibling
-                            # snapshots instead of rolling them back —
-                            # branch recovery pins them in place.
-                            deployed = self.delegator.delegate(
-                                dplan, salvage=state.branch_budget > 0
-                            )
-                        state.deployed = deployed
-                        if state.pending_keeps:
-                            self._refence_keeps(state, deployed)
-                        if (
-                            self.adaptivity_threshold is not None
-                            and not state.adapted
-                            and self._maybe_adapt(
-                                state, deployed, exec_span, tracer
-                            )
-                        ):
-                            # Blown estimate: the materialized producers
-                            # are pinned and the suffix re-enters at
-                            # annotate.  The old cascade (minus keeps)
-                            # is already torn down.
-                            deployed = None
-                            state.deployed = None
-                            continue
-                        root_connector = self.connectors[deployed.root_db]
-                        ctx.enter_phase("execute")
-                        with tracer.span("execute", kind="step"):
-                            result = root_connector.run_query(
-                                deployed.xdb_query,
-                                self.deployment.client_node,
-                            )
-                        if ctx.deadline is not None:
-                            # A result that lands after the deadline is
-                            # a miss, not a success: cancel it.
-                            ctx.deadline.check(
-                                "execute", detail="post-execution"
-                            )
-                        state.result = result
-                        break
-                    except SchemaDriftError as drift:
-                        if state.budget <= 0:
-                            raise
-                        state.budget -= 1
-                        if repair_start is None:
-                            repair_start = (wall_now(), tracer.sim_now)
-                        if deployed is not None:
-                            try:
-                                deployed.cleanup()
-                            except ReproError:
-                                pass
-                        self.recover_drift(state, drift, tracer)
-                        state.dplan = None
-                    except (
-                        EngineUnavailableError,
-                        DelegationError,
-                    ) as exc:
-                        # A delegation failure whose cause chain is
-                        # schema-shaped (bind/type/catalog) may be a
-                        # drifted remote table rather than an outage:
-                        # force-verify the placed tables and, if one
-                        # drifted, take the drift recovery path instead
-                        # of plan repair.
-                        drift = self.sniff_drift(exc, state.dplan)
-                        if drift is not None:
-                            if state.budget <= 0:
-                                raise drift from exc
-                            state.budget -= 1
-                            if repair_start is None:
-                                repair_start = (
-                                    wall_now(),
-                                    tracer.sim_now,
-                                )
-                            if deployed is not None:
-                                try:
-                                    deployed.cleanup()
-                                except ReproError:
-                                    pass
-                            self.recover_drift(state, drift, tracer)
-                            state.dplan = None
-                            continue
-                        # Branch-scoped recovery first: a shard-level
-                        # fault (or an engine fault that left completed
-                        # sibling snapshots to pin) is repaired *in
-                        # place* — quarantine/re-route only the failed
-                        # branch, keep the finished work.  Falls through
-                        # to the whole-query repair when it cannot help.
-                        if self._branch_recover(
-                            state, exc, deployed, qos, tracer
-                        ):
-                            if repair_start is None:
-                                repair_start = (wall_now(), tracer.sim_now)
-                            deployed = None
-                            state.deployed = None
-                            continue
-                        db = self.unavailable_db(exc)
-                        if db is None or state.budget <= 0:
-                            self._abandon_salvage(state, exc, tracer)
-                            raise
-                        state.budget -= 1
-                        recovery.repair_attempts += 1
-                        recovery.repaired_dbs.append(db)
-                        if repair_start is None:
-                            repair_start = (wall_now(), tracer.sim_now)
-                        tracer.add_event("repair", db=db, phase="exec")
-                        # Trip the breaker FIRST so the best-effort
-                        # cleanup of the partial deployment fails fast
-                        # on the dead engine instead of burning its
-                        # retry budget per object.
-                        health.report_outage(db, "execution failed")
-                        if deployed is not None:
-                            try:
-                                deployed.cleanup()
-                            except ReproError:
-                                pass
-                        # Whole-query repair cannot reuse salvaged
-                        # snapshots or earlier pins (they may live on
-                        # the dead engine): drop them and rebuild the
-                        # plan from the source query.
-                        self._abandon_salvage(
-                            state, exc, tracer, skip_db=db
-                        )
-                        state.dplan = None
-                    except (
-                        BindError,
-                        TypeCheckError,
-                        CatalogError,
-                    ) as exc:
-                        # The root XDB query can hit the drifted table
-                        # directly (no DDL cascade to wrap the failure
-                        # in a DelegationError): a raw bind/type/catalog
-                        # error here gets the same sniff before
-                        # propagating.
-                        drift = self.sniff_drift(exc, state.dplan)
-                        if drift is None or state.budget <= 0:
-                            raise
-                        state.budget -= 1
-                        if repair_start is None:
-                            repair_start = (wall_now(), tracer.sim_now)
-                        if deployed is not None:
-                            try:
-                                deployed.cleanup()
-                            except ReproError:
-                                pass
-                        self.recover_drift(state, drift, tracer)
-                        state.dplan = None
-                if repair_start is not None:
-                    repair_wall, repair_sim = repair_start
-                    recovery.repair_seconds = (
-                        wall_now() - repair_wall
-                    ) + (tracer.sim_now - repair_sim)
+                result = self._answer(state, ctx, exec_span)
+                deployed = state.deployed
                 recovery.placement = self.placement(state.dplan)
-                attribute_edge_stats(
-                    deployed, exec_span.subtree_records()
-                )
+                attribute_edge_stats(deployed, exec_span.subtree_records())
+                # A single-worker deployment keeps the legacy
+                # unbounded-overlap semantics (None); only explicit
+                # multi-worker engines cap how many delegated tasks one
+                # engine advances concurrently.
+                workers = self.deployment.parallel_workers
                 with tracer.span("schedule", kind="step"):
-                    schedule = simulate_schedule(
+                    state.schedule = simulate_schedule(
                         deployed,
                         self.connectors,
-                        network,
+                        self.deployment.network,
                         self.deployment.client_node,
                         result_bytes=result.byte_size(),
-                        worker_slots=_slots(self.deployment),
+                        worker_slots=workers if workers > 1 else None,
                     )
-                state.schedule = schedule
                 # Harvest the Q-Error observations while the span tree
                 # still has the operator spans at hand.  Observations
                 # ride on every report (explain_analyze's Q-Error
                 # column); they persist only when a store is wired.
                 state.observations = harvest_execution(
-                    state.dplan,
-                    exec_span,
-                    self.catalog,
-                    len(result.rows),
+                    state.dplan, exec_span, self.catalog, len(result.rows)
                 )
                 if self.feedback is not None and state.observations:
                     with tracer.span("harvest", kind="step"):
                         self.feedback.observe_many(state.observations)
+                    # A retained cascade re-enters at optimize next
+                    # time, once the store knows better than its plan.
+                    state.estimates_blown = (
+                        self.adaptivity_threshold is not None
+                        and max(o.q_error for o in state.observations)
+                        > self.adaptivity_threshold
+                    )
 
             # Middleware CPU during exec is not on the critical path
             # (the DBMSes run decentrally); control messages are, and
@@ -747,7 +643,7 @@ class PlanPipeline:
             # and any repair-time re-consultations — all read off the
             # exec span's subtree.
             state.exec_seconds = (
-                schedule.total_seconds
+                state.schedule.total_seconds
                 + ctx.control_seconds(exec_span)
                 + ctx.backoff_in(exec_span)
             )
@@ -759,37 +655,369 @@ class PlanPipeline:
             # still under the admission lease, and — with a deadline —
             # under the grace budget, so a query that *met* its
             # deadline cannot fail while tearing itself down.
-            ctx.current_phase = "cleanup"
             if cleanup:
-                if ctx.deadline is not None:
-                    with ctx.deadline.grace():
-                        deployed.cleanup()
-                else:
+                ctx.current_phase = "cleanup"
+                with _grace(ctx):
                     deployed.cleanup()
         except DeadlineExceeded as exc:
-            self.cancel_deployment(ctx, deployed, exc)
+            # Only a cascade this call deployed is cancelled: one
+            # retained from an earlier call outlives a missed deadline,
+            # and an expiry *inside* the delegation engine already
+            # rolled itself back and stamped the error.
+            if state.deployed is not None and state.deployed is not retained:
+                self.cancel_deployment(ctx, state.deployed, exc)
+                state.deployed = None
+                state.stage = "delegate"
             raise
         finally:
-            if lease is not None:
-                state.admitted_engines = list(lease.engines)
-                lease.release()
+            if state.lease is not None:
+                state.lease.release()
         return state
 
-    # -- drift recovery ----------------------------------------------------
+    def _answer(
+        self, state: PlanState, ctx: QueryContext, exec_span
+    ) -> Result:
+        """Attempt the query until it answers or recovery gives up."""
+        tracer, recovery = ctx.tracer, state.recovery
+        if state.stage == "execute" and (
+            state.stale_plan or state.estimates_blown
+        ):
+            if (
+                state.stale_plan
+                and state.deployed.materializations
+                and self._degradable(state, ctx.qos)
+            ):
+                # The snapshots predate the drift and are inside the
+                # caller's staleness bound: serve them rather than
+                # paying for a replan.
+                state.stale_reason = "drift"
+            else:
+                if not state.stale_plan:
+                    # The warmed feedback store holds the corrected
+                    # cardinalities; this replan is the entry's one
+                    # adaptation round.
+                    state.adapt_budget -= 1
+                    recovery.adaptations += 1
+                state.stage = "optimize"
+        repair_start: Optional[Tuple[float, float]] = None
+        while True:
+            try:
+                result = self._attempt(state, ctx, exec_span)
+                if result is not None:
+                    break
+            except DeadlineExceeded:
+                raise
+            except ReproError as exc:
+                repair_start = repair_start or (wall_now(), tracer.sim_now)
+                if not self._recover(state, exc, ctx):
+                    raise
+        if repair_start is not None:
+            repair_wall, repair_sim = repair_start
+            recovery.repair_seconds = (wall_now() - repair_wall) + (
+                tracer.sim_now - repair_sim
+            )
+        return result
 
-    def recover_drift(
-        self, state: PlanState, drift: SchemaDriftError, tracer
-    ) -> None:
-        """Absorb one detected drift: re-introspect, invalidate, replan.
+    def _attempt(
+        self, state: PlanState, ctx: QueryContext, exec_span
+    ) -> Optional[Result]:
+        """One pass from the state's stage to the root query's result
+        (None: a blown estimate re-entered the state — go again)."""
+        gate = self.deployment.workload_gate
+        health = self.deployment.health
+        qos, tracer = ctx.qos, ctx.tracer
+        # Re-entry: the annotator now sees the open breaker (or the
+        # pinned plan), so replicated tables land on a healthy holder
+        # and Rule 4 drops the dead candidate.
+        if _pending(state, "optimize"):
+            self._optimize(state, tracer)
+        if _pending(state, "finalize"):
+            self._annotate_finalize(state, tracer)
+        if state.stale_reason:
+            # A stale read only touches the root: the snapshots already
+            # hold everything else.
+            engines = [state.deployed.root_db]
+        else:
+            # Lazy drift verification: once per table per catalog
+            # epoch.  A refresh pre-marks everything it read, so the
+            # common case is an empty list — no span, no engine calls.
+            pending = self.catalog.unverified(self.placement(state.dplan))
+            if pending:
+                with tracer.span("verify", kind="step"):
+                    for vdb, vtable in pending:
+                        self.catalog.verify_table(vdb, vtable)
+            engines = sorted(
+                {task.annotation for task in state.dplan.tasks.values()}
+            )
+        if state.lease is not None and set(state.lease.engines) != set(
+            engines
+        ):
+            # The re-entered plan runs on a different engine set: swap
+            # the admission tokens to match.
+            state.lease.release()
+            state.lease = None
+        if state.lease is None:
+            ctx.enter_phase("admission")
+            with tracer.span("admit", kind="step"):
+                state.lease = gate.acquire(
+                    engines,
+                    priority=(
+                        qos.priority if qos is not None else PRIORITY_NORMAL
+                    ),
+                    deadline=ctx.deadline,
+                )
+                ctx.record_admission(state.lease)
+        # Straggler hedging is pure overhead on a saturated federation:
+        # the capacity probe here decides whether the execution layer
+        # may launch speculative duplicates at all.
+        ctx.hedge_multiplier = (
+            qos.hedge_multiplier if qos is not None else None
+        )
+        ctx.hedging_allowed = gate.allow_hedge(engines)
+        if state.stage != "execute":
+            # No cascade for this plan yet.  With branch budget left, a
+            # mid-cascade failure salvages the completed sibling
+            # snapshots instead of rolling them back — branch recovery
+            # pins them in place.
+            ctx.enter_phase("delegate")
+            self.deploy(state, tracer, salvage=state.branch_budget > 0)
+            if self._maybe_adapt(state, exec_span, tracer):
+                return None
+        elif state.runs and not state.stale_reason:
+            # Retained cascade: the first run read the CTAS snapshots
+            # of its delegation; later ones rebuild them — unless a
+            # snapshot host's breaker is open and the policy accepts
+            # the existing ones.
+            if self._degradable(state, qos) and any(
+                health.is_open(db)
+                for db, _, _ in state.deployed.materializations
+            ):
+                state.stale_reason = "breaker-open"
+            else:
+                ctx.enter_phase("refresh")
+                with tracer.span("refresh", kind="step"):
+                    state.deployed.refresh_materializations()
+                state.refreshed_at = health.clock.now()
+        if state.stale_reason:
+            tracer.add_event(
+                "stale-read", staleness_seconds=self.staleness(state)
+            )
+        ctx.enter_phase("execute")
+        with tracer.span("execute", kind="step"):
+            result = self.connectors[state.deployed.root_db].run_query(
+                state.deployed.xdb_query, self.deployment.client_node
+            )
+        if ctx.deadline is not None:
+            # A result that lands after the deadline is a miss, not a
+            # success: cancel it.
+            ctx.deadline.check("execute", detail="post-execution")
+        state.result = result
+        state.runs += 1
+        return result
 
-        Re-enters the pipeline at the ``optimize`` stage (the plan must
-        be rebuilt from the source query against the adopted schema).
-        When replanning still fails — e.g. a drifted replica now
-        diverges from its siblings, or the table vanished and only this
-        holder had it — the table is quarantined (placement avoids it
-        like a dead holder) and the replan is retried once; a second
-        failure propagates.
+    def staleness(self, state: PlanState) -> float:
+        """Age of the retained ``xm_`` snapshots (simulated seconds)."""
+        now = self.deployment.health.clock.now()
+        return max(now - state.refreshed_at, 0.0)
+
+    def _degradable(
+        self, state: PlanState, qos: Optional[QoSPolicy]
+    ) -> bool:
+        """Whether a stale answer is an acceptable fallback right now:
+        the caller opted into a staleness bound and the retained
+        snapshots are still within it."""
+        return (
+            qos is not None
+            and qos.max_staleness_seconds is not None
+            and self.staleness(state) <= qos.max_staleness_seconds
+        )
+
+    # -- recovery ----------------------------------------------------------
+
+    @staticmethod
+    def classify(exc: BaseException) -> Failure:
+        """Walk a failure's ``__cause__``/``__context__`` chain, once.
+
+        A :class:`DelegationError` wraps the original connector error,
+        so every fact recovery needs sits somewhere down the chain: the
+        first :class:`EngineUnavailableError` names the blamed DBMS
+        (``db=None`` on it means every holder of some table is down —
+        unrepairable), the first one carrying a ``table`` narrows the
+        fault to a shard, a delegation failure may carry salvaged
+        sibling snapshots, and a bind/type/catalog error anywhere makes
+        the failure *schema-shaped* — possibly a drifted remote table
+        rather than an outage.  A failure with no engine outage in its
+        chain (e.g. a transient fault that exhausted the retry budget)
+        is not an outage: re-planning cannot help.
         """
+        outage = shard = None
+        salvage: Tuple[Tuple[int, str, str, str], ...] = ()
+        schema_shaped = False
+        seen = set()
+        node: Optional[BaseException] = exc
+        while node is not None and id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, EngineUnavailableError):
+                if outage is None:
+                    outage = node
+                if shard is None and node.table is not None:
+                    shard = node
+            elif isinstance(node, DelegationError):
+                salvage = salvage or tuple(node.salvaged or ())
+            elif isinstance(node, (BindError, TypeCheckError, CatalogError)):
+                schema_shaped = True
+            node = node.__cause__ or node.__context__
+        blamed = shard if shard is not None else outage
+        classes = []
+        if type(exc) in _CALL_SCOPED:
+            classes.append(_CALL_SCOPED[type(exc)])
+        if schema_shaped:
+            classes.append("schema-drift")
+        if shard is not None:
+            classes.append("shard-outage")
+        elif salvage and outage is not None and outage.db is not None:
+            classes.append("branch-outage")
+        if blamed is not None and blamed.db is not None:
+            classes.append("engine-outage")
+        return Failure(
+            exc=exc,
+            classes=tuple(classes),
+            db=blamed.db if blamed is not None else None,
+            table=shard.table if shard is not None else None,
+            salvage=salvage,
+        )
+
+    def _recover(
+        self, state: PlanState, exc: BaseException, ctx: QueryContext
+    ) -> bool:
+        """THE recovery routine: classify once, look the remedy up.
+
+        Tries the failure's candidate classes in order; a remedy that
+        cannot help (or whose budget is spent) escalates to the next.
+        Returns True when the state was re-entered at the remedy's
+        stage (the caller loops), False to let the failure propagate.
+        """
+        if state.stale_reason == "drift" and not isinstance(
+            exc, OverloadError
+        ):
+            # The stale cascade cannot answer it either (the drifted
+            # table feeds a view): replan, keeping the old cascade
+            # until the fresh one supersedes it.
+            state.stale_reason = ""
+            state.stage = "optimize"
+            return True
+        remedies = {
+            "call": self._serve_stale,
+            "branch": self._repair_branch,
+            "stage": self._recover_drift,
+            "query": self._repair_query,
+        }
+        failure = self.classify(exc)
+        for cls in failure.classes:
+            verdict = remedies[RECOVERY[cls].scope](state, cls, failure, ctx)
+            if verdict is not None:
+                return verdict
+        # Nothing helped: salvaged snapshots and earlier pins would
+        # leak under their closed epoch until the reaper finds them.
+        self._abandon_salvage(state, failure, ctx.tracer)
+        return False
+
+    def _reenter(self, state: PlanState, cls: str) -> None:
+        """Spend ``cls``'s budget and reset the state to its re-entry
+        stage; a re-entry before ``execute`` invalidates the plan and
+        tears the cascade down, releasing the pinned snapshots."""
+        remedy = RECOVERY[cls]
+        if remedy.budget is not None:
+            setattr(state, remedy.budget, getattr(state, remedy.budget) - 1)
+        state.stage = remedy.reentry
+        if remedy.reentry != "execute":
+            self._teardown(state.deployed, keep=state.pending_keeps)
+            state.deployed = None
+            state.dplan = None
+
+    @staticmethod
+    def _teardown(
+        deployed: Optional[DeployedQuery],
+        keep: List[Tuple[str, str, str]] = (),
+    ) -> None:
+        """Release ``keep`` from a cascade, tear the rest down.
+
+        Best effort: objects whose DROP fails are in the ledger, and
+        the reaper collects them once their engine is reachable again.
+        The next deployment gets fresh names under a fresh epoch, so
+        nothing collides with what is left behind.
+        """
+        if deployed is None:
+            return
+        if keep:
+            kept = set(keep)
+            deployed.created_objects[:] = [
+                obj for obj in deployed.created_objects if obj not in kept
+            ]
+        try:
+            deployed.cleanup()
+        except ReproError:
+            pass
+
+    # -- call scope: staleness-bounded reads -------------------------------
+
+    def _serve_stale(
+        self, state: PlanState, cls: str, failure: Failure, ctx: QueryContext
+    ) -> Optional[bool]:
+        """Answer from the retained snapshots instead of failing.
+
+        A shed admission retries against the root engine only; an open
+        breaker on a snapshot host skips the refresh.  A snapshot older
+        than the bound is never served stale, and a cascade that has
+        answered before is not torn down on a fail-fast either: the
+        original error propagates, and the snapshots stay servable for
+        a caller that opts into staleness.
+        """
+        if state.stage != "execute":
+            return None
+        if not state.stale_reason and self._degradable(state, ctx.qos):
+            state.stale_reason = cls
+            self._reenter(state, cls)
+            return True
+        return False if state.runs else None
+
+    # -- stage scope: schema drift -----------------------------------------
+
+    def _recover_drift(
+        self, state: PlanState, cls: str, failure: Failure, ctx: QueryContext
+    ) -> Optional[bool]:
+        """Absorb a detected drift: re-introspect, invalidate, replan.
+
+        A schema-shaped failure may be a drifted remote table rather
+        than an outage: unless the failure *is* the drift, the placed
+        tables are force-verified and the first drift found is taken —
+        transient giveups and outages never reach the fingerprint path,
+        so their fault schedules are unchanged.  Re-enters at
+        ``optimize``.  When replanning still fails — e.g. a drifted
+        replica now diverges from its siblings, or the table vanished
+        and only this holder had it — the table is quarantined
+        (placement avoids it like a dead holder) and the replan is
+        retried once; a second failure propagates.
+        """
+        tracer = ctx.tracer
+        drift = failure.exc
+        if not isinstance(drift, SchemaDriftError):
+            drift = None
+            for table, db in sorted(self.placement(state.dplan).items()):
+                try:
+                    self.catalog.verify_table(db, table, force=True)
+                except SchemaDriftError as found:
+                    drift = found
+                    break
+                except ReproError:
+                    continue
+        if drift is None:
+            return None
+        if state.budget <= 0:
+            if drift is failure.exc:
+                return None
+            raise drift from failure.exc
+        self._reenter(state, cls)
         recovery = state.recovery
         recovery.drift_events += 1
         key = (drift.db, drift.table)
@@ -809,22 +1037,15 @@ class PlanPipeline:
             self.feedback.invalidate_table(drift.db, drift.table)
         if self.on_drift is not None:
             self.on_drift(drift.db, drift.table)
-        state.stage = "optimize"
         try:
-            with tracer.span("optimize", kind="step"):
-                state.logical_plan = self.optimizer.optimize(state.select)
-            state.stage = "annotate"
+            self._optimize(state, tracer)
         except ReproError:
             if adopted is not None:
                 self.catalog.quarantine(drift.db, drift.table)
             recovery.quarantined.append(key)
             tracer.add_event("quarantine", db=drift.db, table=drift.table)
             try:
-                with tracer.span("optimize", kind="step"):
-                    state.logical_plan = self.optimizer.optimize(
-                        state.select
-                    )
-                state.stage = "annotate"
+                self._optimize(state, tracer)
             except ReproError as replan_exc:
                 # Even with the drifted holder out of the way the query
                 # cannot bind (the table vanished everywhere, or it
@@ -832,52 +1053,11 @@ class PlanPipeline:
                 # structured drift error, not the planner's.
                 drift.quarantined = True
                 raise drift from replan_exc
+        return True
 
-    def sniff_drift(
-        self, exc: BaseException, dplan: Optional[DelegationPlan]
-    ) -> Optional[SchemaDriftError]:
-        """Check whether a schema-shaped failure traces back to drift.
+    # -- stage scope: mid-query adaptivity (the Q-Error loop's fast path) --
 
-        Only failures whose cause chain contains a bind/type/catalog
-        error are sniffed — transient giveups and outages never touch
-        the fingerprint path, so their fault schedules are unchanged.
-        The sniff force-verifies each placed table and returns the
-        first drift found (None when the schemas all still match).
-        """
-        if dplan is None or not self._schema_shaped(exc):
-            return None
-        for table, db in sorted(self.placement(dplan).items()):
-            try:
-                self.catalog.verify_table(db, table, force=True)
-            except SchemaDriftError as drift:
-                return drift
-            except ReproError:
-                continue
-        return None
-
-    @staticmethod
-    def _schema_shaped(exc: BaseException) -> bool:
-        """Whether a failure's cause chain smells like schema drift."""
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(
-                node, (BindError, TypeCheckError, CatalogError)
-            ):
-                return True
-            node = node.__cause__ or node.__context__
-        return False
-
-    # -- mid-query adaptivity (the Q-Error loop's fast path) ---------------
-
-    def _maybe_adapt(
-        self,
-        state: PlanState,
-        deployed: DeployedQuery,
-        exec_span,
-        tracer,
-    ) -> bool:
+    def _maybe_adapt(self, state: PlanState, exec_span, tracer) -> bool:
         """Suffix replan at the materialization boundary, if warranted.
 
         Delegation already ran every explicit edge's CTAS, so the rows
@@ -885,74 +1065,44 @@ class PlanPipeline:
         the root XDB query runs — the paper-world analogue of a task
         boundary mid-query.  When a materialized producer's actual
         cardinality blows its estimate past the adaptivity threshold,
-        the producers are **pinned**: their logical subtrees are
-        replaced by scans of the existing ``xm_`` snapshots (executed
-        work is never redone), and the unexecuted suffix re-enters the
-        pipeline at the annotate stage with corrected cardinalities.
+        the producers are **pinned** (executed work is never redone)
+        and the unexecuted suffix re-enters the pipeline at the
+        annotate stage with corrected cardinalities.
 
         Returns True when the state was re-entered (caller loops);
         False to proceed with the current deployment.
         """
-        state.adapted = True  # one adaptation round per submission
-        dplan = state.dplan
         threshold = self.adaptivity_threshold
+        if threshold is None or state.adapt_budget <= 0:
+            return False
+        dplan, deployed = state.dplan, state.deployed
         # The CTAS fetches were recorded inside the delegate step — the
         # exec span's subtree already carries the explicit-edge actuals.
         attribute_edge_stats(deployed, exec_span.subtree_records())
-
         blown: List[Tuple[int, float]] = []
-        candidates = []
+        producers = []
         for edge in dplan.edges:
-            if edge.movement is not Movement.EXPLICIT:
-                continue
-            if not edge.moved_rows or edge.moved_rows <= 0:
+            if (
+                edge.movement is not Movement.EXPLICIT
+                or not edge.moved_rows
+                or edge.moved_rows <= 0
+            ):
                 continue
             producer = dplan.tasks[edge.producer_id]
-            src = producer.source_expr
-            if src is None:
-                continue
-            # A producer whose output needed the finalizer's dedup
-            # projection has snapshot columns that no longer match its
-            # logical schema — leave it to be recomputed.
-            names = [f.name.lower() for f in src.schema]
-            if len(set(names)) != len(names):
-                continue
-            actual = float(edge.moved_rows)
-            q = qerror.q_error(producer.estimated_rows, actual)
-            candidates.append((edge, producer, actual, q))
-            if q > threshold:
+            q = qerror.q_error(producer.estimated_rows, float(edge.moved_rows))
+            producers.append(
+                (
+                    producer.task_id,
+                    dplan.tasks[edge.consumer_id].annotation,
+                    "TABLE",
+                    f"xm_{deployed.query_id}_{producer.task_id}",
+                )
+            )
+            if q > threshold and _pinnable(producer.source_expr):
                 blown.append((producer.task_id, q))
-        if not blown:
+        if not blown or not self._pin(state, producers)[0]:
+            state.adapt_budget = 0  # one check per entry, blown or not
             return False
-
-        plan = state.logical_plan
-        keeps: List[Tuple[str, str, str]] = []
-        overlay = FeedbackOverlay(self.feedback)
-        pinned_ids: List[int] = []
-        for edge, producer, actual, _q in candidates:
-            consumer = dplan.tasks[edge.consumer_id]
-            xm_name = f"xm_{deployed.query_id}_{producer.task_id}"
-            pinned = algebra.Scan(
-                table=xm_name,
-                binding=f"xpin_{producer.task_id}",
-                schema=producer.source_expr.schema,
-                source_db=consumer.annotation,
-                placeholder=True,
-                requalify=False,
-            )
-            pinned.estimated_rows = actual
-            plan, replaced = _replace_subtree(
-                plan, producer.source_expr, pinned
-            )
-            if not replaced:
-                # Nested producer already covered by an ancestor's pin.
-                continue
-            keeps.append((consumer.annotation, "TABLE", xm_name))
-            overlay.pin(overlay.fingerprint_of(producer.source_expr), actual)
-            pinned_ids.append(producer.task_id)
-        if not keeps:
-            return False
-
         with tracer.span("adapt", kind="step"):
             for task_id, q in blown:
                 tracer.add_event(
@@ -960,69 +1110,91 @@ class PlanPipeline:
                     task=task_id,
                     qerror=(-1.0 if q == qerror.INFINITE else round(q, 3)),
                 )
-            # The rebuilt ancestors lost their estimates and Rule 4
-            # requires one on every node: a fresh estimator pass over
-            # the pinned plan recomputes them — the pinned scans feed
-            # their *actual* row counts in, and the overlay folds in
-            # any store-learned corrections for untouched subtrees.
-            estimator = CardinalityEstimator(
-                self.catalog.scan_stats, feedback=overlay
-            )
-            _annotate_all(plan, estimator)
-            recovery = state.recovery
-            recovery.adaptations += 1
-            recovery.blown_estimates.extend(blown)
-            recovery.pinned_tasks.extend(pinned_ids)
-            state.logical_plan = plan
-            state.dplan = None
-            state.stage = "annotate"
-            state.pending_keeps = keeps
-            # Release the kept snapshots from the old cascade, then
-            # tear the rest of it down (the new suffix deployment gets
-            # fresh names under a fresh epoch, so nothing collides).
-            keep_set = set(keeps)
-            deployed.created_objects[:] = [
-                obj
-                for obj in deployed.created_objects
-                if obj not in keep_set
-            ]
-            try:
-                deployed.cleanup()
-            except ReproError:
-                pass
+            state.recovery.adaptations += 1
+            state.recovery.blown_estimates.extend(blown)
+            self._reenter(state, "blown-estimate")
         return True
 
-    def _refence_keeps(
-        self, state: PlanState, deployed: DeployedQuery
-    ) -> None:
-        """Adopt kept snapshots into the adapted deployment.
+    def _pin(
+        self, state: PlanState, producers
+    ) -> Tuple[List[int], List[Tuple[str, str, str]]]:
+        """Pin producers' ``xm_`` snapshots into the logical plan.
 
-        The old epoch closed when the superseded cascade tore down, so
-        the kept ``xm_`` tables were momentarily reapable; re-recording
-        them under the new deployment's (live) epoch fences them again,
-        and prepending them to ``created_objects`` makes the final
-        cleanup drop them last (consumers before producers).
+        Each ``(task_id, db, kind, name)`` producer's subtree becomes a
+        placeholder scan of its existing snapshot, so re-delegation
+        recomputes only what has not run.  Returns the pinned task ids
+        and the snapshots that could not be pinned: the producer is
+        already covered by an ancestor's pin, or its output needed the
+        finalizer's dedup projection — its snapshot columns no longer
+        match its logical schema, so it is left to be recomputed.
         """
-        for keep in state.pending_keeps:
-            db, kind, name = keep
-            deployed.created_objects.insert(0, keep)
-            if deployed.ledger is not None:
-                deployed.ledger.record(db, kind, name, deployed.epoch)
-        state.pending_keeps = []
+        dplan, plan = state.dplan, state.logical_plan
+        overlay = FeedbackOverlay(self.feedback)
+        moved = {
+            edge.producer_id: float(edge.moved_rows)
+            for edge in reversed(dplan.edges)
+            if edge.moved_rows
+        }
+        keeps: List[Tuple[str, str, str]] = []
+        unusable: List[Tuple[str, str, str]] = []
+        pinned_ids: List[int] = []
+        for task_id, db, kind, name in producers:
+            producer = dplan.tasks.get(task_id)
+            src = producer.source_expr if producer is not None else None
+            replaced = False
+            if _pinnable(src):
+                actual = moved.get(task_id)
+                pinned = algebra.Scan(
+                    table=name,
+                    binding=f"xpin_{task_id}",
+                    schema=src.schema,
+                    source_db=db,
+                    placeholder=True,
+                    requalify=False,
+                )
+                pinned.estimated_rows = (
+                    actual
+                    if actual is not None
+                    else float(producer.estimated_rows or 1.0)
+                )
+                plan, replaced = _replace_subtree(plan, src, pinned)
+            if not replaced:
+                unusable.append((db, kind, name))
+                continue
+            keeps.append((db, kind, name))
+            pinned_ids.append(task_id)
+            if actual is not None:
+                overlay.pin(overlay.fingerprint_of(src), actual)
+        if keeps:
+            # The rebuilt ancestors lost their estimates: the pinned
+            # scans feed their *actual* row counts in, and the overlay
+            # folds in any store-learned corrections for untouched
+            # subtrees.
+            self._reestimate(plan, overlay)
+            state.logical_plan = plan
+            state.pending_keeps.extend(keeps)
+            state.recovery.pinned_tasks.extend(pinned_ids)
+        return pinned_ids, unusable
 
-    # -- branch-scoped fault domains ---------------------------------------
-
-    def _branch_recover(
+    def _reestimate(
         self,
-        state: PlanState,
-        exc: BaseException,
-        deployed: Optional[DeployedQuery],
-        qos: Optional[QoSPolicy],
-        tracer,
-    ) -> bool:
-        """Repair a failed *branch* in place instead of the whole query.
+        plan: algebra.LogicalPlan,
+        overlay: Optional[FeedbackOverlay] = None,
+    ) -> None:
+        """A fresh estimator pass over a rebuilt plan — Rule 4 requires
+        an estimate on every node."""
+        estimator = CardinalityEstimator(
+            self.catalog.scan_stats,
+            feedback=overlay or FeedbackOverlay(self.feedback),
+        )
+        _annotate_all(plan, estimator)
 
-        Two failure domains below the query qualify:
+    # -- branch scope ------------------------------------------------------
+
+    def _repair_branch(
+        self, state: PlanState, cls: str, failure: Failure, ctx: QueryContext
+    ) -> Optional[bool]:
+        """Repair a failed *branch* in place instead of the whole query.
 
         * a **shard-scoped** fault (the error chain carries the struck
           table): the one holder is quarantined — the engine's breaker
@@ -1032,80 +1204,57 @@ class PlanPipeline:
         * an **engine** fault that left completed sibling ``xm_``
           snapshots behind: the siblings are pinned (executed work is
           never redone) and only the failed branch re-plans around the
-          outage.
+          outage.  Without siblings to pin, the whole-query repair does
+          the identical work.
 
         Salvaged snapshots ride in on the :class:`DelegationError` and
-        are pinned exactly like the adaptivity path's keeps.  Returns
-        True when the state was re-entered at ``annotate`` (the caller
-        loops); False hands the failure to the whole-query repair.
+        are pinned exactly like the adaptivity path's producers.
         """
         if state.branch_budget <= 0 or state.dplan is None:
-            return False
-        recovery = state.recovery
+            return None
+        recovery, tracer = state.recovery, ctx.tracer
         health = self.deployment.health
-        shard_db, shard = self._fault_shard(exc)
-        salvaged = self._salvage_of(exc)
-        if shard is not None:
-            if shard_db is not None and not self.catalog.is_quarantined(
-                shard_db, shard
+        blamed, shard = failure.db, failure.table
+        if cls == "shard-outage":
+            if blamed is not None and not self.catalog.is_quarantined(
+                blamed, shard
             ):
                 # The disk under one shard died, not the server: only
                 # that holder leaves placement, via quarantine — never
                 # the breaker.
-                self.catalog.quarantine(shard_db, shard)
-                recovery.quarantined.append((shard_db, shard))
+                self.catalog.quarantine(blamed, shard)
+                recovery.quarantined.append((blamed, shard))
                 health.report_shard_outage(
-                    shard_db, shard, "branch execution failed"
+                    blamed, shard, "branch execution failed"
                 )
-                tracer.add_event(
-                    "shard-quarantine", db=shard_db, table=shard
-                )
-            healthy = [
-                db
+                tracer.add_event("shard-quarantine", db=blamed, table=shard)
+            if any(
+                not self.catalog.is_quarantined(db, shard)
+                and db in self.connectors
+                and self.connectors[db].is_available()
                 for db in self.catalog.holders(shard)
-                if not self.catalog.is_quarantined(db, shard)
-                and self._holder_available(db)
-            ]
-            if healthy:
+            ):
                 action = "failover"
-            elif self._try_partial(state, shard, qos, tracer):
+            elif self._try_partial(state, shard, ctx.qos, tracer):
                 action = "partial"
             else:
-                return False
-            blamed = shard_db or ""
+                return None
         else:
-            # Engine-level failure: branch-local recovery only pays off
-            # when completed sibling snapshots exist to pin; otherwise
-            # the whole-query repair path does the identical work.
-            blamed = self.unavailable_db(exc)
-            if not salvaged or blamed is None:
-                return False
             health.report_outage(blamed, "branch execution failed")
             action = "reroute"
-        pinned = self._pin_salvage(state, salvaged)
-        if deployed is not None:
-            keep_set = set(state.pending_keeps)
-            deployed.created_objects[:] = [
-                obj
-                for obj in deployed.created_objects
-                if obj not in keep_set
-            ]
-            try:
-                deployed.cleanup()
-            except ReproError:
-                pass
-        state.branch_budget -= 1
+        pinned, unusable = self._pin(state, failure.salvage)
+        # Snapshots that cannot be pinned are dropped instead of leaking.
+        self._drop_objects(unusable)
+        self._reenter(state, cls)
         recovery.branch_repairs += 1
-        recovery.branch_events.append((action, blamed, shard or ""))
+        recovery.branch_events.append((action, blamed or "", shard or ""))
         tracer.add_event(
             "branch-repair",
             action=action,
-            db=blamed,
+            db=blamed or "",
             table=shard or "",
             pinned=len(pinned),
         )
-        state.dplan = None
-        state.stage = "annotate"
         return True
 
     def _try_partial(
@@ -1131,10 +1280,7 @@ class PlanPipeline:
         if plan is None or not pruned:
             return False
         recovery = state.recovery
-        missing = list(recovery.missing_partitions)
-        for name in pruned:
-            if name not in missing:
-                missing.append(name)
+        missing = list(dict.fromkeys(recovery.missing_partitions + pruned))
         completeness = partition_completeness(
             missing, self.catalog.partition_spec, self._shard_rows
         )
@@ -1146,10 +1292,7 @@ class PlanPipeline:
                 floor=qos.completeness_floor,
             )
             return False
-        estimator = CardinalityEstimator(
-            self.catalog.scan_stats, feedback=FeedbackOverlay(self.feedback)
-        )
-        _annotate_all(plan, estimator)
+        self._reestimate(plan)
         state.logical_plan = plan
         recovery.partial = True
         recovery.completeness = completeness
@@ -1162,120 +1305,59 @@ class PlanPipeline:
         )
         return True
 
-    def _pin_salvage(self, state: PlanState, salvaged) -> List[int]:
-        """Pin salvaged ``xm_`` snapshots into the logical plan.
+    # -- query scope -------------------------------------------------------
 
-        The branch-recovery twin of :meth:`_maybe_adapt`'s pinning:
-        each salvaged producer's subtree becomes a placeholder scan of
-        its existing snapshot, so re-delegation recomputes only the
-        failed branch.  Snapshots that cannot be pinned (producer
-        already covered by an ancestor's pin, or its output needed the
-        finalizer's dedup projection) are dropped best-effort instead
-        of leaking.
-        """
-        if not salvaged or state.dplan is None:
-            return []
-        dplan = state.dplan
-        plan = state.logical_plan
-        overlay = FeedbackOverlay(self.feedback)
-        keeps: List[Tuple[str, str, str]] = []
-        pinned_ids: List[int] = []
-        unusable: List[Tuple[str, str, str]] = []
-        for task_id, db, kind, name in salvaged:
-            producer = dplan.tasks.get(task_id)
-            src = producer.source_expr if producer is not None else None
-            usable = src is not None
-            if usable:
-                names = [f.name.lower() for f in src.schema]
-                usable = len(set(names)) == len(names)
-            if usable:
-                actual = None
-                for edge in dplan.edges:
-                    if edge.producer_id == task_id and edge.moved_rows:
-                        actual = float(edge.moved_rows)
-                        break
-                pinned = algebra.Scan(
-                    table=name,
-                    binding=f"xpin_{task_id}",
-                    schema=src.schema,
-                    source_db=db,
-                    placeholder=True,
-                    requalify=False,
-                )
-                pinned.estimated_rows = (
-                    actual
-                    if actual is not None
-                    else float(producer.estimated_rows or 1.0)
-                )
-                plan, replaced = _replace_subtree(plan, src, pinned)
-                usable = replaced
-                if replaced:
-                    keeps.append((db, "TABLE", name))
-                    pinned_ids.append(task_id)
-                    if actual is not None:
-                        overlay.pin(
-                            overlay.fingerprint_of(src), actual
-                        )
-            if not usable:
-                unusable.append((db, kind, name))
-        if unusable:
-            self._drop_objects(unusable)
-        if keeps:
-            estimator = CardinalityEstimator(
-                self.catalog.scan_stats, feedback=overlay
-            )
-            _annotate_all(plan, estimator)
-            state.logical_plan = plan
-            state.pending_keeps.extend(keeps)
-            state.recovery.pinned_tasks.extend(pinned_ids)
-        return pinned_ids
+    def _repair_query(
+        self, state: PlanState, cls: str, failure: Failure, ctx: QueryContext
+    ) -> Optional[bool]:
+        """Re-plan the whole query around the DBMS an outage blames."""
+        db = failure.db
+        if db is None or state.budget <= 0:
+            return None
+        planning = ctx.current_phase == "ann"
+        state.recovery.repair_attempts += 1
+        state.recovery.repaired_dbs.append(db)
+        ctx.tracer.add_event(
+            "repair", db=db, phase="ann" if planning else "exec"
+        )
+        # Trip the breaker FIRST so the best-effort teardown of the
+        # partial deployment fails fast on the dead engine instead of
+        # burning its retry budget per object.
+        self.deployment.health.report_outage(
+            db,
+            "annotation-time consultation failed"
+            if planning
+            else "execution failed",
+        )
+        self._reenter(state, cls)
+        # Whole-query repair cannot reuse salvaged snapshots or earlier
+        # pins (they may live on the dead engine).
+        self._abandon_salvage(state, failure, ctx.tracer, skip_db=db)
+        return True
 
     def _abandon_salvage(
         self,
         state: PlanState,
-        exc: BaseException,
+        failure: Failure,
         tracer,
         skip_db: Optional[str] = None,
     ) -> None:
         """Drop salvage the recovery path cannot use (best effort).
 
-        Whole-query repair (and final propagation) rebuilds the plan
-        from scratch, so salvaged snapshots and earlier pins would
-        otherwise leak under their closed epoch until the reaper finds
-        them.  ``skip_db`` marks an engine known to be down — its
-        objects are left for the reaper rather than burning the retry
-        budget.  Abandoning pins also rebuilds the logical plan from
-        the source query (re-applying any partial-answer pruning), so
-        placeholder scans of dropped snapshots cannot survive into the
-        next annotation round.
+        ``skip_db`` marks an engine known to be down — its objects are
+        left for the reaper rather than burning the retry budget.
+        Abandoning pins also re-enters at ``optimize``: the logical
+        plan is rebuilt from the source query, so placeholder scans of
+        dropped snapshots cannot survive into the next annotation.
         """
-        objects = [
-            (db, kind, name)
-            for _task_id, db, kind, name in self._salvage_of(exc)
-        ]
+        objects = [(db, kind, name) for _t, db, kind, name in failure.salvage]
         objects.extend(state.pending_keeps)
-        had_pins = bool(state.pending_keeps)
-        state.pending_keeps = []
+        if state.pending_keeps:
+            state.pending_keeps = []
+            state.stage = "optimize"
         if objects:
             self._drop_objects(objects, skip_db=skip_db)
             tracer.add_event("salvage-abandoned", objects=len(objects))
-        if had_pins and state.select is not None:
-            try:
-                state.logical_plan = self.optimizer.optimize(state.select)
-                if state.recovery.missing_partitions:
-                    plan, _ = prune_missing_shards(
-                        state.logical_plan,
-                        state.recovery.missing_partitions,
-                    )
-                    if plan is not None:
-                        estimator = CardinalityEstimator(
-                            self.catalog.scan_stats,
-                            feedback=FeedbackOverlay(self.feedback),
-                        )
-                        _annotate_all(plan, estimator)
-                        state.logical_plan = plan
-            except ReproError:
-                pass
 
     def _drop_objects(
         self,
@@ -1294,10 +1376,6 @@ class PlanPipeline:
             except ReproError:
                 pass
 
-    def _holder_available(self, db: str) -> bool:
-        connector = self.connectors.get(db)
-        return connector is not None and connector.is_available()
-
     def _shard_rows(self, shard: str) -> Optional[int]:
         """Catalog row count of one shard (any holder; None = unknown)."""
         for db in self.catalog.holders(shard):
@@ -1305,42 +1383,6 @@ class PlanPipeline:
             if stats is not None and stats.row_count is not None:
                 return int(stats.row_count)
         return None
-
-    @staticmethod
-    def _fault_shard(
-        exc: BaseException,
-    ) -> Tuple[Optional[str], Optional[str]]:
-        """The (db, table) a shard-scoped outage blames, if any.
-
-        Walks the cause chain like :meth:`unavailable_db`; ``db`` may
-        be None (annotation found no healthy holder at all) while
-        ``table`` still names the shard.
-        """
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if (
-                isinstance(node, EngineUnavailableError)
-                and node.table is not None
-            ):
-                return node.db, node.table
-            node = node.__cause__ or node.__context__
-        return None, None
-
-    @staticmethod
-    def _salvage_of(
-        exc: BaseException,
-    ) -> List[Tuple[int, str, str, str]]:
-        """Salvaged snapshots riding on a delegation failure's chain."""
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(node, DelegationError) and node.salvaged:
-                return list(node.salvaged)
-            node = node.__cause__ or node.__context__
-        return []
 
     # -- shared helpers ----------------------------------------------------
 
@@ -1363,55 +1405,19 @@ class PlanPipeline:
         return placement
 
     @staticmethod
-    def unavailable_db(exc: BaseException) -> Optional[str]:
-        """Which DBMS an outage exception blames, if repairable.
-
-        Walks the ``__cause__``/``__context__`` chain for an
-        :class:`EngineUnavailableError` carrying a DBMS name (a
-        :class:`DelegationError` wraps the original connector error).
-        Returns None for unrepairable failures: an
-        ``EngineUnavailableError`` with ``db=None`` means every holder
-        of some table is down, and a failure with *no* engine-outage in
-        its chain (e.g. a transient fault that exhausted the retry
-        budget) is not an outage — re-planning cannot help either way.
-        """
-        seen = set()
-        node: Optional[BaseException] = exc
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(node, EngineUnavailableError):
-                return node.db
-            node = node.__cause__ or node.__context__
-        return None
-
-    @staticmethod
     def cancel_deployment(
         ctx: QueryContext,
-        deployed: Optional[DeployedQuery],
+        deployed: DeployedQuery,
         exc: DeadlineExceeded,
     ) -> None:
         """Cooperative cancellation: tear down a deployed cascade after
         deadline expiry, under the grace budget, and fold the rollback
-        accounting into the structured error.
-
-        ``deployed`` is None when the expiry struck *inside* the
-        delegation engine — that path already rolled itself back and
-        stamped the error; here we only handle expiry after delegation
-        completed (during execution or post-execution checks).
-        """
-        if deployed is None:
-            return
+        accounting into the structured error."""
         before = list(deployed.created_objects)
-        try:
-            if ctx.deadline is not None:
-                with ctx.deadline.grace():
-                    deployed.cleanup()
-            else:
-                deployed.cleanup()
-        except ReproError:
-            # cleanup() already kept the undropped objects queued; the
-            # leak accounting below reads them off the deployment.
-            pass
+        with _grace(ctx):
+            # cleanup() keeps the undropped objects queued; the leak
+            # accounting below reads them off the deployment.
+            PlanPipeline._teardown(deployed)
         remaining = list(deployed.created_objects)
         exc.rolled_back = list(exc.rolled_back) + [
             obj for obj in before if obj not in remaining
@@ -1425,15 +1431,19 @@ class PlanPipeline:
         )
 
 
-def _slots(deployment: Deployment) -> Optional[int]:
-    """Per-engine task slots for the schedule simulator.
+def _grace(ctx: QueryContext):
+    """The deadline's grace budget for a teardown (a no-op without one)."""
+    if ctx.deadline is None:
+        return contextlib.nullcontext()
+    return ctx.deadline.grace()
 
-    A single-worker deployment keeps the legacy unbounded-overlap
-    semantics (None); only explicit multi-worker engines cap how many
-    delegated tasks one engine advances concurrently.
-    """
-    workers = deployment.parallel_workers
-    return workers if workers > 1 else None
+
+def _pinnable(src: Optional[algebra.LogicalPlan]) -> bool:
+    """Whether a producer's snapshot still matches its logical schema."""
+    if src is None:
+        return False
+    names = [f.name.lower() for f in src.schema]
+    return len(set(names)) == len(names)
 
 
 def _annotate_all(

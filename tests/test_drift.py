@@ -380,6 +380,25 @@ def test_breaker_recovery_schedules_deferred_sweep():
     assert not engine_holds(dep, "B", "xm_41_leftover")
 
 
+def test_prepared_execution_performs_the_deferred_sweep():
+    """A session that only re-executes handles still collects a
+    recovered engine's orphans: the sweep is the pipeline's, not
+    ``submit``'s."""
+    dep = build_small()
+    xdb = XDB(dep)
+    xdb.warm_metadata()
+    with xdb.prepare(JOIN_QUERY) as prepared:
+        prepared.execute()
+        orphan_on(dep, "B", "xm_41_leftover")
+        dep.health.report_outage("B")
+        dep.health.record_success("B")  # half-open probe succeeds
+        assert xdb.reaper.pending() == {"B"}
+
+        prepared.execute()
+        assert xdb.reaper.pending() == set()
+        assert not engine_holds(dep, "B", "xm_41_leftover")
+
+
 def test_leaked_objects_surface_and_reconcile():
     dep = build_small()
     xdb = XDB(dep)

@@ -81,12 +81,12 @@ def test_fingerprint_is_join_order_insensitive(two_db_deployment):
     xdb = XDB(two_db_deployment)
     xdb.warm_metadata()
     plan_ab = xdb.pipeline.optimizer.optimize(
-        xdb._parse(
+        xdb.pipeline.parse(
             "SELECT u.id FROM users u, events e WHERE u.id = e.user_id"
         )
     )
     plan_ba = xdb.pipeline.optimizer.optimize(
-        xdb._parse(
+        xdb.pipeline.parse(
             "SELECT u.id FROM events e, users u WHERE e.user_id = u.id"
         )
     )
@@ -103,7 +103,7 @@ def test_scan_fingerprint_and_table_key_casefold():
 def test_base_tables_of_optimized_plan(two_db_deployment):
     xdb = XDB(two_db_deployment)
     xdb.warm_metadata()
-    plan = xdb.pipeline.optimizer.optimize(xdb._parse(JOIN_QUERY))
+    plan = xdb.pipeline.optimizer.optimize(xdb.pipeline.parse(JOIN_QUERY))
     assert set(base_tables(plan)) == {"a.users", "b.events"}
 
 
@@ -361,7 +361,7 @@ def test_prepared_query_replans_after_blown_estimates(two_db_deployment):
     xdb.catalog.override_stats("B", "events", 1)
     with xdb.prepare(JOIN_QUERY) as prepared:
         first = prepared.execute()
-        assert prepared._estimates_blown
+        assert prepared.state.estimates_blown
         second = prepared.execute()
         assert second.recovery is not None
         assert second.recovery.adapted

@@ -67,7 +67,7 @@ def test_ast_submission_context_carries_rendered_label(two_db_deployment):
 def test_plan_offline_runs_every_stage(two_db_deployment):
     xdb = XDB(two_db_deployment)
     state = xdb.pipeline.new_state(JOIN_QUERY, budget=0)
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     assert state.select is not None
     assert state.logical_plan is not None
     assert state.annotation is not None
@@ -80,10 +80,10 @@ def test_plan_offline_reenters_at_stage(two_db_deployment, entry):
     """Resetting ``state.stage`` re-runs that stage and everything after."""
     xdb = XDB(two_db_deployment)
     state = xdb.pipeline.new_state(JOIN_QUERY, budget=0)
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     first_plan = state.dplan
     state.stage = entry
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     assert state.stage == "delegate"
     assert state.dplan is not None
     assert state.dplan is not first_plan  # the suffix actually re-ran
@@ -94,11 +94,11 @@ def test_reentry_at_annotate_keeps_logical_plan(two_db_deployment):
     re-run the optimizer."""
     xdb = XDB(two_db_deployment)
     state = xdb.pipeline.new_state(JOIN_QUERY, budget=0)
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     logical = state.logical_plan
     state.stage = "annotate"
     state.dplan = None
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     assert state.logical_plan is logical
     assert state.dplan is not None
 
@@ -109,10 +109,10 @@ def test_reentry_at_optimize_skips_catalog_refresh(two_db_deployment):
     xdb = XDB(two_db_deployment)
     xdb.warm_metadata()
     state = xdb.pipeline.new_state(JOIN_QUERY, budget=0)
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     xdb.pipeline.metadata_fresh = False  # a refresh would flip this back
     state.stage = "optimize"
-    xdb.pipeline.plan_offline(state)
+    xdb.pipeline.plan(state)
     assert xdb.pipeline.metadata_fresh is False
 
 
@@ -143,7 +143,9 @@ def test_submit_parity_with_plan_query(two_db_deployment):
     xdb = XDB(two_db_deployment)
     offline = xdb.plan_query(JOIN_QUERY)
     report = xdb.submit(JOIN_QUERY)
-    assert XDB._placement(report.plan) == XDB._placement(offline)
+    assert PlanPipeline.placement(report.plan) == PlanPipeline.placement(
+        offline
+    )
     assert report.plan.task_count() == offline.task_count()
     assert report.plan.root.annotation == offline.root.annotation
 
@@ -174,6 +176,41 @@ def test_recovery_report_describe_variants():
 
     replanned = RecoveryReport(adaptations=1)
     assert "feedback replan" in replanned.describe()
+
+
+@pytest.mark.parametrize(
+    "recovery, expected",
+    [
+        (
+            RecoveryReport(drift_events=1, drifted_tables=[("A", "t")]),
+            "1 drift(s) absorbed on A.t",
+        ),
+        (
+            RecoveryReport(
+                branch_repairs=1, branch_events=[("failover", "p4", "t__p3")]
+            ),
+            "branch failover: p4.t__p3",
+        ),
+        (
+            RecoveryReport(
+                partial=True, completeness=0.75, missing_partitions=["t__p3"]
+            ),
+            "partial answer: 75.0% complete",
+        ),
+    ],
+)
+def test_report_describes_every_recovery_scope(
+    two_db_deployment, recovery, expected
+):
+    """Drift, branch repair and partial answers used to be dropped:
+    the report printed its recovery line for repairs and adaptations
+    only."""
+    assert recovery.touched and expected in recovery.describe()
+    report = XDB(two_db_deployment).submit(JOIN_QUERY)
+    assert "recovery:" not in report.describe()
+    report.recovery = recovery
+    assert f"recovery: {recovery.describe()}" in report.describe()
+    assert expected in report.explain_analyze()
 
 
 def test_prepared_query_label_is_the_source_sql(two_db_deployment):

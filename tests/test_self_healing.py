@@ -12,6 +12,7 @@ import pytest
 
 from repro.connect.connector import RetryPolicy
 from repro.core.client import XDB
+from repro.core.pipeline import PlanPipeline
 from repro.errors import (
     CircuitOpenError,
     EngineUnavailableError,
@@ -407,6 +408,35 @@ def test_exec_outage_repairs_onto_replica():
     assert "recovery:" in report.describe()
 
 
+def test_prepared_execution_reports_breaker_transitions():
+    """A breaker tripped while a prepared handle executes shows in that
+    execution's recovery report, like a submission's."""
+    dep = build_small(replicate=True)
+    dep.configure_health(BreakerConfig(cooldown_seconds=1e9))
+    xdb = XDB(dep)
+    xdb.warm_metadata()
+    with xdb.prepare(EVENTS_QUERY) as prepared:
+        truth = prepared.execute().result.rows
+        victim = prepared.plan.root.annotation
+        injector = FaultInjector(
+            FaultPolicy(outages=(EngineOutage(db=victim),))
+        ).install(dep)
+        try:
+            report = prepared.execute()
+        finally:
+            injector.uninstall()
+        assert_same_rows(report.result.rows, truth)
+        assert report.recovery.repaired_dbs == [victim]
+        assert any(
+            e.new_state is BreakerState.OPEN and e.db == victim
+            for e in report.recovery.breaker_transitions
+        )
+        assert prepared.plan.root.annotation != victim
+        quiet = prepared.execute()
+        assert not quiet.recovery.touched
+        assert quiet.recovery.breaker_transitions == []
+
+
 def test_zero_repair_budget_propagates_the_outage():
     strike, _ = exec_strike_point(
         lambda: build_small(replicate=True), "A", EVENTS_QUERY,
@@ -423,7 +453,7 @@ def test_zero_repair_budget_propagates_the_outage():
             xdb.submit(EVENTS_QUERY)
     finally:
         injector.uninstall()
-    assert XDB._unavailable_db(err.value) == "A"
+    assert PlanPipeline.classify(err.value).db == "A"
 
 
 def test_unreplicated_holder_outage_is_unrepairable():
