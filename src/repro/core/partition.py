@@ -370,10 +370,10 @@ def expand_partitions(
 
 
 def _resolvable(schema, relation: Optional[str], column: str) -> bool:
-    try:
-        field = schema[schema.resolve(column, relation)]
-    except Exception:
+    index = schema.find(column, relation)
+    if index is None:
         return False
+    field = schema[index]
     actual = field.relation.lower() if field.relation else None
     return actual == relation
 

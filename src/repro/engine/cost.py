@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.engine.profiles import EngineProfile
 from repro.engine.stats import ColumnStats
-from repro.errors import BindError, OptimizerError
+from repro.errors import OptimizerError
 from repro.relational import algebra
 from repro.relational.schema import Schema
 from repro.sql import ast
@@ -84,12 +84,7 @@ class CardinalityEstimator:
     ) -> float:
         """Estimated distinct values of ``ref`` in ``plan``'s output."""
         estimate = self._estimate(plan)
-        try:
-            index = plan.schema.resolve(ref.name, ref.table)
-        except BindError:
-            return max(estimate.rows, 1.0)
-        field = plan.schema[index]
-        stats = estimate.columns.get((field.relation, field.name.lower()))
+        stats = _column_stats_for(ref, plan.schema, estimate.columns)
         if stats is None or stats.ndv <= 0:
             return max(estimate.rows, 1.0)
         return float(min(stats.ndv, max(estimate.rows, 1.0)))
@@ -141,15 +136,8 @@ class CardinalityEstimator:
         columns: Dict[ColumnKey, ColumnStats] = {}
         for item, field in zip(plan.items, plan.schema):
             if isinstance(item.expr, ast.ColumnRef):
-                try:
-                    index = plan.child.schema.resolve(
-                        item.expr.name, item.expr.table
-                    )
-                except BindError:
-                    continue
-                source = plan.child.schema[index]
-                stats = child.columns.get(
-                    (source.relation, source.name.lower())
+                stats = _column_stats_for(
+                    item.expr, plan.child.schema, child.columns
                 )
                 if stats is not None:
                     columns[(field.relation, field.name.lower())] = stats
@@ -197,19 +185,12 @@ class CardinalityEstimator:
         for key, field in zip(plan.keys, plan.schema):
             ndv = None
             if isinstance(key.expr, ast.ColumnRef):
-                try:
-                    index = plan.child.schema.resolve(
-                        key.expr.name, key.expr.table
-                    )
-                    source = plan.child.schema[index]
-                    stats = child.columns.get(
-                        (source.relation, source.name.lower())
-                    )
-                    if stats is not None:
-                        ndv = float(stats.ndv)
-                        columns[(field.relation, field.name.lower())] = stats
-                except BindError:
-                    pass
+                stats = _column_stats_for(
+                    key.expr, plan.child.schema, child.columns
+                )
+                if stats is not None:
+                    ndv = float(stats.ndv)
+                    columns[(field.relation, field.name.lower())] = stats
             groups *= ndv if ndv is not None else 10.0
         rows = min(groups, max(child.rows, 1.0))
         return _NodeEstimate(rows=rows, columns=columns)
@@ -333,9 +314,8 @@ def _column_stats_for(
     schema: Schema,
     columns: Dict[ColumnKey, ColumnStats],
 ) -> Optional[ColumnStats]:
-    try:
-        index = schema.resolve(ref.name, ref.table)
-    except BindError:
+    index = schema.find(ref.name, ref.table)
+    if index is None:
         return None
     field = schema[index]
     return columns.get((field.relation, field.name.lower()))

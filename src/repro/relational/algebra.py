@@ -66,6 +66,27 @@ class LogicalPlan:
             found.extend(child.leaves())
         return found
 
+    def _over(self, schema: Schema, **inputs: "LogicalPlan") -> "LogicalPlan":
+        """This node over ``inputs`` whose schemas equal the ones it was
+        type-checked against: what the constructor would build, without
+        binding and typing every expression a second time."""
+        node = object.__new__(type(self))
+        node.__dict__.update(
+            self.__dict__, schema=schema, estimated_rows=None, **inputs
+        )
+        return node
+
+
+def _typed(
+    expr: ast.Expression, schema: Schema
+) -> Tuple[SQLType, Optional[str]]:
+    """Type of ``expr`` over ``schema`` and, for a bare column
+    reference, the qualifier of the field it names (else None)."""
+    if isinstance(expr, ast.ColumnRef):
+        field = schema.field_of(expr.name, expr.table)
+        return field.type, field.relation
+    return compile_expression(expr, schema).type, None
+
 
 class Scan(LogicalPlan):
     """A leaf: scanning a stored relation (or a placeholder, see below).
@@ -133,6 +154,8 @@ class Filter(LogicalPlan):
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Filter":
         (child,) = children
+        if child.schema == self.child.schema:
+            return self._over(child.schema, child=child)
         return Filter(child, self.predicate)
 
     def label(self) -> str:
@@ -161,21 +184,20 @@ class Project(LogicalPlan):
         super().__init__()
         self.child = child
         self.items = tuple(items)
-        fields = []
-        for item in self.items:
-            compiled = compile_expression(item.expr, child.schema)
-            relation = None
-            if isinstance(item.expr, ast.ColumnRef):
-                index = child.schema.resolve(item.expr.name, item.expr.table)
-                relation = child.schema[index].relation
-            fields.append(Field(item.name, compiled.type, relation))
-        self.schema = Schema(fields)
+        self.schema = Schema(
+            [
+                Field(item.name, *_typed(item.expr, child.schema))
+                for item in self.items
+            ]
+        )
 
     def children(self) -> List[LogicalPlan]:
         return [self.child]
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Project":
         (child,) = children
+        if child.schema == self.child.schema:
+            return self._over(self.schema, child=child)
         return Project(child, self.items)
 
     def label(self) -> str:
@@ -225,6 +247,11 @@ class Join(LogicalPlan):
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Join":
         left, right = children
+        if (
+            left.schema == self.left.schema
+            and right.schema == self.right.schema
+        ):
+            return self._over(self.schema, left=left, right=right)
         return Join(left, right, self.condition, self.kind)
 
     def hash_keys(
@@ -242,24 +269,27 @@ class Join(LogicalPlan):
         rest: List[ast.Expression] = []
         left_schema, right_schema = self.left.schema, self.right.schema
         for conjunct in ast.conjuncts(self.condition):
+            orientations: Sequence[Tuple[ast.ColumnRef, ast.ColumnRef]] = ()
             if (
                 isinstance(conjunct, ast.BinaryOp)
                 and conjunct.op == "="
                 and isinstance(conjunct.left, ast.ColumnRef)
                 and isinstance(conjunct.right, ast.ColumnRef)
             ):
-                first, second = conjunct.left, conjunct.right
-                if _resolves(left_schema, first) and _resolves(
-                    right_schema, second
+                orientations = (
+                    (conjunct.left, conjunct.right),
+                    (conjunct.right, conjunct.left),
+                )
+            for first, second in orientations:
+                if (
+                    left_schema.find(first.name, first.table) is not None
+                    and right_schema.find(second.name, second.table)
+                    is not None
                 ):
                     pairs.append((first, second))
-                    continue
-                if _resolves(left_schema, second) and _resolves(
-                    right_schema, first
-                ):
-                    pairs.append((second, first))
-                    continue
-            rest.append(conjunct)
+                    break
+            else:
+                rest.append(conjunct)
         if not pairs:
             return None
         return pairs, ast.conjoin(rest)
@@ -281,14 +311,6 @@ class Join(LogicalPlan):
         return f"Join[{self.kind} ON {condition}]"
 
 
-def _resolves(schema: Schema, ref: ast.ColumnRef) -> bool:
-    try:
-        schema.resolve(ref.name, ref.table)
-    except BindError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class AggregateSpec:
     """One aggregate: function, argument (None = COUNT(*)), output name."""
@@ -303,7 +325,7 @@ class AggregateSpec:
             return BIGINT
         if self.arg is None:
             raise BindError(f"{self.func} requires an argument")
-        arg_type = compile_expression(self.arg, input_schema).type
+        arg_type, _ = _typed(self.arg, input_schema)
         if self.func == "AVG":
             return DOUBLE
         if self.func == "SUM":
@@ -332,14 +354,10 @@ class Aggregate(LogicalPlan):
         self.child = child
         self.keys = tuple(keys)
         self.aggregates = tuple(aggregates)
-        fields = []
-        for key in self.keys:
-            compiled = compile_expression(key.expr, child.schema)
-            relation = None
-            if isinstance(key.expr, ast.ColumnRef):
-                index = child.schema.resolve(key.expr.name, key.expr.table)
-                relation = child.schema[index].relation
-            fields.append(Field(key.name, compiled.type, relation))
+        fields = [
+            Field(key.name, *_typed(key.expr, child.schema))
+            for key in self.keys
+        ]
         for spec in self.aggregates:
             fields.append(Field(spec.name, spec.result_type(child.schema)))
         self.schema = Schema(fields)
@@ -349,6 +367,8 @@ class Aggregate(LogicalPlan):
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Aggregate":
         (child,) = children
+        if child.schema == self.child.schema:
+            return self._over(self.schema, child=child)
         return Aggregate(child, self.keys, self.aggregates)
 
     def label(self) -> str:
@@ -384,6 +404,8 @@ class Sort(LogicalPlan):
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Sort":
         (child,) = children
+        if child.schema == self.child.schema:
+            return self._over(child.schema, child=child)
         return Sort(child, self.keys)
 
     def label(self) -> str:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import BindError, OptimizerError
+from repro.errors import OptimizerError
 from repro.relational import algebra
 from repro.relational.builder import rebuild_expression
 from repro.relational.schema import Schema
@@ -31,12 +31,10 @@ NdvFn = Callable[[algebra.LogicalPlan, ast.ColumnRef], float]
 
 def _refs_resolve(schema: Schema, expr: ast.Expression) -> bool:
     """True if every column reference in ``expr`` binds in ``schema``."""
-    for ref in ast.column_refs(expr):
-        try:
-            schema.resolve(ref.name, ref.table)
-        except BindError:
-            return False
-    return True
+    return all(
+        schema.find(ref.name, ref.table) is not None
+        for ref in ast.column_refs(expr)
+    )
 
 
 def _rewrite_through_project(
@@ -361,17 +359,12 @@ def _unit_index(
     """Which units an expression's references span (None if unresolvable)."""
     spanned: Set[int] = set()
     for ref in ast.column_refs(expr):
-        found = None
         for index, unit in enumerate(units):
-            try:
-                unit.schema.resolve(ref.name, ref.table)
-            except BindError:
-                continue
-            found = index
-            break
-        if found is None:
+            if unit.schema.find(ref.name, ref.table) is not None:
+                spanned.add(index)
+                break
+        else:
             return None
-        spanned.add(found)
     return frozenset(spanned)
 
 
@@ -499,7 +492,7 @@ def _edge_stats(
         assert isinstance(predicate, ast.BinaryOp)
         left_ref, right_ref = predicate.left, predicate.right
         # Align refs with units.
-        if not _resolves_in(units[first], left_ref):
+        if units[first].schema.find(left_ref.name, left_ref.table) is None:
             left_ref, right_ref = right_ref, left_ref
         sel = 1.0 / max(
             ndv(units[first], left_ref), ndv(units[second], right_ref), 1.0
@@ -638,14 +631,6 @@ def _dp_order(
             plan, ast.conjoin([p for _, p in remaining_complex])
         )
     return plan
-
-
-def _resolves_in(unit: algebra.LogicalPlan, ref: ast.ColumnRef) -> bool:
-    try:
-        unit.schema.resolve(ref.name, ref.table)
-    except BindError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

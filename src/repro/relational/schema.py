@@ -7,8 +7,8 @@ under, which is what qualified column references resolve against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BindError, CatalogError
 from repro.sql.types import SQLType
@@ -27,14 +27,26 @@ class Field:
         return f"{self.relation}.{self.name}" if self.relation else self.name
 
     def renamed(self, name: str) -> "Field":
-        return replace(self, name=name)
+        return Field(name, self.type, self.relation)
 
     def requalified(self, relation: Optional[str]) -> "Field":
-        return replace(self, relation=relation)
+        return Field(self.name, self.type, relation)
 
 
 class Schema:
-    """An ordered collection of fields with name-resolution helpers."""
+    """An ordered collection of fields with name-resolution helpers.
+
+    A schema is an immutable value: nothing edits ``fields`` after
+    construction (schema drift swaps in a new object), so what is
+    derived from them below is derived once and cannot go stale.
+    """
+
+    #: ``lower(name)`` -> positions of the fields so named; built by the
+    #: first lookup, because most schemas (join outputs, projections)
+    #: are never resolved against
+    _index: Optional[Dict[str, Tuple[int, ...]]] = None
+    #: the last ``requalified`` result, as ``(relation, schema)``
+    _requalified: Optional[Tuple[Optional[str], "Schema"]] = None
 
     def __init__(self, fields: Iterable[Field]):
         self.fields: Tuple[Field, ...] = tuple(fields)
@@ -57,7 +69,9 @@ class Schema:
         return self.fields[index]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Schema) and self.fields == other.fields
+        return self is other or (
+            isinstance(other, Schema) and self.fields == other.fields
+        )
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{f.qualified_name}:{f.type}" for f in self.fields)
@@ -67,32 +81,43 @@ class Schema:
     def names(self) -> List[str]:
         return [field.name for field in self.fields]
 
-    def resolve(self, name: str, relation: Optional[str] = None) -> int:
-        """Index of the field matching ``[relation.]name``.
+    def _matches(self, name: str, relation: Optional[str]) -> Sequence[int]:
+        """Indexes of the fields matching ``[relation.]name``,
+        case-insensitively, like mainstream SQL engines."""
+        index = self._index
+        if index is None:
+            index = {}
+            for position, field in enumerate(self.fields):
+                key = field.name.lower()
+                index[key] = index.get(key, ()) + (position,)
+            # published whole: pool workers resolve against one schema
+            self._index = index
+        found = index.get(name.lower(), ())
+        if relation and found:
+            relation = relation.lower()
+            fields = self.fields
+            found = [
+                position
+                for position in found
+                if (fields[position].relation or "").lower() == relation
+            ]
+        return found
 
-        Raises :class:`BindError` for unknown or ambiguous references.
-        Matching is case-insensitive, like mainstream SQL engines.
-        """
-        name_lower = name.lower()
-        relation_lower = relation.lower() if relation else None
-        matches = [
-            index
-            for index, field in enumerate(self.fields)
-            if field.name.lower() == name_lower
-            and (
-                relation_lower is None
-                or (
-                    field.relation is not None
-                    and field.relation.lower() == relation_lower
-                )
-            )
-        ]
+    def find(self, name: str, relation: Optional[str] = None) -> Optional[int]:
+        """Index of the one field matching ``[relation.]name``; None
+        when the reference is unknown *or* ambiguous."""
+        found = self._matches(name, relation)
+        return found[0] if len(found) == 1 else None
+
+    def resolve(self, name: str, relation: Optional[str] = None) -> int:
+        """:meth:`find`, raising :class:`BindError` where it returns None."""
+        found = self._matches(name, relation)
+        if len(found) == 1:
+            return found[0]
         display = f"{relation}.{name}" if relation else name
-        if not matches:
-            raise BindError(f"unknown column {display!r}")
-        if len(matches) > 1:
+        if found:
             raise BindError(f"ambiguous column reference {display!r}")
-        return matches[0]
+        raise BindError(f"unknown column {display!r}")
 
     def field_of(self, name: str, relation: Optional[str] = None) -> Field:
         return self.fields[self.resolve(name, relation)]
@@ -124,8 +149,14 @@ class Schema:
 
     def requalified(self, relation: Optional[str]) -> "Schema":
         """All fields re-qualified under a single binding name."""
-        return Schema(field.requalified(relation) for field in self.fields)
+        last = self._requalified
+        if last is None or last[0] != relation:
+            last = self._requalified = (
+                relation,
+                Schema(field.requalified(relation) for field in self.fields),
+            )
+        return last[1]
 
     def unqualified(self) -> "Schema":
         """All fields with their qualifier stripped (result schemas)."""
-        return Schema(field.requalified(None) for field in self.fields)
+        return self.requalified(None)
