@@ -25,9 +25,9 @@ from repro.core.catalog import GlobalCatalog
 from repro.core.finalize import PlanFinalizer
 from repro.core.logical import LogicalOptimizer
 from repro.core.plan import DelegationPlan, Movement, Task
-from repro.engine.cost import CardinalityEstimator, CostModel, ScanStats
+from repro.engine.cost import CardinalityEstimator
 from repro.engine.database import Database
-from repro.engine.fdw import PROTOCOL_CPU_FACTORS, PROTOCOL_FACTORS
+from repro.engine.fdw import PROTOCOL_FACTORS
 from repro.engine.result import Result
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
@@ -175,7 +175,7 @@ class MediatorSystem:
             temp_name = self._materialize(task, result)
             temp_names[task.task_id] = temp_name
 
-            proc = self._source_processing_seconds(task, connector)
+            proc = task_seconds(task, connector.database)
             payload = int(
                 result.byte_size() * PROTOCOL_FACTORS[self.protocol]
             )
@@ -194,7 +194,7 @@ class MediatorSystem:
             if task.annotation == MEDIATOR
         ]
         result = None
-        mediator_proc = 0.0
+        mediator_units = 0.0
         for task in mediator_tasks:
             for edge in dplan.in_edges(task):
                 child = dplan.tasks[edge.producer_id]
@@ -204,7 +204,9 @@ class MediatorSystem:
                     )
                 self._resolve_placeholder(task, edge.placeholder,
                                           temp_names[child.task_id])
-            mediator_proc += self._mediator_processing_seconds(task)
+            mediator_units += self.mediator.cost_model.plan_cost(
+                task.expr, _estimator(self.mediator)
+            )
             result = self.mediator.execute_select(plan_to_select(task.expr))
 
         if result is None:
@@ -237,11 +239,14 @@ class MediatorSystem:
             self.mediator.node,
             fetch_bytes_total,
         )
-        ingest_seconds = self._ingest_seconds(fetch_rows_total)
+        # Not parallelized: the connectors deliver row streams through
+        # the coordinator.
+        ingest_seconds = self.mediator.cost_model.protocol_decode_seconds(
+            fetch_rows_total, self.protocol, fetch_charged=False
+        )
         fetch_phase = max(fetch_times, default=0.0)
-        mediator_seconds = (
-            self.mediator.profile.startup_latency
-            + mediator_proc / max(self.workers, 1)
+        mediator_seconds = self.mediator.cost_model.statement_seconds(
+            mediator_units, self.workers
         )
         result_transfer = network.transfer_time(
             self.mediator.node, self.deployment.client_node, result_bytes
@@ -286,35 +291,6 @@ class MediatorSystem:
             f"placeholder {placeholder!r} missing in mediator task"
         )
 
-    def _source_processing_seconds(
-        self, task: Task, connector: DBMSConnector
-    ) -> float:
-        database = connector.database
-        estimator = CardinalityEstimator(database.planner.scan_stats)
-        cost = CostModel(database.profile).plan_cost(task.expr, estimator)
-        return database.profile.startup_latency + (
-            database.profile.cost_to_seconds(cost)
-        )
-
-    def _mediator_processing_seconds(self, task: Task) -> float:
-        def stats(scan: algebra.Scan) -> ScanStats:
-            return self.mediator.planner.scan_stats(scan)
-
-        estimator = CardinalityEstimator(stats)
-        cost = CostModel(self.mediator.profile).plan_cost(
-            task.expr, estimator
-        )
-        return self.mediator.profile.cost_to_seconds(cost)
-
-    def _ingest_seconds(self, rows: int) -> float:
-        """Per-row fetch/decode cost at the mediator (not parallelized —
-        the connectors deliver row streams through the coordinator)."""
-        profile = self.mediator.profile
-        factor = PROTOCOL_CPU_FACTORS[self.protocol]
-        return profile.cost_to_seconds(
-            rows * profile.foreign_fetch_cost_per_row * factor
-        )
-
     def _slowest_source_node(self, dplan: DelegationPlan) -> str:
         for task in dplan.topological():
             if task.annotation != MEDIATOR:
@@ -324,3 +300,12 @@ class MediatorSystem:
     def _cleanup(self, temp_tables: List[str]) -> None:
         for name in temp_tables:
             self.mediator.execute(f"DROP TABLE IF EXISTS {name}")
+
+
+def _estimator(database: Database) -> CardinalityEstimator:
+    return CardinalityEstimator(database.planner.scan_stats)
+
+
+def task_seconds(task: Task, database: Database) -> float:
+    """Seconds ``database`` takes to run ``task`` as one statement."""
+    return database.cost_model.plan_seconds(task.expr, _estimator(database))

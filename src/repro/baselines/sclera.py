@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.mediator import BaselineReport
+from repro.baselines.mediator import BaselineReport, task_seconds
 from repro.connect.connector import DBMSConnector
 from repro.core.annotate import Annotation
 from repro.core.catalog import GlobalCatalog
 from repro.core.finalize import PlanFinalizer
 from repro.core.logical import LogicalOptimizer
 from repro.core.plan import Movement
-from repro.engine.cost import CardinalityEstimator, CostModel
+from repro.engine.cost import CostModel
+from repro.engine.profiles import profile_for
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
 from repro.net.metrics import summarize
@@ -148,7 +149,7 @@ class ScleraSystem:
                     subquery, tag=f"sclera-fetch:{task.task_id}"
                 )
             results[task.task_id] = result
-            processing_seconds += self._task_seconds(task, connector)
+            processing_seconds += task_seconds(task, connector.database)
 
         total_seconds = processing_seconds + transfer_seconds
         root_result = results[dplan.root_id]
@@ -188,29 +189,9 @@ class ScleraSystem:
         consumer ingests and materializes it — every intermediate pays
         both legs, which is the bulk of Sclera's ~30× penalty.
         """
-        from repro.engine.fdw import PROTOCOL_CPU_FACTORS
-        from repro.engine.profiles import profile_for
-
-        factor = PROTOCOL_CPU_FACTORS[self.protocol]
-        mediator_profile = profile_for("postgres")
-        mediator_leg = mediator_profile.cost_to_seconds(
-            rows * mediator_profile.foreign_fetch_cost_per_row * factor
-        )
-        consumer_profile = consumer.profile
-        consumer_leg = consumer_profile.cost_to_seconds(
-            rows
-            * (
-                consumer_profile.foreign_fetch_cost_per_row * factor
-                + consumer_profile.seq_scan_cost_per_row
-            )
-            + consumer_profile.startup_cost * 5
-        )
-        return mediator_leg + consumer_leg
-
-    def _task_seconds(self, task, connector: DBMSConnector) -> float:
-        database = connector.database
-        estimator = CardinalityEstimator(database.planner.scan_stats)
-        cost = CostModel(database.profile).plan_cost(task.expr, estimator)
-        return database.profile.startup_latency + (
-            database.profile.cost_to_seconds(cost)
+        mediator = CostModel(profile_for("postgres"))
+        return mediator.protocol_decode_seconds(
+            rows, self.protocol, fetch_charged=False
+        ) + consumer.database.cost_model.relayed_input_seconds(
+            rows, self.protocol
         )

@@ -42,16 +42,11 @@ _DEFAULT_CALIBRATED_PROFILES = os.path.join(
 def apply_calibrated_profiles(path: Optional[str] = None) -> bool:
     """Install the calibrated engine-profile overlay, if one exists.
 
-    Resolution order: explicit ``path`` argument, the
-    ``XDB_CALIBRATED_PROFILES`` environment variable, then the
-    repository's ``benchmarks/results/calibrated_profiles.json``.
-    Returns True when an overlay was loaded.
+    ``path`` defaults to the repository's
+    ``benchmarks/results/calibrated_profiles.json``.  Returns True when
+    an overlay was loaded.
     """
-    candidate = (
-        path
-        or os.environ.get("XDB_CALIBRATED_PROFILES")
-        or _DEFAULT_CALIBRATED_PROFILES
-    )
+    candidate = path or _DEFAULT_CALIBRATED_PROFILES
     if not os.path.exists(candidate):
         return False
     load_calibrated(candidate)

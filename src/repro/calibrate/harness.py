@@ -6,18 +6,19 @@ the physical plan.  It executes each query inside a
 ``Database.instrument_execution`` enabled, then walks the *operator
 spans* the engine mirrored into the trace — the same spans ``/trace``
 exports — and turns each one into an :class:`Observation` pairing the
-operator's measured self seconds with the cost-formula features
-(driver cardinalities) the fit regresses against.  If the span export
+operator's measured self seconds with its features: what
+``repro.engine.cost.operator_features`` reads off the planner's own
+operator charge at the measured row counts.  If the span export
 breaks, calibration breaks: the observability spine is load-bearing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.calibrate.workload import MicroWorkload, build_workload
+from repro.engine.cost import operator_features
 from repro.obs.context import QueryContext
 
 #: Wall-seconds floor: keeps Q-error ratios finite when an operator ran
@@ -34,10 +35,9 @@ class Observation:
     op: str
     #: name of the workload query that produced it
     query: str
-    #: cost-formula features: constant name -> driver cardinality, the
-    #: same formulas as ``CostModel.node_self_cost`` but evaluated at
-    #: *measured* cardinalities so the fit isolates constant error from
-    #: cardinality-estimation error
+    #: constant name -> the cardinality driving it in
+    #: ``CostModel.operator_cost``, evaluated at *measured* rows so the
+    #: fit isolates constant error from cardinality-estimation error
     features: Dict[str, float] = field(default_factory=dict)
     #: measured self wall seconds (plus simulated transfer seconds for
     #: ForeignScan, whose cost constant models the whole fetch)
@@ -76,53 +76,6 @@ def _span_self_seconds(span) -> float:
     return max(inclusive - children, 0.0)
 
 
-def _features_for(
-    kind: str, rows_out: float, child_rows: List[float]
-) -> Optional[Dict[str, float]]:
-    """Cost-formula drivers for one operator (measured cardinalities).
-
-    Mirrors ``CostModel.node_self_cost``; returns ``None`` for operator
-    kinds the cost model does not charge per-row work to.
-    """
-    out = max(rows_out, 1.0)
-    if kind in ("SeqScan", "ValuesScan"):
-        return {"seq_scan_cost_per_row": out}
-    if kind == "ForeignScan":
-        return {"foreign_fetch_cost_per_row": out}
-    if kind == "Filter":
-        rows_in = max(child_rows[0] if child_rows else rows_out, 1.0)
-        return {"cpu_tuple_cost": rows_in}
-    if kind == "Project":
-        return {"cpu_tuple_cost": out}
-    if kind == "HashJoin":
-        left = max(child_rows[0] if child_rows else 1.0, 1.0)
-        right = max(
-            child_rows[1] if len(child_rows) > 1 else 1.0, 1.0
-        )
-        return {
-            "hash_build_cost_per_row": min(left, right),
-            "cpu_tuple_cost": max(left, right) + out,
-        }
-    if kind == "NestedLoopJoin":
-        left = max(child_rows[0] if child_rows else 1.0, 1.0)
-        right = max(
-            child_rows[1] if len(child_rows) > 1 else 1.0, 1.0
-        )
-        return {"cpu_tuple_cost": left * right}
-    if kind == "HashAggregate":
-        rows_in = max(sum(child_rows), 1.0)
-        return {
-            "cpu_tuple_cost": rows_in,
-            "hash_build_cost_per_row": rows_in,
-        }
-    if kind == "Sort":
-        rows_in = max(child_rows[0] if child_rows else rows_out, 1.0)
-        return {"sort_cost_factor": rows_in * max(math.log2(rows_in), 1.0)}
-    if kind in ("Limit", "DistinctOp", "UnionAllOp"):
-        return {"cpu_tuple_cost": out}
-    return None
-
-
 def observe_query(
     workload: MicroWorkload, name: str, sql: str
 ) -> List[Observation]:
@@ -144,7 +97,7 @@ def observe_query(
             for child in span.children
             if child.kind == "operator"
         ]
-        features = _features_for(
+        features = operator_features(
             kind, float(span.attributes.get("rows_out", 0)), child_rows
         )
         if not features:

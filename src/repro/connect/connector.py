@@ -4,9 +4,9 @@ Responsibilities (paper §III–§V):
 
 * metadata — list relations, schemas, and statistics for the global
   catalog (the "prep" phase of the breakdown experiment);
-* costing — wrap EXPLAIN-like statements into calibrated costing
-  functions for the annotator's consulting approach (§IV-B2); every
-  call counts as one consultation round-trip;
+* costing — the annotator's consulting approach (§IV-B2): every call
+  is one guarded, counted consultation round-trip; what the engine
+  answers is its own price list (:class:`repro.engine.cost.CostModel`);
 * delegation — render DDL in the DBMS's own dialect and ship it as a
   control message;
 * execution — submit the final XDB query (or, for the mediator
@@ -509,7 +509,9 @@ class DBMSConnector:
             info = self.database.explain_select(query)
             return CalibratedExplain(
                 estimated_rows=info.estimated_rows,
-                cost_seconds=self.profile.cost_to_seconds(info.total_cost),
+                cost_seconds=self.database.cost_model.seconds(
+                    info.total_cost
+                ),
                 row_width=info.row_width,
                 plan_text=info.plan_text,
             )
@@ -529,12 +531,9 @@ class DBMSConnector:
         "consulting approach", wrapping the engine's EXPLAIN machinery):
         one call = one consultation round-trip.
 
-        With an *implicit* (pipelined) input the DBMS cannot hash the
-        stream — it must build on its local input and probe with the
-        arriving tuples.  With an *explicit* (materialized) input it
-        pays fetch + load + rescan but can build the hash table on the
-        smaller side (the paper's "DBMS-specific optimizations").
-        Returns calibrated seconds.
+        The quote itself is the engine's
+        :meth:`~repro.engine.cost.CostModel.planned_join_seconds`, in
+        calibrated seconds.
         """
 
         def call() -> None:
@@ -542,23 +541,9 @@ class DBMSConnector:
             self._control("consult")
 
         self._guarded("consult", call)
-        profile = self.profile
-        fetch = moved_rows * profile.foreign_fetch_cost_per_row
-        if materialized:
-            load = moved_rows * profile.seq_scan_cost_per_row
-            rescan = moved_rows * profile.seq_scan_cost_per_row
-            build = min(local_rows, moved_rows) * (
-                profile.hash_build_cost_per_row
-            )
-            probe = max(local_rows, moved_rows) * profile.cpu_tuple_cost
-            setup = profile.startup_cost * 5 + 200.0
-            units = fetch + load + rescan + build + probe + setup
-        else:
-            build = local_rows * profile.hash_build_cost_per_row
-            probe = moved_rows * profile.cpu_tuple_cost
-            units = fetch + build + probe
-        units += output_rows * profile.cpu_tuple_cost
-        return profile.cost_to_seconds(units)
+        return self.database.cost_model.planned_join_seconds(
+            local_rows, moved_rows, output_rows, materialized
+        )
 
     # -- delegation ----------------------------------------------------------------
 

@@ -271,11 +271,8 @@ class PlanAnnotator:
             connector = self._connectors.get(db)
             if connector is None:
                 return (float("inf"), 1, db)
-            profile = connector.profile
             return (
-                profile.cost_to_seconds(
-                    rows * profile.seq_scan_cost_per_row
-                ),
+                connector.database.cost_model.holder_scan_seconds(rows),
                 0 if db == prefer else 1,
                 db,
             )

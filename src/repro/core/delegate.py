@@ -195,12 +195,12 @@ class DelegationEngine:
             deadline = getattr(ctx, "deadline", None) if ctx else None
             if deadline is not None:
                 with deadline.grace():
-                    rolled_back, leaked = self._rollback(created)
+                    rolled_back, leaked = self.drop_objects(created)
             else:
-                rolled_back, leaked = self._rollback(created)
+                rolled_back, leaked = self.drop_objects(created)
             exc.rolled_back = rolled_back
             exc.leaked = leaked
-            self._settle_epoch(epoch, rolled_back, leaked)
+            self._settle_epoch(epoch)
             self._note(
                 "deadline-cancelled",
                 phase=exc.phase,
@@ -233,10 +233,10 @@ class DelegationEngine:
                 (db, kind, name) for _tid, db, kind, name in salvaged
             }
             to_rollback = [obj for obj in created if obj not in keep_set]
-            rolled_back, leaked = self._rollback(
+            rolled_back, leaked = self.drop_objects(
                 to_rollback, skip_db=dead_db
             )
-            self._settle_epoch(epoch, rolled_back, leaked)
+            self._settle_epoch(epoch)
             failed_db = ddl_log[-1][0] if ddl_log else None
             message = (
                 f"delegation failed after {len(ddl_log)} DDL "
@@ -309,53 +309,54 @@ class DelegationEngine:
             out.append((task_id, db, kind, name))
         return out
 
-    def _settle_epoch(
-        self,
-        epoch: int,
-        rolled_back: List[Tuple[str, str, str]],
-        leaked: List[Tuple[str, str, str]],
-    ) -> None:
-        """Account a rolled-back cascade in the ledger and retire its
-        epoch — whatever the rollback could not drop is now reapable."""
-        if self._ledger is None:
-            return
-        for db, _kind, name in rolled_back:
-            self._ledger.mark_dropped(db, name)
-        for db, _kind, name in leaked:
-            self._ledger.mark_leaked(db, name)
-        self._ledger.close_epoch(epoch)
+    def _settle_epoch(self, epoch: int) -> None:
+        """Retire a rolled-back cascade's epoch — whatever the rollback
+        could not drop is now reapable."""
+        if self._ledger is not None:
+            self._ledger.close_epoch(epoch)
 
-    def _rollback(
+    def drop_objects(
         self,
-        created: List[Tuple[str, str, str]],
+        objects: List[Tuple[str, str, str]],
         skip_db: Optional[str] = None,
     ) -> Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str]]]:
-        """Drop partially created objects, newest first (best effort).
+        """Drop delegated objects, newest first (best effort), and tell
+        the ledger what became of each.
 
-        Returns ``(rolled_back, leaked)`` — drops go through the
-        connectors' retry layer, so transient faults during rollback
-        are absorbed; an object is only reported leaked when its DROP
-        exhausts the retry budget.  Objects on ``skip_db`` (an engine
-        known to be down) are marked leaked without a drop attempt.
+        Returns ``(dropped, leaked)`` — drops go through the
+        connectors' retry layer, so transient faults are absorbed; an
+        object is only leaked when its DROP exhausts the retry budget.
+        Objects on ``skip_db`` (an engine known to be down) are marked
+        leaked without a drop attempt.  A leaked entry is what the
+        reaper reconciles, so nothing dropped here — by a rollback or
+        by a recovery path giving up on salvage — stays ``live``.
         """
-        rolled_back: List[Tuple[str, str, str]] = []
+        dropped: List[Tuple[str, str, str]] = []
         leaked: List[Tuple[str, str, str]] = []
-        for db, kind, name in reversed(created):
+        for db, kind, name in reversed(objects):
             connector = self._connectors.get(db)
-            if connector is None or db == skip_db:
-                leaked.append((db, kind, name))
-                self._note("rollback-leaked", db=db, kind=kind, object=name)
-                continue
-            try:
-                connector.execute_ddl(
-                    ast.DropObject(kind=kind, name=name, if_exists=True)
-                )
-                rolled_back.append((db, kind, name))
-                self._note("rollback-drop", db=db, kind=kind, object=name)
-            except ReproError:
-                leaked.append((db, kind, name))
-                self._note("rollback-leaked", db=db, kind=kind, object=name)
-        return rolled_back, leaked
+            gone = False
+            if connector is not None and db != skip_db:
+                try:
+                    connector.execute_ddl(
+                        ast.DropObject(kind=kind, name=name, if_exists=True)
+                    )
+                    gone = True
+                except ReproError:
+                    pass
+            (dropped if gone else leaked).append((db, kind, name))
+            if self._ledger is not None:
+                if gone:
+                    self._ledger.mark_dropped(db, name)
+                else:
+                    self._ledger.mark_leaked(db, name)
+            self._note(
+                "rollback-drop" if gone else "rollback-leaked",
+                db=db,
+                kind=kind,
+                object=name,
+            )
+        return dropped, leaked
 
     @staticmethod
     def _note(name: str, **attributes: object) -> None:

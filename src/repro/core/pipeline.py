@@ -1244,7 +1244,7 @@ class PlanPipeline:
             action = "reroute"
         pinned, unusable = self._pin(state, failure.salvage)
         # Snapshots that cannot be pinned are dropped instead of leaking.
-        self._drop_objects(unusable)
+        self.delegator.drop_objects(unusable)
         self._reenter(state, cls)
         recovery.branch_repairs += 1
         recovery.branch_events.append((action, blamed or "", shard or ""))
@@ -1356,25 +1356,8 @@ class PlanPipeline:
             state.pending_keeps = []
             state.stage = "optimize"
         if objects:
-            self._drop_objects(objects, skip_db=skip_db)
+            self.delegator.drop_objects(objects, skip_db=skip_db)
             tracer.add_event("salvage-abandoned", objects=len(objects))
-
-    def _drop_objects(
-        self,
-        objects: List[Tuple[str, str, str]],
-        skip_db: Optional[str] = None,
-    ) -> None:
-        """Best-effort DROPs, newest first; failures go to the reaper."""
-        for db, kind, name in reversed(list(objects)):
-            connector = self.connectors.get(db)
-            if connector is None or db == skip_db:
-                continue
-            try:
-                connector.execute_ddl(
-                    ast.DropObject(kind=kind, name=name, if_exists=True)
-                )
-            except ReproError:
-                pass
 
     def _shard_rows(self, shard: str) -> Optional[int]:
         """Catalog row count of one shard (any holder; None = unknown)."""

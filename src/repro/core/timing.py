@@ -2,18 +2,17 @@
 
 Engines run in-process, so wall-clock time says nothing about the
 testbed the paper measured.  Instead, runtimes are *derived*: each
-task's processing time comes from its engine's calibrated cost model
-evaluated at the **observed** cardinalities, and each edge's transfer
-time from the simulated link characteristics and the bytes actually
-moved.  The schedule respects the paper's dataflow semantics:
+task's processing time is what its engine's price list
+(:class:`repro.engine.cost.CostModel`) charges at the **observed**
+cardinalities, and each edge's transfer time comes from the simulated
+link characteristics and the bytes actually moved.  This module owns
+the schedule, not the prices.  The schedule respects the paper's
+dataflow semantics:
 
 * an **implicit** (pipelined) edge lets the consumer start as soon as
   the producer starts — processing and transfer overlap (``max``);
 * an **explicit** (materialized) edge serializes — the producer must
   finish and the transfer complete before the consumer starts (``sum``).
-
-The same machinery exposes helpers the mediator baselines use, so all
-systems are timed under one model.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.connect.connector import DBMSConnector
 from repro.core.delegate import DeployedQuery
 from repro.core.plan import DelegationPlan, Movement, Task, TaskEdge
-from repro.engine.cost import CardinalityEstimator, CostModel, ScanStats
-from repro.engine.fdw import PROTOCOL_CPU_FACTORS
+from repro.engine.cost import CardinalityEstimator, ScanStats
 from repro.net.network import Network, TransferRecord
 from repro.obs.runtime import current_context
 from repro.relational import algebra
@@ -188,9 +186,11 @@ def _task_processing_seconds(
     dplan: DelegationPlan,
     connectors: Mapping[str, DBMSConnector],
 ) -> float:
-    connector = connectors[task.annotation]
-    database = connector.database
-    profile = database.profile
+    """The task's plan and its cross-database inputs, priced by its
+    engine's :class:`~repro.engine.cost.CostModel` at the rows that
+    actually moved."""
+    database = connectors[task.annotation].database
+    model = database.cost_model
 
     edge_rows = {
         edge.placeholder: float(edge.moved_rows or 0)
@@ -206,38 +206,21 @@ def _task_processing_seconds(
         return database.planner.scan_stats(scan)
 
     estimator = CardinalityEstimator(stats_provider)
-    cost_units = CostModel(profile).plan_cost(task.expr, estimator)
-    seconds = profile.startup_latency + profile.cost_to_seconds(cost_units)
+    seconds = model.plan_seconds(task.expr, estimator)
 
-    # Align the schedule with the annotator's costing model (the
-    # connectors' estimate_join_cost): implicit inputs cannot be hashed
-    # — the consuming join must build on its local side — while explicit
-    # inputs pay load + rescan but restore the free build-side choice.
     for edge in dplan.in_edges(task):
         child = dplan.tasks[edge.producer_id]
         rows = float(edge.moved_rows or 0)
-        placeholder, sibling = _consuming_join_sides(task, edge.placeholder)
+        _, sibling = _consuming_join_sides(task, edge.placeholder)
         if edge.movement is Movement.EXPLICIT:
-            extra = rows * 2 * profile.seq_scan_cost_per_row
-            extra += profile.startup_cost * 5 + 200.0
-            seconds += profile.cost_to_seconds(extra)
+            seconds += model.materialized_input_seconds(rows)
         elif sibling is not None:
-            sibling_rows = max(estimator.estimate_rows(sibling), 1.0)
-            if rows < sibling_rows:
-                # Forced hash build on the (larger) local side instead
-                # of the small arriving stream.
-                penalty = (sibling_rows - rows) * (
-                    profile.hash_build_cost_per_row
-                )
-                seconds += profile.cost_to_seconds(penalty)
-
-        # Text-protocol decode overhead on the consumer side.
-        protocol = _edge_protocol(child, task, connectors)
-        extra_factor = PROTOCOL_CPU_FACTORS[protocol] - 1.0
-        if extra_factor > 0 and rows:
-            seconds += profile.cost_to_seconds(
-                rows * profile.foreign_fetch_cost_per_row * extra_factor
+            seconds += model.forced_build_seconds(
+                estimator.estimate_rows(sibling), rows
             )
+        seconds += model.protocol_decode_seconds(
+            rows, _edge_protocol(child, task, connectors), fetch_charged=True
+        )
     return seconds
 
 
@@ -296,29 +279,3 @@ def _edge_transfer_seconds(
         connectors[consumer.annotation].node,
         payload,
     )
-
-
-# ---------------------------------------------------------------------------
-# helpers shared with the mediator baselines
-# ---------------------------------------------------------------------------
-
-
-def processing_seconds_for_rows(
-    connector: DBMSConnector,
-    rows_in: float,
-    rows_out: float,
-    protocol: str = "binary",
-) -> float:
-    """Generic per-relation processing time at a DBMS (scan + emit)."""
-    profile = connector.profile
-    units = (
-        rows_in * profile.seq_scan_cost_per_row
-        + rows_out * profile.cpu_tuple_cost
-    )
-    seconds = profile.startup_latency + profile.cost_to_seconds(units)
-    extra = PROTOCOL_CPU_FACTORS[protocol] - 1.0
-    if extra > 0:
-        seconds += profile.cost_to_seconds(
-            rows_out * profile.cpu_tuple_cost * extra
-        )
-    return seconds

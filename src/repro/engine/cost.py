@@ -1,19 +1,25 @@
-"""Cardinality estimation and the engine cost model (EXPLAIN backend).
+"""Cardinality estimation and the price list (EXPLAIN backend and more).
 
 The estimator walks a logical plan, propagating row counts and per-column
 statistics through operators with the usual System-R style heuristics.
-The cost model turns those cardinalities into engine-local cost units
-using the vendor profile's constants; the connector layer calibrates the
-units into a common currency for XDB's annotator (§IV footnote 6).
+The cost model turns cardinalities into engine-local cost units using
+the vendor profile's constants, and those into the common currency of
+simulated seconds (§IV footnote 6).  It is the only place that does:
+Rule 4's quotes, the schedule simulator's task times, the baselines'
+columns and the calibration features are all evaluated here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.engine.profiles import EngineProfile
+from repro.engine.profiles import (
+    CALIBRATABLE_CONSTANTS,
+    EngineProfile,
+    unit_profile,
+)
 from repro.engine.stats import ColumnStats
 from repro.errors import OptimizerError
 from repro.relational import algebra
@@ -523,8 +529,27 @@ def _in_list_selectivity(
 
 
 # ---------------------------------------------------------------------------
-# cost model
+# the price list
 # ---------------------------------------------------------------------------
+#
+# Everything that turns row counts and an ``EngineProfile`` into cost
+# units or simulated seconds is below; no other module reads a cost
+# constant (``tests/test_cost_single_source.py``).  Rule 4 and EXPLAIN
+# call it with estimated rows, the schedule simulator and the baselines
+# with the rows that were observed, calibration with the rows that were
+# measured — DESIGN.md §7 "Pricing" has the table.
+
+#: Multiplier on the per-row *fetch* cost the consumer pays: text (JDBC)
+#: rows must be parsed and re-typed, binary rows are copied.  This is
+#: the dominant term behind the paper's observation that Presto's
+#: transfer overhead exceeds Garlic's (§VI-B).
+PROTOCOL_CPU_FACTORS = {"binary": 1.0, "jdbc": 2.2}
+
+#: Landing an input in a temporary table costs its consumer this many
+#: statement startups ...
+LANDING_STATEMENTS = 5
+#: ... plus this many cost units of catalog work.
+LANDING_UNITS = 200.0
 
 
 @dataclass(frozen=True)
@@ -537,11 +562,95 @@ class ExplainInfo:
     plan_text: str
 
 
+#: The physical operator (as its span label prints it) a logical node is
+#: priced as; scans and joins depend on the node, see ``_operator_kind``.
+_OPERATOR_KINDS = {
+    algebra.Filter: "Filter",
+    algebra.Project: "Project",
+    algebra.Alias: "Project",
+    algebra.Aggregate: "HashAggregate",
+    algebra.Sort: "Sort",
+    algebra.Limit: "Limit",
+    algebra.Distinct: "DistinctOp",
+    algebra.Union: "UnionAllOp",
+}
+
+
+def _operator_kind(plan: algebra.LogicalPlan) -> str:
+    if isinstance(plan, algebra.Scan):
+        # Placeholder inputs arrive over the wire.
+        return "ForeignScan" if plan.placeholder else "SeqScan"
+    if isinstance(plan, algebra.Join):
+        return "HashJoin" if plan.condition is not None else "NestedLoopJoin"
+    return _OPERATOR_KINDS[type(plan)]
+
+
+def _rows_in(child_rows: Sequence[float], index: int, default: float) -> float:
+    known = len(child_rows) > index
+    return max(child_rows[index] if known else default, 1.0)
+
+
 class CostModel:
-    """Turns estimated cardinalities into engine-local cost units."""
+    """One engine's price list: its profile's constants applied to rows.
+
+    Costs are in engine-local units unless the method says seconds;
+    :meth:`seconds` is the conversion into the common currency (§IV
+    footnote 6).
+    """
 
     def __init__(self, profile: EngineProfile):
         self.profile = profile
+
+    # -- operators ------------------------------------------------------------
+
+    def operator_cost(
+        self, kind: str, rows_out: float, child_rows: Sequence[float] = ()
+    ) -> Optional[float]:
+        """One physical operator's own charge, excluding its children.
+
+        ``kind`` is the operator's name as its span label prints it;
+        ``None`` for kinds the model charges no per-row work to.  An
+        operator whose child counts are unknown is priced at its output
+        (joins: at one row a side).
+        """
+        profile = self.profile
+        out = max(rows_out, 1.0)
+        if kind in ("SeqScan", "ValuesScan"):
+            return out * profile.seq_scan_cost_per_row
+        if kind == "ForeignScan":
+            return self._fetch(out)
+        if kind == "Filter":
+            return _rows_in(child_rows, 0, rows_out) * profile.cpu_tuple_cost
+        if kind in ("Project", "Limit", "DistinctOp", "UnionAllOp"):
+            return out * profile.cpu_tuple_cost
+        if kind == "HashJoin":
+            left = _rows_in(child_rows, 0, 1.0)
+            right = _rows_in(child_rows, 1, 1.0)
+            return self._hash_join(min(left, right), max(left, right), out)
+        if kind == "NestedLoopJoin":
+            left = _rows_in(child_rows, 0, 1.0)
+            right = _rows_in(child_rows, 1, 1.0)
+            return left * right * profile.cpu_tuple_cost
+        if kind == "HashAggregate":
+            return max(sum(child_rows), 1.0) * (
+                profile.cpu_tuple_cost + profile.hash_build_cost_per_row
+            )
+        if kind == "Sort":
+            rows_in = _rows_in(child_rows, 0, rows_out)
+            return profile.sort_cost_factor * rows_in * max(
+                math.log2(rows_in), 1.0
+            )
+        return None
+
+    def node_self_cost(
+        self, plan: algebra.LogicalPlan, estimator: CardinalityEstimator
+    ) -> float:
+        """``plan``'s own cost contribution at its estimated rows."""
+        return self.operator_cost(
+            _operator_kind(plan),
+            estimator.estimate_rows(plan),
+            [estimator.estimate_rows(child) for child in plan.children()],
+        )
 
     def plan_cost(
         self,
@@ -559,49 +668,151 @@ class CostModel:
         )
         return child_cost + self.node_self_cost(plan, estimator)
 
-    def node_self_cost(
+    def _fetch(self, rows: float) -> float:
+        return rows * self.profile.foreign_fetch_cost_per_row
+
+    def _hash_join(
+        self, build_rows: float, probe_rows: float, rows_out: float
+    ) -> float:
+        profile = self.profile
+        return (
+            build_rows * profile.hash_build_cost_per_row
+            + probe_rows * profile.cpu_tuple_cost
+            + rows_out * profile.cpu_tuple_cost
+        )
+
+    # -- seconds --------------------------------------------------------------
+
+    def seconds(self, cost_units: float) -> float:
+        """Engine-local cost units in simulated seconds."""
+        return self.profile.cost_to_seconds(cost_units)
+
+    def statement_seconds(self, cost_units: float, workers: int = 1) -> float:
+        """One statement of ``cost_units`` on this engine: its startup
+        latency, then the work spread over ``workers``."""
+        return self.profile.startup_latency + self.seconds(cost_units) / max(
+            workers, 1
+        )
+
+    def plan_seconds(
         self, plan: algebra.LogicalPlan, estimator: CardinalityEstimator
     ) -> float:
-        """This operator's own cost contribution, excluding children.
+        """Seconds this engine takes to run ``plan`` as one statement."""
+        return self.statement_seconds(self.plan_cost(plan, estimator))
 
-        The same formulas, driven by *measured* instead of estimated
-        cardinalities, back the calibration harness's per-operator
-        Q-error computation (see :mod:`repro.calibrate`)."""
+    # -- cross-database inputs ------------------------------------------------
+
+    def planned_join_seconds(
+        self,
+        local_rows: float,
+        moved_rows: float,
+        output_rows: float,
+        materialized: bool,
+    ) -> float:
+        """Rule 4's quote for a cross-database join at this engine.
+
+        A *materialized* input is fetched, landed and rescanned, after
+        which the engine builds on the smaller side (the paper's
+        "DBMS-specific optimizations").  A *pipelined* input cannot be
+        hashed — the engine builds on its local input and probes with
+        the arriving rows, which the quote prices at ``moved_rows``.
+        The simulator prices that probe differently, see
+        :meth:`forced_build_seconds`.
+        """
+        units = self._fetch(moved_rows)
+        if materialized:
+            units += self._materialized_input(moved_rows) + self._hash_join(
+                min(local_rows, moved_rows),
+                max(local_rows, moved_rows),
+                output_rows,
+            )
+        else:
+            units += self._hash_join(local_rows, moved_rows, output_rows)
+        return self.seconds(units)
+
+    def _materialized_input(self, rows: float) -> float:
         profile = self.profile
-        rows_out = max(estimator.estimate_rows(plan), 1.0)
+        return rows * 2 * profile.seq_scan_cost_per_row + (
+            profile.startup_cost * LANDING_STATEMENTS + LANDING_UNITS
+        )
 
-        if isinstance(plan, algebra.Scan):
-            if plan.placeholder:
-                # Placeholder inputs arrive over the wire.
-                return rows_out * profile.foreign_fetch_cost_per_row
-            return rows_out * profile.seq_scan_cost_per_row
-        if isinstance(plan, algebra.Filter):
-            rows_in = max(estimator.estimate_rows(plan.child), 1.0)
-            return rows_in * profile.cpu_tuple_cost
-        if isinstance(plan, (algebra.Project, algebra.Alias)):
-            return rows_out * profile.cpu_tuple_cost
-        if isinstance(plan, algebra.Join):
-            left_rows = max(estimator.estimate_rows(plan.left), 1.0)
-            right_rows = max(estimator.estimate_rows(plan.right), 1.0)
-            if plan.condition is not None:
-                build = min(left_rows, right_rows)
-                probe = max(left_rows, right_rows)
-                return (
-                    build * profile.hash_build_cost_per_row
-                    + probe * profile.cpu_tuple_cost
-                    + rows_out * profile.cpu_tuple_cost
-                )
-            return left_rows * right_rows * profile.cpu_tuple_cost
-        if isinstance(plan, algebra.Aggregate):
-            rows_in = max(estimator.estimate_rows(plan.child), 1.0)
-            return rows_in * (
-                profile.cpu_tuple_cost + profile.hash_build_cost_per_row
+    def materialized_input_seconds(self, rows: float) -> float:
+        """Load and rescan of an input landed in a temporary table, plus
+        the statements that land it; on top of the consuming plan."""
+        return self.seconds(self._materialized_input(rows))
+
+    def forced_build_seconds(
+        self, local_rows: float, moved_rows: float
+    ) -> float:
+        """What the simulator adds to a join consuming a pipelined input
+        smaller than its local sibling: the plan was priced building on
+        the smaller side, but the stream cannot be hashed, so the build
+        moves to the local side.
+
+        Together with the plan's own join charge that is ``local · build
+        + local · cpu`` where :meth:`planned_join_seconds` quoted
+        ``local · build + moved · cpu`` — the two disagree by
+        ``(local − moved) · cpu_tuple_cost`` (DESIGN.md §7).
+        """
+        local_rows = max(local_rows, 1.0)
+        if moved_rows >= local_rows:
+            return 0.0
+        return self.seconds(
+            (local_rows - moved_rows) * self.profile.hash_build_cost_per_row
+        )
+
+    def protocol_decode_seconds(
+        self, rows: float, protocol: str, fetch_charged: bool
+    ) -> float:
+        """Consumer-side fetch and decode of ``rows`` arriving over
+        ``protocol``.  With ``fetch_charged`` the consuming plan already
+        pays the binary fetch (a placeholder scan) and only the
+        protocol's excess over it is due."""
+        factor = PROTOCOL_CPU_FACTORS[protocol]
+        if fetch_charged:
+            factor -= 1.0
+        return self.seconds(self._fetch(rows) * factor)
+
+    def relayed_input_seconds(self, rows: float, protocol: str) -> float:
+        """An input relayed to this engine by a mediator: decoded and
+        landed row by row, plus the statements that land it."""
+        profile = self.profile
+        return self.seconds(
+            rows
+            * (
+                profile.foreign_fetch_cost_per_row
+                * PROTOCOL_CPU_FACTORS[protocol]
+                + profile.seq_scan_cost_per_row
             )
-        if isinstance(plan, algebra.Sort):
-            rows_in = max(estimator.estimate_rows(plan.child), 1.0)
-            return profile.sort_cost_factor * rows_in * max(
-                math.log2(rows_in), 1.0
-            )
-        if isinstance(plan, (algebra.Limit, algebra.Distinct)):
-            return rows_out * profile.cpu_tuple_cost
-        return rows_out * profile.cpu_tuple_cost
+            + profile.startup_cost * LANDING_STATEMENTS
+        )
+
+    def holder_scan_seconds(self, rows: float) -> float:
+        """Sequential scan of ``rows`` here: Rule 1's tie-break between
+        the healthy holders of a replicated table."""
+        return self.seconds(self.operator_cost("SeqScan", rows))
+
+
+_UNIT_MODELS = tuple(
+    (constant, CostModel(unit_profile(constant)))
+    for constant in CALIBRATABLE_CONSTANTS
+)
+
+
+def operator_features(
+    kind: str, rows_out: float, child_rows: Sequence[float] = ()
+) -> Dict[str, float]:
+    """Cost constant -> the cardinality that drives it in ``kind``'s charge.
+
+    The charge is linear in the constants, so pricing the operator at a
+    profile whose only constant is 1 reads that constant's coefficient
+    off :meth:`CostModel.operator_cost` itself; calibration regresses
+    measured seconds against exactly what the planner evaluates.  Empty
+    for kinds the model does not charge.
+    """
+    features = {}
+    for constant, model in _UNIT_MODELS:
+        driver = model.operator_cost(kind, rows_out, child_rows)
+        if driver:
+            features[constant] = driver
+    return features

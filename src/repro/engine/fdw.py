@@ -29,12 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: serializes values as text with per-row framing.
 PROTOCOL_FACTORS = {"binary": 1.0, "jdbc": 2.2}
 
-#: Multiplier on the per-row *fetch* cost the consumer pays: text (JDBC)
-#: rows must be parsed and re-typed, binary rows are copied.  This is
-#: the dominant term behind the paper's observation that Presto's
-#: transfer overhead exceeds Garlic's (§VI-B).
-PROTOCOL_CPU_FACTORS = {"binary": 1.0, "jdbc": 2.2}
-
 
 class RemoteServer:
     """A named remote database reachable through a foreign wrapper."""

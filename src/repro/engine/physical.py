@@ -174,17 +174,17 @@ class ValuesScan(PhysicalPlan):
 class FilterOp(PhysicalPlan):
     """Row selection by a compiled predicate.
 
-    ``kernel`` is the optional selection kernel (``fn(batch) ->
-    indices | None``) compiled by the planner; without it the batch
-    path filters through the row predicate.
+    ``predicate`` serves :meth:`rows`, ``kernel`` — the selection
+    kernel (``fn(batch) -> indices | None``) the planner compiles from
+    the same expression — serves :meth:`batches`.
     """
 
     def __init__(
         self,
         child: PhysicalPlan,
         predicate: RowFn,
+        kernel: Callable,
         text: str = "",
-        kernel: Optional[Callable] = None,
     ):
         super().__init__()
         self.child = child
@@ -204,22 +204,15 @@ class FilterOp(PhysicalPlan):
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
         select = self.kernel
-        predicate = self.predicate
         remaining = hint
         for batch in self.child.batches():
-            if select is not None:
-                picked = select(batch)
-                if picked is None:
-                    out = batch
-                elif picked:
-                    out = batch.take(picked)
-                else:
-                    continue
+            picked = select(batch)
+            if picked is None:
+                out = batch
+            elif picked:
+                out = batch.take(picked)
             else:
-                kept = [row for row in batch.rows() if predicate(row)]
-                if not kept:
-                    continue
-                out = ColumnBatch(rows=kept, width=len(self.schema))
+                continue
             if remaining is not None:
                 out = out.head(remaining)
                 remaining -= out.length
@@ -241,13 +234,13 @@ class ProjectOp(PhysicalPlan):
         child: PhysicalPlan,
         fns: Sequence[RowFn],
         schema: Schema,
-        kernels: Optional[Sequence[Callable]] = None,
+        kernels: Sequence[Callable],
     ):
         super().__init__()
         self.child = child
         self.fns = list(fns)
         self.schema = schema
-        self.kernels = list(kernels) if kernels is not None else None
+        self.kernels = list(kernels)
         # Pure column picks (every kernel a tagged ColumnRef) gather the
         # needed columns in one step instead of running each kernel over
         # a fully transposed batch.
@@ -269,14 +262,6 @@ class ProjectOp(PhysicalPlan):
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
         kernels = self.kernels
-        if kernels is None:
-            fns = self.fns
-            for batch in self.child.batches(hint):
-                rows = [
-                    tuple(fn(row) for fn in fns) for row in batch.rows()
-                ]
-                yield ColumnBatch(rows=rows, width=len(self.schema))
-            return
         picks = self.pick_indices
         if picks is not None:
             for batch in self.child.batches(hint):
@@ -315,8 +300,9 @@ class HashJoin(PhysicalPlan):
         schema: Schema,
         kind: str = "INNER",
         residual: Optional[RowFn] = None,
-        left_key_kernels: Optional[Sequence[Callable]] = None,
-        right_key_kernels: Optional[Sequence[Callable]] = None,
+        *,
+        left_key_kernels: Sequence[Callable],
+        right_key_kernels: Sequence[Callable],
         build_left: bool = False,
     ):
         super().__init__()
@@ -334,12 +320,8 @@ class HashJoin(PhysicalPlan):
         self.schema = schema
         self.kind = kind
         self.residual = residual
-        self.left_key_kernels = (
-            list(left_key_kernels) if left_key_kernels is not None else None
-        )
-        self.right_key_kernels = (
-            list(right_key_kernels) if right_key_kernels is not None else None
-        )
+        self.left_key_kernels = list(left_key_kernels)
+        self.right_key_kernels = list(right_key_kernels)
         self.build_left = build_left
 
     def children(self) -> List[PhysicalPlan]:
@@ -434,25 +416,14 @@ class HashJoin(PhysicalPlan):
     # -- batch path --------------------------------------------------------
 
     @staticmethod
-    def _key_stream(
-        batch: ColumnBatch,
-        rows: List[tuple],
-        fns: Sequence[RowFn],
-        kernels: Optional[Sequence[Callable]],
-    ):
+    def _key_stream(batch: ColumnBatch, kernels: Sequence[Callable]):
         """One join key per row of ``batch``: the bare value for a
         single-key join, a tuple otherwise."""
-        if kernels is not None:
-            key_columns = [kernel(batch) for kernel in kernels]
-        else:
-            key_columns = [[fn(row) for row in rows] for fn in fns]
-        return key_columns[0] if len(fns) == 1 else zip(*key_columns)
+        key_columns = [kernel(batch) for kernel in kernels]
+        return key_columns[0] if len(kernels) == 1 else zip(*key_columns)
 
     def _build_table(
-        self,
-        build: PhysicalPlan,
-        fns: Sequence[RowFn],
-        kernels: Optional[Sequence[Callable]],
+        self, build: PhysicalPlan, kernels: Sequence[Callable]
     ) -> Tuple[Dict[object, object], bool]:
         """Consume the build input (as batches) into the hash table.
 
@@ -465,12 +436,10 @@ class HashJoin(PhysicalPlan):
         """
         table: Dict[object, object] = {}
         unique = True
-        single = len(fns) == 1
+        single = len(kernels) == 1
         for batch in build.batches():
             rows = batch.rows()
-            for key, row in zip(
-                self._key_stream(batch, rows, fns, kernels), rows
-            ):
+            for key, row in zip(self._key_stream(batch, kernels), rows):
                 if (key is None) if single else (None in key):
                     continue
                 existing = table.get(key)
@@ -484,8 +453,8 @@ class HashJoin(PhysicalPlan):
         return table, unique
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        build, (probe, probe_keys, probe_kernels) = self._sides()
-        table, unique = self._build_table(*build)
+        (build, _, build_kernels), (probe, _, probe_kernels) = self._sides()
+        table, unique = self._build_table(build, build_kernels)
         residual = self.residual
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
@@ -504,10 +473,7 @@ class HashJoin(PhysicalPlan):
             rows = batch.rows()
             # NULL and missing keys both come back as None: NULL keys
             # are never inserted, so a NULL probe cannot match.
-            matches = map(
-                lookup,
-                self._key_stream(batch, rows, probe_keys, probe_kernels),
-            )
+            matches = map(lookup, self._key_stream(batch, probe_kernels))
             if fast:
                 # All build keys are unique: the C-level map over
                 # dict.get feeds one comprehension.
@@ -676,20 +642,18 @@ class HashAggregate(PhysicalPlan):
         key_fns: Sequence[RowFn],
         specs: Sequence[Tuple[AggregateSpec, Optional[RowFn]]],
         schema: Schema,
-        key_kernels: Optional[Sequence[Callable]] = None,
-        spec_kernels: Optional[Sequence[Optional[Callable]]] = None,
+        key_kernels: Sequence[Callable],
+        spec_kernels: Sequence[Optional[Callable]],
     ):
         super().__init__()
         self.child = child
         self.key_fns = list(key_fns)
         self.specs = list(specs)
         self.schema = schema
-        self.key_kernels = (
-            list(key_kernels) if key_kernels is not None else None
-        )
-        self.spec_kernels = (
-            list(spec_kernels) if spec_kernels is not None else None
-        )
+        #: one kernel per group key; one per aggregate, ``None`` for
+        #: ``COUNT(*)``
+        self.key_kernels = list(key_kernels)
+        self.spec_kernels = list(spec_kernels)
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
@@ -702,13 +666,7 @@ class HashAggregate(PhysicalPlan):
         single_key = key_count == 1
 
         for batch in self.child.batches():
-            if key_kernels is not None:
-                key_columns = [kernel(batch) for kernel in key_kernels]
-            else:
-                rows = batch.rows()
-                key_columns = [
-                    [fn(row) for row in rows] for fn in self.key_fns
-                ]
+            key_columns = [kernel(batch) for kernel in key_kernels]
             if single_key:
                 keys: Sequence[object] = key_columns[0]
             elif key_count:
@@ -716,14 +674,8 @@ class HashAggregate(PhysicalPlan):
             else:
                 keys = [()] * batch.length
             gids = aggregator.group_ids(keys)
-            for index, (spec, arg_fn) in enumerate(self.specs):
-                if spec_kernels is not None:
-                    kernel = spec_kernels[index]
-                    values = None if kernel is None else kernel(batch)
-                elif arg_fn is None:
-                    values = None
-                else:
-                    values = [arg_fn(row) for row in batch.rows()]
+            for index, kernel in enumerate(spec_kernels):
+                values = None if kernel is None else kernel(batch)
                 aggregator.accumulate(index, gids, values)
 
         if aggregator.group_count() == 0 and not self.key_fns:

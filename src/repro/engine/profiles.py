@@ -224,6 +224,26 @@ def load_calibrated(path: str, register: bool = True) -> list:
     return profiles
 
 
+def unit_profile(constant: str) -> EngineProfile:
+    """A profile whose only non-zero cost constant is ``constant``, at 1.
+
+    A cost formula is linear in the constants, so evaluating it at this
+    profile reads off ``constant``'s coefficient (see
+    ``repro.engine.cost.operator_features``).
+    """
+    constants = dict.fromkeys(CALIBRATABLE_CONSTANTS + STARTUP_CONSTANTS, 0.0)
+    constants[constant] = 1.0
+    return EngineProfile(
+        name=f"unit:{constant}",
+        dialect="postgres",
+        pushdown_filters=False,
+        pushdown_projections=False,
+        calibration=1.0,
+        process_rows_per_sec=1.0,
+        **constants,
+    )
+
+
 def profile_base(name: str) -> EngineProfile:
     """The seed (un-calibrated) profile, ignoring any overlay."""
     try:

@@ -147,6 +147,59 @@ def test_branch_failover_reuses_pinned_siblings():
     assert f"branch failover: {primary}" in report.explain_analyze()
 
 
+def assert_ledger_reconciled(xdb: XDB, dep: Deployment) -> None:
+    """Every ledger entry names an object some engine still holds, or
+    is ``leaked`` (what the reaper reconciles) — never a ``live``
+    record of something already dropped."""
+    held = {
+        (db, name.lower())
+        for db in dep.database_names()
+        for name in dep.database(db).catalog.names()
+    }
+    stuck = [
+        entry
+        for entry in xdb.ledger.entries()
+        if entry.status != "leaked" and entry.key not in held
+    ]
+    assert stuck == []
+
+
+def test_unpinnable_salvage_is_dropped_in_the_ledger_too(monkeypatch):
+    """Branch repair drops salvaged snapshots it cannot pin; they were
+    recorded under an epoch the failed delegation already closed, so
+    without the ledger hearing of the drop they stayed ``live`` forever
+    (never pruned, never reaped)."""
+    from repro.core import pipeline
+
+    dep = build_sharded(replicate_shard=3, replica_db="p1")
+    xdb = XDB(dep, movement_policy="explicit")
+    xdb.warm_metadata()
+    shard = partition_name("orders", 3)
+    primary = xdb.submit(AGG_SQL).recovery.placement[shard]
+    monkeypatch.setattr(pipeline, "_pinnable", lambda src: False)
+    with FaultInjector(
+        FaultPolicy(outages=(EngineOutage(db=primary, table=shard),))
+    ).install(dep):
+        report = xdb.submit(AGG_SQL)
+    assert report.recovery.branch_repairs == 1
+    assert report.recovery.pinned_tasks == []  # salvage found, none usable
+    assert_ledger_reconciled(xdb, dep)
+    assert xdb.ledger.entries() == []
+
+
+def test_abandoned_salvage_is_dropped_in_the_ledger_too():
+    """No remedy helps (the shard's only holder is gone): ``_recover``
+    gives up on the salvage, and the ledger hears about it."""
+    dep = build_sharded()
+    xdb = XDB(dep, movement_policy="explicit")
+    xdb.warm_metadata()
+    with shard_outage(3).install(dep):
+        with pytest.raises(ReproError):
+            xdb.submit(AGG_SQL)
+    assert_ledger_reconciled(xdb, dep)
+    assert xdb.ledger.entries() == []
+
+
 def test_branch_failover_without_replica_falls_back_to_query_repair():
     """No replica, no partial policy: the branch repair cannot help and
     the failure propagates (the only holder of the shard is gone)."""

@@ -179,7 +179,13 @@ def test_total_rows_processed():
     scan = physical.ValuesScan(
         Schema([Field("x", INTEGER)]), [(1,), (2,), (3,)]
     )
-    filt = physical.FilterOp(scan, lambda row: row[0] > 1)
+    filt = physical.FilterOp(
+        scan,
+        lambda row: row[0] > 1,
+        kernel=lambda batch: [
+            i for i, x in enumerate(batch.columns[0]) if x > 1
+        ],
+    )
     list(filt.rows())
     assert filt.total_rows_processed() == 3 + 2
 

@@ -162,6 +162,8 @@ def test_only_a_plain_inner_join_builds_left():
             [lambda row: row[0]],
             L_SCHEMA.concat(R_SCHEMA),
             residual=lambda row: True,
+            left_key_kernels=[lambda batch: batch.columns[0]],
+            right_key_kernels=[lambda batch: batch.columns[0]],
             build_left=True,
         )
 

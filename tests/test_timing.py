@@ -69,30 +69,6 @@ def test_attribute_edge_stats_sums_ledger_windows():
     assert total_edge_bytes == fdw_bytes
 
 
-def test_processing_seconds_for_rows_scales():
-    deployment = build_pandemic_deployment(
-        citizens=100, vaccinations=100, measurements=100
-    )
-    connector = deployment.connector("CDB")
-    small = timing.processing_seconds_for_rows(connector, 1_000, 100)
-    large = timing.processing_seconds_for_rows(connector, 100_000, 10_000)
-    assert large > small
-
-
-def test_jdbc_processing_penalty():
-    deployment = build_pandemic_deployment(
-        citizens=100, vaccinations=100, measurements=100
-    )
-    connector = deployment.connector("CDB")
-    binary = timing.processing_seconds_for_rows(
-        connector, 10_000, 10_000, protocol="binary"
-    )
-    jdbc = timing.processing_seconds_for_rows(
-        connector, 10_000, 10_000, protocol="jdbc"
-    )
-    assert jdbc > binary
-
-
 def test_explicit_edges_serialize_longer_than_implicit():
     """Same plan, flipping one edge implicit→explicit, must not finish
     earlier (materialization waits for the full producer output)."""
