@@ -1,8 +1,9 @@
 """Executor microbenchmarks — row vs. batch (vectorized) mode.
 
-Measures rows/sec for the four core operator shapes (scan+project,
-filter, hash join, grouped aggregation) on synthetic fact/dim tables,
-in both execution modes of :class:`repro.engine.database.Database`.
+Measures rows/sec for the core operator shapes (scan, filter, computed
+projection, hash join, grouped aggregation) on synthetic fact/dim
+tables, in both execution modes of
+:class:`repro.engine.database.Database`.
 The hash join is measured in both FROM orders: ``fact, dim`` puts the
 small table on the right, ``dim, fact`` on the left — the orientation a
 smallest-first join order produces and the one a build-always-right
@@ -14,10 +15,16 @@ it cheaply::
     python benchmarks/bench_executor.py                 # full scale
     python benchmarks/bench_executor.py --rows 60000 --check
 
+``aggregate_pruned`` is the one shape the row-tuple batch layout made
+slower than the hybrid layout it replaced (a plain-column GROUP BY
+straight over a narrowing projection, which used to be zero-copy); it
+is here so that loss stays on record beside the gains.
+
 Writes ``benchmarks/results/BENCH_executor.json``; ``--check`` exits
-non-zero if batch mode is slower than row mode on the join or
-aggregation microbenchmark, or if the flipped join's batch-mode rate
-falls below 0.8x the join's (the regression gates).
+non-zero if batch mode is slower than row mode on the filter,
+projection, join or aggregation microbenchmark, or if the flipped
+join's batch-mode rate falls below 0.8x the join's (the regression
+gates).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_executor.json"
 BENCHES = {
     "scan": ("SELECT id, v FROM fact", "fact"),
     "filter": ("SELECT id FROM fact WHERE v > 50 AND did < 4000", "fact"),
+    "project": ("SELECT id, v * (1 - w) AS net FROM fact", "fact"),
     "join": (
         "SELECT f.v, d.name FROM fact f, dim d WHERE f.did = d.id",
         "fact",
@@ -56,10 +64,15 @@ BENCHES = {
         "FROM fact GROUP BY g",
         "fact",
     ),
+    "aggregate_expr": (
+        "SELECT g, SUM(v * (1 - w)) AS s FROM fact WHERE did < 4000 GROUP BY g",
+        "fact",
+    ),
+    "aggregate_pruned": ("SELECT g, COUNT(*) AS n FROM fact GROUP BY g", "fact"),
 }
 
 #: Microbenchmarks the --check gate requires batch mode to win.
-GATED = ("join", "aggregate")
+GATED = ("filter", "project", "join", "aggregate")
 
 #: --check also requires ``join_flipped`` to reach this fraction of
 #: ``join``'s batch-mode rate: the same join, whichever side of the
@@ -70,7 +83,7 @@ FLIPPED_FLOOR = 0.8
 def build_database(mode: str, fact_rows: int, dim_rows: int) -> Database:
     rng = random.Random(7)
     fact = [
-        (i, i % dim_rows, rng.random() * 100.0, "g%d" % (i % 50))
+        (i, i % dim_rows, rng.random() * 100.0, "g%d" % (i % 50), rng.random())
         for i in range(fact_rows)
     ]
     dim = [(i, "name%d" % i) for i in range(dim_rows)]
@@ -83,6 +96,7 @@ def build_database(mode: str, fact_rows: int, dim_rows: int) -> Database:
                 Field("did", INTEGER),
                 Field("v", DOUBLE),
                 Field("g", varchar(8)),
+                Field("w", DOUBLE),
             ]
         ),
         fact,
@@ -156,20 +170,21 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=RESULTS_PATH,
                         help="output JSON path")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if batch is slower than row on the "
-                             "join or aggregation microbenchmark, or the "
-                             "flipped join is below 0.8x the join")
+                        help="exit 1 if batch is slower than row on a "
+                             "gated microbenchmark (filter, project, join, "
+                             "aggregate), or the flipped join is below "
+                             "0.8x the join")
     args = parser.parse_args(argv)
 
     report = run(args.rows, args.dims, args.repeat)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"{'bench':12s} {'row_s':>8s} {'batch_s':>8s} {'speedup':>8s}")
+    print(f"{'bench':16s} {'row_s':>8s} {'batch_s':>8s} {'speedup':>8s}")
     failures = []
     for name, entry in report["benches"].items():
         print(
-            f"{name:12s} {entry['row_seconds']:8.3f} "
+            f"{name:16s} {entry['row_seconds']:8.3f} "
             f"{entry['batch_seconds']:8.3f} {entry['speedup']:7.2f}x"
         )
         if name in GATED and entry["speedup"] < 1.0:

@@ -14,11 +14,10 @@ paper assumes of a black-box DBMS:
 from repro.engine.database import Database
 from repro.engine.profiles import EngineProfile, profile_for
 from repro.engine.result import Result
-from repro.engine.vector import BATCH_SIZE, ColumnBatch
+from repro.engine.vector import BATCH_SIZE
 
 __all__ = [
     "BATCH_SIZE",
-    "ColumnBatch",
     "Database",
     "EngineProfile",
     "Result",

@@ -260,7 +260,7 @@ class Database:
         if self.execution_mode == "batch":
             rows: List[tuple] = []
             for batch in physical_plan.batches():
-                rows.extend(batch.rows())
+                rows.extend(batch)
         else:
             rows = list(physical_plan.rows())
         self.trace.rows_processed += physical_plan.total_rows_processed()

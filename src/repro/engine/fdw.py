@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.engine.physical import PhysicalPlan
+from repro.engine.physical import PhysicalPlan, chunked
 from repro.engine.stats import TableStats
 from repro.errors import ConnectorError
 from repro.relational.schema import Schema
@@ -122,17 +122,15 @@ class ForeignScan(PhysicalPlan):
         return iter(result.rows)
 
     def _produce_batches(self, hint):
-        """Stream the fetched result as column batches.
+        """Stream the fetched result in chunks.
 
         The remote execution and wire transfer happen exactly once (and
         are accounted identically to row mode); only the local hand-off
         into the consuming operators is chunked.
         """
-        from repro.engine.vector import batches_from_rows
-
         result = self.server.fetch(self.remote_query, tag=self.tag)
         self.fetched_rows = len(result)
-        return batches_from_rows(result.rows, len(self.schema), limit=hint)
+        return chunked(result.rows, hint)
 
     def label(self) -> str:
         return (

@@ -1,13 +1,17 @@
 """Physical operators: a pull-based (iterator) query executor.
 
-Operators compile their expressions once at construction and stream
-rows in one of two interchangeable modes:
+Operators hold the *expressions* they evaluate and stream rows in one
+of two interchangeable modes, each lowering the expressions its own
+way when it starts:
 
 * **row mode** (``rows()``) pulls one tuple at a time through the
-  operator tree — simple, and the reference for semantics;
-* **batch mode** (``batches()``) pulls :class:`~repro.engine.vector.
-  ColumnBatch` runs of rows and evaluates expressions through compiled
-  column kernels, amortizing the per-tuple interpreter overhead.
+  operator tree and evaluates the closures of
+  :func:`repro.relational.expressions.compile_expression` — simple,
+  and the reference for semantics;
+* **batch mode** (``batches()``) pulls ``List[tuple]`` chunks of up to
+  :data:`~repro.engine.vector.BATCH_SIZE` rows and evaluates the
+  generated kernels of :mod:`repro.engine.vector` once per chunk,
+  amortizing the per-tuple interpreter overhead.
 
 Every operator counts the rows it produces (``rows_out``) identically
 in both modes, which feeds the execution statistics the schedule
@@ -18,21 +22,44 @@ contract and its one batch-granularity caveat under LIMIT).
 from __future__ import annotations
 
 import copy
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine import vector
 from repro.engine.parallel import HedgePolicy, WorkerPool, check_cancelled
-from repro.engine.vector import (
-    BATCH_SIZE,
-    ColumnBatch,
-    GroupedAggregator,
-    batches_from_rows,
-)
 from repro.errors import ExecutionError
 from repro.obs.runtime import current_context
-from repro.relational.algebra import AggregateSpec
+from repro.relational.algebra import AggregateSpec, SortKey
+from repro.relational.expressions import compile_expression, compile_predicate
 from repro.relational.schema import Schema
+from repro.sql import ast
+from repro.sql.render import render
 
 RowFn = Callable[[tuple], object]
+Chunk = List[tuple]
+
+
+def chunked(rows: Iterable[tuple], limit: Optional[int] = None) -> Iterator[Chunk]:
+    """Chunks of up to ``BATCH_SIZE`` rows, taking no more than
+    ``limit`` rows from ``rows``."""
+    rows = iter(rows) if limit is None else islice(rows, limit)
+    while chunk := list(islice(rows, vector.BATCH_SIZE)):
+        yield chunk
+
+
+def _limited(chunks: Iterable[Chunk], limit: Optional[int]) -> Iterator[Chunk]:
+    """The non-empty ``chunks``, cut off after ``limit`` rows; no chunk
+    is pulled once the limit is reached."""
+    for chunk in chunks:
+        if not chunk:
+            continue
+        if limit is not None:
+            if len(chunk) > limit:
+                chunk = chunk[:limit]
+            limit -= len(chunk)
+        yield chunk
+        if limit == 0:
+            return
 
 
 class PhysicalPlan:
@@ -49,8 +76,8 @@ class PhysicalPlan:
             self.rows_out += 1
             yield row
 
-    def batches(self, hint: Optional[int] = None) -> Iterator[ColumnBatch]:
-        """Stream output batches, counting rows as a side effect.
+    def batches(self, hint: Optional[int] = None) -> Iterator[Chunk]:
+        """Stream output chunks, counting rows as a side effect.
 
         ``hint`` is an upper bound on the rows the consumer will use
         (propagated down from LIMIT).  Operators that can honor it
@@ -58,32 +85,20 @@ class PhysicalPlan:
         truncates.
         """
         for batch in self._produce_batches(hint):
-            self.rows_out += batch.length
+            self.rows_out += len(batch)
             yield batch
 
     def _produce(self) -> Iterator[tuple]:
         raise NotImplementedError
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         """Fallback batch path: chunk the operator's own row stream.
 
         Subtrees without a native batch implementation run their
         row-mode ``_produce`` (children are pulled row-wise), so
         semantics and per-operator counts are preserved exactly.
         """
-        width = len(self.schema)
-        buffer: List[tuple] = []
-        produced = 0
-        for row in self._produce():
-            buffer.append(row)
-            produced += 1
-            if hint is not None and produced >= hint:
-                break
-            if len(buffer) >= BATCH_SIZE:
-                yield ColumnBatch(rows=buffer, width=width)
-                buffer = []
-        if buffer:
-            yield ColumnBatch(rows=buffer, width=width)
+        return chunked(self._produce(), hint)
 
     def children(self) -> List["PhysicalPlan"]:
         return []
@@ -116,7 +131,7 @@ class PhysicalPlan:
         primary; the two runs must not share operator objects or the
         interleaved ``rows_out`` increments would corrupt both counts.
         Operator nodes are copied (recursively, through lists of
-        children too); borrowed row storage and compiled kernels are
+        children too); borrowed row storage and expressions are
         shared — they are read-only during execution.
         """
         dup = copy.copy(self)
@@ -145,8 +160,8 @@ class SeqScan(PhysicalPlan):
     def _produce(self) -> Iterator[tuple]:
         return iter(self._rows)
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        return batches_from_rows(self._rows, len(self.schema), limit=hint)
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        return chunked(self._rows, hint)
 
     def label(self) -> str:
         return f"SeqScan[{self.table_name}]"
@@ -164,116 +179,72 @@ class ValuesScan(PhysicalPlan):
     def _produce(self) -> Iterator[tuple]:
         return iter(self._rows)
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        return batches_from_rows(self._rows, len(self.schema), limit=hint)
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        return chunked(self._rows, hint)
 
     def label(self) -> str:
         return f"ValuesScan[{self.name}]"
 
 
 class FilterOp(PhysicalPlan):
-    """Row selection by a compiled predicate.
+    """Row selection by a predicate over the child's schema."""
 
-    ``predicate`` serves :meth:`rows`, ``kernel`` — the selection
-    kernel (``fn(batch) -> indices | None``) the planner compiles from
-    the same expression — serves :meth:`batches`.
-    """
-
-    def __init__(
-        self,
-        child: PhysicalPlan,
-        predicate: RowFn,
-        kernel: Callable,
-        text: str = "",
-    ):
+    def __init__(self, child: PhysicalPlan, predicate: ast.Expression):
         super().__init__()
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
-        self.text = text
-        self.kernel = kernel
+        self.text = render(predicate)
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
 
     def _produce(self) -> Iterator[tuple]:
-        predicate = self.predicate
+        predicate = compile_predicate(self.predicate, self.schema)
         for row in self.child.rows():
             if predicate(row):
                 yield row
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        select = self.kernel
-        remaining = hint
-        for batch in self.child.batches():
-            picked = select(batch)
-            if picked is None:
-                out = batch
-            elif picked:
-                out = batch.take(picked)
-            else:
-                continue
-            if remaining is not None:
-                out = out.head(remaining)
-                remaining -= out.length
-                yield out
-                if remaining <= 0:
-                    return
-            else:
-                yield out
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        select = vector.filter_kernel(self.predicate, self.schema)
+        return _limited(map(select, self.child.batches()), hint)
 
     def label(self) -> str:
-        return f"Filter[{self.text}]" if self.text else "Filter"
+        return f"Filter[{self.text}]"
 
 
 class ProjectOp(PhysicalPlan):
-    """Column computation by a list of compiled expressions."""
+    """Column computation: one expression over the child's schema per
+    output column."""
 
     def __init__(
         self,
         child: PhysicalPlan,
-        fns: Sequence[RowFn],
+        items: Sequence[ast.Expression],
         schema: Schema,
-        kernels: Sequence[Callable],
     ):
         super().__init__()
         self.child = child
-        self.fns = list(fns)
+        self.items = list(items)
         self.schema = schema
-        self.kernels = list(kernels)
-        # Pure column picks (every kernel a tagged ColumnRef) gather the
-        # needed columns in one step instead of running each kernel over
-        # a fully transposed batch.
-        self.pick_indices: Optional[List[int]] = None
-        if self.kernels and all(
-            hasattr(kernel, "column_index") for kernel in self.kernels
-        ):
-            self.pick_indices = [
-                kernel.column_index for kernel in self.kernels
-            ]
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
 
     def _produce(self) -> Iterator[tuple]:
-        fns = self.fns
+        fns = [
+            compile_expression(item, self.child.schema).fn
+            for item in self.items
+        ]
         for row in self.child.rows():
             yield tuple(fn(row) for fn in fns)
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        kernels = self.kernels
-        picks = self.pick_indices
-        if picks is not None:
-            for batch in self.child.batches(hint):
-                yield batch.pick(picks)
-            return
-        for batch in self.child.batches(hint):
-            yield ColumnBatch(
-                columns=[kernel(batch) for kernel in kernels]
-            )
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        project = vector.project_kernel(self.items, self.child.schema)
+        return map(project, self.child.batches(hint))
 
     def label(self) -> str:
-        return f"Project[{len(self.fns)} cols]"
+        return f"Project[{len(self.items)} cols]"
 
 
 class HashJoin(PhysicalPlan):
@@ -295,14 +266,10 @@ class HashJoin(PhysicalPlan):
         self,
         left: PhysicalPlan,
         right: PhysicalPlan,
-        left_keys: Sequence[RowFn],
-        right_keys: Sequence[RowFn],
+        keys: Sequence[Tuple[ast.Expression, ast.Expression]],
         schema: Schema,
         kind: str = "INNER",
-        residual: Optional[RowFn] = None,
-        *,
-        left_key_kernels: Sequence[Callable],
-        right_key_kernels: Sequence[Callable],
+        residual: Optional[ast.Expression] = None,
         build_left: bool = False,
     ):
         super().__init__()
@@ -315,26 +282,36 @@ class HashJoin(PhysicalPlan):
             )
         self.left = left
         self.right = right
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
+        #: ``(left expression, right expression)`` per equated pair
+        self.keys = list(keys)
         self.schema = schema
         self.kind = kind
+        #: extra predicate over the joined row, or None
         self.residual = residual
-        self.left_key_kernels = list(left_key_kernels)
-        self.right_key_kernels = list(right_key_kernels)
         self.build_left = build_left
 
     def children(self) -> List[PhysicalPlan]:
         return [self.left, self.right]
 
     def _sides(self):
-        """``(build, probe)``, each ``(input, key fns, key kernels)``."""
-        left = (self.left, self.left_keys, self.left_key_kernels)
-        right = (self.right, self.right_keys, self.right_key_kernels)
+        """``(build, probe)``, each ``(input, key expressions)``."""
+        left = (self.left, [pair[0] for pair in self.keys])
+        right = (self.right, [pair[1] for pair in self.keys])
         return (left, right) if self.build_left else (right, left)
 
+    def _residual(self) -> Optional[RowFn]:
+        if self.residual is None:
+            return None
+        return compile_predicate(self.residual, self.schema)
+
     def _produce(self) -> Iterator[tuple]:
-        (build, build_keys, _), (probe, probe_keys, _) = self._sides()
+        (build, build_keys), (probe, probe_keys) = self._sides()
+        build_keys = [
+            compile_expression(key, build.schema).fn for key in build_keys
+        ]
+        probe_keys = [
+            compile_expression(key, probe.schema).fn for key in probe_keys
+        ]
         if len(build_keys) == 1:
             yield from self._produce_single_key(
                 build, build_keys[0], probe, probe_keys[0]
@@ -347,7 +324,7 @@ class HashJoin(PhysicalPlan):
                 continue
             table.setdefault(key, []).append(row)
 
-        residual = self.residual
+        residual = self._residual()
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
         build_left = self.build_left
@@ -384,7 +361,7 @@ class HashJoin(PhysicalPlan):
             else:
                 bucket.append(row)
 
-        residual = self.residual
+        residual = self._residual()
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
         build_left = self.build_left
@@ -416,14 +393,8 @@ class HashJoin(PhysicalPlan):
     # -- batch path --------------------------------------------------------
 
     @staticmethod
-    def _key_stream(batch: ColumnBatch, kernels: Sequence[Callable]):
-        """One join key per row of ``batch``: the bare value for a
-        single-key join, a tuple otherwise."""
-        key_columns = [kernel(batch) for kernel in kernels]
-        return key_columns[0] if len(kernels) == 1 else zip(*key_columns)
-
     def _build_table(
-        self, build: PhysicalPlan, kernels: Sequence[Callable]
+        build: PhysicalPlan, keys: Sequence[ast.Expression]
     ) -> Tuple[Dict[object, object], bool]:
         """Consume the build input (as batches) into the hash table.
 
@@ -436,10 +407,10 @@ class HashJoin(PhysicalPlan):
         """
         table: Dict[object, object] = {}
         unique = True
-        single = len(kernels) == 1
-        for batch in build.batches():
-            rows = batch.rows()
-            for key, row in zip(self._key_stream(batch, kernels), rows):
+        single = len(keys) == 1
+        keys_of = vector.key_kernel(keys, build.schema)
+        for rows in build.batches():
+            for key, row in zip(keys_of(rows), rows):
                 if (key is None) if single else (None in key):
                     continue
                 existing = table.get(key)
@@ -452,10 +423,14 @@ class HashJoin(PhysicalPlan):
                     unique = False
         return table, unique
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        (build, _, build_kernels), (probe, _, probe_kernels) = self._sides()
-        table, unique = self._build_table(build, build_kernels)
-        residual = self.residual
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        return _limited(self._probe(), hint)
+
+    def _probe(self) -> Iterator[Chunk]:
+        (build, build_keys), (probe, probe_keys) = self._sides()
+        table, unique = self._build_table(build, build_keys)
+        keys_of = vector.key_kernel(probe_keys, probe.schema)
+        residual = self._residual()
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
         build_left = self.build_left
@@ -466,14 +441,11 @@ class HashJoin(PhysicalPlan):
                 if value.__class__ is not list:
                     table[key] = [value]
         lookup = table.get
-        width = len(self.schema)
-        remaining = hint
 
-        for batch in probe.batches():
-            rows = batch.rows()
+        for rows in probe.batches():
             # NULL and missing keys both come back as None: NULL keys
             # are never inserted, so a NULL probe cannot match.
-            matches = map(lookup, self._key_stream(batch, probe_kernels))
+            matches = map(lookup, keys_of(rows))
             if fast:
                 # All build keys are unique: the C-level map over
                 # dict.get feeds one comprehension.
@@ -517,24 +489,11 @@ class HashJoin(PhysicalPlan):
                             continue
                     if left_outer:
                         append(row + pad)
-            if not out:
-                continue
-            result = ColumnBatch(rows=out, width=width)
-            if remaining is not None:
-                result = result.head(remaining)
-                remaining -= result.length
-                yield result
-                if remaining <= 0:
-                    return
-            else:
-                yield result
+            yield out
 
     def label(self) -> str:
         side = "left" if self.build_left else "right"
-        return (
-            f"HashJoin[{self.kind}, {len(self.left_keys)} keys, "
-            f"build={side}]"
-        )
+        return f"HashJoin[{self.kind}, {len(self.keys)} keys, build={side}]"
 
 
 class NestedLoopJoin(PhysicalPlan):
@@ -630,7 +589,7 @@ _COUNT_STAR = _CountStar()
 
 
 class HashAggregate(PhysicalPlan):
-    """Hash aggregation over compiled group keys and aggregate specs.
+    """Hash aggregation over group-key expressions and aggregate specs.
 
     With no group keys, always emits exactly one row (SQL's scalar
     aggregate semantics over an empty input).
@@ -639,69 +598,55 @@ class HashAggregate(PhysicalPlan):
     def __init__(
         self,
         child: PhysicalPlan,
-        key_fns: Sequence[RowFn],
-        specs: Sequence[Tuple[AggregateSpec, Optional[RowFn]]],
+        keys: Sequence[ast.Expression],
+        aggregates: Sequence[AggregateSpec],
         schema: Schema,
-        key_kernels: Sequence[Callable],
-        spec_kernels: Sequence[Optional[Callable]],
     ):
         super().__init__()
         self.child = child
-        self.key_fns = list(key_fns)
-        self.specs = list(specs)
+        self.keys = list(keys)
+        self.aggregates = list(aggregates)
         self.schema = schema
-        #: one kernel per group key; one per aggregate, ``None`` for
-        #: ``COUNT(*)``
-        self.key_kernels = list(key_kernels)
-        self.spec_kernels = list(spec_kernels)
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        aggregator = GroupedAggregator([spec for spec, _ in self.specs])
-        key_kernels = self.key_kernels
-        spec_kernels = self.spec_kernels
-        key_count = len(self.key_fns)
-        single_key = key_count == 1
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        aggregator = vector.GroupedAggregator(self.aggregates)
+        schema = self.child.schema
+        keys_of = vector.key_kernel(self.keys, schema)
+        # one kernel per aggregate, None for COUNT(*)
+        arguments = [
+            None if spec.arg is None else vector.column_kernel(spec.arg, schema)
+            for spec in self.aggregates
+        ]
+        single_key = len(self.keys) == 1
 
-        for batch in self.child.batches():
-            key_columns = [kernel(batch) for kernel in key_kernels]
-            if single_key:
-                keys: Sequence[object] = key_columns[0]
-            elif key_count:
-                keys = list(zip(*key_columns))
-            else:
-                keys = [()] * batch.length
-            gids = aggregator.group_ids(keys)
-            for index, kernel in enumerate(spec_kernels):
-                values = None if kernel is None else kernel(batch)
+        for rows in self.child.batches():
+            gids = aggregator.group_ids(keys_of(rows))
+            for index, argument in enumerate(arguments):
+                values = None if argument is None else argument(rows)
                 aggregator.accumulate(index, gids, values)
 
-        if aggregator.group_count() == 0 and not self.key_fns:
+        if aggregator.group_count() == 0 and not self.keys:
             # SQL scalar-aggregate semantics over an empty input.
             aggregator.ensure_group(())
-            single_key = False
 
-        width = len(self.schema)
-        emitted = aggregator.emit_rows(key_is_tuple=not single_key)
-        buffer: List[tuple] = []
-        produced = 0
-        for row in emitted:
-            buffer.append(row)
-            produced += 1
-            if hint is not None and produced >= hint:
-                break
-            if len(buffer) >= BATCH_SIZE:
-                yield ColumnBatch(rows=buffer, width=width)
-                buffer = []
-        if buffer:
-            yield ColumnBatch(rows=buffer, width=width)
+        return chunked(aggregator.emit_rows(key_is_tuple=not single_key), hint)
 
     def _produce(self) -> Iterator[tuple]:
         groups: Dict[tuple, List[_Accumulator]] = {}
-        key_fns = self.key_fns
-        specs = self.specs
+        schema = self.child.schema
+        key_fns = [compile_expression(key, schema).fn for key in self.keys]
+        specs = [
+            (
+                spec,
+                None
+                if spec.arg is None
+                else compile_expression(spec.arg, schema).fn,
+            )
+            for spec in self.aggregates
+        ]
 
         for row in self.child.rows():
             key = tuple(fn(row) for fn in key_fns)
@@ -728,8 +673,8 @@ class HashAggregate(PhysicalPlan):
 
     def label(self) -> str:
         return (
-            f"HashAggregate[{len(self.key_fns)} keys, "
-            f"{len(self.specs)} aggs]"
+            f"HashAggregate[{len(self.keys)} keys, "
+            f"{len(self.aggregates)} aggs]"
         )
 
 
@@ -751,18 +696,15 @@ class UnionAllOp(PhysicalPlan):
         for row in self.right.rows():
             yield row
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         remaining = hint
         for side in (self.left, self.right):
-            for batch in side.batches(remaining):
+            for batch in _limited(side.batches(remaining), remaining):
                 if remaining is not None:
-                    batch = batch.head(remaining)
-                    remaining -= batch.length
-                    yield batch
-                    if remaining <= 0:
-                        return
-                else:
-                    yield batch
+                    remaining -= len(batch)
+                yield batch
+            if remaining == 0:
+                return
 
 
 class ParallelUnionAllOp(PhysicalPlan):
@@ -857,30 +799,19 @@ class ParallelUnionAllOp(PhysicalPlan):
         for chunk in self._gather(lambda branch: self._drain(branch.rows())):
             yield from chunk
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        remaining = hint
-        for chunk in self._gather(
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        gathered = self._gather(
             lambda branch: self._drain(branch.batches(), stride=4)
-        ):
-            for batch in chunk:
-                if remaining is not None:
-                    batch = batch.head(remaining)
-                    remaining -= batch.length
-                    yield batch
-                    if remaining <= 0:
-                        return
-                else:
-                    yield batch
+        )
+        return _limited(
+            (batch for batches in gathered for batch in batches), hint
+        )
 
 
 class SortOp(PhysicalPlan):
     """Full sort; NULLS LAST for ascending keys, FIRST for descending."""
 
-    def __init__(
-        self,
-        child: PhysicalPlan,
-        keys: Sequence[Tuple[RowFn, bool]],
-    ):
+    def __init__(self, child: PhysicalPlan, keys: Sequence[SortKey]):
         super().__init__()
         self.child = child
         self.keys = list(keys)
@@ -892,22 +823,22 @@ class SortOp(PhysicalPlan):
     def _produce(self) -> Iterator[tuple]:
         return iter(self._sorted_rows(list(self.child.rows())))
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         rows: List[tuple] = []
         for batch in self.child.batches():
-            rows.extend(batch.rows())
-        rows = self._sorted_rows(rows)
-        return batches_from_rows(rows, len(self.schema), limit=hint)
+            rows.extend(batch)
+        return chunked(self._sorted_rows(rows), hint)
 
     def _sorted_rows(self, rows: List[tuple]) -> List[tuple]:
         # Stable sorts applied from the least-significant key backwards.
-        for key_fn, ascending in reversed(self.keys):
+        for key in reversed(self.keys):
+            key_fn = compile_expression(key.expr, self.schema).fn
 
             def sort_key(row, key_fn=key_fn):
                 value = key_fn(row)
                 return (1, 0) if value is None else (0, value)
 
-            rows.sort(key=sort_key, reverse=not ascending)
+            rows.sort(key=sort_key, reverse=not key.ascending)
         return rows
 
     def label(self) -> str:
@@ -936,18 +867,11 @@ class LimitOp(PhysicalPlan):
             if produced >= self.count:
                 return
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
-        remaining = self.count
-        if hint is not None:
-            remaining = min(remaining, hint)
-        if remaining <= 0:
-            return
-        for batch in self.child.batches(remaining):
-            batch = batch.head(remaining)
-            remaining -= batch.length
-            yield batch
-            if remaining <= 0:
-                return
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        count = self.count if hint is None else min(self.count, hint)
+        if count <= 0:
+            return iter(())
+        return _limited(self.child.batches(count), count)
 
     def label(self) -> str:
         return f"Limit[{self.count}]"
@@ -971,26 +895,17 @@ class DistinctOp(PhysicalPlan):
                 seen.add(row)
                 yield row
 
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[ColumnBatch]:
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        return _limited(self._fresh(), hint)
+
+    def _fresh(self) -> Iterator[Chunk]:
         seen: set = set()
         add = seen.add
-        width = len(self.schema)
-        remaining = hint
         for batch in self.child.batches():
             fresh: List[tuple] = []
             append = fresh.append
-            for row in batch.rows():
+            for row in batch:
                 if row not in seen:
                     add(row)
                     append(row)
-            if not fresh:
-                continue
-            out = ColumnBatch(rows=fresh, width=width)
-            if remaining is not None:
-                out = out.head(remaining)
-                remaining -= out.length
-                yield out
-                if remaining <= 0:
-                    return
-            else:
-                yield out
+            yield fresh

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.engine import physical, vector
+from repro.engine import physical
 from repro.engine.catalog import BaseTable, ForeignTable, VersionStamp
 from repro.engine.cost import CardinalityEstimator, ScanStats
 from repro.engine.fdw import ForeignScan, build_remote_query, strip_qualifiers
 from repro.errors import CatalogError, ExecutionError
 from repro.relational import algebra
-from repro.relational.expressions import compile_expression, compile_predicate
+from repro.relational.expressions import compile_predicate
 from repro.relational.optimizer import (
     prune_columns,
     push_filters,
     reorder_joins,
 )
+from repro.relational.schema import Schema
 from repro.sql import ast
-from repro.sql.render import render
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import Database
@@ -110,28 +110,12 @@ class LocalPlanner:
             return self._plan_scan(plan)
 
         if isinstance(plan, algebra.Filter):
-            child = self.to_physical(plan.child)
-            predicate = compile_predicate(plan.predicate, plan.child.schema)
             return physical.FilterOp(
-                child,
-                predicate,
-                text=render(plan.predicate),
-                kernel=vector.compile_filter_kernel(
-                    plan.predicate, plan.child.schema
-                ),
+                self.to_physical(plan.child), plan.predicate
             )
 
         if isinstance(plan, algebra.Project):
-            child = self.to_physical(plan.child)
-            fns = [
-                compile_expression(item.expr, plan.child.schema).fn
-                for item in plan.items
-            ]
-            kernels = [
-                vector.compile_kernel(item.expr, plan.child.schema)
-                for item in plan.items
-            ]
-            return physical.ProjectOp(child, fns, plan.schema, kernels)
+            return _project(self.to_physical(plan.child), plan)
 
         if isinstance(plan, algebra.Alias):
             # Pure renaming: execution is the child's.
@@ -160,48 +144,15 @@ class LocalPlanner:
             )
 
         if isinstance(plan, algebra.Aggregate):
-            child = self.to_physical(plan.child)
-            key_fns = [
-                compile_expression(key.expr, plan.child.schema).fn
-                for key in plan.keys
-            ]
-            key_kernels = [
-                vector.compile_kernel(key.expr, plan.child.schema)
-                for key in plan.keys
-            ]
-            specs = []
-            spec_kernels = []
-            for spec in plan.aggregates:
-                arg_fn = (
-                    compile_expression(spec.arg, plan.child.schema).fn
-                    if spec.arg is not None
-                    else None
-                )
-                specs.append((spec, arg_fn))
-                spec_kernels.append(
-                    vector.compile_kernel(spec.arg, plan.child.schema)
-                    if spec.arg is not None
-                    else None
-                )
             return physical.HashAggregate(
-                child,
-                key_fns,
-                specs,
+                self.to_physical(plan.child),
+                [key.expr for key in plan.keys],
+                plan.aggregates,
                 plan.schema,
-                key_kernels=key_kernels,
-                spec_kernels=spec_kernels,
             )
 
         if isinstance(plan, algebra.Sort):
-            child = self.to_physical(plan.child)
-            keys = [
-                (
-                    compile_expression(key.expr, plan.child.schema).fn,
-                    key.ascending,
-                )
-                for key in plan.keys
-            ]
-            return physical.SortOp(child, keys)
+            return physical.SortOp(self.to_physical(plan.child), plan.keys)
 
         if isinstance(plan, algebra.Limit):
             return physical.LimitOp(self.to_physical(plan.child), plan.count)
@@ -302,8 +253,6 @@ class LocalPlanner:
                 fetched_fields = [node.schema[i] for i in needed]
                 remote_columns = [field.name for field in fetched_fields]
 
-        from repro.relational.schema import Schema
-
         fetched_schema = Schema(fetched_fields)
         remote_query = build_remote_query(
             obj.remote_object, remote_columns, remote_where
@@ -316,29 +265,9 @@ class LocalPlanner:
         )
 
         if local_filter is not None:
-            predicate = compile_predicate(
-                local_filter.predicate, fetched_schema
-            )
-            result = physical.FilterOp(
-                result,
-                predicate,
-                text=render(local_filter.predicate),
-                kernel=vector.compile_filter_kernel(
-                    local_filter.predicate, fetched_schema
-                ),
-            )
+            result = physical.FilterOp(result, local_filter.predicate)
         if project is not None:
-            fns = [
-                compile_expression(item.expr, fetched_schema).fn
-                for item in project.items
-            ]
-            kernels = [
-                vector.compile_kernel(item.expr, fetched_schema)
-                for item in project.items
-            ]
-            result = physical.ProjectOp(
-                result, fns, project.schema, kernels
-            )
+            result = _project(result, project)
         return result
 
     # -- joins ----------------------------------------------------------------
@@ -360,22 +289,6 @@ class LocalPlanner:
             )
 
         keys, residual = split
-        left_fns = [
-            compile_expression(left_ref, plan.left.schema).fn
-            for left_ref, _ in keys
-        ]
-        right_fns = [
-            compile_expression(right_ref, plan.right.schema).fn
-            for _, right_ref in keys
-        ]
-        left_kernels = [
-            vector.compile_kernel(left_ref, plan.left.schema)
-            for left_ref, _ in keys
-        ]
-        right_kernels = [
-            vector.compile_kernel(right_ref, plan.right.schema)
-            for _, right_ref in keys
-        ]
         # The rule ``CostModel.node_self_cost`` prices: the hash table
         # goes on the input expected to be the smaller.  A tie or a
         # missing estimate keeps the right input, and so does every
@@ -391,20 +304,7 @@ class LocalPlanner:
             and left_rows < right_rows
         )
         return physical.HashJoin(
-            left,
-            right,
-            left_fns,
-            right_fns,
-            plan.schema,
-            kind=plan.kind,
-            residual=(
-                compile_predicate(residual, plan.schema)
-                if residual is not None
-                else None
-            ),
-            left_key_kernels=left_kernels,
-            right_key_kernels=right_kernels,
-            build_left=build_left,
+            left, right, keys, plan.schema, plan.kind, residual, build_left
         )
 
 
@@ -443,8 +343,30 @@ def _union_branches(plan: algebra.Union) -> List[algebra.LogicalPlan]:
     return branches
 
 
+def _project(
+    child: physical.PhysicalPlan, project: algebra.Project
+) -> physical.PhysicalPlan:
+    """Lower ``project`` over its already lowered child.
+
+    A projection that hands on all of its input's columns, in order —
+    the SELECT list over a pruned join, the pass-through over a pruned
+    scan — computes nothing: it runs as a renaming.
+    """
+    find = child.schema.find
+    if len(project.items) == len(child.schema) and all(
+        isinstance(item.expr, ast.ColumnRef)
+        and find(item.expr.name, item.expr.table) == position
+        for position, item in enumerate(project.items)
+    ):
+        return _Rebind(child, project.schema)
+    return physical.ProjectOp(
+        child, [item.expr for item in project.items], project.schema
+    )
+
+
 class _Rebind(physical.PhysicalPlan):
-    """Schema-only wrapper implementing logical Alias at runtime."""
+    """Schema-only wrapper: a logical Alias, or an identity projection,
+    at runtime."""
 
     def __init__(self, child: physical.PhysicalPlan, schema):
         super().__init__()

@@ -1,455 +1,276 @@
-"""Vectorized (batch) execution: column batches and compiled kernels.
+"""Batch execution: row-tuple chunks and generated kernels.
 
 The row-at-a-time interpreter in :mod:`repro.engine.physical` pays
 Python iterator, closure-call, and tuple-construction overhead for
 every single tuple.  Batch mode amortizes that overhead: operators
-exchange :class:`ColumnBatch` objects — fixed-size runs of rows stored
-as parallel columns — and expressions are lowered to *kernels* that
-evaluate a whole column per call instead of one value per row.
+exchange plain ``List[tuple]`` chunks of up to :data:`BATCH_SIZE` rows
+— the layout every table, join, sort, FDW fetch and ``Result`` already
+holds — and an expression is lowered to a *kernel*: one generated list
+comprehension over the chunk, evaluated once per operator input.
 
-The kernel compiler (:func:`compile_kernel`) mirrors the row-wise
-expression compiler in :mod:`repro.relational.expressions` node for
-node.  SQL semantics are identical: ``None`` is SQL NULL and propagates
-per the standard, comparisons/arithmetic are NULL-strict, and AND/OR
-implement Kleene three-valued logic.  Any expression node without a
-vectorized lowering (e.g. CASE, whose branches must not be evaluated
-eagerly) falls back to a row-loop kernel *for that subtree only*, so
-the rest of the expression stays vectorized.
+The emitter lowers an expression tree to the *source* of a Python
+expression over the row variable ``r`` with exactly the semantics of
+the row compiler in :mod:`repro.relational.expressions`, operand order
+included: ``None`` is SQL NULL, comparisons and arithmetic evaluate
+their operands left to right and stop at the first NULL, AND/OR/NOT
+call the same Kleene helpers the closures call.  A node without an
+inline form (CASE, scalar functions, ``||``, a non-literal IN list or
+LIKE pattern) is an inline call of the row closure for that subtree.
 
-Two deliberate deviations from row-at-a-time evaluation, both standard
-for vectorized engines, are documented in DESIGN.md §7: within one
-expression both operands of a binary operator are fully evaluated (row
-mode skips the right side when the left is NULL), and a LIMIT above a
-streaming operator stops at batch rather than row granularity.
+Only column positions and operators from a fixed table appear in the
+source; every literal, regex, type and helper is bound by name in the
+kernel's namespace.  No statement text ever reaches ``compile()``, and
+statements that differ only in constants share one source string — the
+key of the code-object cache.  DESIGN.md §7 has the details.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.relational.expressions import (
     cast_value,
     compile_expression,
     like_regex,
-    scalar_function,
+    shift_date,
     sql_and,
     sql_not,
     sql_or,
 )
 from repro.sql import ast
 
-#: Default number of rows per batch.  Large enough to amortize the
-#: per-batch kernel dispatch, small enough to keep intermediate columns
-#: in cache-friendly chunks.
+#: Rows per chunk.  Large enough to amortize the per-chunk kernel
+#: dispatch, small enough to keep intermediate lists cache-friendly.
 BATCH_SIZE = 1024
 
+#: A kernel maps a chunk of rows to a list: the selected rows, the
+#: projected rows, or one value per row.  ``kernel.source`` is the
+#: generated source it was compiled from.
+Kernel = Callable[[Sequence[tuple]], list]
 
-class ColumnBatch:
-    """A run of rows stored twice over: as columns and/or as row tuples.
-
-    Either representation may be supplied at construction; the other is
-    materialized lazily (once) on first access.  Column kernels read
-    ``columns``; operators that must emit tuples (joins, the final
-    result) read ``rows()``.  Scans built from stored row lists
-    therefore transpose only when a kernel actually needs a column.
-    """
-
-    __slots__ = ("length", "_columns", "_rows", "_width")
-
-    def __init__(
-        self,
-        columns: Optional[Sequence[Sequence[object]]] = None,
-        rows: Optional[Sequence[tuple]] = None,
-        width: Optional[int] = None,
-    ):
-        if columns is None and rows is None:
-            raise ExecutionError("ColumnBatch needs columns or rows")
-        self._columns = list(columns) if columns is not None else None
-        self._rows = rows
-        if columns is not None:
-            self._width = len(self._columns)
-            self.length = len(self._columns[0]) if self._columns else (
-                len(rows) if rows is not None else 0
-            )
-        else:
-            if width is None:
-                width = len(rows[0]) if rows else 0
-            self._width = width
-            self.length = len(rows)
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def columns(self) -> List[Sequence[object]]:
-        if self._columns is None:
-            if self._rows:
-                # Columns transposed from rows stay tuples: kernels only
-                # read inputs, and skipping the per-column list() copy
-                # halves the transpose cost.
-                self._columns = list(zip(*self._rows))
-            else:
-                self._columns = [() for _ in range(self._width)]
-        return self._columns
-
-    def column(self, index: int) -> Sequence[object]:
-        return self.columns[index]
-
-    def rows(self) -> Sequence[tuple]:
-        if self._rows is None:
-            if self._columns:
-                self._rows = list(zip(*self._columns))
-            else:
-                self._rows = [()] * self.length
-        return self._rows
-
-    def pick(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Project onto the columns at ``indices``.
-
-        Zero-copy when this batch is columnar; on a row-backed batch it
-        gathers only the requested columns (cheaper than the full
-        transpose ``columns`` would perform).  ``indices`` must be
-        non-empty (a zero-column batch could not carry ``length``).
-        """
-        if self._columns is not None:
-            cols = self._columns
-            return ColumnBatch(columns=[cols[i] for i in indices])
-        rows = self._rows
-        return ColumnBatch(
-            columns=[[row[i] for row in rows] for i in indices]
-        )
-
-    def take(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Gather the rows at ``indices`` into a new batch."""
-        if self._rows is not None and self._columns is None:
-            source = self._rows
-            return ColumnBatch(
-                rows=[source[i] for i in indices], width=self._width
-            )
-        return ColumnBatch(
-            columns=[[col[i] for i in indices] for col in self.columns],
-            width=self._width,
-        )
-
-    def head(self, count: int) -> "ColumnBatch":
-        """The first ``count`` rows (no copy when already short enough)."""
-        if count >= self.length:
-            return self
-        if self._rows is not None and self._columns is None:
-            return ColumnBatch(rows=self._rows[:count], width=self._width)
-        return ColumnBatch(
-            columns=[col[:count] for col in self.columns], width=self._width
-        )
-
-    def __len__(self) -> int:
-        return self.length
-
-
-def batches_from_rows(
-    rows: Sequence[tuple],
-    width: int,
-    batch_size: int = BATCH_SIZE,
-    limit: Optional[int] = None,
-):
-    """Chunk a materialized row list into batches (zero-copy slices)."""
-    total = len(rows) if limit is None else min(limit, len(rows))
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        yield ColumnBatch(rows=rows[start:stop], width=width)
+#: Distinct kernel sources whose code objects are kept.  Without the
+#: cache ``compile()`` runs once per kernel per execution (≈ 100 µs
+#: each), which costs ``plan_heavy`` +7 % end to end (DESIGN.md §7).
+_CODE_CACHE_SIZE = 2048
 
 
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
-#: A kernel maps a batch to one output column (len == batch.length).
-KernelFn = Callable[[ColumnBatch], Sequence[object]]
+
+def filter_kernel(predicate: ast.Expression, schema) -> Kernel:
+    """``rows -> the rows on which ``predicate`` is True`` (NULL is not)."""
+    return _kernel(schema, [predicate], "[r for r in rows if {} is True]")
 
 
-class _Fallback(Exception):
-    """Internal: this subtree has no vectorized lowering."""
+def project_kernel(exprs: Sequence[ast.Expression], schema) -> Kernel:
+    """``rows -> one tuple of the ``exprs`` values per row``."""
+    return _kernel(
+        schema, exprs, "[(" + "{}, " * len(exprs) + ") for r in rows]"
+    )
 
 
-def row_loop_kernel(expr: ast.Expression, schema) -> KernelFn:
-    """The universal fallback: run the row-wise closure over the batch."""
-    fn = compile_expression(expr, schema).fn
+def column_kernel(expr: ast.Expression, schema) -> Kernel:
+    """``rows -> the value of ``expr`` per row``."""
+    return _kernel(schema, [expr], "[{} for r in rows]")
 
-    def kernel(batch: ColumnBatch) -> List[object]:
-        return [fn(row) for row in batch.rows()]
 
+def key_kernel(exprs: Sequence[ast.Expression], schema) -> Kernel:
+    """One join or group key per row: the bare value for a single
+    expression, a tuple otherwise."""
+    if len(exprs) == 1:
+        return column_kernel(exprs[0], schema)
+    return project_kernel(exprs, schema)
+
+
+def _kernel(schema, exprs: Sequence[ast.Expression], template: str) -> Kernel:
+    emitter = _Emitter(schema)
+    source = "lambda rows: " + template.format(
+        *[emitter.emit(expr) for expr in exprs]
+    )
+    kernel = eval(_code(source), emitter.namespace)
+    kernel.source = source
     return kernel
 
 
-def compile_kernel(expr: ast.Expression, schema) -> KernelFn:
-    """Lower ``expr`` (bound against ``schema``) to a column kernel.
-
-    Never raises for a compilable expression: subtrees the vectorizer
-    does not support are lowered through :func:`row_loop_kernel`.
-    Binding/type errors surface exactly as in the row compiler (the
-    caller is expected to have row-compiled the same expression first,
-    which performs full type checking).
-    """
-    return _KernelCompiler(schema).compile(expr)
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str):
+    return compile(source, "<kernel>", "eval")
 
 
-def compile_filter_kernel(expr: ast.Expression, schema) -> Callable:
-    """Compile a predicate into a selection kernel.
-
-    Returns ``fn(batch) -> list[int] | None``: the indices of rows
-    where the predicate is True, or ``None`` meaning "every row passed"
-    (so filters can forward the batch without copying).
-    """
-    kernel = compile_kernel(expr, schema)
-
-    def select(batch: ColumnBatch):
-        values = kernel(batch)
-        selected = [i for i, value in enumerate(values) if value is True]
-        if len(selected) == batch.length:
-            return None
-        return selected
-
-    return select
+def _division_by_zero():
+    raise ExecutionError("division by zero")
 
 
-class _KernelCompiler:
-    """Vectorized mirror of ``repro.relational.expressions._Compiler``."""
+#: What generated source may call, by the name it calls it under.
+_HELPERS = {
+    "sql_and": sql_and,
+    "sql_or": sql_or,
+    "sql_not": sql_not,
+    "shift_date": shift_date,
+    "cast_value": cast_value,
+    "division_by_zero": _division_by_zero,
+}
+
+#: SQL operator -> the Python operator of its NULL-strict inline form.
+_OPERATORS = {
+    "=": "==",
+    "<>": "!=",
+    "!=": "!=",
+    "<": "<",
+    ">": ">",
+    "<=": "<=",
+    ">=": ">=",
+    "+": "+",
+    "-": "-",
+    "*": "*",
+    "%": "%",
+}
+
+_EXTRACT_ATTRIBUTES = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
+
+
+class _Emitter:
+    """Expression tree -> Python source over ``r``, node for node what
+    ``repro.relational.expressions._Compiler`` builds as closures."""
 
     def __init__(self, schema):
         self._schema = schema
+        self.namespace: Dict[str, object] = dict(_HELPERS)
+        self._temps = 0
 
-    # -- entry points ------------------------------------------------------
+    def emit(self, expr: ast.Expression) -> str:
+        method = getattr(self, f"_emit_{type(expr).__name__}", None)
+        source = method(expr) if method is not None else None
+        if source is None:
+            # No inline form: call the row closure (compiling it raises
+            # the row compiler's error for a node it rejects).
+            return self._bind(compile_expression(expr, self._schema).fn) + "(r)"
+        return source
 
-    def compile(self, expr: ast.Expression) -> KernelFn:
-        try:
-            return self._lower(expr)
-        except _Fallback:
-            return row_loop_kernel(expr, self._schema)
+    def _bind(self, value: object) -> str:
+        """Name ``value`` in the kernel's namespace."""
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
 
-    def _lower(self, expr: ast.Expression) -> KernelFn:
-        method = getattr(self, f"_lower_{type(expr).__name__}", None)
-        if method is None:
-            raise _Fallback
-        return method(expr)
+    def _strict(self, operands: Sequence[ast.Expression], result) -> str:
+        """NULL-strict evaluation in the closures' order: operands are
+        evaluated once each, left to right, and the first NULL one is
+        the answer; ``result`` builds the source over their names."""
+        guards, names = self._guarded(operands)
+        checks = "".join(f"None if {guard} else " for guard in guards)
+        return f"({checks}{result(*names)})"
 
-    def _child(self, expr: ast.Expression) -> KernelFn:
-        """Lower a subtree, isolating fallbacks to that subtree."""
-        try:
-            return self._lower(expr)
-        except _Fallback:
-            return row_loop_kernel(expr, self._schema)
+    def _guarded(self, operands: Sequence[ast.Expression]):
+        """``(guards, names)``: a name per operand and, for every one
+        that can be NULL, the source that evaluates it into its name
+        and tests it (a non-NULL literal needs neither)."""
+        guards: List[str] = []
+        names: List[str] = []
+        for operand in operands:
+            if isinstance(operand, ast.Literal) and operand.value is not None:
+                names.append(self._bind(operand.value))
+                continue
+            self._temps += 1
+            name = f"t{self._temps}"
+            guards.append(f"({name} := {self.emit(operand)}) is None")
+            names.append(name)
+        return guards, names
 
     # -- leaves -----------------------------------------------------------
 
-    def _lower_ColumnRef(self, expr: ast.ColumnRef) -> KernelFn:
-        index = self._schema.resolve(expr.name, expr.table)
-        kernel = lambda batch: batch.columns[index]  # noqa: E731
-        # Tag pure column picks so operators (ProjectOp) can gather the
-        # needed columns directly instead of transposing every column.
-        kernel.column_index = index
-        return kernel
+    def _emit_ColumnRef(self, expr: ast.ColumnRef) -> str:
+        return f"r[{self._schema.resolve(expr.name, expr.table)}]"
 
-    def _lower_Literal(self, expr: ast.Literal) -> KernelFn:
-        value = expr.value
-        return lambda batch: [value] * batch.length
+    def _emit_Literal(self, expr: ast.Literal) -> str:
+        return self._bind(expr.value)
 
     # -- operators --------------------------------------------------------
 
-    def _lower_BinaryOp(self, expr: ast.BinaryOp) -> KernelFn:
+    def _emit_BinaryOp(self, expr: ast.BinaryOp) -> Optional[str]:
         op = expr.op
         if op in ("AND", "OR"):
-            lk = self._child(expr.left)
-            rk = self._child(expr.right)
-            combine = sql_and if op == "AND" else sql_or
-            return lambda batch: [
-                combine(a, b) for a, b in zip(lk(batch), rk(batch))
-            ]
-
+            combine = "sql_and" if op == "AND" else "sql_or"
+            return f"{combine}({self.emit(expr.left)}, {self.emit(expr.right)})"
         if op in ("+", "-") and isinstance(expr.right, ast.IntervalLiteral):
-            from repro.relational.expressions import shift_date
-
-            inner = self._child(expr.left)
             amount = expr.right.amount if op == "+" else -expr.right.amount
-            unit = expr.right.unit
-            return lambda batch: [
-                None if v is None else shift_date(v, amount, unit)
-                for v in inner(batch)
-            ]
+            shift = f"{self._bind(amount)}, {self._bind(expr.right.unit)}"
+            return self._strict(
+                [expr.left], lambda a: f"shift_date({a}, {shift})"
+            )
+        if op == "/":
+            return self._strict(
+                [expr.left, expr.right],
+                lambda a, b: f"{a} / {b} if {b} != 0 else division_by_zero()",
+            )
+        python_op = _OPERATORS.get(op)
+        if python_op is None:
+            return None
+        return self._strict(
+            [expr.left, expr.right], lambda a, b: f"{a} {python_op} {b}"
+        )
 
-        lk = self._child(expr.left)
-        rk = self._child(expr.right)
-        maker = _BINARY_KERNELS.get(op)
-        if maker is None:
-            raise _Fallback
-        return maker(lk, rk)
-
-    def _lower_UnaryOp(self, expr: ast.UnaryOp) -> KernelFn:
-        inner = self._child(expr.operand)
+    def _emit_UnaryOp(self, expr: ast.UnaryOp) -> Optional[str]:
         if expr.op == "NOT":
-            return lambda batch: [sql_not(v) for v in inner(batch)]
+            return f"sql_not({self.emit(expr.operand)})"
         if expr.op == "-":
-            return lambda batch: [
-                None if v is None else -v for v in inner(batch)
-            ]
-        raise _Fallback
+            return self._strict([expr.operand], lambda a: f"-{a}")
+        return None
 
-    def _lower_IsNull(self, expr: ast.IsNull) -> KernelFn:
-        inner = self._child(expr.operand)
-        if expr.negated:
-            return lambda batch: [v is not None for v in inner(batch)]
-        return lambda batch: [v is None for v in inner(batch)]
+    def _emit_IsNull(self, expr: ast.IsNull) -> str:
+        test = "is not" if expr.negated else "is"
+        return f"({self.emit(expr.operand)} {test} None)"
 
-    def _lower_Between(self, expr: ast.Between) -> KernelFn:
-        of = self._child(expr.operand)
-        lf = self._child(expr.low)
-        hf = self._child(expr.high)
-        if expr.negated:
+    def _emit_Between(self, expr: ast.Between) -> str:
+        # The closure evaluates both bounds before it tests either for
+        # NULL: ``|`` (not ``or``) keeps the second evaluation.
+        guards, (low, high) = self._guarded([expr.low, expr.high])
+        tests = " | ".join(f"({guard})" for guard in guards)
+        bounds = f"None if {tests} else " if guards else ""
+        negation = "not " if expr.negated else ""
+        return self._strict(
+            [expr.operand],
+            lambda value: f"({bounds}{negation}({low} <= {value} <= {high}))",
+        )
 
-            def kernel_negated(batch: ColumnBatch) -> List[object]:
-                return [
-                    None
-                    if value is None or lo is None or hi is None
-                    else not (lo <= value <= hi)
-                    for value, lo, hi in zip(of(batch), lf(batch), hf(batch))
-                ]
-
-            return kernel_negated
-
-        def kernel(batch: ColumnBatch) -> List[object]:
-            return [
-                None
-                if value is None or lo is None or hi is None
-                else lo <= value <= hi
-                for value, lo, hi in zip(of(batch), lf(batch), hf(batch))
-            ]
-
-        return kernel
-
-    def _lower_InList(self, expr: ast.InList) -> KernelFn:
+    def _emit_InList(self, expr: ast.InList) -> Optional[str]:
         if not all(isinstance(item, ast.Literal) for item in expr.items):
-            raise _Fallback  # per-row evaluation order must be preserved
-        of = self._child(expr.operand)
+            return None
         values = {item.value for item in expr.items}
-        has_null = None in values
-        values.discard(None)
-        negated = expr.negated
+        missing = None if None in values else expr.negated
+        members = self._bind(frozenset(values - {None}))
+        return self._strict(
+            [expr.operand],
+            lambda value: (
+                f"{not expr.negated} if {value} in {members} else {missing}"
+            ),
+        )
 
-        def kernel(batch: ColumnBatch) -> List[object]:
-            out = []
-            append = out.append
-            for value in of(batch):
-                if value is None:
-                    append(None)
-                elif value in values:
-                    append(not negated)
-                elif has_null:
-                    append(None)
-                else:
-                    append(negated)
-            return out
+    def _emit_Like(self, expr: ast.Like) -> Optional[str]:
+        pattern = expr.pattern
+        if not isinstance(pattern, ast.Literal) or pattern.value is None:
+            return None
+        match = self._bind(like_regex(pattern.value).match)
+        test = "is" if expr.negated else "is not"
+        return self._strict(
+            [expr.operand], lambda value: f"{match}({value}) {test} None"
+        )
 
-        return kernel
+    def _emit_Extract(self, expr: ast.Extract) -> Optional[str]:
+        attribute = _EXTRACT_ATTRIBUTES.get(expr.unit)
+        if attribute is None:
+            return None
+        return self._strict([expr.operand], lambda a: f"{a}.{attribute}")
 
-    def _lower_Like(self, expr: ast.Like) -> KernelFn:
-        if not isinstance(expr.pattern, ast.Literal):
-            raise _Fallback
-        pattern = expr.pattern.value
-        of = self._child(expr.operand)
-        negated = expr.negated
-        if pattern is None:
-            return lambda batch: [None] * batch.length
-        match = like_regex(pattern).match
-        if negated:
-            return lambda batch: [
-                None if v is None else match(v) is None for v in of(batch)
-            ]
-        return lambda batch: [
-            None if v is None else match(v) is not None for v in of(batch)
-        ]
-
-    def _lower_Extract(self, expr: ast.Extract) -> KernelFn:
-        inner = self._child(expr.operand)
-        attr = expr.unit.lower()
-        return lambda batch: [
-            None if v is None else getattr(v, attr) for v in inner(batch)
-        ]
-
-    def _lower_Cast(self, expr: ast.Cast) -> KernelFn:
-        inner = self._child(expr.operand)
-        target = expr.target
-        return lambda batch: [
-            None if v is None else cast_value(v, target)
-            for v in inner(batch)
-        ]
-
-    def _lower_FunctionCall(self, expr: ast.FunctionCall) -> KernelFn:
-        if ast.is_aggregate_call(expr):
-            raise _Fallback  # the row compiler raises the proper BindError
-        function = scalar_function(expr.name)
-        if function is None:
-            raise _Fallback
-        arg_kernels = [self._child(arg) for arg in expr.args]
-        impl = function.impl
-        if len(arg_kernels) == 1:
-            single = arg_kernels[0]
-            return lambda batch: [impl([v]) for v in single(batch)]
-
-        def kernel(batch: ColumnBatch) -> List[object]:
-            columns = [kernel_fn(batch) for kernel_fn in arg_kernels]
-            return [impl(list(values)) for values in zip(*columns)]
-
-        return kernel
-
-
-def _strict_kernel(operate) -> Callable[[KernelFn, KernelFn], KernelFn]:
-    def maker(lk: KernelFn, rk: KernelFn) -> KernelFn:
-        return lambda batch: [
-            None if a is None or b is None else operate(a, b)
-            for a, b in zip(lk(batch), rk(batch))
-        ]
-
-    return maker
-
-
-def _divide_kernel(lk: KernelFn, rk: KernelFn) -> KernelFn:
-    def kernel(batch: ColumnBatch) -> List[object]:
-        out = []
-        append = out.append
-        for a, b in zip(lk(batch), rk(batch)):
-            if a is None or b is None:
-                append(None)
-            elif b == 0:
-                raise ExecutionError("division by zero")
-            else:
-                append(a / b)
-        return out
-
-    return kernel
-
-
-def _concat_kernel(lk: KernelFn, rk: KernelFn) -> KernelFn:
-    return lambda batch: [
-        None if a is None or b is None else str(a) + str(b)
-        for a, b in zip(lk(batch), rk(batch))
-    ]
-
-
-_BINARY_KERNELS = {
-    "=": _strict_kernel(lambda a, b: a == b),
-    "<>": _strict_kernel(lambda a, b: a != b),
-    "!=": _strict_kernel(lambda a, b: a != b),
-    "<": _strict_kernel(lambda a, b: a < b),
-    ">": _strict_kernel(lambda a, b: a > b),
-    "<=": _strict_kernel(lambda a, b: a <= b),
-    ">=": _strict_kernel(lambda a, b: a >= b),
-    "+": _strict_kernel(lambda a, b: a + b),
-    "-": _strict_kernel(lambda a, b: a - b),
-    "*": _strict_kernel(lambda a, b: a * b),
-    "%": _strict_kernel(lambda a, b: a % b),
-    "/": _divide_kernel,
-    "||": _concat_kernel,
-}
+    def _emit_Cast(self, expr: ast.Cast) -> str:
+        target = self._bind(expr.target)
+        return self._strict(
+            [expr.operand], lambda a: f"cast_value({a}, {target})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +437,10 @@ class GroupedAggregator:
 
 __all__ = [
     "BATCH_SIZE",
-    "ColumnBatch",
     "GroupedAggregator",
-    "KernelFn",
-    "batches_from_rows",
-    "compile_filter_kernel",
-    "compile_kernel",
-    "row_loop_kernel",
+    "Kernel",
+    "column_kernel",
+    "filter_kernel",
+    "key_kernel",
+    "project_kernel",
 ]

@@ -57,8 +57,8 @@ def _operator_counts(database, sql):
     plan = database.planner.optimize(plan)
     physical = database.planner.to_physical(plan)
     if database.execution_mode == "batch":
-        for batch in physical.batches():
-            batch.rows()
+        for _ in physical.batches():
+            pass
     else:
         for _ in physical.rows():
             pass
@@ -184,8 +184,7 @@ EDGE_QUERIES = [
     "SELECT s, COUNT(*) AS n FROM empty_t GROUP BY s",
     "SELECT empty_t.k FROM empty_t, u WHERE empty_t.k = u.k",
     "SELECT empty_t.k, u.w FROM empty_t LEFT JOIN u ON empty_t.k = u.k",
-    # Expression kernels: three-valued logic, LIKE, IN, BETWEEN, CASE
-    # (CASE exercises the row-loop fallback inside a batch plan).
+    # Expression kernels: three-valued logic, LIKE, IN, BETWEEN, CASE.
     "SELECT k FROM t WHERE v > 2 OR s LIKE 'a%'",
     "SELECT k FROM t WHERE k IN (1, 3) AND v BETWEEN 0 AND 10",
     "SELECT k, CASE WHEN v > 2 THEN 'hi' ELSE 'lo' END AS band FROM t",
@@ -212,6 +211,34 @@ def test_division_by_zero_raises_in_both_modes(edge_twins):
         row_db.execute(sql)
     with pytest.raises(ExecutionError):
         batch_db.execute(sql)
+
+
+def _outcome(database, sql):
+    try:
+        return sorted(database.execute(sql).rows, key=repr)
+    except ExecutionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "sql, raises",
+    [
+        # NULL on the left, a division by zero on the right: the row
+        # closures stop at the NULL and never evaluate the right side.
+        ("SELECT v + 1 / (k - k) FROM nulls", False),
+        ("SELECT k FROM nulls WHERE v > 1 / (k - k)", False),
+        # IN evaluates its items past a NULL one.
+        ("SELECT k FROM nulls WHERE k IN (v, 1 / (k - 1))", True),
+    ],
+)
+def test_operand_evaluation_order_matches_row_mode(sql, raises):
+    schema = Schema([Field("k", INTEGER), Field("v", DOUBLE)])
+    row_db, batch_db = _twin_databases(
+        [("nulls", schema, [(1, None), (2, None)])]
+    )
+    want = _outcome(row_db, sql)
+    assert isinstance(want, str) == raises
+    assert _outcome(batch_db, sql) == want
 
 
 def test_edge_operator_counts_match(edge_twins):

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import physical
 from repro.engine.database import Database
 from repro.relational.schema import Field, Schema
+from repro.sql import ast
 from repro.sql.types import DOUBLE, INTEGER, varchar
 
 from conftest import assert_same_rows
@@ -180,11 +181,7 @@ def test_total_rows_processed():
         Schema([Field("x", INTEGER)]), [(1,), (2,), (3,)]
     )
     filt = physical.FilterOp(
-        scan,
-        lambda row: row[0] > 1,
-        kernel=lambda batch: [
-            i for i, x in enumerate(batch.columns[0]) if x > 1
-        ],
+        scan, ast.BinaryOp(">", ast.ColumnRef("x"), ast.Literal(1))
     )
     list(filt.rows())
     assert filt.total_rows_processed() == 3 + 2

@@ -131,7 +131,7 @@ def test_mixed_condition_hashes_with_a_residual(kind):
     assert list(join.rows()) == want
     batch_join = lowered()
     assert [
-        row for batch in batch_join.batches() for row in batch.rows()
+        row for batch in batch_join.batches() for row in batch
     ] == want
     assert batch_join.rows_out == join.rows_out == len(want)
 
@@ -149,6 +149,39 @@ def test_aggregate_and_sort_lowering(db):
 def test_distinct_lowering(db):
     plan = lower(db, "SELECT DISTINCT w FROM u")
     assert find_ops(plan, physical.DistinctOp)
+
+
+@pytest.mark.parametrize(
+    "sql, project_ops, top_is_project",
+    [
+        # every column of the input, in order: a renaming
+        ("SELECT k, v FROM t", 0, False),
+        ("SELECT k AS a, v AS b FROM t WHERE k > 40", 0, False),
+        ("SELECT t.k, t.v, u.k, u.w FROM t, u WHERE t.k = u.k", 0, False),
+        # the pruning projection narrows; the SELECT list over it is free
+        ("SELECT id, v FROM fact", 1, False),
+        ("SELECT k FROM t", 1, False),
+        # a reordering computes
+        ("SELECT v, k FROM t", 1, True),
+        ("SELECT v, id FROM fact", 2, True),
+    ],
+)
+def test_identity_projection_is_a_renaming(db, sql, project_ops, top_is_project):
+    db.create_table(
+        "fact",
+        Schema([Field("id", INTEGER), Field("d", INTEGER), Field("v", INTEGER)]),
+        [(i, i % 5, i * 2) for i in range(50)],
+    )
+    plan = lower(db, sql)
+    assert len(find_ops(plan, physical.ProjectOp)) == project_ops
+    assert isinstance(plan, physical.ProjectOp) == top_is_project
+    batch_plan = lower(db, sql)
+    rows = list(plan.rows())
+    assert [row for batch in batch_plan.batches() for row in batch] == rows
+    assert rows == db.execute(sql).rows
+    assert [(op.label(), op.rows_out) for op in plan.walk()] == [
+        (op.label(), op.rows_out) for op in batch_plan.walk()
+    ]
 
 
 def test_placeholder_scan_rejected_by_executor(db):

@@ -24,7 +24,6 @@ from repro.engine.database import Database
 from repro.errors import ExecutionError
 from repro.federation.deployment import Deployment
 from repro.relational.builder import build_plan
-from repro.relational.expressions import compile_expression
 from repro.relational.optimizer import push_filters
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
@@ -57,12 +56,9 @@ def make_join(
     return physical.HashJoin(
         physical.ValuesScan(L_SCHEMA, list(left_rows), "l"),
         physical.ValuesScan(R_SCHEMA, list(right_rows), "r"),
-        [compile_expression(ref, L_SCHEMA).fn for ref, _ in refs],
-        [compile_expression(ref, R_SCHEMA).fn for _, ref in refs],
+        refs,
         L_SCHEMA.concat(R_SCHEMA),
         kind=kind,
-        left_key_kernels=[vector.compile_kernel(ref, L_SCHEMA) for ref, _ in refs],
-        right_key_kernels=[vector.compile_kernel(ref, R_SCHEMA) for _, ref in refs],
         build_left=build_left,
     )
 
@@ -70,7 +66,7 @@ def make_join(
 def run(op: physical.PhysicalPlan, mode: str, hint: Optional[int] = None):
     if mode == "row":
         return list(op.rows())
-    return [row for batch in op.batches(hint) for row in batch.rows()]
+    return [row for batch in op.batches(hint) for row in batch]
 
 
 def reference_join(left_rows, right_rows, key_count) -> Counter:
@@ -158,12 +154,9 @@ def test_only_a_plain_inner_join_builds_left():
         physical.HashJoin(
             scan,
             physical.ValuesScan(R_SCHEMA, [], "r"),
-            [lambda row: row[0]],
-            [lambda row: row[0]],
+            [(ast.ColumnRef("a", "l"), ast.ColumnRef("a", "r"))],
             L_SCHEMA.concat(R_SCHEMA),
-            residual=lambda row: True,
-            left_key_kernels=[lambda batch: batch.columns[0]],
-            right_key_kernels=[lambda batch: batch.columns[0]],
+            residual=ast.Literal(True),
             build_left=True,
         )
 
