@@ -1,13 +1,13 @@
-"""Executor microbenchmarks — row vs. batch (vectorized) mode.
+"""Executor microbenchmarks.
 
-Measures rows/sec for the core operator shapes (scan, filter, computed
-projection, hash join, grouped aggregation) on synthetic fact/dim
-tables, in both execution modes of
-:class:`repro.engine.database.Database`.
-The hash join is measured in both FROM orders: ``fact, dim`` puts the
-small table on the right, ``dim, fact`` on the left — the orientation a
-smallest-first join order produces and the one a build-always-right
-executor loses on.
+Measures rows/sec of :class:`repro.engine.database.Database` for the
+core operator shapes (scan, filter, computed projection, hash join,
+grouped aggregation) on synthetic fact/dim tables, and checks every
+bench's cardinality against sqlite (:mod:`repro.fuzz.reference`) on
+the same tables.  The hash join is measured in both FROM orders:
+``fact, dim`` puts the small table on the right, ``dim, fact`` on the
+left — the orientation a smallest-first join order produces and the
+one a build-always-right executor loses on.
 
 Standalone (unlike the ``bench_fig*`` pytest modules) so CI can gate on
 it cheaply::
@@ -21,16 +21,17 @@ straight over a narrowing projection, which used to be zero-copy); it
 is here so that loss stays on record beside the gains.
 
 Writes ``benchmarks/results/BENCH_executor.json``; ``--check`` exits
-non-zero if batch mode is slower than row mode on the filter,
-projection, join or aggregation microbenchmark, or if the flipped
-join's batch-mode rate falls below 0.8x the join's (the regression
-gates).
+non-zero if the flipped join's rate falls below 0.8x the join's.  There
+is no second executor to race any more: a kernel regression shows end
+to end on the perf benchmark's ``exec_heavy`` workload, and per kernel
+in its ``engine.kernel.*.rows_per_s`` metrics (``benchmarks/perf``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from contextlib import closing
 import pathlib
 import platform
 import random
@@ -40,8 +41,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine.database import Database  # noqa: E402
+from repro.fuzz.reference import Reference  # noqa: E402
 from repro.obs.clock import wall_now  # noqa: E402
 from repro.relational.schema import Field, Schema  # noqa: E402
+from repro.sql.parser import parse_statement  # noqa: E402
 from repro.sql.types import DOUBLE, INTEGER, varchar  # noqa: E402
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_executor.json"
@@ -71,46 +74,40 @@ BENCHES = {
     "aggregate_pruned": ("SELECT g, COUNT(*) AS n FROM fact GROUP BY g", "fact"),
 }
 
-#: Microbenchmarks the --check gate requires batch mode to win.
-GATED = ("filter", "project", "join", "aggregate")
-
-#: --check also requires ``join_flipped`` to reach this fraction of
-#: ``join``'s batch-mode rate: the same join, whichever side of the
-#: FROM list the small table is on.
+#: --check requires ``join_flipped`` to reach this fraction of
+#: ``join``'s rate: the same join, whichever side of the FROM list the
+#: small table is on.
 FLIPPED_FLOOR = 0.8
 
 
-def build_database(mode: str, fact_rows: int, dim_rows: int) -> Database:
+def build_tables(fact_rows: int, dim_rows: int) -> list:
+    """``(name, schema, rows)`` of the two synthetic tables."""
     rng = random.Random(7)
     fact = [
         (i, i % dim_rows, rng.random() * 100.0, "g%d" % (i % 50), rng.random())
         for i in range(fact_rows)
     ]
     dim = [(i, "name%d" % i) for i in range(dim_rows)]
-    database = Database("BENCH", execution_mode=mode)
-    database.create_table(
-        "fact",
-        Schema(
-            [
-                Field("id", INTEGER),
-                Field("did", INTEGER),
-                Field("v", DOUBLE),
-                Field("g", varchar(8)),
-                Field("w", DOUBLE),
-            ]
+    return [
+        (
+            "fact",
+            Schema(
+                [
+                    Field("id", INTEGER),
+                    Field("did", INTEGER),
+                    Field("v", DOUBLE),
+                    Field("g", varchar(8)),
+                    Field("w", DOUBLE),
+                ]
+            ),
+            fact,
         ),
-        fact,
-    )
-    database.create_table(
-        "dim",
-        Schema([Field("id", INTEGER), Field("name", varchar(16))]),
-        dim,
-    )
-    return database
+        ("dim", Schema([Field("id", INTEGER), Field("name", varchar(16))]), dim),
+    ]
 
 
 def time_query(database: Database, sql: str, repeat: int):
-    """Best-of-``repeat`` wall time and the result cardinality."""
+    """Best-of-``repeat`` wall time and the last result."""
     best = float("inf")
     result = None
     for _ in range(repeat):
@@ -118,36 +115,30 @@ def time_query(database: Database, sql: str, repeat: int):
         result = database.execute(sql)
         elapsed = wall_now() - start
         best = min(best, elapsed)
-    return best, len(result.rows)
+    return best, result
 
 
 def run(fact_rows: int, dim_rows: int, repeat: int) -> dict:
-    databases = {
-        mode: build_database(mode, fact_rows, dim_rows)
-        for mode in ("row", "batch")
-    }
+    tables = build_tables(fact_rows, dim_rows)
+    database = Database("BENCH")
+    for table, schema, rows in tables:
+        database.create_table(table, schema, rows)
     input_rows = {"fact": fact_rows, "dim": dim_rows}
     benches = {}
-    for name, (sql, rate_table) in BENCHES.items():
-        entry = {"sql": sql}
-        cardinalities = {}
-        for mode, database in databases.items():
-            seconds, out_rows = time_query(database, sql, repeat)
-            entry[f"{mode}_seconds"] = round(seconds, 6)
-            entry[f"{mode}_rows_per_sec"] = round(
-                input_rows[rate_table] / seconds
-            )
-            cardinalities[mode] = out_rows
-        if cardinalities["row"] != cardinalities["batch"]:
-            raise SystemExit(
-                f"{name}: cardinality mismatch between modes "
-                f"{cardinalities!r}"
-            )
-        entry["rows_out"] = cardinalities["row"]
-        entry["speedup"] = round(
-            entry["row_seconds"] / entry["batch_seconds"], 2
-        )
-        benches[name] = entry
+    with closing(Reference(tables)) as reference:
+        for name, (sql, rate_table) in BENCHES.items():
+            seconds, result = time_query(database, sql, repeat)
+            want = len(reference.rows(parse_statement(sql), result.schema))
+            if len(result.rows) != want:
+                raise SystemExit(
+                    f"{name}: {len(result.rows)} rows, sqlite returns {want}"
+                )
+            benches[name] = {
+                "sql": sql,
+                "seconds": round(seconds, 6),
+                "rows_per_sec": round(input_rows[rate_table] / seconds),
+                "rows_out": want,
+            }
     return {
         "meta": {
             "fact_rows": fact_rows,
@@ -170,39 +161,30 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=RESULTS_PATH,
                         help="output JSON path")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if batch is slower than row on a "
-                             "gated microbenchmark (filter, project, join, "
-                             "aggregate), or the flipped join is below "
-                             "0.8x the join")
+                        help="exit 1 if the flipped join is below 0.8x "
+                             "the join")
     args = parser.parse_args(argv)
 
     report = run(args.rows, args.dims, args.repeat)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"{'bench':16s} {'row_s':>8s} {'batch_s':>8s} {'speedup':>8s}")
-    failures = []
+    print(f"{'bench':16s} {'seconds':>8s} {'rows/s':>10s} {'rows_out':>8s}")
     for name, entry in report["benches"].items():
         print(
-            f"{name:16s} {entry['row_seconds']:8.3f} "
-            f"{entry['batch_seconds']:8.3f} {entry['speedup']:7.2f}x"
+            f"{name:16s} {entry['seconds']:8.3f} "
+            f"{entry['rows_per_sec']:10d} {entry['rows_out']:8d}"
         )
-        if name in GATED and entry["speedup"] < 1.0:
-            failures.append(name)
     benches = report["benches"]
     flipped = (
-        benches["join_flipped"]["batch_rows_per_sec"]
-        / benches["join"]["batch_rows_per_sec"]
+        benches["join_flipped"]["rows_per_sec"] / benches["join"]["rows_per_sec"]
     )
-    print(f"join_flipped / join batch rate: {flipped:.2f}x")
+    print(f"join_flipped / join rate: {flipped:.2f}x")
     print(f"wrote {args.out}")
-    if args.check and failures:
-        print(f"FAIL: batch slower than row on: {', '.join(failures)}")
-        return 1
     if args.check and flipped < FLIPPED_FLOOR:
         print(
             f"FAIL: join_flipped runs at {flipped:.2f}x of join's "
-            f"batch rate (floor {FLIPPED_FLOOR}x)"
+            f"rate (floor {FLIPPED_FLOOR}x)"
         )
         return 1
     return 0

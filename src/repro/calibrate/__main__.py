@@ -34,14 +34,10 @@ from repro.engine.profiles import (
 )
 
 
-def calibrate_profile(
-    name: str, rows: int, repeat: int, execution_mode: str
-) -> Dict[str, object]:
+def calibrate_profile(name: str, rows: int, repeat: int) -> Dict[str, object]:
     """Measure, fit, and score one profile; returns the report entry."""
     profile = profile_base(name)
-    observations = run_workload(
-        name, rows=rows, repeat=repeat, execution_mode=execution_mode
-    )
+    observations = run_workload(name, rows=rows, repeat=repeat)
     before = evaluate_constants(
         observations, profile.constants(), profile.calibration
     )
@@ -83,10 +79,6 @@ def main(argv=None) -> int:
         help="comma-separated profile names (default: all)",
     )
     parser.add_argument(
-        "--mode", default="batch", choices=("batch", "row"),
-        help="executor mode to calibrate against (default batch)",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="write the calibration report JSON here",
     )
@@ -103,19 +95,13 @@ def main(argv=None) -> int:
 
     names = [n.strip() for n in args.profiles.split(",") if n.strip()]
     report: Dict[str, object] = {
-        "workload": {
-            "rows": args.rows,
-            "repeat": args.repeat,
-            "execution_mode": args.mode,
-        },
+        "workload": {"rows": args.rows, "repeat": args.repeat},
         "q_error": "max(estimated/actual, actual/estimated)",
         "profiles": {},
     }
     all_improved = True
     for name in names:
-        entry = calibrate_profile(
-            name, args.rows, args.repeat, args.mode
-        )
+        entry = calibrate_profile(name, args.rows, args.repeat)
         report["profiles"][name] = entry
         all_improved = all_improved and bool(entry["improved"])
         print(

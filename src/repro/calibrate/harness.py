@@ -118,12 +118,7 @@ def observe_query(
     return observations
 
 
-def run_workload(
-    profile: str,
-    rows: int,
-    repeat: int = 3,
-    execution_mode: str = "batch",
-) -> List[Observation]:
+def run_workload(profile: str, rows: int, repeat: int = 3) -> List[Observation]:
     """All observations for one profile over ``repeat`` fresh runs.
 
     Each repeat rebuilds the workload from the same seed, so repeats
@@ -131,9 +126,7 @@ def run_workload(
     """
     observations: List[Observation] = []
     for _ in range(repeat):
-        workload = build_workload(
-            profile, rows=rows, execution_mode=execution_mode
-        )
+        workload = build_workload(profile, rows=rows)
         workload.local.instrument_execution = True
         for name, sql in workload.queries:
             observations.extend(observe_query(workload, name, sql))

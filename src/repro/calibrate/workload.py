@@ -53,14 +53,10 @@ class MicroWorkload:
 def build_workload(
     profile: str,
     rows: int = DEFAULT_ROWS,
-    execution_mode: str = "batch",
     seed: int = 0xCA11B,
 ) -> MicroWorkload:
     """Build the micro-workload for one vendor ``profile``."""
-    deployment = Deployment(
-        {LOCAL: profile, REMOTE: profile},
-        execution_mode=execution_mode,
-    )
+    deployment = Deployment({LOCAL: profile, REMOTE: profile})
     local = deployment.databases[LOCAL]
     remote = deployment.databases[REMOTE]
 

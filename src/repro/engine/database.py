@@ -77,16 +77,11 @@ class _Planned(NamedTuple):
 class Database:
     """A single simulated DBMS (PostgreSQL / MariaDB / Hive flavoured)."""
 
-    #: Supported executor modes: ``"batch"`` (vectorized, the default)
-    #: and ``"row"`` (the reference tuple-at-a-time interpreter).
-    EXECUTION_MODES = ("row", "batch")
-
     def __init__(
         self,
         name: str,
         profile: str = "postgres",
         node: Optional[str] = None,
-        execution_mode: str = "batch",
         parallel_workers: int = 1,
     ):
         self.name = name
@@ -95,12 +90,6 @@ class Database:
         )
         #: name of the network node hosting this DBMS
         self.node = node or name
-        if execution_mode not in self.EXECUTION_MODES:
-            raise ExecutionError(
-                f"unknown execution mode {execution_mode!r}; "
-                f"expected one of {self.EXECUTION_MODES}"
-            )
-        self.execution_mode = execution_mode
         #: worker threads for intra-query parallelism (> 1 makes the
         #: planner lower UNION ALL chains — notably gathered partition
         #: branches — to a pool-fed parallel operator)
@@ -257,12 +246,9 @@ class Database:
             from repro.engine.instrument import instrument_plan
 
             instrument_plan(physical_plan)
-        if self.execution_mode == "batch":
-            rows: List[tuple] = []
-            for batch in physical_plan.batches():
-                rows.extend(batch)
-        else:
-            rows = list(physical_plan.rows())
+        rows: List[tuple] = []
+        for batch in physical_plan.batches():
+            rows.extend(batch)
         self.trace.rows_processed += physical_plan.total_rows_processed()
         self.trace.rows_returned += len(rows)
         self.trace.last_plan_text = physical_plan.pretty()

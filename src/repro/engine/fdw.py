@@ -116,17 +116,12 @@ class ForeignScan(PhysicalPlan):
         self.tag = tag
         self.fetched_rows = 0
 
-    def _produce(self):
-        result = self.server.fetch(self.remote_query, tag=self.tag)
-        self.fetched_rows = len(result)
-        return iter(result.rows)
-
     def _produce_batches(self, hint):
         """Stream the fetched result in chunks.
 
-        The remote execution and wire transfer happen exactly once (and
-        are accounted identically to row mode); only the local hand-off
-        into the consuming operators is chunked.
+        The remote execution and wire transfer happen exactly once;
+        only the local hand-off into the consuming operators is
+        chunked.
         """
         result = self.server.fetch(self.remote_query, tag=self.tag)
         self.fetched_rows = len(result)

@@ -2,17 +2,16 @@
 
 The calibration harness (:mod:`repro.calibrate`) needs *measured*
 per-operator timings to regress the engine profiles' cost constants
-against.  :func:`instrument_plan` wraps every operator's ``rows()`` /
-``batches()`` entry points so each node accumulates the wall seconds
-spent producing its output — including the time its children spend
-inside the node's pulls.  :func:`self_seconds` subtracts the children's
-inclusive time back out, yielding the operator's own contribution.
+against.  :func:`instrument_plan` wraps every operator's ``batches()``
+entry point so each node accumulates the wall seconds spent producing
+its output — including the time its children spend inside the node's
+pulls.  :func:`self_seconds` subtracts the children's inclusive time
+back out, yielding the operator's own contribution.
 
-Timing granularity is one ``next()`` call: in batch mode (the default
-executor) that is one 1024-row batch, so timer overhead is negligible
-relative to the work measured.  All clock reads go through
-:func:`repro.obs.clock.wall_now`, the repo's single sanctioned
-wall-clock site.
+Timing granularity is one ``next()`` call — one chunk of up to 1024
+rows — so timer overhead is negligible relative to the work measured.
+All clock reads go through :func:`repro.obs.clock.wall_now`, the repo's
+single sanctioned wall-clock site.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ def instrument_plan(plan: PhysicalPlan) -> PhysicalPlan:
             continue
         node._instrumented = True  # type: ignore[attr-defined]
         node.exec_seconds = 0.0  # type: ignore[attr-defined]
-        node.rows = _timed(node, node.rows)  # type: ignore[method-assign]
         node.batches = _timed(node, node.batches)  # type: ignore[method-assign]
     return plan
 

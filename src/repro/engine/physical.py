@@ -1,22 +1,17 @@
-"""Physical operators: a pull-based (iterator) query executor.
+"""Physical operators: a pull-based, chunk-at-a-time query executor.
 
-Operators hold the *expressions* they evaluate and stream rows in one
-of two interchangeable modes, each lowering the expressions its own
-way when it starts:
+Operators hold the *expressions* they evaluate and, when first pulled,
+lower them to the generated kernels of :mod:`repro.engine.vector`.
+``batches()`` pulls ``List[tuple]`` chunks of up to
+:data:`~repro.engine.vector.BATCH_SIZE` rows through the operator tree
+and runs each kernel once per chunk, amortizing the per-tuple
+interpreter overhead; ``rows()`` is the same stream, flattened.
 
-* **row mode** (``rows()``) pulls one tuple at a time through the
-  operator tree and evaluates the closures of
-  :func:`repro.relational.expressions.compile_expression` — simple,
-  and the reference for semantics;
-* **batch mode** (``batches()``) pulls ``List[tuple]`` chunks of up to
-  :data:`~repro.engine.vector.BATCH_SIZE` rows and evaluates the
-  generated kernels of :mod:`repro.engine.vector` once per chunk,
-  amortizing the per-tuple interpreter overhead.
-
-Every operator counts the rows it produces (``rows_out``) identically
-in both modes, which feeds the execution statistics the schedule
-simulator consumes (see DESIGN.md §7 for the cardinality-parity
-contract and its one batch-granularity caveat under LIMIT).
+Every operator counts the rows it produces (``rows_out``), which feeds
+the execution statistics the schedule simulator consumes (DESIGN.md §7:
+under LIMIT an input may be pulled up to one chunk past what the limit
+keeps).  The answers are judged against sqlite by
+:mod:`repro.fuzz.reference`.
 """
 
 from __future__ import annotations
@@ -37,6 +32,9 @@ from repro.sql.render import render
 
 RowFn = Callable[[tuple], object]
 Chunk = List[tuple]
+
+#: Chunks a gathered branch hands over between two cancel checks.
+_DRAIN_STRIDE = 4
 
 
 def chunked(rows: Iterable[tuple], limit: Optional[int] = None) -> Iterator[Chunk]:
@@ -71,10 +69,8 @@ class PhysicalPlan:
         self.rows_out = 0
 
     def rows(self) -> Iterator[tuple]:
-        """Stream output rows, counting them as a side effect."""
-        for row in self._produce():
-            self.rows_out += 1
-            yield row
+        """The rows of :meth:`batches`, one at a time."""
+        return (row for batch in self.batches() for row in batch)
 
     def batches(self, hint: Optional[int] = None) -> Iterator[Chunk]:
         """Stream output chunks, counting rows as a side effect.
@@ -88,17 +84,8 @@ class PhysicalPlan:
             self.rows_out += len(batch)
             yield batch
 
-    def _produce(self) -> Iterator[tuple]:
-        raise NotImplementedError
-
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        """Fallback batch path: chunk the operator's own row stream.
-
-        Subtrees without a native batch implementation run their
-        row-mode ``_produce`` (children are pulled row-wise), so
-        semantics and per-operator counts are preserved exactly.
-        """
-        return chunked(self._produce(), hint)
+        raise NotImplementedError
 
     def children(self) -> List["PhysicalPlan"]:
         return []
@@ -157,9 +144,6 @@ class SeqScan(PhysicalPlan):
         self.schema = schema
         self._rows = rows
 
-    def _produce(self) -> Iterator[tuple]:
-        return iter(self._rows)
-
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         return chunked(self._rows, hint)
 
@@ -175,9 +159,6 @@ class ValuesScan(PhysicalPlan):
         self.schema = schema
         self._rows = rows
         self.name = name
-
-    def _produce(self) -> Iterator[tuple]:
-        return iter(self._rows)
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         return chunked(self._rows, hint)
@@ -198,12 +179,6 @@ class FilterOp(PhysicalPlan):
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
-
-    def _produce(self) -> Iterator[tuple]:
-        predicate = compile_predicate(self.predicate, self.schema)
-        for row in self.child.rows():
-            if predicate(row):
-                yield row
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         select = vector.filter_kernel(self.predicate, self.schema)
@@ -230,14 +205,6 @@ class ProjectOp(PhysicalPlan):
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
-
-    def _produce(self) -> Iterator[tuple]:
-        fns = [
-            compile_expression(item, self.child.schema).fn
-            for item in self.items
-        ]
-        for row in self.child.rows():
-            yield tuple(fn(row) for fn in fns)
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         project = vector.project_kernel(self.items, self.child.schema)
@@ -303,94 +270,6 @@ class HashJoin(PhysicalPlan):
         if self.residual is None:
             return None
         return compile_predicate(self.residual, self.schema)
-
-    def _produce(self) -> Iterator[tuple]:
-        (build, build_keys), (probe, probe_keys) = self._sides()
-        build_keys = [
-            compile_expression(key, build.schema).fn for key in build_keys
-        ]
-        probe_keys = [
-            compile_expression(key, probe.schema).fn for key in probe_keys
-        ]
-        if len(build_keys) == 1:
-            yield from self._produce_single_key(
-                build, build_keys[0], probe, probe_keys[0]
-            )
-            return
-        table: Dict[tuple, List[tuple]] = {}
-        for row in build.rows():
-            key = tuple(fn(row) for fn in build_keys)
-            if any(value is None for value in key):
-                continue
-            table.setdefault(key, []).append(row)
-
-        residual = self._residual()
-        pad = (None,) * len(self.right.schema)
-        left_outer = self.kind == "LEFT"
-        build_left = self.build_left
-
-        for row in probe.rows():
-            key = tuple(fn(row) for fn in probe_keys)
-            matched = False
-            if not any(value is None for value in key):
-                for match in table.get(key, ()):
-                    joined = match + row if build_left else row + match
-                    if residual is None or residual(joined):
-                        matched = True
-                        yield joined
-            if left_outer and not matched:
-                yield row + pad
-
-    def _produce_single_key(
-        self,
-        build: PhysicalPlan,
-        build_key: RowFn,
-        probe: PhysicalPlan,
-        probe_key: RowFn,
-    ) -> Iterator[tuple]:
-        """Single-key joins skip per-row key-tuple construction and the
-        None scan — the overwhelmingly common case in the workloads."""
-        table: Dict[object, List[tuple]] = {}
-        for row in build.rows():
-            key = build_key(row)
-            if key is None:
-                continue
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [row]
-            else:
-                bucket.append(row)
-
-        residual = self._residual()
-        pad = (None,) * len(self.right.schema)
-        left_outer = self.kind == "LEFT"
-        build_left = self.build_left
-        lookup = table.get
-
-        for row in probe.rows():
-            key = probe_key(row)
-            bucket = lookup(key) if key is not None else None
-            if bucket:
-                if build_left:
-                    for match in bucket:
-                        yield match + row
-                    continue
-                if residual is None:
-                    for match in bucket:
-                        yield row + match
-                    continue
-                matched = False
-                for match in bucket:
-                    joined = row + match
-                    if residual(joined):
-                        matched = True
-                        yield joined
-                if matched:
-                    continue
-            if left_outer:
-                yield row + pad
-
-    # -- batch path --------------------------------------------------------
 
     @staticmethod
     def _build_table(
@@ -519,73 +398,27 @@ class NestedLoopJoin(PhysicalPlan):
     def children(self) -> List[PhysicalPlan]:
         return [self.left, self.right]
 
-    def _produce(self) -> Iterator[tuple]:
-        right_rows = list(self.right.rows())
-        condition = self.condition
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
+        return _limited(self._join(), hint)
+
+    def _join(self) -> Iterator[Chunk]:
+        right_rows = [row for batch in self.right.batches() for row in batch]
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
-        for row in self.left.rows():
-            matched = False
-            for right_row in right_rows:
-                joined = row + right_row
-                if condition is None or condition(joined):
-                    matched = True
-                    yield joined
-            if left_outer and not matched:
-                yield row + pad
+        for rows in self.left.batches():
+            out: Chunk = []
+            for row in rows:
+                joined = [row + right for right in right_rows]
+                if self.condition is not None:
+                    joined = list(filter(self.condition, joined))
+                if joined:
+                    out.extend(joined)
+                elif left_outer:
+                    out.append(row + pad)
+            yield out
 
     def label(self) -> str:
         return f"NestedLoopJoin[{self.kind}]"
-
-
-class _Accumulator:
-    """One aggregate state cell."""
-
-    __slots__ = ("func", "distinct", "count", "total", "extreme", "seen")
-
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.distinct = distinct
-        self.count = 0
-        self.total = None
-        self.extreme = None
-        self.seen = set() if distinct else None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        if self.distinct:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if self.func in ("SUM", "AVG"):
-            self.total = value if self.total is None else self.total + value
-        elif self.func == "MIN":
-            if self.extreme is None or value < self.extreme:
-                self.extreme = value
-        elif self.func == "MAX":
-            if self.extreme is None or value > self.extreme:
-                self.extreme = value
-
-    def result(self) -> object:
-        if self.func == "COUNT":
-            return self.count
-        if self.func == "SUM":
-            return self.total
-        if self.func == "AVG":
-            return None if self.count == 0 else self.total / self.count
-        return self.extreme
-
-
-class _CountStar:
-    """Sentinel standing in for the argument of COUNT(*)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<count(*)>"
-
-
-_COUNT_STAR = _CountStar()
 
 
 class HashAggregate(PhysicalPlan):
@@ -634,43 +467,6 @@ class HashAggregate(PhysicalPlan):
 
         return chunked(aggregator.emit_rows(key_is_tuple=not single_key), hint)
 
-    def _produce(self) -> Iterator[tuple]:
-        groups: Dict[tuple, List[_Accumulator]] = {}
-        schema = self.child.schema
-        key_fns = [compile_expression(key, schema).fn for key in self.keys]
-        specs = [
-            (
-                spec,
-                None
-                if spec.arg is None
-                else compile_expression(spec.arg, schema).fn,
-            )
-            for spec in self.aggregates
-        ]
-
-        for row in self.child.rows():
-            key = tuple(fn(row) for fn in key_fns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [
-                    _Accumulator(spec.func, spec.distinct)
-                    for spec, _ in specs
-                ]
-                groups[key] = accumulators
-            for accumulator, (spec, arg_fn) in zip(accumulators, specs):
-                value = _COUNT_STAR if arg_fn is None else arg_fn(row)
-                accumulator.add(value)
-
-        if not groups and not key_fns:
-            accumulators = [
-                _Accumulator(spec.func, spec.distinct) for spec, _ in specs
-            ]
-            yield tuple(acc.result() for acc in accumulators)
-            return
-
-        for key, accumulators in groups.items():
-            yield key + tuple(acc.result() for acc in accumulators)
-
     def label(self) -> str:
         return (
             f"HashAggregate[{len(self.keys)} keys, "
@@ -689,12 +485,6 @@ class UnionAllOp(PhysicalPlan):
 
     def children(self) -> List[PhysicalPlan]:
         return [self.left, self.right]
-
-    def _produce(self) -> Iterator[tuple]:
-        for row in self.left.rows():
-            yield row
-        for row in self.right.rows():
-            yield row
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         remaining = hint
@@ -717,7 +507,7 @@ class ParallelUnionAllOp(PhysicalPlan):
     branch outputs in branch order, so results are deterministic
     regardless of worker interleaving.  Branches run eagerly and do not
     see a LIMIT hint — the gather truncates on the consumer side (the
-    documented batch-granularity caveat, widened to branch granularity).
+    LIMIT over-pull of DESIGN.md §7, widened to whole branches).
     """
 
     def __init__(
@@ -743,7 +533,7 @@ class ParallelUnionAllOp(PhysicalPlan):
             f"{self.workers} workers]"
         )
 
-    def _hedge_policy(self, ctx, produce) -> Optional[HedgePolicy]:
+    def _hedge_policy(self, ctx) -> Optional[HedgePolicy]:
         """Speculative-duplicate policy for straggling branches.
 
         Enabled when the QoS policy set a hedge multiplier and the
@@ -761,51 +551,37 @@ class ParallelUnionAllOp(PhysicalPlan):
         return HedgePolicy(
             multiplier=float(multiplier),
             factory=lambda index: (
-                lambda: produce(self.branches[index].clone())
+                lambda: _drain(self.branches[index].clone())
             ),
         )
 
-    def _gather(self, produce):
+    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         ctx = current_context()
-        pool = WorkerPool(self.workers)
-        outcomes = pool.map(
-            [
-                (lambda branch=branch: produce(branch))
-                for branch in self.branches
-            ],
+        outcomes = WorkerPool(self.workers).map(
+            [(lambda branch=branch: _drain(branch)) for branch in self.branches],
             context=ctx,
-            hedge=self._hedge_policy(ctx, produce),
+            hedge=self._hedge_policy(ctx),
         )
         self.branch_busy_seconds = [
             outcome.busy_seconds for outcome in outcomes
         ]
-        return [outcome.value for outcome in outcomes]
-
-    @staticmethod
-    def _drain(stream, stride: int = 256) -> list:
-        """Materialize a branch stream with cooperative cancel points.
-
-        A hedged loser keeps its worker thread until it notices the
-        cancel; polling every ``stride`` items keeps that window small
-        without measurably taxing the hot loop."""
-        out: List[object] = []
-        for count, item in enumerate(stream):
-            if count % stride == 0:
-                check_cancelled()
-            out.append(item)
-        return out
-
-    def _produce(self) -> Iterator[tuple]:
-        for chunk in self._gather(lambda branch: self._drain(branch.rows())):
-            yield from chunk
-
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        gathered = self._gather(
-            lambda branch: self._drain(branch.batches(), stride=4)
-        )
         return _limited(
-            (batch for batches in gathered for batch in batches), hint
+            (batch for outcome in outcomes for batch in outcome.value), hint
         )
+
+
+def _drain(branch: PhysicalPlan) -> List[Chunk]:
+    """Materialize a branch's chunks with cooperative cancel points.
+
+    A hedged loser keeps its worker thread until it notices the cancel;
+    polling every :data:`_DRAIN_STRIDE` chunks keeps that window small
+    without measurably taxing the hot loop."""
+    out: List[Chunk] = []
+    for count, chunk in enumerate(branch.batches()):
+        if count % _DRAIN_STRIDE == 0:
+            check_cancelled()
+        out.append(chunk)
+    return out
 
 
 class SortOp(PhysicalPlan):
@@ -819,9 +595,6 @@ class SortOp(PhysicalPlan):
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
-
-    def _produce(self) -> Iterator[tuple]:
-        return iter(self._sorted_rows(list(self.child.rows())))
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         rows: List[tuple] = []
@@ -857,16 +630,6 @@ class LimitOp(PhysicalPlan):
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
 
-    def _produce(self) -> Iterator[tuple]:
-        if self.count <= 0:
-            return
-        produced = 0
-        for row in self.child.rows():
-            produced += 1
-            yield row
-            if produced >= self.count:
-                return
-
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         count = self.count if hint is None else min(self.count, hint)
         if count <= 0:
@@ -887,13 +650,6 @@ class DistinctOp(PhysicalPlan):
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
-
-    def _produce(self) -> Iterator[tuple]:
-        seen = set()
-        for row in self.child.rows():
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         return _limited(self._fresh(), hint)

@@ -376,9 +376,6 @@ class _Rebind(physical.PhysicalPlan):
     def children(self) -> List[physical.PhysicalPlan]:
         return [self.child]
 
-    def _produce(self):
-        return self.child.rows()
-
     def _produce_batches(self, hint):
         return self.child.batches(hint)
 

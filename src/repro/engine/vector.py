@@ -1,21 +1,22 @@
-"""Batch execution: row-tuple chunks and generated kernels.
+"""Chunk execution: row-tuple chunks and generated kernels.
 
-The row-at-a-time interpreter in :mod:`repro.engine.physical` pays
-Python iterator, closure-call, and tuple-construction overhead for
-every single tuple.  Batch mode amortizes that overhead: operators
-exchange plain ``List[tuple]`` chunks of up to :data:`BATCH_SIZE` rows
-— the layout every table, join, sort, FDW fetch and ``Result`` already
-holds — and an expression is lowered to a *kernel*: one generated list
-comprehension over the chunk, evaluated once per operator input.
+Evaluating an expression tree of closures per tuple pays Python
+iterator, closure-call and tuple-construction overhead for every
+single tuple.  The operators of :mod:`repro.engine.physical` amortize
+it: they exchange plain ``List[tuple]`` chunks of up to
+:data:`BATCH_SIZE` rows — the layout every table, join, sort, FDW
+fetch and ``Result`` already holds — and an expression is lowered to a
+*kernel*: one generated list comprehension over the chunk, evaluated
+once per operator input.
 
 The emitter lowers an expression tree to the *source* of a Python
 expression over the row variable ``r`` with exactly the semantics of
-the row compiler in :mod:`repro.relational.expressions`, operand order
+the closures of :mod:`repro.relational.expressions`, operand order
 included: ``None`` is SQL NULL, comparisons and arithmetic evaluate
 their operands left to right and stop at the first NULL, AND/OR/NOT
-call the same Kleene helpers the closures call.  A node without an
+and ``%`` call the same helpers the closures call.  A node without an
 inline form (CASE, scalar functions, ``||``, a non-literal IN list or
-LIKE pattern) is an inline call of the row closure for that subtree.
+LIKE pattern) is an inline call of the closure for that subtree.
 
 Only column positions and operators from a fixed table appear in the
 source; every literal, regex, type and helper is bound by name in the
@@ -36,6 +37,7 @@ from repro.relational.expressions import (
     like_regex,
     shift_date,
     sql_and,
+    sql_mod,
     sql_not,
     sql_or,
 )
@@ -110,6 +112,7 @@ _HELPERS = {
     "sql_and": sql_and,
     "sql_or": sql_or,
     "sql_not": sql_not,
+    "sql_mod": sql_mod,
     "shift_date": shift_date,
     "cast_value": cast_value,
     "division_by_zero": _division_by_zero,
@@ -127,7 +130,6 @@ _OPERATORS = {
     "+": "+",
     "-": "-",
     "*": "*",
-    "%": "%",
 }
 
 _EXTRACT_ATTRIBUTES = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
@@ -146,8 +148,8 @@ class _Emitter:
         method = getattr(self, f"_emit_{type(expr).__name__}", None)
         source = method(expr) if method is not None else None
         if source is None:
-            # No inline form: call the row closure (compiling it raises
-            # the row compiler's error for a node it rejects).
+            # No inline form: call the closure (compiling it raises the
+            # compiler's error for a node it rejects).
             return self._bind(compile_expression(expr, self._schema).fn) + "(r)"
         return source
 
@@ -206,6 +208,10 @@ class _Emitter:
             return self._strict(
                 [expr.left, expr.right],
                 lambda a, b: f"{a} / {b} if {b} != 0 else division_by_zero()",
+            )
+        if op == "%":
+            return self._strict(
+                [expr.left, expr.right], lambda a, b: f"sql_mod({a}, {b})"
             )
         python_op = _OPERATORS.get(op)
         if python_op is None:
@@ -284,8 +290,7 @@ class GroupedAggregator:
     Group keys map to dense group ids; each simple (non-DISTINCT)
     aggregate keeps one or two flat lists indexed by group id and is
     updated in a tight per-column loop.  DISTINCT aggregates keep a
-    per-group seen-set.  Results are bit-identical to the row-mode
-    ``_Accumulator`` path.
+    per-group seen-set.
     """
 
     def __init__(self, specs: Sequence):
@@ -303,8 +308,7 @@ class GroupedAggregator:
 
     def group_ids(self, keys: Sequence[object]) -> List[int]:
         """Map a column of key values to dense group ids, adding new
-        groups as they appear (in first-occurrence order, matching the
-        row engine's dict insertion order)."""
+        groups as they appear (in first-occurrence order)."""
         keymap = self.keymap
         get = keymap.get
         ids = []

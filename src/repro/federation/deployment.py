@@ -55,7 +55,6 @@ class Deployment:
         middleware_node: str = MIDDLEWARE_NODE,
         client_node: str = CLIENT_NODE,
         middleware_site: Optional[str] = None,
-        execution_mode: str = "batch",
         parallel_workers: int = 1,
     ):
         """Create databases named per ``profiles`` (name → vendor).
@@ -65,9 +64,7 @@ class Deployment:
         middleware/mediator node: defaults to the DBMS LAN for the
         runtime experiments ("onprem") and to the cloud for geo setups;
         pass ``"cloud"`` explicitly for the §VI-C managed-cloud cost
-        scenario.  ``execution_mode`` selects every member engine's
-        executor: ``"batch"`` (vectorized, default) or ``"row"``.
-        ``parallel_workers`` sizes each engine's worker pool for
+        scenario.  ``parallel_workers`` sizes each engine's worker pool for
         intra-query parallelism (UNION ALL branches — in particular
         gathered partition fragments — are pulled concurrently when
         it is > 1; the schedule simulator uses the same number as its
@@ -95,7 +92,6 @@ class Deployment:
         self.middleware_node = middleware_node
         self.client_node = client_node
 
-        self.execution_mode = execution_mode
         self.parallel_workers = max(int(parallel_workers), 1)
         #: logical table (lowercase) -> PartitionSpec; the global
         #: catalog holds this mapping by reference
@@ -106,7 +102,6 @@ class Deployment:
                 name,
                 profile=profile,
                 node=name,
-                execution_mode=execution_mode,
                 parallel_workers=self.parallel_workers,
             )
 
@@ -169,12 +164,7 @@ class Deployment:
         if name in self.databases:
             raise CatalogError(f"database {name!r} already exists")
         self.network.add_node(name, site=node_site or self.middleware_site)
-        database = Database(
-            name,
-            profile=profile,
-            node=name,
-            execution_mode=self.execution_mode,
-        )
+        database = Database(name, profile=profile, node=name)
         for remote in self.databases.values():
             database.register_server(
                 remote.name,

@@ -11,9 +11,9 @@ invariants with generated *capability-edge* cases:
   dialect surfaces (quoting, the MariaDB ``CONNECTION='srv/obj'``
   packing, Hive's ``STORED BY`` literal);
 * the full DDL surface (foreign tables, tables, views, DROP, INSERT);
-* queries executed differentially — the row engine as oracle against
-  the batch engine, and delegated foreign-table plans against direct
-  remote execution (wrapper pushdown limits).
+* queries executed differentially — the engine against sqlite
+  (:mod:`repro.fuzz.reference`), and delegated foreign-table plans
+  against direct remote execution (wrapper pushdown limits).
 
 Each statement case is **round-tripped** render → parse → render
 through all three dialects: the parse must reproduce the AST and the

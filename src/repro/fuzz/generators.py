@@ -8,7 +8,7 @@ the oracle:
   ``insert`` — DDL/DML statements, checked by the three-dialect
   round-trip oracle;
 * ``query`` — a SELECT over the fixed fuzz schema, round-tripped *and*
-  executed differentially (row engine vs batch engine, per vendor);
+  executed differentially (the engine vs sqlite, per vendor);
 * ``pushdown`` — a foreign-table query on a two-engine deployment,
   compared against direct execution on the remote engine;
 * ``partition`` — a query spec plus a hash/range partitioning of the

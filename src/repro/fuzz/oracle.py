@@ -12,8 +12,11 @@ Eight invariants, each cheap to state and brutal to uphold:
    must *say so* (raise ``SQLError``) rather than emit a string that
    parses back wrong.
 2. **Differential execution**: a query returns the same multiset of
-   rows on the row engine (the oracle) and the batch engine, for every
-   vendor profile.
+   rows on the engine, for every vendor profile, as on sqlite
+   (:mod:`repro.fuzz.reference`, a DBMS that shares none of the
+   engine's code); under ORDER BY the sort-key column comes back in
+   the same order, and under a LIMIT only the rows the limit does not
+   leave to the implementation are compared.
 3. **Pushdown parity**: a query over a foreign table on a two-engine
    deployment returns the same rows as running it directly on the
    remote engine, whatever the wrapper's pushdown capabilities.
@@ -48,6 +51,7 @@ Eight invariants, each cheap to state and brutal to uphold:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import replace
 from typing import Dict, List
 
@@ -58,6 +62,7 @@ from repro.errors import ReproError, SQLError
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
 from repro.fuzz.generators import query_statement, spec_to_statement
+from repro.fuzz.reference import Reference, same_rows
 from repro.relational.builder import build_plan
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
@@ -147,29 +152,27 @@ def check_roundtrip(stmt: ast.Statement) -> List[str]:
 # -- differential query execution ------------------------------------------
 
 
-def _fuzz_database(name: str, profile: str, mode: str) -> Database:
-    db = Database(name, profile=profile, execution_mode=mode)
+def _fuzz_tables():
+    """``(name, schema, rows)`` of the fuzz schema."""
     t1 = [
         (i % 70, _B_VALUES[i % len(_B_VALUES)], (i * 7 % 100) / 2.0)
         for i in range(60)
     ]
     t2 = [(i * 3 % 70, f"d{i}") for i in range(20)]
-    db.create_table(
-        "t1",
-        Schema(
-            [
-                Field("a", INTEGER),
-                Field("b", varchar(25)),
-                Field("c", DOUBLE),
-            ]
+    return [
+        (
+            "t1",
+            Schema([Field("a", INTEGER), Field("b", varchar(25)), Field("c", DOUBLE)]),
+            t1,
         ),
-        t1,
-    )
-    db.create_table(
-        "t2",
-        Schema([Field("a", INTEGER), Field("d", varchar(8))]),
-        t2,
-    )
+        ("t2", Schema([Field("a", INTEGER), Field("d", varchar(8))]), t2),
+    ]
+
+
+def _fuzz_database(name: str, profile: str) -> Database:
+    db = Database(name, profile=profile)
+    for table, schema, rows in _fuzz_tables():
+        db.create_table(table, schema, rows)
     return db
 
 
@@ -178,49 +181,35 @@ def _canonical(rows) -> List[str]:
 
 
 def check_query_differential(spec: Dict[str, object]) -> List[str]:
-    """Row engine (oracle) vs batch engine, across all vendor profiles."""
+    """The engine vs sqlite, across all vendor profiles."""
     select = query_statement(spec)
     failures: List[str] = []
-    # LIMIT without ORDER BY legitimately leaves *which* rows
-    # implementation-defined; compare cardinalities only.
-    compare_rows = not (spec.get("limit") is not None and not spec.get("order"))
-    reference = None
-    for profile in PROFILES:
-        sql = dialect_for(profile).render(select)
-        results = {}
-        for mode in ("row", "batch"):
-            db = _fuzz_database(f"fz_{profile}_{mode}", profile, mode)
+    # Which rows a LIMIT keeps is implementation-defined unless ORDER BY
+    # decides it — and even then not among ties on the sort key, so an
+    # ordered query compares its sort-key column (the first) in order.
+    limited = spec.get("limit") is not None
+    ordered = bool(spec.get("order"))
+    with closing(Reference(_fuzz_tables())) as reference:
+        for profile in PROFILES:
+            sql = dialect_for(profile).render(select)
             try:
-                results[mode] = db.execute(sql).rows
+                result = _fuzz_database(f"fz_{profile}", profile).execute(sql)
+                want = reference.rows(select, result.schema)
             except Exception as exc:
+                failures.append(f"{profile}: execution failed: {exc!r} for {sql!r}")
+                continue
+            got = result.rows
+            if len(got) != len(want):
                 failures.append(
-                    f"{profile}/{mode}: execution failed: {exc!r} "
-                    f"for {sql!r}"
+                    f"{profile}: engine vs sqlite cardinality mismatch "
+                    f"({len(got)} vs {len(want)}) for {sql!r}"
                 )
-        if len(results) < 2:
-            continue
-        row_c, batch_c = (
-            _canonical(results["row"]),
-            _canonical(results["batch"]),
-        )
-        if compare_rows and row_c != batch_c:
-            failures.append(
-                f"{profile}: row vs batch mismatch "
-                f"({len(row_c)} vs {len(batch_c)} rows) for {sql!r}"
-            )
-        if len(row_c) != len(batch_c):
-            failures.append(
-                f"{profile}: row vs batch cardinality mismatch "
-                f"({len(row_c)} vs {len(batch_c)}) for {sql!r}"
-            )
-        if compare_rows:
-            if reference is None:
-                reference = (profile, row_c)
-            elif reference[1] != row_c:
-                failures.append(
-                    f"{profile}: differs from {reference[0]} on the "
-                    f"same data for {sql!r}"
-                )
+            elif not limited and not same_rows(got, want):
+                failures.append(f"{profile}: engine vs sqlite row mismatch for {sql!r}")
+            elif ordered and not same_rows(
+                [row[:1] for row in got], [row[:1] for row in want], ordered=True
+            ):
+                failures.append(f"{profile}: engine vs sqlite order mismatch for {sql!r}")
     return failures
 
 
@@ -369,29 +358,8 @@ def _parity_deployment(
         {f"p{i}": "postgres" for i in range(1, 5)},
         parallel_workers=2 if partitioned else 1,
     )
-    t1 = [
-        (i % 70, _B_VALUES[i % len(_B_VALUES)], (i * 7 % 100) / 2.0)
-        for i in range(60)
-    ]
-    t2 = [(i * 3 % 70, f"d{i}") for i in range(20)]
-    deployment.load_table(
-        "p1",
-        "t1",
-        Schema(
-            [
-                Field("a", INTEGER),
-                Field("b", varchar(25)),
-                Field("c", DOUBLE),
-            ]
-        ),
-        t1,
-    )
-    deployment.load_table(
-        "p2",
-        "t2",
-        Schema([Field("a", INTEGER), Field("d", varchar(8))]),
-        t2,
-    )
+    for db, (table, schema, rows) in zip(("p1", "p2"), _fuzz_tables()):
+        deployment.load_table(db, table, schema, rows)
     if partitioned:
         count = int(spec["partitions"])
         by_db = [f"p{index % 4 + 1}" for index in range(count)]

@@ -75,6 +75,16 @@ def sql_not(value: Optional[bool]) -> Optional[bool]:
     return None if value is None else not value
 
 
+def sql_mod(left, right):
+    """SQL ``%`` on non-NULL operands: the remainder has the sign of the
+    dividend, as in PostgreSQL, MariaDB, Hive and sqlite (Python's ``%``
+    takes the divisor's); a zero divisor raises like ``/``."""
+    if right == 0:
+        raise ExecutionError("division by zero")
+    remainder = abs(left) % abs(right)
+    return -remainder if left < 0 else remainder
+
+
 _COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
@@ -89,7 +99,7 @@ _ARITHMETIC: Dict[str, Callable[[object, object], object]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
+    "%": sql_mod,
 }
 
 

@@ -1,76 +1,71 @@
-"""Differential testing: batch (vectorized) executor vs. row executor.
+"""Differential testing: the engine against sqlite.
 
-The batch engine must be observationally identical to the reference
-row-at-a-time interpreter: same rows (up to order outside ORDER BY),
-same errors, and — because the schedule simulator consumes them — the
-same per-operator ``rows_out`` counts.  This module drives both modes
-over the TPC-H suite, the randomized query generator, and directed
-edge cases (NULL join keys, LEFT joins, DISTINCT aggregates, empty
-inputs).
+The executor must answer what a real DBMS answers: the stdlib's
+sqlite3 (:mod:`repro.fuzz.reference`) runs every query on copies of the
+same tables, and the rows must agree — in order where the query has
+ORDER BY.  The schedule simulator consumes every operator's
+``rows_out``, so those are pinned to ``tests/golden/operator_counts.json``.
+This module drives the TPC-H suite, the randomized query generator, and
+directed edge cases (NULL join keys, LEFT joins, DISTINCT aggregates,
+empty inputs).  The ``row_vs_batch`` test names are historical: the
+reference used to be the engine's own row-at-a-time mode.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.engine.database import Database
 from repro.errors import ExecutionError
+from repro.fuzz.reference import Reference, same_rows
 from repro.relational.builder import build_plan
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_statement
 from repro.sql.types import DOUBLE, INTEGER, varchar
 from repro.workloads.tpch import EXTENDED_QUERIES, QUERIES, generate
 
-from conftest import assert_same_rows
 from test_random_queries import build_worlds, random_query
+
+#: ``[label, rows_out]`` of every operator, pre-order, per query: what
+#: the executor counted before its row-at-a-time half was deleted.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "operator_counts.json").read_text()
+)
 
 
 def _twin_databases(tables):
-    """Two identical databases, one per execution mode.
+    """The engine and the sqlite reference, holding the same tables.
 
     ``tables`` is an iterable of ``(name, schema, rows)``.
     """
-    row_db = Database("ROW", execution_mode="row")
-    batch_db = Database("BATCH", execution_mode="batch")
+    tables = list(tables)
+    database = Database("ENGINE")
     for name, schema, rows in tables:
-        row_db.create_table(name, schema, rows)
-        batch_db.create_table(name, schema, rows)
-    return row_db, batch_db
+        database.create_table(name, schema, rows)
+    return database, Reference(tables)
 
 
-def _assert_modes_agree(row_db, batch_db, sql, ordered=False):
-    row_result = row_db.execute(sql)
-    batch_result = batch_db.execute(sql)
-    if ordered:
-        assert row_result.rows == batch_result.rows
-    else:
-        assert_same_rows(row_result.rows, batch_result.rows)
-    return row_result, batch_result
+def _assert_agrees(database, reference, sql, ordered=False):
+    result = database.execute(sql)
+    want = reference.rows(parse_statement(sql), result.schema)
+    assert same_rows(result.rows, want, ordered), (result.rows, want)
+    return result
 
 
 def _operator_counts(database, sql):
-    """Execute ``sql`` and return ``[(label, rows_out), ...]`` in
+    """Execute ``sql`` and return ``[[label, rows_out], ...]`` in
     pre-order over the physical operator tree."""
     select = parse_statement(sql)
     plan = build_plan(select, database.catalog)
     plan = database.planner.optimize(plan)
     physical = database.planner.to_physical(plan)
-    if database.execution_mode == "batch":
-        for _ in physical.batches():
-            pass
-    else:
-        for _ in physical.rows():
-            pass
-    counts = []
-
-    def walk(node):
-        counts.append((node.label(), node.rows_out))
-        for child in node.children():
-            walk(child)
-
-    walk(physical)
-    return counts
+    for _ in physical.batches():
+        pass
+    return [[node.label(), node.rows_out] for node in physical.walk()]
 
 
 # -- TPC-H ----------------------------------------------------------------------
@@ -88,26 +83,26 @@ def tpch_twins():
 
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_tpch_row_vs_batch(tpch_twins, key):
-    row_db, batch_db = tpch_twins
-    _assert_modes_agree(row_db, batch_db, QUERIES[key], ordered=True)
+    database, reference = tpch_twins
+    result = _assert_agrees(database, reference, QUERIES[key], ordered=True)
+    assert result.rows, "the query under test must return rows"
 
 
 @pytest.mark.parametrize("key", sorted(EXTENDED_QUERIES))
 def test_tpch_extended_row_vs_batch(tpch_twins, key):
-    row_db, batch_db = tpch_twins
-    _assert_modes_agree(row_db, batch_db, EXTENDED_QUERIES[key])
+    database, reference = tpch_twins
+    sql = EXTENDED_QUERIES[key]
+    _assert_agrees(database, reference, sql, ordered="ORDER BY" in sql)
 
 
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_tpch_operator_counts_match(tpch_twins, key):
     """Per-operator cardinalities are what the schedule simulator sees;
-    they must be identical across modes on every TPC-H plan (the LIMIT
-    batch-granularity caveat does not bite: the drivers' LIMITs sit
-    over Sort, which consumes its child fully in both modes)."""
-    row_db, batch_db = tpch_twins
-    row_counts = _operator_counts(row_db, QUERIES[key])
-    batch_counts = _operator_counts(batch_db, QUERIES[key])
-    assert row_counts == batch_counts
+    every TPC-H plan must count what the golden recorded (the LIMIT
+    over-pull does not bite: the drivers' LIMITs sit over Sort, which
+    consumes its child fully)."""
+    database, _ = tpch_twins
+    assert _operator_counts(database, QUERIES[key]) == GOLDEN["tpch"][key]
 
 
 # -- randomized ------------------------------------------------------------------
@@ -122,7 +117,7 @@ def _random_twins():
     return _twin_databases(tables)
 
 
-_ROW_DB, _BATCH_DB = _random_twins()
+_DATABASE, _REFERENCE = _random_twins()
 
 
 @given(sql=random_query())
@@ -132,7 +127,7 @@ _ROW_DB, _BATCH_DB = _random_twins()
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_random_queries_row_vs_batch(sql):
-    _assert_modes_agree(_ROW_DB, _BATCH_DB, sql)
+    _assert_agrees(_DATABASE, _REFERENCE, sql)
 
 
 # -- directed edge cases ---------------------------------------------------------
@@ -184,6 +179,11 @@ EDGE_QUERIES = [
     "SELECT s, COUNT(*) AS n FROM empty_t GROUP BY s",
     "SELECT empty_t.k FROM empty_t, u WHERE empty_t.k = u.k",
     "SELECT empty_t.k, u.w FROM empty_t LEFT JOIN u ON empty_t.k = u.k",
+    # Nested-loop joins: a non-equi LEFT ON, a non-equi inner ON (a
+    # filter over the cross product), and a cross product.
+    "SELECT t.k, u.w FROM t LEFT JOIN u ON t.k > u.k",
+    "SELECT t.k, u.w FROM t JOIN u ON t.k > u.k",
+    "SELECT t.s, u.w FROM t CROSS JOIN u",
     # Expression kernels: three-valued logic, LIKE, IN, BETWEEN, CASE.
     "SELECT k FROM t WHERE v > 2 OR s LIKE 'a%'",
     "SELECT k FROM t WHERE k IN (1, 3) AND v BETWEEN 0 AND 10",
@@ -199,18 +199,17 @@ EDGE_QUERIES = [
 
 @pytest.mark.parametrize("sql", EDGE_QUERIES)
 def test_edge_cases_row_vs_batch(edge_twins, sql):
-    row_db, batch_db = edge_twins
-    ordered = "ORDER BY" in sql
-    _assert_modes_agree(row_db, batch_db, sql, ordered=ordered)
+    database, reference = edge_twins
+    _assert_agrees(database, reference, sql, ordered="ORDER BY" in sql)
 
 
 def test_division_by_zero_raises_in_both_modes(edge_twins):
-    row_db, batch_db = edge_twins
+    """The engine raises where sqlite answers NULL (pinned in
+    ``test_sqlite_reference``)."""
+    database, _ = edge_twins
     sql = "SELECT v / (k - k) AS boom FROM t WHERE k IS NOT NULL"
-    with pytest.raises(ExecutionError):
-        row_db.execute(sql)
-    with pytest.raises(ExecutionError):
-        batch_db.execute(sql)
+    with pytest.raises(ExecutionError, match="division by zero"):
+        database.execute(sql)
 
 
 def _outcome(database, sql):
@@ -223,8 +222,8 @@ def _outcome(database, sql):
 @pytest.mark.parametrize(
     "sql, raises",
     [
-        # NULL on the left, a division by zero on the right: the row
-        # closures stop at the NULL and never evaluate the right side.
+        # NULL on the left, a division by zero on the right: evaluation
+        # stops at the NULL and never reaches the right side.
         ("SELECT v + 1 / (k - k) FROM nulls", False),
         ("SELECT k FROM nulls WHERE v > 1 / (k - k)", False),
         # IN evaluates its items past a NULL one.
@@ -233,24 +232,18 @@ def _outcome(database, sql):
 )
 def test_operand_evaluation_order_matches_row_mode(sql, raises):
     schema = Schema([Field("k", INTEGER), Field("v", DOUBLE)])
-    row_db, batch_db = _twin_databases(
-        [("nulls", schema, [(1, None), (2, None)])]
-    )
-    want = _outcome(row_db, sql)
+    database, _ = _twin_databases([("nulls", schema, [(1, None), (2, None)])])
+    want = {
+        "SELECT v + 1 / (k - k) FROM nulls": [(None,), (None,)],
+        "SELECT k FROM nulls WHERE v > 1 / (k - k)": [],
+    }.get(sql, "division by zero")
     assert isinstance(want, str) == raises
-    assert _outcome(batch_db, sql) == want
+    assert _outcome(database, sql) == want
 
 
 def test_edge_operator_counts_match(edge_twins):
-    row_db, batch_db = edge_twins
+    database, _ = edge_twins
     for sql in EDGE_QUERIES:
         if "LIMIT" in sql:
-            continue  # LIMIT children may legitimately differ by one batch
-        assert _operator_counts(row_db, sql) == _operator_counts(
-            batch_db, sql
-        ), sql
-
-
-def test_unknown_execution_mode_rejected():
-    with pytest.raises(ExecutionError):
-        Database("X", execution_mode="columnar")
+            continue  # a LIMIT's input may be pulled one chunk further
+        assert _operator_counts(database, sql) == GOLDEN["edge"][sql], sql

@@ -34,7 +34,7 @@ from repro.engine.parallel import (
     check_cancelled,
     current_cancel_token,
 )
-from repro.engine.physical import ParallelUnionAllOp, PhysicalPlan
+from repro.engine.physical import ParallelUnionAllOp, PhysicalPlan, chunked
 from repro.errors import ReproError
 from repro.faults import EngineOutage, FaultInjector, FaultPolicy
 from repro.federation.deployment import Deployment
@@ -432,13 +432,13 @@ class _SlowOnceScan(PhysicalPlan):
         self._rows = rows
         self._delays = delays  # shared across clones on purpose
 
-    def _produce(self):
+    def _produce_batches(self, hint):
         delay = self._delays.pop(0) if self._delays else 0.0
         deadline = time.monotonic() + delay
         while time.monotonic() < deadline:
             check_cancelled()
             time.sleep(0.002)
-        return iter(self._rows)
+        return chunked(self._rows, hint)
 
 
 def _fast_scan(schema, rows):
@@ -485,7 +485,7 @@ def test_parallel_union_respects_gate_denial():
     ctx.hedge_multiplier = 2.0
     ctx.hedging_allowed = False  # the workload gate saw saturation
     with ctx:
-        assert op._hedge_policy(ctx, lambda branch: None) is None
+        assert op._hedge_policy(ctx) is None
         assert list(op.rows()) == [(1,), (2,)]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import vector
 from repro.errors import BindError, ExecutionError, TypeCheckError
 from repro.relational.expressions import (
     add_months,
@@ -65,6 +66,32 @@ def test_division_is_float_and_zero_raises():
     assert evaluate("a / 2") == 3.5
     with pytest.raises(ExecutionError):
         evaluate("a / 0")
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-a % 4", -3),  # Python's % would say 1
+        ("a % -4", 3),
+        ("-7.5 % 2", -1.5),  # Python's % would say 0.5
+        ("-b % 2", -0.5),
+    ],
+)
+def test_modulo_takes_the_sign_of_the_dividend(text, want):
+    """As in PostgreSQL, MariaDB, Hive and sqlite — in the closures and
+    in the kernels alike."""
+    expr = parse_expression(text)
+    assert compile_expression(expr, SCHEMA)(ROW) == want
+    assert vector.column_kernel(expr, SCHEMA)([ROW]) == [want]
+
+
+@pytest.mark.parametrize("text", ["a % 0", "b % (a - a)", "a % 0.0"])
+def test_modulo_by_zero_raises_like_division(text):
+    expr = parse_expression(text)
+    with pytest.raises(ExecutionError, match="division by zero"):
+        compile_expression(expr, SCHEMA)(ROW)
+    with pytest.raises(ExecutionError, match="division by zero"):
+        vector.column_kernel(expr, SCHEMA)([ROW])
 
 
 def test_comparisons():

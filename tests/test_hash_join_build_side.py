@@ -3,10 +3,11 @@
 ``CostModel.node_self_cost`` prices a conditioned join as if the hash
 table went on the smaller input; the planner now makes the executor do
 that.  The operator must return the same bag whichever side it builds
-on, in both execution modes; the planner must pick the smaller side
-from the estimates of the plan's own build, keep LEFT joins and ties on
-the right, and re-decide when an INSERT moves the sizes — the choice
-lives in the memoized plan, so it is as fresh as the memo's stamp.
+on, pulled row by row or chunk by chunk; the planner must pick the
+smaller side from the estimates of the plan's own build, keep LEFT
+joins and ties on the right, and re-decide when an INSERT moves the
+sizes — the choice lives in the memoized plan, so it is as fresh as the
+memo's stamp.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.engine import physical, vector
 from repro.engine.database import Database
 from repro.errors import ExecutionError
 from repro.federation.deployment import Deployment
+from repro.fuzz.reference import Reference, same_rows
 from repro.relational.builder import build_plan
 from repro.relational.optimizer import push_filters
 from repro.relational.schema import Field, Schema
@@ -64,6 +66,8 @@ def make_join(
 
 
 def run(op: physical.PhysicalPlan, mode: str, hint: Optional[int] = None):
+    """Pull ``op`` to the end: through ``rows()`` (``mode="row"``) or
+    through ``batches(hint)``."""
     if mode == "row":
         return list(op.rows())
     return [row for batch in op.batches(hint) for row in batch]
@@ -85,7 +89,7 @@ def counts(op: physical.PhysicalPlan) -> List[Tuple[str, int]]:
     return [(node.label(), node.rows_out) for node in op.walk()]
 
 
-# -- (i) the operator: same bag from either side, in both modes ------------
+# -- (i) the operator: same bag from either side, however it is pulled -----
 
 CASES = {
     "pk-fk": (
@@ -175,26 +179,33 @@ def test_build_side_never_changes_the_bag(left_rows, right_rows, key_count):
             assert Counter(run(op, mode)) == want
 
 
-# -- (ii) + (iii) the planner's choice, and row ≡ batch on what it chose ---
+# -- (ii) + (iii) the planner's choice, and sqlite's answer to it ---------
 
 
-def make_database(mode: str = "batch", small: int = 10, big: int = 200) -> Database:
-    database = Database("D", execution_mode=mode)
-    database.create_table(
-        "small",
-        Schema([Field("k", INTEGER), Field("s", varchar(8))]),
-        [(i, f"s{i}") for i in range(small)],
-    )
-    database.create_table(
-        "big",
-        Schema([Field("k", INTEGER), Field("v", DOUBLE)]),
-        [(i % 25, float(i)) for i in range(big)],
-    )
-    database.create_table(
-        "big2",
-        Schema([Field("k", INTEGER), Field("w", INTEGER)]),
-        [(i % 25, i) for i in range(big)],
-    )
+def tables(small: int = 10, big: int = 200):
+    return [
+        (
+            "small",
+            Schema([Field("k", INTEGER), Field("s", varchar(8))]),
+            [(i, f"s{i}") for i in range(small)],
+        ),
+        (
+            "big",
+            Schema([Field("k", INTEGER), Field("v", DOUBLE)]),
+            [(i % 25, float(i)) for i in range(big)],
+        ),
+        (
+            "big2",
+            Schema([Field("k", INTEGER), Field("w", INTEGER)]),
+            [(i % 25, i) for i in range(big)],
+        ),
+    ]
+
+
+def make_database(small: int = 10, big: int = 200) -> Database:
+    database = Database("D")
+    for name, schema, rows in tables(small, big):
+        database.create_table(name, schema, rows)
     return database
 
 
@@ -248,16 +259,20 @@ THREE_WAY = (
 
 
 def test_row_and_batch_agree_on_a_build_left_plan():
-    """Rows, their order and every operator's ``rows_out`` — the parity
-    contract of DESIGN.md §7 — across joins that build on the left."""
+    """Across joins that build on the left: sqlite's rows, and the same
+    rows, order and every operator's ``rows_out`` whether the plan is
+    pulled through ``rows()`` or ``batches()``."""
     outputs = {}
     for mode in ("row", "batch"):
-        op = lower(make_database(mode), THREE_WAY)
+        op = lower(make_database(), THREE_WAY)
         assert any(join.build_left for join in hash_joins(op))
         outputs[mode] = (run(op, mode), counts(op))
-    assert outputs["row"][0] == outputs["batch"][0]
-    assert outputs["row"][1] == outputs["batch"][1]
-    assert outputs["row"][0], "the plan under test must return rows"
+    assert outputs["row"] == outputs["batch"]
+    rows = outputs["batch"][0]
+    assert rows, "the plan under test must return rows"
+    schema = make_database().execute(THREE_WAY).schema
+    want = Reference(tables()).rows(parse_statement(THREE_WAY), schema)
+    assert same_rows(rows, want)
 
 
 # -- (iv) the choice is as fresh as the memo entry -------------------------

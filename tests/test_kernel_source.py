@@ -177,9 +177,14 @@ ORDER_SENSITIVE = [
 ]
 
 
+#: SQL ``%`` keeps the dividend's sign, unlike Python's.
+NEGATIVE_DIVIDEND = [ast.BinaryOp("%", _I, _J), ast.BinaryOp("%", _X, _J)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(exprs=st.lists(EXPRESSIONS, min_size=1, max_size=3), rows=ROWS)
 @example(exprs=ORDER_SENSITIVE, rows=_NULL_X)
+@example(exprs=NEGATIVE_DIVIDEND, rows=[(-3, 2, -1.5, "a", None), (3, -2, 2.0, "a", None)])
 def test_every_kernel_returns_what_the_closures_return(exprs, rows):
     fns = [compile_expression(expr, SCHEMA).fn for expr in exprs]
     for expr, fn in zip(exprs, fns):
@@ -277,7 +282,7 @@ def test_no_statement_text_reaches_compile(monkeypatch):
     for number, text in [(5, HOSTILE[0]), (977, HOSTILE[3])]:
         sql = template.format(number=number, text=text.replace("'", "''"))
         sources, rows = _sources_of(database, sql, monkeypatch)
-        assert sources, "batch mode compiled no kernel"
+        assert sources, "the statement compiled no kernel"
         for source in sources:
             for fragment in (text, str(number), "secret", "scaled", "tail"):
                 assert fragment not in source, source
