@@ -88,15 +88,19 @@ def run_grid():
                         )
                     )
                 ).install(deployment)
-            answered = identical = repaired = 0
+            answered = identical = repaired = fastfails = 0
             repair_seconds = []
             try:
                 for name in names:
                     try:
                         report = xdb.submit(query(name))
-                    except ReproError:
+                    except ReproError as exc:
+                        # a failed submission's context rides on the error
+                        if exc.context is not None:
+                            fastfails += exc.context.resilience_summary().fastfails
                         continue
                     answered += 1
+                    fastfails += report.resilience.fastfails
                     if report.result.sorted_rows() == truth[name]:
                         identical += 1
                     recovery = report.recovery
@@ -122,10 +126,7 @@ def run_grid():
                         if repair_seconds
                         else 0.0
                     ),
-                    "fastfails": sum(
-                        c.breaker_fastfails
-                        for c in deployment.connectors.values()
-                    ),
+                    "fastfails": fastfails,
                 }
             )
     return rows, len(names)

@@ -19,7 +19,7 @@ from repro.baselines.presto import PrestoSystem
 from repro.baselines.sclera import ScleraSystem
 from repro.bench.reporting import format_table, print_banner
 from repro.core.client import XDB
-from repro.obs.context import QueryContext, validate_chrome_trace
+from repro.obs.context import validate_chrome_trace
 from repro.workloads.pandemic import CHO_QUERY, build_pandemic_deployment
 
 
@@ -81,10 +81,14 @@ def main(argv=None) -> int:
         PrestoSystem(deployment, workers=4),
         ScleraSystem(deployment),
     ):
-        with QueryContext(label=type(system).__name__) as ctx:
-            baseline = system.run(CHO_QUERY)
-        moved = sum(r.payload_bytes for r in ctx.transfers) / 1e6
-        rows.append([baseline.system, baseline.total_seconds, moved])
+        baseline = system.run(CHO_QUERY)
+        rows.append(
+            [
+                baseline.system,
+                baseline.total_seconds,
+                baseline.transfers.total_megabytes,
+            ]
+        )
     print(format_table(["system", "total_s", "moved_MB"], rows))
     print(
         "\n(see examples/ for more, and `pytest benchmarks/ "

@@ -17,7 +17,7 @@ operations (optionally spread over W workers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.connect.connector import DBMSConnector
 from repro.core.annotate import Annotation
@@ -31,7 +31,8 @@ from repro.engine.fdw import PROTOCOL_FACTORS
 from repro.engine.result import Result
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
-from repro.net.metrics import TransferSummary, summarize
+from repro.net.metrics import TransferSummary
+from repro.obs.context import QueryContext
 from repro.relational import algebra
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
@@ -52,13 +53,19 @@ class BaselineReport:
     processing_seconds: float
     #: time attributable to moving data to/from the mediator (shaded bar)
     transfer_seconds: float
-    transfers: Optional[TransferSummary] = None
+    #: the observation context the run opened: span tree, metrics and
+    #: the transfers attributed to this run
+    context: QueryContext
     subquery_count: int = 0
     details: Dict[str, float] = field(default_factory=dict)
 
     @property
     def execution_seconds(self) -> float:
         return self.total_seconds
+
+    @property
+    def transfers(self) -> TransferSummary:
+        return self.context.transfer_summary()
 
 
 class MediatorSystem:
@@ -136,141 +143,144 @@ class MediatorSystem:
     # -- run --------------------------------------------------------------------
 
     def run(self, query: str) -> BaselineReport:
-        """Execute ``query`` through the mediator and report metrics."""
+        """Execute ``query`` through the mediator and report metrics.
+
+        The run opens its own :class:`QueryContext`, as ``XDB.submit``
+        does: the report carries it, and its transfer summary is a view
+        over it.
+        """
         network = self.deployment.network
-        ledger = network.log
-        mark = len(ledger)
+        with QueryContext(label=self.name) as ctx:
+            select = parse_statement(query)
+            if not isinstance(select, ast.QUERY_STATEMENTS):
+                raise OptimizerError("baselines accept SELECT queries only")
+            plan = self.optimizer.optimize(select)
+            annotation = self._annotate(plan)
+            dplan = self.finalizer.finalize(plan, annotation)
 
-        select = parse_statement(query)
-        if not isinstance(select, ast.QUERY_STATEMENTS):
-            raise OptimizerError("baselines accept SELECT queries only")
-        plan = self.optimizer.optimize(select)
-        annotation = self._annotate(plan)
-        dplan = self.finalizer.finalize(plan, annotation)
-
-        # 1. Push every non-mediator task down and fetch its result.
-        fetch_times: List[float] = []
-        fetch_bytes_total = 0
-        fetch_rows_total = 0
-        source_processing: List[float] = []
-        temp_names: Dict[int, str] = {}
-        subqueries = 0
-        for task in dplan.topological():
-            if task.annotation == MEDIATOR:
-                continue
-            if any(
-                dplan.tasks[e.producer_id].annotation == MEDIATOR
-                for e in dplan.in_edges(task)
-            ):
-                raise OptimizerError(
-                    "MW decomposition produced a source task depending on "
-                    "the mediator"
-                )
-            subqueries += 1
-            connector = self.connectors[task.annotation]
-            subquery = plan_to_select(task.expr)
-            result = connector.fetch(
-                subquery, tag=f"mediator-fetch:{task.task_id}"
-            )
-            temp_name = self._materialize(task, result)
-            temp_names[task.task_id] = temp_name
-
-            proc = task_seconds(task, connector.database)
-            payload = int(
-                result.byte_size() * PROTOCOL_FACTORS[self.protocol]
-            )
-            fetch_bytes_total += payload
-            fetch_rows_total += len(result)
-            latency = network.link_for(
-                connector.node, self.mediator.node
-            ).latency
-            fetch_times.append(proc + latency)
-            source_processing.append(proc)
-
-        # 2. Execute the mediator task(s) over the temp tables.
-        mediator_tasks = [
-            task
-            for task in dplan.topological()
-            if task.annotation == MEDIATOR
-        ]
-        result = None
-        mediator_units = 0.0
-        for task in mediator_tasks:
-            for edge in dplan.in_edges(task):
-                child = dplan.tasks[edge.producer_id]
-                if child.annotation == MEDIATOR:
+            # 1. Push every non-mediator task down and fetch its result.
+            fetch_times: List[float] = []
+            fetch_bytes_total = 0
+            fetch_rows_total = 0
+            source_processing: List[float] = []
+            temp_names: Dict[int, str] = {}
+            subqueries = 0
+            for task in dplan.topological():
+                if task.annotation == MEDIATOR:
+                    continue
+                if any(
+                    dplan.tasks[e.producer_id].annotation == MEDIATOR
+                    for e in dplan.in_edges(task)
+                ):
                     raise OptimizerError(
-                        "nested mediator tasks should have been fused"
+                        "MW decomposition produced a source task depending on "
+                        "the mediator"
                     )
-                self._resolve_placeholder(task, edge.placeholder,
-                                          temp_names[child.task_id])
-            mediator_units += self.mediator.cost_model.plan_cost(
-                task.expr, _estimator(self.mediator)
+                subqueries += 1
+                connector = self.connectors[task.annotation]
+                subquery = plan_to_select(task.expr)
+                result = connector.fetch(
+                    subquery, tag=f"mediator-fetch:{task.task_id}"
+                )
+                temp_name = self._materialize(task, result)
+                temp_names[task.task_id] = temp_name
+
+                proc = task_seconds(task, connector.database)
+                payload = int(
+                    result.byte_size() * PROTOCOL_FACTORS[self.protocol]
+                )
+                fetch_bytes_total += payload
+                fetch_rows_total += len(result)
+                latency = network.link_for(
+                    connector.node, self.mediator.node
+                ).latency
+                fetch_times.append(proc + latency)
+                source_processing.append(proc)
+
+            # 2. Execute the mediator task(s) over the temp tables.
+            mediator_tasks = [
+                task
+                for task in dplan.topological()
+                if task.annotation == MEDIATOR
+            ]
+            result = None
+            mediator_units = 0.0
+            for task in mediator_tasks:
+                for edge in dplan.in_edges(task):
+                    child = dplan.tasks[edge.producer_id]
+                    if child.annotation == MEDIATOR:
+                        raise OptimizerError(
+                            "nested mediator tasks should have been fused"
+                        )
+                    self._resolve_placeholder(task, edge.placeholder,
+                                              temp_names[child.task_id])
+                mediator_units += self.mediator.cost_model.plan_cost(
+                    task.expr, _estimator(self.mediator)
+                )
+                result = self.mediator.execute_select(plan_to_select(task.expr))
+
+            if result is None:
+                # Fully pushable query (single source): fetch is the result.
+                root_temp = temp_names[dplan.root.task_id]
+                result = self.mediator.execute(
+                    f"SELECT * FROM {root_temp}"
+                )
+
+            # 3. Result to the client.
+            result_bytes = result.byte_size()
+            network.record_transfer(
+                src=self.mediator.node,
+                dst=self.deployment.client_node,
+                payload_bytes=result_bytes,
+                rows=len(result),
+                tag="result",
+                protocol=self.protocol,
             )
-            result = self.mediator.execute_select(plan_to_select(task.expr))
 
-        if result is None:
-            # Fully pushable query (single source): fetch is the result.
-            root_temp = temp_names[dplan.root.task_id]
-            result = self.mediator.execute(
-                f"SELECT * FROM {root_temp}"
+            self._cleanup(list(temp_names.values()))
+
+            # --- timeline ------------------------------------------------------
+            # Data movement to the mediator has two components: the wire time
+            # on its ingress link, and — dominantly — the per-row
+            # (de)serialization the mediator pays for every fetched tuple
+            # (the cost the paper isolates by preloading local tables).
+            wire_seconds = network.transfer_time(
+                self._slowest_source_node(dplan),
+                self.mediator.node,
+                fetch_bytes_total,
             )
+            # Not parallelized: the connectors deliver row streams through
+            # the coordinator.
+            ingest_seconds = self.mediator.cost_model.protocol_decode_seconds(
+                fetch_rows_total, self.protocol, fetch_charged=False
+            )
+            fetch_phase = max(fetch_times, default=0.0)
+            mediator_seconds = self.mediator.cost_model.statement_seconds(
+                mediator_units, self.workers
+            )
+            result_transfer = network.transfer_time(
+                self.mediator.node, self.deployment.client_node, result_bytes
+            )
+            transfer_seconds = wire_seconds + ingest_seconds + result_transfer
+            processing_seconds = fetch_phase + mediator_seconds
+            total = processing_seconds + transfer_seconds
 
-        # 3. Result to the client.
-        result_bytes = result.byte_size()
-        network.record_transfer(
-            src=self.mediator.node,
-            dst=self.deployment.client_node,
-            payload_bytes=result_bytes,
-            rows=len(result),
-            tag="result",
-            protocol=self.protocol,
-        )
-
-        self._cleanup(list(temp_names.values()))
-
-        # --- timeline ------------------------------------------------------
-        # Data movement to the mediator has two components: the wire time
-        # on its ingress link, and — dominantly — the per-row
-        # (de)serialization the mediator pays for every fetched tuple
-        # (the cost the paper isolates by preloading local tables).
-        wire_seconds = network.transfer_time(
-            self._slowest_source_node(dplan),
-            self.mediator.node,
-            fetch_bytes_total,
-        )
-        # Not parallelized: the connectors deliver row streams through
-        # the coordinator.
-        ingest_seconds = self.mediator.cost_model.protocol_decode_seconds(
-            fetch_rows_total, self.protocol, fetch_charged=False
-        )
-        fetch_phase = max(fetch_times, default=0.0)
-        mediator_seconds = self.mediator.cost_model.statement_seconds(
-            mediator_units, self.workers
-        )
-        result_transfer = network.transfer_time(
-            self.mediator.node, self.deployment.client_node, result_bytes
-        )
-        transfer_seconds = wire_seconds + ingest_seconds + result_transfer
-        processing_seconds = fetch_phase + mediator_seconds
-        total = processing_seconds + transfer_seconds
-
-        return BaselineReport(
-            system=self.name,
-            result=result,
-            total_seconds=total,
-            processing_seconds=processing_seconds,
-            transfer_seconds=transfer_seconds,
-            transfers=summarize(ledger[mark:]),
-            subquery_count=subqueries,
-            details={
-                "fetch_phase": fetch_phase,
-                "wire": wire_seconds,
-                "ingest": ingest_seconds,
-                "mediator_processing": mediator_seconds,
-                "result_transfer": result_transfer,
-            },
-        )
+            return BaselineReport(
+                system=self.name,
+                result=result,
+                total_seconds=total,
+                processing_seconds=processing_seconds,
+                transfer_seconds=transfer_seconds,
+                context=ctx,
+                subquery_count=subqueries,
+                details={
+                    "fetch_phase": fetch_phase,
+                    "wire": wire_seconds,
+                    "ingest": ingest_seconds,
+                    "mediator_processing": mediator_seconds,
+                    "result_transfer": result_transfer,
+                },
+            )
 
     # -- helpers ---------------------------------------------------------------
 

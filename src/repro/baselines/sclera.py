@@ -23,7 +23,7 @@ from repro.engine.cost import CostModel
 from repro.engine.profiles import profile_for
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
-from repro.net.metrics import summarize
+from repro.obs.context import QueryContext
 from repro.relational import algebra
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
@@ -87,87 +87,87 @@ class ScleraSystem:
     # -- execution -----------------------------------------------------------
 
     def run(self, query: str) -> BaselineReport:
+        """Execute ``query`` in-situ and report metrics; like the
+        mediators, the run opens its own :class:`QueryContext`."""
         network = self.deployment.network
-        ledger = network.log
-        mark = len(ledger)
+        with QueryContext(label=self.name) as ctx:
+            select = parse_statement(query)
+            if not isinstance(select, ast.QUERY_STATEMENTS):
+                raise OptimizerError("Sclera accepts SELECT queries only")
+            plan = self.optimizer.optimize(select)
+            annotation = self._annotate(plan)
+            dplan = self.finalizer.finalize(plan, annotation)
 
-        select = parse_statement(query)
-        if not isinstance(select, ast.QUERY_STATEMENTS):
-            raise OptimizerError("Sclera accepts SELECT queries only")
-        plan = self.optimizer.optimize(select)
-        annotation = self._annotate(plan)
-        dplan = self.finalizer.finalize(plan, annotation)
+            # Fully serialized chain: compute each task, relay its result
+            # through the mediator to the consumer, materialize, continue.
+            total_seconds = 0.0
+            processing_seconds = 0.0
+            transfer_seconds = 0.0
+            created: List[tuple] = []
+            results: Dict[int, object] = {}
 
-        # Fully serialized chain: compute each task, relay its result
-        # through the mediator to the consumer, materialize, continue.
-        total_seconds = 0.0
-        processing_seconds = 0.0
-        transfer_seconds = 0.0
-        created: List[tuple] = []
-        results: Dict[int, object] = {}
+            for task in dplan.topological():
+                connector = self.connectors[task.annotation]
+                for edge in dplan.in_edges(task):
+                    child = dplan.tasks[edge.producer_id]
+                    child_result = results[edge.producer_id]
+                    self._temp_counter += 1
+                    temp_name = f"sclera_tmp_{self._temp_counter}"
+                    # Relay through the mediator: child db -> mediator node
+                    # happened at fetch time; mediator -> consumer now.
+                    connector.push_rows(
+                        temp_name,
+                        child_result.schema,
+                        child_result.rows,
+                        tag=f"sclera-ship:{edge.producer_id}",
+                    )
+                    created.append((task.annotation, temp_name))
+                    self._resolve_placeholder(task, edge.placeholder, temp_name)
+                    child_connector = self.connectors[child.annotation]
+                    leg_in = network.transfer_time(
+                        child_connector.node,
+                        self.deployment.middleware_node,
+                        child_result.byte_size(),
+                    )
+                    leg_out = network.transfer_time(
+                        self.deployment.middleware_node,
+                        connector.node,
+                        child_result.byte_size(),
+                    )
+                    transfer_seconds += leg_in + leg_out
+                    transfer_seconds += self._relay_seconds(
+                        len(child_result), connector
+                    )
 
-        for task in dplan.topological():
-            connector = self.connectors[task.annotation]
-            for edge in dplan.in_edges(task):
-                child = dplan.tasks[edge.producer_id]
-                child_result = results[edge.producer_id]
-                self._temp_counter += 1
-                temp_name = f"sclera_tmp_{self._temp_counter}"
-                # Relay through the mediator: child db -> mediator node
-                # happened at fetch time; mediator -> consumer now.
-                connector.push_rows(
-                    temp_name,
-                    child_result.schema,
-                    child_result.rows,
-                    tag=f"sclera-ship:{edge.producer_id}",
-                )
-                created.append((task.annotation, temp_name))
-                self._resolve_placeholder(task, edge.placeholder, temp_name)
-                child_connector = self.connectors[child.annotation]
-                leg_in = network.transfer_time(
-                    child_connector.node,
-                    self.deployment.middleware_node,
-                    child_result.byte_size(),
-                )
-                leg_out = network.transfer_time(
-                    self.deployment.middleware_node,
-                    connector.node,
-                    child_result.byte_size(),
-                )
-                transfer_seconds += leg_in + leg_out
-                transfer_seconds += self._relay_seconds(
-                    len(child_result), connector
+                subquery = plan_to_select(task.expr)
+                if dplan.root_id == task.task_id:
+                    result = connector.run_query(
+                        subquery, self.deployment.client_node
+                    )
+                else:
+                    result = connector.fetch(
+                        subquery, tag=f"sclera-fetch:{task.task_id}"
+                    )
+                results[task.task_id] = result
+                processing_seconds += task_seconds(task, connector.database)
+
+            total_seconds = processing_seconds + transfer_seconds
+            root_result = results[dplan.root_id]
+
+            for db, temp_name in created:
+                self.connectors[db].database.execute(
+                    f"DROP TABLE IF EXISTS {temp_name}"
                 )
 
-            subquery = plan_to_select(task.expr)
-            if dplan.root_id == task.task_id:
-                result = connector.run_query(
-                    subquery, self.deployment.client_node
-                )
-            else:
-                result = connector.fetch(
-                    subquery, tag=f"sclera-fetch:{task.task_id}"
-                )
-            results[task.task_id] = result
-            processing_seconds += task_seconds(task, connector.database)
-
-        total_seconds = processing_seconds + transfer_seconds
-        root_result = results[dplan.root_id]
-
-        for db, temp_name in created:
-            self.connectors[db].database.execute(
-                f"DROP TABLE IF EXISTS {temp_name}"
+            return BaselineReport(
+                system=self.name,
+                result=root_result,
+                total_seconds=total_seconds,
+                processing_seconds=processing_seconds,
+                transfer_seconds=transfer_seconds,
+                context=ctx,
+                subquery_count=dplan.task_count(),
             )
-
-        return BaselineReport(
-            system=self.name,
-            result=root_result,
-            total_seconds=total_seconds,
-            processing_seconds=processing_seconds,
-            transfer_seconds=transfer_seconds,
-            transfers=summarize(ledger[mark:]),
-            subquery_count=dplan.task_count(),
-        )
 
     # -- helpers ------------------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Runners: execute one query on one system and normalize the metrics.
 
-Every run executes under a :class:`~repro.obs.context.QueryContext`
-(XDB creates its own; baselines are wrapped here), so each
+Every run executes under its own :class:`~repro.obs.context.QueryContext`
+(XDB and the baselines each open one), so each
 :class:`RunRecord` isolates exactly one query execution — runtime,
 data-transfer decomposition (intra-federation vs. to-the-cloud), and
 plan statistics where applicable — from the transfers *attributed to
-that context*, never from ledger index marks.
+that context*, the only place they are kept.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.engine.result import Result
 from repro.errors import ReproError
 from repro.federation.deployment import Deployment
 from repro.net.metrics import site_breakdown
-from repro.obs.context import QueryContext
 
 #: default calibrated engine-profile overlay, emitted by
 #: ``python -m repro.calibrate`` (repo-relative)
@@ -152,10 +151,8 @@ def _run_baseline(
     query_name: str,
     keep_result: bool,
 ) -> RunRecord:
-    # Baselines have no context of their own: wrap the run so their
-    # transfers are attributed to (and sliced from) a fresh one.
-    with QueryContext(label=f"{query_name}:{type(system).__name__}") as ctx:
-        report = system.run(query)
+    report = system.run(query)
+    ctx = report.context
     total, to_cloud, cross_site = site_breakdown(
         ctx.transfers, deployment.network
     )
@@ -170,9 +167,7 @@ def _run_baseline(
         bytes_cross_site=cross_site,
         rows_returned=len(report.result),
         result=report.result if keep_result else None,
-        extra=dict(report.details)
-        if hasattr(report, "details")
-        else {},
+        extra=dict(report.details),
         trace_summary=ctx.trace_summary(),
     )
 
@@ -280,7 +275,6 @@ def build_systems(
     garlic.catalog.refresh()
     presto.catalog.refresh()
     sclera.catalog.refresh()
-    deployment.reset_metrics()
     return SystemSet(deployment, xdb, garlic, presto, sclera)
 
 

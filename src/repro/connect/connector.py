@@ -56,12 +56,13 @@ class RetryPolicy:
 
     Backoff is exponential — ``base_backoff_seconds * multiplier**k``,
     capped at ``max_backoff_seconds``, then jittered ±``jitter_ratio``
-    from the connector's seeded RNG so concurrent callers hitting the
-    same degraded link do not back off in lockstep (no thundering herd
-    on retry) — and accrues in *simulated* seconds (the connector's
-    ``backoff_seconds`` counter), so phase breakdowns price retries
-    without real sleeps.  The jitter RNG is seeded per connector name,
-    so two identically-seeded runs accrue identical backoff.
+    from a seeded RNG so concurrent callers hitting the same degraded
+    link do not back off in lockstep (no thundering herd on retry) —
+    and accrues in *simulated* seconds (the query context's
+    ``connector.backoff_seconds`` metric), so phase breakdowns price
+    retries without real sleeps.  The jitter RNG is seeded per
+    connector name (per query label inside a context), so two
+    identically-seeded runs accrue identical backoff.
     ``call_timeout_seconds`` is the per-call budget: a control round
     trip whose simulated time would exceed it raises
     :class:`ConnectorTimeoutError` (retryable — the link may recover).
@@ -127,21 +128,8 @@ class DBMSConnector:
         #: ``None`` disables breaker gating entirely
         self.health: Optional[HealthRegistry] = None
         #: per-connector seeded RNG for deterministic backoff jitter
+        #: outside any query context
         self._backoff_rng = random.Random(f"backoff:{database.name}")
-        #: EXPLAIN consulting round-trips (paper's ann-phase metric)
-        self.consultations = 0
-        #: delegation / metadata control messages
-        self.control_messages = 0
-        #: retried attempts (after a retryable failure)
-        self.retries = 0
-        #: retryable failures observed (injected or environmental)
-        self.failures = 0
-        #: calls abandoned after exhausting ``retry_policy.max_attempts``
-        self.giveups = 0
-        #: calls rejected instantly by an open circuit breaker
-        self.breaker_fastfails = 0
-        #: simulated seconds spent backing off between attempts
-        self.backoff_seconds = 0.0
 
     @property
     def name(self) -> str:
@@ -155,22 +143,12 @@ class DBMSConnector:
     def profile(self):
         return self.database.profile
 
-    def reset_counters(self) -> None:
-        self.consultations = 0
-        self.control_messages = 0
-        self.retries = 0
-        self.failures = 0
-        self.giveups = 0
-        self.breaker_fastfails = 0
-        self.backoff_seconds = 0.0
-
-    def _bump(self, counter: str, value: float = 1.0) -> None:
-        """Increment a lifetime instance counter and mirror it into the
-        active query's context-scoped metrics (if one is active)."""
-        setattr(self, counter, getattr(self, counter) + value)
+    def _bump(self, counter: str) -> None:
+        """Count one ``connector.<counter>{db=…}`` in the active query's
+        metrics; outside a query context nothing is kept."""
         ctx = current_context()
         if ctx is not None:
-            ctx.metrics.inc(f"connector.{counter}", value, db=self.name)
+            ctx.metrics.inc(f"connector.{counter}", db=self.name)
 
     # -- resilience -------------------------------------------------------------
 
@@ -207,8 +185,8 @@ class DBMSConnector:
         injector sees it — the federation already knows the engine is
         down.  Otherwise the loop retries :data:`RETRYABLE_ERRORS` up
         to ``retry_policy.max_attempts`` total attempts, accruing
-        jittered exponential backoff into ``backoff_seconds``
-        (simulated time — no real sleeping).  Non-retryable errors,
+        jittered exponential backoff into the context's simulated
+        clock (no real sleeping).  Non-retryable errors,
         e.g. an engine outage, propagate immediately so callers can
         re-plan; every call outcome is reported to the health registry
         so breakers trip on failure streaks and close on recovery.
@@ -271,7 +249,6 @@ class DBMSConnector:
                         else self._backoff_rng
                     )
                     backoff = policy.backoff_for(attempt, rng=rng)
-                    self.backoff_seconds += backoff
                     if ctx is not None:
                         ctx.add_backoff(self.name, backoff)
                         ctx.tracer.add_event(
@@ -572,7 +549,7 @@ class DBMSConnector:
         Failure accounting: the transfer is recorded only after the
         remote execution succeeds (same ordering as :meth:`fetch` and
         :meth:`push_rows`) — a failed call must not inflate the
-        ledger with bytes that never moved.
+        query's transfers with bytes that never moved.
         """
 
         def call() -> Result:

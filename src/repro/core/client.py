@@ -21,9 +21,10 @@ QueryContext`: the phase breakdown, transfer summary, resilience
 counters, and recovery report are all *views* over its span tree and
 context-scoped metrics — phase times combine real middleware CPU
 (span wall time) with the simulated network and retry-backoff seconds
-attributed to the phase's subtree (span sim time).  Nothing is read
-from global counters or ledger index marks, so concurrent or repeated
-submissions cannot leak observations into each other.
+attributed to the phase's subtree (span sim time).  There is no
+global counter or transfer log to read from, so concurrent or repeated
+submissions cannot leak observations into each other; a submission
+that fails hands its context out on the error (``exc.context``).
 """
 
 from __future__ import annotations

@@ -82,7 +82,6 @@ class LogicalOptimizer:
         final_estimator = CardinalityEstimator(
             self._catalog.scan_stats, feedback=self.feedback
         )
-        final_estimator.estimate_rows(plan)
         _annotate_all(plan, final_estimator)
         return plan
 

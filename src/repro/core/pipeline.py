@@ -37,7 +37,7 @@ from repro.core.annotate import Annotation, PlanAnnotator
 from repro.core.catalog import GlobalCatalog
 from repro.core.delegate import DelegationEngine, DeployedQuery
 from repro.core.finalize import PlanFinalizer
-from repro.core.logical import LogicalOptimizer
+from repro.core.logical import LogicalOptimizer, _annotate_all
 from repro.core.partition import (
     is_partition_table,
     partition_completeness,
@@ -1427,14 +1427,6 @@ def _pinnable(src: Optional[algebra.LogicalPlan]) -> bool:
         return False
     names = [f.name.lower() for f in src.schema]
     return len(set(names)) == len(names)
-
-
-def _annotate_all(
-    plan: algebra.LogicalPlan, estimator: CardinalityEstimator
-) -> None:
-    estimator.estimate_rows(plan)
-    for child in plan.children():
-        _annotate_all(child, estimator)
 
 
 def _replace_subtree(

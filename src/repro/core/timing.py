@@ -56,15 +56,15 @@ class ScheduleResult:
 
 
 def attribute_edge_stats(
-    deployed: DeployedQuery, ledger: Iterable[TransferRecord]
+    deployed: DeployedQuery, records: Iterable[TransferRecord]
 ) -> None:
-    """Fill each edge's moved rows/bytes from the transfer ledger.
+    """Fill each edge's moved rows/bytes from the query's transfers.
 
     Fetches through a foreign table are tagged ``fdw:<remote object>``;
     each delegation edge is backed by exactly one producing view.
     """
     by_view: Dict[str, Tuple[int, int]] = {}
-    for record in ledger:
+    for record in records:
         if record.tag.startswith("fdw:"):
             view = record.tag[len("fdw:") :]
             rows, payload = by_view.get(view, (0, 0))

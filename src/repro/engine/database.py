@@ -10,9 +10,7 @@ reads results or EXPLAIN estimates back.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.engine.catalog import (
     BaseTable,
@@ -36,30 +34,6 @@ from repro.sql import ast
 from repro.sql.dialects import dialect_for
 from repro.sql.parser import parse_statement
 from repro.sql.render import Renderer
-
-
-#: statement texts :class:`ExecutionTrace` keeps (the most recent ones)
-STATEMENT_LOG_LENGTH = 64
-
-
-@dataclass
-class ExecutionTrace:
-    """Bookkeeping for the most recent statements (tests & simulator)."""
-
-    statements: int = 0
-    rows_processed: int = 0
-    rows_returned: int = 0
-    last_plan_text: str = ""
-    statement_log: Deque[str] = field(
-        default_factory=lambda: deque(maxlen=STATEMENT_LOG_LENGTH)
-    )
-
-    def reset(self) -> None:
-        self.statements = 0
-        self.rows_processed = 0
-        self.rows_returned = 0
-        self.last_plan_text = ""
-        self.statement_log.clear()
 
 
 class _Planned(NamedTuple):
@@ -98,7 +72,6 @@ class Database:
         self.dialect: Renderer = dialect_for(self.profile.dialect)
         self.planner = LocalPlanner(self)
         self.cost_model = CostModel(self.profile)
-        self.trace = ExecutionTrace()
         #: when True, physical plans are wrapped with per-operator
         #: timers (see :mod:`repro.engine.instrument`) and the operator
         #: spans mirrored into the observability context carry measured
@@ -151,8 +124,6 @@ class Database:
 
     def execute(self, sql: str) -> Result:
         """Parse and execute one SQL statement (query or DDL)."""
-        self.trace.statements += 1
-        self.trace.statement_log.append(sql)
         ctx = current_context()
         if ctx is not None:
             ctx.tracer.add_event("sql", db=self.name, sql=sql)
@@ -249,9 +220,6 @@ class Database:
         rows: List[tuple] = []
         for batch in physical_plan.batches():
             rows.extend(batch)
-        self.trace.rows_processed += physical_plan.total_rows_processed()
-        self.trace.rows_returned += len(rows)
-        self.trace.last_plan_text = physical_plan.pretty()
         ctx = current_context()
         if ctx is not None:
             ctx.record_operator_tree(physical_plan, db=self.name)

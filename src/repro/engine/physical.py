@@ -99,12 +99,6 @@ class PhysicalPlan:
             lines.append(child.pretty(indent + 1))
         return "\n".join(lines)
 
-    def total_rows_processed(self) -> int:
-        """Rows produced by this whole subtree (a simple work measure)."""
-        return self.rows_out + sum(
-            child.total_rows_processed() for child in self.children()
-        )
-
     def walk(self) -> Iterator["PhysicalPlan"]:
         """This operator and every descendant, pre-order."""
         yield self

@@ -12,6 +12,11 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
+    #: the innermost :class:`~repro.obs.context.QueryContext` the error
+    #: left, set as it leaves — a failed submission's retries, give-ups
+    #: and breaker fast-fails are read off it (None outside any context)
+    context = None
+
 
 class SQLError(ReproError):
     """Base class for errors in the SQL front end."""

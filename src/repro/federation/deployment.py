@@ -326,16 +326,3 @@ class Deployment:
             self.database(holder).catalog.drop(table)
         self.partition_specs[spec.table] = spec
         return spec
-
-    # -- metrics ------------------------------------------------------------------------
-
-    def reset_metrics(self) -> None:
-        """Clear the network ledger, traces, and connector counters."""
-        self.network.reset_log()
-        for database in self.databases.values():
-            database.trace.reset()
-        for connector in self.connectors.values():
-            connector.reset_counters()
-
-    def transfer_log(self):
-        return list(self.network.log)

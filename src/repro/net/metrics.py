@@ -1,17 +1,18 @@
-"""Aggregations over the network transfer ledger and the connectors'
-resilience counters (retries, failures, give-ups, backoff)."""
+"""Aggregations over a query's attributed transfers and its connectors'
+resilience counters (retries, failures, give-ups, backoff) — both read
+off a :class:`~repro.obs.context.QueryContext`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.net.network import Network, TransferRecord
 
 
 @dataclass
 class TransferSummary:
-    """Aggregate view over a slice of the transfer log."""
+    """Aggregate view over a set of transfer records."""
 
     total_bytes: int = 0
     total_rows: int = 0
@@ -70,7 +71,7 @@ def site_breakdown(
     (mediator/middleware ingress); ``cross_site`` counts all bytes on
     links crossing site boundaries (WAN traffic).  The records are the
     query's *attributed* transfers (a :class:`~repro.obs.context.
-    QueryContext` stream), not a ledger index slice.
+    QueryContext` stream).
     """
     total = 0
     to_cloud = 0
@@ -91,7 +92,7 @@ def site_breakdown(
 
 @dataclass(frozen=True)
 class ConnectorResilience:
-    """One connector's retry/failure counters (a snapshot or a delta)."""
+    """One connector's retry/failure counters within one query."""
 
     retries: int = 0
     failures: int = 0
@@ -99,15 +100,6 @@ class ConnectorResilience:
     backoff_seconds: float = 0.0
     #: calls rejected up-front by an open circuit breaker
     fastfails: int = 0
-
-    def __sub__(self, other: "ConnectorResilience") -> "ConnectorResilience":
-        return ConnectorResilience(
-            retries=self.retries - other.retries,
-            failures=self.failures - other.failures,
-            giveups=self.giveups - other.giveups,
-            backoff_seconds=self.backoff_seconds - other.backoff_seconds,
-            fastfails=self.fastfails - other.fastfails,
-        )
 
 
 @dataclass
@@ -167,38 +159,6 @@ class ResilienceSummary:
             )
             parts.append(f"({per})")
         return " ".join(parts)
-
-
-def snapshot_resilience(
-    connectors: Mapping[str, "object"],
-) -> Dict[str, ConnectorResilience]:
-    """Capture every connector's current counters (for later deltas)."""
-    return {
-        name: ConnectorResilience(
-            retries=connector.retries,
-            failures=connector.failures,
-            giveups=connector.giveups,
-            backoff_seconds=connector.backoff_seconds,
-            fastfails=getattr(connector, "breaker_fastfails", 0),
-        )
-        for name, connector in connectors.items()
-    }
-
-
-def summarize_resilience(
-    connectors: Mapping[str, "object"],
-    baseline: Optional[Dict[str, ConnectorResilience]] = None,
-) -> ResilienceSummary:
-    """Aggregate counters, optionally as a delta against ``baseline``."""
-    current = snapshot_resilience(connectors)
-    if baseline:
-        current = {
-            name: counters - baseline[name]
-            if name in baseline
-            else counters
-            for name, counters in current.items()
-        }
-    return ResilienceSummary(by_connector=current)
 
 
 def edge_rows(records: Iterable[TransferRecord]) -> Dict[Tuple[str, str], int]:

@@ -14,7 +14,7 @@ the paper's environments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import NetworkError, NetworkPartitionedError
 from repro.obs.runtime import current_context
@@ -71,7 +71,12 @@ class _Node:
 
 
 class Network:
-    """Topology plus the transfer ledger."""
+    """Topology, link state, and transfer pricing.
+
+    A transfer is priced and returned to its caller; it is kept only by
+    the query context active when it happens
+    (:meth:`repro.obs.context.QueryContext.record_transfer`).
+    """
 
     def __init__(self, name: str = "net"):
         self.name = name
@@ -85,10 +90,9 @@ class Network:
         #: (src, dst) -> (latency multiplier, bandwidth multiplier)
         self._degraded: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._default_link = LAN
-        self.log: List[TransferRecord] = []
         #: control messages repeat (same link, tag and size) for as long
-        #: as the federation lives; the log holds one shared instance
-        #: per distinct record instead of one object per message
+        #: as the federation lives; every context is handed one shared
+        #: instance per distinct record instead of one object per message
         self._control_records: Dict[TransferRecord, TransferRecord] = {}
 
     # -- topology ------------------------------------------------------------
@@ -233,7 +237,7 @@ class Network:
         tag: str = "data",
         protocol: str = "binary",
     ) -> TransferRecord:
-        return self._log(
+        return self._attribute(
             self._new_record(src, dst, payload_bytes, rows, tag, protocol)
         )
 
@@ -244,7 +248,9 @@ class Network:
         record = self._new_record(
             src, dst, CONTROL_MESSAGE_BYTES, 0, tag, "binary"
         )
-        return self._log(self._control_records.setdefault(record, record))
+        return self._attribute(
+            self._control_records.setdefault(record, record)
+        )
 
     def _new_record(
         self,
@@ -277,10 +283,10 @@ class Network:
             seconds=self.link_for(src, dst).transfer_time(payload_bytes),
         )
 
-    def _log(self, record: TransferRecord) -> TransferRecord:
-        self.log.append(record)
-        # Attribute the transfer to the active query's observation
-        # context (span + simulated clock + metrics), if any.
+    @staticmethod
+    def _attribute(record: TransferRecord) -> TransferRecord:
+        # The active query's observation context (span + simulated
+        # clock + metrics) is the only place a transfer is kept.
         ctx = current_context()
         if ctx is not None:
             ctx.record_transfer(record)
@@ -288,41 +294,6 @@ class Network:
 
     def transfer_time(self, src: str, dst: str, payload_bytes: int) -> float:
         return self.link_for(src, dst).transfer_time(payload_bytes)
-
-    def reset_log(self) -> None:
-        self.log.clear()
-
-    # -- aggregate views -----------------------------------------------------------
-
-    def total_bytes(self, tag_prefix: Optional[str] = None) -> int:
-        return sum(
-            record.payload_bytes
-            for record in self.log
-            if tag_prefix is None or record.tag.startswith(tag_prefix)
-        )
-
-    def bytes_into(self, node: str) -> int:
-        """Total bytes received by ``node`` (cloud-ingress accounting)."""
-        return sum(
-            record.payload_bytes for record in self.log if record.dst == node
-        )
-
-    def bytes_into_site(self, site: str) -> int:
-        """Bytes entering ``site`` from other sites."""
-        return sum(
-            record.payload_bytes
-            for record in self.log
-            if self.node_site(record.dst) == site
-            and self.node_site(record.src) != site
-        )
-
-    def cross_site_bytes(self) -> int:
-        """Bytes on links that cross site boundaries (WAN traffic)."""
-        return sum(
-            record.payload_bytes
-            for record in self.log
-            if self.is_cross_site(record.src, record.dst)
-        )
 
     # -- factory topologies ----------------------------------------------------------
 

@@ -14,10 +14,12 @@ connector retry/backoff counters, and circuit-breaker transitions.
 
 The client activates the context for the duration of one submission
 (``with ctx:``); layers reached indirectly find it through
-:func:`repro.obs.runtime.current_context`.  Every number the
-:class:`~repro.core.client.XDBReport` used to assemble from counter
-snapshots and ledger index marks is re-derived as a *view* over this
-context — same values, one source of truth.
+:func:`repro.obs.runtime.current_context`.  It is the only place an
+observation is kept: a call made outside any context is priced,
+guarded and retried, but nothing records it.  Every number the
+:class:`~repro.core.client.XDBReport` (or a baseline's report) shows is
+a *view* over its context, and a :class:`~repro.errors.ReproError`
+that leaves a context carries it as ``exc.context``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.net.metrics import (
     ConnectorResilience,
     ResilienceSummary,
@@ -59,7 +62,7 @@ class QueryContext:
             root_name=self.query_id, query_id=self.query_id, label=label
         )
         self.metrics = MetricsRegistry()
-        #: every transfer attributed to this context, in ledger order
+        #: every transfer attributed to this context, in order
         self.transfers: List[TransferRecord] = []
         #: circuit-breaker transitions observed while active
         self.breaker_events: List[object] = []
@@ -97,6 +100,8 @@ class QueryContext:
     def __exit__(self, exc_type, exc, tb) -> None:
         pop_context(self)
         self.tracer.finish()
+        if isinstance(exc, ReproError) and exc.context is None:
+            exc.context = self
 
     @property
     def root(self) -> Span:
@@ -160,10 +165,6 @@ class QueryContext:
             self.metrics.inc("qos.admission_wait_seconds", waited)
         if penalty:
             self.tracer.advance(penalty)
-            if self.deadline is not None:
-                # The penalty advanced the armed clock; nothing extra
-                # to consume — the draw-down is automatic.
-                pass
         self.tracer.add_event(
             "admitted",
             engines=",".join(getattr(lease, "engines", [])),
@@ -302,9 +303,8 @@ class QueryContext:
         """Context-scoped retry/failure counters, per connector.
 
         ``connector_names`` seeds the per-connector map (so quiet
-        connectors appear with zero counters, as the snapshot-delta
-        view always did); any connector that recorded activity is
-        included regardless.
+        connectors appear with zero counters); any connector that
+        recorded activity is included regardless.
         """
         names = list(connector_names)
         seen = set(names)

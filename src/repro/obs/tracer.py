@@ -120,10 +120,16 @@ class Span:
     # -- tree traversal ------------------------------------------------
 
     def iter_spans(self) -> Iterator["Span"]:
-        """This span and every descendant, pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.iter_spans()
+        """This span and every descendant, pre-order.
+
+        An explicit stack, not one generator per level: report views
+        walk every span tree several times per query.
+        """
+        stack = [self]
+        while stack:
+            span = stack.pop()
+            yield span
+            stack.extend(reversed(span.children))
 
     def find(self, name: str) -> Optional["Span"]:
         for span in self.iter_spans():

@@ -44,18 +44,12 @@ def test_presto_pushes_per_table_only(systems):
 
 
 def test_presto_transfers_more_bytes_than_garlic(tpch_tiny, systems):
-    deployment, _ = tpch_tiny
-    mark = len(deployment.network.log)
-    systems["garlic"].run(query("Q3"))
-    garlic_bytes = sum(
-        r.payload_bytes for r in deployment.network.log[mark:]
-    )
-    mark = len(deployment.network.log)
-    systems["presto"].run(query("Q3"))
-    presto_bytes = sum(
-        r.payload_bytes for r in deployment.network.log[mark:]
-    )
+    garlic = systems["garlic"].run(query("Q3"))
+    garlic_bytes = sum(r.payload_bytes for r in garlic.context.transfers)
+    presto = systems["presto"].run(query("Q3"))
+    presto_bytes = sum(r.payload_bytes for r in presto.context.transfers)
     assert presto_bytes > garlic_bytes
+    assert presto.transfers.total_bytes == presto_bytes
 
 
 def test_mediator_transfer_dominates_processing(systems):
@@ -84,9 +78,7 @@ def test_presto_scaling_workers_shrinks_processing_not_transfers(tpch_tiny):
 def test_sclera_relays_through_mediator(tpch_tiny):
     deployment, _ = tpch_tiny
     system = ScleraSystem(deployment)
-    mark = len(deployment.network.log)
-    system.run(query("Q3"))
-    window = deployment.network.log[mark:]
+    window = system.run(query("Q3")).context.transfers
     shipped = [r for r in window if r.tag.startswith("sclera-ship")]
     fetched = [r for r in window if r.tag.startswith("sclera-fetch")]
     assert shipped and fetched
@@ -137,9 +129,7 @@ def test_baselines_clean_up_temp_state(tpch_tiny, systems):
 def test_mediator_keeps_intermediates_off_members(tpch_tiny, systems):
     """MW systems centralize: member DBMSes never exchange data."""
     deployment, _ = tpch_tiny
-    mark = len(deployment.network.log)
-    systems["presto"].run(query("Q5"))
-    window = deployment.network.log[mark:]
+    window = systems["presto"].run(query("Q5")).context.transfers
     members = set(deployment.database_names())
     for record in window:
         if record.tag.startswith("mediator-fetch"):

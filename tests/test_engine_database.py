@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.errors import CatalogError, ExecutionError
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DATE, INTEGER, varchar
 
@@ -99,9 +100,11 @@ def test_explain_returns_plan_text_and_info(db):
 
 
 def test_explain_does_not_execute(db):
-    before = db.trace.rows_processed
-    db.execute("EXPLAIN SELECT * FROM people")
-    assert db.trace.rows_processed == before
+    with QueryContext() as ctx:
+        db.execute("EXPLAIN SELECT * FROM people")
+    assert ctx.metrics.value("engine.statements", db="D") == 1
+    assert ctx.metrics.value("engine.queries", db="D") == 0
+    assert ctx.root.find_all(kind="operator") == []
 
 
 def test_unknown_table_error_names_database(db):
@@ -114,28 +117,6 @@ def test_server_registry(db):
         db.server("nowhere")
     db.register_server("r1", object())
     assert db.server_names() == ["r1"]
-
-
-def test_trace_accumulates(db):
-    db.trace.reset()
-    db.execute("SELECT id FROM people")
-    db.execute("SELECT id FROM people")
-    assert db.trace.statements == 2
-    assert db.trace.rows_returned == 20
-    assert len(db.trace.statement_log) == 2
-
-
-def test_statement_log_keeps_only_the_latest(db):
-    from repro.engine.database import STATEMENT_LOG_LENGTH
-
-    db.trace.reset()
-    for i in range(STATEMENT_LOG_LENGTH + 10):
-        db.execute(f"SELECT id FROM people WHERE id = {i}")
-    assert db.trace.statements == STATEMENT_LOG_LENGTH + 10
-    assert len(db.trace.statement_log) == STATEMENT_LOG_LENGTH
-    assert db.trace.statement_log[-1].endswith(
-        f"= {STATEMENT_LOG_LENGTH + 9}"
-    )
 
 
 def test_table_stats_for_views_is_none(db):

@@ -5,7 +5,6 @@ import pytest
 from repro.engine import physical
 from repro.engine.database import Database
 from repro.relational.schema import Field, Schema
-from repro.sql import ast
 from repro.sql.types import DOUBLE, INTEGER, varchar
 
 from conftest import assert_same_rows
@@ -174,17 +173,6 @@ def test_rows_out_counting():
     assert len(rows) == 2
     assert limit.rows_out == 2
     assert scan.rows_out == 2  # limit stops pulling early
-
-
-def test_total_rows_processed():
-    scan = physical.ValuesScan(
-        Schema([Field("x", INTEGER)]), [(1,), (2,), (3,)]
-    )
-    filt = physical.FilterOp(
-        scan, ast.BinaryOp(">", ast.ColumnRef("x"), ast.Literal(1))
-    )
-    list(filt.rows())
-    assert filt.total_rows_processed() == 3 + 2
 
 
 def test_pretty_renders_tree():

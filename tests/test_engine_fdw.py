@@ -6,6 +6,7 @@ from repro.engine.database import Database
 from repro.engine.fdw import PROTOCOL_FACTORS, RemoteServer
 from repro.errors import ConnectorError
 from repro.net.network import Network
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import INTEGER, varchar
 
@@ -43,6 +44,13 @@ def make_pair(local_profile="postgres", protocol="binary"):
     return local, remote, network
 
 
+def transfers_of(database, sql):
+    """Run ``sql`` under a fresh query context; the transfers it made."""
+    with QueryContext() as ctx:
+        database.execute(sql)
+    return ctx.transfers
+
+
 def test_foreign_scan_returns_remote_rows():
     local, remote, _ = make_pair()
     result = local.execute("SELECT COUNT(*) AS n FROM f")
@@ -57,9 +65,12 @@ def test_foreign_scan_matches_remote_query():
 
 
 def test_transfers_are_recorded_with_rows_and_bytes():
-    local, _, network = make_pair()
-    local.execute("SELECT id FROM f")
-    records = [r for r in network.log if r.tag.startswith("fdw")]
+    local, _, _ = make_pair()
+    records = [
+        r
+        for r in transfers_of(local, "SELECT id FROM f")
+        if r.tag.startswith("fdw")
+    ]
     assert len(records) == 1
     assert records[0].src == "R" and records[0].dst == "L"
     assert records[0].rows == 40
@@ -67,12 +78,12 @@ def test_transfers_are_recorded_with_rows_and_bytes():
 
 
 def test_jdbc_protocol_inflates_bytes():
-    local_b, _, net_b = make_pair(protocol="binary")
-    local_b.execute("SELECT id FROM f")
-    local_j, _, net_j = make_pair(protocol="jdbc")
-    local_j.execute("SELECT id FROM f")
-    bytes_b = sum(r.payload_bytes for r in net_b.log)
-    bytes_j = sum(r.payload_bytes for r in net_j.log)
+    local_b, _, _ = make_pair(protocol="binary")
+    moved_b = transfers_of(local_b, "SELECT id FROM f")
+    local_j, _, _ = make_pair(protocol="jdbc")
+    moved_j = transfers_of(local_j, "SELECT id FROM f")
+    bytes_b = sum(r.payload_bytes for r in moved_b)
+    bytes_j = sum(r.payload_bytes for r in moved_j)
     assert bytes_j == pytest.approx(
         bytes_b * PROTOCOL_FACTORS["jdbc"], rel=0.01
     )
@@ -80,27 +91,26 @@ def test_jdbc_protocol_inflates_bytes():
 
 def test_filter_pushdown_for_capable_wrapper():
     # PostgreSQL wrappers push filters: only matching rows travel.
-    local, _, network = make_pair(local_profile="postgres")
-    local.execute("SELECT id FROM f WHERE grp = 'x'")
-    fdw = [r for r in network.log if r.tag.startswith("fdw")][0]
+    local, _, _ = make_pair(local_profile="postgres")
+    moved = transfers_of(local, "SELECT id FROM f WHERE grp = 'x'")
+    fdw = [r for r in moved if r.tag.startswith("fdw")][0]
     assert fdw.rows == 20
 
 
 def test_no_filter_pushdown_for_limited_wrapper():
     # MariaDB's FEDERATED wrapper does not push filters: all rows travel.
-    local, _, network = make_pair(local_profile="mariadb")
-    result = local.execute("SELECT id FROM f WHERE grp = 'x'")
+    local, _, _ = make_pair(local_profile="mariadb")
+    with QueryContext() as ctx:
+        result = local.execute("SELECT id FROM f WHERE grp = 'x'")
     assert len(result) == 20  # semantics unchanged
-    fdw = [r for r in network.log if r.tag.startswith("fdw")][0]
+    fdw = [r for r in ctx.transfers if r.tag.startswith("fdw")][0]
     assert fdw.rows == 40  # but the whole table moved
 
 
 def test_projection_pushdown_narrows_transfer():
-    local, _, network = make_pair()
-    local.execute("SELECT id FROM f")
-    narrow = [r for r in network.log if r.tag.startswith("fdw")][0]
-    local.execute("SELECT id, grp, val FROM f")
-    wide = [r for r in network.log if r.tag.startswith("fdw")][1]
+    local, _, _ = make_pair()
+    (narrow,) = transfers_of(local, "SELECT id FROM f")
+    (wide,) = transfers_of(local, "SELECT id, grp, val FROM f")
     assert narrow.payload_bytes < wide.payload_bytes
 
 
@@ -152,8 +162,9 @@ def test_recursive_foreign_chains():
         "CREATE FOREIGN TABLE bf (x INTEGER) SERVER B "
         "OPTIONS (table_name 'bv')"
     )
-    result = a.execute("SELECT COUNT(*) AS n FROM bf")
+    with QueryContext() as ctx:
+        result = a.execute("SELECT COUNT(*) AS n FROM bf")
     assert result.rows == [(5,)]
-    # Both hops appear on the ledger.
-    assert any(r.src == "C" and r.dst == "B" for r in network.log)
-    assert any(r.src == "B" and r.dst == "A" for r in network.log)
+    # Both hops are attributed to the query.
+    assert any(r.src == "C" and r.dst == "B" for r in ctx.transfers)
+    assert any(r.src == "B" and r.dst == "A" for r in ctx.transfers)

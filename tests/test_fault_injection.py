@@ -23,6 +23,7 @@ from repro.faults import (
     ScriptedFault,
 )
 from repro.federation.deployment import Deployment
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import INTEGER, varchar
 
@@ -158,18 +159,35 @@ def test_fault_schedule_is_deterministic(two_db_deployment):
     assert counts[0] == counts[1] > 0
 
 
-def test_retry_counters_reset_with_connector_counters(two_db_deployment):
+def test_failed_submission_error_carries_its_context(two_db_deployment):
     deployment = two_db_deployment
-    connector = deployment.connector("A")
-    connector.retries = 3
-    connector.failures = 4
-    connector.giveups = 1
-    connector.backoff_seconds = 0.5
-    deployment.reset_metrics()
-    assert connector.retries == 0
-    assert connector.failures == 0
-    assert connector.giveups == 0
-    assert connector.backoff_seconds == 0.0
+    xdb = XDB(deployment)
+    xdb.warm_metadata()
+    set_retry_policy(deployment, RetryPolicy(max_attempts=2))
+    injector = FaultInjector(
+        FaultPolicy(seed=7, transient_error_rate=1.0)
+    ).install(deployment)
+    try:
+        with pytest.raises(ReproError) as err:
+            xdb.submit(JOIN_QUERY)
+    finally:
+        injector.uninstall()
+        set_retry_policy(deployment, RetryPolicy())
+    ctx = err.value.context
+    assert isinstance(ctx, QueryContext)
+    resilience = ctx.resilience_summary()
+    assert resilience.giveups >= 1
+    assert resilience.retries >= resilience.giveups
+    assert ctx.root.subtree_events("giveup")
+
+
+def test_only_the_innermost_context_claims_an_error():
+    with pytest.raises(ReproError) as err:
+        with QueryContext(label="outer"):
+            with QueryContext(label="inner") as inner:
+                raise ReproError("boom")
+    assert err.value.context is inner
+    assert ReproError("fresh").context is None
 
 
 # -- acceptance: TPC-H TD1 under seeded faults ---------------------------
@@ -286,9 +304,10 @@ def test_slow_link_trips_timeout_budget_then_recovers(two_db_deployment):
     ).install(deployment)
     try:
         assert not connector.is_available()
-        with pytest.raises(ConnectorTimeoutError):
-            connector.execute_sql("SELECT 1 AS x FROM events")
-        assert connector.giveups == 1
+        with QueryContext() as ctx:
+            with pytest.raises(ConnectorTimeoutError):
+                connector.execute_sql("SELECT 1 AS x FROM events")
+        assert ctx.metrics.value("connector.giveups", db="B") == 1
     finally:
         injector.uninstall()
     assert connector.is_available()
@@ -304,9 +323,11 @@ def test_partitioned_link_is_retryable_and_heals(two_db_deployment):
     network.partition_link(deployment.middleware_node, connector.node)
     try:
         assert not connector.is_available()
-        with pytest.raises(NetworkPartitionedError):
-            connector.execute_sql("SELECT user_id FROM events")
-        assert connector.failures >= 2  # initial attempt + retry
+        with QueryContext() as ctx:
+            with pytest.raises(NetworkPartitionedError):
+                connector.execute_sql("SELECT user_id FROM events")
+        # initial attempt + retry
+        assert ctx.metrics.value("connector.failures", db="B") >= 2
     finally:
         network.heal_link(deployment.middleware_node, connector.node)
     assert connector.is_available()

@@ -5,6 +5,7 @@ import pytest
 from repro.connect.connector import DBMSConnector
 from repro.errors import CatalogError, NetworkError
 from repro.federation.deployment import Deployment, protocol_between
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -69,14 +70,21 @@ def test_auxiliary_database_not_a_member():
     assert sorted(mediator.server_names()) == ["mdb", "pg1", "pg2"]
 
 
-def test_reset_metrics_clears_everything():
+def test_calls_outside_a_context_leave_no_counters():
     dep = make_deployment()
     connector = dep.connector("pg1")
-    connector.list_tables()
-    assert dep.network.log
-    dep.reset_metrics()
-    assert not dep.network.log
-    assert connector.control_messages == 0
+    assert "t1" in connector.list_tables()
+    assert connector.explain(parse_statement("SELECT a FROM t1"))
+    for name in (
+        "consultations",
+        "control_messages",
+        "retries",
+        "failures",
+        "giveups",
+        "breaker_fastfails",
+        "backoff_seconds",
+    ):
+        assert not hasattr(connector, name)
 
 
 # -- connector -------------------------------------------------------------------
@@ -94,20 +102,21 @@ def test_list_tables_and_stats():
 def test_metadata_counts_control_messages():
     dep = make_deployment()
     connector = dep.connector("pg1")
-    before = connector.control_messages
-    connector.list_tables()
-    connector.table_stats("t1")
-    assert connector.control_messages == before + 2
+    with QueryContext() as ctx:
+        connector.list_tables()
+        connector.table_stats("t1")
+    assert ctx.metrics.value("connector.control_messages", db="pg1") == 2
     # Each control call records a request and a response on the wire.
-    control = [r for r in dep.network.log if r.tag == "metadata"]
+    control = [r for r in ctx.transfers if r.tag == "metadata"]
     assert len(control) == 4
 
 
 def test_explain_counts_consultation():
     dep = make_deployment()
     connector = dep.connector("pg1")
-    info = connector.explain(parse_statement("SELECT a FROM t1"))
-    assert connector.consultations == 1
+    with QueryContext() as ctx:
+        info = connector.explain(parse_statement("SELECT a FROM t1"))
+    assert ctx.metrics.value("connector.consultations", db="pg1") == 1
     assert info.estimated_rows == pytest.approx(100, rel=0.1)
     assert info.cost_seconds > 0
 
@@ -115,25 +124,28 @@ def test_explain_counts_consultation():
 def test_estimate_join_cost_shapes():
     dep = make_deployment()
     connector = dep.connector("pg1")
-    # Tiny moved relation vs huge local: materialized should win.
-    streaming = connector.estimate_join_cost(
-        local_rows=1_000_000, moved_rows=500, output_rows=1000,
-        materialized=False,
-    )
-    materialized = connector.estimate_join_cost(
-        local_rows=1_000_000, moved_rows=500, output_rows=1000,
-        materialized=True,
-    )
-    assert materialized < streaming
-    # Small local relation: pipelining should win.
-    streaming_small = connector.estimate_join_cost(
-        local_rows=200, moved_rows=500, output_rows=100, materialized=False
-    )
-    materialized_small = connector.estimate_join_cost(
-        local_rows=200, moved_rows=500, output_rows=100, materialized=True
-    )
-    assert streaming_small < materialized_small
-    assert connector.consultations == 4
+    with QueryContext() as ctx:
+        # Tiny moved relation vs huge local: materialized should win.
+        streaming = connector.estimate_join_cost(
+            local_rows=1_000_000, moved_rows=500, output_rows=1000,
+            materialized=False,
+        )
+        materialized = connector.estimate_join_cost(
+            local_rows=1_000_000, moved_rows=500, output_rows=1000,
+            materialized=True,
+        )
+        assert materialized < streaming
+        # Small local relation: pipelining should win.
+        streaming_small = connector.estimate_join_cost(
+            local_rows=200, moved_rows=500, output_rows=100,
+            materialized=False,
+        )
+        materialized_small = connector.estimate_join_cost(
+            local_rows=200, moved_rows=500, output_rows=100,
+            materialized=True,
+        )
+        assert streaming_small < materialized_small
+    assert ctx.metrics.value("connector.consultations", db="pg1") == 4
 
 
 def test_execute_ddl_renders_in_target_dialect():
@@ -145,8 +157,9 @@ def test_execute_ddl_renders_in_target_dialect():
         server="pg1",
         remote_object="t1",
     )
-    mdb.execute_ddl(statement)
-    sql = dep.database("mdb").trace.statement_log[-1]
+    with QueryContext() as ctx:
+        mdb.execute_ddl(statement)
+    (sql,) = [e.attributes["sql"] for e in ctx.root.subtree_events("sql")]
     assert "ENGINE=FEDERATED" in sql
     obj = dep.database("mdb").catalog.get("ft")
     assert obj is not None and obj.kind == "FOREIGN TABLE"
@@ -155,9 +168,10 @@ def test_execute_ddl_renders_in_target_dialect():
 def test_fetch_records_transfer_to_middleware():
     dep = make_deployment()
     connector = dep.connector("pg1")
-    result = connector.fetch(parse_statement("SELECT a FROM t1"))
+    with QueryContext() as ctx:
+        result = connector.fetch(parse_statement("SELECT a FROM t1"))
     assert len(result) == 100
-    record = [r for r in dep.network.log if r.tag == "mediator-fetch"][-1]
+    record = [r for r in ctx.transfers if r.tag == "mediator-fetch"][-1]
     assert record.dst == dep.middleware_node
     assert record.rows == 100
 
@@ -166,20 +180,22 @@ def test_push_rows_ships_and_creates_table():
     dep = make_deployment()
     connector = dep.connector("pg2")
     schema = Schema([Field("x", INTEGER)])
-    connector.push_rows("shipped", schema, [(1,), (2,)])
+    with QueryContext() as ctx:
+        connector.push_rows("shipped", schema, [(1,), (2,)])
     assert dep.database("pg2").execute(
         "SELECT COUNT(*) AS n FROM shipped"
     ).rows == [(2,)]
-    record = [r for r in dep.network.log if r.tag == "mediator-ship"][-1]
+    record = [r for r in ctx.transfers if r.tag == "mediator-ship"][-1]
     assert record.src == dep.middleware_node
 
 
 def test_run_query_sends_result_to_client():
     dep = make_deployment()
     connector = dep.connector("pg1")
-    connector.run_query(
-        parse_statement("SELECT a FROM t1 LIMIT 5"), dep.client_node
-    )
-    record = [r for r in dep.network.log if r.tag == "result"][-1]
+    with QueryContext() as ctx:
+        connector.run_query(
+            parse_statement("SELECT a FROM t1 LIMIT 5"), dep.client_node
+        )
+    record = [r for r in ctx.transfers if r.tag == "result"][-1]
     assert record.dst == dep.client_node
     assert record.rows == 5

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.catalog import GlobalCatalog
 from repro.errors import CatalogError
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import INTEGER
 
@@ -61,11 +62,10 @@ def test_stats_available_after_refresh(two_db_deployment):
 
 
 def test_refresh_counts_control_messages(two_db_deployment):
-    connector = two_db_deployment.connector("A")
-    before = connector.control_messages
-    catalog_of(two_db_deployment).refresh()
+    with QueryContext() as ctx:
+        catalog_of(two_db_deployment).refresh()
     # one list_tables + one stats call per table
-    assert connector.control_messages == before + 2
+    assert ctx.metrics.value("connector.control_messages", db="A") == 2
 
 
 def test_scan_stats_for_placeholder():

@@ -25,6 +25,7 @@ from repro.engine.database import Database
 from repro.errors import ExecutionError
 from repro.federation.deployment import Deployment
 from repro.fuzz.reference import Reference, same_rows
+from repro.obs.context import QueryContext
 from repro.relational.builder import build_plan
 from repro.relational.optimizer import push_filters
 from repro.relational.schema import Field, Schema
@@ -278,21 +279,34 @@ def test_row_and_batch_agree_on_a_build_left_plan():
 # -- (iv) the choice is as fresh as the memo entry -------------------------
 
 
+def _executed_join(database: Database, sql: str):
+    """Run ``sql``; return its rows and the label of the one hash join
+    it executed, read off the operator spans."""
+    with QueryContext() as ctx:
+        rows = database.execute(sql).rows
+    (label,) = [
+        span.name
+        for span in ctx.root.find_all(kind="operator")
+        if span.name.startswith("HashJoin[")
+    ]
+    return rows, label
+
+
 def test_an_insert_that_reverses_the_sizes_flips_the_side():
     database = make_database(small=10, big=40)
     sql = "SELECT s, v FROM small, big WHERE small.k = big.k"
-    before = database.execute(sql).rows
-    assert "build=left" in database.trace.last_plan_text
+    before, label = _executed_join(database, sql)
+    assert "build=left" in label
     (entry,) = database._memo.values()
     # not before: the same entry, hence the same side, until a write
-    database.execute(sql)
-    assert "build=left" in database.trace.last_plan_text
+    _, label = _executed_join(database, sql)
+    assert "build=left" in label
     assert list(database._memo.values()) == [entry]
 
     values = ", ".join(f"({100 + i}, 'n{i}')" for i in range(60))
     database.execute(f"INSERT INTO small VALUES {values}")
-    after = database.execute(sql).rows
-    assert "build=right" in database.trace.last_plan_text
+    after, label = _executed_join(database, sql)
+    assert "build=right" in label
     assert_same_rows(before, after)
 
 

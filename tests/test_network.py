@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.metrics import edge_rows, summarize
+from repro.net.metrics import edge_rows, site_breakdown, summarize
 from repro.net.network import LAN, WAN, LinkSpec, Network
+from repro.obs.context import QueryContext
 
 
 def test_link_transfer_time():
@@ -61,46 +62,54 @@ def test_unknown_node_rejected():
 
 def test_transfer_recording_and_totals():
     network = Network.on_premise(["db1", "db2"], cloud_nodes=["mw"])
-    network.record_transfer("db1", "db2", 1000, rows=10, tag="data")
-    network.record_transfer("db1", "mw", 2000, rows=20, tag="data")
-    network.record_control_message("mw", "db1")
-    assert network.total_bytes() == 1000 + 2000 + 512
-    assert network.total_bytes("data") == 3000
-    assert network.bytes_into("mw") == 2000
-    assert network.bytes_into_site("cloud") == 2000
-    assert network.cross_site_bytes() == 2000 + 512
+    with QueryContext() as ctx:
+        network.record_transfer("db1", "db2", 1000, rows=10, tag="data")
+        network.record_transfer("db1", "mw", 2000, rows=20, tag="data")
+        network.record_control_message("mw", "db1")
+    summary = summarize(ctx.transfers)
+    assert summary.total_bytes == 1000 + 2000 + 512
+    assert summary.bytes_for_tag("data") == 3000
+    total, to_cloud, cross_site = site_breakdown(ctx.transfers, network)
+    assert total == 1000 + 2000 + 512
+    assert to_cloud == 2000
+    assert cross_site == 2000 + 512
 
 
-def test_reset_log():
+def test_transfers_outside_a_context_are_not_kept():
     network = Network.on_premise(["db1"])
-    network.record_transfer("db1", "client", 10)
-    network.reset_log()
-    assert network.total_bytes() == 0
+    record = network.record_transfer("db1", "client", 10)
+    assert record.payload_bytes == 10
+    with QueryContext() as ctx:
+        network.record_transfer("db1", "client", 20)
+    assert [r.payload_bytes for r in ctx.transfers] == [20]
+    assert not hasattr(network, "log")
 
 
 def test_summarize_and_edge_rows():
     network = Network.on_premise(["db1", "db2"])
-    network.record_transfer("db1", "db2", 100, rows=5, tag="fdw:v1")
-    network.record_transfer("db1", "db2", 300, rows=7, tag="fdw:v1")
-    network.record_transfer("db2", "client", 50, rows=1, tag="result")
-    summary = summarize(network.log)
+    with QueryContext() as ctx:
+        network.record_transfer("db1", "db2", 100, rows=5, tag="fdw:v1")
+        network.record_transfer("db1", "db2", 300, rows=7, tag="fdw:v1")
+        network.record_transfer("db2", "client", 50, rows=1, tag="result")
+    summary = summarize(ctx.transfers)
     assert summary.total_bytes == 450
     assert summary.total_rows == 13
     assert summary.by_tag["fdw:v1"] == 400
     assert summary.bytes_for_tag("fdw") == 400
     assert summary.by_edge[("db1", "db2")] == 400
-    rows = edge_rows(network.log)
+    rows = edge_rows(ctx.transfers)
     assert rows[("db1", "db2")] == 12
 
 
 def test_summarize_cross_site_only():
     network = Network.on_premise(["db1", "db2"], cloud_nodes=["mw"])
-    network.record_transfer("db1", "db2", 100, tag="lan")
-    network.record_transfer("db1", "mw", 100, tag="wan")
-    summary = summarize(network.log, network=network, cross_site_only=True)
+    with QueryContext() as ctx:
+        network.record_transfer("db1", "db2", 100, tag="lan")
+        network.record_transfer("db1", "mw", 100, tag="wan")
+    summary = summarize(ctx.transfers, network=network, cross_site_only=True)
     assert summary.total_bytes == 100
     with pytest.raises(ValueError):
-        summarize(network.log, cross_site_only=True)
+        summarize(ctx.transfers, cross_site_only=True)
 
 
 def test_transfer_time_seconds_recorded():
@@ -111,14 +120,15 @@ def test_transfer_time_seconds_recorded():
 
 def test_control_messages_share_one_record_per_distinct_value():
     network = Network.on_premise(["a", "b"])
-    first = network.record_control_message("a", "b", tag="consult")
-    again = network.record_control_message("a", "b", tag="consult")
-    other = network.record_control_message("a", "b", tag="delegation")
-    assert again is first and other is not first
-    assert len(network.log) == 3
-    assert network.total_bytes() == 3 * first.payload_bytes
-    # a degraded link is a different record, not a rewritten shared one
-    network.degrade_link("a", "b", latency_factor=10.0)
-    slow = network.record_control_message("a", "b", tag="consult")
+    with QueryContext() as ctx:
+        first = network.record_control_message("a", "b", tag="consult")
+        again = network.record_control_message("a", "b", tag="consult")
+        other = network.record_control_message("a", "b", tag="delegation")
+        assert again is first and other is not first
+        assert len(ctx.transfers) == 3
+        assert summarize(ctx.transfers).total_bytes == 3 * first.payload_bytes
+        # a degraded link is a different record, not a rewritten shared one
+        network.degrade_link("a", "b", latency_factor=10.0)
+        slow = network.record_control_message("a", "b", tag="consult")
     assert slow is not first and slow.seconds > first.seconds
-    assert network.log[0].seconds == first.seconds
+    assert ctx.transfers[0].seconds == first.seconds

@@ -34,7 +34,7 @@ from repro.engine.stats import (
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
 from repro.fuzz.oracle import chain_deployment
-from repro.net.network import CONTROL_MESSAGE_BYTES, TransferRecord
+from repro.net.network import TransferRecord
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_statement
 from repro.sql.types import DOUBLE, INTEGER, varchar
@@ -255,12 +255,8 @@ def _census():
     for obj in gc.get_objects():
         if type(obj) is LedgerEntry:
             counts["ledger"] += 1
-        elif (
-            type(obj) is TransferRecord
-            and obj.payload_bytes == CONTROL_MESSAGE_BYTES
-            and not obj.rows
-        ):
-            counts["control"] += 1
+        elif type(obj) is TransferRecord:
+            counts["transfers"] += 1
     return counts
 
 
@@ -269,7 +265,8 @@ def test_a_submit_leaves_nothing_behind():
     xdb = XDB(deployment)
     names = [TPCH_QUERIES[i % len(TPCH_QUERIES)] for i in range(20)]
     # one pass over the six queries uses every (link, tag) a control
-    # message can have here; from then on nothing new may be retained
+    # message can have here; from then on nothing new may be retained:
+    # a transfer lives only as long as the context it was attributed to
     for name in names[:6]:
         xdb.submit(query(name))
     early = _census()
@@ -277,7 +274,7 @@ def test_a_submit_leaves_nothing_behind():
         xdb.submit(query(name))
     late = _census()
     assert late["ledger"] <= early["ledger"]
-    assert late["control"] <= early["control"]
+    assert late["transfers"] <= early["transfers"]
     assert xdb.ledger.leaked_count() == 0
     assert xdb.ledger.max_epoch() == 20
 
@@ -292,7 +289,6 @@ def test_a_submit_leaves_nothing_behind():
         assert len(epochs) <= 1, (engine.name, sorted(engine._memo))
         for entry in engine._memo.values():
             assert entry.stamp[engine.catalog] == engine._memo_version
-        assert len(engine.trace.statement_log) <= 64
 
 
 # -- (vi) threads ----------------------------------------------------------

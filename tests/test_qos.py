@@ -675,7 +675,9 @@ def test_connector_uses_context_jitter_stream():
     ctx = QueryContext(label="jitter-test")
     with ctx:
         assert connector._guarded("fetch", flaky) == "ok"
-    assert connector.backoff_seconds == pytest.approx(expected)
+    assert ctx.metrics.value(
+        "connector.backoff_seconds", db="A"
+    ) == pytest.approx(expected)
 
 
 # -- context plumbing ------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.faults import EngineOutage, FaultInjector, FaultPolicy
 from repro.federation.deployment import Deployment
 from repro.health import BreakerConfig, BreakerState, HealthRegistry
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DOUBLE, INTEGER, varchar
 
@@ -193,16 +194,16 @@ def test_open_breaker_fails_fast_without_consuming_anything():
         connector = dep.connector("B")
         dep.health.report_outage("B")
         calls_before = injector.calls_by_db.get("B", 0)
-        retries_before = connector.retries
-        failures_before = connector.failures
         with pytest.raises(CircuitOpenError) as err:
-            connector.table_stats("events")
+            with QueryContext():
+                connector.table_stats("events")
         assert err.value.db == "B"
         # Neither the fault schedule nor the retry budget moved.
         assert injector.calls_by_db.get("B", 0) == calls_before
-        assert connector.retries == retries_before
-        assert connector.failures == failures_before
-        assert connector.breaker_fastfails == 1
+        metrics = err.value.context.metrics
+        assert metrics.value("connector.retries", db="B") == 0
+        assert metrics.value("connector.failures", db="B") == 0
+        assert metrics.value("connector.breaker_fastfails", db="B") == 1
     finally:
         injector.uninstall()
 
@@ -251,8 +252,8 @@ def test_retry_backoff_identical_across_seeded_runs():
         return (
             report.result.rows,
             {
-                name: connector.backoff_seconds
-                for name, connector in dep.connectors.items()
+                name: counters.backoff_seconds
+                for name, counters in report.resilience.by_connector.items()
             },
         )
 
@@ -268,18 +269,18 @@ def test_retry_backoff_identical_across_seeded_runs():
 def test_push_rows_records_transfer_only_after_create():
     dep = build_small()
     connector = dep.connector("A")
-    mark = len(dep.network.log)
 
     def boom(*args, **kwargs):
         raise EngineUnavailableError("injected: engine died mid-ship")
 
     connector.database.create_table = boom
-    with pytest.raises(EngineUnavailableError):
-        connector.push_rows(
-            "tmp_ship", Schema([Field("x", INTEGER)]), [(1,), (2,)]
-        )
+    with pytest.raises(EngineUnavailableError) as err:
+        with QueryContext():
+            connector.push_rows(
+                "tmp_ship", Schema([Field("x", INTEGER)]), [(1,), (2,)]
+            )
     shipped = [
-        r for r in dep.network.log[mark:] if r.tag == "mediator-ship"
+        r for r in err.value.context.transfers if r.tag == "mediator-ship"
     ]
     assert shipped == []  # no bytes credited for rows that never landed
 
@@ -287,19 +288,19 @@ def test_push_rows_records_transfer_only_after_create():
 def test_run_query_records_transfer_only_after_execute():
     dep = build_small()
     connector = dep.connector("B")
-    mark = len(dep.network.log)
 
     def boom(*args, **kwargs):
         raise EngineUnavailableError("injected: engine died mid-query")
 
     connector.database.execute_select = boom
-    with pytest.raises(EngineUnavailableError):
-        connector.run_query(
-            __import__("repro.sql.parser", fromlist=["parse_statement"])
-            .parse_statement("SELECT kind FROM events"),
-            dep.client_node,
-        )
-    results = [r for r in dep.network.log[mark:] if r.tag == "result"]
+    with pytest.raises(EngineUnavailableError) as err:
+        with QueryContext():
+            connector.run_query(
+                __import__("repro.sql.parser", fromlist=["parse_statement"])
+                .parse_statement("SELECT kind FROM events"),
+                dep.client_node,
+            )
+    results = [r for r in err.value.context.transfers if r.tag == "result"]
     assert results == []
 
 
@@ -309,9 +310,9 @@ def test_run_query_records_transfer_only_after_execute():
 def test_table_rows_is_guarded_and_counts_control_messages():
     dep = build_small()
     connector = dep.connector("B")
-    before = connector.control_messages
-    assert connector.table_rows("events") == 60.0
-    assert connector.control_messages == before + 1
+    with QueryContext() as ctx:
+        assert connector.table_rows("events") == 60.0
+    assert ctx.metrics.value("connector.control_messages", db="B") == 1
     with FaultInjector(
         FaultPolicy(outages=(EngineOutage(db="B"),))
     ).install(dep):

@@ -65,7 +65,7 @@ def test_annotator_avoids_unreachable_candidates():
     report = xdb.submit(QUERY)
     assert_same_rows(report.result.rows, truth.rows)
     # No data transfer ever used the forbidden pair.
-    for record in dep.network.log:
+    for record in report.context.transfers:
         assert (record.src, record.dst) not in {("A", "B"), ("B", "A")}
 
 
@@ -88,5 +88,5 @@ def test_asymmetric_restriction():
     xdb = XDB(dep)
     report = xdb.submit(QUERY)
     assert_same_rows(report.result.rows, truth.rows)
-    for record in dep.network.log:
+    for record in report.context.transfers:
         assert (record.src, record.dst) != ("B", "A")
