@@ -2,11 +2,19 @@
 
 The calibration harness (:mod:`repro.calibrate`) needs *measured*
 per-operator timings to regress the engine profiles' cost constants
-against.  :func:`instrument_plan` wraps every operator's ``batches()``
-entry point so each node accumulates the wall seconds spent producing
-its output — including the time its children spend inside the node's
-pulls.  :func:`self_seconds` subtracts the children's inclusive time
-back out, yielding the operator's own contribution.
+against.  :func:`instrument_plan` wraps both of every operator's pull
+entry points, ``batches()`` and ``mapped()``, so each node accumulates
+the wall seconds spent producing its output — including the time its
+children spend inside the node's pulls.  :func:`self_seconds` subtracts
+the children's inclusive time back out, yielding the operator's own
+contribution.
+
+Work fused into a consumer is charged to the consumer.  A projection of
+plain columns that is read through (``PhysicalPlan.mapped``) only hands
+its input's chunks on, so it measures next to nothing; the narrowed
+tuples are built, for the rows that survive, by the filter, probe or
+projection that reads through it, and that operator's self time holds
+them.
 
 Timing granularity is one ``next()`` call — one chunk of up to 1024
 rows — so timer overhead is negligible relative to the work measured.
@@ -29,7 +37,9 @@ def instrument_plan(plan: PhysicalPlan) -> PhysicalPlan:
             continue
         node._instrumented = True  # type: ignore[attr-defined]
         node.exec_seconds = 0.0  # type: ignore[attr-defined]
-        node.batches = _timed(node, node.batches)  # type: ignore[method-assign]
+        clock = _Clock(node)
+        node.batches = clock.batches(node.batches)  # type: ignore[method-assign]
+        node.mapped = clock.mapped(node.mapped)  # type: ignore[method-assign]
     return plan
 
 
@@ -46,26 +56,52 @@ def self_seconds(node: PhysicalPlan) -> float:
     return max(inclusive - children, 0.0)
 
 
-def _timed(node: PhysicalPlan, method):
-    """Wrap an iterator-returning method, charging time to ``node``.
+class _Clock:
+    """Charges wall time to one node.
 
-    The initial call is timed too: some operators (e.g. ``ForeignScan``)
-    do their work eagerly and return a plain iterator rather than a lazy
-    generator.
+    A pull nested inside another pull of the same node — the default
+    ``mapped()`` is ``batches()`` — is charged once, by the outer one.
     """
 
-    def wrapper(*args, **kwargs) -> Iterator:
+    def __init__(self, node: PhysicalPlan):
+        self._node = node
+        self._running = False
+
+    def _charge(self, step):
+        if self._running:
+            return step()
+        self._running = True
         start = wall_now()
-        iterator = iter(method(*args, **kwargs))
-        node.exec_seconds += wall_now() - start  # type: ignore[attr-defined]
+        try:
+            return step()
+        finally:
+            self._node.exec_seconds += wall_now() - start  # type: ignore[attr-defined]
+            self._running = False
+
+    def _iterate(self, iterator: Iterator) -> Iterator:
         while True:
-            start = wall_now()
             try:
-                item = next(iterator)
+                item = self._charge(lambda: next(iterator))
             except StopIteration:
-                node.exec_seconds += wall_now() - start  # type: ignore[attr-defined]
                 return
-            node.exec_seconds += wall_now() - start  # type: ignore[attr-defined]
             yield item
 
-    return wrapper
+    def batches(self, method):
+        """Wrap ``batches``.  The initial call is timed too: some
+        operators (e.g. ``ForeignScan``) do their work eagerly."""
+
+        def wrapper(*args, **kwargs) -> Iterator:
+            yield from self._iterate(
+                self._charge(lambda: iter(method(*args, **kwargs)))
+            )
+
+        return wrapper
+
+    def mapped(self, method):
+        """Wrap ``mapped``: the call, then every pull of its chunks."""
+
+        def wrapper(*args, **kwargs):
+            positions, chunks = self._charge(lambda: method(*args, **kwargs))
+            return positions, self._iterate(iter(chunks))
+
+        return wrapper

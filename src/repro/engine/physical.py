@@ -7,18 +7,25 @@ lower them to the generated kernels of :mod:`repro.engine.vector`.
 and runs each kernel once per chunk, amortizing the per-tuple
 interpreter overhead; ``rows()`` is the same stream, flattened.
 
-Every operator counts the rows it produces (``rows_out``), which feeds
-the execution statistics the schedule simulator consumes (DESIGN.md §7:
-under LIMIT an input may be pulled up to one chunk past what the limit
-keeps).  The answers are judged against sqlite by
-:mod:`repro.fuzz.reference`.
+A projection of plain columns is a position map: a filter, computing
+projection, hash-join probe or aggregation above it pulls ``mapped()``
+instead, reads the input's wider rows through the map, and builds a
+narrowed tuple only for the rows it keeps.  Every other consumer pulls
+``batches()`` as before.
+
+Every operator counts the rows it produces (``rows_out``), whichever
+way it is pulled.  The counts feed the ``operator`` spans of the query
+context, the feedback harvest of ``SeqScan`` actuals, the calibrator
+and ``explain_analyze`` (DESIGN.md §7: under LIMIT an input may be
+pulled up to one chunk past what the limit keeps).  The answers are
+judged against sqlite by :mod:`repro.fuzz.reference`.
 """
 
 from __future__ import annotations
 
 import copy
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import vector
 from repro.engine.parallel import HedgePolicy, WorkerPool, check_cancelled
@@ -30,8 +37,9 @@ from repro.relational.schema import Schema
 from repro.sql import ast
 from repro.sql.render import render
 
-RowFn = Callable[[tuple], object]
 Chunk = List[tuple]
+#: ``(positions, chunks)``, what :meth:`PhysicalPlan.mapped` returns
+Mapped = Tuple[Optional[List[int]], Iterator[Chunk]]
 
 #: Chunks a gathered branch hands over between two cancel checks.
 _DRAIN_STRIDE = 4
@@ -80,9 +88,25 @@ class PhysicalPlan:
         exactly do; for the rest it is advisory and the consumer
         truncates.
         """
-        for batch in self._produce_batches(hint):
-            self.rows_out += len(batch)
-            yield batch
+        yield from self._counted(self._produce_batches(hint))
+
+    def mapped(self, hint: Optional[int] = None) -> Mapped:
+        """``(positions, chunks)``: this operator's output for a consumer
+        that reads through it.
+
+        With ``positions`` None the chunks are :meth:`batches`.  A
+        projection of plain columns, and a filter or rebind over one,
+        hand on their input's wider rows instead: each stands for the
+        output row ``tuple(row[p] for p in positions)``, which the
+        consumer builds only for the rows it keeps.  Rows are counted
+        as in :meth:`batches`, and ``hint`` is passed on as there.
+        """
+        return None, self.batches(hint)
+
+    def _counted(self, chunks: Iterable[Chunk]) -> Iterator[Chunk]:
+        for chunk in chunks:
+            self.rows_out += len(chunk)
+            yield chunk
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         raise NotImplementedError
@@ -162,7 +186,11 @@ class ValuesScan(PhysicalPlan):
 
 
 class FilterOp(PhysicalPlan):
-    """Row selection by a predicate over the child's schema."""
+    """Row selection by a predicate over the child's schema.
+
+    Over a child read through a position map, ``batches()`` narrows the
+    rows it selects, and ``mapped()`` hands them on as they are, under
+    the child's map."""
 
     def __init__(self, child: PhysicalPlan, predicate: ast.Expression):
         super().__init__()
@@ -175,8 +203,16 @@ class FilterOp(PhysicalPlan):
         return [self.child]
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        select = vector.filter_kernel(self.predicate, self.schema)
-        return _limited(map(select, self.child.batches()), hint)
+        return self._select(hint, narrow=True)[1]
+
+    def mapped(self, hint: Optional[int] = None) -> Mapped:
+        positions, chunks = self._select(hint, narrow=False)
+        return positions, self._counted(chunks)
+
+    def _select(self, hint: Optional[int], narrow: bool) -> Mapped:
+        positions, chunks = self.child.mapped()
+        select = vector.filter_kernel(self.predicate, self.schema, positions, narrow)
+        return positions, _limited(map(select, chunks), hint)
 
     def label(self) -> str:
         return f"Filter[{self.text}]"
@@ -184,7 +220,11 @@ class FilterOp(PhysicalPlan):
 
 class ProjectOp(PhysicalPlan):
     """Column computation: one expression over the child's schema per
-    output column."""
+    output column.
+
+    A projection of plain columns is a position map: read through, it
+    hands on its child's chunks, its positions composed with the
+    child's map."""
 
     def __init__(
         self,
@@ -201,8 +241,19 @@ class ProjectOp(PhysicalPlan):
         return [self.child]
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        project = vector.project_kernel(self.items, self.child.schema)
-        return map(project, self.child.batches(hint))
+        positions, chunks = self.child.mapped(hint)
+        project = vector.project_kernel(self.items, self.child.schema, positions)
+        return map(project, chunks)
+
+    def mapped(self, hint: Optional[int] = None) -> Mapped:
+        if not all(isinstance(item, ast.ColumnRef) for item in self.items):
+            return super().mapped(hint)
+        positions, chunks = self.child.mapped(hint)
+        resolve = self.child.schema.resolve
+        narrowed = [resolve(item.name, item.table) for item in self.items]
+        if positions is not None:
+            narrowed = [positions[index] for index in narrowed]
+        return narrowed, self._counted(chunks)
 
     def label(self) -> str:
         return f"Project[{len(self.items)} cols]"
@@ -221,6 +272,11 @@ class HashJoin(PhysicalPlan):
     row.  Only a plain INNER join may build on the left: a LEFT join's
     preserved rows fall out of the probe loop for free, whereas a build
     side would need a matched bitmap and a tail pass to preserve them.
+
+    Without a residual the probe is one generated comprehension per
+    chunk (:func:`~repro.engine.vector.probe_kernel`) that reads through
+    its input and narrows only the rows it emits; a residual join pulls
+    the probe input's ``batches()`` and runs the residual per match.
     """
 
     def __init__(
@@ -260,11 +316,6 @@ class HashJoin(PhysicalPlan):
         right = (self.right, [pair[1] for pair in self.keys])
         return (left, right) if self.build_left else (right, left)
 
-    def _residual(self) -> Optional[RowFn]:
-        if self.residual is None:
-            return None
-        return compile_predicate(self.residual, self.schema)
-
     @staticmethod
     def _build_table(
         build: PhysicalPlan, keys: Sequence[ast.Expression]
@@ -273,10 +324,9 @@ class HashJoin(PhysicalPlan):
 
         Returns ``(table, unique)``.  While no key collides, each value
         is the matching row itself (a tuple); the first collision turns
-        values into list buckets and flips ``unique`` — the probe side
-        uses the all-unique case (PK–FK joins built on the PK side, the
-        common shape in the workloads) for a comprehension-based fast
-        path.
+        values into list buckets and flips ``unique``.  The all-unique
+        case (PK–FK joins built on the PK side, the common shape in the
+        workloads) probes without buckets.
         """
         table: Dict[object, object] = {}
         unique = True
@@ -302,66 +352,44 @@ class HashJoin(PhysicalPlan):
     def _probe(self) -> Iterator[Chunk]:
         (build, build_keys), (probe, probe_keys) = self._sides()
         table, unique = self._build_table(build, build_keys)
-        keys_of = vector.key_kernel(probe_keys, probe.schema)
-        residual = self._residual()
         pad = (None,) * len(self.right.schema)
-        left_outer = self.kind == "LEFT"
-        build_left = self.build_left
-        fast = unique and residual is None
-        if not fast:
-            # The generic probe loop expects list buckets.
+        buckets = not unique or self.residual is not None
+        if buckets:
             for key, value in table.items():
                 if value.__class__ is not list:
                     table[key] = [value]
+        # NULL and missing keys both come back as None: NULL keys are
+        # never inserted, so a NULL probe cannot match.
         lookup = table.get
 
+        if self.residual is None:
+            # One comprehension per chunk over the C-level map of
+            # dict.get, reading through the probe input.
+            positions, chunks = probe.mapped()
+            keys_of = vector.key_kernel(probe_keys, probe.schema, positions)
+            join = vector.probe_kernel(
+                self.kind, self.build_left, buckets, pad, positions
+            )
+            for rows in chunks:
+                yield join(rows, map(lookup, keys_of(rows)))
+            return
+
+        # A residual joins build right and reads ``left ++ right``.
+        residual = compile_predicate(self.residual, self.schema)
+        keys_of = vector.key_kernel(probe_keys, probe.schema)
+        left_outer = self.kind == "LEFT"
         for rows in probe.batches():
-            # NULL and missing keys both come back as None: NULL keys
-            # are never inserted, so a NULL probe cannot match.
-            matches = map(lookup, keys_of(rows))
-            if fast:
-                # All build keys are unique: the C-level map over
-                # dict.get feeds one comprehension.
-                if left_outer:
-                    out = [
-                        row + (match if match is not None else pad)
-                        for row, match in zip(rows, matches)
-                    ]
-                elif build_left:
-                    out = [
-                        match + row
-                        for row, match in zip(rows, matches)
-                        if match is not None
-                    ]
-                else:
-                    out = [
-                        row + match
-                        for row, match in zip(rows, matches)
-                        if match is not None
-                    ]
-            else:
-                out = []
-                append = out.append
-                for row, bucket in zip(rows, matches):
-                    if bucket:
-                        if build_left:
-                            for match in bucket:
-                                append(match + row)
-                            continue
-                        if residual is None:
-                            for match in bucket:
-                                append(row + match)
-                            continue
-                        matched = False
-                        for match in bucket:
-                            joined = row + match
-                            if residual(joined):
-                                matched = True
-                                append(joined)
-                        if matched:
-                            continue
-                    if left_outer:
-                        append(row + pad)
+            out: Chunk = []
+            append = out.append
+            for row, bucket in zip(rows, map(lookup, keys_of(rows))):
+                matched = False
+                for match in bucket or ():
+                    joined = row + match
+                    if residual(joined):
+                        matched = True
+                        append(joined)
+                if left_outer and not matched:
+                    append(row + pad)
             yield out
 
     def label(self) -> str:
@@ -370,14 +398,15 @@ class HashJoin(PhysicalPlan):
 
 
 class NestedLoopJoin(PhysicalPlan):
-    """Fallback join for non-equi conditions and cross joins."""
+    """Fallback join for non-equi conditions and cross joins;
+    ``condition`` is a predicate over the joined row, or None."""
 
     def __init__(
         self,
         left: PhysicalPlan,
         right: PhysicalPlan,
         schema: Schema,
-        condition: Optional[RowFn] = None,
+        condition: Optional[ast.Expression] = None,
         kind: str = "INNER",
     ):
         super().__init__()
@@ -396,6 +425,11 @@ class NestedLoopJoin(PhysicalPlan):
         return _limited(self._join(), hint)
 
     def _join(self) -> Iterator[Chunk]:
+        condition = (
+            None
+            if self.condition is None
+            else compile_predicate(self.condition, self.schema)
+        )
         right_rows = [row for batch in self.right.batches() for row in batch]
         pad = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
@@ -403,8 +437,8 @@ class NestedLoopJoin(PhysicalPlan):
             out: Chunk = []
             for row in rows:
                 joined = [row + right for right in right_rows]
-                if self.condition is not None:
-                    joined = list(filter(self.condition, joined))
+                if condition is not None:
+                    joined = list(filter(condition, joined))
                 if joined:
                     out.extend(joined)
                 elif left_outer:
@@ -441,15 +475,18 @@ class HashAggregate(PhysicalPlan):
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         aggregator = vector.GroupedAggregator(self.aggregates)
         schema = self.child.schema
-        keys_of = vector.key_kernel(self.keys, schema)
+        positions, chunks = self.child.mapped()
+        keys_of = vector.key_kernel(self.keys, schema, positions)
         # one kernel per aggregate, None for COUNT(*)
         arguments = [
-            None if spec.arg is None else vector.column_kernel(spec.arg, schema)
+            None
+            if spec.arg is None
+            else vector.column_kernel(spec.arg, schema, positions)
             for spec in self.aggregates
         ]
         single_key = len(self.keys) == 1
 
-        for rows in self.child.batches():
+        for rows in chunks:
             gids = aggregator.group_ids(keys_of(rows))
             for index, argument in enumerate(arguments):
                 values = None if argument is None else argument(rows)

@@ -17,7 +17,6 @@ from repro.engine.cost import CardinalityEstimator, ScanStats
 from repro.engine.fdw import ForeignScan, build_remote_query, strip_qualifiers
 from repro.errors import CatalogError, ExecutionError
 from repro.relational import algebra
-from repro.relational.expressions import compile_predicate
 from repro.relational.optimizer import (
     prune_columns,
     push_filters,
@@ -276,16 +275,10 @@ class LocalPlanner:
         left = self.to_physical(plan.left)
         right = self.to_physical(plan.right)
 
-        if plan.condition is None:
-            return physical.NestedLoopJoin(
-                left, right, plan.schema, None, plan.kind
-            )
-
-        split = plan.hash_keys()
+        split = None if plan.condition is None else plan.hash_keys()
         if split is None:
-            condition = compile_predicate(plan.condition, plan.schema)
             return physical.NestedLoopJoin(
-                left, right, plan.schema, condition, plan.kind
+                left, right, plan.schema, plan.condition, plan.kind
             )
 
         keys, residual = split
@@ -378,6 +371,10 @@ class _Rebind(physical.PhysicalPlan):
 
     def _produce_batches(self, hint):
         return self.child.batches(hint)
+
+    def mapped(self, hint=None):
+        positions, chunks = self.child.mapped(hint)
+        return positions, self._counted(chunks)
 
     def label(self) -> str:
         return "Rebind"

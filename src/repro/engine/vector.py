@@ -18,6 +18,14 @@ and ``%`` call the same helpers the closures call.  A node without an
 inline form (CASE, scalar functions, ``||``, a non-literal IN list or
 LIKE pattern) is an inline call of the closure for that subtree.
 
+Every kernel constructor takes an optional *position map*: the rows
+are then wider than the schema, column ``i`` is read as
+``r[positions[i]]``, a fallback closure is called on the narrowed
+tuple, and a filter or hash-join probe builds the narrowed tuple only
+for the rows it emits (``[(r[0], r[5], ) for r in rows if r[8] ==
+k0]``).  This is how a consumer reads through a projection of plain
+columns (:meth:`repro.engine.physical.PhysicalPlan.mapped`).
+
 Only column positions and operators from a fixed table appear in the
 source; every literal, regex, type and helper is bound by name in the
 kernel's namespace.  No statement text ever reaches ``compile()``, and
@@ -28,7 +36,8 @@ key of the code-object cache.  DESIGN.md §7 has the details.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence
+import operator
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.relational.expressions import (
@@ -63,35 +72,85 @@ _CODE_CACHE_SIZE = 2048
 # ---------------------------------------------------------------------------
 
 
-def filter_kernel(predicate: ast.Expression, schema) -> Kernel:
-    """``rows -> the rows on which ``predicate`` is True`` (NULL is not)."""
-    return _kernel(schema, [predicate], "[r for r in rows if {} is True]")
+def filter_kernel(
+    predicate: ast.Expression, schema, positions=None, narrow: bool = True
+) -> Kernel:
+    """``rows -> the rows on which ``predicate`` is True`` (NULL is not).
+
+    Over rows read through ``positions`` the selected rows come back
+    narrowed, unless ``narrow`` is False: then they come back as they
+    are, for a consumer that reads through the filter in turn."""
+    row = "{row}" if narrow else "r"
+    return _kernel(schema, [predicate], f"[{row} for r in rows if {{}} is True]", positions)
 
 
-def project_kernel(exprs: Sequence[ast.Expression], schema) -> Kernel:
+def project_kernel(exprs: Sequence[ast.Expression], schema, positions=None) -> Kernel:
     """``rows -> one tuple of the ``exprs`` values per row``."""
     return _kernel(
-        schema, exprs, "[(" + "{}, " * len(exprs) + ") for r in rows]"
+        schema, exprs, "[(" + "{}, " * len(exprs) + ") for r in rows]", positions
     )
 
 
-def column_kernel(expr: ast.Expression, schema) -> Kernel:
+def column_kernel(expr: ast.Expression, schema, positions=None) -> Kernel:
     """``rows -> the value of ``expr`` per row``."""
-    return _kernel(schema, [expr], "[{} for r in rows]")
+    return _kernel(schema, [expr], "[{} for r in rows]", positions)
 
 
-def key_kernel(exprs: Sequence[ast.Expression], schema) -> Kernel:
+def key_kernel(exprs: Sequence[ast.Expression], schema, positions=None) -> Kernel:
     """One join or group key per row: the bare value for a single
     expression, a tuple otherwise."""
     if len(exprs) == 1:
-        return column_kernel(exprs[0], schema)
-    return project_kernel(exprs, schema)
+        return column_kernel(exprs[0], schema, positions)
+    return project_kernel(exprs, schema, positions)
 
 
-def _kernel(schema, exprs: Sequence[ast.Expression], template: str) -> Kernel:
-    emitter = _Emitter(schema)
+#: Hash-join probe comprehensions by ``(kind, build_left, buckets)``:
+#: ``matches`` holds what the table holds for each probe row's key — a
+#: build row, a list bucket of them, or None — and ``{row}`` is the
+#: probe row, narrowed for matched rows only.
+_PROBES = {
+    ("INNER", False, False): "[{row} + m for r, m in zip(rows, matches) if m is not None]",
+    ("INNER", True, False): "[m + {row} for r, m in zip(rows, matches) if m is not None]",
+    ("INNER", False, True): "[{row} + m for r, b in zip(rows, matches) if b for m in b]",
+    ("INNER", True, True): "[m + {row} for r, b in zip(rows, matches) if b for m in b]",
+    ("LEFT", False, False): (
+        "[{row} + (m if m is not None else pad) for r, m in zip(rows, matches)]"
+    ),
+    ("LEFT", False, True): "[{row} + m for r, b in zip(rows, matches) for m in b or pads]",
+}
+
+
+def probe_kernel(
+    kind: str, build_left: bool, buckets: bool, pad: tuple, positions=None
+) -> Callable[[Sequence[tuple], Iterable], list]:
+    """``(rows, matches) -> the joined rows`` of a hash-join probe
+    without residual; ``pad`` fills a LEFT row that matched nothing."""
+    template = _PROBES[kind, build_left, buckets]
+    source = "lambda rows, matches: " + template.format(row=_row(positions))
+    kernel = eval(_code(source), {"pad": pad, "pads": [pad]})
+    kernel.source = source
+    return kernel
+
+
+def _row(positions) -> str:
+    """The source of the schema's row: ``r``, or ``r`` narrowed through
+    ``positions``."""
+    if positions is None:
+        return "r"
+    return "(" + "".join(f"r[{index}], " for index in _integers(positions)) + ")"
+
+
+def _integers(positions) -> List[int]:
+    # Only integers enter the source: anything else raises TypeError.
+    return [operator.index(index) for index in positions]
+
+
+def _kernel(
+    schema, exprs: Sequence[ast.Expression], template: str, positions=None
+) -> Kernel:
+    emitter = _Emitter(schema, positions)
     source = "lambda rows: " + template.format(
-        *[emitter.emit(expr) for expr in exprs]
+        *[emitter.emit(expr) for expr in exprs], row=emitter.row
     )
     kernel = eval(_code(source), emitter.namespace)
     kernel.source = source
@@ -137,10 +196,17 @@ _EXTRACT_ATTRIBUTES = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
 
 class _Emitter:
     """Expression tree -> Python source over ``r``, node for node what
-    ``repro.relational.expressions._Compiler`` builds as closures."""
+    ``repro.relational.expressions._Compiler`` builds as closures.
 
-    def __init__(self, schema):
+    With a position map, ``r`` is wider than ``schema``: column ``i`` of
+    the schema is ``r[positions[i]]``, and a fallback closure is called
+    on the narrowed tuple."""
+
+    def __init__(self, schema, positions=None):
         self._schema = schema
+        self._positions = None if positions is None else _integers(positions)
+        #: the source of the row as ``schema`` sees it
+        self.row = _row(self._positions)
         self.namespace: Dict[str, object] = dict(_HELPERS)
         self._temps = 0
 
@@ -150,7 +216,8 @@ class _Emitter:
         if source is None:
             # No inline form: call the closure (compiling it raises the
             # compiler's error for a node it rejects).
-            return self._bind(compile_expression(expr, self._schema).fn) + "(r)"
+            fn = compile_expression(expr, self._schema).fn
+            return f"{self._bind(fn)}({self.row})"
         return source
 
     def _bind(self, value: object) -> str:
@@ -186,7 +253,10 @@ class _Emitter:
     # -- leaves -----------------------------------------------------------
 
     def _emit_ColumnRef(self, expr: ast.ColumnRef) -> str:
-        return f"r[{self._schema.resolve(expr.name, expr.table)}]"
+        index = self._schema.resolve(expr.name, expr.table)
+        if self._positions is not None:
+            index = self._positions[index]
+        return f"r[{index}]"
 
     def _emit_Literal(self, expr: ast.Literal) -> str:
         return self._bind(expr.value)
@@ -446,5 +516,6 @@ __all__ = [
     "column_kernel",
     "filter_kernel",
     "key_kernel",
+    "probe_kernel",
     "project_kernel",
 ]

@@ -3,11 +3,12 @@
 The executor must answer what a real DBMS answers: the stdlib's
 sqlite3 (:mod:`repro.fuzz.reference`) runs every query on copies of the
 same tables, and the rows must agree — in order where the query has
-ORDER BY.  The schedule simulator consumes every operator's
-``rows_out``, so those are pinned to ``tests/golden/operator_counts.json``.
-This module drives the TPC-H suite, the randomized query generator, and
-directed edge cases (NULL join keys, LEFT joins, DISTINCT aggregates,
-empty inputs).  The ``row_vs_batch`` test names are historical: the
+ORDER BY.  Operator spans, the feedback harvest and the calibrator read
+every operator's ``rows_out``, so those are pinned to
+``tests/golden/operator_counts.json``.  This module drives the TPC-H
+suite, the randomized query generator, directed edge cases (NULL join
+keys, LEFT joins, DISTINCT aggregates, empty inputs), and every consumer
+that reads through a narrowing projection.  The ``row_vs_batch`` test names are historical: the
 reference used to be the engine's own row-at-a-time mode.
 """
 
@@ -31,7 +32,9 @@ from repro.workloads.tpch import EXTENDED_QUERIES, QUERIES, generate
 from test_random_queries import build_worlds, random_query
 
 #: ``[label, rows_out]`` of every operator, pre-order, per query: what
-#: the executor counted before its row-at-a-time half was deleted.
+#: the executor counted before its row-at-a-time half was deleted
+#: (``read_through``: before consumers read through narrowing
+#: projections).
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "operator_counts.json").read_text()
 )
@@ -97,7 +100,7 @@ def test_tpch_extended_row_vs_batch(tpch_twins, key):
 
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_tpch_operator_counts_match(tpch_twins, key):
-    """Per-operator cardinalities are what the schedule simulator sees;
+    """Per-operator cardinalities are what the operator spans carry;
     every TPC-H plan must count what the golden recorded (the LIMIT
     over-pull does not bite: the drivers' LIMITs sit over Sort, which
     consumes its child fully)."""
@@ -247,3 +250,107 @@ def test_edge_operator_counts_match(edge_twins):
         if "LIMIT" in sql:
             continue  # a LIMIT's input may be pulled one chunk further
         assert _operator_counts(database, sql) == GOLDEN["edge"][sql], sql
+
+
+# -- reading through a narrowing projection ---------------------------------------
+#
+# ``w`` is wider than any query below reads, so column pruning puts a
+# narrowing ``Project`` over every scan of it, and each consumer that
+# reads through one (filter, computing projection, hash-join probe,
+# aggregation) evaluates over the stored rows through a position map.
+# ``u`` has a duplicate key (list buckets), ``dm`` unique keys.
+
+
+@pytest.fixture(scope="module")
+def read_through_twins():
+    w_schema = Schema(
+        [
+            Field("a", INTEGER),
+            Field("b", INTEGER),
+            Field("c", DOUBLE),
+            Field("d", varchar(8)),
+            Field("e", INTEGER),
+            Field("f", varchar(8)),
+        ]
+    )
+    w_rows = [
+        (1, 1, 0.5, "ax", 3, "a%"),
+        (2, 1, 2.5, "bx", None, "b%"),
+        (3, 3, None, "ab", 1, "_b"),
+        (4, None, 1.5, "cx", 7, "%"),
+        (5, 5, -1.0, None, 2, "c%"),
+        (6, 3, 3.0, "ax", 4, None),
+        (7, 7, 4.0, "dd", 30, "d_"),
+        (8, 2, 0.0, "ee", 0, "e%"),
+        (9, 1, 5.5, "ax", 11, "%x"),
+        (10, 3, 2.0, "bx", 30, "b_"),
+        (11, 9, None, "zz", 5, "z%"),
+        (12, 7, 1.0, "dd", 70, "%d"),
+    ]
+    u_schema = Schema([Field("k", INTEGER), Field("w", INTEGER)])
+    u_rows = [(1, 10), (1, 11), (3, 30), (None, 99), (7, 70)]
+    dm_schema = Schema([Field("id", INTEGER), Field("name", varchar(8))])
+    dm_rows = [(1, "one"), (3, "three"), (7, "seven"), (9, "nine")]
+    big_schema = Schema(
+        [
+            Field("i", INTEGER),
+            Field("m", INTEGER),
+            Field("x", DOUBLE),
+            Field("s", varchar(8)),
+        ]
+    )
+    big_rows = [(i, i % 100, i * 0.5, "s%d" % (i % 13)) for i in range(3000)]
+    return _twin_databases(
+        [
+            ("w", w_schema, w_rows),
+            ("u", u_schema, u_rows),
+            ("dm", dm_schema, dm_rows),
+            ("big", big_schema, big_rows),
+        ]
+    )
+
+
+READ_THROUGH_QUERIES = [
+    # A filter whose predicate has no inline form: the fallback closure
+    # is called on the narrowed tuple.
+    "SELECT a, d FROM w WHERE CASE WHEN c > 1 THEN e ELSE b END > 2",
+    "SELECT a, f FROM w WHERE d LIKE f",
+    "SELECT a FROM w WHERE d LIKE f || '%'",
+    # Hash-join probes over a narrowed (and filtered) scan: building
+    # left and right, unique keys and list buckets.
+    "SELECT w.a, w.d, dm.name FROM w, dm WHERE w.b = dm.id",
+    "SELECT w.a, dm.name FROM dm, w WHERE dm.id = w.b AND w.c > 1",
+    "SELECT w.a, u.w FROM w, u WHERE w.b = u.k",
+    "SELECT w.d, u.w FROM u, w WHERE u.k = w.b AND w.e > 2",
+    # LEFT probes: unique keys, buckets, and a residual.
+    "SELECT w.a, dm.name FROM w LEFT JOIN dm ON w.b = dm.id",
+    "SELECT w.a, w.f, u.w FROM w LEFT JOIN u ON w.b = u.k",
+    "SELECT w.a, u.w FROM w LEFT JOIN u ON w.b = u.k AND u.w > w.e",
+    # Two keys.
+    "SELECT w.a, u.w FROM w, u WHERE w.b = u.k AND w.e = u.w",
+    # Aggregation over a narrowed scan, plain and filtered.
+    "SELECT d, COUNT(*) AS n, SUM(c) AS sc, MAX(e) AS me FROM w GROUP BY d",
+    "SELECT b, COUNT(DISTINCT d) AS nd, AVG(e) AS ae FROM w WHERE c > 0 GROUP BY b",
+    # A computing projection over a narrowed filtered scan.
+    "SELECT a + e AS ae, d || f AS df, CASE WHEN c > 2 THEN d END AS hi "
+    "FROM w WHERE c >= 0",
+    # LIMIT over a narrowed filtered scan wider than one chunk: every
+    # operator counts what it counted before the read-through.
+    "SELECT i, s FROM big WHERE m < 20 LIMIT 100",
+    "SELECT i, s FROM big WHERE m < 20 LIMIT 300",
+]
+
+
+@pytest.mark.parametrize("sql", READ_THROUGH_QUERIES)
+def test_read_through_row_vs_batch(read_through_twins, sql):
+    database, reference = read_through_twins
+    result = _assert_agrees(database, reference, sql)
+    assert result.rows, "the query under test must return rows"
+
+
+@pytest.mark.parametrize("sql", READ_THROUGH_QUERIES)
+def test_read_through_operator_counts_match(read_through_twins, sql):
+    """Reading through a node does not change what it counts, LIMIT
+    included: these counts were recorded before the read-through."""
+    database, _ = read_through_twins
+    assert _operator_counts(database, sql) == GOLDEN["read_through"][sql]

@@ -163,3 +163,42 @@ def test_instrumented_spans_carry_exec_seconds():
         s.attributes.get("exec_seconds", 0.0) > 0.0 for s in spans
     )
     assert all("exec_seconds" in s.attributes for s in spans)
+
+
+def test_self_seconds_of_a_read_through_plan_sum_to_at_most_the_root():
+    """scan → narrowing project → filter → hash-join probe: the probe
+    reads through the filter and the projection, and their pulls are
+    timed too, so no one's time is counted twice."""
+    from repro.engine.database import Database
+    from repro.engine.instrument import instrument_plan, self_seconds
+    from repro.relational.builder import build_plan
+    from repro.relational.schema import Field, Schema
+    from repro.sql.parser import parse_statement
+    from repro.sql.types import DOUBLE, INTEGER, varchar
+
+    database = Database("D")
+    database.create_table(
+        "fact",
+        Schema([Field("id", INTEGER), Field("did", INTEGER), Field("v", DOUBLE),
+                Field("g", varchar(8))]),
+        [(i, i % 50, float(i % 97), "g%d" % (i % 7)) for i in range(6000)],
+    )
+    database.create_table(
+        "dim",
+        Schema([Field("id", INTEGER), Field("name", varchar(8))]),
+        [(i, "n%d" % i) for i in range(50)],
+    )
+    sql = "SELECT f.id, d.name FROM dim d, fact f WHERE d.id = f.did AND f.v > 40"
+    plan = database.planner.optimize(build_plan(parse_statement(sql), database.catalog))
+    root = instrument_plan(database.planner.to_physical(plan))
+    rows = [row for chunk in root.batches() for row in chunk]
+    assert rows
+    (join,) = [node for node in root.walk() if node.label().startswith("HashJoin")]
+    assert join.build_left
+    probe_chain = list(join.right.walk())
+    assert [node.label().split("[")[0] for node in probe_chain] == [
+        "Filter", "Project", "SeqScan"
+    ]
+    assert all(node.exec_seconds > 0.0 for node in probe_chain)
+    total = sum(self_seconds(node) for node in root.walk())
+    assert total <= root.exec_seconds * (1 + 1e-9)

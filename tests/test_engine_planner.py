@@ -8,7 +8,6 @@ from repro.engine.fdw import ForeignScan
 from repro.errors import ExecutionError
 from repro.relational import algebra
 from repro.relational.builder import build_plan
-from repro.relational.expressions import compile_predicate
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_statement
 from repro.sql.types import INTEGER, varchar
@@ -116,7 +115,7 @@ def test_mixed_condition_hashes_with_a_residual(kind):
         join.left.clone(),
         join.right.clone(),
         logical.schema,
-        compile_predicate(logical.condition, logical.schema),
+        logical.condition,
         kind,
     )
     want = list(nested.rows())

@@ -7,8 +7,10 @@ expression to closures, and is the reference.  For random well-typed
 expression trees and random rows with NULLs and zeros, every kernel
 shape (filter, project, column, key) must return exactly what the
 closures return row by row — or raise the same exception type, which
-pins operand evaluation order.  The second half is the injection guard:
-literals are data, and the generated source carries neither literal nor
+pins operand evaluation order.  Read through a position map over wider
+rows, every kernel returns what it returns over the narrowed rows.  The
+last part is the injection guard: literals are data, and the generated
+source — position-mapped or not — carries neither literal nor
 identifier text.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import datetime
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import vector
@@ -206,6 +209,92 @@ def test_every_kernel_returns_what_the_closures_return(exprs, rows):
         assert _outcome(lambda: keys(rows)) == _outcome(tuples)
 
 
+# -- reading through a position map ------------------------------------------
+
+
+class _Hole:
+    """A wide row's slot that no narrowed column maps to: a kernel that
+    reads one compares, adds or prints something the narrow side never
+    sees."""
+
+    def __repr__(self):
+        return "<hole>"
+
+
+_HOLE = _Hole()
+
+
+@st.composite
+def position_maps(draw):
+    """``(positions, width)``: where each of ``SCHEMA``'s columns sits in
+    a wider row — a subset of its slots, in any order."""
+    width = draw(st.integers(len(SCHEMA), len(SCHEMA) + 3))
+    slots = draw(st.permutations(range(width)))
+    return list(slots[: len(SCHEMA)]), width
+
+
+def _widen(rows, positions, width):
+    wide = []
+    for row in rows:
+        slots = [_HOLE] * width
+        for value, position in zip(row, positions):
+            slots[position] = value
+        wide.append(tuple(slots))
+    return wide
+
+
+_MATCHES = st.one_of(
+    st.none(), st.tuples(_ints, _texts), st.lists(st.tuples(_ints, _texts), min_size=1, max_size=2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exprs=st.lists(EXPRESSIONS, min_size=1, max_size=3),
+    rows=ROWS,
+    layout=position_maps(),
+    matches=st.lists(_MATCHES, min_size=6, max_size=6),
+)
+@example(exprs=ORDER_SENSITIVE, rows=_NULL_X, layout=([4, 0, 2, 1, 3], 5), matches=[None] * 6)
+def test_every_kernel_reads_through_a_position_map(exprs, rows, layout, matches):
+    """Over the wide rows, a kernel given the map returns what the same
+    kernel returns over the narrowed rows (fallback closures included),
+    or raises the same exception type."""
+    positions, width = layout
+    wide = _widen(rows, positions, width)
+    for expr in exprs:
+        for shape in (vector.column_kernel, vector.filter_kernel):
+            mapped = shape(expr, SCHEMA, positions)
+            plain = shape(expr, SCHEMA)
+            assert _outcome(lambda: mapped(wide)) == _outcome(lambda: plain(rows))
+        keep = vector.filter_kernel(expr, SCHEMA, positions, narrow=False)
+        selection = vector.filter_kernel(expr, SCHEMA)
+        assert _outcome(
+            lambda: [rows[wide.index(row)] for row in keep(wide)]
+        ) == _outcome(lambda: selection(rows))
+    for shape in (vector.project_kernel, vector.key_kernel):
+        mapped = shape(exprs, SCHEMA, positions)
+        plain = shape(exprs, SCHEMA)
+        assert _outcome(lambda: mapped(wide)) == _outcome(lambda: plain(rows))
+    pad = (None, None)
+    for kind, build_left, buckets in vector._PROBES:
+        found = [
+            match if buckets or not isinstance(match, list) else match[0]
+            for match in matches[: len(rows)]
+        ]
+        if buckets:
+            found = [[match] if isinstance(match, tuple) else match for match in found]
+        mapped = vector.probe_kernel(kind, build_left, buckets, pad, positions)
+        plain = vector.probe_kernel(kind, build_left, buckets, pad)
+        assert mapped(wide, found) == plain(rows, found)
+
+
+def test_a_position_map_admits_only_integers():
+    for positions in (["0"], [0.0], ["__import__('os')"]):
+        with pytest.raises(TypeError):
+            vector.column_kernel(_I, SCHEMA, positions)
+
+
 # -- the injection guard ------------------------------------------------------
 
 HOSTILE = [
@@ -223,21 +312,22 @@ SECRET_SCHEMA = Schema(
 )
 
 
+def _hostile_exprs(literal, column):
+    return [
+        literal,
+        ast.BinaryOp("||", column, literal),
+        ast.BinaryOp("=", column, literal),
+        ast.InList(column, (literal, ast.Literal("other"))),
+        ast.Like(column, literal),
+    ]
+
+
 def test_hostile_literals_come_back_as_data():
     column = ast.ColumnRef("secret_name", "secret_table")
     rows = [(text, index) for index, text in enumerate(HOSTILE)] + [(None, -1)]
     for text in HOSTILE:
         literal = ast.Literal(text)
-        kernel = vector.project_kernel(
-            [
-                literal,
-                ast.BinaryOp("||", column, literal),
-                ast.BinaryOp("=", column, literal),
-                ast.InList(column, (literal, ast.Literal("other"))),
-                ast.Like(column, literal),
-            ],
-            SECRET_SCHEMA,
-        )
+        kernel = vector.project_kernel(_hostile_exprs(literal, column), SECRET_SCHEMA)
         out = kernel(rows)
         assert [row[0] for row in out] == [text] * len(rows)
         assert out[0][1] == HOSTILE[0] + text and out[-1][1] is None
@@ -248,6 +338,17 @@ def test_hostile_literals_come_back_as_data():
             assert fragment not in kernel.source
         selected = vector.filter_kernel(ast.BinaryOp("=", column, literal), SECRET_SCHEMA)
         assert selected(rows) == [row for row in rows if row[0] == text]
+        # The same kernels read through a position map over wider rows.
+        wide = [(index, None, name) for name, index in rows]
+        mapped = vector.project_kernel(_hostile_exprs(literal, column), SECRET_SCHEMA, [2, 0])
+        assert mapped(wide) == out
+        predicate = ast.BinaryOp("=", column, ast.BinaryOp("||", column, literal))
+        sources = [mapped.source] + [
+            vector.filter_kernel(predicate, SECRET_SCHEMA, [2, 0], narrow).source
+            for narrow in (True, False)
+        ]
+        for fragment in (text, "secret_name", "secret_table"):
+            assert all(fragment not in source for source in sources)
 
 
 def _sources_of(database, sql, monkeypatch):
@@ -272,6 +373,23 @@ def test_no_statement_text_reaches_compile(monkeypatch):
         SECRET_SCHEMA.unqualified(),
         [(text, index) for index, text in enumerate(HOSTILE)],
     )
+    _assert_no_statement_text_reaches_compile(database, monkeypatch)
+
+
+def test_no_statement_text_reaches_mapped_kernels(monkeypatch):
+    """The same statement over a table with a column it never reads:
+    the scan is narrowed, and its consumers read through the map."""
+    database = Database("D")
+    database.create_table(
+        "secret_table",
+        Schema([Field("unread", INTEGER)] + list(SECRET_SCHEMA.unqualified().fields)),
+        [(-index, text, index) for index, text in enumerate(HOSTILE)],
+    )
+    sources = _assert_no_statement_text_reaches_compile(database, monkeypatch)
+    assert any("for r in rows if" in source and "r[2]" in source for source in sources)
+
+
+def _assert_no_statement_text_reaches_compile(database, monkeypatch):
     template = (
         "SELECT secret_name, n * {number} AS scaled, secret_name || '{text}' AS tail "
         "FROM secret_table "
@@ -295,3 +413,4 @@ def test_no_statement_text_reaches_compile(monkeypatch):
         per_statement.append(sources)
     # statements that differ only in their constants share their sources
     assert per_statement[0] == per_statement[1]
+    return per_statement[0]
