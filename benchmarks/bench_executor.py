@@ -22,15 +22,21 @@ aggregation (a plain-column GROUP BY, which the row-tuple layout once
 made slower than the zero-copy hybrid layout before it) builds no
 narrowed tuple at all.  The filter and the probe keep 1 row in 100 and
 build the narrowed tuple only for those rows, so both must outrun
-``scan``, which builds one for every row.
+``scan``, which builds one for every row.  The probe is one
+comprehension that evaluates and looks up each row's key inline, so it
+must outrun the scan by a wide margin.
 
 Writes ``benchmarks/results/BENCH_executor.json``; ``--check`` exits
 non-zero if a shape's rate falls below its floor (:data:`FLOORS`): the
 flipped join below 0.8x the join's, ``filter_selective`` below 1.5x
-the scan's, ``probe_selective`` below 1.1x the scan's.  There
-is no second executor to race any more: a kernel regression shows end
-to end on the perf benchmark's ``exec_heavy`` workload, and per kernel
-in its ``engine.kernel.*.rows_per_s`` metrics (``benchmarks/perf``).
+the scan's, ``probe_selective`` below 2.5x the scan's (the two-pass
+probe it replaced, key list then ``map(dict.get)`` then a zip, ran at
+1.7-2.2x).  ``filter`` / ``scan`` (an AND, whose tests a filter joins
+with ``&``) is printed and written under ``ratios`` but not gated: it
+sits too close to 1x.  There is no second executor to race any more:
+a kernel regression shows end to end on the perf benchmark's
+``exec_heavy`` workload, and per kernel in its
+``engine.kernel.*.rows_per_s`` metrics (``benchmarks/perf``).
 """
 
 from __future__ import annotations
@@ -94,8 +100,12 @@ FLOORS = [
     # for the rows they keep, so they outrun the scan that builds it for
     # every row.
     ("filter_selective", "scan", 1.5),
-    ("probe_selective", "scan", 1.1),
+    # The fused probe: one comprehension, the lookup inline.
+    ("probe_selective", "scan", 2.5),
 ]
+
+#: Rate ratios that are recorded but not gated.
+RECORDED = [("filter", "scan")]
 
 
 def build_tables(fact_rows: int, dim_rows: int) -> list:
@@ -184,21 +194,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run(args.rows, args.dims, args.repeat)
+    benches = report["benches"]
+    ratios = {
+        f"{shape}/{reference}": benches[shape]["rows_per_sec"]
+        / benches[reference]["rows_per_sec"]
+        for shape, reference, *_ in FLOORS + RECORDED
+    }
+    report["ratios"] = {key: round(ratio, 2) for key, ratio in ratios.items()}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"{'bench':16s} {'seconds':>8s} {'rows/s':>10s} {'rows_out':>8s}")
-    for name, entry in report["benches"].items():
+    for name, entry in benches.items():
         print(
             f"{name:16s} {entry['seconds']:8.3f} "
             f"{entry['rows_per_sec']:10d} {entry['rows_out']:8d}"
         )
-    benches = report["benches"]
     failed = False
     for shape, reference, floor in FLOORS:
-        ratio = benches[shape]["rows_per_sec"] / benches[reference]["rows_per_sec"]
+        ratio = ratios[f"{shape}/{reference}"]
         print(f"{shape} / {reference} rate: {ratio:.2f}x (floor {floor}x)")
         failed = failed or ratio < floor
+    for shape, reference in RECORDED:
+        ratio = ratios[f"{shape}/{reference}"]
+        print(f"{shape} / {reference} rate: {ratio:.2f}x (not gated)")
     print(f"wrote {args.out}")
     if args.check and failed:
         print("FAIL: a shape runs below its floor")

@@ -47,7 +47,13 @@ _DRAIN_STRIDE = 4
 
 def chunked(rows: Iterable[tuple], limit: Optional[int] = None) -> Iterator[Chunk]:
     """Chunks of up to ``BATCH_SIZE`` rows, taking no more than
-    ``limit`` rows from ``rows``."""
+    ``limit`` rows from ``rows``: slices of a list, ``islice`` cuts of
+    any other iterable."""
+    if isinstance(rows, list):
+        stop = len(rows) if limit is None else min(limit, len(rows))
+        for start in range(0, stop, vector.BATCH_SIZE):
+            yield rows[start : min(start + vector.BATCH_SIZE, stop)]
+        return
     rows = iter(rows) if limit is None else islice(rows, limit)
     while chunk := list(islice(rows, vector.BATCH_SIZE)):
         yield chunk
@@ -275,8 +281,9 @@ class HashJoin(PhysicalPlan):
 
     Without a residual the probe is one generated comprehension per
     chunk (:func:`~repro.engine.vector.probe_kernel`) that reads through
-    its input and narrows only the rows it emits; a residual join pulls
-    the probe input's ``batches()`` and runs the residual per match.
+    its input, evaluates and looks up each row's key inline, and
+    narrows only the rows it emits; a residual join pulls the probe
+    input's ``batches()`` and runs the residual per match.
     """
 
     def __init__(
@@ -363,15 +370,14 @@ class HashJoin(PhysicalPlan):
         lookup = table.get
 
         if self.residual is None:
-            # One comprehension per chunk over the C-level map of
-            # dict.get, reading through the probe input.
+            # One comprehension per chunk, reading through the probe
+            # input and looking each row's key up inline.
             positions, chunks = probe.mapped()
-            keys_of = vector.key_kernel(probe_keys, probe.schema, positions)
             join = vector.probe_kernel(
-                self.kind, self.build_left, buckets, pad, positions
+                self.kind, self.build_left, buckets, probe_keys,
+                probe.schema, lookup, pad, positions,
             )
-            for rows in chunks:
-                yield join(rows, map(lookup, keys_of(rows)))
+            yield from map(join, chunks)
             return
 
         # A residual joins build right and reads ``left ++ right``.

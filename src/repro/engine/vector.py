@@ -13,18 +13,21 @@ The emitter lowers an expression tree to the *source* of a Python
 expression over the row variable ``r`` with exactly the semantics of
 the closures of :mod:`repro.relational.expressions`, operand order
 included: ``None`` is SQL NULL, comparisons and arithmetic evaluate
-their operands left to right and stop at the first NULL, AND/OR/NOT
-and ``%`` call the same helpers the closures call.  A node without an
-inline form (CASE, scalar functions, ``||``, a non-literal IN list or
-LIKE pattern) is an inline call of the closure for that subtree.
+their operands left to right and stop at the first NULL, NOT and
+``%`` call the closures' helpers, and so do AND/OR except in a
+filter's AND/OR tree, which joins ``is True`` tests with ``&`` / ``|``.
+A node without an inline form (CASE, scalar functions, ``||``, a
+non-literal IN list or LIKE pattern) is an inline call of the closure
+for that subtree.
 
 Every kernel constructor takes an optional *position map*: the rows
 are then wider than the schema, column ``i`` is read as
 ``r[positions[i]]``, a fallback closure is called on the narrowed
 tuple, and a filter or hash-join probe builds the narrowed tuple only
-for the rows it emits (``[(r[0], r[5], ) for r in rows if r[8] ==
-k0]``).  This is how a consumer reads through a projection of plain
-columns (:meth:`repro.engine.physical.PhysicalPlan.mapped`).
+for the rows it emits (``[(r[0], r[5], ) + m for r in rows if (m :=
+get(r[3])) is not None]``: the probe looks its key up inline).  This
+is how a consumer reads through a projection of plain columns
+(:meth:`repro.engine.physical.PhysicalPlan.mapped`).
 
 Only column positions and operators from a fixed table appear in the
 source; every literal, regex, type and helper is bound by name in the
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.relational.expressions import (
@@ -80,56 +83,60 @@ def filter_kernel(
     Over rows read through ``positions`` the selected rows come back
     narrowed, unless ``narrow`` is False: then they come back as they
     are, for a consumer that reads through the filter in turn."""
-    row = "{row}" if narrow else "r"
-    return _kernel(schema, [predicate], f"[{row} for r in rows if {{}} is True]", positions)
+    emitter = _Emitter(schema, positions)
+    row = emitter.row if narrow else "r"
+    return _kernel(emitter, f"[{row} for r in rows if {emitter.test(predicate)}]")
 
 
 def project_kernel(exprs: Sequence[ast.Expression], schema, positions=None) -> Kernel:
     """``rows -> one tuple of the ``exprs`` values per row``."""
-    return _kernel(
-        schema, exprs, "[(" + "{}, " * len(exprs) + ") for r in rows]", positions
-    )
+    emitter = _Emitter(schema, positions)
+    return _kernel(emitter, f"[{emitter.tuple_of(exprs)} for r in rows]")
 
 
 def column_kernel(expr: ast.Expression, schema, positions=None) -> Kernel:
     """``rows -> the value of ``expr`` per row``."""
-    return _kernel(schema, [expr], "[{} for r in rows]", positions)
+    emitter = _Emitter(schema, positions)
+    return _kernel(emitter, f"[{emitter.emit(expr)} for r in rows]")
 
 
 def key_kernel(exprs: Sequence[ast.Expression], schema, positions=None) -> Kernel:
     """One join or group key per row: the bare value for a single
     expression, a tuple otherwise."""
-    if len(exprs) == 1:
-        return column_kernel(exprs[0], schema, positions)
-    return project_kernel(exprs, schema, positions)
+    emitter = _Emitter(schema, positions)
+    return _kernel(emitter, f"[{emitter.key(exprs)} for r in rows]")
 
 
 #: Hash-join probe comprehensions by ``(kind, build_left, buckets)``:
-#: ``matches`` holds what the table holds for each probe row's key — a
-#: build row, a list bucket of them, or None — and ``{row}`` is the
-#: probe row, narrowed for matched rows only.
+#: ``get({key})`` is what the table holds for the probe row's key — a
+#: build row, a non-empty list bucket of them, or None — and ``{row}``
+#: is the probe row, narrowed for emitted rows only.  The lookup sits
+#: in an ``if`` clause or the element, never in a ``for``'s iterable,
+#: where a computed key's walrus is a SyntaxError.
 _PROBES = {
-    ("INNER", False, False): "[{row} + m for r, m in zip(rows, matches) if m is not None]",
-    ("INNER", True, False): "[m + {row} for r, m in zip(rows, matches) if m is not None]",
-    ("INNER", False, True): "[{row} + m for r, b in zip(rows, matches) if b for m in b]",
-    ("INNER", True, True): "[m + {row} for r, b in zip(rows, matches) if b for m in b]",
-    ("LEFT", False, False): (
-        "[{row} + (m if m is not None else pad) for r, m in zip(rows, matches)]"
-    ),
-    ("LEFT", False, True): "[{row} + m for r, b in zip(rows, matches) for m in b or pads]",
+    ("INNER", False, False): "[{row} + m for r in rows if (m := get({key})) is not None]",
+    ("INNER", True, False): "[m + {row} for r in rows if (m := get({key})) is not None]",
+    ("INNER", False, True): "[{row} + m for r in rows if (b := get({key})) for m in b]",
+    ("INNER", True, True): "[m + {row} for r in rows if (b := get({key})) for m in b]",
+    # A build row is falsy only if it is (), and then so is ``pad``.
+    ("LEFT", False, False): "[{row} + (get({key}) or pad) for r in rows]",
+    ("LEFT", False, True): "[{row} + m for r in rows if (b := get({key}) or pads) for m in b]",
 }
 
 
 def probe_kernel(
-    kind: str, build_left: bool, buckets: bool, pad: tuple, positions=None
-) -> Callable[[Sequence[tuple], Iterable], list]:
-    """``(rows, matches) -> the joined rows`` of a hash-join probe
-    without residual; ``pad`` fills a LEFT row that matched nothing."""
+    kind: str, build_left: bool, buckets: bool, keys: Sequence[ast.Expression],
+    schema, get, pad: tuple, positions=None,
+) -> Kernel:
+    """``rows -> the joined rows`` of a hash-join probe without
+    residual: each row's ``keys`` (over ``schema``) is looked up with
+    ``get``, the table's ``dict.get``; ``pad`` fills a LEFT row that
+    matched nothing."""
+    emitter = _Emitter(schema, positions)
     template = _PROBES[kind, build_left, buckets]
-    source = "lambda rows, matches: " + template.format(row=_row(positions))
-    kernel = eval(_code(source), {"pad": pad, "pads": [pad]})
-    kernel.source = source
-    return kernel
+    source = template.format(row=emitter.row, key=emitter.key(keys))
+    emitter.namespace.update(get=get, pad=pad, pads=[pad])
+    return _kernel(emitter, source)
 
 
 def _row(positions) -> str:
@@ -145,13 +152,8 @@ def _integers(positions) -> List[int]:
     return [operator.index(index) for index in positions]
 
 
-def _kernel(
-    schema, exprs: Sequence[ast.Expression], template: str, positions=None
-) -> Kernel:
-    emitter = _Emitter(schema, positions)
-    source = "lambda rows: " + template.format(
-        *[emitter.emit(expr) for expr in exprs], row=emitter.row
-    )
+def _kernel(emitter: "_Emitter", comprehension: str) -> Kernel:
+    source = "lambda rows: " + comprehension
     kernel = eval(_code(source), emitter.namespace)
     kernel.source = source
     return kernel
@@ -219,6 +221,23 @@ class _Emitter:
             fn = compile_expression(expr, self._schema).fn
             return f"{self._bind(fn)}({self.row})"
         return source
+
+    def tuple_of(self, exprs: Sequence[ast.Expression]) -> str:
+        return "(" + "".join(f"{self.emit(expr)}, " for expr in exprs) + ")"
+
+    def key(self, exprs: Sequence[ast.Expression]) -> str:
+        """A join or group key: the bare value of a single expression."""
+        return self.emit(exprs[0]) if len(exprs) == 1 else self.tuple_of(exprs)
+
+    def test(self, expr: ast.Expression) -> str:
+        """The source of ``expr is True``.  An AND / OR tree joins its
+        operands' tests with ``&`` / ``|``, which evaluate both sides
+        left to right as ``sql_and`` / ``sql_or`` do; it is exact
+        because the compiler admits only BOOLEAN or NULL operands."""
+        if isinstance(expr, ast.BinaryOp) and expr.op in ("AND", "OR"):
+            join = "&" if expr.op == "AND" else "|"
+            return f"({self.test(expr.left)} {join} {self.test(expr.right)})"
+        return f"({self.emit(expr)} is True)"
 
     def _bind(self, value: object) -> str:
         """Name ``value`` in the kernel's namespace."""

@@ -310,10 +310,9 @@ class _Compiler:
 
     def _compile_BinaryOp(self, expr: ast.BinaryOp) -> CompiledExpression:
         if expr.op in ("AND", "OR"):
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
+            lf = self._boolean(expr.op, expr.left)
+            rf = self._boolean(expr.op, expr.right)
             combine = sql_and if expr.op == "AND" else sql_or
-            lf, rf = left.fn, right.fn
             return CompiledExpression(
                 lambda row: combine(lf(row), rf(row)), BOOLEAN
             )
@@ -415,11 +414,23 @@ class _Compiler:
 
         raise BindError(f"unsupported binary operator {expr.op!r}")
 
+    def _boolean(self, op: str, operand: ast.Expression) -> RowFn:
+        """The closure of a logical operator's operand, which must be
+        BOOLEAN or NULL (as in PostgreSQL: ``WHERE a AND b`` over an
+        INTEGER ``a`` is an error, not a truth value)."""
+        compiled = self.compile(operand)
+        if compiled.type.kind not in (TypeKind.BOOLEAN, TypeKind.NULL):
+            raise TypeCheckError(
+                f"argument of {op} must be type boolean, got {compiled.type}"
+            )
+        return compiled.fn
+
     def _compile_UnaryOp(self, expr: ast.UnaryOp) -> CompiledExpression:
+        if expr.op == "NOT":
+            inner = self._boolean("NOT", expr.operand)
+            return CompiledExpression(lambda row: sql_not(inner(row)), BOOLEAN)
         operand = self.compile(expr.operand)
         inner = operand.fn
-        if expr.op == "NOT":
-            return CompiledExpression(lambda row: sql_not(inner(row)), BOOLEAN)
         if expr.op == "-":
             if not operand.type.is_numeric:
                 raise TypeCheckError(

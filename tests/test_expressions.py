@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import vector
+from repro.engine.database import Database
 from repro.errors import BindError, ExecutionError, TypeCheckError
 from repro.relational.expressions import (
     add_months,
@@ -201,6 +202,45 @@ def test_predicate_treats_null_as_false():
 def test_predicate_requires_boolean():
     with pytest.raises(TypeCheckError):
         compile_predicate(parse_expression("a + 1"), SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "text", ["a AND b > 1", "a OR b > 3", "flag AND s", "NOT a", "NOT (flag OR d)"]
+)
+def test_logical_operators_take_only_boolean_operands(text):
+    """As in PostgreSQL ("argument of AND must be type boolean"): an
+    INTEGER is no truth value, where sqlite would read 0 as false."""
+    with pytest.raises(TypeCheckError, match="must be type boolean"):
+        evaluate(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("flag AND NULL", None),
+        ("NULL OR flag", True),
+        ("NOT NULL", None),
+        ("NOT flag AND a > 1", False),
+    ],
+)
+def test_logical_operators_take_boolean_and_null_operands(text, want):
+    assert evaluate(text) is want
+
+
+@pytest.mark.parametrize(
+    "where", ["a AND b > 1", "a OR b > 3", "NOT a", "b > 1 AND (a OR b > 3)"]
+)
+def test_a_filter_on_an_integer_truth_value_is_rejected(where):
+    """Once answered {2, 3} and {4} where sqlite answers {2} and
+    {2, 4, NULL}: a non-boolean operand's truth went by ``is False``."""
+    database = Database("D")
+    database.create_table(
+        "t",
+        Schema([Field("a", INTEGER), Field("b", INTEGER)]),
+        [(1, 2), (0, 3), (None, 4), (2, None)],
+    )
+    with pytest.raises(TypeCheckError, match="must be type boolean"):
+        database.execute(f"SELECT b FROM t WHERE {where}")
 
 
 # -- scalar functions -------------------------------------------------------------

@@ -8,10 +8,13 @@ expression trees and random rows with NULLs and zeros, every kernel
 shape (filter, project, column, key) must return exactly what the
 closures return row by row — or raise the same exception type, which
 pins operand evaluation order.  Read through a position map over wider
-rows, every kernel returns what it returns over the narrowed rows.  The
-last part is the injection guard: literals are data, and the generated
-source — position-mapped or not — carries neither literal nor
-identifier text.
+rows, every kernel returns what it returns over the narrowed rows; a
+fused hash-join probe returns what the three passes it replaced return
+(key kernel, ``map(dict.get)``, zip), and a filter's ``&`` / ``|``
+tree keeps what the closures keep over random AND / OR / NOT trees.
+The last part is the injection guard: literals are data, and the
+generated source — position-mapped or not, probes included — carries
+neither literal nor identifier text.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.engine.database import Database
 from repro.relational.expressions import compile_expression
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
-from repro.sql.types import DATE, DOUBLE, INTEGER, varchar
+from repro.sql.types import BOOLEAN, DATE, DOUBLE, INTEGER, varchar
 
 SCHEMA = Schema(
     [
@@ -247,6 +250,46 @@ _MATCHES = st.one_of(
     st.none(), st.tuples(_ints, _texts), st.lists(st.tuples(_ints, _texts), min_size=1, max_size=2)
 )
 
+#: The probe comprehensions as they were before the lookup moved
+#: inline — a key kernel, then ``map(dict.get, keys)``, then a zip over
+#: the rows and their matches: the reference every fused probe equals.
+_ZIP_PROBES = {
+    ("INNER", False, False): "[r + m for r, m in zip(rows, matches) if m is not None]",
+    ("INNER", True, False): "[m + r for r, m in zip(rows, matches) if m is not None]",
+    ("INNER", False, True): "[r + m for r, b in zip(rows, matches) if b for m in b]",
+    ("INNER", True, True): "[m + r for r, b in zip(rows, matches) if b for m in b]",
+    ("LEFT", False, False): "[r + (m if m is not None else pad) for r, m in zip(rows, matches)]",
+    ("LEFT", False, True): "[r + m for r, b in zip(rows, matches) for m in b or pads]",
+}
+
+
+def _zip_probe(shape, keys, get, pad):
+    join = eval("lambda rows, matches: " + _ZIP_PROBES[shape], {"pad": pad, "pads": [pad]})
+    keys_of = vector.key_kernel(keys, SCHEMA)
+    return lambda rows: join(rows, map(get, keys_of(rows)))
+
+
+def _hash_table(keys, rows, matches, buckets):
+    """A hash table keyed by the ``rows``' own keys, as ``HashJoin``
+    builds it: a row whose match is None, or whose key has a NULL, is
+    left out; values are build rows, or list buckets of them."""
+    table = {}
+    try:
+        found = vector.key_kernel(keys, SCHEMA)(rows)
+    except Exception:  # the probe raises the same error; the table is moot
+        return table
+    for key, match in zip(found, matches):
+        if match is None or (key is None if len(keys) == 1 else None in key):
+            continue
+        if buckets:
+            table.setdefault(key, []).extend([match] if isinstance(match, tuple) else match)
+        else:
+            table[key] = match[0] if isinstance(match, list) else match
+    return table
+
+
+_SUM = ast.BinaryOp("+", _I, _J)
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -256,10 +299,24 @@ _MATCHES = st.one_of(
     matches=st.lists(_MATCHES, min_size=6, max_size=6),
 )
 @example(exprs=ORDER_SENSITIVE, rows=_NULL_X, layout=([4, 0, 2, 1, 3], 5), matches=[None] * 6)
+@example(  # computed keys, which a lookup in a for's iterable cannot take
+    exprs=[_SUM, ast.BinaryOp("+", ast.UnaryOp("-", _I), _J)],
+    rows=[(1, 2, None, "a", None), (None, 1, 0.5, None, None), (3, 0, 2.0, "b", None)],
+    layout=([4, 0, 2, 1, 3], 6),
+    matches=[(1, "x"), None, [(2, "y"), (3, None)], None, None, None],
+)
+@example(
+    exprs=[_SUM],
+    rows=[(1, 2, None, "a", None), (2, 1, 0.5, None, None), (None, 0, 2.0, "b", None)],
+    layout=([1, 2, 3, 4, 5], 6),
+    matches=[(1, "x"), [(2, "y"), (3, None)], (4, "z"), None, None, None],
+)
 def test_every_kernel_reads_through_a_position_map(exprs, rows, layout, matches):
     """Over the wide rows, a kernel given the map returns what the same
     kernel returns over the narrowed rows (fallback closures included),
-    or raises the same exception type."""
+    or raises the same exception type.  A fused probe, keyed by
+    ``exprs``, returns what the key kernel, ``map(dict.get)`` and the
+    zip it replaced return, through a map or not."""
     positions, width = layout
     wide = _widen(rows, positions, width)
     for expr in exprs:
@@ -277,16 +334,66 @@ def test_every_kernel_reads_through_a_position_map(exprs, rows, layout, matches)
         plain = shape(exprs, SCHEMA)
         assert _outcome(lambda: mapped(wide)) == _outcome(lambda: plain(rows))
     pad = (None, None)
-    for kind, build_left, buckets in vector._PROBES:
-        found = [
-            match if buckets or not isinstance(match, list) else match[0]
-            for match in matches[: len(rows)]
-        ]
-        if buckets:
-            found = [[match] if isinstance(match, tuple) else match for match in found]
-        mapped = vector.probe_kernel(kind, build_left, buckets, pad, positions)
-        plain = vector.probe_kernel(kind, build_left, buckets, pad)
-        assert mapped(wide, found) == plain(rows, found)
+    assert set(vector._PROBES) == set(_ZIP_PROBES)
+    for shape in vector._PROBES:
+        table = _hash_table(exprs, rows, matches, buckets=shape[2])
+        want = _outcome(lambda: _zip_probe(shape, exprs, table.get, pad)(rows))
+        for over, through in ((rows, None), (wide, positions)):
+            probe = vector.probe_kernel(*shape, exprs, SCHEMA, table.get, pad, through)
+            assert _outcome(lambda: probe(over)) == want, probe.source
+
+
+# -- a filter's AND / OR tree --------------------------------------------------
+
+BOOLEAN_SCHEMA = Schema(
+    [Field("p", BOOLEAN, "u"), Field("q", BOOLEAN, "u"), Field("n", INTEGER, "u")]
+)
+_TRUTHS = st.one_of(st.none(), st.booleans())
+BOOLEAN_ROWS = st.lists(
+    st.tuples(_TRUTHS, _TRUTHS, st.one_of(st.none(), st.integers(-2, 2))), max_size=8
+)
+_P, _Q, _N = (ast.ColumnRef(name) for name in "pqn")
+#: True, False or NULL as ``n`` is positive, not, or NULL; raises if 0.
+_RECIPROCAL = ast.BinaryOp(">", ast.BinaryOp("/", ast.Literal(1), _N), ast.Literal(0))
+
+TRUTH_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from([_P, _Q, _RECIPROCAL, ast.Literal(None), ast.Literal(True)]),
+        st.builds(ast.BinaryOp, st.sampled_from(["=", "<", ">="]), st.just(_N), _literal(_ints)),
+        st.builds(ast.IsNull, st.sampled_from([_P, _N]), st.booleans()),
+    ),
+    lambda inner: st.one_of(
+        st.builds(ast.BinaryOp, st.sampled_from(["AND", "OR"]), inner, inner),
+        st.builds(ast.UnaryOp, st.just("NOT"), inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(predicate=TRUTH_TREES, rows=BOOLEAN_ROWS)
+@example(  # ``&`` evaluates its right side under a False left, as sql_and did
+    predicate=ast.BinaryOp("AND", _P, _RECIPROCAL), rows=[(False, None, 0)]
+)
+@example(predicate=ast.BinaryOp("OR", _P, _RECIPROCAL), rows=[(True, None, 0)])
+@example(
+    predicate=ast.BinaryOp("OR", ast.UnaryOp("NOT", ast.BinaryOp("AND", _P, _Q)), _Q),
+    rows=[(None, True, 1), (False, None, 1), (True, True, None), (None, None, None)],
+)
+def test_a_filter_keeps_the_rows_its_closure_finds_true(predicate, rows):
+    fn = compile_expression(predicate, BOOLEAN_SCHEMA).fn
+    selection = vector.filter_kernel(predicate, BOOLEAN_SCHEMA)
+    assert _outcome(lambda: selection(rows)) == _outcome(
+        lambda: [row for row in rows if fn(row) is True]
+    )
+
+
+def test_a_filter_joins_its_and_or_tests_without_helpers():
+    bigger = ast.BinaryOp(">", _N, ast.Literal(1))
+    predicate = ast.BinaryOp("AND", _P, ast.BinaryOp("OR", _Q, bigger))
+    source = vector.filter_kernel(predicate, BOOLEAN_SCHEMA).source
+    assert " & " in source and " | " in source
+    assert "sql_and" not in source and "sql_or" not in source
 
 
 def test_a_position_map_admits_only_integers():
@@ -343,7 +450,14 @@ def test_hostile_literals_come_back_as_data():
         mapped = vector.project_kernel(_hostile_exprs(literal, column), SECRET_SCHEMA, [2, 0])
         assert mapped(wide) == out
         predicate = ast.BinaryOp("=", column, ast.BinaryOp("||", column, literal))
-        sources = [mapped.source] + [
+        # A probe keyed by the literal: the table's keys are data too.
+        table = {name + text: (index,) for name, index in rows if name is not None}
+        probe = vector.probe_kernel(
+            "INNER", False, False, [ast.BinaryOp("||", column, literal)],
+            SECRET_SCHEMA, table.get, (None,), [2, 0],
+        )
+        assert probe(wide) == [(name, index, index) for name, index in rows[:-1]]
+        sources = [mapped.source, probe.source] + [
             vector.filter_kernel(predicate, SECRET_SCHEMA, [2, 0], narrow).source
             for narrow in (True, False)
         ]
@@ -377,22 +491,32 @@ def test_no_statement_text_reaches_compile(monkeypatch):
 
 
 def test_no_statement_text_reaches_mapped_kernels(monkeypatch):
-    """The same statement over a table with a column it never reads:
-    the scan is narrowed, and its consumers read through the map."""
+    """The same statement over a table with a column it never reads,
+    joined one to one with another such table: the scans are narrowed,
+    and their consumers — filters and the probe — read through the map."""
     database = Database("D")
     database.create_table(
         "secret_table",
         Schema([Field("unread", INTEGER)] + list(SECRET_SCHEMA.unqualified().fields)),
         [(-index, text, index) for index, text in enumerate(HOSTILE)],
     )
-    sources = _assert_no_statement_text_reaches_compile(database, monkeypatch)
+    database.create_table(
+        "secret_keys",
+        Schema([Field("unread_too", INTEGER), Field("k", INTEGER)]),
+        [(-index, index) for index in range(len(HOSTILE))],
+    )
+    join = " JOIN secret_keys ON secret_keys.k = secret_table.n"
+    sources = _assert_no_statement_text_reaches_compile(database, monkeypatch, join)
     assert any("for r in rows if" in source and "r[2]" in source for source in sources)
+    probes = [source for source in sources if " + m " in source or "[m + " in source]
+    assert probes and all("for r in rows if (m := get(" in source for source in probes)
+    assert any("r[1]" in source or "r[2]" in source for source in probes)
 
 
-def _assert_no_statement_text_reaches_compile(database, monkeypatch):
+def _assert_no_statement_text_reaches_compile(database, monkeypatch, join=""):
     template = (
         "SELECT secret_name, n * {number} AS scaled, secret_name || '{text}' AS tail "
-        "FROM secret_table "
+        "FROM secret_table" + join + " "
         "WHERE secret_name <> '{text}' AND n BETWEEN 0 AND {number} "
         "AND n IN ({number}, 1, 2) AND secret_name NOT LIKE '{text}'"
     )
