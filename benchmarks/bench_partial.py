@@ -1,16 +1,15 @@
 """Partial-chaos benchmark — task-level fault domains under load.
 
-Three seeded scenarios over a hash-partitioned four-engine federation:
+Two seeded scenarios over a hash-partitioned four-engine federation,
+both judged against stdlib sqlite holding the unpartitioned table
+(:class:`repro.fuzz.reference.Reference`):
 
 1. **Branch failover**: a per-submission single-shard outage strikes
    the shard's primary holder while every shard has a replica.  The
    repair must stay *branch-local*: availability 1.0 with zero
    whole-query ``repair_attempts`` — only ``branch_repairs`` — and
    completed sibling snapshots pinned (reused), never recomputed.
-2. **Hedged stragglers**: the worker pool drains branch sets where one
-   seeded branch straggles; with a hedge policy the p99 makespan must
-   improve at least 1.5× over the unhedged pool.
-3. **Partial results**: a shard with no replica dies; an
+2. **Partial results**: a shard with no replica dies; an
    ``allow_partial`` submission must return a row-subset of the
    fault-free oracle with completeness exactly the missing shards'
    row-weighted fraction.
@@ -32,18 +31,13 @@ import pathlib
 import platform
 import random
 import sys
-import time
+from contextlib import closing
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.client import XDB  # noqa: E402
 from repro.core.partition import partition_name  # noqa: E402
-from repro.engine.parallel import (  # noqa: E402
-    HedgePolicy,
-    WorkerPool,
-    check_cancelled,
-)
 from repro.errors import ReproError  # noqa: E402
 from repro.faults import (  # noqa: E402
     EngineOutage,
@@ -51,8 +45,10 @@ from repro.faults import (  # noqa: E402
     FaultPolicy,
 )
 from repro.federation.deployment import Deployment  # noqa: E402
+from repro.fuzz.reference import Reference, same_rows  # noqa: E402
 from repro.qos import QoSPolicy  # noqa: E402
 from repro.relational.schema import Field, Schema  # noqa: E402
+from repro.sql.parser import parse_statement  # noqa: E402
 from repro.sql.types import DOUBLE, INTEGER  # noqa: E402
 
 RESULTS_PATH = (
@@ -97,10 +93,11 @@ def build_sharded(replicated: bool) -> Deployment:
     return dep
 
 
-def oracle_rows(sql: str):
-    dep = Deployment({"T": "postgres"})
-    dep.load_table("T", "orders", ORDERS, ORDERS_ROWS)
-    return XDB(dep).submit(sql).result.rows
+def oracle_rows(sql: str, schema: Schema):
+    """sqlite's answer to ``sql`` over the unpartitioned table;
+    ``schema`` is the engine's result schema."""
+    with closing(Reference([("orders", ORDERS, ORDERS_ROWS)])) as reference:
+        return reference.rows(parse_statement(sql), schema)
 
 
 # -- scenario 1: branch-local failover ------------------------------------
@@ -111,8 +108,8 @@ def run_failover(seed: int, submissions: int) -> dict:
     dep = build_sharded(replicated=True)
     xdb = XDB(dep, movement_policy="explicit")
     xdb.warm_metadata()
-    truth = sorted(oracle_rows(AGG_SQL))
     baseline = xdb.submit(AGG_SQL)
+    truth = oracle_rows(AGG_SQL, baseline.result.schema)
 
     timeline = []
     ok = 0
@@ -137,10 +134,7 @@ def run_failover(seed: int, submissions: int) -> dict:
             ok += 1
             recovery = report.recovery
             record["outcome"] = "ok"
-            record["correct"] = (
-                sorted(tuple(r) for r in report.result.rows)
-                == [tuple(r) for r in truth]
-            )
+            record["correct"] = same_rows(report.result.rows, truth)
             record["repair_attempts"] = recovery.repair_attempts
             record["branch_repairs"] = recovery.branch_repairs
             record["pinned_tasks"] = len(recovery.pinned_tasks)
@@ -178,70 +172,7 @@ def run_failover(seed: int, submissions: int) -> dict:
     }
 
 
-# -- scenario 2: hedged stragglers ----------------------------------------
-
-
-def _branch(duration: float):
-    def run():
-        deadline = time.monotonic() + duration
-        while time.monotonic() < deadline:
-            check_cancelled()
-            time.sleep(0.002)
-        return duration
-
-    return run
-
-
-def run_hedging(seed: int, trials: int) -> dict:
-    rng = random.Random(seed * 7919)
-    branch_count = 8
-    base = 0.02
-    straggle = 0.5
-    pool = WorkerPool(branch_count + 2)
-
-    def one_trial(hedged: bool) -> float:
-        straggler = rng.randrange(branch_count)
-        durations = [base] * branch_count
-        durations[straggler] = straggle
-        hedge = (
-            HedgePolicy(
-                multiplier=3.0,
-                factory=lambda index: _branch(base),
-                poll_seconds=0.001,
-            )
-            if hedged
-            else None
-        )
-        started = time.monotonic()
-        outcomes = pool.map(
-            [_branch(d) for d in durations], hedge=hedge
-        )
-        elapsed = time.monotonic() - started
-        assert len(outcomes) == branch_count
-        return elapsed
-
-    unhedged = sorted(one_trial(False) for _ in range(trials))
-    hedged = sorted(one_trial(True) for _ in range(trials))
-
-    def p99(samples):
-        return samples[min(len(samples) - 1, int(len(samples) * 0.99))]
-
-    return {
-        "trials": trials,
-        "branches": branch_count,
-        "base_seconds": base,
-        "straggler_seconds": straggle,
-        "p99_unhedged_seconds": p99(unhedged),
-        "p99_hedged_seconds": p99(hedged),
-        "p99_speedup": (
-            p99(unhedged) / p99(hedged) if p99(hedged) > 0 else 0.0
-        ),
-        "mean_unhedged_seconds": sum(unhedged) / len(unhedged),
-        "mean_hedged_seconds": sum(hedged) / len(hedged),
-    }
-
-
-# -- scenario 3: policy-bounded partial results ---------------------------
+# -- scenario 2: policy-bounded partial results ---------------------------
 
 
 def run_partial(seed: int) -> dict:
@@ -249,7 +180,6 @@ def run_partial(seed: int) -> dict:
     dep = build_sharded(replicated=False)
     xdb = XDB(dep)
     xdb.warm_metadata()
-    truth = {tuple(r) for r in oracle_rows(SCAN_SQL)}
 
     shard_index = rng.randrange(len(DBS))
     shard = partition_name("orders", shard_index)
@@ -264,6 +194,7 @@ def run_partial(seed: int) -> dict:
             SCAN_SQL,
             qos=QoSPolicy(allow_partial=True, completeness_floor=0.0),
         )
+    truth = {tuple(r) for r in oracle_rows(SCAN_SQL, report.result.schema)}
     got = {tuple(r) for r in report.result.rows}
     recovery = report.recovery
     return {
@@ -308,11 +239,6 @@ def check(report: dict) -> list:
             f"shard faults tripped engine breakers: "
             f"{failover['breakers_open']}"
         )
-    hedging = report["hedging"]
-    if hedging["p99_speedup"] < 1.5:
-        problems.append(
-            f"hedged p99 speedup {hedging['p99_speedup']:.2f}x < 1.5x"
-        )
     partial = report["partial"]
     if not partial["subset"]:
         problems.append(
@@ -340,8 +266,6 @@ def main(argv=None) -> int:
                         help="scenario seed (default 11)")
     parser.add_argument("--submissions", type=int, default=8,
                         help="failover submissions (default 8)")
-    parser.add_argument("--trials", type=int, default=5,
-                        help="hedging trials per arm (default 5)")
     parser.add_argument("--out", type=pathlib.Path, default=RESULTS_PATH,
                         help=f"output JSON path (default {RESULTS_PATH})")
     parser.add_argument("--check", action="store_true",
@@ -354,30 +278,21 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "config": {
             "submissions": args.submissions,
-            "trials": args.trials,
             "rows": len(ORDERS_ROWS),
             "engines": DBS,
         },
         "failover": run_failover(args.seed, args.submissions),
-        "hedging": run_hedging(args.seed, args.trials),
         "partial": run_partial(args.seed),
     }
 
     args.out.parent.mkdir(exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    failover, hedging, partial = (
-        report["failover"], report["hedging"], report["partial"],
-    )
+    failover, partial = report["failover"], report["partial"]
     print(
         f"failover: availability {failover['availability']:.3f}, "
         f"{failover['branch_repairs']} branch repair(s), "
         f"{failover['repair_attempts']} query repair(s), "
         f"{failover['pinned_tasks']} sibling snapshot(s) pinned"
-    )
-    print(
-        f"hedging: p99 {hedging['p99_unhedged_seconds']:.3f}s -> "
-        f"{hedging['p99_hedged_seconds']:.3f}s "
-        f"({hedging['p99_speedup']:.2f}x)"
     )
     print(
         f"partial: {partial['partial_rows']}/{partial['oracle_rows']} rows, "

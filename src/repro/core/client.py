@@ -146,21 +146,15 @@ class XDBReport:
         """Branch-level fault handling for EXPLAIN ANALYZE output.
 
         Summarizes how the submission survived: what each recovery
-        scope did (:meth:`RecoveryReport.parts`) and the
-        speculative-execution (hedging) activity of the parallel
-        gather.  Empty when nothing happened — the section only shows
+        scope did (:meth:`RecoveryReport.parts`) and how many queued
+        gather branches the worker pool cancelled after a sibling
+        failed.  Empty when nothing happened — the section only shows
         up on submissions that exercised a fault domain.
         """
         lines = [f"  {part}" for part in self.recovery.parts()]
-        metrics = self.context.metrics
-        launched = int(metrics.value("parallel.hedges_launched"))
-        if launched:
-            lines.append(
-                f"  hedges: {launched} launched, "
-                f"{int(metrics.value('parallel.hedges_won'))} won, "
-                f"{int(metrics.value('parallel.hedges_wasted'))} wasted"
-            )
-        cancelled = int(metrics.value("parallel.branches_cancelled"))
+        cancelled = int(
+            self.context.metrics.value("parallel.branches_cancelled")
+        )
         if cancelled:
             lines.append(f"  branches cancelled: {cancelled}")
         if not lines:
@@ -185,7 +179,6 @@ class XDB:
         ddl_namespace: str = "",
         ledger_path: Optional[str] = None,
         feedback: Optional[FeedbackStore] = None,
-        feedback_path: Optional[str] = None,
         adaptivity_threshold: Optional[float] = None,
     ):
         """Create the middleware over ``deployment``.
@@ -205,10 +198,10 @@ class XDB:
         persists the delegated-object ledger as JSON, so a restarted
         client can still reap what a crashed one leaked.
 
-        The Q-Error loop is opt-in: pass a :class:`FeedbackStore` (or
-        ``feedback_path`` to persist one as JSON) and every execution
-        harvests per-operator (estimate, actual) pairs that re-steer
-        the join-order DP and Rule-4 costing of later plans.
+        The Q-Error loop is opt-in: pass a :class:`FeedbackStore`
+        (``FeedbackStore(path=...)`` persists it as JSON) and every
+        execution harvests per-operator (estimate, actual) pairs that
+        re-steer the join-order DP and Rule-4 costing of later plans.
         ``adaptivity_threshold`` additionally arms *mid-query*
         adaptation: when a materialized task boundary's Q-Error exceeds
         it, the unexecuted plan suffix is re-annotated with the
@@ -222,8 +215,6 @@ class XDB:
             partition_specs=deployment.partition_specs,
         )
         #: the persistent Q-Error store (None keeps the loop off)
-        if feedback is None and feedback_path is not None:
-            feedback = FeedbackStore(path=feedback_path)
         self.feedback = feedback
         self.feedback_overlay = (
             FeedbackOverlay(feedback) if feedback is not None else None

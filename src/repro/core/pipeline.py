@@ -767,13 +767,6 @@ class PlanPipeline:
                     deadline=ctx.deadline,
                 )
                 ctx.record_admission(state.lease)
-        # Straggler hedging is pure overhead on a saturated federation:
-        # the capacity probe here decides whether the execution layer
-        # may launch speculative duplicates at all.
-        ctx.hedge_multiplier = (
-            qos.hedge_multiplier if qos is not None else None
-        )
-        ctx.hedging_allowed = gate.allow_hedge(engines)
         if state.stage != "execute":
             # No cascade for this plan yet.  With branch budget left, a
             # mid-cascade failure salvages the completed sibling

@@ -21,93 +21,22 @@ busy times into the derived wall clock of a K-wide pool — the same
 longest-processing-time list scheduling the schedule simulator's slot
 model uses.
 
-Two task-level fault-domain behaviours live here:
-
-* **sibling cancellation** — the first branch failure marks the pool
-  aborted; queued branches that have not started are *cancelled*
-  (skipped and counted) instead of drained, so a doomed gather stops
-  paying for work whose result will be thrown away;
-* **straggler hedging** — with a :class:`HedgePolicy`, a branch whose
-  wall time exceeds ``multiplier`` × the median of its finished
-  siblings gets a *speculative duplicate* on a spare worker slot; the
-  first result wins, and the loser is cooperatively cancelled through
-  its :class:`CancelToken` (long-running thunks poll
-  :func:`check_cancelled` between rows).  A loser that ignores its
-  token simply runs to completion — wasted work, which the
-  ``parallel.hedges_wasted`` counter reports instead of hiding.
+The pool's one task-level fault-domain behaviour is **sibling
+cancellation**: the first branch failure marks the pool aborted, and
+queued branches that have not started are *cancelled* (skipped and
+counted in ``parallel.branches_cancelled``) instead of drained, so a
+doomed gather stops paying for work whose result will be thrown away.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.obs.clock import thread_cpu_now
 from repro.obs.runtime import pop_context, push_context
-
-
-class BranchCancelled(Exception):
-    """Control-flow signal: this branch's work is no longer wanted.
-
-    Raised cooperatively (via :func:`check_cancelled`) inside a hedged
-    branch that lost the race.  Never escapes the pool — a cancelled
-    branch settles as ``cancelled``, not as an error.
-    """
-
-
-class CancelToken:
-    """A cooperative cancellation flag shared by a hedge pair."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-
-_CANCEL = threading.local()
-
-
-def current_cancel_token() -> Optional[CancelToken]:
-    """The cancel token of the branch running on this thread, if any."""
-    return getattr(_CANCEL, "token", None)
-
-
-def check_cancelled() -> None:
-    """Raise :class:`BranchCancelled` if this branch lost its race.
-
-    Long-running branch thunks call this between rows/batches — the
-    cooperative cancellation point that lets a hedged loser stop
-    burning CPU instead of racing to a discarded result.
-    """
-    token = current_cancel_token()
-    if token is not None and token.cancelled:
-        raise BranchCancelled()
-
-
-@dataclass
-class HedgePolicy:
-    """When and how to launch speculative duplicates of stragglers.
-
-    ``multiplier`` is the QoS latency multiple: a running branch is a
-    straggler once its wall time exceeds ``multiplier`` × the median
-    duration of its *finished* siblings (at least ``min_samples`` of
-    them, so the first branches to run are never hedged).  ``factory``
-    builds a fresh thunk for branch ``index`` — the duplicate must not
-    share mutable operator state with the primary.
-    """
-
-    multiplier: float
-    factory: Callable[[int], Callable[[], object]]
-    min_samples: int = 2
-    poll_seconds: float = 0.002
 
 
 @dataclass
@@ -118,34 +47,8 @@ class BranchOutcome:
     value: object = None
     busy_seconds: float = 0.0
     error: Optional[BaseException] = None
-    #: True when the branch never ran (a sibling failed first) or was
-    #: cooperatively cancelled without a winner recording a value
+    #: True when the branch never ran (a sibling failed first)
     cancelled: bool = False
-    #: True when a speculative duplicate was launched for this branch
-    hedged: bool = False
-    #: True when the *hedge* (not the primary) produced the value
-    hedge_won: bool = False
-
-
-class _MapRun:
-    """Shared mutable state of one ``map`` call (lock-protected)."""
-
-    def __init__(self, count: int):
-        self.lock = threading.Lock()
-        self.outcomes = [BranchOutcome(index) for index in range(count)]
-        #: indices whose outcome (value / error / cancel) is final
-        self.settled = [False] * count
-        self.started_at: Dict[int, float] = {}
-        self.running: set = set()
-        self.durations: List[float] = []
-        self.tokens: Dict[int, CancelToken] = {}
-        self.hedge_tokens: Dict[int, CancelToken] = {}
-        #: set on the first branch error — queued siblings cancel
-        self.abort = threading.Event()
-        self.cancelled_count = 0
-        self.hedges_launched = 0
-        self.hedges_won = 0
-        self.hedges_wasted = 0
 
 
 class WorkerPool:
@@ -155,10 +58,7 @@ class WorkerPool:
         self.workers = max(int(workers), 1)
 
     def map(
-        self,
-        thunks: Sequence[Callable[[], object]],
-        context=None,
-        hedge: Optional[HedgePolicy] = None,
+        self, thunks: Sequence[Callable[[], object]], context=None
     ) -> List[BranchOutcome]:
         """Run every thunk; outcomes come back in submission order.
 
@@ -166,40 +66,42 @@ class WorkerPool:
         tracer and metrics become visible inside every branch.  The
         first branch exception is re-raised after the in-flight
         branches settle; branches still *queued* at that point are
-        cancelled, not drained.  With a :class:`HedgePolicy`, detected
-        stragglers race a speculative duplicate (first result wins).
+        cancelled, not drained.
         """
         thunks = list(thunks)
-        run = _MapRun(len(thunks))
+        outcomes = [BranchOutcome(index) for index in range(len(thunks))]
         if not thunks:
-            return run.outcomes
+            return outcomes
         tracer = context.tracer if context is not None else None
         parent = tracer.current if tracer is not None else None
         work: "queue.SimpleQueue" = queue.SimpleQueue()
         for item in enumerate(thunks):
             work.put(item)
+        # set on the first branch error: queued siblings cancel
+        abort = threading.Event()
 
         def drain() -> None:
-            while True:
-                try:
-                    index, thunk = work.get_nowait()
-                except queue.Empty:
-                    return
-                with run.lock:
-                    if run.abort.is_set():
+            if context is not None:
+                push_context(context)
+            try:
+                while True:
+                    try:
+                        index, thunk = work.get_nowait()
+                    except queue.Empty:
+                        return
+                    outcome = outcomes[index]
+                    if abort.is_set():
                         # A sibling already failed, so this branch's
                         # result would be discarded — skip it instead
                         # of draining it.
-                        run.outcomes[index].cancelled = True
-                        run.settled[index] = True
-                        run.cancelled_count += 1
+                        outcome.cancelled = True
                         continue
-                    token = run.tokens[index] = CancelToken()
-                    run.started_at[index] = time.monotonic()
-                    run.running.add(index)
-                self._run_branch(
-                    index, thunk, run, context, parent, token, "primary"
-                )
+                    _run_branch(outcome, thunk, tracer, parent)
+                    if outcome.error is not None:
+                        abort.set()
+            finally:
+                if context is not None:
+                    pop_context(context)
 
         threads = [
             threading.Thread(
@@ -209,199 +111,38 @@ class WorkerPool:
         ]
         for thread in threads:
             thread.start()
-        hedge_threads = self._watch(threads, run, hedge, context, parent)
         for thread in threads:
             thread.join()
-        for thread in hedge_threads:
-            thread.join()
-        self._report(run, context)
-        for outcome in run.outcomes:
+        cancelled = sum(outcome.cancelled for outcome in outcomes)
+        if context is not None and cancelled:
+            context.metrics.inc("parallel.branches_cancelled", cancelled)
+        for outcome in outcomes:
             if outcome.error is not None:
                 raise outcome.error
-        return run.outcomes
+        return outcomes
 
-    # -- straggler hedging ---------------------------------------------
 
-    def _watch(
-        self,
-        threads: List[threading.Thread],
-        run: _MapRun,
-        hedge: Optional[HedgePolicy],
-        context,
-        parent,
-    ) -> List[threading.Thread]:
-        """Monitor running branches, launching hedges on stragglers.
-
-        Runs on the calling thread (which would otherwise sit in
-        ``join``).  Hedges only launch onto *spare* capacity: at most
-        ``workers`` branch bodies (primaries + hedges) run at once.
-        """
-        hedge_threads: List[threading.Thread] = []
-        if hedge is None or hedge.multiplier <= 0:
-            return hedge_threads
-        while any(thread.is_alive() for thread in threads):
-            time.sleep(hedge.poll_seconds)
-            now = time.monotonic()
-            launches = []
-            with run.lock:
-                if run.abort.is_set():
-                    break
-                if len(run.durations) < hedge.min_samples:
-                    continue
-                ordered = sorted(run.durations)
-                median = ordered[len(ordered) // 2]
-                threshold = max(hedge.multiplier * median, 1e-9)
-                busy = len(run.running) + len(run.hedge_tokens)
-                spare = self.workers - busy
-                for index in sorted(run.running):
-                    if spare <= 0:
-                        break
-                    if run.settled[index] or index in run.hedge_tokens:
-                        continue
-                    if now - run.started_at[index] <= threshold:
-                        continue
-                    token = run.hedge_tokens[index] = CancelToken()
-                    run.outcomes[index].hedged = True
-                    run.hedges_launched += 1
-                    launches.append((index, token))
-                    spare -= 1
-            for index, token in launches:
-                try:
-                    thunk = hedge.factory(index)
-                except Exception:  # pragma: no cover - defensive
-                    with run.lock:
-                        del run.hedge_tokens[index]
-                        run.outcomes[index].hedged = False
-                        run.hedges_launched -= 1
-                    continue
-                if context is not None:
-                    context.tracer.add_event("hedge-launched", branch=index)
-                thread = threading.Thread(
-                    target=self._run_branch,
-                    args=(index, thunk, run, context, parent, token, "hedge"),
-                    name=f"xdb-hedge-{index}",
-                    daemon=True,
-                )
-                hedge_threads.append(thread)
-                thread.start()
-        return hedge_threads
-
-    # -- branch bodies -------------------------------------------------
-
-    def _run_branch(
-        self, index, thunk, run: _MapRun, context, parent, token, role
-    ) -> None:
-        if context is not None:
-            push_context(context)
-        tracer = context.tracer if context is not None else None
-        span = None
-        if tracer is not None and parent is not None:
-            tracer.adopt(parent)
-            name = (
-                f"branch-{index}" if role == "primary" else f"hedge-{index}"
-            )
-            span = tracer.start_span(
-                name, kind="parallel", branch=index, role=role
-            )
-        _CANCEL.token = token
-        begin = thread_cpu_now()
-        value: object = None
-        error: Optional[BaseException] = None
-        cancelled = False
-        try:
-            value = thunk()
-        except BranchCancelled:
-            cancelled = True
-        except BaseException as exc:  # re-raised by map()
-            error = exc
-        finally:
-            _CANCEL.token = None
-            busy = thread_cpu_now() - begin
-            self._settle(
-                index, run, role, value, error, cancelled, busy, tracer
-            )
-            if span is not None:
-                span.attributes["busy_seconds"] = busy
-                if error is not None:
-                    span.status = "error"
-                elif cancelled:
-                    span.attributes["cancelled"] = True
-            if tracer is not None and parent is not None:
-                if span is not None:
-                    tracer.end_span(span)
-                tracer.release(parent)
-            if context is not None:
-                pop_context(context)
-
-    def _settle(
-        self, index, run: _MapRun, role, value, error, cancelled, busy, tracer
-    ) -> None:
-        """Record one runner's result; first non-cancelled result wins."""
-        with run.lock:
-            outcome = run.outcomes[index]
-            if role == "primary":
-                run.running.discard(index)
-            if run.settled[index]:
-                # The counterpart already won the race: this runner's
-                # work was speculative overhead.
-                if outcome.hedged and not cancelled and error is None:
-                    run.hedges_wasted += 1
-                return
-            if cancelled:
-                # Cooperatively cancelled with no winner on record yet:
-                # settle as cancelled only once no counterpart is still
-                # running (it would settle the real value).
-                counterpart = (
-                    index in run.hedge_tokens
-                    if role == "primary"
-                    else index in run.running
-                )
-                if not counterpart:
-                    outcome.cancelled = True
-                    run.settled[index] = True
-                    run.cancelled_count += 1
-                return
-            run.settled[index] = True
-            outcome.value = value
-            outcome.error = error
-            outcome.busy_seconds = busy
-            if error is not None:
-                run.abort.set()
-            else:
-                started = run.started_at.get(index)
-                if started is not None:
-                    run.durations.append(time.monotonic() - started)
-            if outcome.hedged:
-                outcome.hedge_won = role == "hedge"
-                if role == "hedge":
-                    run.hedges_won += 1
-                # Cooperatively cancel the losing runner.
-                loser = (
-                    run.tokens.get(index)
-                    if role == "hedge"
-                    else run.hedge_tokens.get(index)
-                )
-                if loser is not None:
-                    loser.cancel()
-                if tracer is not None:
-                    tracer.add_event(
-                        "hedge-settled", branch=index, winner=role
-                    )
-
-    @staticmethod
-    def _report(run: _MapRun, context) -> None:
-        """Fold the run's counters into the query context's metrics."""
-        if context is None:
-            return
-        metrics = context.metrics
-        if run.cancelled_count:
-            metrics.inc("parallel.branches_cancelled", run.cancelled_count)
-        if run.hedges_launched:
-            metrics.inc("parallel.hedges_launched", run.hedges_launched)
-        if run.hedges_won:
-            metrics.inc("parallel.hedges_won", run.hedges_won)
-        if run.hedges_wasted:
-            metrics.inc("parallel.hedges_wasted", run.hedges_wasted)
+def _run_branch(outcome: BranchOutcome, thunk, tracer, parent) -> None:
+    """Run one thunk as span ``branch-N`` under ``parent``, recording
+    its value or error and its thread-CPU seconds on ``outcome``."""
+    span = None
+    if tracer is not None and parent is not None:
+        tracer.adopt(parent)
+        span = tracer.start_span(
+            f"branch-{outcome.index}", kind="parallel", branch=outcome.index
+        )
+    begin = thread_cpu_now()
+    try:
+        outcome.value = thunk()
+    except BaseException as exc:  # re-raised by map()
+        outcome.error = exc
+    outcome.busy_seconds = thread_cpu_now() - begin
+    if span is not None:
+        span.attributes["busy_seconds"] = outcome.busy_seconds
+        if outcome.error is not None:
+            span.status = "error"
+        tracer.end_span(span)
+        tracer.release(parent)
 
 
 def makespan(durations: Iterable[float], workers: int) -> float:

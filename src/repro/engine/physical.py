@@ -23,12 +23,11 @@ judged against sqlite by :mod:`repro.fuzz.reference`.
 
 from __future__ import annotations
 
-import copy
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import vector
-from repro.engine.parallel import HedgePolicy, WorkerPool, check_cancelled
+from repro.engine.parallel import WorkerPool
 from repro.errors import ExecutionError
 from repro.obs.runtime import current_context
 from repro.relational.algebra import AggregateSpec, SortKey
@@ -40,9 +39,6 @@ from repro.sql.render import render
 Chunk = List[tuple]
 #: ``(positions, chunks)``, what :meth:`PhysicalPlan.mapped` returns
 Mapped = Tuple[Optional[List[int]], Iterator[Chunk]]
-
-#: Chunks a gathered branch hands over between two cancel checks.
-_DRAIN_STRIDE = 4
 
 
 def chunked(rows: Iterable[tuple], limit: Optional[int] = None) -> Iterator[Chunk]:
@@ -134,29 +130,6 @@ class PhysicalPlan:
         yield self
         for child in self.children():
             yield from child.walk()
-
-    def clone(self) -> "PhysicalPlan":
-        """A structural copy with fresh row counters.
-
-        Hedged execution re-runs a branch concurrently with its
-        primary; the two runs must not share operator objects or the
-        interleaved ``rows_out`` increments would corrupt both counts.
-        Operator nodes are copied (recursively, through lists of
-        children too); borrowed row storage and expressions are
-        shared — they are read-only during execution.
-        """
-        dup = copy.copy(self)
-        dup.rows_out = 0
-        for key, value in list(dup.__dict__.items()):
-            if isinstance(value, PhysicalPlan):
-                setattr(dup, key, value.clone())
-            elif (
-                isinstance(value, list)
-                and value
-                and all(isinstance(item, PhysicalPlan) for item in value)
-            ):
-                setattr(dup, key, [item.clone() for item in value])
-        return dup
 
 
 class SeqScan(PhysicalPlan):
@@ -544,7 +517,9 @@ class ParallelUnionAllOp(PhysicalPlan):
     branch outputs in branch order, so results are deterministic
     regardless of worker interleaving.  Branches run eagerly and do not
     see a LIMIT hint — the gather truncates on the consumer side (the
-    LIMIT over-pull of DESIGN.md §7, widened to whole branches).
+    LIMIT over-pull of DESIGN.md §7, widened to whole branches).  Each
+    branch runs exactly once: the first failure cancels the branches
+    still queued and propagates.
     """
 
     def __init__(
@@ -557,9 +532,6 @@ class ParallelUnionAllOp(PhysicalPlan):
         self.branches = list(branches)
         self.schema = schema
         self.workers = max(int(workers), 1)
-        #: per-branch thread-CPU seconds from the latest execution (the
-        #: bench derives the pool makespan from these)
-        self.branch_busy_seconds: List[float] = []
 
     def children(self) -> List[PhysicalPlan]:
         return list(self.branches)
@@ -570,55 +542,17 @@ class ParallelUnionAllOp(PhysicalPlan):
             f"{self.workers} workers]"
         )
 
-    def _hedge_policy(self, ctx) -> Optional[HedgePolicy]:
-        """Speculative-duplicate policy for straggling branches.
-
-        Enabled when the QoS policy set a hedge multiplier and the
-        workload gate saw spare capacity at admission.  A hedge runs a
-        *clone* of the straggling branch so the duplicate's row
-        counters never interleave with the primary's.
-        """
-        multiplier = getattr(ctx, "hedge_multiplier", None) if ctx else None
-        if (
-            multiplier is None
-            or not getattr(ctx, "hedging_allowed", True)
-            or len(self.branches) < 2
-        ):
-            return None
-        return HedgePolicy(
-            multiplier=float(multiplier),
-            factory=lambda index: (
-                lambda: _drain(self.branches[index].clone())
-            ),
-        )
-
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        ctx = current_context()
         outcomes = WorkerPool(self.workers).map(
-            [(lambda branch=branch: _drain(branch)) for branch in self.branches],
-            context=ctx,
-            hedge=self._hedge_policy(ctx),
+            [
+                (lambda branch=branch: list(branch.batches()))
+                for branch in self.branches
+            ],
+            context=current_context(),
         )
-        self.branch_busy_seconds = [
-            outcome.busy_seconds for outcome in outcomes
-        ]
         return _limited(
             (batch for outcome in outcomes for batch in outcome.value), hint
         )
-
-
-def _drain(branch: PhysicalPlan) -> List[Chunk]:
-    """Materialize a branch's chunks with cooperative cancel points.
-
-    A hedged loser keeps its worker thread until it notices the cancel;
-    polling every :data:`_DRAIN_STRIDE` chunks keeps that window small
-    without measurably taxing the hot loop."""
-    out: List[Chunk] = []
-    for count, chunk in enumerate(branch.batches()):
-        if count % _DRAIN_STRIDE == 0:
-            check_cancelled()
-        out.append(chunk)
-    return out
 
 
 class SortOp(PhysicalPlan):

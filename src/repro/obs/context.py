@@ -79,13 +79,6 @@ class QueryContext:
             self.deadline = deadline
         #: coarse phase label for structured DeadlineExceeded errors
         self.current_phase = ""
-        #: straggler-hedging contract for this submission: the QoS
-        #: latency multiple (None = hedging disabled) and whether the
-        #: admission gate's capacity probe permits speculative
-        #: duplicates right now — both stamped by the pipeline, read by
-        #: the parallel executor's worker pool
-        self.hedge_multiplier: Optional[float] = None
-        self.hedging_allowed = True
         #: real + simulated admission-gate spend (report views)
         self.admission_wait_seconds = 0.0
         self.admission_sim_seconds = 0.0

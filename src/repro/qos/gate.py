@@ -149,16 +149,6 @@ class WorkloadGate:
                 and state.active >= self.config.max_concurrent
             )
 
-    def allow_hedge(self, engines) -> bool:
-        """Whether speculative (hedged) duplicates may launch right now.
-
-        A hedge is pure extra load; it only helps when there is spare
-        capacity to absorb it.  The probe is advisory — no token is
-        taken — and denies hedging as soon as any engine the query was
-        admitted on is saturated.
-        """
-        return not any(self.saturated(db) for db in engines)
-
     def depth(self, db: str) -> int:
         with self._lock:
             state = self._engines.get(db)

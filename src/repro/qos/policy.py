@@ -15,7 +15,11 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
   the refresh) when an authoritative engine is saturated or its
   breaker is open, provided the snapshots are no older than the bound
   on the federation's simulated clock.  The served staleness is
-  recorded in ``XDBReport.qos``.
+  recorded in ``XDBReport.qos``;
+* its **partial-results bound** — with ``allow_partial`` set, a query
+  whose partition shard lost every healthy holder is answered from
+  the surviving shards, provided the row-weighted completeness stays
+  at or above ``completeness_floor``.
 
 The :class:`QoSReport` is the submission-side receipt: admission wait,
 deadline spend, and whether (and how stale) a degraded answer was.
@@ -59,11 +63,6 @@ class QoSPolicy:
     #: still reachable) for a partial answer; only consulted when
     #: ``allow_partial`` is set
     completeness_floor: float = 0.0
-    #: opt-in straggler hedging: a parallel-union branch running longer
-    #: than ``hedge_multiplier`` × the median of its finished siblings
-    #: gets a speculative duplicate; first result wins, the loser is
-    #: cooperatively cancelled.  None disables hedging.
-    hedge_multiplier: Optional[float] = None
 
     def make_deadline(self) -> Optional[Deadline]:
         """Build this policy's :class:`Deadline` (None without one)."""

@@ -9,7 +9,7 @@ checks (``parse(render(ast)) == ast``).
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.sql.types import SQLType

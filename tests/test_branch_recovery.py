@@ -1,5 +1,5 @@
-"""Task-level fault domains: branch-scoped retry/failover, hedged
-stragglers, and policy-bounded partial results.
+"""Task-level fault domains: branch-scoped failover, policy-bounded
+partial results, and sibling cancellation in the worker pool.
 
 A failed delegated branch of a partitioned gather must be repaired *in
 place*: the one struck shard holder is quarantined (the engine's
@@ -10,31 +10,19 @@ branch re-routes to a replica holder.  Whole-query re-entry
 ``QoSPolicy.allow_partial`` submission degrades to a partial answer —
 a row-subset of the fault-free oracle with its completeness reported —
 while a submission below its ``completeness_floor`` refuses and fails.
-The worker pool underneath hedges stragglers (speculative duplicate,
-first result wins, loser cooperatively cancelled) and cancels queued
-siblings after the first branch failure.
+The worker pool underneath cancels queued siblings after the first
+branch failure.
 """
-
-import time
 
 import pytest
 
-from repro.connect.connector import RetryPolicy
 from repro.core.client import XDB
 from repro.core.partition import (
     partition_completeness,
     partition_name,
     prune_missing_shards,
 )
-from repro.engine.parallel import (
-    BranchCancelled,
-    CancelToken,
-    HedgePolicy,
-    WorkerPool,
-    check_cancelled,
-    current_cancel_token,
-)
-from repro.engine.physical import ParallelUnionAllOp, PhysicalPlan, chunked
+from repro.engine.parallel import WorkerPool
 from repro.errors import ReproError
 from repro.faults import EngineOutage, FaultInjector, FaultPolicy
 from repro.federation.deployment import Deployment
@@ -317,7 +305,7 @@ def test_partition_completeness_is_row_weighted():
     assert uniform == pytest.approx(0.75)
 
 
-# -- worker-pool fault domains: cancellation + hedging --------------------
+# -- worker-pool fault domain: sibling cancellation -----------------------
 
 
 def test_map_cancels_queued_siblings_on_first_failure():
@@ -341,176 +329,3 @@ def test_map_cancels_queued_siblings_on_first_failure():
             pool.map([ok, boom, never], context=ctx)
     assert ran == ["ok"]
     assert ctx.metrics.value("parallel.branches_cancelled") == 1.0
-
-
-def test_cancel_token_is_thread_local_and_cooperative():
-    assert current_cancel_token() is None
-    check_cancelled()  # no token: no-op
-    token = CancelToken()
-    assert not token.cancelled
-    token.cancel()
-    assert token.cancelled
-
-
-def _straggler(duration: float):
-    def run():
-        deadline = time.monotonic() + duration
-        while time.monotonic() < deadline:
-            check_cancelled()
-            time.sleep(0.002)
-        return "slow"
-
-    return run
-
-
-def test_hedge_beats_straggler_and_cancels_loser():
-    pool = WorkerPool(4)
-    hedge = HedgePolicy(
-        multiplier=3.0,
-        factory=lambda index: (lambda: f"hedged-{index}"),
-        poll_seconds=0.001,
-    )
-    ctx = QueryContext(label="hedge")
-    started = time.monotonic()
-    with ctx:
-        outcomes = pool.map(
-            [lambda: "a", lambda: "b", _straggler(30.0)],
-            context=ctx,
-            hedge=hedge,
-        )
-    elapsed = time.monotonic() - started
-    assert [o.value for o in outcomes] == ["a", "b", "hedged-2"]
-    assert outcomes[2].hedged and outcomes[2].hedge_won
-    assert elapsed < 10.0  # the straggler was not waited out
-    assert ctx.metrics.value("parallel.hedges_launched") == 1.0
-    assert ctx.metrics.value("parallel.hedges_won") == 1.0
-    assert ctx.metrics.value("parallel.hedges_wasted") == 0.0
-
-
-def test_hedge_loser_that_finishes_counts_as_wasted():
-    pool = WorkerPool(4)
-
-    def slow_uncooperative():
-        time.sleep(0.25)  # never polls check_cancelled
-        return "slow"
-
-    hedge = HedgePolicy(
-        multiplier=2.0,
-        factory=lambda index: (lambda: "hedged"),
-        poll_seconds=0.001,
-    )
-    ctx = QueryContext(label="waste")
-    with ctx:
-        outcomes = pool.map(
-            [lambda: 1, lambda: 2, slow_uncooperative],
-            context=ctx,
-            hedge=hedge,
-        )
-    assert outcomes[2].value == "hedged"
-    assert ctx.metrics.value("parallel.hedges_wasted") == 1.0
-
-
-def test_no_hedge_without_policy_or_samples():
-    pool = WorkerPool(2)
-    ctx = QueryContext(label="nohedge")
-    with ctx:
-        outcomes = pool.map([lambda: 1, lambda: 2], context=ctx)
-    assert [o.value for o in outcomes] == [1, 2]
-    assert ctx.metrics.value("parallel.hedges_launched") == 0.0
-
-
-# -- hedging wired through the parallel gather ----------------------------
-
-
-class _SlowOnceScan(PhysicalPlan):
-    """Yields its rows after a shared-queue delay: the primary draws the
-    long delay, its hedged clone draws nothing and runs fast."""
-
-    def __init__(self, schema, rows, delays):
-        super().__init__()
-        self.schema = schema
-        self._rows = rows
-        self._delays = delays  # shared across clones on purpose
-
-    def _produce_batches(self, hint):
-        delay = self._delays.pop(0) if self._delays else 0.0
-        deadline = time.monotonic() + delay
-        while time.monotonic() < deadline:
-            check_cancelled()
-            time.sleep(0.002)
-        return chunked(self._rows, hint)
-
-
-def _fast_scan(schema, rows):
-    return _SlowOnceScan(schema, rows, [])
-
-
-def test_parallel_union_hedges_straggling_branch():
-    schema = Schema([Field("x", INTEGER)])
-    slow = _SlowOnceScan(schema, [(100,), (101,)], [30.0])
-    op = ParallelUnionAllOp(
-        [
-            _fast_scan(schema, [(1,), (2,)]),
-            _fast_scan(schema, [(3,)]),
-            slow,
-        ],
-        schema,
-        workers=4,
-    )
-    ctx = QueryContext(label="gather-hedge")
-    ctx.hedge_multiplier = 3.0
-    ctx.hedging_allowed = True
-    started = time.monotonic()
-    with ctx:
-        rows = list(op.rows())
-    elapsed = time.monotonic() - started
-    # Branch order is preserved and the hedge's rows are identical.
-    assert rows == [(1,), (2,), (3,), (100,), (101,)]
-    assert elapsed < 10.0
-    assert ctx.metrics.value("parallel.hedges_won") == 1.0
-    # The gather's counter saw each row exactly once — the cancelled
-    # primary's clone kept its own independent counters.
-    assert op.rows_out == 5
-    assert slow.rows_out == 0  # the primary never got to yield
-
-
-def test_parallel_union_respects_gate_denial():
-    schema = Schema([Field("x", INTEGER)])
-    op = ParallelUnionAllOp(
-        [_fast_scan(schema, [(1,)]), _fast_scan(schema, [(2,)])],
-        schema,
-        workers=2,
-    )
-    ctx = QueryContext(label="gate-denied")
-    ctx.hedge_multiplier = 2.0
-    ctx.hedging_allowed = False  # the workload gate saw saturation
-    with ctx:
-        assert op._hedge_policy(ctx) is None
-        assert list(op.rows()) == [(1,), (2,)]
-
-
-def test_physical_plan_clone_resets_counters_recursively():
-    schema = Schema([Field("x", INTEGER)])
-    inner = _fast_scan(schema, [(1,), (2,)])
-    op = ParallelUnionAllOp([inner], schema, workers=1)
-    list(op.rows())
-    assert op.rows_out == 2 and inner.rows_out == 2
-    dup = op.clone()
-    assert dup.rows_out == 0
-    assert dup.branches[0] is not inner
-    assert dup.branches[0].rows_out == 0
-    list(dup.rows())
-    # Re-running the clone never touches the original's counters.
-    assert inner.rows_out == 2
-
-
-def test_hedged_query_end_to_end_is_correct():
-    """A hedging-enabled submission stays correct (hedges may or may
-    not fire — no branch straggles here) and reports cleanly."""
-    dep = build_sharded()
-    xdb = XDB(dep)
-    xdb.warm_metadata()
-    truth = truth_rows(AGG_SQL)
-    report = xdb.submit(AGG_SQL, qos=QoSPolicy(hedge_multiplier=4.0))
-    assert_same_rows(report.result.rows, truth)
-    assert report.qos is not None and not report.qos.partial

@@ -111,9 +111,10 @@ def test_mixed_condition_hashes_with_a_residual(kind):
     join = lowered()
     assert join.kind == kind and join.residual is not None
     assert not join.build_left
+    inputs = lowered()
     nested = physical.NestedLoopJoin(
-        join.left.clone(),
-        join.right.clone(),
+        inputs.left,
+        inputs.right,
         logical.schema,
         logical.condition,
         kind,

@@ -254,12 +254,12 @@ def test_feedback_path_persists_across_clients(
     two_db_deployment, tmp_path
 ):
     path = str(tmp_path / "fb.json")
-    first = XDB(two_db_deployment, feedback_path=path)
+    first = XDB(two_db_deployment, feedback=FeedbackStore(path=path))
     first.warm_metadata()
     first.catalog.override_stats("B", "events", 1)
     first.submit(JOIN_QUERY)
 
-    second = XDB(two_db_deployment, feedback_path=path)
+    second = XDB(two_db_deployment, feedback=FeedbackStore(path=path))
     assert len(second.feedback) > 0
 
 

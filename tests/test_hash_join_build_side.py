@@ -368,22 +368,7 @@ def test_partitioned_branches_each_report_their_side():
             assert (left if "build=left" in label else right) == min(left, right)
 
 
-# -- (v) hedged branches run clones ----------------------------------------
-
-
-def test_clone_keeps_the_side_and_resets_the_counters():
-    left_rows, right_rows = CASES["pk-fk"]
-    op = make_join(left_rows, right_rows, 1, build_left=True)
-    first = run(op, "batch")
-    dup = op.clone()
-    assert dup.build_left and dup.label() == op.label()
-    assert [n.rows_out for n in dup.walk()] == [0, 0, 0]
-    assert dup.left is not op.left and dup.right is not op.right
-    assert run(dup, "row") == first
-    assert counts(dup) == counts(op)
-
-
-# -- (vi) the property the change is for -----------------------------------
+# -- (v) the property the change is for ------------------------------------
 
 
 def test_tpch_hash_tables_hold_the_smaller_input():
