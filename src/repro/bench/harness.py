@@ -10,7 +10,6 @@ that context*, the only place they are kept.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -18,39 +17,10 @@ from repro.baselines.garlic import GarlicSystem
 from repro.baselines.presto import PrestoSystem
 from repro.baselines.sclera import ScleraSystem
 from repro.core.client import XDB
-from repro.engine.profiles import load_calibrated
 from repro.engine.result import Result
 from repro.errors import ReproError
 from repro.federation.deployment import Deployment
 from repro.net.metrics import site_breakdown
-
-#: default calibrated engine-profile overlay, emitted by
-#: ``python -m repro.calibrate`` (repo-relative)
-_DEFAULT_CALIBRATED_PROFILES = os.path.join(
-    os.path.dirname(
-        os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-    ),
-    "benchmarks",
-    "results",
-    "calibrated_profiles.json",
-)
-
-
-def apply_calibrated_profiles(path: Optional[str] = None) -> bool:
-    """Install the calibrated engine-profile overlay, if one exists.
-
-    ``path`` defaults to the repository's
-    ``benchmarks/results/calibrated_profiles.json``.  Returns True when
-    an overlay was loaded.
-    """
-    candidate = path or _DEFAULT_CALIBRATED_PROFILES
-    if not os.path.exists(candidate):
-        return False
-    load_calibrated(candidate)
-    return True
-
 
 @dataclass
 class RunRecord:
@@ -245,27 +215,19 @@ class SystemSet:
 def build_systems(
     deployment: Deployment,
     presto_workers: int = 4,
-    calibrated: Optional[bool] = None,
 ) -> SystemSet:
     """Construct and warm all four systems over ``deployment``.
 
     The fidelity benchmarks cost with the hand-set *testbed* profile
-    constants by default: the paper's figures are defined by the
-    emulated testbed (Hive's multi-second startup, per-engine
-    per-tuple costs), and the calibration harness fits constants to
-    this repository's real in-memory executor instead — applying that
-    overlay collapses the emulated mediator baselines and inverts the
-    micro-scale comparisons (see EXPERIMENTS.md, "Calibrated
-    profiles").  Opt in to the calibrated overlay with
-    ``calibrated=True``, the ``--calibrated`` flag of
-    ``repro.bench.run``, or the ``XDB_CALIBRATED`` environment
-    variable; the overlay itself is resolved by
-    :func:`apply_calibrated_profiles`.
+    constants: the paper's figures are defined by the emulated testbed
+    (Hive's multi-second startup, per-engine per-tuple costs), and the
+    calibration harness fits constants to this repository's real
+    in-memory executor instead — that overlay collapses the emulated
+    mediator baselines and inverts the micro-scale comparisons (see
+    EXPERIMENTS.md, "Calibrated profiles").  A cost-model study installs
+    it with :func:`repro.engine.profiles.load_calibrated` and undoes it
+    with :func:`~repro.engine.profiles.clear_calibrated`.
     """
-    if calibrated is None:
-        calibrated = bool(os.environ.get("XDB_CALIBRATED"))
-    if calibrated:
-        apply_calibrated_profiles()
     xdb = XDB(deployment)
     garlic = GarlicSystem(deployment)
     presto = PrestoSystem(deployment, workers=presto_workers)

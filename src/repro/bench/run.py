@@ -62,13 +62,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="use the Fig. 10 heterogeneous engine mix",
     )
     parser.add_argument("--presto-workers", type=int, default=4)
-    parser.add_argument(
-        "--calibrated",
-        action="store_true",
-        help="apply the executor-fitted profile overlay "
-        "(benchmarks/results/calibrated_profiles.json) instead of the "
-        "default testbed constants; see EXPERIMENTS.md for the deltas",
-    )
     return parser.parse_args(argv)
 
 
@@ -87,11 +80,7 @@ def run_grid(args: argparse.Namespace) -> List[List[object]]:
         topology=args.topology,
         profiles=HETEROGENEOUS_PROFILES if args.hetero else None,
     )
-    systems = build_systems(
-        deployment,
-        presto_workers=args.presto_workers,
-        calibrated=getattr(args, "calibrated", False),
-    )
+    systems = build_systems(deployment, presto_workers=args.presto_workers)
 
     runners = {
         "xdb": lambda sql, name: run_xdb(

@@ -146,10 +146,10 @@ class XDBReport:
         """Branch-level fault handling for EXPLAIN ANALYZE output.
 
         Summarizes how the submission survived: what each recovery
-        scope did (:meth:`RecoveryReport.parts`) and how many queued
-        gather branches the worker pool cancelled after a sibling
-        failed.  Empty when nothing happened — the section only shows
-        up on submissions that exercised a fault domain.
+        scope did (:meth:`RecoveryReport.parts`) and how many branches
+        the gather skipped after a sibling failed.  Empty when nothing
+        happened — the section only shows up on submissions that
+        exercised a fault domain.
         """
         lines = [f"  {part}" for part in self.recovery.parts()]
         cancelled = int(
@@ -349,9 +349,6 @@ class XDB:
                         self.pipeline.staleness(state) if stale else None
                     ),
                     stale_reason=state.stale_reason,
-                    partial=recovery.partial,
-                    completeness=recovery.completeness,
-                    missing_partitions=list(recovery.missing_partitions),
                 )
 
             resilience = ctx.resilience_summary(self.connectors)

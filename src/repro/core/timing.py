@@ -93,7 +93,7 @@ def simulate_schedule(
     inter-DBMS pipelining of §V-B.
 
     ``worker_slots`` caps how many delegated tasks one engine advances
-    at a time (its intra-query worker pool).  ``None`` keeps the legacy
+    at a time (its simulated task slots).  ``None`` keeps the legacy
     unbounded overlap; an integer K greedily assigns each task the
     engine slot that frees up earliest, so per-partition fragments on
     the same engine overlap up to K-wide.

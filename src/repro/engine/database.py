@@ -56,7 +56,6 @@ class Database:
         name: str,
         profile: str = "postgres",
         node: Optional[str] = None,
-        parallel_workers: int = 1,
     ):
         self.name = name
         self.profile: EngineProfile = (
@@ -64,10 +63,6 @@ class Database:
         )
         #: name of the network node hosting this DBMS
         self.node = node or name
-        #: worker threads for intra-query parallelism (> 1 makes the
-        #: planner lower UNION ALL chains — notably gathered partition
-        #: branches — to a pool-fed parallel operator)
-        self.parallel_workers = max(int(parallel_workers), 1)
         self.catalog = Catalog(name)
         self.dialect: Renderer = dialect_for(self.profile.dialect)
         self.planner = LocalPlanner(self)

@@ -485,74 +485,39 @@ class HashAggregate(PhysicalPlan):
 
 
 class UnionAllOp(PhysicalPlan):
-    """Concatenation of two positionally compatible inputs."""
+    """The gather: a UNION ALL chain's branches, concatenated in order.
 
-    def __init__(self, left: PhysicalPlan, right: PhysicalPlan, schema: Schema):
-        super().__init__()
-        self.left = left
-        self.right = right
-        self.schema = schema
-
-    def children(self) -> List[PhysicalPlan]:
-        return [self.left, self.right]
-
-    def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        remaining = hint
-        for side in (self.left, self.right):
-            for batch in _limited(side.batches(remaining), remaining):
-                if remaining is not None:
-                    remaining -= len(batch)
-                yield batch
-            if remaining == 0:
-                return
-
-
-class ParallelUnionAllOp(PhysicalPlan):
-    """N-ary gather whose inputs drain concurrently on a worker pool.
-
-    The parallel lowering of a UNION ALL chain — typically the gather
-    over per-shard partition branches.  Every branch materializes on a
-    pool thread with the ambient query context propagated (spans,
-    metrics, counters all attribute correctly); the gather then emits
-    branch outputs in branch order, so results are deterministic
-    regardless of worker interleaving.  Branches run eagerly and do not
-    see a LIMIT hint — the gather truncates on the consumer side (the
-    LIMIT over-pull of DESIGN.md §7, widened to whole branches).  Each
-    branch runs exactly once: the first failure cancels the branches
-    still queued and propagates.
+    On the first pull each branch is drained in turn through
+    :meth:`WorkerPool.map` (one ``branch-N`` span each), with whatever
+    is left of the LIMIT hint; once the hint is met, later branches are
+    not pulled at all.  The first failure skips the rest and propagates.
     """
 
-    def __init__(
-        self,
-        branches: Sequence[PhysicalPlan],
-        schema: Schema,
-        workers: int,
-    ):
+    def __init__(self, branches: Sequence[PhysicalPlan], schema: Schema):
         super().__init__()
         self.branches = list(branches)
         self.schema = schema
-        self.workers = max(int(workers), 1)
 
     def children(self) -> List[PhysicalPlan]:
         return list(self.branches)
 
-    def label(self) -> str:
-        return (
-            f"ParallelUnionAll[{len(self.branches)} branches, "
-            f"{self.workers} workers]"
-        )
-
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
-        outcomes = WorkerPool(self.workers).map(
-            [
-                (lambda branch=branch: list(branch.batches()))
-                for branch in self.branches
-            ],
+        remaining = hint
+
+        def drain(branch: PhysicalPlan) -> List[Chunk]:
+            nonlocal remaining
+            if remaining == 0:
+                return []
+            chunks = list(_limited(branch.batches(remaining), remaining))
+            if remaining is not None:
+                remaining -= sum(map(len, chunks))
+            return chunks
+
+        values = WorkerPool().map(
+            [(lambda branch=branch: drain(branch)) for branch in self.branches],
             context=current_context(),
         )
-        return _limited(
-            (batch for outcome in outcomes for batch in outcome.value), hint
-        )
+        return (chunk for chunks in values for chunk in chunks)
 
 
 class SortOp(PhysicalPlan):

@@ -125,20 +125,10 @@ class LocalPlanner:
             return self._plan_join(plan)
 
         if isinstance(plan, algebra.Union):
-            if self._db.parallel_workers > 1:
-                # Flatten the left-deep UNION ALL chain (how partition
-                # gathers arrive) and drain every branch through the
-                # engine's worker pool.
-                branches = [
-                    self.to_physical(branch)
-                    for branch in _union_branches(plan)
-                ]
-                return physical.ParallelUnionAllOp(
-                    branches, plan.schema, self._db.parallel_workers
-                )
+            # One gather over the flattened left-deep UNION ALL chain
+            # (how partition gathers arrive).
             return physical.UnionAllOp(
-                self.to_physical(plan.left),
-                self.to_physical(plan.right),
+                [self.to_physical(branch) for branch in _union_branches(plan)],
                 plan.schema,
             )
 

@@ -204,12 +204,10 @@ def dump_calibrated(profiles: Iterable[EngineProfile]) -> Dict[str, object]:
     }
 
 
-def load_calibrated(path: str, register: bool = True) -> list:
-    """Load a calibrated profile set emitted by ``repro.calibrate``.
-
-    Returns the :class:`EngineProfile` list; with ``register`` (the
-    default) it also installs them as the active overlay.
-    """
+def load_calibrated(path: str) -> list:
+    """Install a calibrated profile set emitted by ``repro.calibrate``
+    as the active overlay (:func:`clear_calibrated` undoes it); returns
+    the :class:`EngineProfile` list."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     mapping: Mapping[str, Mapping[str, float]] = payload.get("profiles", {})
@@ -219,8 +217,7 @@ def load_calibrated(path: str, register: bool = True) -> list:
         )
         for name, constants in mapping.items()
     ]
-    if register:
-        set_calibrated(profiles)
+    set_calibrated(profiles)
     return profiles
 
 

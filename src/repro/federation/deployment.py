@@ -64,11 +64,9 @@ class Deployment:
         middleware/mediator node: defaults to the DBMS LAN for the
         runtime experiments ("onprem") and to the cloud for geo setups;
         pass ``"cloud"`` explicitly for the §VI-C managed-cloud cost
-        scenario.  ``parallel_workers`` sizes each engine's worker pool for
-        intra-query parallelism (UNION ALL branches — in particular
-        gathered partition fragments — are pulled concurrently when
-        it is > 1; the schedule simulator uses the same number as its
-        per-engine task slot count).
+        scenario.  ``parallel_workers`` is the schedule simulator's
+        per-engine task slot count: how many delegated tasks one member
+        DBMS runs side by side on the simulated clock.
         """
         names = list(profiles)
         if topology == "onprem":
@@ -98,12 +96,7 @@ class Deployment:
         self.partition_specs: Dict[str, PartitionSpec] = {}
         self.databases: Dict[str, Database] = {}
         for name, profile in profiles.items():
-            self.databases[name] = Database(
-                name,
-                profile=profile,
-                node=name,
-                parallel_workers=self.parallel_workers,
-            )
+            self.databases[name] = Database(name, profile=profile, node=name)
 
         self._wire_servers()
 

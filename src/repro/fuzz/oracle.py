@@ -26,8 +26,9 @@ Eight invariants, each cheap to state and brutal to uphold:
    rows a fresh client (introspecting the drifted engine from scratch)
    returns for the same query.
 5. **Partition parity**: splitting a table into hash/range shards
-   across a four-engine federation (workers pulling the gathered
-   branches in parallel) must not change any query's result — the
+   across a four-engine federation (each shard a task, the gathering
+   engine draining the branches in order) must not change any query's
+   result — the
    partitioned deployment returns exactly the unpartitioned
    deployment's rows.
 6. **Feedback parity**: the Q-Error loop only changes *how* a query

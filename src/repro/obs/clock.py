@@ -9,7 +9,10 @@ span intervals instead of ad-hoc module-level timing.
 The *simulated* clock is the other half of the clock duality and lives
 on the :class:`~repro.obs.tracer.Tracer` — it advances only when
 simulated cost is attributed (network transfers, retry backoff), never
-by itself.
+by itself.  A query runs on one thread, so a span's wall seconds are
+what its work cost; parallelism (member DBMSes running delegated tasks
+side by side) exists only on the simulated clock, as per-engine
+``worker_slots`` in the schedule simulator.
 """
 
 from __future__ import annotations
@@ -20,14 +23,3 @@ import time
 def wall_now() -> float:
     """Monotonic wall-clock seconds (``time.perf_counter``)."""
     return time.perf_counter()
-
-
-def thread_cpu_now() -> float:
-    """CPU seconds consumed by the *calling thread* (``time.thread_time``).
-
-    The worker pool measures each branch's busy time with this clock so
-    GIL contention between sibling branches does not inflate per-branch
-    work — the numbers stay comparable to a single-threaded run, which
-    is what the derived pool-makespan model needs.
-    """
-    return time.thread_time()

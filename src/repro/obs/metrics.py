@@ -52,8 +52,8 @@ class MetricsRegistry:
     """Counters, gauges, and histograms for one observation scope."""
 
     def __init__(self) -> None:
-        # Worker-pool branches of one query share the registry, so the
-        # read-modify-write paths must be atomic.
+        # Keeps the read-modify-write paths atomic should a registry
+        # ever be shared across threads.
         self._lock = threading.Lock()
         self._counters: Dict[MetricKey, float] = {}
         self._gauges: Dict[MetricKey, float] = {}

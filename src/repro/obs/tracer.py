@@ -169,12 +169,9 @@ class Span:
 class Tracer:
     """Builds the span tree and owns the simulated clock.
 
-    Thread-aware: each thread keeps its own stack of open spans, so
-    worker-pool branches build disjoint subtrees concurrently.  A
-    worker announces itself with :meth:`adopt` (seeding its stack under
-    the span it works for) and cleans up with :meth:`release`.  Span-id
-    allocation, child attachment, and the simulated clock share one
-    lock; everything else is single-writer per thread.
+    One query runs on one thread, so one stack of open spans suffices.
+    Span-id allocation, child attachment and the simulated clock share
+    one lock, should a tracer ever be shared across threads.
     """
 
     def __init__(self, root_name: str = "query", **attributes: object):
@@ -185,10 +182,8 @@ class Tracer:
         self.root = self._new_span(
             root_name, kind="query", parent=None, attributes=attributes
         )
-        self._home_thread = threading.get_ident()
-        self._stacks: Dict[int, List[Span]] = {
-            self._home_thread: [self.root]
-        }
+        #: the open spans, innermost last
+        self._stack: List[Span] = [self.root]
 
     # -- span lifecycle ------------------------------------------------
 
@@ -218,33 +213,9 @@ class Tracer:
         return span
 
     @property
-    def _stack(self) -> List[Span]:
-        """The calling thread's stack (un-adopted threads see the root)."""
-        return self._stacks.setdefault(threading.get_ident(), [self.root])
-
-    @property
     def current(self) -> Span:
         """The innermost open span (the attribution target)."""
         return self._stack[-1]
-
-    def adopt(self, parent: Span) -> None:
-        """Seed the calling worker thread's span stack under ``parent``.
-
-        Spans the worker opens become children of ``parent`` instead of
-        landing on some other thread's stack.
-        """
-        self._stacks[threading.get_ident()] = [parent]
-
-    def release(self, parent: Span) -> None:
-        """Drop the calling worker thread's stack (closes stragglers)."""
-        ident = threading.get_ident()
-        stack = self._stacks.get(ident)
-        if stack is None:
-            return
-        while len(stack) > 1:
-            self.end_span(stack[-1])
-        if ident != self._home_thread:
-            del self._stacks[ident]
 
     def start_span(self, name: str, kind: str = "span", **attributes) -> Span:
         span = self._new_span(
@@ -278,13 +249,10 @@ class Tracer:
     def finish(self) -> Span:
         """Close the root span (idempotent); returns it."""
         with self._lock:
-            for ident, stack in list(self._stacks.items()):
-                while len(stack) > 1:  # defensive: close stragglers
-                    span = stack.pop()
-                    span.wall_end = wall_now()
-                    span.sim_end = self.sim_now
-                if ident != self._home_thread:
-                    del self._stacks[ident]
+            while len(self._stack) > 1:  # defensive: close stragglers
+                span = self._stack.pop()
+                span.wall_end = wall_now()
+                span.sim_end = self.sim_now
             if self.root.wall_end is None:
                 self.root.wall_end = wall_now()
                 self.root.sim_end = self.sim_now

@@ -19,10 +19,11 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
 * its **partial-results bound** — with ``allow_partial`` set, a query
   whose partition shard lost every healthy holder is answered from
   the surviving shards, provided the row-weighted completeness stays
-  at or above ``completeness_floor``.
+  at or above ``completeness_floor``.  The partial answer is reported
+  once, in ``XDBReport.recovery``.
 
 The :class:`QoSReport` is the submission-side receipt: admission wait,
-deadline spend, and whether (and how stale) a degraded answer was.
+deadline spend, and whether (and how stale) a stale read was.
 """
 
 from __future__ import annotations
@@ -97,14 +98,6 @@ class QoSReport:
     staleness_seconds: Optional[float] = None
     #: why the read degraded: "overload", "breaker-open", or "drift"
     stale_reason: str = ""
-    #: True when the answer omits partition shards that lost every
-    #: healthy holder (policy-bounded degradation, ``allow_partial``)
-    partial: bool = False
-    #: row-weighted fraction of the partitioned data the answer covers
-    #: (1.0 for a complete answer)
-    completeness: float = 1.0
-    #: shard tables the partial answer is missing
-    missing_partitions: List[str] = field(default_factory=list)
 
     def describe(self) -> str:
         parts = [f"priority={self.priority}"]
@@ -122,12 +115,5 @@ class QoSReport:
             reason = f", {self.stale_reason}" if self.stale_reason else ""
             parts.append(
                 f"stale read ({self.staleness_seconds:.3f}s behind{reason})"
-            )
-        if self.partial:
-            missing = ", ".join(self.missing_partitions)
-            parts.append(
-                f"partial answer ({self.completeness:.1%} complete"
-                + (f"; missing {missing}" if missing else "")
-                + ")"
             )
         return ", ".join(parts)

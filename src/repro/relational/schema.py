@@ -90,7 +90,7 @@ class Schema:
             for position, field in enumerate(self.fields):
                 key = field.name.lower()
                 index[key] = index.get(key, ()) + (position,)
-            # published whole: pool workers resolve against one schema
+            # published whole: concurrent readers never see half of it
             self._index = index
         found = index.get(name.lower(), ())
         if relation and found:

@@ -8,23 +8,9 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.planner import LocalPlanner
-from repro.engine.profiles import clear_calibrated
 from repro.federation.deployment import Deployment
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DOUBLE, INTEGER, varchar
-
-
-@pytest.fixture(autouse=True)
-def _isolate_calibrated_profiles():
-    """Drop any calibrated-profile overlay a test installed.
-
-    ``bench.harness.build_systems(calibrated=True)`` installs the
-    overlay; it is process-global, so without this teardown a harness
-    test would silently change the cost constants every later test
-    sees.
-    """
-    yield
-    clear_calibrated()
 
 
 @pytest.fixture

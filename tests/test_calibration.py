@@ -6,6 +6,8 @@ seed constants' — in practice it improves by a large factor, since the
 seed constants were never derived from this executor.
 """
 
+import json
+
 import pytest
 
 from repro.calibrate.fit import (
@@ -20,6 +22,8 @@ from repro.engine.cost import CostModel
 from repro.engine.profiles import (
     CALIBRATABLE_CONSTANTS,
     clear_calibrated,
+    dump_calibrated,
+    load_calibrated,
     profile_base,
     profile_for,
     set_calibrated,
@@ -112,15 +116,28 @@ def test_calibration_smoke_improves_median_q_error():
     assert after["median_q_error"] <= before["median_q_error"]
 
 
-def test_calibrated_overlay_reaches_cost_model():
-    """set_calibrated propagates through profile_for into CostModel."""
+def test_calibrated_overlay_reaches_cost_model(tmp_path):
+    """set_calibrated, and a dumped overlay read back by
+    load_calibrated, propagate through profile_for into CostModel."""
+    base = profile_base("hive")
     try:
-        base = profile_base("hive")
         calibrated = base.with_constants(cpu_tuple_cost=123.0)
         set_calibrated([calibrated])
         served = profile_for("hive")
         assert served.cpu_tuple_cost == 123.0
         assert CostModel(profile_for("hive")).profile.cpu_tuple_cost == 123.0
+        clear_calibrated()
+
+        path = tmp_path / "calibrated_profiles.json"
+        path.write_text(
+            json.dumps(
+                dump_calibrated([base.with_constants(cpu_tuple_cost=7.5)])
+            )
+        )
+        (loaded,) = load_calibrated(str(path))
+        assert loaded.name == "hive" and loaded.cpu_tuple_cost == 7.5
+        assert profile_for("hive").cpu_tuple_cost == 7.5
+        assert profile_for("hive").constants() == loaded.constants()
     finally:
         clear_calibrated()
     assert profile_for("hive").cpu_tuple_cost == base.cpu_tuple_cost

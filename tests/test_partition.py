@@ -5,12 +5,13 @@ expansion pass through a real federation (co-partitioned joins staying
 in-situ, mismatched keys forcing a repartition edge), composition with
 replication and drift (a dead shard's replica is picked; drift on one
 partition quarantines only that holder), the schedule simulator's
-worker-slot model, and the worker pool's context propagation — the
-span tree stays well-formed and counters stay query-scoped even when
-branches run on pool threads.
+worker-slot model, and the gather's branch runner — the span tree
+stays well-formed, counters stay query-scoped, and no thread is
+started.
 """
 
 import re
+import threading
 
 import pytest
 
@@ -330,14 +331,12 @@ def test_makespan_is_lpt_list_scheduling():
     assert makespan([4.0, 3.0, 3.0, 2.0], 8) == pytest.approx(4.0)
 
 
-# -- the worker pool: context propagation (satellite) --------------------
+# -- the gather's branch runner ------------------------------------------
 
 
 def test_worker_pool_returns_outcomes_in_order_and_reraises():
-    pool = WorkerPool(2)
-    outcomes = pool.map([lambda: 1, lambda: 2, lambda: 3])
-    assert [outcome.value for outcome in outcomes] == [1, 2, 3]
-    assert all(outcome.busy_seconds >= 0 for outcome in outcomes)
+    pool = WorkerPool()
+    assert pool.map([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
 
     def boom():
         raise ValueError("branch died")
@@ -352,18 +351,34 @@ def test_parallel_scan_span_tree_is_well_formed():
     root = report.context.tracer.root
     spans = list(all_spans(root))
 
-    # Every span closed — pool threads released their adopted stacks.
     assert all(span.wall_end is not None for span in spans)
     branches = [span for span in spans if span.kind == "parallel"]
     assert len(branches) == len(DBS)
     for span in branches:
-        assert span.attributes["busy_seconds"] >= 0.0
+        assert span.wall_seconds >= 0.0
         assert span.status != "error"
     # No orphans: reachability from the root covers every span the
     # tracer ever allocated (ids are dense from the root's).
     ids = sorted(span.span_id for span in spans)
     assert ids == list(range(min(ids), min(ids) + len(ids)))
     validate_chrome_trace(report.to_chrome_trace())
+
+
+def test_a_submission_starts_no_thread(monkeypatch):
+    dep = build_sharded(workers=2)
+    xdb = XDB(dep)
+    xdb.warm_metadata()
+    started = []
+    original = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    report = xdb.submit(JOIN_SQL)
+    assert started == []
+    assert len(report.context.tracer.root.find_all(kind="parallel")) == len(DBS)
 
 
 def test_parallel_counters_do_not_leak_across_queries():
@@ -375,7 +390,7 @@ def test_parallel_counters_do_not_leak_across_queries():
     assert first.context is not second.context
 
     # Identical submissions measure identically: nothing from the first
-    # query's pool threads bled into the second query's context.  Label
+    # query's gather bled into the second query's context.  Label
     # values embed the per-query object names (xv_<qid>_...), which by
     # design differ run to run — normalize them before comparing.
     def normalized(report):

@@ -295,9 +295,10 @@ def test_a_submit_leaves_nothing_behind():
 
 
 def test_partitioned_submits_never_serve_a_stale_stamp(monkeypatch):
-    """4 shards, 2 pool workers: CTAS and DROP bump versions between
-    the plans the pool threads ask for.  No DDL runs *while* a pool
-    thread plans, so a served entry must still be current on return."""
+    """4 shards, 2 simulated task slots: CTAS and DROP bump versions
+    between the plans the gather's branches ask for.  No DDL runs
+    *while* a branch plans, so a served entry must still be current on
+    return."""
     served = []
     original = Database._planned
 

@@ -6,6 +6,7 @@ from repro.core.client import XDB
 from repro.engine.database import Database
 from repro.errors import TypeCheckError
 from repro.federation.deployment import Deployment
+from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -198,3 +199,27 @@ def test_union_on_mediator_baseline():
     report = GarlicSystem(dep).run(sql)
     truth = ground_truth_database(dep).execute(sql)
     assert_same_rows(report.result.rows, truth.rows)
+
+
+def test_limit_over_union_all_stops_pulling_branches():
+    dep = Deployment({"P": "postgres"}, parallel_workers=2)
+    for name in ("a", "b", "c"):
+        dep.load_table(
+            "P",
+            name,
+            Schema([Field("k", INTEGER)]),
+            [(i,) for i in range(50)],
+        )
+    sql = (
+        "SELECT k FROM a UNION ALL SELECT k FROM b UNION ALL "
+        "SELECT k FROM c LIMIT 3"
+    )
+    with QueryContext() as ctx:
+        rows = dep.databases["P"].execute(sql).rows
+    assert len(rows) == 3
+    scanned = {
+        span.name: span.attributes["rows_out"]
+        for span in ctx.root.find_all(kind="operator")
+        if span.name.startswith("SeqScan[")
+    }
+    assert scanned == {"SeqScan[a]": 3, "SeqScan[b]": 0, "SeqScan[c]": 0}
