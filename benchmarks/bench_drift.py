@@ -38,6 +38,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.bench.scenarios import build_tpch_deployment  # noqa: E402
 from repro.core.client import XDB  # noqa: E402
 from repro.drift import DriftSchedule  # noqa: E402
+from repro.drift.ledger import DELEGATED_PREFIXES  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.faults import EngineOutage, FaultInjector, FaultPolicy  # noqa: E402
 from repro.relational.schema import Field, Schema  # noqa: E402
@@ -79,7 +80,7 @@ def base_tables(deployment):
     out = []
     for db_name in sorted(deployment.databases):
         for table in deployment.database(db_name).catalog.tables():
-            if not table.name.lower().startswith(("xf_", "xm_", "xv_")):
+            if not table.name.lower().startswith(DELEGATED_PREFIXES):
                 out.append((db_name, table.name))
     return out
 

@@ -34,6 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.connect.connector import RetryPolicy  # noqa: E402
 from repro.core.client import XDB  # noqa: E402
+from repro.drift.ledger import DELEGATED_PREFIXES  # noqa: E402
 from repro.errors import DeadlineExceeded, OverloadError  # noqa: E402
 from repro.faults import FaultInjector, FaultPolicy  # noqa: E402
 from repro.federation.deployment import Deployment  # noqa: E402
@@ -113,7 +114,7 @@ def scan_leaks(dep: Deployment):
     leaked = []
     for name, database in dep.databases.items():
         for obj in database.catalog.names():
-            if obj.startswith(("xf_", "xm_", "xv_")):
+            if obj.startswith(DELEGATED_PREFIXES):
                 leaked.append(f"{name}:{obj}")
     return sorted(leaked)
 

@@ -7,8 +7,9 @@ Responsibilities (paper §III–§V):
 * costing — the annotator's consulting approach (§IV-B2): every call
   is one guarded, counted consultation round-trip; what the engine
   answers is its own price list (:class:`repro.engine.cost.CostModel`);
-* delegation — render DDL in the DBMS's own dialect and ship it as a
-  control message;
+* delegation — render DDL once in the DBMS's own dialect and ship it as
+  a control message; the engine runs the statement the text was
+  rendered from, so it never parses the middleware's own SQL;
 * execution — submit the final XDB query (or, for the mediator
   baselines, fetch subquery results into the mediator node);
 * resilience — every control/DDL/fetch path runs through a guarded
@@ -524,13 +525,32 @@ class DBMSConnector:
 
     # -- delegation ----------------------------------------------------------------
 
-    def execute_ddl(self, statement: ast.Statement) -> Result:
-        """Render ``statement`` in the DBMS's dialect and execute it."""
+    def execute_ddl(
+        self,
+        statement: ast.Statement,
+        log: Optional[List[Tuple[str, str]]] = None,
+    ) -> Result:
+        """Render ``statement`` once in the DBMS's dialect and execute it.
+
+        The text is what crosses the link: it is shipped, traced (the
+        engine's ``sql`` event) and matched by the fault injector.  The
+        engine executes ``statement`` itself, which that text parses
+        back to (fuzz invariant 1), so nothing is parsed on the way.
+        A statement the dialect cannot express fails here, before any
+        call.  A delegation cascade passes its DDL ``log``: the text is
+        appended to it and announced as a ``ddl`` event before the
+        engine sees it, so a failing statement is the log's last entry.
+        """
         sql = render(statement, self.database.dialect)
+        if log is not None:
+            log.append((self.name, sql))
+            ctx = current_context()
+            if ctx is not None:
+                ctx.tracer.add_event("ddl", db=self.name, sql=sql)
 
         def call() -> Result:
             self._control("delegation")
-            return self.database.execute(sql)
+            return self.database.execute_statement(statement, sql)
 
         return self._guarded("ddl", call, detail=sql)
 

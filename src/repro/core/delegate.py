@@ -40,7 +40,6 @@ from repro.errors import DelegationError
 from repro.obs.runtime import current_context
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
-from repro.sql.render import render
 
 
 @dataclass
@@ -410,7 +409,7 @@ class DelegationEngine:
                 server=child.annotation,
                 remote_object=child_view,
             )
-            self._run_ddl(connector, create_ft, ddl_log)
+            connector.execute_ddl(create_ft, log=ddl_log)
             self._track(
                 created, epoch, task.annotation, "FOREIGN TABLE", foreign_name
             )
@@ -425,7 +424,7 @@ class DelegationEngine:
                         from_items=(ast.TableRef((foreign_name,)),),
                     ),
                 )
-                self._run_ddl(connector, ctas, ddl_log)
+                connector.execute_ddl(ctas, log=ddl_log)
                 self._track(
                     created, epoch, task.annotation, "TABLE", local_name
                 )
@@ -442,7 +441,7 @@ class DelegationEngine:
         view_name = f"xv_{query_id}_{task.task_id}"
         select = plan_to_select(task.expr)
         create_view = ast.CreateView(name=view_name, query=select)
-        self._run_ddl(connector, create_view, ddl_log)
+        connector.execute_ddl(create_view, log=ddl_log)
         self._track(created, epoch, task.annotation, "VIEW", view_name)
         return view_name
 
@@ -461,17 +460,6 @@ class DelegationEngine:
         created.append((db, kind, name))
         if self._ledger is not None:
             self._ledger.record(db, kind, name, epoch)
-
-    def _run_ddl(
-        self,
-        connector: DBMSConnector,
-        statement: ast.Statement,
-        ddl_log: List[Tuple[str, str]],
-    ) -> None:
-        rendered = render(statement, connector.database.dialect)
-        ddl_log.append((connector.name, rendered))
-        self._note("ddl", db=connector.name, sql=rendered)
-        connector.execute_ddl(statement)
 
     @staticmethod
     def _resolve_placeholder(

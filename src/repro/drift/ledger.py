@@ -33,6 +33,10 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
+#: Name prefixes of the objects a delegation cascade creates: foreign
+#: tables, materializations and views.
+DELEGATED_PREFIXES = ("xf_", "xm_", "xv_")
+
 #: Entry lifecycle states.
 STATUS_LIVE = "live"
 STATUS_DROPPED = "dropped"
@@ -175,7 +179,7 @@ class ObjectLedger:
         other's objects.
         """
         lowered = name.lower()
-        if not lowered.startswith(("xf_", "xm_", "xv_")):
+        if not lowered.startswith(DELEGATED_PREFIXES):
             return False
         return lowered[3:].startswith(self.namespace.lower())
 

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.drift.ledger import ObjectLedger
+from repro.drift.ledger import DELEGATED_PREFIXES, ObjectLedger
 from repro.errors import ReproError
 from repro.sql import ast
 
@@ -120,7 +120,7 @@ class OrphanReaper:
             if connector is None:
                 continue
             try:
-                held = connector.list_objects(("xf_", "xm_", "xv_"))
+                held = connector.list_objects(DELEGATED_PREFIXES)
             except ReproError:
                 report.unreachable.append(db)
                 with self._lock:
@@ -185,7 +185,7 @@ class OrphanReaper:
             if connector is None:
                 continue
             try:
-                held = connector.list_objects(("xf_", "xm_", "xv_"))
+                held = connector.list_objects(DELEGATED_PREFIXES)
             except ReproError:
                 continue
             found: List[Tuple[str, str]] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence, Set
 
+from repro.drift.ledger import DELEGATED_PREFIXES
 from repro.drift.mutate import apply_drift
 from repro.engine.catalog import BaseTable
 from repro.faults.policy import SchemaDrift
@@ -66,7 +67,7 @@ class DriftSchedule:
                 if table.temporary:
                     continue
                 name = table.name.lower()
-                if name.startswith(("xf_", "xm_", "xv_")):
+                if name.startswith(DELEGATED_PREFIXES):
                     continue
                 if self._tables is not None and name not in self._tables:
                     continue

@@ -1,10 +1,16 @@
 """The Database: one autonomous, black-box DBMS instance.
 
-A database is driven exclusively through its declarative interface
-(``execute``), mirroring the paper's execution-autonomy assumption: the
-caller never controls physical operators or plan shapes, only submits
-SQL (queries *and* the SQL/MED DDL the delegation engine emits) and
-reads results or EXPLAIN estimates back.
+A database is driven exclusively through its declarative interface,
+mirroring the paper's execution-autonomy assumption: the caller never
+controls physical operators or plan shapes, only submits statements
+(queries *and* the SQL/MED DDL the delegation engine emits) and reads
+results or EXPLAIN estimates back.
+
+Client text enters through ``execute``, which parses it.  The
+middleware's own statements arrive already built: queries, fetches and
+EXPLAINs as ASTs (``execute_select`` / ``explain_select``), delegated
+DDL as the statement plus the text its connector rendered
+(``execute_statement``).
 """
 
 from __future__ import annotations
@@ -118,15 +124,22 @@ class Database:
     # -- the declarative interface -----------------------------------------------
 
     def execute(self, sql: str) -> Result:
-        """Parse and execute one SQL statement (query or DDL)."""
+        """Parse one SQL statement (query or DDL) and execute it."""
+        return self.execute_statement(parse_statement(sql), sql)
+
+    def execute_statement(self, statement: ast.Statement, sql: str) -> Result:
+        """Execute ``statement``, received as the text ``sql``.
+
+        The one entry every statement goes through.  A client's text
+        arrives through :meth:`execute`; the middleware's delegated DDL
+        arrives as the statement its connector rendered ``sql`` from,
+        which parses back to the same statement (fuzz invariant 1), so
+        it is not parsed again.
+        """
         ctx = current_context()
         if ctx is not None:
             ctx.tracer.add_event("sql", db=self.name, sql=sql)
             ctx.metrics.inc("engine.statements", db=self.name)
-        statement = parse_statement(sql)
-        return self._dispatch(statement)
-
-    def _dispatch(self, statement: ast.Statement) -> Result:
         if isinstance(statement, ast.QUERY_STATEMENTS):
             return self.execute_select(statement)
         if isinstance(statement, ast.Explain):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.drift.ledger import DELEGATED_PREFIXES
 from repro.feedback import qerror
 from repro.feedback.fingerprint import (
     base_tables,
@@ -31,13 +32,14 @@ from repro.feedback.fingerprint import (
 )
 from repro.feedback.store import Observation
 
-#: Name prefixes of delegated catalog objects (never base tables).
-DELEGATED_PREFIXES = ("xf_", "xm_", "xv_", "__placeholder_")
+#: Name prefixes of plan artifacts (never base tables): delegated
+#: objects and unresolved placeholder scans.
+_ARTIFACT_PREFIXES = DELEGATED_PREFIXES + ("__placeholder_",)
 
 
 def is_delegated_name(table: str) -> bool:
     lowered = table.lower()
-    if lowered.startswith(DELEGATED_PREFIXES):
+    if lowered.startswith(_ARTIFACT_PREFIXES):
         return True
     # Partition shards look like "<table>__p<i>"; their counts belong
     # to the shard, not the logical table the fingerprints use.

@@ -162,3 +162,23 @@ def test_virtual_relations_guard_against_wrapper_pushdown_variance():
     result_a = XDB(base).submit(CHO_QUERY).result
     result_b = XDB(mixed).submit(CHO_QUERY).result
     assert_same_rows(result_a.rows, result_b.rows)
+
+
+def test_delegated_ddl_is_not_parsed_by_the_engines(tpch_tiny, monkeypatch):
+    """A delegated statement reaches its engine as the statement the
+    connector rendered: no member engine lexes or parses DDL text."""
+    import repro.engine.database as database_module
+    from repro.workloads.tpch import query
+
+    deployment, _ = tpch_tiny
+    calls = []
+    parse = database_module.parse_statement
+
+    def counting(sql):
+        calls.append(sql)
+        return parse(sql)
+
+    monkeypatch.setattr(database_module, "parse_statement", counting)
+    report = XDB(deployment).submit(query("Q3"))
+    assert report.deployed.ddl_log
+    assert calls == []

@@ -173,3 +173,58 @@ def test_quoted_server_literal_roundtrips():
         parsed = parse_statement(text)
         assert parsed.server == "o'brien"
         assert parsed.remote_object == "ord'ers"
+
+
+# -- the delegated-statement handoff ------------------------------------------
+
+
+@pytest.mark.parametrize("td", ["TD1", "TD2", "TD3"])
+def test_delegated_statement_is_what_its_text_parses_to(td, monkeypatch):
+    """The engine runs the statement the connector rendered, not the
+    text re-parsed: over mixed-vendor engines, every delegated
+    statement equals its own text parsed back (type-strict, via
+    ``repr``), and its ``ddl`` event carries the text the engine saw."""
+    from repro.bench.scenarios import build_tpch_deployment
+    from repro.core.client import XDB
+    from repro.engine.database import Database
+    from repro.fuzz.oracle import PROFILES, _normalize
+    from repro.workloads.tpch import QUERIES, databases_for, query
+
+    profiles = {
+        name: PROFILES[i % len(PROFILES)]
+        for i, name in enumerate(databases_for(td))
+    }
+    deployment, _ = build_tpch_deployment(td, 0.002, profiles=profiles)
+    received = []
+    entry = Database.execute_statement
+
+    def spy(self, statement, sql):
+        received.append((self.name, self.profile.dialect, statement, sql))
+        return entry(self, statement, sql)
+
+    monkeypatch.setattr(Database, "execute_statement", spy)
+    xdb = XDB(deployment)
+    for name in sorted(QUERIES, key=lambda q: int(q[1:])):
+        received.clear()
+        report = xdb.submit(query(name))
+        assert received, f"{td} {name}: no delegated statement"
+        for _db, dialect, statement, sql in received:
+            parsed = parse_statement(sql)
+            assert repr(_normalize(parsed, dialect)) == repr(
+                _normalize(statement, dialect)
+            ), f"{td} {name} ({dialect}): {sql!r}"
+        root = report.context.root
+        ddl = sorted(
+            (e.attributes["db"], e.attributes["sql"])
+            for e in root.subtree_events("ddl")
+        )
+        created = sorted(
+            (e.attributes["db"], e.attributes["sql"])
+            for e in root.subtree_events("sql")
+            if not e.attributes["sql"].startswith("DROP")
+        )
+        assert ddl == created == sorted(report.deployed.ddl_log)
+        assert sorted((db, sql) for db, _d, _s, sql in received) == sorted(
+            (e.attributes["db"], e.attributes["sql"])
+            for e in root.subtree_events("sql")
+        )
