@@ -123,9 +123,6 @@ class GlobalCatalog(TableResolver):
         self._ensure_loaded()
         return self._fingerprints.get((db, table.lower()))
 
-    def stats_epoch_of(self, db: str, table: str) -> int:
-        return self._stats_epochs.get((db, table.lower()), 0)
-
     def verify_table(self, db: str, table: str, force: bool = False) -> None:
         """Check the live schema of ``db.table`` against its fingerprint.
 
@@ -250,9 +247,6 @@ class GlobalCatalog(TableResolver):
 
     def is_quarantined(self, db: str, table: str) -> bool:
         return (db, table.lower()) in self._quarantined
-
-    def quarantined_tables(self) -> List[Tuple[str, str]]:
-        return sorted(self._quarantined)
 
     def _live_holders(self, key: str) -> List[str]:
         return [

@@ -100,14 +100,6 @@ class XDBReport:
     def execution_seconds(self) -> float:
         return self.phases.get("exec", 0.0)
 
-    @property
-    def optimization_seconds(self) -> float:
-        return (
-            self.phases.get("prep", 0.0)
-            + self.phases.get("lopt", 0.0)
-            + self.phases.get("ann", 0.0)
-        )
-
     def _phase_line(self) -> str:
         return "phases: " + ", ".join(
             f"{name}={seconds:.3f}s" for name, seconds in self.phases.items()
@@ -194,7 +186,10 @@ class XDB:
         ``ddl_namespace`` prefixes every short-lived DDL object this
         client creates — concurrent XDB instances sharing one
         federation give themselves distinct namespaces so their
-        ``xf_/xm_/xv_`` objects cannot collide.  ``ledger_path``
+        ``xf_/xm_/xv_`` objects cannot collide; objects are named
+        ``x{f,m,v}_<namespace><epoch>_<task>``, so a namespace must not
+        end in a digit (``ValueError``) — ``"1"`` would read client
+        ``""``'s ``xv_15_1`` as its own epoch 5.  ``ledger_path``
         persists the delegated-object ledger as JSON, so a restarted
         client can still reap what a crashed one leaked.
 
@@ -235,9 +230,7 @@ class XDB:
         #: durable record of every delegated DDL object (drift PR);
         #: feeds the cumulative leak accounting and the orphan reaper
         self.ledger = ObjectLedger(namespace=ddl_namespace, path=ledger_path)
-        self.delegator = DelegationEngine(
-            self.connectors, namespace=ddl_namespace, ledger=self.ledger
-        )
+        self.delegator = DelegationEngine(self.connectors, ledger=self.ledger)
         #: epoch-fenced reaper: reconciles engine-held ``xf_/xm_/xv_``
         #: objects against the ledger, dropping only retired epochs
         self.reaper = OrphanReaper(
@@ -531,11 +524,16 @@ class PreparedQuery:
         return report
 
     def close(self) -> None:
-        """Drop every deployed object."""
+        """Drop every deployed object.
+
+        The handle is closed even when a drop fails: the raised
+        :class:`DelegationError` reports the leak, and the ledger owns
+        the leaked objects until the reaper collects them.
+        """
         if not self._closed:
+            self._closed = True
             if self.state.deployed is not None:
                 self.state.deployed.cleanup()
-            self._closed = True
 
     def __enter__(self) -> "PreparedQuery":
         return self

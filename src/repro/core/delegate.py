@@ -27,16 +27,20 @@ leaks onto the autonomous engines.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
-
-from repro.errors import DeadlineExceeded, EngineUnavailableError, ReproError
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.connect.connector import DBMSConnector
 from repro.core.plan import DelegationPlan, Movement, Task, TaskEdge
-from repro.drift.ledger import ObjectLedger
-from repro.errors import DelegationError
+from repro.drift.ledger import DelegatedObject, ObjectLedger
+from repro.errors import (
+    DeadlineExceeded,
+    DelegationError,
+    EngineUnavailableError,
+    ReproError,
+)
 from repro.obs.runtime import current_context
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
@@ -44,37 +48,42 @@ from repro.sql import ast
 
 @dataclass
 class DeployedQuery:
-    """A delegation plan deployed onto the DBMSes, ready to execute."""
+    """A delegation plan deployed onto the DBMSes, ready to execute.
+
+    :meth:`DelegationEngine.delegate` creates it empty and Algorithm 1
+    appends every object, DDL statement, edge view and snapshot to it
+    as the cascade is built; :meth:`cleanup` and :meth:`cancel` tear it
+    down through the ledger's one drop routine.
+    """
 
     plan: DelegationPlan
     root_db: str
-    xdb_query: ast.Select
+    xdb_query: Optional[ast.Select] = None
     #: (db, object kind, object name) in creation order
-    created_objects: List[Tuple[str, str, str]]
+    created_objects: List[DelegatedObject] = field(default_factory=list)
     #: (db, rendered DDL) in execution order — Fig. 7 style
-    ddl_log: List[Tuple[str, str]]
+    ddl_log: List[Tuple[str, str]] = field(default_factory=list)
     #: edge -> producing view name (for ledger attribution)
-    edge_views: Dict[int, str]
+    edge_views: Dict[int, str] = field(default_factory=dict)
     #: (db, table name, CTAS statement) per explicit edge, so a prepared
     #: query can refresh its materializations before re-execution
     materializations: List[Tuple[str, str, ast.CreateTableAs]] = field(
         default_factory=list
     )
+    #: producer task id -> (db, name) of the finished ``xm_`` snapshot
+    #: that materializes its output — what adaptation and salvage pin
+    snapshots: Dict[int, Tuple[str, str]] = field(default_factory=dict)
     #: the client's delegated-object ledger and this deployment's epoch
-    #: in it — cleanup retires the epoch so the reaper may collect
+    #: in it — teardown retires the epoch so the reaper may collect
     #: whatever a failed drop leaves behind
-    ledger: Optional[ObjectLedger] = None
+    ledger: ObjectLedger = field(default_factory=ObjectLedger)
     epoch: int = 0
-    #: namespaced epoch prefix baked into every object name — mid-query
-    #: adaptation reconstructs ``xm_{query_id}_{task_id}`` from it when
-    #: pinning executed producers
-    query_id: str = ""
     _connectors: Mapping[str, DBMSConnector] = field(
         repr=False, default_factory=dict
     )
 
     def _connector(self, db: str) -> DBMSConnector:
-        connector = self._connectors.get(db) if self._connectors else None
+        connector = self._connectors.get(db)
         if connector is None:
             raise DelegationError(
                 f"no connector for DBMS {db!r} — this DeployedQuery was "
@@ -91,29 +100,51 @@ class DeployedQuery:
         deployment's ledger epoch — from here on the reaper may
         collect whatever a failed drop leaves behind.
         """
-        if self.ledger is not None and self.epoch:
-            self.ledger.close_epoch(self.epoch)
-        remaining: List[Tuple[str, str, str]] = []
-        errors: List[str] = []
-        for db, kind, name in reversed(self.created_objects):
-            try:
-                self._connector(db).execute_ddl(
-                    ast.DropObject(kind=kind, name=name, if_exists=True)
-                )
-                if self.ledger is not None:
-                    self.ledger.mark_dropped(db, name)
-            except ReproError as exc:
-                remaining.append((db, kind, name))
-                errors.append(f"{kind} {name!r} on {db!r}: {exc}")
-                if self.ledger is not None:
-                    self.ledger.mark_leaked(db, name)
-        self.created_objects[:] = list(reversed(remaining))
-        if errors:
+        self._release()
+        if self.created_objects:
             raise DelegationError(
                 "cleanup could not drop every short-lived object: "
-                + "; ".join(errors),
-                leaked=remaining,
+                + "; ".join(
+                    f"{kind} {name!r} on {db!r}"
+                    for db, kind, name in self.created_objects
+                ),
+                leaked=list(self.created_objects),
             )
+
+    def cancel(self, exc: DeadlineExceeded) -> None:
+        """Cooperative cancellation after deadline expiry.
+
+        The cascade — partial or complete — is rolled back under the
+        deadline's bounded *grace* budget, so teardown cannot hang
+        forever either, and ``exc`` gets the exact accounting: what was
+        dropped and what (if the grace budget also ran out) leaked.
+        """
+        with grace():
+            rolled_back, leaked = self._release(rollback=True)
+        exc.rolled_back = list(exc.rolled_back) + rolled_back
+        exc.leaked = list(exc.leaked) + leaked
+        _note(
+            "deadline-cancelled",
+            phase=exc.phase,
+            rolled_back=len(exc.rolled_back),
+            leaked=len(exc.leaked),
+        )
+
+    def _release(
+        self,
+        keep: Sequence[DelegatedObject] = (),
+        skip_db: Optional[str] = None,
+        rollback: bool = False,
+    ) -> Tuple[List[DelegatedObject], List[DelegatedObject]]:
+        """Retire the epoch and drop every object but ``keep``; what
+        could not be dropped stays queued in ``created_objects``."""
+        self.ledger.close_epoch(self.epoch)
+        objects = [obj for obj in self.created_objects if obj not in keep]
+        dropped, leaked = self.ledger.drop(
+            self._connectors, objects, skip_db=skip_db, rollback=rollback
+        )
+        self.created_objects[:] = leaked[::-1]
+        return dropped, leaked
 
     def refresh_materializations(self) -> None:
         """Re-run every explicit edge's CTAS against fresh base data.
@@ -130,25 +161,38 @@ class DeployedQuery:
             self._connector(db).execute_ddl(refresh)
 
 
+def grace():
+    """The active deadline's grace budget for a teardown (a no-op
+    without a deadline)."""
+    ctx = current_context()
+    if ctx is None or ctx.deadline is None:
+        return contextlib.nullcontext()
+    return ctx.deadline.grace()
+
+
+def _note(name: str, **attributes: object) -> None:
+    """Annotate the active query trace (if any) with a point event."""
+    ctx = current_context()
+    if ctx is not None:
+        ctx.tracer.add_event(name, **attributes)
+
+
 class DelegationEngine:
     """Rewrites delegation plans into DBMS-specific DDL (Algorithm 1)."""
 
     def __init__(
         self,
         connectors: Mapping[str, DBMSConnector],
-        namespace: str = "",
         ledger: Optional[ObjectLedger] = None,
     ):
         self._connectors = dict(connectors)
-        #: prefix folded into every created object name — concurrent
-        #: clients of one federation use distinct namespaces so their
-        #: short-lived ``xf_/xm_/xv_`` objects cannot collide
-        self._namespace = namespace
-        #: durable record of every object ever created (drift PR);
-        #: a restarted client resumes its counter above the ledger's
-        #: highest epoch so new names cannot collide with leaked ones
-        self._ledger = ledger
-        self._query_counter = ledger.max_epoch() if ledger else 0
+        #: durable record of every object ever created, and the owner
+        #: of their names: its namespace keeps concurrent clients'
+        #: short-lived ``xf_/xm_/xv_`` objects apart.  A restarted
+        #: client resumes its counter above the ledger's highest epoch
+        #: so new names cannot collide with leaked ones.
+        self.ledger = ledger or ObjectLedger()
+        self._query_counter = self.ledger.max_epoch()
 
     def delegate(
         self, dplan: DelegationPlan, salvage: bool = False
@@ -163,49 +207,18 @@ class DelegationEngine:
         (the caller owns dropping them if it cannot).
         """
         self._query_counter += 1
-        epoch = self._query_counter
-        query_id = f"{self._namespace}{epoch}"
-        if self._ledger is not None:
-            self._ledger.open_epoch(epoch)
-        created: List[Tuple[str, str, str]] = []
-        ddl_log: List[Tuple[str, str]] = []
-        edge_views: Dict[int, str] = {}
-        materializations: List[Tuple[str, str, ast.CreateTableAs]] = []
-
+        epoch = self.ledger.open_epoch(self._query_counter)
+        deployed = DeployedQuery(
+            plan=dplan,
+            root_db=dplan.root.annotation,
+            ledger=self.ledger,
+            epoch=epoch,
+            _connectors=self._connectors,
+        )
         try:
-            root_view = self._process_task(
-                dplan,
-                dplan.root,
-                query_id,
-                epoch,
-                created,
-                ddl_log,
-                edge_views,
-                materializations,
-            )
+            root_view = self._process_task(deployed, dplan.root)
         except DeadlineExceeded as exc:
-            # Cooperative cancellation: the query's budget expired
-            # mid-cascade.  The in-flight DDL is still rolled back —
-            # under the deadline's bounded *grace* budget, so cleanup
-            # cannot hang forever either — and the structured error
-            # carries the exact accounting: what was dropped and what
-            # (if the grace budget also ran out) was leaked.
-            ctx = current_context()
-            deadline = getattr(ctx, "deadline", None) if ctx else None
-            if deadline is not None:
-                with deadline.grace():
-                    rolled_back, leaked = self.drop_objects(created)
-            else:
-                rolled_back, leaked = self.drop_objects(created)
-            exc.rolled_back = rolled_back
-            exc.leaked = leaked
-            self._settle_epoch(epoch)
-            self._note(
-                "deadline-cancelled",
-                phase=exc.phase,
-                rolled_back=len(rolled_back),
-                leaked=len(leaked),
-            )
+            deployed.cancel(exc)
             raise
         except ReproError as exc:
             # When the cause is a dead engine, don't try to DROP the
@@ -213,30 +226,27 @@ class DelegationEngine:
             # the retry budget); mark them leaked for a later cleanup.
             # A *shard*-scoped outage (exc.table set) leaves the engine
             # itself answering, so nothing is skipped.
-            shard = (
-                getattr(exc, "table", None)
-                if isinstance(exc, EngineUnavailableError)
-                else None
-            )
             dead_db = (
                 exc.db
-                if isinstance(exc, EngineUnavailableError) and shard is None
+                if isinstance(exc, EngineUnavailableError)
+                and getattr(exc, "table", None) is None
                 else None
             )
             salvaged = (
-                self._salvageable(created, materializations, dead_db)
+                [
+                    (task_id, db, "TABLE", name)
+                    for task_id, (db, name) in deployed.snapshots.items()
+                    if db != dead_db
+                ]
                 if salvage
                 else []
             )
-            keep_set = {
-                (db, kind, name) for _tid, db, kind, name in salvaged
-            }
-            to_rollback = [obj for obj in created if obj not in keep_set]
-            rolled_back, leaked = self.drop_objects(
-                to_rollback, skip_db=dead_db
+            ddl_log = deployed.ddl_log
+            rolled_back, leaked = deployed._release(
+                keep=[(db, kind, name) for _t, db, kind, name in salvaged],
+                skip_db=dead_db,
+                rollback=True,
             )
-            self._settle_epoch(epoch)
-            failed_db = ddl_log[-1][0] if ddl_log else None
             message = (
                 f"delegation failed after {len(ddl_log)} DDL "
                 f"statement(s): {exc}; rolled back "
@@ -248,7 +258,7 @@ class DelegationEngine:
                 message += (
                     f", salvaged {len(salvaged)} completed snapshot(s)"
                 )
-                self._note(
+                _note(
                     "salvage",
                     count=len(salvaged),
                     objects=",".join(name for _t, _d, _k, name in salvaged),
@@ -258,165 +268,52 @@ class DelegationEngine:
                 ddl_log=ddl_log,
                 rolled_back=rolled_back,
                 leaked=leaked,
-                failed_db=failed_db,
+                failed_db=ddl_log[-1][0] if ddl_log else None,
                 salvaged=salvaged,
             ) from exc
 
-        xdb_query = ast.Select(
+        deployed.xdb_query = ast.Select(
             items=(ast.SelectItem(ast.Star()),),
             from_items=(ast.TableRef((root_view,)),),
         )
-        return DeployedQuery(
-            plan=dplan,
-            root_db=dplan.root.annotation,
-            xdb_query=xdb_query,
-            created_objects=created,
-            ddl_log=ddl_log,
-            edge_views=edge_views,
-            materializations=materializations,
-            ledger=self._ledger,
-            epoch=epoch,
-            query_id=query_id,
-            _connectors=self._connectors,
-        )
-
-    @staticmethod
-    def _salvageable(
-        created: List[Tuple[str, str, str]],
-        materializations: List[Tuple[str, str, ast.CreateTableAs]],
-        dead_db: Optional[str],
-    ) -> List[Tuple[int, str, str, str]]:
-        """Completed ``xm_`` snapshots worth keeping through a rollback.
-
-        Only explicit-edge materializations whose CTAS finished (they
-        are in ``materializations``) and that live on a healthy engine
-        qualify; the producer task id is parsed back out of the
-        ``xm_{query_id}_{task_id}`` name so the pipeline can pin the
-        matching subtree.
-        """
-        finished = {(db, name) for db, name, _ctas in materializations}
-        out: List[Tuple[int, str, str, str]] = []
-        for db, kind, name in created:
-            if kind != "TABLE" or db == dead_db:
-                continue
-            if (db, name) not in finished:
-                continue
-            try:
-                task_id = int(name.rsplit("_", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            out.append((task_id, db, kind, name))
-        return out
-
-    def _settle_epoch(self, epoch: int) -> None:
-        """Retire a rolled-back cascade's epoch — whatever the rollback
-        could not drop is now reapable."""
-        if self._ledger is not None:
-            self._ledger.close_epoch(epoch)
-
-    def drop_objects(
-        self,
-        objects: List[Tuple[str, str, str]],
-        skip_db: Optional[str] = None,
-    ) -> Tuple[List[Tuple[str, str, str]], List[Tuple[str, str, str]]]:
-        """Drop delegated objects, newest first (best effort), and tell
-        the ledger what became of each.
-
-        Returns ``(dropped, leaked)`` — drops go through the
-        connectors' retry layer, so transient faults are absorbed; an
-        object is only leaked when its DROP exhausts the retry budget.
-        Objects on ``skip_db`` (an engine known to be down) are marked
-        leaked without a drop attempt.  A leaked entry is what the
-        reaper reconciles, so nothing dropped here — by a rollback or
-        by a recovery path giving up on salvage — stays ``live``.
-        """
-        dropped: List[Tuple[str, str, str]] = []
-        leaked: List[Tuple[str, str, str]] = []
-        for db, kind, name in reversed(objects):
-            connector = self._connectors.get(db)
-            gone = False
-            if connector is not None and db != skip_db:
-                try:
-                    connector.execute_ddl(
-                        ast.DropObject(kind=kind, name=name, if_exists=True)
-                    )
-                    gone = True
-                except ReproError:
-                    pass
-            (dropped if gone else leaked).append((db, kind, name))
-            if self._ledger is not None:
-                if gone:
-                    self._ledger.mark_dropped(db, name)
-                else:
-                    self._ledger.mark_leaked(db, name)
-            self._note(
-                "rollback-drop" if gone else "rollback-leaked",
-                db=db,
-                kind=kind,
-                object=name,
-            )
-        return dropped, leaked
-
-    @staticmethod
-    def _note(name: str, **attributes: object) -> None:
-        """Annotate the active query trace (if any) with a point event."""
-        ctx = current_context()
-        if ctx is not None:
-            ctx.tracer.add_event(name, **attributes)
+        return deployed
 
     # -- Algorithm 1 -------------------------------------------------------------
 
-    def _process_task(
-        self,
-        dplan: DelegationPlan,
-        task: Task,
-        query_id: str,
-        epoch: int,
-        created: List[Tuple[str, str, str]],
-        ddl_log: List[Tuple[str, str]],
-        edge_views: Dict[int, str],
-        materializations: List[Tuple[str, str, ast.CreateTableAs]],
-    ) -> str:
-        connector = self._connectors.get(task.annotation)
-        if connector is None:
-            raise DelegationError(
-                f"no connector for DBMS {task.annotation!r}"
-            )
+    def _process_task(self, deployed: DeployedQuery, task: Task) -> str:
+        db = task.annotation
+        if db not in self._connectors:
+            raise DelegationError(f"no connector for DBMS {db!r}")
 
+        dplan, epoch = deployed.plan, deployed.epoch
         for edge in dplan.in_edges(task):
             child = dplan.tasks[edge.producer_id]
-            child_view = self._process_task(
-                dplan,
-                child,
-                query_id,
-                epoch,
-                created,
-                ddl_log,
-                edge_views,
-                materializations,
-            )
-            edge_views[id(edge)] = child_view
+            child_view = self._process_task(deployed, child)
+            deployed.edge_views[id(edge)] = child_view
 
             # CREATEFOREIGNTABLE(R_v, t.a)
-            foreign_name = f"xf_{query_id}_{child.task_id}"
+            foreign_name = self.ledger.name(
+                "FOREIGN TABLE", epoch, child.task_id
+            )
             columns = tuple(
                 ast.ColumnDef(fld.name, fld.type)
                 for fld in child.expr.schema
             )
-            create_ft = ast.CreateForeignTable(
-                name=foreign_name,
-                columns=columns,
-                server=child.annotation,
-                remote_object=child_view,
-            )
-            connector.execute_ddl(create_ft, log=ddl_log)
-            self._track(
-                created, epoch, task.annotation, "FOREIGN TABLE", foreign_name
+            self._create(
+                deployed,
+                db,
+                "FOREIGN TABLE",
+                ast.CreateForeignTable(
+                    name=foreign_name,
+                    columns=columns,
+                    server=child.annotation,
+                    remote_object=child_view,
+                ),
             )
 
             if edge.movement is Movement.EXPLICIT:
                 # CREATELOCALTABLE(R'_v, t.a): materialize on the consumer.
-                local_name = f"xm_{query_id}_{child.task_id}"
+                local_name = self.ledger.name("TABLE", epoch, child.task_id)
                 ctas = ast.CreateTableAs(
                     name=local_name,
                     query=ast.Select(
@@ -424,13 +321,9 @@ class DelegationEngine:
                         from_items=(ast.TableRef((foreign_name,)),),
                     ),
                 )
-                connector.execute_ddl(ctas, log=ddl_log)
-                self._track(
-                    created, epoch, task.annotation, "TABLE", local_name
-                )
-                materializations.append(
-                    (task.annotation, local_name, ctas)
-                )
+                self._create(deployed, db, "TABLE", ctas)
+                deployed.materializations.append((db, local_name, ctas))
+                deployed.snapshots[child.task_id] = (db, local_name)
                 resolved_name = local_name
             else:
                 resolved_name = foreign_name
@@ -438,28 +331,28 @@ class DelegationEngine:
             self._resolve_placeholder(task, edge, resolved_name)
 
         # CREATEVIRTUALTABLE(t.r, t.a)
-        view_name = f"xv_{query_id}_{task.task_id}"
-        select = plan_to_select(task.expr)
-        create_view = ast.CreateView(name=view_name, query=select)
-        connector.execute_ddl(create_view, log=ddl_log)
-        self._track(created, epoch, task.annotation, "VIEW", view_name)
+        view_name = self.ledger.name("VIEW", epoch, task.task_id)
+        create_view = ast.CreateView(
+            name=view_name, query=plan_to_select(task.expr)
+        )
+        self._create(deployed, db, "VIEW", create_view)
         return view_name
 
-    def _track(
+    def _create(
         self,
-        created: List[Tuple[str, str, str]],
-        epoch: int,
+        deployed: DeployedQuery,
         db: str,
         kind: str,
-        name: str,
+        statement,
     ) -> None:
-        """Record one freshly created object (in-memory + ledger).
+        """Run one CREATE on ``db`` and record the object (in-memory +
+        ledger).
 
         Ledger recording happens per object, *as created*, so a crash
         mid-cascade still leaves a durable trail for the reaper."""
-        created.append((db, kind, name))
-        if self._ledger is not None:
-            self._ledger.record(db, kind, name, epoch)
+        self._connectors[db].execute_ddl(statement, log=deployed.ddl_log)
+        deployed.created_objects.append((db, kind, statement.name))
+        self.ledger.record(db, kind, statement.name, deployed.epoch)
 
     @staticmethod
     def _resolve_placeholder(

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.annotate import Annotation, PlanAnnotator
 from repro.core.catalog import GlobalCatalog
-from repro.core.delegate import DelegationEngine, DeployedQuery
+from repro.core.delegate import DelegationEngine, DeployedQuery, grace
 from repro.core.finalize import PlanFinalizer
 from repro.core.logical import LogicalOptimizer, _annotate_all
 from repro.core.partition import (
@@ -579,8 +579,7 @@ class PlanPipeline:
         for keep in state.pending_keeps:
             db, kind, name = keep
             deployed.created_objects.insert(0, keep)
-            if deployed.ledger is not None:
-                deployed.ledger.record(db, kind, name, deployed.epoch)
+            deployed.ledger.record(db, kind, name, deployed.epoch)
         state.pending_keeps = []
 
     # -- execution ---------------------------------------------------------
@@ -657,7 +656,7 @@ class PlanPipeline:
             # deadline cannot fail while tearing itself down.
             if cleanup:
                 ctx.current_phase = "cleanup"
-                with _grace(ctx):
+                with grace():
                     deployed.cleanup()
         except DeadlineExceeded as exc:
             # Only a cascade this call deployed is cancelled: one
@@ -665,7 +664,7 @@ class PlanPipeline:
             # and an expiry *inside* the delegation engine already
             # rolled itself back and stamped the error.
             if state.deployed is not None and state.deployed is not retained:
-                self.cancel_deployment(ctx, state.deployed, exc)
+                state.deployed.cancel(exc)
                 state.deployed = None
                 state.stage = "delegate"
             raise
@@ -1083,14 +1082,8 @@ class PlanPipeline:
                 continue
             producer = dplan.tasks[edge.producer_id]
             q = qerror.q_error(producer.estimated_rows, float(edge.moved_rows))
-            producers.append(
-                (
-                    producer.task_id,
-                    dplan.tasks[edge.consumer_id].annotation,
-                    "TABLE",
-                    f"xm_{deployed.query_id}_{producer.task_id}",
-                )
-            )
+            db, name = deployed.snapshots[producer.task_id]
+            producers.append((producer.task_id, db, "TABLE", name))
             if q > threshold and _pinnable(producer.source_expr):
                 blown.append((producer.task_id, q))
         if not blown or not self._pin(state, producers)[0]:
@@ -1237,7 +1230,7 @@ class PlanPipeline:
             action = "reroute"
         pinned, unusable = self._pin(state, failure.salvage)
         # Snapshots that cannot be pinned are dropped instead of leaking.
-        self.delegator.drop_objects(unusable)
+        self.delegator.ledger.drop(self.connectors, unusable, rollback=True)
         self._reenter(state, cls)
         recovery.branch_repairs += 1
         recovery.branch_events.append((action, blamed or "", shard or ""))
@@ -1349,7 +1342,9 @@ class PlanPipeline:
             state.pending_keeps = []
             state.stage = "optimize"
         if objects:
-            self.delegator.drop_objects(objects, skip_db=skip_db)
+            self.delegator.ledger.drop(
+                self.connectors, objects, skip_db=skip_db, rollback=True
+            )
             tracer.add_event("salvage-abandoned", objects=len(objects))
 
     def _shard_rows(self, shard: str) -> Optional[int]:
@@ -1379,39 +1374,6 @@ class PlanPipeline:
                 if not scan.placeholder:
                     placement[scan.table] = task.annotation
         return placement
-
-    @staticmethod
-    def cancel_deployment(
-        ctx: QueryContext,
-        deployed: DeployedQuery,
-        exc: DeadlineExceeded,
-    ) -> None:
-        """Cooperative cancellation: tear down a deployed cascade after
-        deadline expiry, under the grace budget, and fold the rollback
-        accounting into the structured error."""
-        before = list(deployed.created_objects)
-        with _grace(ctx):
-            # cleanup() keeps the undropped objects queued; the leak
-            # accounting below reads them off the deployment.
-            PlanPipeline._teardown(deployed)
-        remaining = list(deployed.created_objects)
-        exc.rolled_back = list(exc.rolled_back) + [
-            obj for obj in before if obj not in remaining
-        ]
-        exc.leaked = list(exc.leaked) + remaining
-        ctx.tracer.add_event(
-            "deadline-cancelled",
-            phase=exc.phase,
-            rolled_back=len(exc.rolled_back),
-            leaked=len(exc.leaked),
-        )
-
-
-def _grace(ctx: QueryContext):
-    """The deadline's grace budget for a teardown (a no-op without one)."""
-    if ctx.deadline is None:
-        return contextlib.nullcontext()
-    return ctx.deadline.grace()
 
 
 def _pinnable(src: Optional[algebra.LogicalPlan]) -> bool:

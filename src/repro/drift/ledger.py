@@ -23,19 +23,36 @@ highest epoch ever seen survives the pruning as a scalar.
 
 With a ``path`` the ledger persists as JSON after every mutation, so a
 restarted client can still reap what a crashed one leaked.
+
+The ledger is also the one owner of a delegated object's name and of
+its drop: :meth:`ObjectLedger.name` builds
+``x{f,m,v}_<namespace><epoch>_<task>``,
+:meth:`ObjectLedger.epoch_of_name` reads its epoch back (whole names
+only), and :meth:`ObjectLedger.drop` is the one routine that issues
+``DROP … IF EXISTS`` and records the outcome — cleanup, rollback,
+salvage and the reaper all go through it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-#: Name prefixes of the objects a delegation cascade creates: foreign
+from repro.errors import ReproError
+from repro.obs.runtime import current_context
+from repro.sql import ast
+
+#: Name prefix per kind of object a delegation cascade creates: foreign
 #: tables, materializations and views.
-DELEGATED_PREFIXES = ("xf_", "xm_", "xv_")
+PREFIX_OF_KIND = {"FOREIGN TABLE": "xf_", "TABLE": "xm_", "VIEW": "xv_"}
+DELEGATED_PREFIXES = tuple(PREFIX_OF_KIND.values())
+
+#: (db, kind, name) of one delegated object
+DelegatedObject = Tuple[str, str, str]
 
 #: Entry lifecycle states.
 STATUS_LIVE = "live"
@@ -62,7 +79,17 @@ class ObjectLedger:
     """Per-namespace record of delegated objects, keyed by epoch."""
 
     def __init__(self, namespace: str = "", path: Optional[str] = None):
+        if namespace[-1:].isdigit():
+            # ``xv_1`` + ``5_2`` would also read as ``xv_`` + ``15_2``:
+            # a namespace ending in a digit lets two clients claim one
+            # name.
+            raise ValueError(
+                f"ddl namespace {namespace!r} must not end in a digit"
+            )
         self.namespace = namespace
+        self._name_shape = re.compile(
+            rf"x[fmv]_{re.escape(namespace)}(\d+)_[a-z0-9]+", re.IGNORECASE
+        )
         self._path = path
         self._lock = threading.Lock()
         #: (db, name_lower) -> entry
@@ -171,28 +198,70 @@ class ObjectLedger:
         with self._lock:
             return self._max_epoch
 
-    def owns(self, name: str) -> bool:
-        """Whether ``name`` matches this ledger's delegated-object shape.
+    # -- names ----------------------------------------------------------
 
-        Delegated objects are ``x{f,m,v}_<namespace><epoch>_<task>``;
-        the namespace check keeps concurrent clients' reapers off each
-        other's objects.
-        """
-        lowered = name.lower()
-        if not lowered.startswith(DELEGATED_PREFIXES):
-            return False
-        return lowered[3:].startswith(self.namespace.lower())
+    def name(self, kind: str, epoch: int, task_id: int) -> str:
+        """The name of the ``kind`` object task ``task_id`` of cascade
+        ``epoch`` creates: ``x{f,m,v}_<namespace><epoch>_<task>``."""
+        return f"{PREFIX_OF_KIND[kind]}{self.namespace}{epoch}_{task_id}"
 
     def epoch_of_name(self, name: str) -> Optional[int]:
-        """Parse the creating epoch out of a delegated object name."""
-        if not self.owns(name):
-            return None
-        stem = name[3 + len(self.namespace):]
-        digits = stem.split("_", 1)[0]
-        try:
-            return int(digits)
-        except ValueError:
-            return None
+        """The creating epoch of one of this namespace's objects, or
+        None when ``name`` is not one.
+
+        The whole name must match ``x{f,m,v}_<namespace><epoch>_<tail>``
+        with an underscore-free tail (the task id in every name
+        :meth:`name` builds).  With no namespace ending in a digit, no
+        name parses under two namespaces, which keeps concurrent
+        clients' reapers off each other's objects.
+        """
+        match = self._name_shape.fullmatch(name)
+        return int(match.group(1)) if match else None
+
+    # -- dropping -------------------------------------------------------
+
+    def drop(
+        self,
+        connectors: Mapping[str, object],
+        objects: List[DelegatedObject],
+        skip_db: Optional[str] = None,
+        rollback: bool = False,
+    ) -> Tuple[List[DelegatedObject], List[DelegatedObject]]:
+        """Drop delegated objects, newest first, and record each fate.
+
+        Returns ``(dropped, leaked)`` in drop order.  Drops go through
+        the connectors' retry layer, so transient faults are absorbed;
+        an object leaks when its DROP exhausts the retry budget, when
+        its engine has no connector, or when it lives on ``skip_db`` —
+        an engine known to be down, which is not called at all.  A
+        leaked entry is what the reaper reconciles.  ``rollback`` notes
+        a ``rollback-drop`` / ``rollback-leaked`` event per object on
+        the active query trace.
+        """
+        dropped: List[DelegatedObject] = []
+        leaked: List[DelegatedObject] = []
+        ctx = current_context() if rollback else None
+        for db, kind, name in reversed(objects):
+            connector = connectors.get(db) if db != skip_db else None
+            gone = False
+            if connector is not None:
+                try:
+                    connector.execute_ddl(
+                        ast.DropObject(kind=kind, name=name, if_exists=True)
+                    )
+                    gone = True
+                except ReproError:
+                    pass
+            (dropped if gone else leaked).append((db, kind, name))
+            self._mark(db, name, STATUS_DROPPED if gone else STATUS_LEAKED)
+            if ctx is not None:
+                ctx.tracer.add_event(
+                    "rollback-drop" if gone else "rollback-leaked",
+                    db=db,
+                    kind=kind,
+                    object=name,
+                )
+        return dropped, leaked
 
     # -- persistence ----------------------------------------------------
 

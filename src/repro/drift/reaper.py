@@ -8,8 +8,8 @@ run while queries execute:
 
 1. objects from a **live** epoch are never dropped — a prepared query
    mid-flight keeps its cascade;
-2. objects whose name does not carry this client's namespace (or whose
-   epoch cannot be attributed at all) are left alone — another
+2. objects the ledger does not hold and whose whole name does not
+   parse under this client's namespace are left alone — another
    client's reaper owns them.
 
 Sweeps are *deferred*: a breaker closing (half-open probe success)
@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.drift.ledger import DELEGATED_PREFIXES, ObjectLedger
 from repro.errors import ReproError
-from repro.sql import ast
 
 
 @dataclass
@@ -113,27 +112,24 @@ class OrphanReaper:
         trouble — reaping is maintenance, not a query.
         """
         report = ReapReport()
-        names = sorted(dbs) if dbs is not None else sorted(self._connectors)
-        live_epochs = self._ledger.live_epochs()
-        for db in names:
-            connector = self._connectors.get(db)
-            if connector is None:
-                continue
-            try:
-                held = connector.list_objects(DELEGATED_PREFIXES)
-            except ReproError:
+        for db, held, live, orphans in self._classify(dbs):
+            if held is None:
                 report.unreachable.append(db)
                 with self._lock:
                     self._pending.add(db)
                 continue
-            held_names = {name.lower() for _, name in held}
-            for kind, name in sorted(held):
-                self._reconcile_object(
-                    db, kind, name, connector, live_epochs, report
-                )
+            report.kept_live.extend(live)
+            # The ledger drops newest first: reversed, in name order.
+            dropped, failed = self._ledger.drop(
+                self._connectors, orphans[::-1]
+            )
+            report.dropped.extend(dropped)
+            report.failed.extend(failed)
+            self.orphans_reaped += len(dropped)
             # Ledger-side reconcile: leaked entries whose object is no
             # longer on the (reachable) engine were cleaned up out of
             # band — close them out so leaked_count() reflects reality.
+            held_names = {name.lower() for _, name in held}
             for entry in self._ledger.leaked_entries():
                 if entry.db == db and entry.name.lower() not in held_names:
                     self._ledger.mark_dropped(entry.db, entry.name)
@@ -142,64 +138,49 @@ class OrphanReaper:
                     )
         return report
 
-    def _reconcile_object(
-        self, db, kind, name, connector, live_epochs, report
-    ) -> None:
-        entry = self._ledger.entry_for(db, name)
-        if entry is not None:
-            epoch: Optional[int] = entry.epoch
-        else:
-            if not self._ledger.owns(name):
-                return  # another client's object — not ours to judge
-            epoch = self._ledger.epoch_of_name(name)
-            if epoch is None:
-                return  # cannot attribute an epoch: fence, don't drop
-        if epoch in live_epochs:
-            report.kept_live.append((db, kind, name))
-            return
-        try:
-            connector.execute_ddl(
-                ast.DropObject(kind=kind, name=name, if_exists=True)
-            )
-        except ReproError:
-            report.failed.append((db, kind, name))
-            self._ledger.mark_leaked(db, name)
-            return
-        self._ledger.mark_dropped(db, name)
-        report.dropped.append((db, kind, name))
-        self.orphans_reaped += 1
-
-    # -- audit (no drops) ----------------------------------------------
-
     def audit(self, dbs=None) -> Dict[str, List[Tuple[str, str]]]:
         """Orphans currently held per engine, without dropping any.
 
         Benchmarks use this to plot orphan-count-over-time curves;
         unreachable engines are simply absent from the result.
         """
-        orphans: Dict[str, List[Tuple[str, str]]] = {}
-        names = sorted(dbs) if dbs is not None else sorted(self._connectors)
+        return {
+            db: [(kind, name) for _db, kind, name in orphans]
+            for db, held, _live, orphans in self._classify(dbs)
+            if orphans
+        }
+
+    def _classify(self, dbs):
+        """Per engine, ``(db, held, live, orphans)``: what it holds
+        (None when unreachable), and which of this client's objects
+        are fenced by a live epoch or orphaned by a closed one.
+
+        An object's epoch is its ledger entry's or, for one the ledger
+        forgot, the one its name carries; a name that does not parse
+        under this namespace is another client's to judge.
+        """
         live_epochs = self._ledger.live_epochs()
-        for db in names:
+        for db in sorted(dbs) if dbs is not None else sorted(self._connectors):
             connector = self._connectors.get(db)
             if connector is None:
                 continue
             try:
                 held = connector.list_objects(DELEGATED_PREFIXES)
             except ReproError:
+                yield db, None, [], []
                 continue
-            found: List[Tuple[str, str]] = []
+            live: List[Tuple[str, str, str]] = []
+            orphans: List[Tuple[str, str, str]] = []
             for kind, name in sorted(held):
                 entry = self._ledger.entry_for(db, name)
-                if entry is not None:
-                    epoch: Optional[int] = entry.epoch
-                elif self._ledger.owns(name):
-                    epoch = self._ledger.epoch_of_name(name)
-                else:
+                epoch = (
+                    entry.epoch
+                    if entry is not None
+                    else self._ledger.epoch_of_name(name)
+                )
+                if epoch is None:
                     continue
-                if epoch is None or epoch in live_epochs:
-                    continue
-                found.append((kind, name))
-            if found:
-                orphans[db] = found
-        return orphans
+                (live if epoch in live_epochs else orphans).append(
+                    (db, kind, name)
+                )
+            yield db, held, live, orphans

@@ -235,11 +235,6 @@ class FaultInjector:
                 )
 
 
-def install_faults(deployment, policy: FaultPolicy) -> FaultInjector:
-    """Convenience: build an injector for ``policy`` and install it."""
-    return FaultInjector(policy).install(deployment)
-
-
 def clear_faults(deployment, injector: Optional[FaultInjector]) -> None:
     """Uninstall ``injector`` (tolerates ``None`` for symmetric code)."""
     if injector is not None:

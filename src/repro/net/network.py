@@ -118,9 +118,6 @@ class Network:
         self._site_links[(site_a, site_b)] = spec
         self._site_links[(site_b, site_a)] = spec
 
-    def set_default_link(self, spec: LinkSpec) -> None:
-        self._default_link = spec
-
     def link_for(self, src: str, dst: str) -> LinkSpec:
         if src == dst:
             return LOOPBACK

@@ -240,16 +240,6 @@ def _common_of_all(types: List[SQLType]) -> SQLType:
     return result
 
 
-def is_scalar_function(name: str) -> bool:
-    """Whether ``name`` is a supported (non-aggregate) scalar function."""
-    return name.upper() in _SCALAR_FUNCTIONS
-
-
-def scalar_function(name: str) -> Optional[_ScalarFunction]:
-    """Look up a scalar function entry (the kernel compiler's hook)."""
-    return _SCALAR_FUNCTIONS.get(name.upper())
-
-
 # ---------------------------------------------------------------------------
 # the compiler
 # ---------------------------------------------------------------------------

@@ -363,6 +363,44 @@ def test_reaper_ignores_foreign_namespaces():
     assert engine_holds(dep, "B", "xm_other7_tmp")
 
 
+def test_digit_final_namespace_cannot_claim_another_clients_cascade():
+    """Under namespace ``"1"``, ``xv_15_1`` would read as epoch 5 of
+    that client: such a namespace is refused, and a whole-name match
+    keeps every valid namespace off the default client's live cascade."""
+    dep = build_small()
+    plain = XDB(dep)
+    plain.warm_metadata()
+    for _ in range(14):
+        plain.submit(EVENTS_STAR)
+    prepared = plain.prepare(JOIN_QUERY)
+    assert prepared.deployed.epoch == 15
+    names = {name for _db, _kind, name in prepared.deployed.created_objects}
+    assert {"xv_15_1", "xf_15_1", "xv_15_2"} <= names
+
+    with pytest.raises(ValueError, match="digit"):
+        XDB(dep, ddl_namespace="1")
+    for namespace in ("mine", "t1_", "x"):
+        assert XDB(dep, ddl_namespace=namespace).reap().dropped == []
+    assert len(prepared.execute().result) > 0
+    prepared.close()
+
+
+def test_ledger_parses_whole_names_only():
+    plain, spaced = ObjectLedger(), ObjectLedger("a1_")
+    assert plain.name("VIEW", 15, 1) == "xv_15_1"
+    assert spaced.name("FOREIGN TABLE", 5, 3) == "xf_a1_5_3"
+    assert plain.epoch_of_name("XV_15_1") == 15
+    assert plain.epoch_of_name("xm_41_leftover") == 41
+    assert spaced.epoch_of_name("xf_a1_5_3") == 5
+    # a name parses under one namespace at most
+    assert ObjectLedger("a").epoch_of_name("xf_a1_5_3") is None
+    assert plain.epoch_of_name("xf_a1_5_3") is None
+    assert plain.epoch_of_name("xv_15_1_2") is None
+    assert plain.epoch_of_name("xq_15_1") is None
+    with pytest.raises(ValueError):
+        ObjectLedger("t1")
+
+
 def test_breaker_recovery_schedules_deferred_sweep():
     dep = build_small()
     xdb = XDB(dep)

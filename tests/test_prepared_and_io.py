@@ -10,7 +10,7 @@ from repro.engine.io import (
     load_table_csv,
     save_table_csv,
 )
-from repro.errors import ExecutionError, OptimizerError
+from repro.errors import DelegationError, ExecutionError, OptimizerError
 from repro.federation.deployment import Deployment
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DATE, DOUBLE, INTEGER, varchar
@@ -103,6 +103,30 @@ def test_prepared_query_close_drops_objects_and_blocks_reuse():
     with pytest.raises(OptimizerError):
         prepared.execute()
     prepared.close()  # idempotent
+
+
+def test_prepared_close_that_leaks_still_closes_the_handle():
+    dep = build_sales_deployment()
+    xdb = XDB(dep)
+    prepared = xdb.prepare(SALES_SQL)
+    root = prepared.deployed.root_db
+    other = "B" if root == "A" else "A"
+    dep.health.report_outage(other)
+
+    with pytest.raises(DelegationError) as err:
+        prepared.close()
+    assert err.value.leaked
+    assert {db for db, _kind, _name in err.value.leaked} == {other}
+    assert xdb.ledger.leaked_count() == len(err.value.leaked)
+    with pytest.raises(OptimizerError, match="closed"):
+        prepared.execute()
+    prepared.close()  # already closed: no second drop attempt
+
+    dep.health.clock.advance(dep.health.config.cooldown_seconds + 1.0)
+    xdb.reap()
+    assert xdb.ledger.leaked_count() == 0
+    for db in ("A", "B"):
+        assert not dep.connector(db).list_objects(("xf_", "xm_", "xv_"))
 
 
 # -- CSV I/O --------------------------------------------------------------------
