@@ -1,11 +1,14 @@
 """Overload benchmark — admission control and deadlines under load.
 
-Drives one shared two-engine federation from genuinely concurrent
-client threads at 1x / 4x / 16x its admission capacity, with 5%
-injected transient faults at a fixed seed.  Every query carries a
-:class:`repro.qos.QoSPolicy` (deadline + priority); the workload gate
-queues, sheds, and evicts by priority while each query's retries,
-backoff, and queue waits draw down its own deadline budget.
+Drives one shared two-engine federation with N XDB clients at 1x / 4x /
+16x its admission capacity, with 5% injected transient faults at a
+fixed seed.  One thread submits for every client: the client whose
+simulated clock is earliest goes next (ties in priority order), and a
+shed client waits out its ``retry_after_seconds`` hint on its own
+clock.  Every query carries a :class:`repro.qos.QoSPolicy` (deadline +
+priority); the workload gate queues and sheds on the simulated clock
+while each query's retries, backoff, and queue waits draw down its own
+deadline budget.  The same seed writes byte-identical JSON.
 
 Standalone (like ``bench_executor.py``) so CI can gate on it cheaply::
 
@@ -27,7 +30,6 @@ import math
 import pathlib
 import platform
 import sys
-import threading
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -61,8 +63,6 @@ QUERY = (
 MAX_CONCURRENT = 2
 #: bounded waiting room per engine — beyond this the gate sheds
 MAX_QUEUE = 4
-#: deterministic simulated queue penalty per position ahead
-QUEUE_SLOT_SIM_SECONDS = 0.25
 #: per-query deadline / per-call cap (deadline seconds)
 DEADLINE_SECONDS = 20.0
 PER_CALL_CAP_SECONDS = 10.0
@@ -94,12 +94,7 @@ def build_deployment(seed: int) -> Deployment:
         [(i % 40, "login" if i % 3 else "query") for i in range(160)],
     )
     dep.configure_qos(
-        GateConfig(
-            max_concurrent=MAX_CONCURRENT,
-            max_queue=MAX_QUEUE,
-            max_wait_seconds=30.0,
-            queue_slot_sim_seconds=QUEUE_SLOT_SIM_SECONDS,
-        )
+        GateConfig(max_concurrent=MAX_CONCURRENT, max_queue=MAX_QUEUE)
     )
     for connector in dep.connectors.values():
         connector.retry_policy = RetryPolicy(max_attempts=MAX_ATTEMPTS)
@@ -119,53 +114,37 @@ def scan_leaks(dep: Deployment):
     return sorted(leaked)
 
 
-def worker(
-    index: int,
-    dep: Deployment,
-    queries: int,
-    out: list,
-    barrier: threading.Barrier,
-) -> None:
-    """One client thread: its own XDB (own DDL namespace), shared
-    engines, gate, breakers, and fault schedule."""
-    xdb = XDB(dep, ddl_namespace=f"t{index}_")
-    xdb.warm_metadata()
-    # Line up the whole fleet before the first submission: the offered
-    # load must actually arrive concurrently, not trickle in as each
-    # thread finishes its metadata warm-up.
-    barrier.wait()
-    for q in range(queries):
-        priority = PRIORITIES[(index + q) % len(PRIORITIES)]
-        policy = QoSPolicy(
-            deadline_seconds=DEADLINE_SECONDS,
-            per_call_cap_seconds=PER_CALL_CAP_SECONDS,
-            priority=priority,
-        )
-        record = {"worker": index, "priority": priority}
-        try:
-            report = xdb.submit(QUERY, qos=policy)
-        except OverloadError as exc:
-            record["outcome"] = "shed"
-            record["retry_after_seconds"] = exc.retry_after_seconds
-        except DeadlineExceeded as exc:
-            record["outcome"] = "deadline_exceeded"
-            record["phase"] = exc.phase
-            record["rolled_back"] = len(exc.rolled_back)
-            record["leaked_in_error"] = len(exc.leaked)
-        except Exception as exc:  # noqa: BLE001 - the gate: must be empty
-            record["outcome"] = "error"
-            record["error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            record["outcome"] = "ok"
-            record["rows"] = len(report.result)
-            remaining = report.qos.deadline_remaining_seconds
-            record["deadline_remaining_seconds"] = remaining
-            record["latency_seconds"] = DEADLINE_SECONDS - remaining
-            record["admission_wait_seconds"] = (
-                report.qos.admission_wait_seconds
-                + report.qos.admission_sim_seconds
-            )
-        out.append(record)
+def submit(xdb: XDB, index: int, priority: int) -> dict:
+    """One submission from client ``index``, as a JSON-able record."""
+    policy = QoSPolicy(
+        deadline_seconds=DEADLINE_SECONDS,
+        per_call_cap_seconds=PER_CALL_CAP_SECONDS,
+        priority=priority,
+    )
+    record = {"worker": index, "priority": priority}
+    try:
+        report = xdb.submit(QUERY, qos=policy)
+    except OverloadError as exc:
+        record["outcome"] = "shed"
+        record["retry_after_seconds"] = exc.retry_after_seconds
+        # The client honours the hint before its next submission.
+        xdb.clock.advance(exc.retry_after_seconds)
+    except DeadlineExceeded as exc:
+        record["outcome"] = "deadline_exceeded"
+        record["phase"] = exc.phase
+        record["rolled_back"] = len(exc.rolled_back)
+        record["leaked_in_error"] = len(exc.leaked)
+    except Exception as exc:  # noqa: BLE001 - the gate: must be empty
+        record["outcome"] = "error"
+        record["error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        record["outcome"] = "ok"
+        record["rows"] = len(report.result)
+        remaining = report.qos.deadline_remaining_seconds
+        record["deadline_remaining_seconds"] = remaining
+        record["latency_seconds"] = DEADLINE_SECONDS - remaining
+        record["admission_wait_seconds"] = report.qos.admission_wait_seconds
+    return record
 
 
 def percentile(values, q: float) -> float:
@@ -180,23 +159,30 @@ def run_load(load: int, seed: int, queries_per_worker: int) -> dict:
     dep = build_deployment(seed)
     engines = len(dep.databases)
     workers = MAX_CONCURRENT * engines * load
+    # Every client has its own XDB (own DDL namespace) over the shared
+    # engines, gate, breakers and fault schedule; all of them start at
+    # simulated instant 0, so the offered load arrives at once.
+    clients = [XDB(dep, ddl_namespace=f"t{i}_") for i in range(workers)]
+    for xdb in clients:
+        xdb.warm_metadata()
+    sent = [0] * workers
+
+    def priority(index: int) -> int:
+        return PRIORITIES[(index + sent[index]) % len(PRIORITIES)]
+
     records: list = []
-    lists = [[] for _ in range(workers)]
-    barrier = threading.Barrier(workers)
-    threads = [
-        threading.Thread(
-            target=worker,
-            args=(i, dep, queries_per_worker, lists[i], barrier),
-            name=f"client-{i}",
+    while True:
+        waiting = [i for i in range(workers) if sent[i] < queries_per_worker]
+        if not waiting:
+            break
+        # The earliest client submits next; arrivals at one simulated
+        # instant go in priority order.
+        index = min(
+            waiting,
+            key=lambda i: (clients[i].clock.now(), -priority(i), i),
         )
-        for i in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for chunk in lists:
-        records.extend(chunk)
+        records.append(submit(clients[index], index, priority(index)))
+        sent[index] += 1
 
     leaked = scan_leaks(dep)
     by_outcome = {}
@@ -240,12 +226,7 @@ def run_load(load: int, seed: int, queries_per_worker: int) -> dict:
         "p99_deadline_fraction": percentile(
             [lat / DEADLINE_SECONDS for lat in latencies], 0.99
         ),
-        "gate": {
-            "admitted": gate.admitted,
-            "sheds": gate.sheds,
-            "evictions": gate.evictions,
-            "wait_timeouts": gate.wait_timeouts,
-        },
+        "gate": {"admitted": gate.admitted, "sheds": gate.sheds},
     }
 
 
@@ -302,7 +283,7 @@ def main(argv=None) -> int:
                         default=[1, 4, 16],
                         help="offered-load multipliers (default 1 4 16)")
     parser.add_argument("--queries", type=int, default=3,
-                        help="queries per client thread (default 3)")
+                        help="queries per client (default 3)")
     parser.add_argument("--out", type=pathlib.Path, default=RESULTS_PATH,
                         help=f"output JSON path (default {RESULTS_PATH})")
     parser.add_argument("--check", action="store_true",
@@ -316,7 +297,6 @@ def main(argv=None) -> int:
         "config": {
             "max_concurrent": MAX_CONCURRENT,
             "max_queue": MAX_QUEUE,
-            "queue_slot_sim_seconds": QUEUE_SLOT_SIM_SECONDS,
             "deadline_seconds": DEADLINE_SECONDS,
             "per_call_cap_seconds": PER_CALL_CAP_SECONDS,
             "fault_rate": FAULT_RATE,

@@ -105,7 +105,6 @@ def run_xdb(
     if report.qos is not None:
         record.extra["admission_wait_seconds"] = (
             report.qos.admission_wait_seconds
-            + report.qos.admission_sim_seconds
         )
         if report.qos.deadline_remaining_seconds is not None:
             record.extra["deadline_remaining_seconds"] = (

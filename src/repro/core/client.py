@@ -22,7 +22,7 @@ counters, and recovery report are all *views* over its span tree and
 context-scoped metrics — phase times combine real middleware CPU
 (span wall time) with the simulated network and retry-backoff seconds
 attributed to the phase's subtree (span sim time).  There is no
-global counter or transfer log to read from, so concurrent or repeated
+global counter or transfer log to read from, so interleaved or repeated
 submissions cannot leak observations into each other; a submission
 that fails hands its context out on the error (``exc.context``).
 """
@@ -256,6 +256,8 @@ class XDB:
             adaptivity_threshold=adaptivity_threshold,
             on_drift=self._invalidate_prepared,
         )
+        #: this client's simulated clock (see ``PlanPipeline.clock``)
+        self.clock = self.pipeline.clock
 
     # -- public API --------------------------------------------------------------
 
@@ -278,14 +280,16 @@ class XDB:
         is bounded by ``repair_budget``; unrepairable outages (the only
         holder of a table is down) propagate immediately.
 
-        QoS: with a :class:`~repro.qos.QoSPolicy` the submission holds
-        one admission token per engine its plan touches for the whole
-        execution phase (queueing or shedding under overload, by
-        priority), draws every connector call, retry, backoff, and
-        queue wait from one per-query :class:`~repro.qos.Deadline`
-        budget, and — should that budget expire mid-delegation — rolls
-        the in-flight DDL back under the deadline's grace budget before
-        raising a structured :class:`~repro.errors.DeadlineExceeded`.
+        Admission: every submission holds one gate slot per engine its
+        plan touches for the whole execution phase, arriving at this
+        client's simulated clock (``self.clock``) plus its own spend so
+        far, and queueing or being shed under overload.  QoS: with a
+        :class:`~repro.qos.QoSPolicy` it also draws every connector
+        call, retry, backoff, and queue wait from one per-query
+        :class:`~repro.qos.Deadline` budget, and — should that budget
+        expire mid-delegation — rolls the in-flight DDL back under the
+        deadline's grace budget before raising a structured
+        :class:`~repro.errors.DeadlineExceeded`.
         """
         state = self.pipeline.new_state(query, budget=self.repair_budget)
         return self._run(state, qos, cleanup, refresh_metadata)
@@ -313,58 +317,62 @@ class XDB:
             pass
         plans = state.dplan is None
         ctx = QueryContext(label=state.label or "prepared", qos=qos)
-        with ctx:
-            phases = {"prep": 0.0, "lopt": 0.0, "ann": 0.0}
-            if plans:
-                spans = self.pipeline.plan(state, ctx, refresh_metadata)
-                for name, span in zip(phases, spans):
-                    phases[name] = ctx.phase_seconds(span)
-            self.pipeline.execute(state, ctx, cleanup=cleanup)
-            phases["exec"] = state.exec_seconds
+        try:
+            with ctx:
+                phases = {"prep": 0.0, "lopt": 0.0, "ann": 0.0}
+                if plans:
+                    spans = self.pipeline.plan(state, ctx, refresh_metadata)
+                    for name, span in zip(phases, spans):
+                        phases[name] = ctx.phase_seconds(span)
+                self.pipeline.execute(state, ctx, cleanup=cleanup)
+                phases["exec"] = state.exec_seconds
 
-            recovery = state.recovery
-            qos_report = None
-            if qos is not None:
-                stale = bool(state.stale_reason)
-                qos_report = QoSReport(
-                    priority=qos.priority,
-                    deadline_seconds=qos.deadline_seconds,
-                    deadline_remaining_seconds=(
-                        ctx.deadline.remaining_seconds
-                        if ctx.deadline is not None
-                        else None
-                    ),
-                    admission_wait_seconds=ctx.admission_wait_seconds,
-                    admission_sim_seconds=ctx.admission_sim_seconds,
-                    admitted_engines=list(state.lease.engines),
-                    stale_read=stale,
-                    staleness_seconds=(
-                        self.pipeline.staleness(state) if stale else None
-                    ),
-                    stale_reason=state.stale_reason,
+                recovery = state.recovery
+                qos_report = None
+                if qos is not None:
+                    stale = bool(state.stale_reason)
+                    qos_report = QoSReport(
+                        priority=qos.priority,
+                        deadline_seconds=qos.deadline_seconds,
+                        deadline_remaining_seconds=(
+                            ctx.deadline.remaining_seconds
+                            if ctx.deadline is not None
+                            else None
+                        ),
+                        admission_wait_seconds=ctx.admission_wait_seconds,
+                        admitted_engines=list(state.lease.engines),
+                        stale_read=stale,
+                        staleness_seconds=(
+                            self.pipeline.staleness(state) if stale else None
+                        ),
+                        stale_reason=state.stale_reason,
+                    )
+
+                resilience = ctx.resilience_summary(self.connectors)
+                resilience.leaked_objects = self.ledger.leaked_count()
+                # The planning fields describe the planning *this* entry
+                # did: an execution that entered at ``execute`` consulted
+                # nobody.
+                annotation = state.annotation if plans else None
+                return XDBReport(
+                    result=state.result,
+                    plan=state.dplan,
+                    deployed=state.deployed,
+                    annotation=annotation,
+                    schedule=state.schedule,
+                    phases=phases,
+                    transfers=state.transfers,
+                    consultations=annotation.consultations if plans else 0,
+                    resilience=resilience,
+                    recovery=recovery,
+                    context=ctx,
+                    qos=qos_report,
+                    feedback=list(state.observations),
                 )
-
-            resilience = ctx.resilience_summary(self.connectors)
-            resilience.leaked_objects = self.ledger.leaked_count()
-            # The planning fields describe the planning *this* entry
-            # did: an execution that entered at ``execute`` consulted
-            # nobody.
-            annotation = state.annotation if plans else None
-            return XDBReport(
-                result=state.result,
-                plan=state.dplan,
-                deployed=state.deployed,
-                annotation=annotation,
-                schedule=state.schedule,
-                phases=phases,
-                transfers=state.transfers,
-                consultations=annotation.consultations if plans else 0,
-                resilience=resilience,
-                recovery=recovery,
-                context=ctx,
-                qos=qos_report,
-                feedback=list(state.observations),
-            )
+        finally:
+            # Answered, shed or expired: the client's clock moves on
+            # by everything the query spent on the simulated clock.
+            self.clock.advance(ctx.tracer.sim_now)
 
     def reap(self, dbs: Optional[List[str]] = None) -> ReapReport:
         """Reconcile engine-held delegated objects against the ledger.

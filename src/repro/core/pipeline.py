@@ -68,7 +68,7 @@ from repro.federation.deployment import Deployment
 from repro.feedback import qerror
 from repro.feedback.harvest import harvest_execution
 from repro.feedback.store import FeedbackOverlay, FeedbackStore, Observation
-from repro.health import BreakerEvent
+from repro.health import BreakerEvent, SimulatedClock
 from repro.net.metrics import TransferSummary
 from repro.obs.clock import wall_now
 from repro.obs.context import QueryContext
@@ -354,7 +354,7 @@ class PlanState:
     observations: List[Observation] = field(default_factory=list)
     exec_seconds: float = 0.0
     transfers: Optional[TransferSummary] = None
-    #: the admission tokens the current entry holds (released, but
+    #: the admission slots the current entry holds (released, but
     #: kept for the report, once the entry is over)
     lease: Optional[AdmissionLease] = None
     # -- what a retained cascade (a prepared query) carries between
@@ -398,6 +398,12 @@ class PlanPipeline:
         on_drift: Optional[Callable[[str, str], None]] = None,
     ):
         self.deployment = deployment
+        #: the client's simulated clock, starting at the gate's present:
+        #: a query arrives at the gate at ``clock.now()`` plus its own
+        #: simulated spend so far, and the client advances it by the
+        #: query's whole spend once the query is over
+        self.clock = SimulatedClock()
+        self.clock.advance(deployment.workload_gate.horizon())
         self.connectors = deployment.connectors
         self.catalog = catalog
         self.optimizer = optimizer
@@ -670,7 +676,7 @@ class PlanPipeline:
             raise
         finally:
             if state.lease is not None:
-                state.lease.release()
+                state.lease.release(self.clock.now() + tracer.sim_now)
         return state
 
     def _answer(
@@ -752,8 +758,8 @@ class PlanPipeline:
             engines
         ):
             # The re-entered plan runs on a different engine set: swap
-            # the admission tokens to match.
-            state.lease.release()
+            # the admission slots to match.
+            state.lease.release(self.clock.now() + tracer.sim_now)
             state.lease = None
         if state.lease is None:
             ctx.enter_phase("admission")
@@ -764,6 +770,7 @@ class PlanPipeline:
                         qos.priority if qos is not None else PRIORITY_NORMAL
                     ),
                     deadline=ctx.deadline,
+                    at=self.clock.now() + tracer.sim_now,
                 )
                 ctx.record_admission(state.lease)
         if state.stage != "execute":

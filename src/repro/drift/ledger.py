@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -91,7 +90,6 @@ class ObjectLedger:
             rf"x[fmv]_{re.escape(namespace)}(\d+)_[a-z0-9]+", re.IGNORECASE
         )
         self._path = path
-        self._lock = threading.Lock()
         #: (db, name_lower) -> entry
         self._entries: Dict[Tuple[str, str], LedgerEntry] = {}
         #: epochs whose deployment may still execute
@@ -106,41 +104,36 @@ class ObjectLedger:
     # -- epochs ---------------------------------------------------------
 
     def open_epoch(self, epoch: int) -> int:
-        with self._lock:
-            self._live_epochs.add(epoch)
-            self._max_epoch = max(self._max_epoch, epoch)
+        self._live_epochs.add(epoch)
+        self._max_epoch = max(self._max_epoch, epoch)
         self._persist()
         return epoch
 
     def close_epoch(self, epoch: int) -> None:
         """Retire ``epoch``: its undropped objects become reapable, its
         dropped ones are forgotten."""
-        with self._lock:
-            self._live_epochs.discard(epoch)
-            settled = [
-                key
-                for key, entry in self._entries.items()
-                if entry.epoch == epoch and entry.status == STATUS_DROPPED
-            ]
-            for key in settled:
-                del self._entries[key]
+        self._live_epochs.discard(epoch)
+        settled = [
+            key
+            for key, entry in self._entries.items()
+            if entry.epoch == epoch and entry.status == STATUS_DROPPED
+        ]
+        for key in settled:
+            del self._entries[key]
         self._persist()
 
     def live_epochs(self) -> Set[int]:
-        with self._lock:
-            return set(self._live_epochs)
+        return set(self._live_epochs)
 
     def is_live(self, epoch: int) -> bool:
-        with self._lock:
-            return epoch in self._live_epochs
+        return epoch in self._live_epochs
 
     # -- recording ------------------------------------------------------
 
     def record(self, db: str, kind: str, name: str, epoch: int) -> None:
-        with self._lock:
-            entry = LedgerEntry(db=db, kind=kind, name=name, epoch=epoch)
-            self._store(entry.key, entry)
-            self._max_epoch = max(self._max_epoch, epoch)
+        entry = LedgerEntry(db=db, kind=kind, name=name, epoch=epoch)
+        self._store(entry.key, entry)
+        self._max_epoch = max(self._max_epoch, epoch)
         self._persist()
 
     def mark_dropped(self, db: str, name: str) -> None:
@@ -150,15 +143,14 @@ class ObjectLedger:
         self._mark(db, name, STATUS_LEAKED)
 
     def _mark(self, db: str, name: str, status: str) -> None:
-        with self._lock:
-            key = (db, name.lower())
-            entry = self._entries.get(key)
-            if entry is not None and entry.status != status:
-                self._store(key, replace(entry, status=status))
+        key = (db, name.lower())
+        entry = self._entries.get(key)
+        if entry is not None and entry.status != status:
+            self._store(key, replace(entry, status=status))
         self._persist()
 
     def _store(self, key: Tuple[str, str], entry: LedgerEntry) -> None:
-        """Put ``entry`` under ``key`` (lock held), keeping the leaked
+        """Put ``entry`` under ``key``, keeping the leaked
         count; a dropped entry of a closed epoch is forgotten instead."""
         previous = self._entries.get(key)
         if previous is not None and previous.status == STATUS_LEAKED:
@@ -176,27 +168,23 @@ class ObjectLedger:
     # -- queries --------------------------------------------------------
 
     def entry_for(self, db: str, name: str) -> Optional[LedgerEntry]:
-        with self._lock:
-            return self._entries.get((db, name.lower()))
+        return self._entries.get((db, name.lower()))
 
     def entries(self) -> List[LedgerEntry]:
-        with self._lock:
-            return list(self._entries.values())
+        return list(self._entries.values())
 
     def leaked_entries(self) -> List[LedgerEntry]:
         return [e for e in self.entries() if e.status == STATUS_LEAKED]
 
     def leaked_count(self) -> int:
         """Cumulative outstanding leaked objects (reaping pays it down)."""
-        with self._lock:
-            return self._leaked
+        return self._leaked
 
     def max_epoch(self) -> int:
         """Highest epoch ever recorded — a restarted client resumes its
         delegation counter above this so new object names can never
         collide with a crashed predecessor's leaked ones."""
-        with self._lock:
-            return self._max_epoch
+        return self._max_epoch
 
     # -- names ----------------------------------------------------------
 
@@ -212,8 +200,8 @@ class ObjectLedger:
         The whole name must match ``x{f,m,v}_<namespace><epoch>_<tail>``
         with an underscore-free tail (the task id in every name
         :meth:`name` builds).  With no namespace ending in a digit, no
-        name parses under two namespaces, which keeps concurrent
-        clients' reapers off each other's objects.
+        name parses under two namespaces, which keeps the
+        reapers of clients sharing engines off each other's objects.
         """
         match = self._name_shape.fullmatch(name)
         return int(match.group(1)) if match else None
@@ -268,22 +256,21 @@ class ObjectLedger:
     def _persist(self) -> None:
         if not self._path:
             return
-        with self._lock:
-            payload = {
-                "namespace": self.namespace,
-                "live_epochs": sorted(self._live_epochs),
-                "max_epoch": self._max_epoch,
-                "entries": [
-                    {
-                        "db": e.db,
-                        "kind": e.kind,
-                        "name": e.name,
-                        "epoch": e.epoch,
-                        "status": e.status,
-                    }
-                    for e in self._entries.values()
-                ],
-            }
+        payload = {
+            "namespace": self.namespace,
+            "live_epochs": sorted(self._live_epochs),
+            "max_epoch": self._max_epoch,
+            "entries": [
+                {
+                    "db": e.db,
+                    "kind": e.kind,
+                    "name": e.name,
+                    "epoch": e.epoch,
+                    "status": e.status,
+                }
+                for e in self._entries.values()
+            ],
+        }
         tmp = f"{self._path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)

@@ -21,7 +21,6 @@ callback would recurse into the very guarded path that fired it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -69,7 +68,6 @@ class OrphanReaper:
         self._ledger = ledger
         self._connectors = dict(connectors)
         self._health = health
-        self._lock = threading.Lock()
         #: engines whose breaker closed since the last sweep
         self._pending: Set[str] = set()
         #: lifetime counter (observability)
@@ -85,18 +83,15 @@ class OrphanReaper:
         engine calls happen here.
         """
         if db in self._connectors:
-            with self._lock:
-                self._pending.add(db)
+            self._pending.add(db)
 
     def pending(self) -> Set[str]:
-        with self._lock:
-            return set(self._pending)
+        return set(self._pending)
 
     def sweep_pending(self) -> Optional[ReapReport]:
         """Sweep engines marked by :meth:`note_recovery`, if any."""
-        with self._lock:
-            dbs = sorted(self._pending)
-            self._pending.clear()
+        dbs = sorted(self._pending)
+        self._pending.clear()
         if not dbs:
             return None
         return self.sweep(dbs)
@@ -115,8 +110,7 @@ class OrphanReaper:
         for db, held, live, orphans in self._classify(dbs):
             if held is None:
                 report.unreachable.append(db)
-                with self._lock:
-                    self._pending.add(db)
+                self._pending.add(db)
                 continue
             report.kept_live.extend(live)
             # The ledger drops newest first: reversed, in name order.

@@ -8,7 +8,6 @@ ordinary relations and the planner turns their scans into foreign scans.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.stats import (
@@ -49,11 +48,7 @@ class BaseTable:
         #: scan that an invalidation overtakes stores a tag nobody will
         #: accept
         self._generation = 0
-        self._generation_lock = threading.Lock()
         self._stats: Optional[Tuple[int, TableStats]] = None
-        #: held while analyzing, so concurrent readers of a table
-        #: without a snapshot pay for one scan, not one each
-        self._analyze_lock = threading.Lock()
         #: the catalog holding this table (set by :meth:`Catalog.add`),
         #: told whenever the snapshot is invalidated
         self._catalog: Optional["Catalog"] = None
@@ -68,15 +63,11 @@ class BaseTable:
     @property
     def stats(self) -> TableStats:
         stats = self._snapshot()
-        if stats is not None:
-            return stats
-        with self._analyze_lock:
+        if stats is None:
             generation = self._generation
-            stats = self._snapshot()
-            if stats is None:
-                stats = self._analyze()
-                self._stats = (generation, stats)
-            return stats
+            stats = self._analyze()
+            self._stats = (generation, stats)
+        return stats
 
     def _analyze(self) -> TableStats:
         stats = compute_stats(self.schema, self.rows)
@@ -100,8 +91,7 @@ class BaseTable:
         """Announce that schema or rows changed beyond what the snapshot
         may lag by: statistics are recomputed on next read and the
         catalog version moves on."""
-        with self._generation_lock:
-            self._generation += 1
+        self._generation += 1
         self._stats = None
         if self._catalog is not None:
             self._catalog.bump_version()
@@ -176,13 +166,11 @@ class Catalog(TableResolver):
         self.database_name = database_name
         self._objects: Dict[str, CatalogObject] = {}
         self.version = 0
-        self._version_lock = threading.Lock()
 
     # -- management ----------------------------------------------------------
 
     def bump_version(self) -> None:
-        with self._version_lock:
-            self.version += 1
+        self.version += 1
 
     def add(self, obj: CatalogObject, replace: bool = False) -> None:
         key = obj.name.lower()

@@ -15,7 +15,6 @@ DDL as the statement plus the text its connector rendered
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.engine.catalog import (
@@ -84,7 +83,6 @@ class Database:
         #: of one catalog version only (see :meth:`_planned`)
         self._memo: Dict[str, _Planned] = {}
         self._memo_version = 0
-        self._memo_lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, profile={self.profile.name!r})"
@@ -185,18 +183,16 @@ class Database:
         do.  Every stamp contains this engine's own version, so the
         dict is dropped wholesale the first time it is touched under a
         newer one — the per-query-unique object names of delegated
-        cascades cannot pile up.  The lock guards the dict only;
-        planning, which recurses into other engines, runs outside it,
-        so two threads may plan the same statement at once (harmless)
-        but neither can be handed a stale entry.
+        cascades cannot pile up.  Planning recurses into other engines
+        and may bump this catalog's version on the way; the entry is
+        stored only if the version it was read under still holds.
         """
         key = self.dialect.render(select)
         version = self.catalog.version
-        with self._memo_lock:
-            if self._memo_version < version:
-                self._memo = {}
-                self._memo_version = version
-            entry = self._memo.get(key)
+        if self._memo_version < version:
+            self._memo = {}
+            self._memo_version = version
+        entry = self._memo.get(key)
         if entry is not None and not entry.stamp.is_current():
             entry = None
         if entry is not None and (entry.info is not None or not explain):
@@ -212,9 +208,8 @@ class Database:
             stamp.merge(entry.stamp)
         info = self._explain(plan, estimator) if explain else None
         entry = _Planned(plan, stamp, info)
-        with self._memo_lock:
-            if self._memo_version == version:
-                self._memo[key] = entry
+        if self._memo_version == version:
+            self._memo[key] = entry
         return entry
 
     def execute_select(self, select) -> Result:

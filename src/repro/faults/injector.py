@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import re
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EngineUnavailableError, TransientConnectorError
@@ -41,9 +40,6 @@ class FaultInjector:
     def __init__(self, policy: FaultPolicy):
         self.policy = policy
         self._rng = random.Random(policy.seed)
-        # the overload benchmark injects faults from concurrent client
-        # threads; the counters and RNG draw must stay consistent
-        self._lock = threading.Lock()
         #: guarded calls seen per DBMS (attempts, including retries)
         self.calls_by_db: Dict[str, int] = {}
         #: matching calls per shard-scoped outage, keyed (db, table)
@@ -167,72 +163,71 @@ class FaultInjector:
         connector has one (rendered DDL, query text, a table name) —
         shard-scoped outages match against it.
         """
-        with self._lock:
-            count = self.calls_by_db.get(db, 0) + 1
-            self.calls_by_db[db] = count
+        count = self.calls_by_db.get(db, 0) + 1
+        self.calls_by_db[db] = count
 
-            # Shard-scoped outages first: they consume their own
-            # matching-call counters and never touch the engine-wide
-            # schedule, so composing them with whole-engine faults
-            # stays deterministic.
-            for outage in self.policy.outages:
-                if (
-                    outage.db != db
-                    or outage.table is None
-                    or not _references_table(detail, outage.table)
-                ):
-                    continue
-                key = (db, outage.table.lower())
-                shard_count = self.calls_by_shard.get(key, 0) + 1
-                self.calls_by_shard[key] = shard_count
-                if outage.down_at(shard_count):
-                    self.injected_outage_rejections += 1
-                    raise EngineUnavailableError(
-                        f"injected shard outage: {outage.table!r} on "
-                        f"DBMS {db!r} is unreachable (matching call "
-                        f"{shard_count}, outage after "
-                        f"{outage.after_calls})",
-                        db=db,
-                        table=outage.table,
-                    )
-
-            # Schema drifts fire once, when their target engine's call
-            # counter passes the trigger — the mutation lands *before*
-            # the call proceeds, like a DBA's DDL racing the federation.
-            for index, drift in enumerate(self.policy.drifts):
-                if (
-                    not self._drifts_applied[index]
-                    and drift.db == db
-                    and count > drift.after_calls
-                ):
-                    self._drifts_applied[index] = True
-                    self._apply_drift(drift)
-
-            outage = self._outage_for(db)
-            if outage is not None and outage.down_at(count):
+        # Shard-scoped outages first: they consume their own
+        # matching-call counters and never touch the engine-wide
+        # schedule, so composing them with whole-engine faults
+        # stays deterministic.
+        for outage in self.policy.outages:
+            if (
+                outage.db != db
+                or outage.table is None
+                or not _references_table(detail, outage.table)
+            ):
+                continue
+            key = (db, outage.table.lower())
+            shard_count = self.calls_by_shard.get(key, 0) + 1
+            self.calls_by_shard[key] = shard_count
+            if outage.down_at(shard_count):
                 self.injected_outage_rejections += 1
                 raise EngineUnavailableError(
-                    f"injected outage: DBMS {db!r} is down "
-                    f"(call {count}, outage after {outage.after_calls})",
+                    f"injected shard outage: {outage.table!r} on "
+                    f"DBMS {db!r} is unreachable (matching call "
+                    f"{shard_count}, outage after "
+                    f"{outage.after_calls})",
                     db=db,
+                    table=outage.table,
                 )
 
-            for index, scripted in enumerate(self.policy.scripted):
-                if scripted.matches(db, op):
-                    self._script_hits[index] += 1
-                    if self._script_hits[index] == scripted.nth:
-                        self.injected_transients += 1
-                        raise TransientConnectorError(
-                            f"injected scripted fault: {op} call "
-                            f"#{scripted.nth} on {db!r}"
-                        )
+        # Schema drifts fire once, when their target engine's call
+        # counter passes the trigger — the mutation lands *before*
+        # the call proceeds, like a DBA's DDL racing the federation.
+        for index, drift in enumerate(self.policy.drifts):
+            if (
+                not self._drifts_applied[index]
+                and drift.db == db
+                and count > drift.after_calls
+            ):
+                self._drifts_applied[index] = True
+                self._apply_drift(drift)
 
-            rate = self.policy.rate_for(db)
-            if rate > 0.0 and self._rng.random() < rate:
-                self.injected_transients += 1
-                raise TransientConnectorError(
-                    f"injected transient error on {db!r} during {op}"
-                )
+        outage = self._outage_for(db)
+        if outage is not None and outage.down_at(count):
+            self.injected_outage_rejections += 1
+            raise EngineUnavailableError(
+                f"injected outage: DBMS {db!r} is down "
+                f"(call {count}, outage after {outage.after_calls})",
+                db=db,
+            )
+
+        for index, scripted in enumerate(self.policy.scripted):
+            if scripted.matches(db, op):
+                self._script_hits[index] += 1
+                if self._script_hits[index] == scripted.nth:
+                    self.injected_transients += 1
+                    raise TransientConnectorError(
+                        f"injected scripted fault: {op} call "
+                        f"#{scripted.nth} on {db!r}"
+                    )
+
+        rate = self.policy.rate_for(db)
+        if rate > 0.0 and self._rng.random() < rate:
+            self.injected_transients += 1
+            raise TransientConnectorError(
+                f"injected transient error on {db!r} during {op}"
+            )
 
 
 def clear_faults(deployment, injector: Optional[FaultInjector]) -> None:

@@ -121,7 +121,7 @@ class Deployment:
 
         # One shared admission gate: every XDB client of this
         # deployment contends for the same per-engine concurrency
-        # tokens (see :mod:`repro.qos`).
+        # slots (see :mod:`repro.qos`).
         self.workload_gate = WorkloadGate()
 
     # -- wiring ----------------------------------------------------------------
@@ -207,9 +207,9 @@ class Deployment:
     def configure_qos(self, config: GateConfig) -> WorkloadGate:
         """Swap in a fresh :class:`WorkloadGate` with ``config``.
 
-        All admission state (tokens, queues, shed counters) is
-        discarded; submissions already holding leases on the old gate
-        release against the old gate harmlessly.
+        All admission state (slots, queues, shed counters) is
+        discarded; a lease taken on the old gate releases against the
+        old gate harmlessly.
         """
         self.workload_gate = WorkloadGate(config)
         return self.workload_gate

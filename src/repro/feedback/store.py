@@ -3,7 +3,7 @@
 :class:`FeedbackStore` is the durable half of the Q-Error loop: a
 JSON-backed map (same crash-safe idiom as the drift
 :class:`~repro.drift.ledger.ObjectLedger` — in-memory dict, atomic
-temp-file-then-rename persistence, thread-safe) from canonical
+temp-file-then-rename persistence) from canonical
 subexpression fingerprints to corrected cardinalities observed at
 execution time.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -71,7 +70,6 @@ class FeedbackStore:
 
     def __init__(self, path: Optional[str] = None):
         self._path = path
-        self._lock = threading.Lock()
         self._entries: Dict[str, FeedbackEntry] = {}
         if path is not None and os.path.exists(path):
             self._load(path)
@@ -80,25 +78,24 @@ class FeedbackStore:
 
     def observe(self, obs: Observation) -> FeedbackEntry:
         """Record (or refresh) the learned cardinality for ``obs``."""
-        with self._lock:
-            entry = self._entries.get(obs.fingerprint)
-            if entry is None:
-                entry = FeedbackEntry(
-                    fingerprint=obs.fingerprint,
-                    kind=obs.kind,
-                    tables=list(obs.tables),
-                    estimated_rows=float(obs.estimated_rows),
-                    actual_rows=float(obs.actual_rows),
-                    qerror=obs.q_error,
-                )
-                self._entries[obs.fingerprint] = entry
-            else:
-                entry.actual_rows = float(obs.actual_rows)
-                entry.estimated_rows = float(obs.estimated_rows)
-                entry.qerror = obs.q_error
-                entry.hits += 1
-            self._persist()
-            return entry
+        entry = self._entries.get(obs.fingerprint)
+        if entry is None:
+            entry = FeedbackEntry(
+                fingerprint=obs.fingerprint,
+                kind=obs.kind,
+                tables=list(obs.tables),
+                estimated_rows=float(obs.estimated_rows),
+                actual_rows=float(obs.actual_rows),
+                qerror=obs.q_error,
+            )
+            self._entries[obs.fingerprint] = entry
+        else:
+            entry.actual_rows = float(obs.actual_rows)
+            entry.estimated_rows = float(obs.estimated_rows)
+            entry.qerror = obs.q_error
+            entry.hits += 1
+        self._persist()
+        return entry
 
     def observe_many(self, observations: Iterable[Observation]) -> int:
         count = 0
@@ -111,21 +108,17 @@ class FeedbackStore:
 
     def correction(self, fp: str) -> Optional[float]:
         """The learned row count for ``fp``, or None."""
-        with self._lock:
-            entry = self._entries.get(fp)
-            return None if entry is None else entry.actual_rows
+        entry = self._entries.get(fp)
+        return None if entry is None else entry.actual_rows
 
     def get(self, fp: str) -> Optional[FeedbackEntry]:
-        with self._lock:
-            return self._entries.get(fp)
+        return self._entries.get(fp)
 
     def entries(self) -> List[FeedbackEntry]:
-        with self._lock:
-            return list(self._entries.values())
+        return list(self._entries.values())
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     # -- staleness ------------------------------------------------------
 
@@ -137,22 +130,20 @@ class FeedbackStore:
         schema.  Returns the number of entries dropped.
         """
         key = f"{db.lower()}.{table.lower()}"
-        with self._lock:
-            doomed = [
-                fp
-                for fp, entry in self._entries.items()
-                if key in entry.tables
-            ]
-            for fp in doomed:
-                del self._entries[fp]
-            if doomed:
-                self._persist()
-            return len(doomed)
+        doomed = [
+            fp
+            for fp, entry in self._entries.items()
+            if key in entry.tables
+        ]
+        for fp in doomed:
+            del self._entries[fp]
+        if doomed:
+            self._persist()
+        return len(doomed)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._persist()
+        self._entries.clear()
+        self._persist()
 
     # -- persistence (ObjectLedger idiom) -------------------------------
 

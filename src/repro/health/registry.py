@@ -28,7 +28,6 @@ of wall-clock sleeps, like the rest of the resilience machinery.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -112,7 +111,7 @@ class CircuitBreaker:
         self.failure_streak = 0
         self.opened_at: Optional[float] = None
         #: True while a half-open probe call is in flight — the single
-        #: probe slot; concurrent gate checks fast-fail until the probe
+        #: probe slot; later gate checks fast-fail until the probe
         #: records an outcome (or aborts via :meth:`probe_finished`)
         self._probe_inflight = False
         #: lifetime counters (observability)
@@ -128,8 +127,8 @@ class CircuitBreaker:
         Checking the gate while open-and-cooled transitions the breaker
         to half-open — the caller's next real call *is* the probe.
         While that probe is in flight the half-open breaker admits
-        nobody else: exactly one caller consumes the probe slot,
-        concurrent callers fast-fail as if the breaker were open.
+        nobody else: exactly one caller consumes the probe slot, later
+        callers fast-fail as if the breaker were open.
         """
         if self.state is BreakerState.CLOSED:
             return "closed"
@@ -230,30 +229,24 @@ class HealthRegistry:
         #: engine stayed healthy, one relation on it did not, so these
         #: never feed a breaker's failure streak
         self.shard_outages: Dict[tuple, int] = {}
-        # Breakers are driven from concurrent client threads under the
-        # overload benchmark; one reentrant lock serializes every
-        # state-machine step (gate + outcome + clock tick).
-        self._lock = threading.RLock()
         #: callbacks fired when a breaker closes after being non-closed
         #: (engine recovery) — e.g. the orphan reaper marks the engine
         #: pending for a reconciliation sweep
         self._recovery_listeners: List[Callable[[str], None]] = []
 
     def breaker(self, db: str) -> CircuitBreaker:
-        with self._lock:
-            breaker = self.breakers.get(db)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    db, self.config, self.clock, self.events
-                )
-                self.breakers[db] = breaker
-            return breaker
+        breaker = self.breakers.get(db)
+        if breaker is None:
+            breaker = CircuitBreaker(
+                db, self.config, self.clock, self.events
+            )
+            self.breakers[db] = breaker
+        return breaker
 
     # -- gating --------------------------------------------------------
 
     def gate(self, db: str) -> str:
-        with self._lock:
-            return self.breaker(db).gate()
+        return self.breaker(db).gate()
 
     def allow(self, db: str) -> bool:
         """Whether a guarded call to ``db`` may proceed right now."""
@@ -270,36 +263,30 @@ class HealthRegistry:
     def add_recovery_listener(self, listener: Callable[[str], None]) -> None:
         """Register a callback invoked with the db name whenever an
         engine's breaker closes after being open/half-open (i.e. the
-        engine just recovered).  Listeners run *outside* the registry
-        lock and must not raise into the guarded call path."""
-        with self._lock:
-            self._recovery_listeners.append(listener)
+        engine just recovered).  Listeners run after the breaker has
+        settled and must not raise into the guarded call path."""
+        self._recovery_listeners.append(listener)
 
     def record_success(self, db: str) -> None:
-        with self._lock:
-            self.clock.advance(self.config.tick_seconds)
-            breaker = self.breaker(db)
-            was_recovering = breaker.state is not BreakerState.CLOSED
-            breaker.record_success()
-            recovered = (
-                was_recovering and breaker.state is BreakerState.CLOSED
-            )
-            listeners = list(self._recovery_listeners) if recovered else []
-        for listener in listeners:
+        self.clock.advance(self.config.tick_seconds)
+        breaker = self.breaker(db)
+        was_recovering = breaker.state is not BreakerState.CLOSED
+        breaker.record_success()
+        if not was_recovering or breaker.state is not BreakerState.CLOSED:
+            return
+        for listener in self._recovery_listeners:
             try:
                 listener(db)
             except Exception:  # noqa: BLE001 - listeners must not break calls
                 pass
 
     def record_failure(self, db: str, reason: str = "hard failure") -> None:
-        with self._lock:
-            self.clock.advance(self.config.tick_seconds)
-            self.breaker(db).record_failure(reason)
+        self.clock.advance(self.config.tick_seconds)
+        self.breaker(db).record_failure(reason)
 
     def report_outage(self, db: str, reason: str = "outage observed") -> None:
         """Force-open ``db``'s breaker (the client saw it die)."""
-        with self._lock:
-            self.breaker(db).trip(reason)
+        self.breaker(db).trip(reason)
 
     def report_shard_outage(
         self, db: str, table: str, reason: str = "shard unreachable"
@@ -313,15 +300,13 @@ class HealthRegistry:
         here purely for observability (counters; the breaker's own
         failure streak is untouched).
         """
-        with self._lock:
-            key = (db, table.lower())
-            self.shard_outages[key] = self.shard_outages.get(key, 0) + 1
+        key = (db, table.lower())
+        self.shard_outages[key] = self.shard_outages.get(key, 0) + 1
 
     def finish_probe(self, db: str) -> None:
         """Release ``db``'s probe slot if the probe never recorded an
         outcome (the guarded call aborted before reaching the engine)."""
-        with self._lock:
-            self.breaker(db).probe_finished()
+        self.breaker(db).probe_finished()
 
     # -- observability -------------------------------------------------
 

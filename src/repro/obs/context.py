@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.net.metrics import (
@@ -39,6 +39,9 @@ from repro.net.network import TransferRecord
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_context, pop_context, push_context
 from repro.obs.tracer import Span, Tracer
+
+if TYPE_CHECKING:
+    from repro.qos.gate import AdmissionLease
 
 #: transfer tags that ride the execution critical path as control
 #: messages (DDL cascade, consultations, probes) rather than data flow
@@ -79,9 +82,8 @@ class QueryContext:
             self.deadline = deadline
         #: coarse phase label for structured DeadlineExceeded errors
         self.current_phase = ""
-        #: real + simulated admission-gate spend (report views)
+        #: simulated seconds spent waiting at the admission gate
         self.admission_wait_seconds = 0.0
-        self.admission_sim_seconds = 0.0
         self._jitter_rngs: Dict[str, random.Random] = {}
 
     # -- activation ----------------------------------------------------
@@ -140,30 +142,24 @@ class QueryContext:
         if self.deadline is not None:
             self.deadline.check(name)
 
-    def record_admission(self, lease: object) -> None:
+    def record_admission(self, lease: "AdmissionLease") -> None:
         """Attribute one admission-gate lease to this query.
 
-        The lease's real queue wait was already charged against the
-        deadline by the gate itself; here we fold it into the report
-        views and advance the simulated clock by the gate's
-        deterministic queue penalty (attributed to the active span,
-        i.e. the ``admit`` step).
+        The lease's simulated wait advances the tracer inside the active
+        span (the ``admit`` step), so the armed deadline draws it down
+        on its one clock.
         """
-        waited = getattr(lease, "waited_seconds", 0.0)
-        penalty = getattr(lease, "sim_penalty_seconds", 0.0)
+        waited = lease.waited_seconds
         self.admission_wait_seconds += waited
-        self.admission_sim_seconds += penalty
         self.metrics.inc("qos.admissions")
         if waited:
             self.metrics.inc("qos.admission_wait_seconds", waited)
-        if penalty:
-            self.tracer.advance(penalty)
+            self.tracer.advance(waited)
         self.tracer.add_event(
             "admitted",
-            engines=",".join(getattr(lease, "engines", [])),
+            engines=",".join(lease.engines),
             waited_seconds=waited,
-            sim_penalty_seconds=penalty,
-            priority=getattr(lease, "priority", 0),
+            priority=lease.priority,
         )
 
     def backoff_rng(self, db: str) -> random.Random:

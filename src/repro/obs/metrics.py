@@ -14,7 +14,6 @@ views need.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -52,9 +51,6 @@ class MetricsRegistry:
     """Counters, gauges, and histograms for one observation scope."""
 
     def __init__(self) -> None:
-        # Keeps the read-modify-write paths atomic should a registry
-        # ever be shared across threads.
-        self._lock = threading.Lock()
         self._counters: Dict[MetricKey, float] = {}
         self._gauges: Dict[MetricKey, float] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
@@ -66,9 +62,8 @@ class MetricsRegistry:
         if value < 0:
             raise ValueError(f"counter {name!r} cannot decrease")
         key = (name, _label_key(labels))
-        with self._lock:
-            total = self._counters.get(key, 0.0) + value
-            self._counters[key] = total
+        total = self._counters.get(key, 0.0) + value
+        self._counters[key] = total
         return total
 
     def value(self, name: str, **labels: object) -> float:
@@ -104,11 +99,10 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         key = (name, _label_key(labels))
-        with self._lock:
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = self._histograms[key] = Histogram()
-            histogram.observe(value)
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = Histogram()
+        histogram.observe(value)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
         return self._histograms.get(

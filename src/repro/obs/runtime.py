@@ -9,48 +9,37 @@ inside the guarded call path.  Those layers look up the **active**
 context here instead of growing a context parameter on every call
 signature (the OpenTelemetry "current span" pattern).
 
-The stack is **thread-local**: each submission runs start-to-finish on
-one thread, and the overload benchmark drives many concurrent client
-threads over one shared deployment — a per-thread LIFO keeps every
-thread's observations attributed to its own query while re-entrant
-activations on the same thread (a prepared query executed while
-another context is live) stay well-defined.  This module deliberately
-imports nothing from the rest of ``repro`` so every layer can depend
-on it without cycles.
+The stack is one module-level list: a process runs its queries on one
+thread, so a LIFO keeps every observation attributed to the innermost
+active query while re-entrant activations (a prepared query executed
+while another context is live) stay well-defined.  This module
+deliberately imports nothing from the rest of ``repro`` so every layer
+can depend on it without cycles.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional
 
-_LOCAL = threading.local()
-
-
-def _stack() -> List[object]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
+#: active contexts, innermost last
+_STACK: List[object] = []
 
 
 def push_context(ctx: object) -> None:
-    """Make ``ctx`` the active observation context on this thread."""
-    _stack().append(ctx)
+    """Make ``ctx`` the active observation context."""
+    _STACK.append(ctx)
 
 
 def pop_context(ctx: object) -> None:
     """Deactivate ``ctx``; it must be the innermost active context."""
-    stack = _stack()
-    if not stack or stack[-1] is not ctx:
+    if not _STACK or _STACK[-1] is not ctx:
         raise RuntimeError(
             "observation context stack corrupted: popped context is not "
             "the innermost active one"
         )
-    stack.pop()
+    _STACK.pop()
 
 
 def current_context() -> Optional[object]:
-    """This thread's innermost active context (None outside queries)."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    """The innermost active context (None outside queries)."""
+    return _STACK[-1] if _STACK else None

@@ -25,7 +25,6 @@ without touching the live span stack.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -170,12 +169,9 @@ class Tracer:
     """Builds the span tree and owns the simulated clock.
 
     One query runs on one thread, so one stack of open spans suffices.
-    Span-id allocation, child attachment and the simulated clock share
-    one lock, should a tracer ever be shared across threads.
     """
 
     def __init__(self, root_name: str = "query", **attributes: object):
-        self._lock = threading.RLock()
         self._next_id = 0
         #: the simulated clock: network + backoff seconds attributed so far
         self.sim_now = 0.0
@@ -196,20 +192,19 @@ class Tracer:
         sim_start: Optional[float] = None,
         attributes: Optional[Dict[str, object]] = None,
     ) -> Span:
-        with self._lock:
-            span = Span(
-                name,
-                kind=kind,
-                span_id=self._next_id,
-                parent=parent,
-                wall_start=wall_now(),
-                sim_start=self.sim_now if sim_start is None else sim_start,
-                timebase=timebase,
-                attributes=attributes,
-            )
-            self._next_id += 1
-            if parent is not None:
-                parent.children.append(span)
+        span = Span(
+            name,
+            kind=kind,
+            span_id=self._next_id,
+            parent=parent,
+            wall_start=wall_now(),
+            sim_start=self.sim_now if sim_start is None else sim_start,
+            timebase=timebase,
+            attributes=attributes,
+        )
+        self._next_id += 1
+        if parent is not None:
+            parent.children.append(span)
         return span
 
     @property
@@ -248,14 +243,13 @@ class Tracer:
 
     def finish(self) -> Span:
         """Close the root span (idempotent); returns it."""
-        with self._lock:
-            while len(self._stack) > 1:  # defensive: close stragglers
-                span = self._stack.pop()
-                span.wall_end = wall_now()
-                span.sim_end = self.sim_now
-            if self.root.wall_end is None:
-                self.root.wall_end = wall_now()
-                self.root.sim_end = self.sim_now
+        while len(self._stack) > 1:  # defensive: close stragglers
+            span = self._stack.pop()
+            span.wall_end = wall_now()
+            span.sim_end = self.sim_now
+        if self.root.wall_end is None:
+            self.root.wall_end = wall_now()
+            self.root.sim_end = self.sim_now
         return self.root
 
     # -- synthetic spans (foreign timebases) ---------------------------
@@ -293,9 +287,8 @@ class Tracer:
         """Advance the simulated clock (simulated cost was incurred)."""
         if seconds < 0:
             raise ValueError("the simulated clock cannot run backwards")
-        with self._lock:
-            self.sim_now += seconds
-            return self.sim_now
+        self.sim_now += seconds
+        return self.sim_now
 
     def add_event(
         self,

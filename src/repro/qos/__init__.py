@@ -3,8 +3,8 @@
 The QoS layer protects the autonomous engines from *overload* the way
 :mod:`repro.health` protects the federation from *outages*:
 
-* :class:`WorkloadGate` — per-engine concurrency tokens and bounded
-  admission queues with priority-aware load shedding
+* :class:`WorkloadGate` — per-engine concurrency slots and bounded
+  admission queues on the simulated clock, with load shedding
   (:class:`~repro.errors.OverloadError`);
 * :class:`Deadline` — per-query consumable time budgets that replace
   the flat per-call timeout as the source of truth

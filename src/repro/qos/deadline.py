@@ -9,13 +9,11 @@ a query cannot spend more than its deadline by splitting the spend
 across retries.
 
 **Deadline algebra.**  The budget is measured in *deadline seconds*:
-
-* the query's simulated spend — network transfer time and retry
-  backoff attributed to its :class:`~repro.obs.context.QueryContext`
-  (read off the tracer's simulated clock via the armed ``clock``
-  callable); plus
-* explicitly :meth:`consume`-d seconds — real admission-queue waits
-  and the gate's simulated queue penalty.
+the query's simulated spend — network transfer time, retry backoff and
+admission-queue waits attributed to its
+:class:`~repro.obs.context.QueryContext` — read off the tracer's
+simulated clock via the armed ``clock`` callable.  There is one clock
+and nothing is charged beside it.
 
 Wall-clock CPU is deliberately *not* charged: middleware CPU at these
 scales is microseconds, and charging it would make every expiry test
@@ -59,7 +57,6 @@ class Deadline:
         self.grace_seconds = float(grace_seconds)
         self._clock: Optional[Callable[[], float]] = None
         self._anchor = 0.0
-        self._consumed = 0.0
         self._grace_anchor: Optional[float] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -77,16 +74,9 @@ class Deadline:
 
     # -- accounting ----------------------------------------------------
 
-    def consume(self, seconds: float) -> None:
-        """Charge ``seconds`` spent outside the armed clock (e.g. real
-        admission-queue waiting)."""
-        if seconds > 0:
-            self._consumed += seconds
-
     @property
     def elapsed_seconds(self) -> float:
-        clocked = (self._clock() - self._anchor) if self._clock else 0.0
-        return clocked + self._consumed
+        return (self._clock() - self._anchor) if self._clock else 0.0
 
     @property
     def remaining_seconds(self) -> float:

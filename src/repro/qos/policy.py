@@ -6,9 +6,11 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
 * its **deadline** — the consumable budget of
   :class:`~repro.qos.deadline.Deadline` seconds, with an optional
   per-call cap and a rollback grace budget;
-* its **priority** — what the admission gate sheds first under
-  overload (``PRIORITY_LOW`` waiters go before ``PRIORITY_NORMAL``,
-  which go before ``PRIORITY_HIGH``);
+* its **priority** — the order in which a caller submits queries that
+  arrive at the same simulated instant (``PRIORITY_HIGH`` before
+  ``PRIORITY_NORMAL`` before ``PRIORITY_LOW``): the admission gate
+  serves arrivals in the order they reach it and never revokes a
+  reservation;
 * its **staleness bound** — an opt-in contract for graceful
   degradation: a prepared query with ``max_staleness_seconds`` set may
   be answered from its existing materialization snapshots (skipping
@@ -33,7 +35,7 @@ from typing import List, Optional
 
 from repro.qos.deadline import DEFAULT_GRACE_SECONDS, Deadline
 
-#: Priority levels the admission gate sheds between (higher survives).
+#: Priority levels (higher is submitted first at one simulated instant).
 PRIORITY_LOW = 0
 PRIORITY_NORMAL = 1
 PRIORITY_HIGH = 2
@@ -50,7 +52,7 @@ class QoSPolicy:
     per_call_cap_seconds: Optional[float] = None
     #: cleanup budget once the deadline has expired mid-delegation
     grace_seconds: float = DEFAULT_GRACE_SECONDS
-    #: admission priority (shed lowest first)
+    #: admission priority (submitted first among simultaneous arrivals)
     priority: int = PRIORITY_NORMAL
     #: opt-in staleness bound for degraded (snapshot) answers; None
     #: means the query insists on authoritative data
@@ -85,11 +87,9 @@ class QoSReport:
     deadline_seconds: Optional[float] = None
     #: budget left when the result came back
     deadline_remaining_seconds: Optional[float] = None
-    #: real seconds spent queued at the admission gate
+    #: simulated seconds spent waiting for admission-gate slots
     admission_wait_seconds: float = 0.0
-    #: simulated queue penalty charged by the gate
-    admission_sim_seconds: float = 0.0
-    #: engines the submission held concurrency tokens for
+    #: engines the submission held admission slots for
     admitted_engines: List[str] = field(default_factory=list)
     #: True when the answer was served from materialization snapshots
     #: instead of refreshing against the authoritative engines
@@ -106,11 +106,8 @@ class QoSReport:
                 f"deadline {self.deadline_seconds:.3f}s "
                 f"(remaining {self.deadline_remaining_seconds:.3f}s)"
             )
-        if self.admission_wait_seconds or self.admission_sim_seconds:
-            parts.append(
-                "admission wait "
-                f"{self.admission_wait_seconds + self.admission_sim_seconds:.3f}s"
-            )
+        if self.admission_wait_seconds:
+            parts.append(f"admission wait {self.admission_wait_seconds:.3f}s")
         if self.stale_read:
             reason = f", {self.stale_reason}" if self.stale_reason else ""
             parts.append(

@@ -90,7 +90,6 @@ class Schema:
             for position, field in enumerate(self.fields):
                 key = field.name.lower()
                 index[key] = index.get(key, ()) + (position,)
-            # published whole: concurrent readers never see half of it
             self._index = index
         found = index.get(name.lower(), ())
         if relation and found:

@@ -210,11 +210,11 @@ class Overload(Scenario):
     @contextlib.contextmanager
     def strike(self, dep, xdb, handle):
         other = next(db for db in "AB" if db != handle.deployed.root_db)
-        blocker = dep.workload_gate.acquire([other])
+        blocker = dep.workload_gate.acquire([other], at=xdb.clock.now())
         try:
             yield
         finally:
-            blocker.release()
+            blocker.release(xdb.clock.now())
 
 
 class BreakerOpen(Scenario):
@@ -402,7 +402,7 @@ def test_call_scope_needs_a_retained_cascade():
         with pytest.raises(OverloadError):
             xdb.submit(JOIN_QUERY, qos=Overload.qos)
     finally:
-        blocker.release()
+        blocker.release(xdb.clock.now())
 
 
 # -- (iii) the perf benchmark's patch points still resolve ----------------

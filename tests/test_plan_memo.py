@@ -11,10 +11,8 @@ import datetime
 import gc
 import random
 import re
-import sys
-import threading
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,62 +349,37 @@ def test_concurrent_writers_never_make_an_estimate_go_back():
     only after an INSERT has returned, so an estimate further below the
     value read *before* asking than a snapshot may lag (a tenth of
     itself, plus the batch that takes it past that) can only come from
-    an entry served past its version."""
+    an entry served past its version.  One writer and five readers take
+    turns in a seeded order."""
     a, b, c = make_chain()
     everything = parse_statement("SELECT * FROM v_a")
-    published = [len(c.catalog.get("t").rows)]
+    published = len(c.catalog.get("t").rows)
     largest_batch = 3
-    stop = threading.Event()
-    problems: List[str] = []
+    rng = random.Random(5)
+    last = [0.0] * 5
 
     def lags_too_far(estimate: float, rows: int) -> bool:
         return estimate < rows / (1 + REANALYZE_FRACTION) - largest_batch
 
-    def writer():
-        rng = random.Random(5)
-        while not stop.is_set():
+    for _ in range(240):
+        reader = rng.randrange(6)
+        if reader == 5:
             batch = rng.randrange(1, largest_batch + 1)
             c.execute(
                 "INSERT INTO t VALUES "
                 + ", ".join("(1, 1.0)" for _ in range(batch))
             )
-            published[0] = len(c.catalog.get("t").rows)
+            published = len(c.catalog.get("t").rows)
             # CTAS on the middle engine: bumps B between A's plans
             b.execute("CREATE OR REPLACE TABLE snap AS SELECT a FROM ft_c")
-
-    def reader():
-        last = 0.0
-        try:
-            while not stop.is_set():
-                floor = published[0]
-                rows = a.explain_select(everything).estimated_rows
-                if lags_too_far(rows, floor):
-                    problems.append(f"estimate {rows} for {floor} rows")
-                if rows < last:
-                    problems.append(f"estimate {rows} after {last}")
-                last = rows
-        except Exception as exc:  # a crash is a finding too
-            problems.append(repr(exc))
-
-    threads = [threading.Thread(target=writer)] + [
-        threading.Thread(target=reader) for _ in range(5)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        stop.wait(1.5)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert problems == []
+            continue
+        rows = a.explain_select(everything).estimated_rows
+        assert not lags_too_far(rows, published), (rows, published)
+        assert rows >= last[reader], (rows, last[reader])
+        last[reader] = rows
     settled = a.explain_select(everything).estimated_rows
-    assert settled <= published[0]
-    assert not lags_too_far(settled, published[0])
+    assert settled <= published
+    assert not lags_too_far(settled, published)
 
 
 # -- (vii) compute_stats against the implementation it replaced ------------

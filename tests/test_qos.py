@@ -4,12 +4,10 @@ Covers the overload-robustness layer end to end: the deadline algebra
 and its grace budget, expiry at every phase boundary with transactional
 rollback (zero leaked objects — or, when the grace budget is also
 exhausted, leaks *reported* in the structured error), the workload
-gate's shed/evict/priority semantics under real concurrency, stale
-reads against a snapshot oracle, and the half-open breaker's
-single-probe admission.
+gate's slot model on the simulated clock (waits, sheds, several
+clients contending), stale reads against a snapshot oracle, and the
+half-open breaker's single-probe admission.
 """
-
-import threading
 
 import pytest
 
@@ -23,10 +21,7 @@ from repro.errors import (
 from repro.federation.deployment import Deployment
 from repro.health import BreakerConfig, BreakerState, HealthRegistry
 from repro.obs.context import QueryContext
-from repro.obs.runtime import current_context
 from repro.qos import (
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
     PRIORITY_NORMAL,
     Deadline,
     GateConfig,
@@ -90,13 +85,11 @@ def test_deadline_draws_down_armed_clock_and_consumed_seconds():
     clock = FakeClock()
     deadline = Deadline(10.0).arm(clock)
     assert deadline.remaining_seconds == 10.0
-    clock.now = 4.0
-    assert deadline.elapsed_seconds == 4.0
-    deadline.consume(3.0)
+    clock.now = 7.0
     assert deadline.elapsed_seconds == 7.0
     assert deadline.remaining_seconds == pytest.approx(3.0)
     assert not deadline.expired
-    clock.now = 7.5
+    clock.now = 10.5
     assert deadline.expired
     with pytest.raises(DeadlineExceeded) as err:
         deadline.check("execute", detail="query@A")
@@ -109,9 +102,7 @@ def test_deadline_draws_down_armed_clock_and_consumed_seconds():
 def test_deadline_rejects_negative_budget_and_ignores_negative_consume():
     with pytest.raises(ValueError):
         Deadline(-1.0)
-    deadline = Deadline(5.0)
-    deadline.consume(-2.0)
-    assert deadline.elapsed_seconds == 0.0
+    assert Deadline(5.0).elapsed_seconds == 0.0
 
 
 def test_call_cap_is_min_of_remaining_per_call_and_policy_cap():
@@ -150,153 +141,104 @@ def test_grace_window_opens_bounded_cleanup_budget():
 
 
 def test_gate_admits_under_capacity_and_releases():
-    gate = WorkloadGate(GateConfig(max_concurrent=2))
-    a = gate.acquire(["A"])
-    b = gate.acquire(["A"])
-    assert gate.saturated("A")
-    a.release()
-    a.release()  # idempotent
-    assert not gate.saturated("A")
-    b.release()
-    assert gate.admitted == 2
-    assert gate.snapshot()["A"] == {"active": 0, "queued": 0}
+    gate = WorkloadGate(GateConfig(max_concurrent=2, max_queue=0))
+    a = gate.acquire(["A"], at=0.0)
+    b = gate.acquire(["A"], at=0.0)
+    assert (a.waited_seconds, b.waited_seconds) == (0.0, 0.0)
+    with pytest.raises(OverloadError):  # both slots held
+        gate.acquire(["A"], at=0.0)
+    a.release(1.0)
+    a.release(5.0)  # idempotent: the first release stamped the slot
+    c = gate.acquire(["A"], at=1.0)
+    assert c.waited_seconds == 0.0
+    b.release(1.0)
+    c.release(1.0)
+    d = gate.acquire(["A"], at=1.0)
+    e = gate.acquire(["A"], at=1.0)
+    assert (d.waited_seconds, e.waited_seconds) == (0.0, 0.0)
+    assert (gate.admitted, gate.sheds) == (5, 1)
 
 
 def test_gate_sheds_nonblocking_and_zero_queue():
     gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=0))
     lease = gate.acquire(["A"])
     with pytest.raises(OverloadError) as err:
-        gate.acquire(["A"], block=False)
+        gate.acquire(["A"])  # the one slot is held: shed at once
     assert err.value.db == "A"
     assert err.value.retry_after_seconds > 0.0
+    lease.release(2.0)
     with pytest.raises(OverloadError):
-        gate.acquire(["A"])  # waiting room of size 0: shed immediately
+        gate.acquire(["A"], at=1.0)  # waiting room of size 0: no wait
     assert gate.sheds == 2
-    lease.release()
 
 
 def test_gate_multi_engine_acquisition_is_all_or_nothing():
     gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=0))
     held = gate.acquire(["B"])
-    with pytest.raises(OverloadError):
-        gate.acquire(["A", "B"], block=False)
-    # The A token taken before B shed must have been returned.
-    assert not gate.saturated("A")
-    probe = gate.acquire(["A"], block=False)
-    probe.release()
-    held.release()
+    with pytest.raises(OverloadError) as err:
+        gate.acquire(["A", "B"])
+    assert err.value.db == "B"
+    # A was not reserved by the shed arrival: it is still free.
+    probe = gate.acquire(["A"])
+    assert probe.waited_seconds == 0.0
+    probe.release(0.0)
+    held.release(0.0)
 
 
 def test_gate_shed_then_retry_after_succeeds():
     gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=0))
-    lease = gate.acquire(["A"])
+    lease = gate.acquire(["A"], at=0.0)
+    lease.release(0.2)
     with pytest.raises(OverloadError) as err:
-        gate.acquire(["A"])
-    assert err.value.retry_after_seconds > 0.0
-    lease.release()  # the backoff hint pays off: capacity freed
-    retry = gate.acquire(["A"])
+        gate.acquire(["A"], at=0.1)
+    hint = err.value.retry_after_seconds
+    assert hint > 0.0
+    # The backoff hint pays off: capacity is free when it runs out.
+    retry = gate.acquire(["A"], at=0.1 + hint)
     assert retry.engines == ["A"]
-    retry.release()
+    assert retry.waited_seconds == 0.0
 
 
 def test_gate_expired_deadline_in_queue_raises_admission_phase():
     gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=4))
+    gate.acquire(["A"], at=0.0).release(5.0)
     clock = FakeClock()
     deadline = Deadline(1.0).arm(clock)
-    clock.now = 2.0  # already expired before queueing
-    lease = gate.acquire(["A"])
     with pytest.raises(DeadlineExceeded) as err:
-        gate.acquire(["A"], deadline=deadline)
+        gate.acquire(["A"], deadline=deadline, at=0.0)
     assert err.value.phase == "admission"
     assert "queue@A" in err.value.detail
-    lease.release()
+    # Nothing was reserved: a later arrival is admitted at the release.
+    assert gate.acquire(["A"], at=0.0).waited_seconds == 5.0
 
 
 def test_gate_queue_penalty_charges_simulated_seconds():
-    gate = WorkloadGate(
-        GateConfig(max_concurrent=1, max_queue=4, queue_slot_sim_seconds=0.5)
-    )
-    holder = gate.acquire(["A"])
-    results = []
-
-    def first_waiter():
-        lease = gate.acquire(["A"])
-        results.append(lease.sim_penalty_seconds)
-        lease.release()
-
-    def second_waiter():
-        lease = gate.acquire(["A"])
-        results.append(lease.sim_penalty_seconds)
-        lease.release()
-
-    t1 = threading.Thread(target=first_waiter)
-    t1.start()
-    while gate.depth("A") < 1:
-        pass
-    t2 = threading.Thread(target=second_waiter)
-    t2.start()
-    while gate.depth("A") < 2:
-        pass
-    holder.release()
-    t1.join()
-    t2.join()
-    # Penalty is 0.5 per queue position ahead at enqueue time: the
-    # first waiter saw an empty queue, the second saw one ahead.
-    assert sorted(results) == [0.0, 0.5]
-
-
-def test_gate_higher_priority_arrival_evicts_lowest_waiter():
-    gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=1))
-    holder = gate.acquire(["A"])
-    outcome = {}
-
-    def low_waiter():
-        try:
-            lease = gate.acquire(["A"], priority=PRIORITY_LOW)
-            lease.release()
-            outcome["low"] = "admitted"
-        except OverloadError:
-            outcome["low"] = "shed"
-
-    low = threading.Thread(target=low_waiter)
-    low.start()
-    while gate.depth("A") < 1:
-        pass
-
-    def high_waiter():
-        lease = gate.acquire(["A"], priority=PRIORITY_HIGH)
-        outcome["high"] = "admitted"
-        lease.release()
-
-    high = threading.Thread(target=high_waiter)
-    high.start()
-    low.join(timeout=10.0)
-    assert outcome["low"] == "shed"  # evicted by the high arrival
-    assert gate.evictions == 1
-    holder.release()  # token hands directly to the high waiter
-    high.join(timeout=10.0)
-    assert outcome["high"] == "admitted"
+    gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=4))
+    holder = gate.acquire(["A"], at=0.0)
+    holder.release(0.5)
+    # Each arrival at 0 waits for every release ahead of it.
+    first = gate.acquire(["A"], at=0.0)
+    assert first.waited_seconds == 0.5
+    first.release(0.5 + 0.75)
+    second = gate.acquire(["A"], at=0.0)
+    assert second.waited_seconds == pytest.approx(1.25)
+    second.release(2.0)
+    # A later arrival waits only for what is still ahead of it.
+    assert gate.acquire(["A"], at=1.5).waited_seconds == pytest.approx(0.5)
 
 
 def test_gate_equal_priority_arrival_is_shed_not_the_older_waiter():
     gate = WorkloadGate(GateConfig(max_concurrent=1, max_queue=1))
-    holder = gate.acquire(["A"])
-    admitted = []
-
-    def waiter():
-        lease = gate.acquire(["A"], priority=PRIORITY_NORMAL)
-        admitted.append(True)
-        lease.release()
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    while gate.depth("A") < 1:
-        pass
-    with pytest.raises(OverloadError):
-        gate.acquire(["A"], priority=PRIORITY_NORMAL)
-    holder.release()
-    thread.join(timeout=10.0)
-    assert admitted == [True]
+    gate.acquire(["A"], at=0.0).release(1.0)
+    waiter = gate.acquire(["A"], priority=PRIORITY_NORMAL, at=0.0)
+    assert waiter.waited_seconds == 1.0
+    waiter.release(2.0)
+    # The waiting room is full until the reservation starts at 1.0: the
+    # arrival is shed and the older reservation keeps its place.
+    with pytest.raises(OverloadError) as err:
+        gate.acquire(["A"], priority=PRIORITY_NORMAL, at=0.5)
+    assert err.value.retry_after_seconds == pytest.approx(0.5)
+    assert gate.acquire(["A"], at=1.0).waited_seconds == 1.0
 
 
 # -- end-to-end: deadlines through the client ------------------------------
@@ -437,7 +379,7 @@ def test_submit_sheds_with_retry_after_when_gate_is_full():
         xdb.submit(JOIN_QUERY, qos=QoSPolicy())
     assert err.value.retry_after_seconds > 0.0
     assert residue(dep) == []
-    blocker.release()
+    blocker.release(xdb.clock.now())
     # The shed submission retried after the hint succeeds unchanged.
     report = xdb.submit(JOIN_QUERY, qos=QoSPolicy())
     assert len(report.result.rows) == 10
@@ -453,9 +395,46 @@ def test_submit_without_qos_bypasses_nothing_but_has_no_deadline():
     # Admission applies to every submission, QoS policy or not.
     with pytest.raises(OverloadError):
         xdb.submit(JOIN_QUERY)
-    blocker.release()
+    blocker.release(xdb.clock.now())
     report = xdb.submit(JOIN_QUERY)
     assert report.qos is None
+
+
+def test_two_clients_contend_on_the_simulated_clock():
+    """Clients created together arrive at one simulated instant: the
+    second waits exactly as long as the first holds its slots, pays
+    for it from its deadline, and a third finds the waiting room full."""
+    dep = build_small()
+    dep.configure_qos(GateConfig(max_concurrent=1, max_queue=1))
+    clients = [XDB(dep, ddl_namespace=f"c{name}_") for name in "abc"]
+    for xdb in clients:
+        xdb.warm_metadata()
+    policy = QoSPolicy(deadline_seconds=60.0)
+
+    def admit_span(report):
+        [span] = report.context.root.find_all(name="admit")
+        return span
+
+    first = clients[0].submit(JOIN_QUERY, qos=policy)
+    assert first.qos.admission_wait_seconds == 0.0
+    hold = first.context.root.sim_end - admit_span(first).sim_end
+    assert hold > 0.0
+    assert clients[0].clock.now() == pytest.approx(first.context.root.sim_end)
+
+    second = clients[1].submit(JOIN_QUERY, qos=policy)
+    assert second.qos.admission_wait_seconds == pytest.approx(hold)
+    assert admit_span(second).sim_seconds == pytest.approx(hold)
+    spent = [
+        policy.deadline_seconds - report.qos.deadline_remaining_seconds
+        for report in (first, second)
+    ]
+    assert spent[1] == pytest.approx(spent[0] + hold)
+
+    with pytest.raises(OverloadError) as err:
+        clients[2].submit(JOIN_QUERY, qos=policy)
+    assert err.value.retry_after_seconds > 0.0
+    assert [r.qos.admitted_engines for r in (first, second)] == [["A", "B"]] * 2
+    assert residue(dep) == []
 
 
 # -- graceful degradation: stale reads -------------------------------------
@@ -480,7 +459,7 @@ def test_stale_read_serves_snapshot_when_engines_saturated():
     # not: the root keeps one free token for the degraded execution.
     root = prepared.deployed.root_db
     other = next(db for db in ("A", "B") if db != root)
-    blocker = dep.workload_gate.acquire([other])
+    blocker = dep.workload_gate.acquire([other], at=xdb.clock.now())
 
     # Without a staleness bound the execution is shed outright.
     with pytest.raises(OverloadError):
@@ -495,7 +474,7 @@ def test_stale_read_serves_snapshot_when_engines_saturated():
 
     # Capacity restored: the next execution refreshes and sees the
     # newcomer that the stale read correctly omitted.
-    blocker.release()
+    blocker.release(xdb.clock.now())
     fresh = prepared.execute(qos=QoSPolicy(max_staleness_seconds=1e6))
     assert not fresh.qos.stale_read
     fresh_counts = dict(fresh.result.rows)
@@ -516,7 +495,7 @@ def test_stale_read_respects_staleness_bound():
     other = next(db for db in ("A", "B") if db != root)
     # Age the snapshots on the federation's simulated clock.
     dep.health.clock.advance(100.0)
-    blocker = dep.workload_gate.acquire([other])
+    blocker = dep.workload_gate.acquire([other], at=xdb.clock.now())
     # The snapshots are 100 simulated seconds old: a 10-second bound
     # refuses the degraded answer and the shed propagates.
     with pytest.raises(OverloadError):
@@ -525,7 +504,7 @@ def test_stale_read_respects_staleness_bound():
     report = prepared.execute(qos=QoSPolicy(max_staleness_seconds=200.0))
     assert report.qos.stale_read
     assert report.qos.staleness_seconds >= 100.0
-    blocker.release()
+    blocker.release(xdb.clock.now())
     prepared.close()
 
 
@@ -588,25 +567,6 @@ def test_aborted_probe_releases_the_slot():
     # the slot is handed back and the next caller may probe.
     registry.finish_probe("A")
     assert registry.gate("A") == "probe"
-
-
-def test_concurrent_gate_checks_admit_one_probe():
-    registry = HealthRegistry(BreakerConfig(cooldown_seconds=5.0))
-    trip_and_cool(registry, "A")
-    barrier = threading.Barrier(8)
-    verdicts = []
-
-    def check():
-        barrier.wait()
-        verdicts.append(registry.gate("A"))
-
-    threads = [threading.Thread(target=check) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert verdicts.count("probe") == 1
-    assert verdicts.count("blocked") == 7
 
 
 def test_guarded_call_probe_abort_releases_slot_via_connector():
@@ -681,28 +641,6 @@ def test_connector_uses_context_jitter_stream():
 
 
 # -- context plumbing ------------------------------------------------------
-
-
-def test_context_stack_is_thread_local():
-    seen = {}
-    barrier = threading.Barrier(2)
-
-    def run(name):
-        ctx = QueryContext(label=name)
-        with ctx:
-            barrier.wait()
-            seen[name] = current_context() is ctx
-            barrier.wait()
-
-    threads = [
-        threading.Thread(target=run, args=(f"thread-{i}",))
-        for i in range(2)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert seen == {"thread-0": True, "thread-1": True}
 
 
 def test_connector_error_hierarchy_for_qos_errors():
