@@ -59,9 +59,9 @@ class RetryPolicy:
     capped at ``max_backoff_seconds``, then jittered ±``jitter_ratio``
     from a seeded RNG so concurrent callers hitting the same degraded
     link do not back off in lockstep (no thundering herd on retry) —
-    and accrues in *simulated* seconds (the query context's
-    ``connector.backoff_seconds`` metric), so phase breakdowns price
-    retries without real sleeps.  The jitter RNG is seeded per
+    and accrues in *simulated* seconds (each ``retry`` event's
+    ``backoff_seconds`` in the query context), so phase breakdowns
+    price retries without real sleeps.  The jitter RNG is seeded per
     connector name (per query label inside a context), so two
     identically-seeded runs accrue identical backoff.
     ``call_timeout_seconds`` is the per-call budget: a control round
@@ -144,13 +144,6 @@ class DBMSConnector:
     def profile(self):
         return self.database.profile
 
-    def _bump(self, counter: str) -> None:
-        """Count one ``connector.<counter>{db=…}`` in the active query's
-        metrics; outside a query context nothing is kept."""
-        ctx = current_context()
-        if ctx is not None:
-            ctx.metrics.inc(f"connector.{counter}", db=self.name)
-
     # -- resilience -------------------------------------------------------------
 
     def _guarded(
@@ -194,15 +187,12 @@ class DBMSConnector:
         """
         policy = self.retry_policy
         registry = self.health
-        deadline = getattr(ctx, "deadline", None) if ctx is not None else None
-        phase = ""
-        if ctx is not None:
-            phase = getattr(ctx, "current_phase", "") or op
+        deadline = ctx.deadline if ctx is not None else None
+        phase = (ctx.current_phase or op) if ctx is not None else ""
         probe = False
         if registry is not None:
             gate = registry.gate(self.name)
             if gate == "blocked":
-                self._bump("breaker_fastfails")
                 if ctx is not None:
                     ctx.tracer.add_event(
                         "breaker-fastfail", db=self.name, op=op
@@ -227,9 +217,7 @@ class DBMSConnector:
                     self._check_timeout(op, deadline=deadline, phase=phase)
                     result = fn()
                 except RETRYABLE_ERRORS:
-                    self._bump("failures")
                     if attempt >= policy.max_attempts:
-                        self._bump("giveups")
                         if ctx is not None:
                             ctx.tracer.add_event(
                                 "giveup",
@@ -243,7 +231,6 @@ class DBMSConnector:
                             )
                             probe = False
                         raise
-                    self._bump("retries")
                     rng = (
                         ctx.backoff_rng(self.name)
                         if ctx is not None
@@ -251,14 +238,7 @@ class DBMSConnector:
                     )
                     backoff = policy.backoff_for(attempt, rng=rng)
                     if ctx is not None:
-                        ctx.add_backoff(self.name, backoff)
-                        ctx.tracer.add_event(
-                            "retry",
-                            db=self.name,
-                            op=op,
-                            attempt=attempt,
-                            backoff_seconds=backoff,
-                        )
+                        ctx.record_retry(self.name, op, attempt, backoff)
                 except EngineUnavailableError as exc:
                     if exc.db is None:
                         exc.db = self.name
@@ -400,7 +380,6 @@ class DBMSConnector:
     # -- metadata ---------------------------------------------------------------
 
     def _control(self, tag: str) -> None:
-        self._bump("control_messages")
         self.network.record_control_message(
             self.middleware_node, self.node, tag=tag
         )
@@ -482,7 +461,6 @@ class DBMSConnector:
         """One consultation round-trip: remote EXPLAIN, calibrated."""
 
         def call() -> CalibratedExplain:
-            self._bump("consultations")
             self._control("consult")
             info = self.database.explain_select(query)
             return CalibratedExplain(
@@ -515,7 +493,6 @@ class DBMSConnector:
         """
 
         def call() -> None:
-            self._bump("consultations")
             self._control("consult")
 
         self._guarded("consult", call)
@@ -632,7 +609,7 @@ class DBMSConnector:
 
         The transfer is recorded only *after* the table lands: an
         engine outage between shipping and creating must not credit
-        ``net.metrics`` with bytes that never arrived.
+        the query context with bytes that never arrived.
         """
 
         def call() -> None:

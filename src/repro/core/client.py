@@ -18,10 +18,11 @@ user-facing surface: :class:`XDB` (``submit`` enters the pipeline at
 
 Every submission runs inside one :class:`~repro.obs.context.
 QueryContext`: the phase breakdown, transfer summary, resilience
-counters, and recovery report are all *views* over its span tree and
-context-scoped metrics — phase times combine real middleware CPU
-(span wall time) with the simulated network and retry-backoff seconds
-attributed to the phase's subtree (span sim time).  There is no
+counters, recovery report and QoS receipt are all *views* over its
+span tree — phase times combine real middleware CPU (span wall time)
+with the simulated network and retry-backoff seconds attributed to the
+phase's subtree (span sim time); the counts and reports are built once
+from the events the layers recorded.  There is no
 global counter or transfer log to read from, so interleaved or repeated
 submissions cannot leak observations into each other; a submission
 that fails hands its context out on the error (``exc.context``).
@@ -38,11 +39,7 @@ from repro.core.catalog import GlobalCatalog
 from repro.core.delegate import DelegationEngine, DeployedQuery
 from repro.core.finalize import PlanFinalizer
 from repro.core.logical import LogicalOptimizer
-from repro.core.pipeline import (  # noqa: F401  (RecoveryReport re-export)
-    PlanPipeline,
-    PlanState,
-    RecoveryReport,
-)
+from repro.core.pipeline import PlanPipeline, PlanState, RecoveryReport
 from repro.core.plan import DelegationPlan
 
 # noqa: F401 — the perf benchmark's tracer replaces these two names in
@@ -83,7 +80,7 @@ class XDBReport:
     #: the common case — see :attr:`RecoveryReport.touched`)
     recovery: RecoveryReport
     #: the observation context the submission ran under: span tree,
-    #: context-scoped metrics, attributed transfers, trace exports
+    #: its events, attributed transfers, trace exports
     context: QueryContext
     #: QoS receipt — admission wait, deadline spend, staleness — when
     #: the submission carried a :class:`~repro.qos.QoSPolicy`
@@ -144,8 +141,11 @@ class XDBReport:
         exercised a fault domain.
         """
         lines = [f"  {part}" for part in self.recovery.parts()]
-        cancelled = int(
-            self.context.metrics.value("parallel.branches_cancelled")
+        cancelled = sum(
+            event.attributes["count"]
+            for event in self.context.root.subtree_events(
+                "branches-cancelled"
+            )
         )
         if cancelled:
             lines.append(f"  branches cancelled: {cancelled}")
@@ -324,30 +324,10 @@ class XDB:
                     spans = self.pipeline.plan(state, ctx, refresh_metadata)
                     for name, span in zip(phases, spans):
                         phases[name] = ctx.phase_seconds(span)
+                # where the plan this entry starts from scans each table
+                placement_before = self.pipeline.placement(state.dplan)
                 self.pipeline.execute(state, ctx, cleanup=cleanup)
                 phases["exec"] = state.exec_seconds
-
-                recovery = state.recovery
-                qos_report = None
-                if qos is not None:
-                    stale = bool(state.stale_reason)
-                    qos_report = QoSReport(
-                        priority=qos.priority,
-                        deadline_seconds=qos.deadline_seconds,
-                        deadline_remaining_seconds=(
-                            ctx.deadline.remaining_seconds
-                            if ctx.deadline is not None
-                            else None
-                        ),
-                        admission_wait_seconds=ctx.admission_wait_seconds,
-                        admitted_engines=list(state.lease.engines),
-                        stale_read=stale,
-                        staleness_seconds=(
-                            self.pipeline.staleness(state) if stale else None
-                        ),
-                        stale_reason=state.stale_reason,
-                    )
-
                 resilience = ctx.resilience_summary(self.connectors)
                 resilience.leaked_objects = self.ledger.leaked_count()
                 # The planning fields describe the planning *this* entry
@@ -364,9 +344,13 @@ class XDB:
                     transfers=state.transfers,
                     consultations=annotation.consultations if plans else 0,
                     resilience=resilience,
-                    recovery=recovery,
+                    recovery=RecoveryReport.of(
+                        ctx,
+                        placement_before,
+                        self.pipeline.placement(state.dplan),
+                    ),
                     context=ctx,
-                    qos=qos_report,
+                    qos=QoSReport.of(ctx) if qos is not None else None,
                     feedback=list(state.observations),
                 )
         finally:

@@ -68,7 +68,7 @@ from repro.federation.deployment import Deployment
 from repro.feedback import qerror
 from repro.feedback.harvest import harvest_execution
 from repro.feedback.store import FeedbackOverlay, FeedbackStore, Observation
-from repro.health import BreakerEvent, SimulatedClock
+from repro.health import BreakerEvent, BreakerState, SimulatedClock
 from repro.net.metrics import TransferSummary
 from repro.obs.clock import wall_now
 from repro.obs.context import QueryContext
@@ -174,7 +174,9 @@ class RecoveryReport:
 
     Present on every report, prepared re-executions included;
     :attr:`touched` distinguishes the common untouched case from
-    submissions some recovery scope acted on.
+    submissions some recovery scope acted on.  :meth:`of` builds it
+    from the events the recovery decisions recorded in the query
+    context; nothing writes it beside them.
     """
 
     #: how many times the repair loop re-planned (0 = no repair needed)
@@ -220,6 +222,80 @@ class RecoveryReport:
     completeness: float = 1.0
     #: shard tables missing from a partial answer
     missing_partitions: List[str] = field(default_factory=list)
+
+    @classmethod
+    def of(
+        cls,
+        ctx: QueryContext,
+        placement_before: Optional[Dict[str, str]] = None,
+        placement: Optional[Dict[str, str]] = None,
+    ) -> "RecoveryReport":
+        """The report of what ``ctx``'s recovery decisions did.
+
+        One pass over the span tree: ``repair``, ``recovered``,
+        ``schema-drift``, ``quarantine`` / ``shard-quarantine``,
+        ``branch-repair``, ``partial-degrade``, ``estimate-blown``,
+        ``feedback-replan`` and ``breaker`` events, plus the ``adapt``
+        steps (one per mid-query adaptation, carrying the pinned
+        tasks).  Works on the context a failed submission's error
+        carries too (``exc.context``); the placements are the caller's.
+        """
+        report = cls(
+            placement_before=placement_before or {},
+            placement=placement or {},
+        )
+        breakers = []
+        for span in ctx.root.iter_spans():
+            if span.name == "adapt":
+                report.adaptations += 1
+                report.pinned_tasks.extend(span.attributes["pinned"])
+            for event in span.events:
+                name, attrs = event.name, event.attributes
+                if name == "repair":
+                    report.repair_attempts += 1
+                    report.repaired_dbs.append(attrs["db"])
+                elif name == "recovered":
+                    report.repair_seconds = attrs["seconds"]
+                elif name == "schema-drift":
+                    report.drift_events += 1
+                    key = (attrs["db"], attrs["table"])
+                    if key not in report.drifted_tables:
+                        report.drifted_tables.append(key)
+                elif name in ("quarantine", "shard-quarantine"):
+                    report.quarantined.append((attrs["db"], attrs["table"]))
+                elif name == "branch-repair":
+                    report.branch_repairs += 1
+                    report.branch_events.append(
+                        (attrs["action"], attrs["db"], attrs["table"])
+                    )
+                    report.pinned_tasks.extend(attrs["pinned"])
+                elif name == "partial-degrade":
+                    report.partial = True
+                    report.completeness = attrs["completeness"]
+                    report.missing_partitions = list(attrs["missing"])
+                elif name == "estimate-blown":
+                    q = attrs["qerror"]
+                    report.blown_estimates.append(
+                        (attrs["task"], qerror.INFINITE if q < 0 else q)
+                    )
+                elif name == "feedback-replan":
+                    report.adaptations += 1
+                elif name == "breaker":
+                    breakers.append(event)
+        # Transitions fire inside engine calls and on the phase spans
+        # alike: put them back in the order they happened.
+        breakers.sort(key=lambda event: event.wall_at)
+        report.breaker_transitions = [
+            BreakerEvent(
+                attrs["db"],
+                BreakerState(attrs["old"]),
+                BreakerState(attrs["new"]),
+                attrs["at"],
+                attrs["reason"],
+            )
+            for attrs in (event.attributes for event in breakers)
+        ]
+        return report
 
     @property
     def repaired(self) -> bool:
@@ -346,7 +422,9 @@ class PlanState:
     deployed: Optional[DeployedQuery] = None
     result: Optional[Result] = None
     schedule: Optional[ScheduleResult] = None
-    recovery: RecoveryReport = field(default_factory=RecoveryReport)
+    #: shard tables this entry's answer omits: a partial answer stays
+    #: partial across re-entries, and the next entry replans in full
+    missing_partitions: List[str] = field(default_factory=list)
     #: (db, kind, name) materializations kept across a re-entry,
     #: awaiting re-fencing under the next deployment's epoch
     pending_keeps: List[Tuple[str, str, str]] = field(default_factory=list)
@@ -354,8 +432,8 @@ class PlanState:
     observations: List[Observation] = field(default_factory=list)
     exec_seconds: float = 0.0
     transfers: Optional[TransferSummary] = None
-    #: the admission slots the current entry holds (released, but
-    #: kept for the report, once the entry is over)
+    #: the admission slots the current entry holds (released once
+    #: the entry is over)
     lease: Optional[AdmissionLease] = None
     # -- what a retained cascade (a prepared query) carries between
     # -- executions; a one-shot submission never reads these back
@@ -433,20 +511,18 @@ class PlanPipeline:
     def rearm(
         self, state: PlanState, budget: Optional[int] = None
     ) -> PlanState:
-        """Fresh budgets and a fresh recovery report for one entry, so
-        each execution of a retained state reports — and is bounded —
-        independently of the previous ones."""
+        """Fresh budgets for one entry, so each execution of a retained
+        state is bounded — and reports — independently of the previous
+        ones."""
         state.budget = self.repair_budget if budget is None else budget
         state.branch_budget = BRANCH_REPAIR_BUDGET
         state.adapt_budget = 1
         state.stale_reason = ""
-        if state.recovery.partial:
+        if state.missing_partitions:
             # A degraded cascade is never served undeclared: the next
             # entry replans in full (and degrades again, if it must).
             state.stage = "optimize"
-        state.recovery = RecoveryReport(
-            placement_before=self.placement(state.dplan)
-        )
+            state.missing_partitions = []
         return state
 
     @staticmethod
@@ -495,7 +571,7 @@ class PlanPipeline:
     def _optimize(self, state: PlanState, tracer=None) -> None:
         with self._step(tracer, "optimize"):
             plan = self.optimizer.optimize(state.select)
-            missing = state.recovery.missing_partitions
+            missing = state.missing_partitions
             if missing:
                 # A partial answer stays partial across re-entries.
                 pruned, _ = prune_missing_shards(plan, missing)
@@ -557,7 +633,6 @@ class PlanPipeline:
                         state, "engine-outage", self.classify(exc), ctx
                     ):
                         raise
-            state.recovery.placement_before = self.placement(state.dplan)
         return prep_span, lopt_span, ann_span
 
     def deploy(
@@ -601,14 +676,13 @@ class PlanPipeline:
         and re-runs the XDB query without re-planning.  Failures
         re-enter earlier stages in place through :meth:`_recover`.
         """
-        tracer, recovery = ctx.tracer, state.recovery
+        tracer = ctx.tracer
         retained = state.deployed
         state.lease = None
         try:
             with tracer.span("exec", kind="phase") as exec_span:
                 result = self._answer(state, ctx, exec_span)
                 deployed = state.deployed
-                recovery.placement = self.placement(state.dplan)
                 attribute_edge_stats(deployed, exec_span.subtree_records())
                 # A single-worker deployment keeps the legacy
                 # unbounded-overlap semantics (None); only explicit
@@ -653,7 +727,6 @@ class PlanPipeline:
                 + ctx.backoff_in(exec_span)
             )
             state.transfers = ctx.transfer_summary(exec_span)
-            recovery.breaker_transitions = list(ctx.breaker_events)
 
             # Cleanup runs outside the exec span (its drops are not
             # part of the execution window's transfer summary) but
@@ -683,7 +756,7 @@ class PlanPipeline:
         self, state: PlanState, ctx: QueryContext, exec_span
     ) -> Result:
         """Attempt the query until it answers or recovery gives up."""
-        tracer, recovery = ctx.tracer, state.recovery
+        tracer = ctx.tracer
         if state.stage == "execute" and (
             state.stale_plan or state.estimates_blown
         ):
@@ -702,7 +775,7 @@ class PlanPipeline:
                     # cardinalities; this replan is the entry's one
                     # adaptation round.
                     state.adapt_budget -= 1
-                    recovery.adaptations += 1
+                    tracer.add_event("feedback-replan")
                 state.stage = "optimize"
         repair_start: Optional[Tuple[float, float]] = None
         while True:
@@ -718,8 +791,10 @@ class PlanPipeline:
                     raise
         if repair_start is not None:
             repair_wall, repair_sim = repair_start
-            recovery.repair_seconds = (wall_now() - repair_wall) + (
-                tracer.sim_now - repair_sim
+            tracer.add_event(
+                "recovered",
+                seconds=(wall_now() - repair_wall)
+                + (tracer.sim_now - repair_sim),
             )
         return result
 
@@ -797,10 +872,7 @@ class PlanPipeline:
                 with tracer.span("refresh", kind="step"):
                     state.deployed.refresh_materializations()
                 state.refreshed_at = health.clock.now()
-        if state.stale_reason:
-            tracer.add_event(
-                "stale-read", staleness_seconds=self.staleness(state)
-            )
+        staleness = self.staleness(state) if state.stale_reason else None
         ctx.enter_phase("execute")
         with tracer.span("execute", kind="step"):
             result = self.connectors[state.deployed.root_db].run_query(
@@ -810,6 +882,14 @@ class PlanPipeline:
             # A result that lands after the deadline is a miss, not a
             # success: cancel it.
             ctx.deadline.check("execute", detail="post-execution")
+        if state.stale_reason:
+            # The receipt: the age the snapshots were served at (the
+            # federation clock moves on as the run's calls land).
+            tracer.add_event(
+                "stale-read",
+                staleness_seconds=staleness,
+                reason=state.stale_reason,
+            )
         state.result = result
         state.runs += 1
         return result
@@ -1017,11 +1097,6 @@ class PlanPipeline:
                 return None
             raise drift from failure.exc
         self._reenter(state, cls)
-        recovery = state.recovery
-        recovery.drift_events += 1
-        key = (drift.db, drift.table)
-        if key not in recovery.drifted_tables:
-            recovery.drifted_tables.append(key)
         tracer.add_event(
             "schema-drift",
             db=drift.db,
@@ -1041,7 +1116,6 @@ class PlanPipeline:
         except ReproError:
             if adopted is not None:
                 self.catalog.quarantine(drift.db, drift.table)
-            recovery.quarantined.append(key)
             tracer.add_event("quarantine", db=drift.db, table=drift.table)
             try:
                 self._optimize(state, tracer)
@@ -1093,18 +1167,17 @@ class PlanPipeline:
             producers.append((producer.task_id, db, "TABLE", name))
             if q > threshold and _pinnable(producer.source_expr):
                 blown.append((producer.task_id, q))
-        if not blown or not self._pin(state, producers)[0]:
+        pinned = self._pin(state, producers)[0] if blown else []
+        if not pinned:
             state.adapt_budget = 0  # one check per entry, blown or not
             return False
-        with tracer.span("adapt", kind="step"):
+        with tracer.span("adapt", kind="step", pinned=tuple(pinned)):
             for task_id, q in blown:
                 tracer.add_event(
                     "estimate-blown",
                     task=task_id,
-                    qerror=(-1.0 if q == qerror.INFINITE else round(q, 3)),
+                    qerror=(-1.0 if q == qerror.INFINITE else q),
                 )
-            state.recovery.adaptations += 1
-            state.recovery.blown_estimates.extend(blown)
             self._reenter(state, "blown-estimate")
         return True
 
@@ -1166,7 +1239,6 @@ class PlanPipeline:
             self._reestimate(plan, overlay)
             state.logical_plan = plan
             state.pending_keeps.extend(keeps)
-            state.recovery.pinned_tasks.extend(pinned_ids)
         return pinned_ids, unusable
 
     def _reestimate(
@@ -1205,7 +1277,7 @@ class PlanPipeline:
         """
         if state.branch_budget <= 0 or state.dplan is None:
             return None
-        recovery, tracer = state.recovery, ctx.tracer
+        tracer = ctx.tracer
         health = self.deployment.health
         blamed, shard = failure.db, failure.table
         if cls == "shard-outage":
@@ -1216,7 +1288,6 @@ class PlanPipeline:
                 # that holder leaves placement, via quarantine — never
                 # the breaker.
                 self.catalog.quarantine(blamed, shard)
-                recovery.quarantined.append((blamed, shard))
                 health.report_shard_outage(
                     blamed, shard, "branch execution failed"
                 )
@@ -1239,14 +1310,12 @@ class PlanPipeline:
         # Snapshots that cannot be pinned are dropped instead of leaking.
         self.delegator.ledger.drop(self.connectors, unusable, rollback=True)
         self._reenter(state, cls)
-        recovery.branch_repairs += 1
-        recovery.branch_events.append((action, blamed or "", shard or ""))
         tracer.add_event(
             "branch-repair",
             action=action,
             db=blamed or "",
             table=shard or "",
-            pinned=len(pinned),
+            pinned=tuple(pinned),
         )
         return True
 
@@ -1272,8 +1341,7 @@ class PlanPipeline:
         plan, pruned = prune_missing_shards(state.logical_plan, [shard])
         if plan is None or not pruned:
             return False
-        recovery = state.recovery
-        missing = list(dict.fromkeys(recovery.missing_partitions + pruned))
+        missing = list(dict.fromkeys(state.missing_partitions + pruned))
         completeness = partition_completeness(
             missing, self.catalog.partition_spec, self._shard_rows
         )
@@ -1287,14 +1355,12 @@ class PlanPipeline:
             return False
         self._reestimate(plan)
         state.logical_plan = plan
-        recovery.partial = True
-        recovery.completeness = completeness
-        recovery.missing_partitions = missing
+        state.missing_partitions = missing
         tracer.add_event(
             "partial-degrade",
             table=shard,
-            completeness=round(completeness, 4),
-            missing=len(missing),
+            completeness=completeness,
+            missing=tuple(missing),
         )
         return True
 
@@ -1308,8 +1374,6 @@ class PlanPipeline:
         if db is None or state.budget <= 0:
             return None
         planning = ctx.current_phase == "ann"
-        state.recovery.repair_attempts += 1
-        state.recovery.repaired_dbs.append(db)
         ctx.tracer.add_event(
             "repair", db=db, phase="ann" if planning else "exec"
         )

@@ -73,18 +73,16 @@ class BaseTable:
         stats = compute_stats(self.schema, self.rows)
         ctx = current_context()
         if ctx is not None:
-            labels = {
-                "db": (
+            ctx.tracer.add_event(
+                "analyze",
+                rows=min(stats.row_count, DEFAULT_SAMPLE_SIZE),
+                db=(
                     self._catalog.database_name
                     if self._catalog is not None
                     else None
                 ),
-                "table": self.name,
-            }
-            profiled = min(stats.row_count, DEFAULT_SAMPLE_SIZE)
-            ctx.metrics.inc("engine.stats.analyze", **labels)
-            ctx.metrics.inc("engine.stats.analyze_rows", profiled, **labels)
-            ctx.tracer.add_event("analyze", rows=profiled, **labels)
+                table=self.name,
+            )
         return stats
 
     def invalidate_stats(self) -> None:

@@ -137,7 +137,6 @@ class Database:
         ctx = current_context()
         if ctx is not None:
             ctx.tracer.add_event("sql", db=self.name, sql=sql)
-            ctx.metrics.inc("engine.statements", db=self.name)
         if isinstance(statement, ast.QUERY_STATEMENTS):
             return self.execute_select(statement)
         if isinstance(statement, ast.Explain):

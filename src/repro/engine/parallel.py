@@ -11,7 +11,7 @@ branch seconds into the derived wall clock of a K-wide pool, with the
 same longest-processing-time list scheduling as that slot model.
 
 The first branch failure stops the drain: later branches are
-*cancelled* (skipped and counted in ``parallel.branches_cancelled``)
+*cancelled* (skipped, and counted by one ``branches-cancelled`` event)
 and the error propagates.
 """
 
@@ -47,7 +47,9 @@ class WorkerPool:
             except BaseException:
                 cancelled = len(thunks) - index - 1
                 if context is not None and cancelled:
-                    context.metrics.inc("parallel.branches_cancelled", cancelled)
+                    context.tracer.add_event(
+                        "branches-cancelled", count=cancelled
+                    )
                 raise
         return values
 

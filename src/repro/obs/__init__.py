@@ -1,9 +1,9 @@
 """``repro.obs`` — the observability spine.
 
 One :class:`QueryContext` per query submission carries a
-:class:`Tracer` (nested spans over the wall/simulated clock duality),
-a :class:`MetricsRegistry` (context-scoped counters), and the
-attribution streams every layer feeds while the context is active.
+:class:`Tracer`: nested spans over the wall/simulated clock duality,
+with the events and attributed transfers every layer records while the
+context is active.  Every count and report is read off that tree.
 See DESIGN.md §8.
 
 Attribute access is lazy (PEP 562): low-level layers (the network
@@ -17,8 +17,6 @@ from repro.obs.runtime import current_context
 
 __all__ = [
     "CONTROL_TAGS",
-    "Histogram",
-    "MetricsRegistry",
     "QueryContext",
     "Span",
     "SpanEvent",
@@ -34,8 +32,6 @@ _LAZY = {
     "QueryContext": "repro.obs.context",
     "add_event": "repro.obs.context",
     "validate_chrome_trace": "repro.obs.context",
-    "Histogram": "repro.obs.metrics",
-    "MetricsRegistry": "repro.obs.metrics",
     "Span": "repro.obs.tracer",
     "SpanEvent": "repro.obs.tracer",
     "Tracer": "repro.obs.tracer",

@@ -1,16 +1,13 @@
 """The per-query observation context: one spine for all instrumentation.
 
-A :class:`QueryContext` owns
-
-* a query id,
-* a :class:`~repro.obs.tracer.Tracer` (the span tree over the
-  wall/simulated clock duality), and
-* a :class:`~repro.obs.metrics.MetricsRegistry` (context-scoped
-  counters — nothing leaks across queries),
-
-plus the raw observation streams every layer feeds it while it is
-active: attributed :class:`~repro.net.network.TransferRecord` objects,
-connector retry/backoff counters, and circuit-breaker transitions.
+A :class:`QueryContext` owns a query id and a
+:class:`~repro.obs.tracer.Tracer`: the span tree over the
+wall/simulated clock duality, whose spans carry the events every layer
+records while the context is active (retries, give-ups, breaker
+transitions, admissions, recovery decisions) and the attributed
+:class:`~repro.net.network.TransferRecord` objects (also kept in
+order as ``transfers``).  Nothing else is stored: every count is a
+read of that tree, so nothing leaks across queries.
 
 The client activates the context for the duration of one submission
 (``with ctx:``); layers reached indirectly find it through
@@ -36,7 +33,6 @@ from repro.net.metrics import (
     summarize,
 )
 from repro.net.network import TransferRecord
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_context, pop_context, push_context
 from repro.obs.tracer import Span, Tracer
 
@@ -51,7 +47,7 @@ _QUERY_IDS = itertools.count(1)
 
 
 class QueryContext:
-    """Tracer + metrics + attribution streams for one query submission."""
+    """The span tree and attributed transfers of one query submission."""
 
     def __init__(
         self,
@@ -64,11 +60,8 @@ class QueryContext:
         self.tracer = Tracer(
             root_name=self.query_id, query_id=self.query_id, label=label
         )
-        self.metrics = MetricsRegistry()
         #: every transfer attributed to this context, in order
         self.transfers: List[TransferRecord] = []
-        #: circuit-breaker transitions observed while active
-        self.breaker_events: List[object] = []
         #: the submission's QoS contract (a ``repro.qos.QoSPolicy``,
         #: duck-typed so the observability spine stays QoS-agnostic)
         self.qos = qos
@@ -82,8 +75,6 @@ class QueryContext:
             self.deadline = deadline
         #: coarse phase label for structured DeadlineExceeded errors
         self.current_phase = ""
-        #: simulated seconds spent waiting at the admission gate
-        self.admission_wait_seconds = 0.0
         self._jitter_rngs: Dict[str, random.Random] = {}
 
     # -- activation ----------------------------------------------------
@@ -120,15 +111,17 @@ class QueryContext:
             rows=record.rows,
             seconds=record.seconds,
         )
-        self.metrics.inc("net.transfers", tag=record.tag)
-        self.metrics.inc("net.bytes", record.payload_bytes, tag=record.tag)
-        self.metrics.inc("net.rows", record.rows, tag=record.tag)
 
-    def add_backoff(self, db: str, seconds: float) -> None:
-        """Attribute simulated retry backoff to the active span."""
+    def record_retry(
+        self, db: str, op: str, attempt: int, seconds: float
+    ) -> None:
+        """Attribute a retry's simulated backoff to the active span and
+        record it as a ``retry`` event (what the resilience counts read)."""
         self.tracer.current.backoff_seconds += seconds
         self.tracer.advance(seconds)
-        self.metrics.inc("connector.backoff_seconds", seconds, db=db)
+        self.tracer.add_event(
+            "retry", db=db, op=op, attempt=attempt, backoff_seconds=seconds
+        )
 
     def enter_phase(self, name: str) -> None:
         """Mark the submission's coarse phase and enforce the deadline.
@@ -150,10 +143,7 @@ class QueryContext:
         on its one clock.
         """
         waited = lease.waited_seconds
-        self.admission_wait_seconds += waited
-        self.metrics.inc("qos.admissions")
         if waited:
-            self.metrics.inc("qos.admission_wait_seconds", waited)
             self.tracer.advance(waited)
         self.tracer.add_event(
             "admitted",
@@ -177,16 +167,17 @@ class QueryContext:
             )
         return rng
 
-    def record_breaker_event(self, event: object) -> None:
-        """Collect a circuit-breaker state transition."""
-        self.breaker_events.append(event)
-        self.metrics.inc("breaker.transitions", db=getattr(event, "db", ""))
+    def record_breaker_event(self, event) -> None:
+        """Record a circuit-breaker transition (a ``repro.health.
+        BreakerEvent``) as a ``breaker`` event; ``RecoveryReport.of``
+        rebuilds it from there."""
         self.tracer.add_event(
             "breaker",
-            db=getattr(event, "db", ""),
-            old=str(getattr(event, "old_state", "")),
-            new=str(getattr(event, "new_state", "")),
-            reason=getattr(event, "reason", ""),
+            db=event.db,
+            old=str(event.old_state),
+            new=str(event.new_state),
+            at=event.at_seconds,
+            reason=event.reason,
         )
 
     def record_operator_tree(self, plan: object, db: str = "") -> None:
@@ -216,7 +207,6 @@ class QueryContext:
                 build(child, span)
 
         build(plan, self.tracer.current)
-        self.metrics.inc("engine.queries", db=db)
 
     def record_schedule(self, schedule: object) -> Span:
         """Mirror a simulated schedule as spans on the schedule timebase.
@@ -289,42 +279,40 @@ class QueryContext:
     def resilience_summary(
         self, connector_names: Iterable[str] = ()
     ) -> ResilienceSummary:
-        """Context-scoped retry/failure counters, per connector.
+        """Per-connector retry/failure counts, read off the span tree.
 
+        One pass over the ``retry``, ``giveup`` and
+        ``breaker-fastfail`` events.  Every retryable failure ends in a
+        retry or a give-up, so ``failures`` is their sum.
         ``connector_names`` seeds the per-connector map (so quiet
-        connectors appear with zero counters); any connector that
-        recorded activity is included regardless.
+        connectors appear with zero counts); any connector with such an
+        event is included regardless.
         """
-        names = list(connector_names)
-        seen = set(names)
-        for counter in (
-            "connector.retries",
-            "connector.failures",
-            "connector.giveups",
-            "connector.breaker_fastfails",
-            "connector.backoff_seconds",
-        ):
-            for db in self.metrics.label_values(counter, "db"):
-                if db not in seen:
-                    seen.add(db)
-                    names.append(db)
-        by_connector = {
-            db: ConnectorResilience(
-                retries=int(self.metrics.value("connector.retries", db=db)),
-                failures=int(
-                    self.metrics.value("connector.failures", db=db)
-                ),
-                giveups=int(self.metrics.value("connector.giveups", db=db)),
-                backoff_seconds=self.metrics.value(
-                    "connector.backoff_seconds", db=db
-                ),
-                fastfails=int(
-                    self.metrics.value("connector.breaker_fastfails", db=db)
-                ),
-            )
-            for db in names
-        }
-        return ResilienceSummary(by_connector=by_connector)
+        # db -> [retries, giveups, backoff seconds, breaker fast-fails]
+        tally: Dict[str, list] = {db: [0, 0, 0.0, 0] for db in connector_names}
+        for event in self.root.subtree_events():
+            if event.name not in ("retry", "giveup", "breaker-fastfail"):
+                continue
+            row = tally.setdefault(event.attributes["db"], [0, 0, 0.0, 0])
+            if event.name == "retry":
+                row[0] += 1
+                row[2] += event.attributes["backoff_seconds"]
+            elif event.name == "giveup":
+                row[1] += 1
+            else:
+                row[3] += 1
+        return ResilienceSummary(
+            by_connector={
+                db: ConnectorResilience(
+                    retries=retries,
+                    failures=retries + giveups,
+                    giveups=giveups,
+                    backoff_seconds=backoff,
+                    fastfails=fastfails,
+                )
+                for db, (retries, giveups, backoff, fastfails) in tally.items()
+            }
+        )
 
     def trace_summary(self) -> Dict[str, float]:
         """Flat numbers for the bench harness's :class:`RunRecord`."""
@@ -391,7 +379,8 @@ class QueryContext:
         Two tracks: ``tid=1`` carries the middleware timeline (spans on
         the combined wall+sim clock, plus instant events for transfers,
         DDL, retries, and breaker transitions); ``tid=2`` carries the
-        schedule-simulation timebase (per-task intervals).  Load the
+        schedule-simulation timebase (per-task intervals).
+        ``otherData.metrics`` counts the events per name.  Load the
         file in ``chrome://tracing`` or Perfetto.
         """
         root = self.root
@@ -427,6 +416,8 @@ class QueryContext:
                 "args": {"name": "schedule simulation"},
             },
         ]
+        # events per name, exported as the summary counts
+        counts: Dict[str, int] = {}
         for span in root.iter_spans():
             if span.timebase == "schedule":
                 ts = us(span.sim_start)
@@ -455,6 +446,7 @@ class QueryContext:
                 }
             )
             for event in span.events:
+                counts[event.name] = counts.get(event.name, 0) + 1
                 events.append(
                     {
                         "name": event.name,
@@ -473,7 +465,7 @@ class QueryContext:
             "otherData": {
                 "query_id": self.query_id,
                 "label": self.label,
-                "metrics": self.metrics.snapshot(),
+                "metrics": dict(sorted(counts.items())),
             },
         }
 

@@ -16,8 +16,8 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
   be answered from its existing materialization snapshots (skipping
   the refresh) when an authoritative engine is saturated or its
   breaker is open, provided the snapshots are no older than the bound
-  on the federation's simulated clock.  The served staleness is
-  recorded in ``XDBReport.qos``;
+  on the federation's simulated clock.  The staleness the read was
+  served at is recorded in ``XDBReport.qos``;
 * its **partial-results bound** — with ``allow_partial`` set, a query
   whose partition shard lost every healthy holder is answered from
   the surviving shards, provided the row-weighted completeness stays
@@ -25,7 +25,9 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
   once, in ``XDBReport.recovery``.
 
 The :class:`QoSReport` is the submission-side receipt: admission wait,
-deadline spend, and whether (and how stale) a stale read was.
+deadline spend, and whether (and how stale) a stale read was — built
+once, by :meth:`QoSReport.of`, from the query context's ``admitted``
+and ``stale-read`` events.
 """
 
 from __future__ import annotations
@@ -98,6 +100,34 @@ class QoSReport:
     staleness_seconds: Optional[float] = None
     #: why the read degraded: "overload", "breaker-open", or "drift"
     stale_reason: str = ""
+
+    @classmethod
+    def of(cls, ctx) -> "QoSReport":
+        """The receipt of ``ctx``, a query context run under a policy.
+
+        The policy and the deadline come from the context; the summed
+        admission wait and the last lease's engines from its
+        ``admitted`` events; the stale read from the ``stale-read``
+        event of the attempt that answered.
+        """
+        policy, deadline = ctx.qos, ctx.deadline
+        report = cls(
+            priority=policy.priority,
+            deadline_seconds=policy.deadline_seconds,
+            deadline_remaining_seconds=(
+                deadline.remaining_seconds if deadline is not None else None
+            ),
+        )
+        for event in ctx.root.subtree_events():
+            attrs = event.attributes
+            if event.name == "admitted":
+                report.admission_wait_seconds += attrs["waited_seconds"]
+                report.admitted_engines = attrs["engines"].split(",")
+            elif event.name == "stale-read":
+                report.stale_read = True
+                report.staleness_seconds = attrs["staleness_seconds"]
+                report.stale_reason = attrs["reason"]
+        return report
 
     def describe(self) -> str:
         parts = [f"priority={self.priority}"]

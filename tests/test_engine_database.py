@@ -102,8 +102,14 @@ def test_explain_returns_plan_text_and_info(db):
 def test_explain_does_not_execute(db):
     with QueryContext() as ctx:
         db.execute("EXPLAIN SELECT * FROM people")
-    assert ctx.metrics.value("engine.statements", db="D") == 1
-    assert ctx.metrics.value("engine.queries", db="D") == 0
+    statements = ctx.root.subtree_events("sql")
+    assert [event.attributes["db"] for event in statements] == ["D"]
+    operator_roots = [
+        span
+        for span in ctx.root.find_all(kind="operator")
+        if span.parent.kind != "operator"
+    ]
+    assert len(operator_roots) == 0
     assert ctx.root.find_all(kind="operator") == []
 
 

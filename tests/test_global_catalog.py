@@ -65,7 +65,12 @@ def test_refresh_counts_control_messages(two_db_deployment):
     with QueryContext() as ctx:
         catalog_of(two_db_deployment).refresh()
     # one list_tables + one stats call per table
-    assert ctx.metrics.value("connector.control_messages", db="A") == 2
+    node = two_db_deployment.connector("A").node
+    sent = [
+        r for r in ctx.transfers
+        if r.src == two_db_deployment.middleware_node and r.dst == node
+    ]
+    assert len(sent) == 2
 
 
 def test_scan_stats_for_placeholder():

@@ -1,4 +1,4 @@
-"""The observability spine: tracer/metrics units, span-tree invariants
+"""The observability spine: tracer units, span-tree invariants
 over real submissions, context-scoped counter isolation, and the
 Chrome trace / EXPLAIN ANALYZE exports."""
 
@@ -12,7 +12,6 @@ from repro.obs.context import (
     QueryContext,
     validate_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import current_context
 from repro.obs.tracer import Tracer
 from repro.workloads.tpch import query
@@ -31,38 +30,6 @@ JOIN_QUERY = """
 def set_retry_policy(deployment, policy):
     for connector in deployment.connectors.values():
         connector.retry_policy = policy
-
-
-# -- unit: metrics registry ----------------------------------------------
-
-
-def test_metrics_counters_and_labels():
-    metrics = MetricsRegistry()
-    metrics.inc("connector.retries", db="A")
-    metrics.inc("connector.retries", 2, db="A")
-    metrics.inc("connector.retries", db="B")
-    assert metrics.value("connector.retries", db="A") == 3
-    assert metrics.value("connector.retries", db="B") == 1
-    assert metrics.value("connector.retries", db="missing") == 0
-    assert set(metrics.label_values("connector.retries", "db")) == {"A", "B"}
-
-
-def test_metrics_reject_negative_increment():
-    metrics = MetricsRegistry()
-    with pytest.raises(ValueError):
-        metrics.inc("net.bytes", -1)
-
-
-def test_metrics_histogram_and_gauge():
-    metrics = MetricsRegistry()
-    metrics.set_gauge("queue.depth", 4)
-    assert metrics.gauge("queue.depth") == 4
-    for value in (1.0, 3.0, 2.0):
-        metrics.observe("latency", value)
-    hist = metrics.histogram("latency")
-    assert hist.count == 3
-    assert hist.minimum == 1.0 and hist.maximum == 3.0
-    assert hist.mean == pytest.approx(2.0)
 
 
 # -- unit: tracer --------------------------------------------------------
@@ -313,16 +280,15 @@ def test_resilience_counters_do_not_leak_across_submissions(
     assert not clean.context.root.subtree_events("retry")
 
 
-def test_connector_counters_mirror_into_context_metrics(joined_report):
+def test_connector_counters_mirror_into_context_metrics(
+    two_db_deployment, joined_report
+):
     ctx = joined_report.context
-    total_control = sum(
-        ctx.metrics.counters("connector.control_messages").values()
-    )
-    assert total_control > 0
-    consultations = sum(
-        ctx.metrics.counters("connector.consultations").values()
-    )
-    assert consultations == joined_report.consultations
+    middleware = two_db_deployment.middleware_node
+    sent = [r for r in ctx.transfers if r.src == middleware]
+    assert [r for r in sent if r.tag in CONTROL_TAGS]
+    consultations = [r for r in sent if r.tag == "consult"]
+    assert len(consultations) == joined_report.consultations
 
 
 # -- exports -------------------------------------------------------------

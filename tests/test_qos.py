@@ -508,6 +508,29 @@ def test_stale_read_respects_staleness_bound():
     prepared.close()
 
 
+def test_stale_read_reports_the_staleness_it_was_served_at():
+    dep = build_small()
+    dep.configure_qos(GateConfig(max_concurrent=1, max_queue=0))
+    xdb = XDB(dep, movement_policy="explicit")
+    prepared = xdb.prepare(JOIN_QUERY)
+    prepared.execute()
+    root = prepared.deployed.root_db
+    other = next(db for db in ("A", "B") if db != root)
+    dep.health.clock.advance(100.0)
+    blocker = dep.workload_gate.acquire([other], at=xdb.clock.now())
+    bound = 101.0
+    report = prepared.execute(qos=QoSPolicy(max_staleness_seconds=bound))
+    [event] = report.context.root.subtree_events("stale-read")
+    assert report.qos.stale_read
+    # The receipt is the age the snapshots were served at, not a
+    # second clock read after the run's own calls moved it on.
+    assert report.qos.staleness_seconds == event.attributes["staleness_seconds"]
+    assert report.qos.staleness_seconds <= bound
+    assert report.qos.stale_reason == event.attributes["reason"]
+    blocker.release(xdb.clock.now())
+    prepared.close()
+
+
 def test_stale_read_on_refresh_circuit_open(monkeypatch):
     dep = build_small()
     xdb = XDB(dep, movement_policy="explicit")
@@ -635,9 +658,12 @@ def test_connector_uses_context_jitter_stream():
     ctx = QueryContext(label="jitter-test")
     with ctx:
         assert connector._guarded("fetch", flaky) == "ok"
-    assert ctx.metrics.value(
-        "connector.backoff_seconds", db="A"
-    ) == pytest.approx(expected)
+    backoff = sum(
+        event.attributes["backoff_seconds"]
+        for event in ctx.root.subtree_events("retry")
+        if event.attributes["db"] == "A"
+    )
+    assert backoff == pytest.approx(expected)
 
 
 # -- context plumbing ------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro.connect.connector import RetryPolicy
 from repro.core.client import XDB
-from repro.core.pipeline import PlanPipeline
+from repro.core.pipeline import PlanPipeline, RecoveryReport
 from repro.errors import (
     CircuitOpenError,
     EngineUnavailableError,
@@ -200,10 +200,10 @@ def test_open_breaker_fails_fast_without_consuming_anything():
         assert err.value.db == "B"
         # Neither the fault schedule nor the retry budget moved.
         assert injector.calls_by_db.get("B", 0) == calls_before
-        metrics = err.value.context.metrics
-        assert metrics.value("connector.retries", db="B") == 0
-        assert metrics.value("connector.failures", db="B") == 0
-        assert metrics.value("connector.breaker_fastfails", db="B") == 1
+        counts = err.value.context.resilience_summary().by_connector["B"]
+        assert counts.retries == 0
+        assert counts.failures == 0
+        assert counts.fastfails == 1
     finally:
         injector.uninstall()
 
@@ -312,7 +312,11 @@ def test_table_rows_is_guarded_and_counts_control_messages():
     connector = dep.connector("B")
     with QueryContext() as ctx:
         assert connector.table_rows("events") == 60.0
-    assert ctx.metrics.value("connector.control_messages", db="B") == 1
+    sent = [
+        r for r in ctx.transfers
+        if r.src == dep.middleware_node and r.dst == connector.node
+    ]
+    assert len(sent) == 1
     with FaultInjector(
         FaultPolicy(outages=(EngineOutage(db="B"),))
     ).install(dep):
@@ -455,6 +459,46 @@ def test_zero_repair_budget_propagates_the_outage():
     finally:
         injector.uninstall()
     assert PlanPipeline.classify(err.value).db == "A"
+
+
+def test_failed_submission_keeps_its_recovery_record():
+    """An outage that outlasts ``repair_budget``: the error's context
+    still reports every repair the submission spent."""
+    budget = 1
+    build = lambda: build_small(replicate=True)
+    strike_a, _ = exec_strike_point(build, "A", EVENTS_QUERY, skip_exec_calls=1)
+    # The repaired run's calls on B, measured with A's outage alone;
+    # the real run lets B's delegation through and strikes its query.
+    dep = build()
+    xdb = XDB(dep, repair_budget=budget)
+    xdb.warm_metadata()
+    outage_a = EngineOutage(db="A", after_calls=strike_a)
+    counting = FaultInjector(FaultPolicy(outages=(outage_a,))).install(dep)
+    try:
+        repaired = xdb.submit(EVENTS_QUERY, cleanup=False)
+    finally:
+        counting.uninstall()
+    assert repaired.plan.root.annotation == "B"
+    exec_calls_b = 1 + sum(1 for db, _ in repaired.deployed.ddl_log if db == "B")
+    strike_b = counting.calls_by_db["B"] - exec_calls_b + 1
+
+    dep = build()
+    xdb = XDB(dep, repair_budget=budget)
+    xdb.warm_metadata()
+    injector = FaultInjector(
+        FaultPolicy(
+            outages=(outage_a, EngineOutage(db="B", after_calls=strike_b))
+        )
+    ).install(dep)
+    try:
+        with pytest.raises(EngineUnavailableError) as err:
+            xdb.submit(EVENTS_QUERY)
+    finally:
+        injector.uninstall()
+    recovery = RecoveryReport.of(err.value.context)
+    assert recovery.repair_attempts == budget
+    assert recovery.repaired_dbs == ["A"]
+    assert PlanPipeline.classify(err.value).db == "B"
 
 
 def test_unreplicated_holder_outage_is_unrepairable():

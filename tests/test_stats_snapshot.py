@@ -237,14 +237,11 @@ def test_prepared_handle_survives_small_batches_and_replans_past_the_bound(
 
     def analyzed(report) -> Counter:
         """Analyses of the written tables this execution paid for."""
-        out = Counter()
-        for labels, count in report.context.metrics.counters(
-            "engine.stats.analyze"
-        ).items():
-            table = dict(labels)["table"]
-            if table in written:
-                out[table] += int(count)
-        return out
+        return Counter(
+            event.attributes["table"]
+            for event in report.context.root.subtree_events("analyze")
+            if event.attributes["table"] in written
+        )
 
     def federation_calls():
         return {n: c for n, c in optimize_calls.items() if n != "oracle"}
@@ -330,14 +327,13 @@ def test_an_analysis_is_counted_and_traced_in_the_query_context():
         database.execute("EXPLAIN SELECT COUNT(*) FROM small")
         database.execute("EXPLAIN SELECT k FROM small WHERE k > 3")
         database.execute("EXPLAIN SELECT COUNT(*) FROM big")
-    metrics = ctx.metrics
-    assert metrics.value("engine.stats.analyze", db="D", table="small") == 1
-    assert metrics.value("engine.stats.analyze", db="D", table="big") == 1
-    assert metrics.value("engine.stats.analyze_rows", db="D", table="small") == 10
-    assert (
-        metrics.value("engine.stats.analyze_rows", db="D", table="big")
-        == DEFAULT_SAMPLE_SIZE
-    )
+    analyses = ctx.root.subtree_events("analyze")
+    assert Counter(
+        (e.attributes["db"], e.attributes["table"]) for e in analyses
+    ) == {("D", "small"): 1, ("D", "big"): 1}
+    profiled = {e.attributes["table"]: e.attributes["rows"] for e in analyses}
+    assert profiled["small"] == 10
+    assert profiled["big"] == DEFAULT_SAMPLE_SIZE
     events = [
         event.attributes
         for span in ctx.root.iter_spans()
