@@ -9,8 +9,8 @@ both judged against stdlib sqlite holding the unpartitioned table
    repair must stay *branch-local*: availability 1.0 with zero
    whole-query ``repair_attempts`` — only ``branch_repairs`` — and
    completed sibling snapshots pinned (reused), never recomputed.
-2. **Partial results**: a shard with no replica dies; an
-   ``allow_partial`` submission must return a row-subset of the
+2. **Partial results**: a shard with no replica dies; a
+   ``completeness_floor`` submission must return a row-subset of the
    fault-free oracle with completeness exactly the missing shards'
    row-weighted fraction.
 
@@ -192,7 +192,7 @@ def run_partial(seed: int) -> dict:
     ).install(dep):
         report = xdb.submit(
             SCAN_SQL,
-            qos=QoSPolicy(allow_partial=True, completeness_floor=0.0),
+            qos=QoSPolicy(completeness_floor=0.0),
         )
     truth = {tuple(r) for r in oracle_rows(SCAN_SQL, report.result.schema)}
     got = {tuple(r) for r in report.result.rows}

@@ -17,22 +17,19 @@ user-facing surface: :class:`XDB` (``submit`` enters the pipeline at
 ``execute``), and the :class:`XDBReport` both are answered with.
 
 Every submission runs inside one :class:`~repro.obs.context.
-QueryContext`: the phase breakdown, transfer summary, resilience
-counters, recovery report and QoS receipt are all *views* over its
-span tree — phase times combine real middleware CPU (span wall time)
-with the simulated network and retry-backoff seconds attributed to the
-phase's subtree (span sim time); the counts and reports are built once
-from the events the layers recorded.  There is no
-global counter or transfer log to read from, so interleaved or repeated
-submissions cannot leak observations into each other; a submission
-that fails hands its context out on the error (``exc.context``).
+QueryContext`, and every number its report shows is a view over that
+span tree: there is no global counter or transfer log, so interleaved
+or repeated submissions cannot leak observations into each other, and
+a submission that fails hands its context out on the error
+(``exc.context``).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.annotate import Annotation, PlanAnnotator
 from repro.core.catalog import GlobalCatalog
@@ -55,13 +52,19 @@ from repro.feedback.report import qerror_table
 from repro.feedback.store import FeedbackOverlay, FeedbackStore, Observation
 from repro.net.metrics import ResilienceSummary, TransferSummary
 from repro.obs.context import QueryContext
+from repro.obs.tracer import Span
 from repro.qos import QoSPolicy, QoSReport
 from repro.sql import ast
 
 
 @dataclass
 class XDBReport:
-    """Everything a query submission produced."""
+    """Everything a query submission produced.
+
+    The fields are what the span tree does not hold; ``phases``,
+    ``transfers``, ``consultations``, ``resilience``, ``recovery`` and
+    ``qos`` are views over :attr:`context`, each read on first access.
+    """
 
     result: Result
     plan: DelegationPlan
@@ -69,25 +72,72 @@ class XDBReport:
     #: None for executions of a prepared query (no annotation phase)
     annotation: Optional[Annotation]
     schedule: ScheduleResult
-    #: simulated seconds per phase: prep / lopt / ann / exec — phase
-    #: times include any simulated retry backoff spent in that phase
-    phases: Dict[str, float]
-    transfers: TransferSummary
-    consultations: int
-    #: per-connector retry/failure counters for this submission
-    resilience: ResilienceSummary
-    #: what the recovery scopes did for this submission (untouched in
-    #: the common case — see :attr:`RecoveryReport.touched`)
-    recovery: RecoveryReport
     #: the observation context the submission ran under: span tree,
     #: its events, attributed transfers, trace exports
     context: QueryContext
-    #: QoS receipt — admission wait, deadline spend, staleness — when
-    #: the submission carried a :class:`~repro.qos.QoSPolicy`
-    qos: Optional[QoSReport]
     #: Q-Error observations harvested from this execution (estimate vs
     #: actual per task boundary and base-table scan)
     feedback: List[Observation]
+    #: where each base table's scan ran when this entry started
+    placement_before: Dict[str, str]
+    #: the client ledger's outstanding leaked objects at report time
+    leaked_objects: int
+    #: the client's connectors (quiet ones appear in ``resilience``)
+    connector_names: Tuple[str, ...]
+
+    @cached_property
+    def _phase_spans(self) -> Dict[str, Span]:
+        root = self.context.root
+        return {s.name: s for s in root.children if s.kind == "phase"}
+
+    @cached_property
+    def phases(self) -> Dict[str, float]:
+        """Seconds per phase: prep / lopt / ann in real CPU + simulated
+        time (0 when nothing was planned); exec as the simulated schedule
+        plus the control messages and retry backoff under its span
+        (middleware CPU is off the critical path while DBMSes run)."""
+        ctx, spans = self.context, self._phase_spans
+        phases = {
+            name: ctx.phase_seconds(spans[name]) if name in spans else 0.0
+            for name in ("prep", "lopt", "ann")
+        }
+        phases["exec"] = (
+            self.schedule.total_seconds
+            + ctx.control_seconds(spans["exec"])
+            + ctx.backoff_in(spans["exec"])
+        )
+        return phases
+
+    @cached_property
+    def transfers(self) -> TransferSummary:
+        """What moved during the exec phase (Fig. 14)."""
+        return self.context.transfer_summary(self._phase_spans["exec"])
+
+    @cached_property
+    def consultations(self) -> int:
+        """Rule-4 consultation round-trips this entry's planning made."""
+        return self.annotation.consultations if self.annotation else 0
+
+    @cached_property
+    def resilience(self) -> ResilienceSummary:
+        """Per-connector retry/failure counters for this submission."""
+        summary = self.context.resilience_summary(self.connector_names)
+        summary.leaked_objects = self.leaked_objects
+        return summary
+
+    @cached_property
+    def recovery(self) -> RecoveryReport:
+        """What the recovery scopes did (see ``RecoveryReport.touched``)."""
+        return RecoveryReport.of(
+            self.context,
+            self.placement_before,
+            PlanPipeline.placement(self.plan),
+        )
+
+    @cached_property
+    def qos(self) -> Optional[QoSReport]:
+        """The QoS receipt, when the submission carried a policy."""
+        return QoSReport.of(self.context) if self.context.qos else None
 
     @property
     def total_seconds(self) -> float:
@@ -95,7 +145,7 @@ class XDBReport:
 
     @property
     def execution_seconds(self) -> float:
-        return self.phases.get("exec", 0.0)
+        return self.phases["exec"]
 
     def _phase_line(self) -> str:
         return "phases: " + ", ".join(
@@ -120,38 +170,23 @@ class XDBReport:
         return "\n".join(lines)
 
     def explain_analyze(self) -> str:
-        """EXPLAIN ANALYZE-style span tree for this submission."""
+        """EXPLAIN ANALYZE-style span tree for this submission, with a
+        ``branch resilience:`` section when a fault domain was exercised
+        (what each recovery scope did, branches the gather skipped)."""
         out = self._phase_line() + "\n" + self.context.explain_tree()
-        if self.feedback:
-            table = qerror_table(self.feedback)
-            if table:
-                out += "\n" + table
-        resilience = self._branch_resilience_section()
-        if resilience:
-            out += "\n" + resilience
-        return out
-
-    def _branch_resilience_section(self) -> str:
-        """Branch-level fault handling for EXPLAIN ANALYZE output.
-
-        Summarizes how the submission survived: what each recovery
-        scope did (:meth:`RecoveryReport.parts`) and how many branches
-        the gather skipped after a sibling failed.  Empty when nothing
-        happened — the section only shows up on submissions that
-        exercised a fault domain.
-        """
+        table = qerror_table(self.feedback) if self.feedback else ""
+        if table:
+            out += "\n" + table
         lines = [f"  {part}" for part in self.recovery.parts()]
         cancelled = sum(
             event.attributes["count"]
-            for event in self.context.root.subtree_events(
-                "branches-cancelled"
-            )
+            for event in self.context.root.subtree_events("branches-cancelled")
         )
         if cancelled:
             lines.append(f"  branches cancelled: {cancelled}")
-        if not lines:
-            return ""
-        return "branch resilience:\n" + "\n".join(lines)
+        if lines:
+            out += "\nbranch resilience:\n" + "\n".join(lines)
+        return out
 
     def to_chrome_trace(self) -> Dict[str, object]:
         """Chrome trace-event JSON for this submission's span tree."""
@@ -319,40 +354,23 @@ class XDB:
         ctx = QueryContext(label=state.label or "prepared", qos=qos)
         try:
             with ctx:
-                phases = {"prep": 0.0, "lopt": 0.0, "ann": 0.0}
                 if plans:
-                    spans = self.pipeline.plan(state, ctx, refresh_metadata)
-                    for name, span in zip(phases, spans):
-                        phases[name] = ctx.phase_seconds(span)
-                # where the plan this entry starts from scans each table
+                    self.pipeline.plan(state, ctx, refresh_metadata)
                 placement_before = self.pipeline.placement(state.dplan)
                 self.pipeline.execute(state, ctx, cleanup=cleanup)
-                phases["exec"] = state.exec_seconds
-                resilience = ctx.resilience_summary(self.connectors)
-                resilience.leaked_objects = self.ledger.leaked_count()
-                # The planning fields describe the planning *this* entry
-                # did: an execution that entered at ``execute`` consulted
-                # nobody.
-                annotation = state.annotation if plans else None
-                return XDBReport(
-                    result=state.result,
-                    plan=state.dplan,
-                    deployed=state.deployed,
-                    annotation=annotation,
-                    schedule=state.schedule,
-                    phases=phases,
-                    transfers=state.transfers,
-                    consultations=annotation.consultations if plans else 0,
-                    resilience=resilience,
-                    recovery=RecoveryReport.of(
-                        ctx,
-                        placement_before,
-                        self.pipeline.placement(state.dplan),
-                    ),
-                    context=ctx,
-                    qos=QoSReport.of(ctx) if qos is not None else None,
-                    feedback=list(state.observations),
-                )
+            return XDBReport(
+                result=state.result,
+                plan=state.dplan,
+                deployed=state.deployed,
+                # what *this* entry planned: a prepared one, nothing
+                annotation=state.annotation if plans else None,
+                schedule=state.schedule,
+                context=ctx,
+                feedback=list(state.observations),
+                placement_before=placement_before,
+                leaked_objects=self.ledger.leaked_count(),
+                connector_names=tuple(self.connectors),
+            )
         finally:
             # Answered, shed or expired: the client's clock moves on
             # by everything the query spent on the simulated clock.

@@ -69,7 +69,6 @@ from repro.feedback import qerror
 from repro.feedback.harvest import harvest_execution
 from repro.feedback.store import FeedbackOverlay, FeedbackStore, Observation
 from repro.health import BreakerEvent, BreakerState, SimulatedClock
-from repro.net.metrics import TransferSummary
 from repro.obs.clock import wall_now
 from repro.obs.context import QueryContext
 from repro.qos import PRIORITY_NORMAL, AdmissionLease, QoSPolicy
@@ -179,9 +178,8 @@ class RecoveryReport:
     context; nothing writes it beside them.
     """
 
-    #: how many times the repair loop re-planned (0 = no repair needed)
-    repair_attempts: int = 0
-    #: DBMSes reported to the health registry as down, in repair order
+    #: DBMSes reported to the health registry as down, one per
+    #: whole-query re-plan, in repair order
     repaired_dbs: List[str] = field(default_factory=list)
     #: simulated + CPU seconds spent from first failure to repaired run
     repair_seconds: float = 0.0
@@ -206,21 +204,18 @@ class RecoveryReport:
     #: producer tasks whose materializations were pinned during
     #: adaptation (their snapshots were reused, not recomputed)
     pinned_tasks: List[int] = field(default_factory=list)
-    #: branch-scoped recoveries: a failed delegated task / union branch
-    #: was re-routed (or its shard quarantined) *in place*, with the
-    #: completed sibling snapshots pinned — no whole-query re-entry, so
-    #: these do NOT count toward :attr:`repair_attempts`
-    branch_repairs: int = 0
-    #: one ``(action, db, table)`` per branch repair, in order — action
-    #: is ``"failover"`` (shard re-routed to a surviving holder),
-    #: ``"reroute"`` (engine-level branch failure re-placed around the
-    #: outage), or ``"partial"`` (shard dropped under ``allow_partial``)
+    #: one ``(action, db, table)`` per branch-scoped recovery, in
+    #: order: a failed delegated task / union branch was re-routed (or
+    #: its shard quarantined) *in place*, with the completed sibling
+    #: snapshots pinned — no whole-query re-entry, so these do NOT
+    #: count toward :attr:`repair_attempts`.  Action is ``"failover"``
+    #: (shard re-routed to a surviving holder), ``"reroute"``
+    #: (engine-level branch failure re-placed around the outage), or
+    #: ``"partial"`` (shard dropped above the ``completeness_floor``)
     branch_events: List[Tuple[str, str, str]] = field(default_factory=list)
-    #: True when the answer omits shards that lost every healthy holder
-    partial: bool = False
     #: row-weighted fraction of the partitioned data the answer covers
     completeness: float = 1.0
-    #: shard tables missing from a partial answer
+    #: shard tables missing from a partial answer (empty: complete)
     missing_partitions: List[str] = field(default_factory=list)
 
     @classmethod
@@ -252,10 +247,11 @@ class RecoveryReport:
             for event in span.events:
                 name, attrs = event.name, event.attributes
                 if name == "repair":
-                    report.repair_attempts += 1
                     report.repaired_dbs.append(attrs["db"])
                 elif name == "recovered":
-                    report.repair_seconds = attrs["seconds"]
+                    report.repair_seconds = (
+                        attrs["cpu_seconds"] + attrs["sim_seconds"]
+                    )
                 elif name == "schema-drift":
                     report.drift_events += 1
                     key = (attrs["db"], attrs["table"])
@@ -264,13 +260,11 @@ class RecoveryReport:
                 elif name in ("quarantine", "shard-quarantine"):
                     report.quarantined.append((attrs["db"], attrs["table"]))
                 elif name == "branch-repair":
-                    report.branch_repairs += 1
                     report.branch_events.append(
                         (attrs["action"], attrs["db"], attrs["table"])
                     )
                     report.pinned_tasks.extend(attrs["pinned"])
                 elif name == "partial-degrade":
-                    report.partial = True
                     report.completeness = attrs["completeness"]
                     report.missing_partitions = list(attrs["missing"])
                 elif name == "estimate-blown":
@@ -283,8 +277,8 @@ class RecoveryReport:
                 elif name == "breaker":
                     breakers.append(event)
         # Transitions fire inside engine calls and on the phase spans
-        # alike: put them back in the order they happened.
-        breakers.sort(key=lambda event: event.wall_at)
+        # alike: put them back in the order they were recorded.
+        breakers.sort(key=lambda event: event.seq)
         report.breaker_transitions = [
             BreakerEvent(
                 attrs["db"],
@@ -298,12 +292,22 @@ class RecoveryReport:
         return report
 
     @property
-    def repaired(self) -> bool:
-        return self.repair_attempts > 0
+    def repair_attempts(self) -> int:
+        """Whole-query re-plans (0 = no repair needed)."""
+        return len(self.repaired_dbs)
 
     @property
-    def branch_repaired(self) -> bool:
-        return self.branch_repairs > 0
+    def branch_repairs(self) -> int:
+        return len(self.branch_events)
+
+    @property
+    def partial(self) -> bool:
+        """The answer omits shards that lost every healthy holder."""
+        return bool(self.missing_partitions)
+
+    @property
+    def repaired(self) -> bool:
+        return bool(self.repaired_dbs)
 
     @property
     def drifted(self) -> bool:
@@ -315,28 +319,21 @@ class RecoveryReport:
 
     def placement_diff(self) -> Dict[str, Tuple[str, str]]:
         """Tables whose scan moved: table → (old DBMS, new DBMS)."""
-        diff: Dict[str, Tuple[str, str]] = {}
-        for table, db in self.placement.items():
-            before = self.placement_before.get(table)
-            if before is not None and before != db:
-                diff[table] = (before, db)
-        return diff
+        return {
+            table: (self.placement_before[table], db)
+            for table, db in self.placement.items()
+            if self.placement_before.get(table, db) != db
+        }
 
     @property
     def touched(self) -> bool:
         """Whether any recovery scope acted on this submission."""
-        return (
-            self.repaired
-            or self.drifted
-            or self.adapted
-            or self.branch_repaired
-            or self.partial
+        return self.repaired or self.drifted or self.adapted or bool(
+            self.branch_events or self.missing_partitions
         )
 
     def describe(self) -> str:
-        if not self.touched:
-            return "no repair needed"
-        return "; ".join(self.parts())
+        return "; ".join(self.parts()) or "no repair needed"
 
     def parts(self) -> List[str]:
         """One line per recovery scope that acted (``describe`` joins
@@ -430,8 +427,6 @@ class PlanState:
     pending_keeps: List[Tuple[str, str, str]] = field(default_factory=list)
     #: Q-Error observations harvested from the execution
     observations: List[Observation] = field(default_factory=list)
-    exec_seconds: float = 0.0
-    transfers: Optional[TransferSummary] = None
     #: the admission slots the current entry holds (released once
     #: the entry is over)
     lease: Optional[AdmissionLease] = None
@@ -560,13 +555,13 @@ class PlanPipeline:
     @staticmethod
     @contextlib.contextmanager
     def _phase(ctx: Optional[QueryContext], name: str):
-        """A phase span (None offline) around a group of stages."""
+        """A phase span (nothing offline) around a group of stages."""
         if ctx is None:
-            yield None
+            yield
             return
-        with ctx.tracer.span(name, kind="phase") as span:
+        with ctx.tracer.span(name, kind="phase"):
             ctx.enter_phase(name)
-            yield span
+            yield
 
     def _optimize(self, state: PlanState, tracer=None) -> None:
         with self._step(tracer, "optimize"):
@@ -598,19 +593,19 @@ class PlanPipeline:
         state: PlanState,
         ctx: Optional[QueryContext] = None,
         refresh_metadata: bool = False,
-    ):
+    ) -> None:
         """Run the planning stages the state has not passed yet.
 
         Under ``ctx`` the stages run inside the prep / lopt / ann phase
-        spans, which are returned for the report's phase breakdown, and
-        an annotation-time outage is repaired within ``state.budget``.
+        spans (the report's phase breakdown reads them), and an
+        annotation-time outage is repaired within ``state.budget``.
         Without one (``explain`` / ``plan_query`` / ``prepare``) the
         same stage bodies run untraced and the first failure
         propagates.  A re-entered state resumes where it was reset to —
         re-entry at ``optimize`` correctly skips the catalog refresh.
         """
         tracer = ctx.tracer if ctx is not None else None
-        with self._phase(ctx, "prep") as prep_span:
+        with self._phase(ctx, "prep"):
             if _pending(state, "parse"):
                 with self._step(tracer, "parse"):
                     state.select = self.parse(state.query)
@@ -621,10 +616,10 @@ class PlanPipeline:
                         self.catalog.refresh()
                     self.metadata_fresh = True
                 state.stage = "optimize"
-        with self._phase(ctx, "lopt") as lopt_span:
+        with self._phase(ctx, "lopt"):
             if _pending(state, "optimize"):
                 self._optimize(state, tracer)
-        with self._phase(ctx, "ann") as ann_span:
+        with self._phase(ctx, "ann"):
             while _pending(state, "finalize"):
                 try:
                     self._annotate_finalize(state, tracer)
@@ -633,7 +628,6 @@ class PlanPipeline:
                         state, "engine-outage", self.classify(exc), ctx
                     ):
                         raise
-        return prep_span, lopt_span, ann_span
 
     def deploy(
         self, state: PlanState, tracer=None, salvage: bool = False
@@ -667,7 +661,7 @@ class PlanPipeline:
 
     def execute(
         self, state: PlanState, ctx: QueryContext, cleanup: bool = True
-    ) -> PlanState:
+    ) -> None:
         """Delegate (unless a cascade is retained) and run the query.
 
         The exec phase of every entry point.  ``cleanup=False`` retains
@@ -716,18 +710,6 @@ class PlanPipeline:
                         > self.adaptivity_threshold
                     )
 
-            # Middleware CPU during exec is not on the critical path
-            # (the DBMSes run decentrally); control messages are, and
-            # so are simulated retry backoff spent on the DDL cascade
-            # and any repair-time re-consultations — all read off the
-            # exec span's subtree.
-            state.exec_seconds = (
-                state.schedule.total_seconds
-                + ctx.control_seconds(exec_span)
-                + ctx.backoff_in(exec_span)
-            )
-            state.transfers = ctx.transfer_summary(exec_span)
-
             # Cleanup runs outside the exec span (its drops are not
             # part of the execution window's transfer summary) but
             # still under the admission lease, and — with a deadline —
@@ -750,7 +732,6 @@ class PlanPipeline:
         finally:
             if state.lease is not None:
                 state.lease.release(self.clock.now() + tracer.sim_now)
-        return state
 
     def _answer(
         self, state: PlanState, ctx: QueryContext, exec_span
@@ -793,8 +774,8 @@ class PlanPipeline:
             repair_wall, repair_sim = repair_start
             tracer.add_event(
                 "recovered",
-                seconds=(wall_now() - repair_wall)
-                + (tracer.sim_now - repair_sim),
+                cpu_seconds=wall_now() - repair_wall,
+                sim_seconds=tracer.sim_now - repair_sim,
             )
         return result
 
@@ -1328,13 +1309,13 @@ class PlanPipeline:
     ) -> bool:
         """Degrade to a partial answer by pruning a dead shard's branch.
 
-        Opt-in via ``QoSPolicy.allow_partial``: when the shard has no
-        healthy holder left, its gather branches are pruned and the
+        Opt-in via ``QoSPolicy.completeness_floor``: when the shard has
+        no healthy holder left, its gather branches are pruned and the
         row-weighted completeness (from catalog shard statistics) is
-        checked against the policy's ``completeness_floor``.  Returns
-        True when the plan was degraded in place.
+        checked against the floor.  Returns True when the plan was
+        degraded in place.
         """
-        if qos is None or not qos.allow_partial:
+        if qos is None or qos.completeness_floor is None:
             return False
         if not is_partition_table(shard):
             return False

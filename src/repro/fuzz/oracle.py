@@ -423,7 +423,8 @@ def check_partial(spec: Dict[str, object]) -> List[str]:
     """Policy-bounded partial answers vs the fault-free oracle.
 
     One shard of the partitioned fuzz deployment dies (shard-scoped
-    outage, no replica); an ``allow_partial`` submission must then:
+    outage, no replica); a submission with a ``completeness_floor``
+    must then:
 
     * return a row-*multiset subset* of the fault-free oracle's rows —
       a partial answer may drop rows, never invent or duplicate them;
@@ -468,9 +469,7 @@ def check_partial(spec: Dict[str, object]) -> List[str]:
         ).install(deployment):
             report = xdb.submit(
                 sql,
-                qos=QoSPolicy(
-                    allow_partial=True, completeness_floor=floor
-                ),
+                qos=QoSPolicy(completeness_floor=floor),
             )
     except Exception as exc:
         return [
@@ -494,10 +493,6 @@ def check_partial(spec: Dict[str, object]) -> List[str]:
             f"({holder}/{shard}) for {sql!r}"
         )
         return failures
-    if not recovery.missing_partitions:
-        failures.append(
-            f"partial answer reports no missing partitions for {sql!r}"
-        )
     if not (0.0 < recovery.completeness <= 1.0):
         failures.append(
             f"completeness {recovery.completeness} outside (0, 1] "

@@ -5,7 +5,7 @@ off a :class:`~repro.obs.context.QueryContext`."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.net.network import Network, TransferRecord
 
@@ -32,21 +32,10 @@ class TransferSummary:
         )
 
 
-def summarize(
-    records: Iterable[TransferRecord],
-    network: Optional[Network] = None,
-    cross_site_only: bool = False,
-) -> TransferSummary:
-    """Aggregate ``records``; optionally keep only WAN-crossing traffic."""
+def summarize(records: Iterable[TransferRecord]) -> TransferSummary:
+    """Aggregate ``records`` (cross-site bytes: :func:`site_breakdown`)."""
     summary = TransferSummary()
     for record in records:
-        if cross_site_only:
-            if network is None:
-                raise ValueError(
-                    "cross_site_only summaries need the network topology"
-                )
-            if not network.is_cross_site(record.src, record.dst):
-                continue
         summary.total_bytes += record.payload_bytes
         summary.total_rows += record.rows
         summary.transfer_count += 1
@@ -95,11 +84,15 @@ class ConnectorResilience:
     """One connector's retry/failure counters within one query."""
 
     retries: int = 0
-    failures: int = 0
     giveups: int = 0
     backoff_seconds: float = 0.0
     #: calls rejected up-front by an open circuit breaker
     fastfails: int = 0
+
+    @property
+    def failures(self) -> int:
+        """Every retryable failure ends in a retry or a give-up."""
+        return self.retries + self.giveups
 
 
 @dataclass

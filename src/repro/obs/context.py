@@ -282,11 +282,9 @@ class QueryContext:
         """Per-connector retry/failure counts, read off the span tree.
 
         One pass over the ``retry``, ``giveup`` and
-        ``breaker-fastfail`` events.  Every retryable failure ends in a
-        retry or a give-up, so ``failures`` is their sum.
-        ``connector_names`` seeds the per-connector map (so quiet
-        connectors appear with zero counts); any connector with such an
-        event is included regardless.
+        ``breaker-fastfail`` events.  ``connector_names`` seeds the
+        per-connector map (so quiet connectors appear with zero counts);
+        any connector with such an event is included regardless.
         """
         # db -> [retries, giveups, backoff seconds, breaker fast-fails]
         tally: Dict[str, list] = {db: [0, 0, 0.0, 0] for db in connector_names}
@@ -305,7 +303,6 @@ class QueryContext:
             by_connector={
                 db: ConnectorResilience(
                     retries=retries,
-                    failures=retries + giveups,
                     giveups=giveups,
                     backoff_seconds=backoff,
                     fastfails=fastfails,

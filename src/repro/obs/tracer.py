@@ -40,6 +40,10 @@ class SpanEvent:
     wall_at: float
     sim_at: float
     attributes: Dict[str, object] = field(default_factory=dict)
+    #: the order the tracer added it in — the events of a subtree walk
+    #: come out span by span, so ``sorted(key=seq)`` restores time order
+    #: without reading the wall clock
+    seq: int = 0
 
 
 class Span:
@@ -173,6 +177,7 @@ class Tracer:
 
     def __init__(self, root_name: str = "query", **attributes: object):
         self._next_id = 0
+        self._next_seq = 0
         #: the simulated clock: network + backoff seconds attributed so far
         self.sim_now = 0.0
         self.root = self._new_span(
@@ -304,6 +309,8 @@ class Tracer:
             wall_at=wall_now(),
             sim_at=self.sim_now,
             attributes=attrs,
+            seq=self._next_seq,
         )
+        self._next_seq += 1
         self.current.events.append(event)
         return event

@@ -18,16 +18,16 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
   breaker is open, provided the snapshots are no older than the bound
   on the federation's simulated clock.  The staleness the read was
   served at is recorded in ``XDBReport.qos``;
-* its **partial-results bound** — with ``allow_partial`` set, a query
-  whose partition shard lost every healthy holder is answered from
-  the surviving shards, provided the row-weighted completeness stays
-  at or above ``completeness_floor``.  The partial answer is reported
-  once, in ``XDBReport.recovery``.
+* its **partial-results bound** — with ``completeness_floor`` set, a
+  query whose partition shard lost every healthy holder is answered
+  from the surviving shards, provided the row-weighted completeness
+  stays at or above the floor.  The partial answer is reported once,
+  in ``XDBReport.recovery``.
 
 The :class:`QoSReport` is the submission-side receipt: admission wait,
-deadline spend, and whether (and how stale) a stale read was — built
-once, by :meth:`QoSReport.of`, from the query context's ``admitted``
-and ``stale-read`` events.
+deadline spend, and whether (and how stale) a stale read was — read
+by :meth:`QoSReport.of` off the query context's ``admitted`` and
+``stale-read`` events.
 """
 
 from __future__ import annotations
@@ -61,13 +61,10 @@ class QoSPolicy:
     max_staleness_seconds: Optional[float] = None
     #: opt-in *partial results*: when a partition shard has lost every
     #: healthy holder, answer from the surviving shards instead of
-    #: failing, provided the row-weighted completeness stays at or
-    #: above ``completeness_floor``
-    allow_partial: bool = False
-    #: minimum acceptable completeness (fraction of partitioned rows
-    #: still reachable) for a partial answer; only consulted when
-    #: ``allow_partial`` is set
-    completeness_floor: float = 0.0
+    #: failing, provided the row-weighted completeness (fraction of
+    #: partitioned rows still reachable) stays at or above this floor;
+    #: None means the query insists on a complete answer
+    completeness_floor: Optional[float] = None
 
     def make_deadline(self) -> Optional[Deadline]:
         """Build this policy's :class:`Deadline` (None without one)."""
@@ -93,10 +90,8 @@ class QoSReport:
     admission_wait_seconds: float = 0.0
     #: engines the submission held admission slots for
     admitted_engines: List[str] = field(default_factory=list)
-    #: True when the answer was served from materialization snapshots
-    #: instead of refreshing against the authoritative engines
-    stale_read: bool = False
-    #: snapshot age (simulated seconds) when ``stale_read`` is True
+    #: snapshot age (simulated seconds) when the answer was served from
+    #: materialization snapshots instead of refreshing them (None: fresh)
     staleness_seconds: Optional[float] = None
     #: why the read degraded: "overload", "breaker-open", or "drift"
     stale_reason: str = ""
@@ -124,10 +119,14 @@ class QoSReport:
                 report.admission_wait_seconds += attrs["waited_seconds"]
                 report.admitted_engines = attrs["engines"].split(",")
             elif event.name == "stale-read":
-                report.stale_read = True
                 report.staleness_seconds = attrs["staleness_seconds"]
                 report.stale_reason = attrs["reason"]
         return report
+
+    @property
+    def stale_read(self) -> bool:
+        """Whether the answer came from the existing snapshots."""
+        return self.staleness_seconds is not None
 
     def describe(self) -> str:
         parts = [f"priority={self.priority}"]

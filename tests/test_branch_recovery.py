@@ -7,7 +7,7 @@ breaker stays closed — the disk died, not the server), completed
 sibling ``xm_`` snapshots are pinned and reused, and only the failed
 branch re-routes to a replica holder.  Whole-query re-entry
 (``repair_attempts``) stays at zero.  With no healthy holder left, a
-``QoSPolicy.allow_partial`` submission degrades to a partial answer —
+``QoSPolicy.completeness_floor`` submission degrades to a partial answer —
 a row-subset of the fault-free oracle with its completeness reported —
 while a submission below its ``completeness_floor`` refuses and fails.
 The gather underneath skips the remaining branches after the first
@@ -210,7 +210,7 @@ def test_partial_answer_is_subset_with_reported_completeness():
     spec = xdb.catalog.partition_spec("orders")
     assert spec is not None
 
-    qos = QoSPolicy(allow_partial=True, completeness_floor=0.1)
+    qos = QoSPolicy(completeness_floor=0.1)
     with shard_outage(3).install(dep):
         report = xdb.submit(SCAN_SQL, qos=qos)
 
@@ -237,7 +237,7 @@ def test_partial_below_completeness_floor_is_refused():
     dep = build_sharded()
     xdb = XDB(dep)
     xdb.warm_metadata()
-    qos = QoSPolicy(allow_partial=True, completeness_floor=0.95)
+    qos = QoSPolicy(completeness_floor=0.95)
     with shard_outage(3).install(dep):
         with pytest.raises(ReproError):
             xdb.submit(SCAN_SQL, qos=qos)

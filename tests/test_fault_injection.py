@@ -408,9 +408,7 @@ def test_shard_outage_composes_with_partitioned_query():
     with FaultInjector(
         FaultPolicy(outages=(EngineOutage(db="A", table=shard),))
     ).install(dep) as injector:
-        report = xdb.submit(
-            sql, qos=QoSPolicy(allow_partial=True, completeness_floor=0.0)
-        )
+        report = xdb.submit(sql, qos=QoSPolicy(completeness_floor=0.0))
     assert injector.calls_by_shard
     got = {tuple(row) for row in report.result.rows}
     assert got < truth  # a strict row-subset of the fault-free oracle

@@ -106,10 +106,9 @@ def test_summarize_cross_site_only():
     with QueryContext() as ctx:
         network.record_transfer("db1", "db2", 100, tag="lan")
         network.record_transfer("db1", "mw", 100, tag="wan")
-    summary = summarize(ctx.transfers, network=network, cross_site_only=True)
-    assert summary.total_bytes == 100
-    with pytest.raises(ValueError):
-        summarize(ctx.transfers, cross_site_only=True)
+    assert summarize(ctx.transfers).total_bytes == 200
+    # cross-site bytes are the site breakdown's, not a summary option
+    assert site_breakdown(ctx.transfers, network) == (200, 100, 100)
 
 
 def test_transfer_time_seconds_recorded():

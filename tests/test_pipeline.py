@@ -186,15 +186,11 @@ def test_recovery_report_describe_variants():
             "1 drift(s) absorbed on A.t",
         ),
         (
-            RecoveryReport(
-                branch_repairs=1, branch_events=[("failover", "p4", "t__p3")]
-            ),
+            RecoveryReport(branch_events=[("failover", "p4", "t__p3")]),
             "branch failover: p4.t__p3",
         ),
         (
-            RecoveryReport(
-                partial=True, completeness=0.75, missing_partitions=["t__p3"]
-            ),
+            RecoveryReport(completeness=0.75, missing_partitions=["t__p3"]),
             "partial answer: 75.0% complete",
         ),
     ],

@@ -19,7 +19,12 @@ from repro.errors import (
 )
 from repro.faults import EngineOutage, FaultInjector, FaultPolicy
 from repro.federation.deployment import Deployment
-from repro.health import BreakerConfig, BreakerState, HealthRegistry
+from repro.health import (
+    BreakerConfig,
+    BreakerEvent,
+    BreakerState,
+    HealthRegistry,
+)
 from repro.obs.context import QueryContext
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DOUBLE, INTEGER, varchar
@@ -440,6 +445,27 @@ def test_prepared_execution_reports_breaker_transitions():
         quiet = prepared.execute()
         assert not quiet.recovery.touched
         assert quiet.recovery.breaker_transitions == []
+
+
+def test_breaker_transitions_keep_their_order_under_a_frozen_wall_clock(
+    monkeypatch,
+):
+    """Transitions fire inside engine calls and on phase spans alike; a
+    subtree walk meets the phase span's events first, so the report
+    orders them by the tracer's event sequence, not by wall time."""
+    monkeypatch.setattr("repro.obs.tracer.wall_now", lambda: 0.0)
+    tripped = BreakerEvent(
+        "A", BreakerState.CLOSED, BreakerState.OPEN, 1.0, "call failed"
+    )
+    probing = BreakerEvent(
+        "A", BreakerState.OPEN, BreakerState.HALF_OPEN, 2.0, "cooldown"
+    )
+    with QueryContext() as ctx:
+        with ctx.tracer.span("exec", kind="phase"):
+            with ctx.tracer.span("run_query", kind="call"):
+                ctx.record_breaker_event(tripped)
+            ctx.record_breaker_event(probing)
+    assert RecoveryReport.of(ctx).breaker_transitions == [tripped, probing]
 
 
 def test_zero_repair_budget_propagates_the_outage():
