@@ -64,6 +64,9 @@ class Annotation:
     consultations: int = 0
     #: Rule-4 decisions, for tests/inspection: id(join) -> decision
     decisions: Dict[int, "PlacementDecision"] = field(default_factory=dict)
+    #: DBMS -> whether placement found it available (False if any of
+    #: its checks said no): the plan holds while these answers do
+    availability: Dict[str, bool] = field(default_factory=dict)
     #: id(node) -> node: keeps annotated nodes alive while the
     #: annotation is, so an id can never be recycled under us
     _node_refs: Dict[int, algebra.LogicalPlan] = field(
@@ -151,7 +154,7 @@ class PlanAnnotator:
         children = node.children()
 
         if isinstance(node, algebra.Scan):
-            db = self._place_scan(node, prefer)
+            db = self._place_scan(node, annotation, prefer)
             annotation.bind_node(node, db)
             return db
 
@@ -167,8 +170,12 @@ class PlanAnnotator:
             # branch, so a replicated dimension joining a shard lands
             # on the shard's engine and the fragment stays in-situ
             # (Rule 3 then keeps the whole branch implicit).
-            left_anchor = self._partition_anchor(node.left) or prefer
-            right_anchor = self._partition_anchor(node.right) or prefer
+            left_anchor = (
+                self._partition_anchor(node.left, annotation) or prefer
+            )
+            right_anchor = (
+                self._partition_anchor(node.right, annotation) or prefer
+            )
             left_db = self._visit(node.left, annotation, left_anchor)
             right_db = self._visit(node.right, annotation, right_anchor)
             if left_db == right_db:
@@ -187,7 +194,7 @@ class PlanAnnotator:
     # -- degradation-aware placement (replica-aware Rule 1) -------------
 
     def _partition_anchor(
-        self, node: algebra.LogicalPlan
+        self, node: algebra.LogicalPlan, annotation: Annotation
     ) -> Optional[str]:
         """The DBMS that would host the first partition-branch scan
         under ``node`` (None when the subtree touches no partition)."""
@@ -198,13 +205,16 @@ class PlanAnnotator:
                 and not leaf.placeholder
             ):
                 try:
-                    return self._place_scan(leaf)
+                    return self._place_scan(leaf, annotation)
                 except (OptimizerError, EngineUnavailableError):
                     return None
         return None
 
     def _place_scan(
-        self, scan: algebra.Scan, prefer: Optional[str] = None
+        self,
+        scan: algebra.Scan,
+        annotation: Annotation,
+        prefer: Optional[str] = None,
     ) -> str:
         """Rule 1 over replicas: the cheapest *healthy* holder wins.
 
@@ -244,7 +254,7 @@ class PlanAnnotator:
                     table=scan.table,
                 )
             holders = admitted
-        healthy = [db for db in holders if self._available(db)]
+        healthy = [db for db in holders if self._available(db, annotation)]
         if not healthy:
             raise EngineUnavailableError(
                 f"DBMS {holders} holding table {scan.table!r} "
@@ -272,13 +282,19 @@ class PlanAnnotator:
 
         return min(healthy, key=scan_cost)
 
-    def _available(self, db: str) -> bool:
+    def _available(self, db: str, annotation: Annotation) -> bool:
         connector = self._connectors.get(db)
-        return connector is None or connector.is_available()
+        answer = connector is None or connector.is_available()
+        annotation.availability[db] = (
+            annotation.availability.get(db, True) and answer
+        )
+        return answer
 
     # -- Rule 4 ---------------------------------------------------------------
 
-    def _candidate_dbs(self, left_db: str, right_db: str) -> List[str]:
+    def _candidate_dbs(
+        self, left_db: str, right_db: str, annotation: Annotation
+    ) -> List[str]:
         if self._prune_candidates:
             ordered = [left_db, right_db]
         else:
@@ -290,7 +306,9 @@ class PlanAnnotator:
         # Degradation awareness: an engine that is down or cut off from
         # the middleware at optimization time cannot host an operator —
         # constrain A and plan around it (§IV-B2).
-        ordered = [name for name in ordered if self._available(name)]
+        ordered = [
+            name for name in ordered if self._available(name, annotation)
+        ]
         # Topology constraint (§IV-B2): every moving input must be able
         # to reach the candidate over the (possibly restricted) network.
         reachable = [
@@ -336,7 +354,7 @@ class PlanAnnotator:
             Tuple[float, str, Movement, Movement]
         ] = None
 
-        for target_db in self._candidate_dbs(left_db, right_db):
+        for target_db in self._candidate_dbs(left_db, right_db, annotation):
             connector = self._connectors[target_db]
             # Each input either sits on the target already (implicit,
             # free) or must move with a chosen movement type.

@@ -61,8 +61,12 @@ class GlobalCatalog(TableResolver):
         self._loaded = False
         #: monotonic version: bumps on refresh, re-introspection, and
         #: quarantine changes — the invalidation spine for prepared
-        #: plans and (future) plan caches
+        #: plans and the middleware plan memo
         self.catalog_version = 0
+        #: bumps on every :meth:`override_stats`: a forced row count
+        #: moves what the planner reads without moving
+        #: ``catalog_version`` (which would re-verify every table)
+        self.stats_version = 0
         #: (db, table_lower) -> schema fingerprint at registration
         self._fingerprints: Dict[Tuple[str, str], str] = {}
         #: (db, table_lower) -> stats epoch (bumped per re-registration)
@@ -345,6 +349,7 @@ class GlobalCatalog(TableResolver):
             self._stats[key] = dataclasses.replace(
                 stats, row_count=float(row_count)
             )
+        self.stats_version += 1
 
     # -- partitioned tables ------------------------------------------------------------
 

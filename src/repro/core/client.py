@@ -69,7 +69,8 @@ class XDBReport:
     result: Result
     plan: DelegationPlan
     deployed: DeployedQuery
-    #: None for executions of a prepared query (no annotation phase)
+    #: None for prepared executions and plan-memo hits (no annotation
+    #: phase)
     annotation: Optional[Annotation]
     schedule: ScheduleResult
     #: the observation context the submission ran under: span tree,
@@ -325,6 +326,13 @@ class XDB:
         expire mid-delegation — rolls the in-flight DDL back under the
         deadline's grace budget before raising a structured
         :class:`~repro.errors.DeadlineExceeded`.
+
+        Plan reuse: a SQL text submitted again reuses the delegation
+        plan its last clean planning made, for as long as nothing that
+        planning read has changed (DESIGN.md §7 "Middleware plan
+        memo").  The report then carries a ``plan-reused`` event, no
+        lopt / ann phase and no annotation; delegation and execution
+        run as always.
         """
         state = self.pipeline.new_state(query, budget=self.repair_budget)
         return self._run(state, qos, cleanup, refresh_metadata)
@@ -362,7 +370,8 @@ class XDB:
                 result=state.result,
                 plan=state.dplan,
                 deployed=state.deployed,
-                # what *this* entry planned: a prepared one, nothing
+                # what *this* entry annotated: nothing for a prepared
+                # one or a plan-memo hit
                 annotation=state.annotation if plans else None,
                 schedule=state.schedule,
                 context=ctx,

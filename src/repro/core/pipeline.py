@@ -30,6 +30,7 @@ observed row counts.
 from __future__ import annotations
 
 import contextlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -104,6 +105,10 @@ def _pending(state: "PlanState", stage: str) -> bool:
     """Whether ``state`` still has to run ``stage``."""
     return _stage_index(state.stage) <= _stage_index(stage)
 
+
+#: Statements the middleware plan memo keeps, least recently served
+#: first out (:meth:`PlanPipeline.plan`).
+PLAN_MEMO_SIZE = 64
 
 #: Branch-scoped recoveries one submission may spend, independently of
 #: the whole-query ``repair_budget`` — so in-place branch repairs never
@@ -395,6 +400,19 @@ class RecoveryReport:
         return parts
 
 
+@dataclass(frozen=True)
+class MemoEntry:
+    """One statement's clean plan, as the middleware plan memo keeps it."""
+
+    select: ast.Statement
+    logical_plan: algebra.LogicalPlan
+    #: never executed: each run gets :meth:`DelegationPlan.for_run`
+    dplan: DelegationPlan
+    #: the engines placement found available; the entry is served only
+    #: while each still is
+    engines: Tuple[str, ...]
+
+
 @dataclass
 class PlanState:
     """Everything one submission carries between pipeline stages."""
@@ -430,6 +448,9 @@ class PlanState:
     #: the admission slots the current entry holds (released once
     #: the entry is over)
     lease: Optional[AdmissionLease] = None
+    #: the plan memo key whose plan nodes this state shares (None:
+    #: its plan is its own) — recovery evicts it before rewriting them
+    memo_key: Optional[str] = None
     # -- what a retained cascade (a prepared query) carries between
     # -- executions; a one-shot submission never reads these back
     #: root-query runs the deployed cascade has answered (the first
@@ -494,6 +515,10 @@ class PlanPipeline:
         #: invalidates prepared handles scanning the table
         self.on_drift = on_drift
         self.metadata_fresh = False
+        #: statement text -> its clean plan, all stored under
+        #: ``_memo_stamp`` (see :meth:`plan`)
+        self._memo: "OrderedDict[str, MemoEntry]" = OrderedDict()
+        self._memo_stamp: Optional[tuple] = None
 
     # -- state construction ------------------------------------------------
 
@@ -603,19 +628,39 @@ class PlanPipeline:
         same stage bodies run untraced and the first failure
         propagates.  A re-entered state resumes where it was reset to —
         re-entry at ``optimize`` correctly skips the catalog refresh.
+
+        A submission's fresh state goes through the plan memo: once the
+        catalog stage has decided against a refresh, a current entry
+        for the same SQL text is reused (:meth:`_reuse`) and neither
+        lopt nor ann runs; otherwise the plan is made and, when clean,
+        stored (:meth:`_remember`).
         """
         tracer = ctx.tracer if ctx is not None else None
+        # Only a submission shares plans with the memo: a re-entered or
+        # prepared state may carry pins and pruned shards.
+        memoize = (
+            ctx is not None
+            and state.stage == "parse"
+            and state.label != "<ast>"
+        )
+        stamp = None
         with self._phase(ctx, "prep"):
+            # A refresh moves the catalog version, so nothing would hit.
+            refresh = refresh_metadata or not self.metadata_fresh
+            if memoize and not refresh and self._reuse(state, ctx):
+                return
             if _pending(state, "parse"):
                 with self._step(tracer, "parse"):
                     state.select = self.parse(state.query)
                 state.stage = "catalog"
             if _pending(state, "catalog"):
-                if refresh_metadata or not self.metadata_fresh:
+                if refresh:
                     with self._step(tracer, "catalog-refresh"):
                         self.catalog.refresh()
                     self.metadata_fresh = True
                 state.stage = "optimize"
+            if memoize:
+                stamp = self._stamp()
         with self._phase(ctx, "lopt"):
             if _pending(state, "optimize"):
                 self._optimize(state, tracer)
@@ -628,6 +673,92 @@ class PlanPipeline:
                         state, "engine-outage", self.classify(exc), ctx
                     ):
                         raise
+                    stamp = None  # a repaired plan is not stored
+        if stamp is not None:
+            self._remember(state, stamp)
+
+    # -- the middleware plan memo ------------------------------------------
+
+    def _stamp(self) -> tuple:
+        """Every input planning reads, except engine availability."""
+        return (
+            self.catalog.catalog_version,
+            self.catalog.stats_version,
+            self.deployment.network.version,
+            None if self.feedback is None else self.feedback.version,
+            self.deployment.partition_version,
+            tuple(c.fault_injector for c in self.connectors.values()),
+        )
+
+    def _reset_memo(self, stamp: tuple) -> None:
+        """Drop the memo whole when the stamp has moved."""
+        if stamp != self._memo_stamp:
+            self._memo.clear()
+            self._memo_stamp = stamp
+
+    def _available(self, db: str) -> bool:
+        """Whether ``db`` answers available without a probe: with its
+        breaker closed, ``is_available`` consumes nothing."""
+        connector = self.connectors.get(db)
+        if connector is None:
+            return True
+        health = connector.health
+        return (
+            health is None or health.state(db) is BreakerState.CLOSED
+        ) and connector.is_available()
+
+    def _serves(self, entry: MemoEntry) -> bool:
+        """Whether the memo would hand ``entry`` out now: no refresh is
+        due, its stamp holds, and every engine it asked about is still
+        available."""
+        return (
+            self.metadata_fresh
+            and self._memo_stamp == self._stamp()
+            and all(map(self._available, entry.engines))
+        )
+
+    def _reuse(self, state: PlanState, ctx: QueryContext) -> bool:
+        """Hand ``state`` the memo's plan for its SQL, if still current.
+
+        The state skips to ``delegate`` with its own edges (run
+        statistics never cross reports) and no annotation, so the
+        report shows no consultations, as a prepared execution does.
+        """
+        self._reset_memo(self._stamp())
+        entry = self._memo.get(state.label)
+        if entry is None or not self._serves(entry):
+            return False
+        self._memo.move_to_end(state.label)
+        state.select = entry.select
+        state.logical_plan = entry.logical_plan
+        state.dplan = entry.dplan.for_run()
+        state.stage = "delegate"
+        state.memo_key = state.label
+        ctx.tracer.add_event("plan-reused")
+        return True
+
+    def _remember(self, state: PlanState, stamp: tuple) -> None:
+        """Store a clean plan: made under ``stamp``, which still holds,
+        with every engine placement asked about available."""
+        availability = state.annotation.availability
+        if stamp != self._stamp() or not all(availability.values()):
+            return
+        self._reset_memo(stamp)
+        self._memo[state.label] = MemoEntry(
+            state.select, state.logical_plan, state.dplan, tuple(availability)
+        )
+        self._memo.move_to_end(state.label)
+        if len(self._memo) > PLAN_MEMO_SIZE:
+            self._memo.popitem(last=False)
+        state.dplan = state.dplan.for_run()
+        state.memo_key = state.label
+
+    def _evict(self, state: PlanState) -> None:
+        """Forget the entry ``state`` shares plan nodes with: recovery
+        is about to rewrite them (``_pin`` / ``_reestimate``)."""
+        if state.memo_key is not None:
+            self._memo.pop(state.memo_key, None)
+            state.memo_key = None
 
     def deploy(
         self, state: PlanState, tracer=None, salvage: bool = False
@@ -986,6 +1117,7 @@ class PlanPipeline:
         """Spend ``cls``'s budget and reset the state to its re-entry
         stage; a re-entry before ``execute`` invalidates the plan and
         tears the cascade down, releasing the pinned snapshots."""
+        self._evict(state)
         remedy = RECOVERY[cls]
         if remedy.budget is not None:
             setattr(state, remedy.budget, getattr(state, remedy.budget) - 1)
@@ -1175,6 +1307,7 @@ class PlanPipeline:
         finalizer's dedup projection — its snapshot columns no longer
         match its logical schema, so it is left to be recomputed.
         """
+        self._evict(state)
         dplan, plan = state.dplan, state.logical_plan
         overlay = FeedbackOverlay(self.feedback)
         moved = {
@@ -1319,6 +1452,7 @@ class PlanPipeline:
             return False
         if not is_partition_table(shard):
             return False
+        self._evict(state)
         plan, pruned = prune_missing_shards(state.logical_plan, [shard])
         if plan is None or not pruned:
             return False

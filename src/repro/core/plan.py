@@ -149,6 +149,20 @@ class DelegationPlan:
     def set_root(self, task: Task) -> None:
         self.root_id = task.task_id
 
+    def for_run(self) -> "DelegationPlan":
+        """This plan for one more execution: the tasks are shared, the
+        edges are new, so the rows and bytes one run records on them
+        never show on another run's plan."""
+        copy = DelegationPlan()
+        copy.tasks = dict(self.tasks)
+        copy.edges = [
+            TaskEdge(e.producer_id, e.consumer_id, e.movement, e.placeholder)
+            for e in self.edges
+        ]
+        copy.root_id = self.root_id
+        copy._next_id = self._next_id
+        return copy
+
     # -- navigation ---------------------------------------------------------
 
     @property

@@ -94,6 +94,8 @@ class Deployment:
         #: logical table (lowercase) -> PartitionSpec; the global
         #: catalog holds this mapping by reference
         self.partition_specs: Dict[str, PartitionSpec] = {}
+        #: bumped whenever :meth:`partition_table` changes that mapping
+        self.partition_version = 0
         self.databases: Dict[str, Database] = {}
         for name, profile in profiles.items():
             self.databases[name] = Database(name, profile=profile, node=name)
@@ -318,4 +320,5 @@ class Deployment:
         for holder in holders:
             self.database(holder).catalog.drop(table)
         self.partition_specs[spec.table] = spec
+        self.partition_version += 1
         return spec

@@ -71,6 +71,9 @@ class FeedbackStore:
     def __init__(self, path: Optional[str] = None):
         self._path = path
         self._entries: Dict[str, FeedbackEntry] = {}
+        #: moves only when some :meth:`correction` answer changes: a
+        #: plan estimated under the store is current while it holds
+        self.version = 0
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -89,7 +92,10 @@ class FeedbackStore:
                 qerror=obs.q_error,
             )
             self._entries[obs.fingerprint] = entry
+            self.version += 1
         else:
+            if entry.actual_rows != float(obs.actual_rows):
+                self.version += 1
             entry.actual_rows = float(obs.actual_rows)
             entry.estimated_rows = float(obs.estimated_rows)
             entry.qerror = obs.q_error
@@ -138,10 +144,13 @@ class FeedbackStore:
         for fp in doomed:
             del self._entries[fp]
         if doomed:
+            self.version += 1
             self._persist()
         return len(doomed)
 
     def clear(self) -> None:
+        if self._entries:
+            self.version += 1
         self._entries.clear()
         self._persist()
 

@@ -47,16 +47,21 @@ Eight invariants, each cheap to state and brutal to uphold:
    entry an engine's local-plan memo would still serve equals the plan
    and estimate computed from scratch on the engines as they now are —
    a cached local plan is never served across a change it was not
-   built for.
+   built for.  The middleware's plan memo is held to the same rule:
+   each delegation plan a client would still reuse describes the same
+   tasks and edges, and delegates the same SQL, as the plan the client
+   makes from scratch.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import closing
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.client import XDB
+from repro.core.plan import DelegationPlan
 from repro.drift.mutate import apply_drift
 from repro.engine.database import Database
 from repro.errors import ReproError, SQLError
@@ -65,10 +70,12 @@ from repro.federation.deployment import Deployment
 from repro.fuzz.generators import query_statement, spec_to_statement
 from repro.fuzz.reference import Reference, same_rows
 from repro.relational.builder import build_plan
+from repro.relational.decompile import plan_to_select
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.dialects import available_dialects, dialect_for
 from repro.sql.parser import parse_statement
+from repro.sql.render import render
 from repro.sql.types import DOUBLE, INTEGER, varchar
 
 DIALECTS = tuple(available_dialects())
@@ -644,7 +651,7 @@ def chain_deployment(profile: str = "postgres") -> Deployment:
     return deployment
 
 
-def memo_failures(databases) -> List[str]:
+def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
     """Invariant 8 on live engines: every memo entry that would still
     be served, against a plan and estimate made from scratch — and the
     operators both lower to, since a plan carries the estimates its
@@ -652,7 +659,10 @@ def memo_failures(databases) -> List[str]:
 
     Engines are judged one by one, so the fresh plan of an engine may
     consult the memo of the engine below it — whose entries are judged
-    by the same loop."""
+    by the same loop.  Each of ``clients`` is judged on its middleware
+    plan memo: an entry it would still reuse against ``plan_query``'s
+    plan of the same SQL (which consults the engines like any plan),
+    by ``describe()`` and :func:`delegated_sql`."""
     failures: List[str] = []
     for database in databases:
         for key, entry in list(database._memo.items()):
@@ -691,7 +701,50 @@ def memo_failures(databases) -> List[str]:
                     f"{database.name}: memo serves a stale estimate for "
                     f"{key!r}: {entry.info!r} vs fresh {info!r}"
                 )
+    for xdb in clients:
+        pipeline = xdb.pipeline
+        for key, entry in list(pipeline._memo.items()):
+            if not pipeline._serves(entry):
+                continue
+            try:
+                fresh = xdb.plan_query(key)
+            except Exception as exc:
+                failures.append(
+                    f"client memo still serves {key!r} but planning it "
+                    f"from scratch fails: {exc!r}"
+                )
+                continue
+            if entry.dplan.describe() != fresh.describe():
+                failures.append(
+                    f"client memo serves a stale plan for {key!r}: "
+                    f"{entry.dplan.describe()!r} vs fresh "
+                    f"{fresh.describe()!r}"
+                )
+            elif delegated_sql(entry.dplan) != delegated_sql(fresh):
+                failures.append(
+                    f"client memo serves stale delegated SQL for {key!r}: "
+                    f"{delegated_sql(entry.dplan)!r} vs fresh "
+                    f"{delegated_sql(fresh)!r}"
+                )
     return failures
+
+
+def delegated_sql(dplan: DelegationPlan) -> List[Tuple[str, str]]:
+    """(DBMS, view SQL) per task, producers first: what delegating
+    ``dplan`` creates, each placeholder named after its producer task
+    instead of one delegation's object."""
+    out = []
+    for task in dplan.topological():
+        sql = render(plan_to_select(task.expr))
+        names = {scan.binding: scan.table for scan in task.placeholders()}
+        for edge in dplan.in_edges(task):
+            sql = re.sub(
+                rf"\b{re.escape(names[edge.placeholder])}\b",
+                f"task_{edge.producer_id}",
+                sql,
+            )
+        out.append((task.annotation, sql))
+    return out
 
 
 def check_memo(spec: Dict[str, object]) -> List[str]:

@@ -94,11 +94,15 @@ class Network:
         #: as the federation lives; every context is handed one shared
         #: instance per distinct record instead of one object per message
         self._control_records: Dict[TransferRecord, TransferRecord] = {}
+        #: bumped by every topology and link mutator: a plan priced or
+        #: placed against this network is current while it holds
+        self.version = 0
 
     # -- topology ------------------------------------------------------------
 
     def add_node(self, name: str, site: str = "default") -> None:
         self._nodes[name] = _Node(name, site)
+        self.version += 1
 
     def node_site(self, name: str) -> str:
         node = self._nodes.get(name)
@@ -112,11 +116,13 @@ class Network:
     def set_link(self, src: str, dst: str, spec: LinkSpec) -> None:
         """Override a specific directed node pair."""
         self._pair_links[(src, dst)] = spec
+        self.version += 1
 
     def set_site_link(self, site_a: str, site_b: str, spec: LinkSpec) -> None:
         """Default link for traffic between two sites (symmetric)."""
         self._site_links[(site_a, site_b)] = spec
         self._site_links[(site_b, site_a)] = spec
+        self.version += 1
 
     def link_for(self, src: str, dst: str) -> LinkSpec:
         if src == dst:
@@ -162,6 +168,7 @@ class Network:
         self._forbidden.add((src, dst))
         if symmetric:
             self._forbidden.add((dst, src))
+        self.version += 1
 
     def is_reachable(self, src: str, dst: str) -> bool:
         """Whether ``src`` may transfer data directly to ``dst``."""
@@ -193,12 +200,14 @@ class Network:
         self._degraded[(src, dst)] = (latency_factor, bandwidth_factor)
         if symmetric:
             self._degraded[(dst, src)] = (latency_factor, bandwidth_factor)
+        self.version += 1
 
     def restore_link(self, src: str, dst: str, symmetric: bool = True) -> None:
         """Remove a degradation installed by :meth:`degrade_link`."""
         self._degraded.pop((src, dst), None)
         if symmetric:
             self._degraded.pop((dst, src), None)
+        self.version += 1
 
     def partition_link(
         self, src: str, dst: str, symmetric: bool = True
@@ -208,12 +217,14 @@ class Network:
         self._partitioned.add((src, dst))
         if symmetric:
             self._partitioned.add((dst, src))
+        self.version += 1
 
     def heal_link(self, src: str, dst: str, symmetric: bool = True) -> None:
         """Heal a partition installed by :meth:`partition_link`."""
         self._partitioned.discard((src, dst))
         if symmetric:
             self._partitioned.discard((dst, src))
+        self.version += 1
 
     def is_partitioned(self, src: str, dst: str) -> bool:
         return src != dst and (src, dst) in self._partitioned
@@ -222,6 +233,7 @@ class Network:
         """Heal every partition and restore every degraded link."""
         self._partitioned.clear()
         self._degraded.clear()
+        self.version += 1
 
     # -- accounting -------------------------------------------------------------
 

@@ -385,18 +385,44 @@ def test_parallel_counters_do_not_leak_across_queries():
     dep = build_sharded()
     xdb = XDB(dep)
     xdb.warm_metadata()
+    # The first submission plans; the next two reuse its plan.
     first = xdb.submit(JOIN_SQL)
     second = xdb.submit(JOIN_SQL)
-    assert first.context is not second.context
+    third = xdb.submit(JOIN_SQL)
+    assert len({id(r.context) for r in (first, second, third)}) == 3
 
-    # Identical submissions measure identically: nothing from the first
-    # query's gather bled into the second query's context.
+    # Identical submissions measure identically: nothing from the second
+    # query's gather bled into the third query's context.
     def event_counts(report):
         return Counter(e.name for e in report.context.root.subtree_events())
 
-    assert event_counts(first) == event_counts(second)
-    assert first.resilience == second.resilience
-    first_summary = first.context.trace_summary()
+    assert event_counts(second) == event_counts(third)
+    assert second.resilience == third.resilience
     second_summary = second.context.trace_summary()
+    third_summary = third.context.trace_summary()
     for key in ("spans", "events", "transfers", "sim_seconds"):
-        assert first_summary[key] == second_summary[key], key
+        assert second_summary[key] == third_summary[key], key
+
+    # The planning submission differs from a reuse only by what planning
+    # records: its parse step and lopt / ann phases (consultations
+    # included) against the reuse's plan-reused event.
+    def outside_planning(report):
+        spans, events, records = 0, Counter(), []
+        stack = [report.context.root]
+        while stack:
+            span = stack.pop()
+            if span.name in ("parse", "lopt", "ann"):
+                continue
+            spans += 1
+            events.update(
+                e.name for e in span.events if e.name != "plan-reused"
+            )
+            records.extend(span.records)
+            stack.extend(span.children)
+        return spans, events, len(records)
+
+    assert outside_planning(first) == outside_planning(second)
+    assert first.resilience == second.resilience
+    assert first.phases["exec"] == second.phases["exec"]
+    assert not first.context.root.subtree_events("plan-reused")
+    assert len(second.context.root.subtree_events("plan-reused")) == 1

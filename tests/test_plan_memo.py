@@ -1,14 +1,18 @@
-"""The member engines' local-plan memo (``Database._planned``).
+"""The plan memos: the member engines' local-plan memo
+(``Database._planned``) and the middleware's (``PlanPipeline.plan``).
 
-One entry per statement and catalog version, shared by
+One engine entry per statement and catalog version, shared by
 ``execute_select`` and ``explain_select``; an entry's stamp names every
 engine catalog the plan read, transitively through foreign tables, and
-any change to one of them forces a re-plan.  These tests reach into
-``_memo`` — the program itself has no switch that bypasses or sizes it.
+any change to one of them forces a re-plan.  One middleware entry per
+submitted SQL text, served while nothing its planning read has changed.
+These tests reach into ``_memo`` — the program itself has no switch
+that bypasses or sizes either.
 """
 
 import datetime
 import gc
+import os
 import random
 import re
 from collections import Counter
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.scenarios import build_tpch_deployment
+from repro.core import pipeline as pipeline_module
 from repro.core.client import XDB
 from repro.drift.ledger import LedgerEntry
 from repro.drift.mutate import apply_drift
@@ -29,9 +34,12 @@ from repro.engine.stats import (
     TableStats,
     compute_stats,
 )
+from repro.errors import EngineUnavailableError, ReproError
+from repro.faults import FaultInjector, FaultPolicy
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
-from repro.fuzz.oracle import chain_deployment
+from repro.feedback.store import FeedbackStore, Observation
+from repro.fuzz.oracle import chain_deployment, memo_failures
 from repro.net.network import TransferRecord
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_statement
@@ -535,3 +543,235 @@ def test_compute_stats_matches_reference_on_mixed_columns(column, other):
                 compute_stats(schema, rows, sample_size)
         else:
             assert compute_stats(schema, rows, sample_size) == expected
+
+
+# -- (viii) the middleware plan memo (``PlanPipeline._memo``) --------------
+
+
+def _reused(ctx) -> bool:
+    return bool(ctx.root.subtree_events("plan-reused"))
+
+
+def _epochless(text: str) -> str:
+    return re.sub(r"\b(x[fmv])_\d+_", r"\1_", text)
+
+
+def _run(report):
+    """What one run did, without its planning and its epoch: rows,
+    plan, delegated statements, schedule, and every transfer but the
+    consultations."""
+    return (
+        report.result.rows,
+        report.plan.describe(),
+        [(db, _epochless(sql)) for db, sql in report.deployed.ddl_log],
+        report.schedule.total_seconds,
+        [
+            (t.src, t.dst, t.payload_bytes, t.rows, _epochless(t.tag), t.seconds)
+            for t in report.context.transfers
+            if t.tag != "consult"
+        ],
+    )
+
+
+def _client(deployment: Deployment, **kwargs) -> XDB:
+    xdb = XDB(deployment, **kwargs)
+    xdb.warm_metadata()
+    return xdb
+
+
+@pytest.mark.parametrize("td", ["TD1", "TD3"])
+def test_a_reused_plan_runs_as_a_cold_one(td):
+    deployment, _ = build_tpch_deployment(td, 0.002)
+    xdb = _client(deployment)
+    for name in TPCH_QUERIES:
+        sql = query(name)
+        assert not _reused(xdb.submit(sql).context), name
+        again = xdb.submit(sql)
+        cold = _client(deployment).submit(sql)
+        assert _reused(again.context) and not _reused(cold.context), name
+        assert _run(again) == _run(cold), name
+    assert len(xdb.pipeline._memo) == len(TPCH_QUERIES)
+    assert memo_failures([], [xdb]) == []
+
+
+def test_a_reused_plan_skips_lopt_and_ann():
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    sql = query("Q3")
+    cold = xdb.submit(sql)
+    again = xdb.submit(sql)
+    phases = {s.name: s for s in again.context.root.children if s.kind == "phase"}
+    assert "lopt" not in phases and "ann" not in phases
+    assert [e.name for e in phases["prep"].events] == ["plan-reused"]
+    steps = {s.name for s in again.context.root.iter_spans() if s.kind == "step"}
+    assert not steps & {"parse", "optimize", "annotate", "finalize"}
+    assert cold.consultations > 0
+    assert again.annotation is None and again.consultations == 0
+    assert again.phases["lopt"] == again.phases["ann"] == 0.0
+    assert not [t for t in again.context.transfers if t.tag == "consult"]
+    # the same DDL, under the reuse's own epoch
+    assert len(again.deployed.ddl_log) == len(cold.deployed.ddl_log)
+    assert again.deployed.epoch == cold.deployed.epoch + 1
+
+
+def _changed_correction(xdb, deployment):
+    entry = xdb.feedback.entries()[0]
+    xdb.feedback.observe(
+        Observation(
+            entry.fingerprint, entry.kind, "join", entry.tables,
+            entry.estimated_rows, entry.actual_rows * 2 + 1,
+        )
+    )
+
+
+#: (what changes, how) — each moves an input planning read, so the next
+#: submission plans cold (``refresh_metadata`` is that submission's
+#: own flag).  Q3 on TD1 scans db1 and db2; db3 / db4 and the part
+#: table are off its plan.
+MISSES = {
+    "refresh_metadata": lambda xdb, dep: None,
+    "invalidate_metadata": lambda xdb, dep: xdb.invalidate_metadata(),
+    "warm_metadata": lambda xdb, dep: xdb.warm_metadata(),
+    "drift_reintrospection": lambda xdb, dep: xdb.catalog.reintrospect(
+        "db2", "orders"
+    ),
+    "quarantine": lambda xdb, dep: xdb.catalog.quarantine("db4", "part"),
+    "override_stats": lambda xdb, dep: xdb.catalog.override_stats(
+        "db2", "orders", 10
+    ),
+    "degrade_link": lambda xdb, dep: dep.network.degrade_link(
+        "db3", "db4", latency_factor=3.0
+    ),
+    "partition_link": lambda xdb, dep: dep.network.partition_link(
+        "db3", "db4"
+    ),
+    "forbid_link": lambda xdb, dep: dep.network.forbid_link("db3", "db4"),
+    "feedback_correction": _changed_correction,
+    "report_outage": lambda xdb, dep: dep.health.report_outage("db1"),
+    "fault_injector": lambda xdb, dep: FaultInjector(FaultPolicy()).install(
+        dep
+    ),
+    "partition_table": lambda xdb, dep: dep.partition_table(
+        "part", "p_partkey", ["db3", "db4"]
+    ),
+}
+
+
+def _memoized_q3():
+    """A TD1 client with a feedback store whose next Q3 is a reuse."""
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment, feedback=FeedbackStore())
+    sql = query("Q3")
+    # the first run teaches the store, the second plans on what it
+    # learned and is stored, the third reuses it
+    assert [_reused(xdb.submit(sql).context) for _ in range(3)] == [False, False, True]
+    return deployment, xdb, sql
+
+
+def _submit_context(xdb, sql, refresh_metadata=False):
+    try:
+        return xdb.submit(sql, refresh_metadata=refresh_metadata).context
+    except ReproError as exc:  # an outage the cold plan cannot route around
+        return exc.context
+
+
+@pytest.mark.parametrize("change", sorted(MISSES))
+def test_every_planning_input_forces_a_cold_plan(change):
+    deployment, xdb, sql = _memoized_q3()
+    MISSES[change](xdb, deployment)
+    assert memo_failures([], [xdb]) == []
+    ctx = _submit_context(xdb, sql, change == "refresh_metadata")
+    assert not _reused(ctx)
+    assert ctx.root.find_all(name="ann", kind="phase")
+
+
+def test_an_unchanged_correction_keeps_the_plan():
+    deployment, xdb, sql = _memoized_q3()
+    version = xdb.feedback.version
+    for entry in xdb.feedback.entries():
+        xdb.feedback.observe(
+            Observation(
+                entry.fingerprint, entry.kind, "join", entry.tables,
+                entry.estimated_rows + 1.0, entry.actual_rows,
+            )
+        )
+    assert xdb.feedback.version == version
+    assert memo_failures([], [xdb]) == []
+    assert _reused(xdb.submit(sql).context)
+
+
+#: the CI chaos job's fault seed
+CHAOS_SEED = int(os.environ.get("XDB_FAULT_SEED", "11"))
+
+
+def test_a_lookup_draws_nothing_from_the_fault_schedule():
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    injector = FaultInjector(
+        FaultPolicy(seed=CHAOS_SEED, transient_error_rate=0.05)
+    ).install(deployment)
+    try:
+        xdb = _client(deployment)
+        sql = query("Q3")
+        xdb.submit(sql)  # transient faults are retried, not repaired
+        entry = xdb.pipeline._memo[sql]
+        drawn = (dict(injector.calls_by_db), injector._rng.getstate())
+        assert xdb.pipeline._serves(entry)
+        assert (dict(injector.calls_by_db), injector._rng.getstate()) == drawn
+        assert _reused(xdb.submit(sql).context)
+    finally:
+        injector.uninstall()
+
+
+def test_a_reused_plan_that_meets_an_outage_is_evicted(monkeypatch):
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    sql = query("Q3")
+    xdb.submit(sql)
+    root = xdb.submit(sql).deployed.root_db
+
+    def down(*args, **kwargs):
+        raise EngineUnavailableError(f"{root} went down", db=root)
+
+    monkeypatch.setattr(deployment.connector(root), "run_query", down)
+    with pytest.raises(ReproError) as err:
+        xdb.submit(sql)
+    assert _reused(err.value.context)
+    assert err.value.context.root.subtree_events("repair")
+    assert sql not in xdb.pipeline._memo
+
+
+def test_a_later_run_leaves_an_earlier_report_alone():
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    sql = query("Q3")
+    first = xdb.submit(sql)
+    described = first.plan.describe()
+    moved = [(e.moved_rows, e.moved_bytes) for e in first.plan.edges]
+    # Every order and lineitem twice over, behind the statistics' back:
+    # the rerun moves more rows over whichever edge the plan has.
+    for table in ("orders", "lineitem"):
+        for database in deployment.databases.values():
+            stored = database.catalog.get(table)
+            if stored is not None:
+                stored.rows.extend(list(stored.rows))
+    second = xdb.submit(sql)
+    assert _reused(second.context)
+    assert second.plan.describe() != described
+    assert first.plan.describe() == described
+    assert [(e.moved_rows, e.moved_bytes) for e in first.plan.edges] == moved
+    assert not set(map(id, first.plan.edges)) & set(map(id, second.plan.edges))
+
+
+def test_the_memo_keeps_the_most_recently_served_plans(monkeypatch):
+    monkeypatch.setattr(pipeline_module, "PLAN_MEMO_SIZE", 2)
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    q3, q5, q10 = (query(name) for name in ("Q3", "Q5", "Q10"))
+    xdb.submit(q3)
+    xdb.submit(q5)
+    assert _reused(xdb.submit(q3).context)  # now the most recently served
+    xdb.submit(q10)  # evicts q5
+    assert list(xdb.pipeline._memo) == [q3, q10]
+    assert not _reused(xdb.submit(q5).context)
+    assert list(xdb.pipeline._memo) == [q10, q5]
+    assert _reused(xdb.submit(q10).context)

@@ -253,6 +253,15 @@ def phase_marks(dep: Deployment, xdb: XDB):
     return report, spans
 
 
+def cold_client(dep: Deployment) -> XDB:
+    """A warmed client that has planned nothing yet: its submission
+    plans on the timeline :func:`phase_marks` measured, where a repeat
+    on the measuring client would reuse the plan and skip lopt / ann."""
+    xdb = XDB(dep)
+    xdb.warm_metadata()
+    return xdb
+
+
 def test_submit_with_qos_reports_receipt_and_meets_deadline():
     dep = build_small()
     xdb = XDB(dep)
@@ -288,7 +297,9 @@ def test_deadline_expiry_mid_delegation_rolls_back_everything():
     assert delegate.sim_seconds > 0.0  # DDL control messages cost sim time
     budget = delegate.sim_start + delegate.sim_seconds / 2.0
     with pytest.raises(DeadlineExceeded) as err:
-        xdb.submit(JOIN_QUERY, qos=QoSPolicy(deadline_seconds=budget))
+        cold_client(dep).submit(
+            JOIN_QUERY, qos=QoSPolicy(deadline_seconds=budget)
+        )
     exc = err.value
     assert exc.phase == "delegate"
     assert exc.rolled_back  # the partial cascade was dropped...
@@ -326,7 +337,7 @@ def test_expiry_phases_cover_ann_delegate_execute():
     seen = set()
     for fraction in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
         with pytest.raises(DeadlineExceeded) as err:
-            xdb.submit(
+            cold_client(dep).submit(
                 JOIN_QUERY,
                 qos=QoSPolicy(deadline_seconds=total * fraction),
             )
