@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_presto, run_xdb
+from repro.bench.harness import run_baseline, run_xdb
 from repro.bench.reporting import format_table
 from repro.baselines.presto import PrestoSystem
 from repro.workloads.tpch import query
@@ -32,9 +32,7 @@ def run_fig11():
         for workers in WORKERS:
             presto = PrestoSystem(deployment, workers=workers)
             presto.catalog.refresh()
-            record = run_presto(
-                deployment, query(name), name, system=presto
-            )
+            record = run_baseline(presto, deployment, query(name), name)
             entry.append(record.total_seconds)
             totals[workers] = record
         rows.append((entry, totals))

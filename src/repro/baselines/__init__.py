@@ -1,8 +1,10 @@
 """Baseline systems the paper compares against (§VI).
 
-All three are mediator-based and reuse XDB's front end (parser, global
-catalog, logical optimizer) so that performance differences come from
-the *execution architecture*, exactly as in the paper:
+All three subclass :class:`~repro.baselines.mediator.BaselineSystem`:
+they reuse XDB's front end (parser, global catalog, logical optimizer,
+finalizer) and differ only in their placement and movement rule and
+their runner, so that performance differences come from the *execution
+architecture*, exactly as in the paper:
 
 * :class:`~repro.baselines.garlic.GarlicSystem` — single-node
   PostgreSQL-style mediator; pushes selections, projections, and
@@ -15,12 +17,13 @@ the *execution architecture*, exactly as in the paper:
 """
 
 from repro.baselines.garlic import GarlicSystem
-from repro.baselines.mediator import BaselineReport, MediatorSystem
+from repro.baselines.mediator import BaselineReport, BaselineSystem, MediatorSystem
 from repro.baselines.presto import PrestoSystem
 from repro.baselines.sclera import ScleraSystem
 
 __all__ = [
     "BaselineReport",
+    "BaselineSystem",
     "GarlicSystem",
     "MediatorSystem",
     "PrestoSystem",

@@ -1,12 +1,14 @@
-"""Shared Mediator-Wrapper machinery (§II-B, Fig. 4a).
+"""The comparison systems' shared front end, and the Mediator-Wrapper
+machinery (§II-B, Fig. 4a).
 
-An MW system decomposes a cross-database query into *local* subqueries
-(pushed to the DBMSes through wrappers) and *global* operations
-performed by the mediator on fetched intermediates.  Decomposition
-reuses XDB's annotation/finalization pipeline with a degenerate rule:
-any operator whose inputs live on different DBMSes (or any binary
-operator at all, for per-table pushdown systems like Presto) is
-annotated with the mediator.
+:class:`BaselineSystem` is what Garlic, Presto and Sclera share; each
+system is a placement and movement rule over it.  An MW system
+decomposes a cross-database query into *local* subqueries (pushed to
+the DBMSes through wrappers) and *global* operations performed by the
+mediator on fetched intermediates.  Its rule is degenerate: any
+operator whose inputs live on different DBMSes (or any binary operator
+at all, for per-table pushdown systems like Presto) is annotated with
+the mediator.
 
 The execution timeline is simulated under the same model as XDB's
 schedule: subqueries run in parallel on the sources, transfers share
@@ -68,13 +70,113 @@ class BaselineReport:
         return self.context.transfer_summary()
 
 
-class MediatorSystem:
-    """Base class for the MW baselines."""
+class BaselineSystem:
+    """What every comparison system shares; each states only its rule.
+
+    The front end is XDB's (a :class:`GlobalCatalog` over the system's
+    protocol connectors, the :class:`LogicalOptimizer`, the
+    :class:`PlanFinalizer`).  The annotation walk asks the rule where
+    each binary operator runs (:meth:`_place`) and how each input gets
+    there (:meth:`_movement`); a unary operator runs where its input
+    does.
+
+    Placeholder binding clears ``scan.placeholder``, so a mediator
+    prices the task from its temp table's statistics.  XDB's
+    ``DelegationEngine._resolve_placeholder`` keeps the flag, because
+    plan-memo hits share task expressions across runs.
+    """
 
     #: subclasses: system name for reports
-    name = "mediator"
-    #: wire protocol between sources and the mediator
+    name = "baseline"
+    #: wire protocol between the sources and the system's middleware
     protocol = "binary"
+    #: prefix of the temp tables the system materializes
+    temp_prefix = "tmp"
+
+    def __init__(self, deployment: Deployment):
+        self.deployment = deployment
+        # The system's connectors may use a different protocol than XDB's.
+        self.connectors: Dict[str, DBMSConnector] = {
+            name: DBMSConnector(
+                connector.database,
+                deployment.network,
+                deployment.middleware_node,
+                protocol=self.protocol,
+            )
+            for name, connector in deployment.connectors.items()
+        }
+        self.catalog = GlobalCatalog(self.connectors)
+        self.optimizer = LogicalOptimizer(self.catalog)
+        self.finalizer = PlanFinalizer()
+        self._temp_counter = 0
+
+    # -- the rule ----------------------------------------------------------------
+
+    def _place(self, child_dbs: List[str]) -> str:
+        """Where an operator over inputs on ``child_dbs`` runs."""
+        raise NotImplementedError
+
+    def _movement(self, child_db: str, db: str) -> Movement:
+        """How an input on ``child_db`` reaches its consumer on ``db``."""
+        raise NotImplementedError
+
+    # -- the front end -----------------------------------------------------------
+
+    def _decompose(self, query: str) -> DelegationPlan:
+        """Parse, check, optimize, annotate and finalize ``query``."""
+        select = parse_statement(query)
+        if not isinstance(select, ast.QUERY_STATEMENTS):
+            raise OptimizerError(f"{self.name} accepts SELECT queries only")
+        plan = self.optimizer.optimize(select)
+        return self.finalizer.finalize(plan, self._annotate(plan))
+
+    def _annotate(self, plan: algebra.LogicalPlan) -> Annotation:
+        """Bind every node and edge of ``plan`` by the system's rule."""
+        annotation = Annotation()
+
+        def bind(node: algebra.LogicalPlan) -> str:
+            if isinstance(node, algebra.Scan):
+                if node.source_db is None:
+                    raise OptimizerError(
+                        f"scan of {node.table!r} lacks a source DBMS"
+                    )
+                annotation.bind_node(node, node.source_db)
+                return node.source_db
+            children = node.children()
+            child_dbs = [bind(child) for child in children]
+            db = child_dbs[0] if len(children) == 1 else self._place(child_dbs)
+            annotation.bind_node(node, db)
+            for child, child_db in zip(children, child_dbs):
+                annotation.bind_edge(child, node, self._movement(child_db, db))
+            return db
+
+        bind(plan)
+        return annotation
+
+    # -- temp tables ---------------------------------------------------------------
+
+    def _temp_name(self) -> str:
+        self._temp_counter += 1
+        return f"{self.temp_prefix}_{self._temp_counter}"
+
+    def _resolve_placeholder(
+        self, task: Task, placeholder: str, table: str
+    ) -> None:
+        for scan in task.expr.leaves():
+            if scan.placeholder and scan.binding == placeholder:
+                scan.table = table
+                scan.placeholder = False
+                return
+        raise OptimizerError(
+            f"placeholder {placeholder!r} missing in {self.name} task"
+        )
+
+
+class MediatorSystem(BaselineSystem):
+    """Base class for the MW baselines."""
+
+    name = "mediator"
+    temp_prefix = "mw_tmp"
     #: whether co-located joins are pushed down (Garlic: yes, Presto: no)
     pushdown_colocated_joins = True
     #: mediator engine profile
@@ -83,62 +185,28 @@ class MediatorSystem:
     workers = 1
 
     def __init__(self, deployment: Deployment, mediator_name: str = None):
-        self.deployment = deployment
-        self.connectors: Dict[str, DBMSConnector] = dict(
-            deployment.connectors
-        )
-        # Mediator connectors may use a different protocol than XDB's.
-        for name, connector in self.connectors.items():
-            self.connectors[name] = DBMSConnector(
-                connector.database,
-                deployment.network,
-                deployment.middleware_node,
-                protocol=self.protocol,
-            )
-        self.catalog = GlobalCatalog(self.connectors)
-        self.optimizer = LogicalOptimizer(self.catalog)
-        self.finalizer = PlanFinalizer()
+        super().__init__(deployment)
         mediator_name = mediator_name or f"{self.name}_mediator"
         self.mediator: Database = deployment.add_auxiliary_database(
             mediator_name, self.mediator_profile
         )
-        self._temp_counter = 0
 
-    # -- the MW annotation rule ------------------------------------------------
+    # -- the MW rule ---------------------------------------------------------------
 
-    def _annotate(self, plan: algebra.LogicalPlan) -> Annotation:
-        annotation = Annotation()
-        self._annotate_node(plan, annotation)
-        return annotation
+    def _place(self, child_dbs: List[str]) -> str:
+        """Co-located operators go down (if the system pushes them);
+        everything else runs on the mediator."""
+        first = child_dbs[0]
+        if (
+            self.pushdown_colocated_joins
+            and first != MEDIATOR
+            and len(set(child_dbs)) == 1
+        ):
+            return first
+        return MEDIATOR
 
-    def _annotate_node(
-        self, node: algebra.LogicalPlan, annotation: Annotation
-    ) -> str:
-        if isinstance(node, algebra.Scan):
-            if node.source_db is None:
-                raise OptimizerError(
-                    f"scan of {node.table!r} lacks a source DBMS"
-                )
-            annotation.bind_node(node, node.source_db)
-            return node.source_db
-        children = node.children()
-        child_dbs = [
-            self._annotate_node(child, annotation) for child in children
-        ]
-        if len(children) == 1:
-            db = child_dbs[0]
-        else:
-            same = child_dbs[0] if len(set(child_dbs)) == 1 else None
-            if same is not None and same != MEDIATOR and (
-                self.pushdown_colocated_joins
-            ):
-                db = same
-            else:
-                db = MEDIATOR
-        annotation.bind_node(node, db)
-        for child in children:
-            annotation.bind_edge(child, node, Movement.EXPLICIT)
-        return db
+    def _movement(self, child_db: str, db: str) -> Movement:
+        return Movement.EXPLICIT
 
     # -- run --------------------------------------------------------------------
 
@@ -151,12 +219,7 @@ class MediatorSystem:
         """
         network = self.deployment.network
         with QueryContext(label=self.name) as ctx:
-            select = parse_statement(query)
-            if not isinstance(select, ast.QUERY_STATEMENTS):
-                raise OptimizerError("baselines accept SELECT queries only")
-            plan = self.optimizer.optimize(select)
-            annotation = self._annotate(plan)
-            dplan = self.finalizer.finalize(plan, annotation)
+            dplan = self._decompose(query)
 
             # 1. Push every non-mediator task down and fetch its result.
             fetch_times: List[float] = []
@@ -285,21 +348,9 @@ class MediatorSystem:
     # -- helpers ---------------------------------------------------------------
 
     def _materialize(self, task: Task, result: Result) -> str:
-        self._temp_counter += 1
-        name = f"mw_tmp_{self._temp_counter}"
+        name = self._temp_name()
         self.mediator.create_table(name, result.schema, result.rows)
         return name
-
-    @staticmethod
-    def _resolve_placeholder(task: Task, placeholder: str, table: str) -> None:
-        for scan in task.expr.leaves():
-            if scan.placeholder and scan.binding == placeholder:
-                scan.table = table
-                scan.placeholder = False
-                return
-        raise OptimizerError(
-            f"placeholder {placeholder!r} missing in mediator task"
-        )
 
     def _slowest_source_node(self, dplan: DelegationPlan) -> str:
         for task in dplan.topological():

@@ -12,77 +12,29 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.mediator import BaselineReport, task_seconds
+from repro.baselines.mediator import BaselineReport, BaselineSystem, task_seconds
 from repro.connect.connector import DBMSConnector
-from repro.core.annotate import Annotation
-from repro.core.catalog import GlobalCatalog
-from repro.core.finalize import PlanFinalizer
-from repro.core.logical import LogicalOptimizer
 from repro.core.plan import Movement
 from repro.engine.cost import CostModel
 from repro.engine.profiles import profile_for
-from repro.errors import OptimizerError
-from repro.federation.deployment import Deployment
 from repro.obs.context import QueryContext
-from repro.relational import algebra
 from repro.relational.decompile import plan_to_select
-from repro.sql import ast
-from repro.sql.parser import parse_statement
 
 
-class ScleraSystem:
+class ScleraSystem(BaselineSystem):
     """Naive in-situ execution with mediator-relayed explicit movement."""
 
     name = "Sclera"
     protocol = "jdbc"
+    temp_prefix = "sclera_tmp"
 
-    def __init__(self, deployment: Deployment):
-        self.deployment = deployment
-        self.connectors: Dict[str, DBMSConnector] = {
-            name: DBMSConnector(
-                connector.database,
-                deployment.network,
-                deployment.middleware_node,
-                protocol=self.protocol,
-            )
-            for name, connector in deployment.connectors.items()
-        }
-        self.catalog = GlobalCatalog(self.connectors)
-        self.optimizer = LogicalOptimizer(self.catalog)
-        self.finalizer = PlanFinalizer()
-        self._temp_counter = 0
+    # -- the rule: the left input's DBMS; a move between DBMSes is explicit --
 
-    # -- heuristic annotation: left input's DBMS, always explicit ----------
+    def _place(self, child_dbs: List[str]) -> str:
+        return child_dbs[0]
 
-    def _annotate(self, plan: algebra.LogicalPlan) -> Annotation:
-        annotation = Annotation()
-        self._annotate_node(plan, annotation)
-        return annotation
-
-    def _annotate_node(
-        self, node: algebra.LogicalPlan, annotation: Annotation
-    ) -> str:
-        if isinstance(node, algebra.Scan):
-            if node.source_db is None:
-                raise OptimizerError(
-                    f"scan of {node.table!r} lacks a source DBMS"
-                )
-            annotation.bind_node(node, node.source_db)
-            return node.source_db
-        children = node.children()
-        child_dbs = [
-            self._annotate_node(child, annotation) for child in children
-        ]
-        db = child_dbs[0]  # unary inherit; binary: the LEFT input's DBMS
-        annotation.bind_node(node, db)
-        for child, child_db in zip(children, child_dbs):
-            movement = (
-                Movement.IMPLICIT
-                if child_db == db
-                else Movement.EXPLICIT
-            )
-            annotation.bind_edge(child, node, movement)
-        return db
+    def _movement(self, child_db: str, db: str) -> Movement:
+        return Movement.IMPLICIT if child_db == db else Movement.EXPLICIT
 
     # -- execution -----------------------------------------------------------
 
@@ -91,16 +43,10 @@ class ScleraSystem:
         mediators, the run opens its own :class:`QueryContext`."""
         network = self.deployment.network
         with QueryContext(label=self.name) as ctx:
-            select = parse_statement(query)
-            if not isinstance(select, ast.QUERY_STATEMENTS):
-                raise OptimizerError("Sclera accepts SELECT queries only")
-            plan = self.optimizer.optimize(select)
-            annotation = self._annotate(plan)
-            dplan = self.finalizer.finalize(plan, annotation)
+            dplan = self._decompose(query)
 
             # Fully serialized chain: compute each task, relay its result
             # through the mediator to the consumer, materialize, continue.
-            total_seconds = 0.0
             processing_seconds = 0.0
             transfer_seconds = 0.0
             created: List[tuple] = []
@@ -111,8 +57,7 @@ class ScleraSystem:
                 for edge in dplan.in_edges(task):
                     child = dplan.tasks[edge.producer_id]
                     child_result = results[edge.producer_id]
-                    self._temp_counter += 1
-                    temp_name = f"sclera_tmp_{self._temp_counter}"
+                    temp_name = self._temp_name()
                     # Relay through the mediator: child db -> mediator node
                     # happened at fetch time; mediator -> consumer now.
                     connector.push_rows(
@@ -170,17 +115,6 @@ class ScleraSystem:
             )
 
     # -- helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def _resolve_placeholder(task, placeholder: str, table: str) -> None:
-        for scan in task.expr.leaves():
-            if scan.placeholder and scan.binding == placeholder:
-                scan.table = table
-                scan.placeholder = False
-                return
-        raise OptimizerError(
-            f"placeholder {placeholder!r} missing in Sclera task"
-        )
 
     def _relay_seconds(self, rows: int, consumer: DBMSConnector) -> float:
         """Per-row cost of relaying an intermediate through the mediator.

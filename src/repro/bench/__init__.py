@@ -10,9 +10,7 @@ from repro.bench.harness import (
     RunRecord,
     SystemSet,
     build_systems,
-    run_garlic,
-    run_presto,
-    run_sclera,
+    run_baseline,
     run_xdb,
     verify_equivalence,
 )
@@ -26,9 +24,7 @@ __all__ = [
     "build_tpch_deployment",
     "format_table",
     "print_banner",
-    "run_garlic",
-    "run_presto",
-    "run_sclera",
+    "run_baseline",
     "run_xdb",
     "sf_label",
     "verify_equivalence",

@@ -113,13 +113,15 @@ def run_xdb(
     return record
 
 
-def _run_baseline(
+def run_baseline(
     system,
     deployment: Deployment,
     query: str,
-    query_name: str,
-    keep_result: bool,
+    query_name: str = "query",
+    keep_result: bool = True,
 ) -> RunRecord:
+    """Execute ``query`` on a comparison system (Garlic, Presto or
+    Sclera) and collect normalized metrics."""
     report = system.run(query)
     ctx = report.context
     total, to_cloud, cross_site = site_breakdown(
@@ -139,40 +141,6 @@ def _run_baseline(
         extra=dict(report.details),
         trace_summary=ctx.trace_summary(),
     )
-
-
-def run_garlic(
-    deployment: Deployment,
-    query: str,
-    query_name: str = "query",
-    system: Optional[GarlicSystem] = None,
-    keep_result: bool = True,
-) -> RunRecord:
-    system = system or GarlicSystem(deployment)
-    return _run_baseline(system, deployment, query, query_name, keep_result)
-
-
-def run_presto(
-    deployment: Deployment,
-    query: str,
-    query_name: str = "query",
-    workers: int = 4,
-    system: Optional[PrestoSystem] = None,
-    keep_result: bool = True,
-) -> RunRecord:
-    system = system or PrestoSystem(deployment, workers=workers)
-    return _run_baseline(system, deployment, query, query_name, keep_result)
-
-
-def run_sclera(
-    deployment: Deployment,
-    query: str,
-    query_name: str = "query",
-    system: Optional[ScleraSystem] = None,
-    keep_result: bool = True,
-) -> RunRecord:
-    system = system or ScleraSystem(deployment)
-    return _run_baseline(system, deployment, query, query_name, keep_result)
 
 
 @dataclass
@@ -195,17 +163,16 @@ class SystemSet:
         self, query: str, query_name: str, check: bool = True
     ) -> Dict[str, RunRecord]:
         records = {
-            "XDB": run_xdb(self.deployment, query, query_name, xdb=self.xdb),
-            "Garlic": run_garlic(
-                self.deployment, query, query_name, system=self.garlic
-            ),
-            "Presto": run_presto(
-                self.deployment, query, query_name, system=self.presto
-            ),
-            "Sclera": run_sclera(
-                self.deployment, query, query_name, system=self.sclera
-            ),
+            "XDB": run_xdb(self.deployment, query, query_name, xdb=self.xdb)
         }
+        for key, system in (
+            ("Garlic", self.garlic),
+            ("Presto", self.presto),
+            ("Sclera", self.sclera),
+        ):
+            records[key] = run_baseline(
+                system, self.deployment, query, query_name
+            )
         if check:
             verify_equivalence(list(records.values()))
         return records

@@ -19,9 +19,7 @@ from typing import Dict, List
 from repro.bench.harness import (
     RunRecord,
     build_systems,
-    run_garlic,
-    run_presto,
-    run_sclera,
+    run_baseline,
     run_xdb,
 )
 from repro.bench.reporting import format_table, print_banner
@@ -82,27 +80,17 @@ def run_grid(args: argparse.Namespace) -> List[List[object]]:
     )
     systems = build_systems(deployment, presto_workers=args.presto_workers)
 
-    runners = {
-        "xdb": lambda sql, name: run_xdb(
-            deployment, sql, name, xdb=systems.xdb
-        ),
-        "garlic": lambda sql, name: run_garlic(
-            deployment, sql, name, system=systems.garlic
-        ),
-        "presto": lambda sql, name: run_presto(
-            deployment, sql, name, system=systems.presto
-        ),
-        "sclera": lambda sql, name: run_sclera(
-            deployment, sql, name, system=systems.sclera
-        ),
-    }
-
     rows: List[List[object]] = []
     for query_name in (q.strip().upper() for q in args.queries.split(",")):
         sql = query(query_name)
         records: Dict[str, RunRecord] = {}
         for system_name in systems_wanted:
-            records[system_name] = runners[system_name](sql, query_name)
+            system = getattr(systems, system_name)
+            records[system_name] = (
+                run_xdb(deployment, sql, query_name, xdb=system)
+                if system_name == "xdb"
+                else run_baseline(system, deployment, sql, query_name)
+            )
         baseline = records.get("xdb")
         for system_name, record in records.items():
             relative = (

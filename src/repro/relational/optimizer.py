@@ -597,35 +597,69 @@ def _dp_order(
     if full not in best:
         raise OptimizerError("join reordering failed to cover all units")
     order = best[full][1]
+    # The left-deep tree as splits: each prefix joins the one before it
+    # with its last unit.
+    splits = {
+        frozenset(order[:size]): (
+            frozenset(order[: size - 1]),
+            frozenset(order[size - 1 : size]),
+        )
+        for size in range(2, unit_count + 1)
+    }
+    return _assemble(region, splits, edges_between, full)
 
-    # Build the left-deep tree, attaching predicates as they connect.
+
+def _assemble(
+    region: JoinRegion,
+    splits: Dict[FrozenSet[int], Tuple[FrozenSet[int], FrozenSet[int]]],
+    edges_between: Dict[Tuple[int, int], List[ast.Expression]],
+    full: FrozenSet[int],
+) -> algebra.LogicalPlan:
+    """Build the join tree ``splits`` describes and attach predicates.
+
+    ``splits`` maps each joined unit set to its two sides; a unit set
+    it does not name is a single unit.  Each equi predicate goes on the
+    first join that connects its two units, each complex predicate in a
+    filter over the first join whose units cover its span, and any left
+    unplaced in a filter over the root.  Both join-order searches build
+    their trees here.
+    """
+    units = region.units
     remaining_complex = list(region.complex_predicates)
     used_edges: Set[Tuple[int, int]] = set()
-    plan = units[order[0]]
-    joined: Set[int] = {order[0]}
-    for unit_index in order[1:]:
+
+    def build(members: FrozenSet[int]) -> algebra.LogicalPlan:
+        nonlocal remaining_complex
+        split = splits.get(members)
+        if split is None:
+            (index,) = members
+            return units[index]
+        one_set, other_set = split
+        left = build(one_set)
+        right = build(other_set)
         conditions: List[ast.Expression] = []
-        for member in joined:
-            key = (min(member, unit_index), max(member, unit_index))
-            if key in edges_between and key not in used_edges:
-                conditions.extend(edges_between[key])
-                used_edges.add(key)
-        joined.add(unit_index)
+        for a in one_set:
+            for b in other_set:
+                key = (min(a, b), max(a, b))
+                if key in edges_between and key not in used_edges:
+                    conditions.extend(edges_between[key])
+                    used_edges.add(key)
         condition = ast.conjoin(conditions)
         kind = "INNER" if condition is not None else "CROSS"
-        plan = algebra.Join(plan, units[unit_index], condition, kind)
-        # Attach complex predicates once their span is covered.
+        plan: algebra.LogicalPlan = algebra.Join(left, right, condition, kind)
         still_pending = []
         attach: List[ast.Expression] = []
         for span, predicate in remaining_complex:
-            if span <= joined:
+            if span <= members:
                 attach.append(predicate)
             else:
                 still_pending.append((span, predicate))
         remaining_complex = still_pending
         if attach:
             plan = algebra.Filter(plan, ast.conjoin(attach))
+        return plan
 
+    plan = build(full)
     if remaining_complex:
         plan = algebra.Filter(
             plan, ast.conjoin([p for _, p in remaining_complex])
@@ -709,45 +743,7 @@ def _dp_bushy(
     if full not in best:
         raise OptimizerError("bushy join ordering failed to cover all units")
 
-    remaining_complex = list(region.complex_predicates)
-    used_edges: Set[Tuple[int, int]] = set()
-
-    def build(members: FrozenSet[int]) -> algebra.LogicalPlan:
-        cost, split = best[members]
-        del cost
-        if split is None:
-            (index,) = members
-            return units[index]
-        one_set, other_set = split
-        left = build(one_set)
-        right = build(other_set)
-        conditions: List[ast.Expression] = []
-        for a in one_set:
-            for b in other_set:
-                key = (min(a, b), max(a, b))
-                if key in edges_between and key not in used_edges:
-                    conditions.extend(edges_between[key])
-                    used_edges.add(key)
-        condition = ast.conjoin(conditions)
-        kind = "INNER" if condition is not None else "CROSS"
-        plan: algebra.LogicalPlan = algebra.Join(left, right, condition, kind)
-        # Attach complex predicates once their span is covered here.
-        nonlocal remaining_complex
-        still_pending = []
-        attach: List[ast.Expression] = []
-        for span, predicate in remaining_complex:
-            if span <= members:
-                attach.append(predicate)
-            else:
-                still_pending.append((span, predicate))
-        remaining_complex = still_pending
-        if attach:
-            plan = algebra.Filter(plan, ast.conjoin(attach))
-        return plan
-
-    plan = build(full)
-    if remaining_complex:
-        plan = algebra.Filter(
-            plan, ast.conjoin([p for _, p in remaining_complex])
-        )
-    return plan
+    splits = {
+        members: split for members, (_, split) in best.items() if split
+    }
+    return _assemble(region, splits, edges_between, full)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.baselines.garlic import GarlicSystem
 from repro.bench.harness import (
     RunRecord,
     build_systems,
-    run_garlic,
+    run_baseline,
     run_xdb,
     verify_equivalence,
 )
@@ -56,7 +57,9 @@ def test_run_records_have_metrics(tpch_tiny):
 
 def test_run_garlic_record(tpch_tiny):
     deployment, _ = tpch_tiny
-    record = run_garlic(deployment, query("Q3"), "Q3")
+    record = run_baseline(
+        GarlicSystem(deployment), deployment, query("Q3"), "Q3"
+    )
     assert record.system == "Garlic"
     assert record.transfer_seconds > 0
 
