@@ -51,15 +51,22 @@ T = TypeVar("T")
 RETRYABLE_ERRORS = (TransientConnectorError, NetworkPartitionedError)
 
 
+#: Retry backoff: ``BASE_BACKOFF_SECONDS * BACKOFF_MULTIPLIER**k``,
+#: capped at ``MAX_BACKOFF_SECONDS``, then jittered ±``JITTER_RATIO``.
+BASE_BACKOFF_SECONDS = 0.05
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_SECONDS = 2.0
+JITTER_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/timeout configuration for one connector.
+    """Retry/timeout configuration for one connector.
 
-    Backoff is exponential — ``base_backoff_seconds * multiplier**k``,
-    capped at ``max_backoff_seconds``, then jittered ±``jitter_ratio``
-    from a seeded RNG so concurrent callers hitting the same degraded
-    link do not back off in lockstep (no thundering herd on retry) —
-    and accrues in *simulated* seconds (each ``retry`` event's
+    Backoff is exponential and capped (the module constants above),
+    jittered from a seeded RNG so concurrent callers hitting the same
+    degraded link do not back off in lockstep (no thundering herd on
+    retry) — and accrues in *simulated* seconds (each ``retry`` event's
     ``backoff_seconds`` in the query context), so phase breakdowns
     price retries without real sleeps.  The jitter RNG is seeded per
     connector name (per query label inside a context), so two
@@ -70,11 +77,7 @@ class RetryPolicy:
     """
 
     max_attempts: int = 4
-    base_backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    max_backoff_seconds: float = 2.0
     call_timeout_seconds: Optional[float] = 30.0
-    jitter_ratio: float = 0.5
 
     def backoff_for(
         self, attempt: int, rng: Optional[random.Random] = None
@@ -82,14 +85,12 @@ class RetryPolicy:
         """Backoff after the ``attempt``-th (1-based) failed attempt.
 
         Without ``rng`` the value is the pure capped exponential; with
-        ``rng`` it is jittered uniformly in ``±jitter_ratio`` of that.
+        ``rng`` it is jittered uniformly in ``±JITTER_RATIO`` of that.
         """
-        raw = self.base_backoff_seconds * (
-            self.backoff_multiplier ** (attempt - 1)
-        )
-        capped = min(raw, self.max_backoff_seconds)
-        if rng is not None and self.jitter_ratio > 0.0:
-            capped *= 1.0 + self.jitter_ratio * (2.0 * rng.random() - 1.0)
+        raw = BASE_BACKOFF_SECONDS * BACKOFF_MULTIPLIER ** (attempt - 1)
+        capped = min(raw, MAX_BACKOFF_SECONDS)
+        if rng is not None:
+            capped *= 1.0 + JITTER_RATIO * (2.0 * rng.random() - 1.0)
         return capped
 
 

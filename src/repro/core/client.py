@@ -301,7 +301,6 @@ class XDB:
         self,
         query: Union[str, ast.Select],
         cleanup: bool = True,
-        refresh_metadata: bool = False,
         qos: Optional[QoSPolicy] = None,
     ) -> XDBReport:
         """Run a cross-database query end to end and report everything.
@@ -335,14 +334,13 @@ class XDB:
         run as always.
         """
         state = self.pipeline.new_state(query, budget=self.repair_budget)
-        return self._run(state, qos, cleanup, refresh_metadata)
+        return self._run(state, qos, cleanup)
 
     def _run(
         self,
         state: PlanState,
         qos: Optional[QoSPolicy],
         cleanup: bool,
-        refresh_metadata: bool = False,
     ) -> XDBReport:
         """One pass of ``state`` through the pipeline, under a fresh
         :class:`QueryContext` — the body of both entry points.
@@ -363,7 +361,7 @@ class XDB:
         try:
             with ctx:
                 if plans:
-                    self.pipeline.plan(state, ctx, refresh_metadata)
+                    self.pipeline.plan(state, ctx)
                 placement_before = self.pipeline.placement(state.dplan)
                 self.pipeline.execute(state, ctx, cleanup=cleanup)
             return XDBReport(
@@ -404,7 +402,6 @@ class XDB:
         self,
         query: Union[str, ast.Select],
         cleanup: bool = True,
-        refresh_metadata: bool = False,
     ) -> str:
         """Run the query and render its observed span tree.
 
@@ -415,10 +412,7 @@ class XDB:
         table — estimated vs actual rows, worst miss flagged as the
         planning locus with its routed rewrite hypothesis.
         """
-        report = self.submit(
-            query, cleanup=cleanup, refresh_metadata=refresh_metadata
-        )
-        return report.explain_analyze()
+        return self.submit(query, cleanup=cleanup).explain_analyze()
 
     def plan_query(
         self, query: Union[str, ast.Select]

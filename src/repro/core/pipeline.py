@@ -617,7 +617,6 @@ class PlanPipeline:
         self,
         state: PlanState,
         ctx: Optional[QueryContext] = None,
-        refresh_metadata: bool = False,
     ) -> None:
         """Run the planning stages the state has not passed yet.
 
@@ -646,7 +645,7 @@ class PlanPipeline:
         stamp = None
         with self._phase(ctx, "prep"):
             # A refresh moves the catalog version, so nothing would hit.
-            refresh = refresh_metadata or not self.metadata_fresh
+            refresh = not self.metadata_fresh
             if memoize and not refresh and self._reuse(state, ctx):
                 return
             if _pending(state, "parse"):

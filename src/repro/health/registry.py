@@ -19,7 +19,7 @@ the connector's guarded call path and gates future calls:
   closes the breaker (the engine is re-admitted to placement), failure
   re-opens it for another cool-down.
 
-The clock is *simulated*: it advances ``tick_seconds`` per recorded
+The clock is *simulated*: it advances ``TICK_SECONDS`` per recorded
 outcome event anywhere in the federation (and can be advanced manually
 by tests and benchmarks), so breaker timing is deterministic and free
 of wall-clock sleeps, like the rest of the resilience machinery.
@@ -45,19 +45,21 @@ class BreakerState(enum.Enum):
         return self.value
 
 
+#: how far a registry's simulated clock advances per recorded outcome
+TICK_SECONDS = 1.0
+
+
 @dataclass(frozen=True)
 class BreakerConfig:
     """Tuning for every breaker a registry creates.
 
     ``failure_threshold`` consecutive hard failures trip a closed
     breaker open; ``cooldown_seconds`` (simulated) must elapse before a
-    half-open probe is allowed; ``tick_seconds`` is how far the
-    registry's clock advances per recorded outcome event.
+    half-open probe is allowed.
     """
 
     failure_threshold: int = 3
     cooldown_seconds: float = 8.0
-    tick_seconds: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,10 @@ class CircuitBreaker:
         db: str,
         config: BreakerConfig,
         clock: SimulatedClock,
-        events: Optional[List[BreakerEvent]] = None,
     ):
         self.db = db
         self.config = config
         self._clock = clock
-        self._events = events if events is not None else []
         self.state = BreakerState.CLOSED
         self.failure_streak = 0
         self.opened_at: Optional[float] = None
@@ -198,8 +198,8 @@ class CircuitBreaker:
             at_seconds=self._clock.now(),
             reason=reason,
         )
-        self._events.append(event)
         self.state = new_state
+        # Kept only as a ``breaker`` event of the active query context.
         ctx = current_context()
         if ctx is not None:
             ctx.record_breaker_event(event)
@@ -223,8 +223,6 @@ class HealthRegistry:
         self.config = config or BreakerConfig()
         self.clock = clock or SimulatedClock()
         self.breakers: Dict[str, CircuitBreaker] = {}
-        #: every state transition, in order (sliced by report windows)
-        self.events: List[BreakerEvent] = []
         #: shard-scoped outage observations keyed ``(db, table)`` — the
         #: engine stayed healthy, one relation on it did not, so these
         #: never feed a breaker's failure streak
@@ -237,9 +235,7 @@ class HealthRegistry:
     def breaker(self, db: str) -> CircuitBreaker:
         breaker = self.breakers.get(db)
         if breaker is None:
-            breaker = CircuitBreaker(
-                db, self.config, self.clock, self.events
-            )
+            breaker = CircuitBreaker(db, self.config, self.clock)
             self.breakers[db] = breaker
         return breaker
 
@@ -268,7 +264,7 @@ class HealthRegistry:
         self._recovery_listeners.append(listener)
 
     def record_success(self, db: str) -> None:
-        self.clock.advance(self.config.tick_seconds)
+        self.clock.advance(TICK_SECONDS)
         breaker = self.breaker(db)
         was_recovering = breaker.state is not BreakerState.CLOSED
         breaker.record_success()
@@ -281,7 +277,7 @@ class HealthRegistry:
                 pass
 
     def record_failure(self, db: str, reason: str = "hard failure") -> None:
-        self.clock.advance(self.config.tick_seconds)
+        self.clock.advance(TICK_SECONDS)
         self.breaker(db).record_failure(reason)
 
     def report_outage(self, db: str, reason: str = "outage observed") -> None:

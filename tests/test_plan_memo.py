@@ -625,11 +625,9 @@ def _changed_correction(xdb, deployment):
 
 
 #: (what changes, how) — each moves an input planning read, so the next
-#: submission plans cold (``refresh_metadata`` is that submission's
-#: own flag).  Q3 on TD1 scans db1 and db2; db3 / db4 and the part
-#: table are off its plan.
+#: submission plans cold.  Q3 on TD1 scans db1 and db2; db3 / db4 and
+#: the part table are off its plan.
 MISSES = {
-    "refresh_metadata": lambda xdb, dep: None,
     "invalidate_metadata": lambda xdb, dep: xdb.invalidate_metadata(),
     "warm_metadata": lambda xdb, dep: xdb.warm_metadata(),
     "drift_reintrospection": lambda xdb, dep: xdb.catalog.reintrospect(
@@ -668,9 +666,9 @@ def _memoized_q3():
     return deployment, xdb, sql
 
 
-def _submit_context(xdb, sql, refresh_metadata=False):
+def _submit_context(xdb, sql):
     try:
-        return xdb.submit(sql, refresh_metadata=refresh_metadata).context
+        return xdb.submit(sql).context
     except ReproError as exc:  # an outage the cold plan cannot route around
         return exc.context
 
@@ -680,7 +678,7 @@ def test_every_planning_input_forces_a_cold_plan(change):
     deployment, xdb, sql = _memoized_q3()
     MISSES[change](xdb, deployment)
     assert memo_failures([], [xdb]) == []
-    ctx = _submit_context(xdb, sql, change == "refresh_metadata")
+    ctx = _submit_context(xdb, sql)
     assert not _reused(ctx)
     assert ctx.root.find_all(name="ann", kind="phase")
 

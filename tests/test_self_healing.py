@@ -122,15 +122,19 @@ def test_breaker_trips_after_failure_threshold():
     registry = HealthRegistry(
         BreakerConfig(failure_threshold=3, cooldown_seconds=5.0)
     )
-    registry.record_failure("A")
-    registry.record_failure("A")
-    assert registry.state("A") is BreakerState.CLOSED
-    assert registry.allow("A")
-    registry.record_failure("A")
-    assert registry.is_open("A")
-    assert not registry.allow("A")
+    with QueryContext() as ctx:
+        registry.record_failure("A")
+        registry.record_failure("A")
+        assert registry.state("A") is BreakerState.CLOSED
+        assert registry.allow("A")
+        registry.record_failure("A")
+        assert registry.is_open("A")
+        assert not registry.allow("A")
     assert registry.breaker("A").trips == 1
-    transitions = [(e.old_state, e.new_state) for e in registry.events]
+    transitions = [
+        (BreakerState(e.attributes["old"]), BreakerState(e.attributes["new"]))
+        for e in ctx.root.subtree_events("breaker")
+    ]
     assert transitions == [(BreakerState.CLOSED, BreakerState.OPEN)]
 
 
@@ -150,15 +154,19 @@ def test_cooldown_half_open_probe_and_readmission():
     registry = HealthRegistry(
         BreakerConfig(failure_threshold=1, cooldown_seconds=5.0)
     )
-    registry.record_failure("A")
-    assert registry.is_open("A")
-    assert registry.gate("A") == "blocked"
-    registry.clock.advance(5.0)
-    assert registry.gate("A") == "probe"
-    assert registry.state("A") is BreakerState.HALF_OPEN
-    registry.record_success("A")
-    assert registry.state("A") is BreakerState.CLOSED
-    states = [e.new_state for e in registry.events]
+    with QueryContext() as ctx:
+        registry.record_failure("A")
+        assert registry.is_open("A")
+        assert registry.gate("A") == "blocked"
+        registry.clock.advance(5.0)
+        assert registry.gate("A") == "probe"
+        assert registry.state("A") is BreakerState.HALF_OPEN
+        registry.record_success("A")
+        assert registry.state("A") is BreakerState.CLOSED
+    states = [
+        BreakerState(e.attributes["new"])
+        for e in ctx.root.subtree_events("breaker")
+    ]
     assert states == [
         BreakerState.OPEN,
         BreakerState.HALF_OPEN,
