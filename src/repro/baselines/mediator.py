@@ -29,11 +29,11 @@ from repro.core.logical import LogicalOptimizer
 from repro.core.plan import DelegationPlan, Movement, Task
 from repro.engine.cost import CardinalityEstimator
 from repro.engine.database import Database
-from repro.engine.fdw import PROTOCOL_FACTORS
 from repro.engine.result import Result
 from repro.errors import OptimizerError
 from repro.federation.deployment import Deployment
 from repro.net.metrics import TransferSummary
+from repro.net.network import wire_bytes
 from repro.obs.context import QueryContext
 from repro.relational import algebra
 from repro.relational.decompile import plan_to_select
@@ -249,10 +249,7 @@ class MediatorSystem(BaselineSystem):
                 temp_names[task.task_id] = temp_name
 
                 proc = task_seconds(task, connector.database)
-                payload = int(
-                    result.byte_size() * PROTOCOL_FACTORS[self.protocol]
-                )
-                fetch_bytes_total += payload
+                fetch_bytes_total += wire_bytes(result.byte_size(), self.protocol)
                 fetch_rows_total += len(result)
                 latency = network.link_for(
                     connector.node, self.mediator.node

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.engine.database import Database
-from repro.engine.fdw import PROTOCOL_FACTORS
 from repro.engine.result import Result
 from repro.engine.stats import TableStats
 from repro.errors import (
@@ -39,7 +38,7 @@ from repro.errors import (
     TransientConnectorError,
 )
 from repro.health import HealthRegistry
-from repro.net.network import CONTROL_MESSAGE_BYTES, Network
+from repro.net.network import CONTROL_MESSAGE_BYTES, PROTOCOL_FACTORS, Network
 from repro.obs.runtime import current_context
 from repro.relational.schema import Schema
 from repro.sql import ast
@@ -113,7 +112,6 @@ class DBMSConnector:
         network: Network,
         middleware_node: str,
         protocol: str = "binary",
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         if protocol not in PROTOCOL_FACTORS:
             raise ConnectorError(f"unknown wire protocol {protocol!r}")
@@ -121,7 +119,7 @@ class DBMSConnector:
         self.network = network
         self.middleware_node = middleware_node
         self.protocol = protocol
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         #: fault-injection hook (see :mod:`repro.faults`); ``None`` in
         #: production — the guard path then adds no overhead beyond a
         #: timeout precheck
@@ -542,31 +540,30 @@ class DBMSConnector:
     # -- execution / data movement ----------------------------------------------------
 
     def run_query(self, query: ast.Select, client_node: str) -> Result:
-        """Run a final query; the result travels DBMS → client.
+        """Run a final query; the result travels DBMS → client."""
+        return self._pull(query, client_node, "result", "query")
+
+    def fetch(self, query: ast.Select, tag: str = "mediator-fetch") -> Result:
+        """Fetch a subquery result into the middleware node (MW path)."""
+        return self._pull(query, self.middleware_node, tag, "fetch")
+
+    def _pull(self, query: ast.Select, dst: str, tag: str, op: str) -> Result:
+        """Run ``query`` here and ship its result to ``dst``.
 
         Failure accounting: the transfer is recorded only after the
-        remote execution succeeds (same ordering as :meth:`fetch` and
-        :meth:`push_rows`) — a failed call must not inflate the
-        query's transfers with bytes that never moved.
+        remote execution succeeds (as in :meth:`push_rows`) — a failed
+        call must not inflate the query's transfers with bytes that
+        never moved.
         """
 
         def call() -> Result:
             result = self.database.execute_select(query)
-            self.network.record_transfer(
-                src=self.node,
-                dst=client_node,
-                payload_bytes=int(
-                    result.byte_size() * PROTOCOL_FACTORS[self.protocol]
-                ),
-                rows=len(result),
-                tag="result",
-                protocol=self.protocol,
+            self.network.ship(
+                self.node, dst, result.byte_size(), len(result), tag, self.protocol
             )
             return result
 
-        return self._guarded(
-            "query", call, detail=self._injector_detail(query)
-        )
+        return self._guarded(op, call, detail=self._injector_detail(query))
 
     def _injector_detail(self, query: ast.Select) -> Optional[str]:
         """Render a query payload for shard-scoped fault matching.
@@ -577,27 +574,6 @@ class DBMSConnector:
         if self.fault_injector is None:
             return None
         return render(query, self.database.dialect)
-
-    def fetch(self, query: ast.Select, tag: str = "mediator-fetch") -> Result:
-        """Fetch a subquery result into the middleware node (MW path)."""
-
-        def call() -> Result:
-            result = self.database.execute_select(query)
-            self.network.record_transfer(
-                src=self.node,
-                dst=self.middleware_node,
-                payload_bytes=int(
-                    result.byte_size() * PROTOCOL_FACTORS[self.protocol]
-                ),
-                rows=len(result),
-                tag=tag,
-                protocol=self.protocol,
-            )
-            return result
-
-        return self._guarded(
-            "fetch", call, detail=self._injector_detail(query)
-        )
 
     def push_rows(
         self,
@@ -615,17 +591,9 @@ class DBMSConnector:
 
         def call() -> None:
             self.database.create_table(table_name, schema, rows, replace=True)
-            self.network.record_transfer(
-                src=self.middleware_node,
-                dst=self.node,
-                payload_bytes=int(
-                    schema.row_width()
-                    * len(rows)
-                    * PROTOCOL_FACTORS[self.protocol]
-                ),
-                rows=len(rows),
-                tag=tag,
-                protocol=self.protocol,
+            payload = schema.row_width() * len(rows)
+            self.network.ship(
+                self.middleware_node, self.node, payload, len(rows), tag, self.protocol
             )
 
         return self._guarded("fetch", call)

@@ -36,10 +36,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.connect.connector import DBMSConnector
 from repro.core.plan import Movement
-from repro.engine.fdw import PROTOCOL_FACTORS
 from repro.errors import EngineUnavailableError, OptimizerError
-from repro.federation.deployment import protocol_between
-from repro.net.network import Network
+from repro.net.network import Network, protocol_between, wire_bytes
 from repro.relational import algebra
 
 MOVEMENT_POLICIES = ("cost", "implicit", "explicit")
@@ -446,13 +444,9 @@ class PlanAnnotator:
     ) -> float:
         source = self._connectors[source_db]
         target = self._connectors[target_db]
-        protocol = protocol_between(
-            source.profile.name, target.profile.name
-        )
-        payload = int(
-            moving_rows
-            * moving_node.schema.row_width()
-            * PROTOCOL_FACTORS[protocol]
+        payload = wire_bytes(
+            moving_rows * moving_node.schema.row_width(),
+            protocol_between(source.profile.name, target.profile.name),
         )
         return self._network.transfer_time(source.node, target.node, payload)
 

@@ -78,7 +78,7 @@ class GlobalCatalog(TableResolver):
 
     # -- prep phase ------------------------------------------------------------
 
-    def refresh(self, with_stats: bool = True) -> None:
+    def refresh(self) -> None:
         """Gather metadata from every DBMS through its connector.
 
         A refresh *is* a verification of everything it reads: each
@@ -97,10 +97,9 @@ class GlobalCatalog(TableResolver):
             for table_name, schema in connector.list_tables().items():
                 key = table_name.lower()
                 self._register(db_name, key, table_name, schema)
-                if with_stats:
-                    self._stats[(db_name, key)] = connector.table_stats(
-                        table_name
-                    )
+                self._stats[(db_name, key)] = connector.table_stats(
+                    table_name
+                )
         self._loaded = True
 
     def _register(

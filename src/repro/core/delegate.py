@@ -41,6 +41,7 @@ from repro.errors import (
     EngineUnavailableError,
     ReproError,
 )
+from repro.obs.context import add_event
 from repro.obs.runtime import current_context
 from repro.relational.decompile import plan_to_select
 from repro.sql import ast
@@ -123,7 +124,7 @@ class DeployedQuery:
             rolled_back, leaked = self._release(rollback=True)
         exc.rolled_back = list(exc.rolled_back) + rolled_back
         exc.leaked = list(exc.leaked) + leaked
-        _note(
+        add_event(
             "deadline-cancelled",
             phase=exc.phase,
             rolled_back=len(exc.rolled_back),
@@ -168,13 +169,6 @@ def grace():
     if ctx is None or ctx.deadline is None:
         return contextlib.nullcontext()
     return ctx.deadline.grace()
-
-
-def _note(name: str, **attributes: object) -> None:
-    """Annotate the active query trace (if any) with a point event."""
-    ctx = current_context()
-    if ctx is not None:
-        ctx.tracer.add_event(name, **attributes)
 
 
 class DelegationEngine:
@@ -258,7 +252,7 @@ class DelegationEngine:
                 message += (
                     f", salvaged {len(salvaged)} completed snapshot(s)"
                 )
-                _note(
+                add_event(
                     "salvage",
                     count=len(salvaged),
                     objects=",".join(name for _t, _d, _k, name in salvaged),

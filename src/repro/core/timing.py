@@ -22,9 +22,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.connect.connector import DBMSConnector
 from repro.core.delegate import DeployedQuery
-from repro.core.plan import DelegationPlan, Movement, Task, TaskEdge
+from repro.core.plan import DelegationPlan, Movement, Task
 from repro.engine.cost import CardinalityEstimator, ScanStats
-from repro.net.network import Network, TransferRecord
+from repro.net.network import Network, TransferRecord, protocol_between
 from repro.obs.runtime import current_context
 from repro.relational import algebra
 
@@ -118,11 +118,12 @@ def simulate_schedule(
         for edge in dplan.in_edges(task):
             child = dplan.tasks[edge.producer_id]
             child_finish = schedule(child)
-            xfer = _edge_transfer_seconds(edge, child, task, connectors, network)
-            link_latency = network.link_for(
+            link = network.link_for(
                 connectors[child.annotation].node,
                 connectors[task.annotation].node,
-            ).latency
+            )
+            xfer = link.transfer_time(edge.moved_bytes or 0)
+            link_latency = link.latency
             if edge.movement is Movement.EXPLICIT or not pipelined:
                 ready = max(ready, child_finish + xfer)
             else:
@@ -218,8 +219,11 @@ def _task_processing_seconds(
             seconds += model.forced_build_seconds(
                 estimator.estimate_rows(sibling), rows
             )
+        protocol = protocol_between(
+            connectors[child.annotation].profile.name, database.profile.name
+        )
         seconds += model.protocol_decode_seconds(
-            rows, _edge_protocol(child, task, connectors), fetch_charged=True
+            rows, protocol, fetch_charged=True
         )
     return seconds
 
@@ -253,29 +257,3 @@ def _consuming_join_sides(task: Task, placeholder: str):
                 return leaf, None
         return None, None
     return found
-
-
-def _edge_protocol(
-    producer: Task, consumer: Task, connectors: Mapping[str, DBMSConnector]
-) -> str:
-    from repro.federation.deployment import protocol_between
-
-    return protocol_between(
-        connectors[producer.annotation].profile.name,
-        connectors[consumer.annotation].profile.name,
-    )
-
-
-def _edge_transfer_seconds(
-    edge: TaskEdge,
-    producer: Task,
-    consumer: Task,
-    connectors: Mapping[str, DBMSConnector],
-    network: Network,
-) -> float:
-    payload = edge.moved_bytes or 0
-    return network.transfer_time(
-        connectors[producer.annotation].node,
-        connectors[consumer.annotation].node,
-        payload,
-    )

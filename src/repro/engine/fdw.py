@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.engine.physical import PhysicalPlan, chunked
 from repro.engine.stats import TableStats
 from repro.errors import ConnectorError
+from repro.net.network import PROTOCOL_FACTORS, Network
 from repro.relational.schema import Schema
 from repro.sql import ast
 from repro.sql.render import render
@@ -22,12 +23,6 @@ from repro.sql.render import render
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.catalog import VersionStamp
     from repro.engine.database import Database
-    from repro.net.network import Network
-
-#: Relative wire overhead per protocol (bytes multiplier). Binary
-#: transfer (e.g. the PostgreSQL wire protocol) is the baseline; JDBC
-#: serializes values as text with per-row framing.
-PROTOCOL_FACTORS = {"binary": 1.0, "jdbc": 2.2}
 
 
 class RemoteServer:
@@ -37,7 +32,7 @@ class RemoteServer:
         self,
         name: str,
         remote: "Database",
-        network: "Network",
+        network: Network,
         local_node: str,
         remote_node: str,
         protocol: str = "binary",
@@ -56,15 +51,13 @@ class RemoteServer:
     def fetch(self, query: ast.Select, tag: str = "fdw"):
         """Execute ``query`` remotely and pull the result over the wire."""
         result = self.remote.execute_select(query)
-        self.network.record_transfer(
-            src=self.remote_node,
-            dst=self.local_node,
-            payload_bytes=int(
-                result.byte_size() * PROTOCOL_FACTORS[self.protocol]
-            ),
-            rows=len(result),
-            tag=tag,
-            protocol=self.protocol,
+        self.network.ship(
+            self.remote_node,
+            self.local_node,
+            result.byte_size(),
+            len(result),
+            tag,
+            self.protocol,
         )
         return result
 

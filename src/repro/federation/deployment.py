@@ -5,10 +5,10 @@ A deployment owns
 * one :class:`~repro.net.network.Network` (on-premise or geo-distributed),
 * N autonomous :class:`~repro.engine.database.Database` instances (one
   per node, as in the paper's testbed),
-* the full mesh of SQL/MED server registrations between them (binary
-  protocol between same-vendor pairs, JDBC otherwise),
+* the full mesh of SQL/MED server registrations between them, each
+  speaking :func:`~repro.net.network.protocol_between` its two vendors,
 * one :class:`~repro.connect.connector.DBMSConnector` per database for
-  the middleware node.
+  the middleware node, which speaks PostgreSQL's protocol.
 
 The middleware ("xdb") and the client live on cloud nodes, mirroring the
 paper's managed-cloud scenario of §VI-C.
@@ -24,25 +24,12 @@ from repro.engine.database import Database
 from repro.engine.fdw import RemoteServer
 from repro.errors import CatalogError, NetworkError
 from repro.health import BreakerConfig, HealthRegistry
-from repro.net.network import Network
+from repro.net.network import Network, protocol_between
 from repro.qos import GateConfig, WorkloadGate
 from repro.relational.schema import Schema
 
 MIDDLEWARE_NODE = "xdb"
 CLIENT_NODE = "client"
-
-
-def protocol_between(profile_a: str, profile_b: str) -> str:
-    """Same-vendor PostgreSQL pairs speak the binary protocol; anything
-    heterogeneous falls back to ODBC/JDBC (as in the paper's Fig. 10
-    setup)."""
-    if profile_a == "postgres" and profile_b == "postgres":
-        return "binary"
-    return "jdbc"
-
-
-def _protocol_between(a: Database, b: Database) -> str:
-    return protocol_between(a.profile.name, b.profile.name)
 
 
 class Deployment:
@@ -52,8 +39,6 @@ class Deployment:
         self,
         profiles: Mapping[str, str],
         topology: str = "onprem",
-        middleware_node: str = MIDDLEWARE_NODE,
-        client_node: str = CLIENT_NODE,
         middleware_site: Optional[str] = None,
         parallel_workers: int = 1,
     ):
@@ -72,23 +57,23 @@ class Deployment:
         if topology == "onprem":
             self.network = Network.on_premise(
                 names,
-                client_node=client_node,
-                middleware_nodes=[middleware_node],
+                client_node=CLIENT_NODE,
+                middleware_nodes=[MIDDLEWARE_NODE],
                 middleware_site=middleware_site or "onprem",
             )
         elif topology == "geo":
             self.network = Network.geo_distributed(
                 names,
-                client_node=client_node,
-                middleware_nodes=[middleware_node],
+                client_node=CLIENT_NODE,
+                middleware_nodes=[MIDDLEWARE_NODE],
                 middleware_site=middleware_site or "cloud",
             )
         else:
             raise NetworkError(f"unknown topology {topology!r}")
         self.topology = topology
-        self.middleware_site = self.network.node_site(middleware_node)
-        self.middleware_node = middleware_node
-        self.client_node = client_node
+        self.middleware_site = self.network.node_site(MIDDLEWARE_NODE)
+        self.middleware_node = MIDDLEWARE_NODE
+        self.client_node = CLIENT_NODE
 
         self.parallel_workers = max(int(parallel_workers), 1)
         #: logical table (lowercase) -> PartitionSpec; the global
@@ -100,16 +85,18 @@ class Deployment:
         for name, profile in profiles.items():
             self.databases[name] = Database(name, profile=profile, node=name)
 
-        self._wire_servers()
+        for local in self.databases.values():
+            for remote in self.databases.values():
+                if local is not remote:
+                    self._register_server(local, remote)
 
+        # The middleware speaks PostgreSQL's wire protocol.
         self.connectors: Dict[str, DBMSConnector] = {
             name: DBMSConnector(
                 database,
                 self.network,
-                middleware_node,
-                protocol="binary"
-                if database.profile.name == "postgres"
-                else "jdbc",
+                MIDDLEWARE_NODE,
+                protocol=protocol_between("postgres", database.profile.name),
             )
             for name, database in self.databases.items()
         }
@@ -128,23 +115,21 @@ class Deployment:
 
     # -- wiring ----------------------------------------------------------------
 
-    def _wire_servers(self) -> None:
-        """Register the full SQL/MED server mesh between all databases."""
-        for local in self.databases.values():
-            for remote in self.databases.values():
-                if local.name == remote.name:
-                    continue
-                local.register_server(
-                    remote.name,
-                    RemoteServer(
-                        name=remote.name,
-                        remote=remote,
-                        network=self.network,
-                        local_node=local.node,
-                        remote_node=remote.node,
-                        protocol=_protocol_between(local, remote),
-                    ),
-                )
+    def _register_server(self, local: Database, remote: Database) -> None:
+        """Let ``local`` reach ``remote`` through an SQL/MED server."""
+        local.register_server(
+            remote.name,
+            RemoteServer(
+                name=remote.name,
+                remote=remote,
+                network=self.network,
+                local_node=local.node,
+                remote_node=remote.node,
+                protocol=protocol_between(
+                    local.profile.name, remote.profile.name
+                ),
+            ),
+        )
 
     def add_auxiliary_database(
         self, name: str, profile: str, node_site: Optional[str] = None
@@ -161,17 +146,7 @@ class Deployment:
         self.network.add_node(name, site=node_site or self.middleware_site)
         database = Database(name, profile=profile, node=name)
         for remote in self.databases.values():
-            database.register_server(
-                remote.name,
-                RemoteServer(
-                    name=remote.name,
-                    remote=remote,
-                    network=self.network,
-                    local_node=database.node,
-                    remote_node=remote.node,
-                    protocol=_protocol_between(database, remote),
-                ),
-            )
+            self._register_server(database, remote)
         return database
 
     # -- access ------------------------------------------------------------------

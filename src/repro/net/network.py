@@ -34,6 +34,27 @@ WAN_LINK_LATENCY = 0.025
 #: Approximate size of one control message (a DDL or EXPLAIN request).
 CONTROL_MESSAGE_BYTES = 512
 
+#: Relative wire overhead per protocol (bytes multiplier). Binary
+#: transfer (e.g. the PostgreSQL wire protocol) is the baseline; JDBC
+#: serializes values as text with per-row framing.
+PROTOCOL_FACTORS = {"binary": 1.0, "jdbc": 2.2}
+
+
+def protocol_between(profile_a: str, profile_b: str) -> str:
+    """Same-vendor PostgreSQL pairs speak the binary protocol; anything
+    heterogeneous falls back to ODBC/JDBC (as in the paper's Fig. 10
+    setup)."""
+    if profile_a == "postgres" and profile_b == "postgres":
+        return "binary"
+    return "jdbc"
+
+
+def wire_bytes(payload_bytes: float, protocol: str) -> int:
+    """What ``payload_bytes`` of rows occupy on the wire under
+    ``protocol``: the one price of moving rows, quoted by Rule 4 and
+    recorded by :meth:`Network.ship`."""
+    return int(payload_bytes * PROTOCOL_FACTORS[protocol])
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -248,6 +269,21 @@ class Network:
     ) -> TransferRecord:
         return self._attribute(
             self._new_record(src, dst, payload_bytes, rows, tag, protocol)
+        )
+
+    def ship(
+        self,
+        src: str,
+        dst: str,
+        payload_bytes: int,
+        rows: int,
+        tag: str,
+        protocol: str,
+    ) -> TransferRecord:
+        """Move ``rows`` rows (``payload_bytes`` unframed) over the
+        link: what every layer that moves rows calls."""
+        return self.record_transfer(
+            src, dst, wire_bytes(payload_bytes, protocol), rows, tag, protocol
         )
 
     def record_control_message(

@@ -5,8 +5,8 @@ A :class:`QueryContext` owns a query id and a
 wall/simulated clock duality, whose spans carry the events every layer
 records while the context is active (retries, give-ups, breaker
 transitions, admissions, recovery decisions) and the attributed
-:class:`~repro.net.network.TransferRecord` objects (also kept in
-order as ``transfers``).  Nothing else is stored: every count is a
+:class:`~repro.net.network.TransferRecord` objects (``transfers``
+reads them off the tree).  Nothing else is stored: every count is a
 read of that tree, so nothing leaks across queries.
 
 The client activates the context for the duration of one submission
@@ -60,8 +60,6 @@ class QueryContext:
         self.tracer = Tracer(
             root_name=self.query_id, query_id=self.query_id, label=label
         )
-        #: every transfer attributed to this context, in order
-        self.transfers: List[TransferRecord] = []
         #: the submission's QoS contract (a ``repro.qos.QoSPolicy``,
         #: duck-typed so the observability spine stays QoS-agnostic)
         self.qos = qos
@@ -93,14 +91,17 @@ class QueryContext:
     def root(self) -> Span:
         return self.tracer.root
 
+    @property
+    def transfers(self) -> List[TransferRecord]:
+        """Every transfer attributed to this context (span-tree order)."""
+        return self.root.subtree_records()
+
     # -- recording (called by the layers) ------------------------------
 
     def record_transfer(self, record: TransferRecord) -> None:
         """Attribute one transfer to the active span, advancing the
         simulated clock by its link time."""
-        span = self.tracer.current
-        self.transfers.append(record)
-        span.records.append(record)
+        self.tracer.current.records.append(record)
         self.tracer.advance(record.seconds)
         self.tracer.add_event(
             "transfer",
@@ -271,10 +272,7 @@ class QueryContext:
     ) -> TransferSummary:
         """Aggregate the transfers attributed to ``span``'s subtree
         (default: the whole context)."""
-        records = (
-            self.transfers if span is None else span.subtree_records()
-        )
-        return summarize(records)
+        return summarize((self.root if span is None else span).subtree_records())
 
     def resilience_summary(
         self, connector_names: Iterable[str] = ()
@@ -315,13 +313,14 @@ class QueryContext:
         """Flat numbers for the bench harness's :class:`RunRecord`."""
         root = self.root
         spans = list(root.iter_spans())
+        transfers = root.subtree_records()
         return {
             "spans": float(len(spans)),
             "events": float(sum(len(s.events) for s in spans)),
-            "transfers": float(len(self.transfers)),
+            "transfers": float(len(transfers)),
             "wall_seconds": root.wall_seconds,
             "sim_seconds": root.sim_seconds,
-            "net_seconds": sum(r.seconds for r in self.transfers),
+            "net_seconds": sum(r.seconds for r in transfers),
             "backoff_seconds": root.subtree_backoff_seconds(),
         }
 

@@ -1,4 +1,5 @@
-"""One price list: only ``engine/cost.py`` turns rows into cost.
+"""One price list: only ``engine/cost.py`` turns rows into cost, and
+only ``net/network.py`` turns rows into bytes on the wire.
 
 Ruff's ``TID251`` keeps ``time.perf_counter`` inside ``obs/clock.py``;
 it cannot ban an *attribute*, so this walks the AST instead.
@@ -20,6 +21,7 @@ from repro.engine.cost import (
     operator_features,
 )
 from repro.engine.profiles import CALIBRATABLE_CONSTANTS, profile_base
+from repro.net.network import wire_bytes
 from repro.relational import algebra
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_expression
@@ -55,6 +57,114 @@ def test_no_module_outside_the_price_list_reads_a_cost_constant():
         if reads:
             offenders[relative] = reads
     assert offenders == {}
+
+
+def _wire_price_reads(tree: ast.AST):
+    """Line numbers where ``PROTOCOL_FACTORS`` is read for a value, not
+    only tested for membership (``protocol in PROTOCOL_FACTORS``)."""
+    membership = {
+        id(node.comparators[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.In, ast.NotIn))
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            (isinstance(node, ast.Name) and node.id == "PROTOCOL_FACTORS")
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "PROTOCOL_FACTORS"
+            )
+        )
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in membership
+    ]
+
+
+def test_only_the_network_prices_the_wire():
+    """``wire_bytes`` is the one place a protocol factor multiplies
+    bytes: Rule 4's quote and every recorded transfer call it."""
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative == "net/network.py":
+            continue
+        reads = _wire_price_reads(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if reads:
+            offenders[relative] = reads
+    assert offenders == {}
+
+
+# -- the two places that still price bytes their own way ------------------
+
+
+def test_result_transfer_divergence_is_pinned_on_both_sides():
+    """XDB records its result at the wire price of its protocol; the
+    mediators record and time theirs at the unframed size, JDBC or not
+    (DESIGN.md §5)."""
+    from repro.baselines.presto import PrestoSystem
+    from repro.bench.scenarios import build_tpch_deployment
+    from repro.core.client import XDB
+    from repro.workloads.tpch import query
+
+    deployment, _ = build_tpch_deployment(
+        "TD1", 0.001, profiles={f"db{i}": "mariadb" for i in range(1, 5)}
+    )
+    network = deployment.network
+
+    xdb = XDB(deployment).submit(query("Q3"))
+    size = xdb.result.byte_size()
+    (record,) = [r for r in xdb.context.transfers if r.tag == "result"]
+    assert record.protocol == "jdbc"
+    assert record.payload_bytes == wire_bytes(size, "jdbc") > size
+
+    presto = PrestoSystem(deployment, workers=4).run(query("Q3"))
+    assert presto.result.byte_size() == size
+    (record,) = [r for r in presto.context.transfers if r.tag == "result"]
+    assert (record.protocol, record.payload_bytes) == ("jdbc", size)
+    assert record.seconds == network.transfer_time(
+        record.src, record.dst, size
+    )
+
+
+def test_sclera_relay_divergence_is_pinned_on_both_sides(
+    tpch_tiny, monkeypatch
+):
+    """Sclera records each relayed intermediate at the JDBC wire price
+    but times both relay legs on the unframed bytes."""
+    from repro.baselines.sclera import ScleraSystem
+    from repro.connect.connector import DBMSConnector
+    from repro.workloads.tpch import query
+
+    deployment, _ = tpch_tiny
+    network, middleware = deployment.network, deployment.middleware_node
+    shipped = {}  # tag -> (unframed bytes, rows, consuming connector)
+    push_rows = DBMSConnector.push_rows
+
+    def spy(self, table_name, schema, rows, tag="mediator-ship"):
+        shipped[tag] = (schema.row_width() * len(rows), len(rows), self)
+        return push_rows(self, table_name, schema, rows, tag)
+
+    monkeypatch.setattr(DBMSConnector, "push_rows", spy)
+    system = ScleraSystem(deployment)
+    report = system.run(query("Q3"))
+    records = {r.tag: r for r in report.context.transfers}
+
+    assert shipped
+    expected = 0.0
+    for tag, (size, rows, consumer) in shipped.items():
+        assert records[tag].payload_bytes == wire_bytes(size, "jdbc") > size
+        producer = records["sclera-fetch:" + tag.split(":")[1]].src
+        expected += (
+            network.transfer_time(producer, middleware, size)
+            + network.transfer_time(middleware, consumer.node, size)
+            + system._relay_seconds(rows, consumer)
+        )
+    assert report.transfer_seconds == pytest.approx(expected, rel=1e-12)
 
 
 # -- calibration prices what the planner prices ---------------------------
