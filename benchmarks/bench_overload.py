@@ -17,7 +17,7 @@ Standalone (like ``bench_executor.py``) so CI can gate on it cheaply::
 
 Writes ``benchmarks/results/BENCH_overload.json``; ``--check`` exits
 non-zero if any query died on an unhandled error, any short-lived
-catalog object leaked, an admitted query neither met its deadline nor
+catalog object is left once every client has closed, an admitted query neither met its deadline nor
 returned a structured DeadlineExceeded, or the shed ratios fall
 outside their bounds (none at 1x, substantial shedding at 16x).
 """
@@ -184,6 +184,10 @@ def run_load(load: int, seed: int, queries_per_worker: int) -> dict:
         records.append(submit(clients[index], index, priority(index)))
         sent[index] += 1
 
+    # A repeated QUERY keeps its cascade deployed until its client
+    # closes: anything still on an engine after that is a leak.
+    for xdb in clients:
+        xdb.close()
     leaked = scan_leaks(dep)
     by_outcome = {}
     for record in records:

@@ -13,8 +13,9 @@ re-enterable stage sequence by :class:`~repro.core.pipeline.
 PlanPipeline`, whose ``execute`` is the only execute path and whose
 recovery table is the only recovery routine.  This module keeps the
 user-facing surface: :class:`XDB` (``submit`` enters the pipeline at
-``parse``), :class:`PreparedQuery` (a retained state that re-enters at
-``execute``), and the :class:`XDBReport` both are answered with.
+``parse``, a repeated text at ``execute`` on the cascade its plan-memo
+entry keeps), :class:`PreparedQuery` (a retained state that re-enters
+at ``execute``), and the :class:`XDBReport` both are answered with.
 
 Every submission runs inside one :class:`~repro.obs.context.
 QueryContext`, and every number its report shows is a view over that
@@ -42,7 +43,6 @@ from repro.core.plan import DelegationPlan
 # noqa: F401 — the perf benchmark's tracer replaces these two names in
 # this module's namespace (benchmarks/perf/spans.py BOUNDARIES).
 from repro.core.timing import ScheduleResult, simulate_schedule  # noqa: F401
-from repro.drift.ledger import ObjectLedger
 from repro.drift.reaper import OrphanReaper, ReapReport
 from repro.engine.result import Result
 from repro.errors import OptimizerError, ReproError
@@ -225,9 +225,14 @@ class XDB:
         ``xf_/xm_/xv_`` objects cannot collide; objects are named
         ``x{f,m,v}_<namespace><epoch>_<task>``, so a namespace must not
         end in a digit (``ValueError``) — ``"1"`` would read client
-        ``""``'s ``xv_15_1`` as its own epoch 5.  ``ledger_path``
-        persists the delegated-object ledger as JSON, so a restarted
-        client can still reap what a crashed one leaked.
+        ``""``'s ``xv_15_1`` as its own epoch 5.  Every client of one
+        namespace on one deployment shares its delegated-object ledger,
+        which the deployment keeps: epochs come from one counter, and
+        each client's reaper fences every live cascade of the namespace.
+        ``ledger_path`` persists that ledger as JSON, so a restarted
+        client can still reap what a crashed one leaked; the first
+        client of a namespace sets it, and a later one may pass only
+        the same path (or none) — another raises ``ValueError``.
 
         The Q-Error loop is opt-in: pass a :class:`FeedbackStore`
         (``FeedbackStore(path=...)`` persists it as JSON) and every
@@ -265,7 +270,7 @@ class XDB:
         self.finalizer = PlanFinalizer()
         #: durable record of every delegated DDL object (drift PR);
         #: feeds the cumulative leak accounting and the orphan reaper
-        self.ledger = ObjectLedger(namespace=ddl_namespace, path=ledger_path)
+        self.ledger = deployment._ledger(ddl_namespace, ledger_path)
         self.delegator = DelegationEngine(self.connectors, ledger=self.ledger)
         #: epoch-fenced reaper: reconciles engine-held ``xf_/xm_/xv_``
         #: objects against the ledger, dropping only retired epochs
@@ -330,8 +335,13 @@ class XDB:
         plan its last clean planning made, for as long as nothing that
         planning read has changed (DESIGN.md §7 "Middleware plan
         memo").  The report then carries a ``plan-reused`` event, no
-        lopt / ann phase and no annotation; delegation and execution
-        run as always.
+        lopt / ann phase and no annotation.  Such a repeat that answers
+        cleanly keeps its cascade deployed instead of dropping it, and
+        the next submission of the text runs on it as a prepared
+        handle does: a ``cascade-reused`` event, the ``xm_`` snapshots
+        refreshed, no delegation and no cleanup.  The cascade is
+        dropped when its memo entry goes, or by :meth:`close`; a first
+        submission, and any with ``cleanup=False``, never keeps one.
         """
         state = self.pipeline.new_state(query, budget=self.repair_budget)
         return self._run(state, qos, cleanup)
@@ -361,7 +371,7 @@ class XDB:
         try:
             with ctx:
                 if plans:
-                    self.pipeline.plan(state, ctx)
+                    self.pipeline.plan(state, ctx, retain=cleanup)
                 placement_before = self.pipeline.placement(state.dplan)
                 self.pipeline.execute(state, ctx, cleanup=cleanup)
             return XDBReport(
@@ -382,6 +392,16 @@ class XDB:
             # Answered, shed or expired: the client's clock moves on
             # by everything the query spent on the simulated clock.
             self.clock.advance(ctx.tracer.sim_now)
+
+    def close(self) -> None:
+        """Drop every cascade the plan memo keeps deployed.
+
+        Best effort: a DROP that fails leaves its object in the ledger
+        under a closed epoch, for the reaper.  The memo's plans stay,
+        so the client remains usable; prepared handles are closed on
+        their own (:meth:`PreparedQuery.close`).
+        """
+        self.pipeline._release_all()
 
     def reap(self, dbs: Optional[List[str]] = None) -> ReapReport:
         """Reconcile engine-held delegated objects against the ledger.

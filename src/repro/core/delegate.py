@@ -64,7 +64,9 @@ class DeployedQuery:
     created_objects: List[DelegatedObject] = field(default_factory=list)
     #: (db, rendered DDL) in execution order — Fig. 7 style
     ddl_log: List[Tuple[str, str]] = field(default_factory=list)
-    #: edge -> producing view name (for ledger attribution)
+    #: index of an edge in ``plan.edges`` -> its producing view name:
+    #: keyed by position, so a run's fresh edges (``plan.for_run()``)
+    #: map to the same views
     edge_views: Dict[int, str] = field(default_factory=dict)
     #: (db, table name, CTAS statement) per explicit edge, so a prepared
     #: query can refresh its materializations before re-execution
@@ -181,12 +183,11 @@ class DelegationEngine:
     ):
         self._connectors = dict(connectors)
         #: durable record of every object ever created, and the owner
-        #: of their names: its namespace keeps concurrent clients'
-        #: short-lived ``xf_/xm_/xv_`` objects apart.  A restarted
-        #: client resumes its counter above the ledger's highest epoch
-        #: so new names cannot collide with leaked ones.
+        #: of their names and epochs: its namespace keeps concurrent
+        #: clients' short-lived ``xf_/xm_/xv_`` objects apart, and each
+        #: new epoch is above every one it has seen, so new names
+        #: cannot collide with a live or leaked one.
         self.ledger = ledger or ObjectLedger()
-        self._query_counter = self.ledger.max_epoch()
 
     def delegate(
         self, dplan: DelegationPlan, salvage: bool = False
@@ -200,8 +201,7 @@ class DelegationEngine:
         pipeline's branch-scoped recovery can pin and re-fence them
         (the caller owns dropping them if it cannot).
         """
-        self._query_counter += 1
-        epoch = self.ledger.open_epoch(self._query_counter)
+        epoch = self.ledger.open_epoch()
         deployed = DeployedQuery(
             plan=dplan,
             root_db=dplan.root.annotation,
@@ -280,10 +280,12 @@ class DelegationEngine:
             raise DelegationError(f"no connector for DBMS {db!r}")
 
         dplan, epoch = deployed.plan, deployed.epoch
-        for edge in dplan.in_edges(task):
+        for index, edge in enumerate(dplan.edges):
+            if edge.consumer_id != task.task_id:
+                continue
             child = dplan.tasks[edge.producer_id]
             child_view = self._process_task(deployed, child)
-            deployed.edge_views[id(edge)] = child_view
+            deployed.edge_views[index] = child_view
 
             # CREATEFOREIGNTABLE(R_v, t.a)
             foreign_name = self.ledger.name(

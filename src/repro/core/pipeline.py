@@ -12,7 +12,8 @@ pipeline entered later: its state keeps the deployed cascade
 (``state.deployed``), and each re-execution enters at ``execute``,
 where *no cascade yet → delegate* and *cascade retained → refresh the
 ``xm_`` snapshots, or serve them stale when the policy allows* are the
-one branch.
+one branch.  A repeated submission whose plan-memo entry keeps a
+cascade enters there the same way.
 
 Recovery is stage re-entry, and it exists once: :meth:`PlanPipeline.
 _recover` classifies a failure's cause chain in a single walk and looks
@@ -30,6 +31,7 @@ observed row counts.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -400,7 +402,7 @@ class RecoveryReport:
         return parts
 
 
-@dataclass(frozen=True)
+@dataclass
 class MemoEntry:
     """One statement's clean plan, as the middleware plan memo keeps it."""
 
@@ -411,6 +413,9 @@ class MemoEntry:
     #: the engines placement found available; the entry is served only
     #: while each still is
     engines: Tuple[str, ...]
+    #: the cascade a repeat of the statement left deployed, without its
+    #: run's products (None: nothing kept, or a run holds it right now)
+    cascade: Optional["PlanState"] = None
 
 
 @dataclass
@@ -451,8 +456,12 @@ class PlanState:
     #: the plan memo key whose plan nodes this state shares (None:
     #: its plan is its own) — recovery evicts it before rewriting them
     memo_key: Optional[str] = None
-    # -- what a retained cascade (a prepared query) carries between
-    # -- executions; a one-shot submission never reads these back
+    #: the memo served this state's plan: its SQL has proved it repeats,
+    #: so a clean run may leave the cascade deployed (:meth:`_retain`)
+    repeat: bool = False
+    # -- what a retained cascade (a prepared query, or one the plan memo
+    # -- keeps) carries between executions; a one-shot submission never
+    # -- reads these back
     #: root-query runs the deployed cascade has answered (the first
     #: reads the CTAS snapshots of its delegation, later ones refresh)
     runs: int = 0
@@ -473,7 +482,8 @@ class PlanPipeline:
     """Drives a :class:`PlanState` through the pipeline's stages.
 
     Owns the one execute path and the one recovery routine:
-    ``XDB.submit`` enters at ``parse``, a prepared query re-enters at
+    ``XDB.submit`` enters at ``parse``, a prepared query — or a
+    submission the plan memo hands a retained cascade — re-enters at
     ``execute`` with its cascade retained, and every recovery re-enters
     at the stage :data:`RECOVERY` names instead of duplicating either.
     """
@@ -617,6 +627,7 @@ class PlanPipeline:
         self,
         state: PlanState,
         ctx: Optional[QueryContext] = None,
+        retain: bool = False,
     ) -> None:
         """Run the planning stages the state has not passed yet.
 
@@ -632,7 +643,9 @@ class PlanPipeline:
         catalog stage has decided against a refresh, a current entry
         for the same SQL text is reused (:meth:`_reuse`) and neither
         lopt nor ann runs; otherwise the plan is made and, when clean,
-        stored (:meth:`_remember`).
+        stored (:meth:`_remember`).  With ``retain`` (a submission that
+        cleans up) a hit also takes the cascade the entry keeps, and
+        the state enters at ``execute``.
         """
         tracer = ctx.tracer if ctx is not None else None
         # Only a submission shares plans with the memo: a re-entered or
@@ -646,7 +659,7 @@ class PlanPipeline:
         with self._phase(ctx, "prep"):
             # A refresh moves the catalog version, so nothing would hit.
             refresh = not self.metadata_fresh
-            if memoize and not refresh and self._reuse(state, ctx):
+            if memoize and not refresh and self._reuse(state, ctx, retain):
                 return
             if _pending(state, "parse"):
                 with self._step(tracer, "parse"):
@@ -690,8 +703,9 @@ class PlanPipeline:
         )
 
     def _reset_memo(self, stamp: tuple) -> None:
-        """Drop the memo whole when the stamp has moved."""
+        """Drop the memo whole, cascades too, when the stamp has moved."""
         if stamp != self._memo_stamp:
+            self._release_all()
             self._memo.clear()
             self._memo_stamp = stamp
 
@@ -716,24 +730,49 @@ class PlanPipeline:
             and all(map(self._available, entry.engines))
         )
 
-    def _reuse(self, state: PlanState, ctx: QueryContext) -> bool:
+    def _reuse(
+        self, state: PlanState, ctx: QueryContext, retain: bool
+    ) -> bool:
         """Hand ``state`` the memo's plan for its SQL, if still current.
 
         The state skips to ``delegate`` with its own edges (run
         statistics never cross reports) and no annotation, so the
         report shows no consultations, as a prepared execution does.
+        With ``retain``, a cascade the entry keeps comes along and the
+        state skips to ``execute``, as a prepared handle's does.  An
+        entry that does not serve releases its cascade: every engine
+        the cascade runs on is one placement asked about, so
+        :meth:`_serves` has checked its breaker and availability.
         """
+        key = state.label
         self._reset_memo(self._stamp())
-        entry = self._memo.get(state.label)
-        if entry is None or not self._serves(entry):
+        entry = self._memo.get(key)
+        if entry is None:
             return False
-        self._memo.move_to_end(state.label)
+        if not self._serves(entry):
+            self._release(key)
+            return False
+        self._memo.move_to_end(key)
+        cascade = entry.cascade
         state.select = entry.select
         state.logical_plan = entry.logical_plan
         state.dplan = entry.dplan.for_run()
         state.stage = "delegate"
-        state.memo_key = state.label
+        state.memo_key = key
+        state.repeat = True
         ctx.tracer.add_event("plan-reused")
+        if retain and cascade is not None:
+            # The run holds the cascade until :meth:`_retain` hands it
+            # back; a recovery that evicts the entry meanwhile leaves it
+            # to the run, which then cleans up like any one-shot.
+            entry.cascade = None
+            state.deployed = dataclasses.replace(
+                cascade.deployed, plan=state.dplan
+            )
+            state.runs = cascade.runs
+            state.refreshed_at = cascade.refreshed_at
+            state.stage = "execute"
+            ctx.tracer.add_event("cascade-reused", epoch=cascade.deployed.epoch)
         return True
 
     def _remember(self, state: PlanState, stamp: tuple) -> None:
@@ -743,12 +782,15 @@ class PlanPipeline:
         if stamp != self._stamp() or not all(availability.values()):
             return
         self._reset_memo(stamp)
+        self._release(state.label)
         self._memo[state.label] = MemoEntry(
             state.select, state.logical_plan, state.dplan, tuple(availability)
         )
         self._memo.move_to_end(state.label)
         if len(self._memo) > PLAN_MEMO_SIZE:
-            self._memo.popitem(last=False)
+            oldest = next(iter(self._memo))
+            self._release(oldest)
+            del self._memo[oldest]
         state.dplan = state.dplan.for_run()
         state.memo_key = state.label
 
@@ -756,8 +798,53 @@ class PlanPipeline:
         """Forget the entry ``state`` shares plan nodes with: recovery
         is about to rewrite them (``_pin`` / ``_reestimate``)."""
         if state.memo_key is not None:
+            self._release(state.memo_key)
             self._memo.pop(state.memo_key, None)
             state.memo_key = None
+
+    def _retain(self, state: PlanState) -> bool:
+        """Keep a memo hit's cascade deployed on its entry, for the next
+        submission of the same SQL (:meth:`_reuse`).
+
+        Only a clean run's: every recovery — a stale read and a partial
+        answer included — evicts the entry first, so a run whose entry
+        is still there recovered from nothing; a blown estimate means
+        the next run should replan.  The entry keeps a copy of the
+        state without the run's products — the report owns those.
+        False: the run cleans its cascade up as a one-shot does.
+        """
+        entry = self._memo.get(state.memo_key)
+        if (
+            entry is None
+            or not state.repeat
+            or state.estimates_blown
+            or entry.cascade is not None
+        ):
+            return False
+        entry.cascade = dataclasses.replace(
+            state,
+            annotation=None,
+            result=None,
+            schedule=None,
+            observations=[],
+            lease=None,
+        )
+        return True
+
+    def _release(self, key: str) -> None:
+        """Tear down the cascade the memo keeps for ``key``, if any: the
+        one routine every end of a retention goes through — eviction,
+        a stamp move, an LRU pop, a refused reuse, ``XDB.close()``.
+        Its epoch closes, so a DROP that fails is the reaper's."""
+        entry = self._memo.get(key)
+        if entry is not None and entry.cascade is not None:
+            cascade, entry.cascade = entry.cascade, None
+            self._teardown(cascade.deployed)
+
+    def _release_all(self) -> None:
+        """Release every cascade the memo keeps (the plans stay)."""
+        for key in list(self._memo):
+            self._release(key)
 
     def deploy(
         self, state: PlanState, tracer=None, salvage: bool = False
@@ -797,12 +884,17 @@ class PlanPipeline:
         The exec phase of every entry point.  ``cleanup=False`` retains
         the cascade on the state: the next call refreshes its ``xm_``
         snapshots — or serves them stale, see :meth:`_serve_stale` —
-        and re-runs the XDB query without re-planning.  Failures
-        re-enter earlier stages in place through :meth:`_recover`.
+        and re-runs the XDB query without re-planning.  A memo hit
+        that cleans up hands its cascade to the memo instead
+        (:meth:`_retain`); one the memo handed it goes back there even
+        when the run fails, as a prepared handle keeps its own.
+        Failures re-enter earlier stages in place through
+        :meth:`_recover`.
         """
         tracer = ctx.tracer
         retained = state.deployed
         state.lease = None
+        answered = False
         try:
             with tracer.span("exec", kind="phase") as exec_span:
                 result = self._answer(state, ctx, exec_span)
@@ -840,12 +932,13 @@ class PlanPipeline:
                         > self.adaptivity_threshold
                     )
 
+            answered = True
             # Cleanup runs outside the exec span (its drops are not
             # part of the execution window's transfer summary) but
             # still under the admission lease, and — with a deadline —
             # under the grace budget, so a query that *met* its
             # deadline cannot fail while tearing itself down.
-            if cleanup:
+            if cleanup and not self._retain(state):
                 ctx.current_phase = "cleanup"
                 with grace():
                     deployed.cleanup()
@@ -862,6 +955,10 @@ class PlanPipeline:
         finally:
             if state.lease is not None:
                 state.lease.release(self.clock.now() + tracer.sim_now)
+            if cleanup and retained is not None and not answered:
+                if not self._retain(state):
+                    with grace():
+                        self._teardown(state.deployed)
 
     def _answer(
         self, state: PlanState, ctx: QueryContext, exec_span

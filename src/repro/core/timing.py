@@ -69,8 +69,8 @@ def attribute_edge_stats(
             view = record.tag[len("fdw:") :]
             rows, payload = by_view.get(view, (0, 0))
             by_view[view] = (rows + record.rows, payload + record.payload_bytes)
-    for edge in deployed.plan.edges:
-        view = deployed.edge_views.get(id(edge), "").lower()
+    for index, edge in enumerate(deployed.plan.edges):
+        view = deployed.edge_views.get(index, "").lower()
         rows, payload = by_view.get(view, (0, 0))
         edge.moved_rows = rows
         edge.moved_bytes = payload

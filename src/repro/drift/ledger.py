@@ -1,17 +1,21 @@
-"""The delegated-object ledger: every DDL object one client ever made.
+"""The delegated-object ledger: every DDL object one namespace ever made.
 
 The delegation engine creates short-lived ``xf_/xm_/xv_`` objects on
 autonomous engines; rollbacks and cleanups drop them — except when an
 engine is down, a DROP exhausts its retry budget, or a deadline's
 grace window runs out, in which case the objects *leak*.  The ledger
-is the client's durable memory of everything it created, so leaks are
-a bounded, reconcilable debt instead of silent garbage:
+is the namespace's durable memory of everything its clients created,
+so leaks are a bounded, reconcilable debt instead of silent garbage:
 
-* every created object is recorded under the **epoch** (the delegation
-  counter value) of the cascade that created it;
+* every created object is recorded under the **epoch** of the cascade
+  that created it; the ledger hands epochs out
+  (:meth:`ObjectLedger.open_epoch`), so every client of one namespace
+  — they share its ledger, which the deployment keeps — draws from
+  one counter;
 * an epoch is **live** while its deployment may still be executed
-  (prepared queries keep theirs live across re-executions) and
-  **closed** once the deployment is rolled back or retired;
+  (prepared queries and the cascades a plan memo keeps stay live
+  across re-executions) and **closed** once the deployment is rolled
+  back or retired;
 * the reaper (:mod:`repro.drift.reaper`) drops engine-held objects
   from closed epochs and never touches live ones — the fencing
   invariant that makes sweeping safe while queries run.
@@ -103,7 +107,12 @@ class ObjectLedger:
 
     # -- epochs ---------------------------------------------------------
 
-    def open_epoch(self, epoch: int) -> int:
+    def open_epoch(self, epoch: Optional[int] = None) -> int:
+        """Mark ``epoch`` live — by default the next one: above every
+        epoch this namespace has seen, whichever of its clients opened
+        it, so no two cascades ever share a name."""
+        if epoch is None:
+            epoch = self._max_epoch + 1
         self._live_epochs.add(epoch)
         self._max_epoch = max(self._max_epoch, epoch)
         self._persist()

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.connect.connector import DBMSConnector
 from repro.core.partition import PartitionSpec, partition_name
+from repro.drift.ledger import ObjectLedger
 from repro.engine.database import Database
 from repro.engine.fdw import RemoteServer
 from repro.errors import CatalogError, NetworkError
@@ -113,6 +114,10 @@ class Deployment:
         # slots (see :mod:`repro.qos`).
         self.workload_gate = WorkloadGate()
 
+        #: ddl namespace -> (the delegated-object ledger its clients
+        #: share, the path it persists to)
+        self._ledgers: Dict[str, Tuple[ObjectLedger, Optional[str]]] = {}
+
     # -- wiring ----------------------------------------------------------------
 
     def _register_server(self, local: Database, remote: Database) -> None:
@@ -165,6 +170,26 @@ class Deployment:
 
     def database_names(self) -> List[str]:
         return list(self.databases)
+
+    def _ledger(self, namespace: str, path: Optional[str]) -> ObjectLedger:
+        """The delegated-object ledger of ``namespace``, one per namespace
+        (``XDB(ddl_namespace=, ledger_path=)`` asks for it).
+
+        Every client of a namespace shares it, so they draw epochs from
+        one counter (no two cascades share a name) and each one's
+        reaper fences every live epoch of the namespace.  The first
+        client of a namespace decides its ``path``; a later one passing
+        another path gets ``ValueError``.
+        """
+        if namespace not in self._ledgers:
+            self._ledgers[namespace] = (ObjectLedger(namespace, path), path)
+        ledger, kept = self._ledgers[namespace]
+        if path is not None and path != kept:
+            raise ValueError(
+                f"ddl namespace {namespace!r} already keeps its ledger at "
+                f"{kept!r}, not {path!r}"
+            )
+        return ledger
 
     # -- health ----------------------------------------------------------------------
 

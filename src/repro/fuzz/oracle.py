@@ -50,7 +50,9 @@ Eight invariants, each cheap to state and brutal to uphold:
    built for.  The middleware's plan memo is held to the same rule:
    each delegation plan a client would still reuse describes the same
    tasks and edges, and delegates the same SQL, as the plan the client
-   makes from scratch.
+   makes from scratch; a cascade it keeps deployed for that plan and
+   would still serve ran the same DDL, but for its epoch, as a fresh
+   delegation does, and every object it created is still there.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.client import XDB
+from repro.core.delegate import DeployedQuery
 from repro.core.plan import DelegationPlan
 from repro.drift.mutate import apply_drift
 from repro.engine.database import Database
@@ -662,7 +665,9 @@ def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
     by the same loop.  Each of ``clients`` is judged on its middleware
     plan memo: an entry it would still reuse against ``plan_query``'s
     plan of the same SQL (which consults the engines like any plan),
-    by ``describe()`` and :func:`delegated_sql`."""
+    by ``describe()`` and :func:`delegated_sql` — and a cascade the
+    entry keeps deployed and would still serve, by
+    :func:`_cascade_failures`."""
     failures: List[str] = []
     for database in databases:
         for key, entry in list(database._memo.items()):
@@ -726,6 +731,41 @@ def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
                     f"{delegated_sql(entry.dplan)!r} vs fresh "
                     f"{delegated_sql(fresh)!r}"
                 )
+            cascade = entry.cascade
+            if cascade is not None:
+                failures.extend(
+                    f"client memo keeps a stale cascade for {key!r}: {f}"
+                    for f in _cascade_failures(xdb, cascade.deployed, fresh)
+                )
+    return failures
+
+
+def _cascade_failures(
+    xdb: XDB, deployed: DeployedQuery, fresh: DelegationPlan
+) -> List[str]:
+    """A retained cascade against a fresh delegation of ``fresh``: the
+    same DDL but for the epoch, and every object it created still on
+    its engine.  The fresh cascade is dropped again afterwards."""
+    shape = re.compile(rf"\b(x[fmv]_{re.escape(xdb.ledger.namespace)})\d+_")
+
+    def epochless(ddl_log):
+        return [(db, shape.sub(r"\1", sql)) for db, sql in ddl_log]
+
+    failures = []
+    try:
+        redone = xdb.delegator.delegate(fresh)
+    except ReproError as exc:
+        return [f"delegating it from scratch fails: {exc!r}"]
+    try:
+        if epochless(deployed.ddl_log) != epochless(redone.ddl_log):
+            failures.append(
+                f"DDL {deployed.ddl_log!r} vs fresh {redone.ddl_log!r}"
+            )
+    finally:
+        redone.cleanup()
+    for db, kind, name in deployed.created_objects:
+        if xdb.deployment.database(db).catalog.get(name) is None:
+            failures.append(f"{kind} {name!r} is gone from {db!r}")
     return failures
 
 

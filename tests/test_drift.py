@@ -10,6 +10,7 @@ prepared-plan invalidation, and the reaper's fencing invariants.
 
 import pytest
 
+from repro.bench.scenarios import build_tpch_deployment
 from repro.core.client import XDB
 from repro.drift import ObjectLedger, apply_drift, schema_fingerprint
 from repro.drift.fingerprint import schema_diff
@@ -19,6 +20,7 @@ from repro.federation.deployment import Deployment
 from repro.qos import QoSPolicy
 from repro.relational.schema import Field, Schema
 from repro.sql.types import BIGINT, DOUBLE, INTEGER, varchar
+from repro.workloads.tpch import query
 
 from conftest import assert_same_rows
 
@@ -370,8 +372,10 @@ def test_digit_final_namespace_cannot_claim_another_clients_cascade():
     dep = build_small()
     plain = XDB(dep)
     plain.warm_metadata()
-    for _ in range(14):
-        plain.submit(EVENTS_STAR)
+    # fourteen one-shot texts: a repeated one would keep its cascade
+    # and stop drawing epochs
+    for weight in range(14):
+        plain.submit(f"SELECT * FROM events WHERE weight > {weight}")
     prepared = plain.prepare(JOIN_QUERY)
     assert prepared.deployed.epoch == 15
     names = {name for _db, _kind, name in prepared.deployed.created_objects}
@@ -480,6 +484,43 @@ def test_ledger_persists_and_fences_across_restart(tmp_path):
     assert report.kept_live  # the first client's prepared cascade
     assert len(prepared.execute().result) > 0
     assert reborn.submit(EVENTS_STAR).deployed.epoch > live_epoch
+    prepared.close()
+
+
+def test_two_clients_of_one_namespace_share_its_ledger(tmp_path):
+    """Two clients of one namespace on one deployment used to count
+    epochs apart: the second client's first cascade collided with the
+    first client's live ``xv_1_1``, and its reaper read that cascade as
+    an orphan.  One ledger per namespace makes both impossible."""
+    dep = build_small()
+    first = XDB(dep)
+    first.warm_metadata()
+    prepared = first.prepare(JOIN_QUERY)
+    second = XDB(dep)
+    second.warm_metadata()
+    reaped = second.reap()
+    assert reaped.dropped == []
+    assert set(prepared.deployed.created_objects) <= set(reaped.kept_live)
+    report = second.submit(JOIN_QUERY)
+    assert report.deployed.epoch > prepared.deployed.epoch
+    assert second.ledger is first.ledger
+    assert len(prepared.execute().result) > 0
+    prepared.close()
+
+    # the first client of a namespace sets where its ledger persists
+    path = str(tmp_path / "ledger.json")
+    owner = XDB(dep, ddl_namespace="p_", ledger_path=path)
+    assert XDB(dep, ddl_namespace="p_").ledger is owner.ledger
+    assert XDB(dep, ddl_namespace="p_", ledger_path=path).ledger is owner.ledger
+    with pytest.raises(ValueError, match="ledger"):
+        XDB(dep, ddl_namespace="p_", ledger_path=str(tmp_path / "other"))
+
+
+def test_two_clients_of_one_namespace_on_tpch():
+    dep, _ = build_tpch_deployment("TD1", 0.001)
+    prepared = XDB(dep).prepare(query("Q3"))
+    report = XDB(dep).submit(query("Q3"))
+    assert_same_rows(report.result.rows, prepared.execute().result.rows)
     prepared.close()
 
 

@@ -385,30 +385,34 @@ def test_parallel_counters_do_not_leak_across_queries():
     dep = build_sharded()
     xdb = XDB(dep)
     xdb.warm_metadata()
-    # The first submission plans; the next two reuse its plan.
+    # The first submission plans; the second reuses its plan and keeps
+    # its cascade, which the next two run on.
     first = xdb.submit(JOIN_SQL)
     second = xdb.submit(JOIN_SQL)
     third = xdb.submit(JOIN_SQL)
-    assert len({id(r.context) for r in (first, second, third)}) == 3
+    fourth = xdb.submit(JOIN_SQL)
+    reports = (first, second, third, fourth)
+    assert len({id(r.context) for r in reports}) == 4
 
-    # Identical submissions measure identically: nothing from the second
-    # query's gather bled into the third query's context.
+    # Identical submissions measure identically: nothing from the third
+    # query's gather bled into the fourth query's context.
     def event_counts(report):
         return Counter(e.name for e in report.context.root.subtree_events())
 
-    assert event_counts(second) == event_counts(third)
-    assert second.resilience == third.resilience
-    second_summary = second.context.trace_summary()
+    assert event_counts(third) == event_counts(fourth)
+    assert third.resilience == fourth.resilience
     third_summary = third.context.trace_summary()
+    fourth_summary = fourth.context.trace_summary()
     for key in ("spans", "events", "transfers", "sim_seconds"):
-        assert second_summary[key] == third_summary[key], key
+        assert third_summary[key] == fourth_summary[key], key
 
     # The planning submission differs from a reuse only by what planning
     # records: its parse step and lopt / ann phases (consultations
-    # included) against the reuse's plan-reused event.
+    # included) against the reuse's plan-reused event — and by its
+    # cleanup, outside the phases, which the reuse skips.
     def outside_planning(report):
         spans, events, records = 0, Counter(), []
-        stack = [report.context.root]
+        stack = [s for s in report.context.root.children if s.kind == "phase"]
         while stack:
             span = stack.pop()
             if span.name in ("parse", "lopt", "ann"):

@@ -34,13 +34,14 @@ from repro.engine.stats import (
     TableStats,
     compute_stats,
 )
-from repro.errors import EngineUnavailableError, ReproError
+from repro.errors import EngineUnavailableError, OverloadError, ReproError
 from repro.faults import FaultInjector, FaultPolicy
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
 from repro.feedback.store import FeedbackStore, Observation
 from repro.fuzz.oracle import chain_deployment, memo_failures
 from repro.net.network import TransferRecord
+from repro.qos import GateConfig, QoSPolicy
 from repro.relational.schema import Field, Schema
 from repro.sql.parser import parse_statement
 from repro.sql.types import DOUBLE, INTEGER, varchar
@@ -266,35 +267,58 @@ def _census():
     return counts
 
 
+def _delegated_epochs(deployment: Deployment) -> set:
+    """Epochs of the ``xf_/xm_/xv_`` objects the engines hold."""
+    return {
+        int(match)
+        for database in deployment.databases.values()
+        for name in database.catalog.names()
+        for match in re.findall(r"^x[fmv]_(\d+)_", name)
+    }
+
+
 def test_a_submit_leaves_nothing_behind():
     deployment, _ = build_tpch_deployment("TD3", 0.001)
     xdb = XDB(deployment)
     names = [TPCH_QUERIES[i % len(TPCH_QUERIES)] for i in range(20)]
-    # one pass over the six queries uses every (link, tag) a control
-    # message can have here; from then on nothing new may be retained:
-    # a transfer lives only as long as the context it was attributed to
-    for name in names[:6]:
+    # two passes over the six queries: the first plans each, the second
+    # deploys each plan again and keeps the cascade, and together they
+    # use every (link, tag) a control message can have here; from then
+    # on every submission runs on a kept cascade and nothing new may be
+    # retained: a transfer lives only as long as the context it was
+    # attributed to
+    for name in names[:12]:
         xdb.submit(query(name))
     early = _census()
-    for name in names[6:]:
+    for name in names[12:]:
         xdb.submit(query(name))
     late = _census()
     assert late["ledger"] <= early["ledger"]
     assert late["transfers"] <= early["transfers"]
     assert xdb.ledger.leaked_count() == 0
-    assert xdb.ledger.max_epoch() == 20
+    # an epoch per first submission and one per kept cascade
+    assert xdb.ledger.max_epoch() == 12
+    live = xdb.ledger.live_epochs()
+    assert len(live) == len(TPCH_QUERIES)
+    # the engines hold the kept cascades and nothing else
+    assert _delegated_epochs(deployment) == live
 
     for engine in deployment.databases.values():
-        # one generation of entries, all from the last query that
-        # touched this engine
+        # entries only for the kept cascades' objects, all of this
+        # catalog generation
         epochs = {
-            match
+            int(match)
             for key in engine._memo
             for match in re.findall(r"x[fmv]_(\d+)_", key)
         }
-        assert len(epochs) <= 1, (engine.name, sorted(engine._memo))
+        assert epochs <= live, (engine.name, sorted(engine._memo))
         for entry in engine._memo.values():
             assert entry.stamp[engine.catalog] == engine._memo_version
+
+    xdb.close()
+    assert _delegated_epochs(deployment) == set()
+    assert xdb.ledger.live_epochs() == set()
+    assert xdb.ledger.leaked_count() == 0
 
 
 # -- (vi) threads ----------------------------------------------------------
@@ -552,14 +576,20 @@ def _reused(ctx) -> bool:
     return bool(ctx.root.subtree_events("plan-reused"))
 
 
+def _cascade_reused(ctx) -> bool:
+    return bool(ctx.root.subtree_events("cascade-reused"))
+
+
 def _epochless(text: str) -> str:
     return re.sub(r"\b(x[fmv])_\d+_", r"\1_", text)
 
 
-def _run(report):
+def _run(report, skip=("consult",)):
     """What one run did, without its planning and its epoch: rows,
-    plan, delegated statements, schedule, and every transfer but the
-    consultations."""
+    plan, delegated statements, schedule, and every transfer of its
+    phases but those tagged ``skip`` (by default the consultations).
+    A cleanup's drops run outside the phases: a run that keeps its
+    cascade has none."""
     return (
         report.result.rows,
         report.plan.describe(),
@@ -567,8 +597,10 @@ def _run(report):
         report.schedule.total_seconds,
         [
             (t.src, t.dst, t.payload_bytes, t.rows, _epochless(t.tag), t.seconds)
-            for t in report.context.transfers
-            if t.tag != "consult"
+            for span in report.context.root.children
+            if span.kind == "phase"
+            for t in span.subtree_records()
+            if t.tag not in skip
         ],
     )
 
@@ -758,6 +790,24 @@ def test_a_later_run_leaves_an_earlier_report_alone():
     assert first.plan.describe() == described
     assert [(e.moved_rows, e.moved_bytes) for e in first.plan.edges] == moved
     assert not set(map(id, first.plan.edges)) & set(map(id, second.plan.edges))
+    # the third runs on the cascade the second kept, with edges of its own
+    described_second = second.plan.describe()
+    moved_second = [(e.moved_rows, e.moved_bytes) for e in second.plan.edges]
+    for table in ("orders", "lineitem"):
+        for database in deployment.databases.values():
+            stored = database.catalog.get(table)
+            if stored is not None:
+                stored.rows.extend(list(stored.rows))
+    third = xdb.submit(sql)
+    assert _cascade_reused(third.context)
+    assert third.deployed.plan is third.plan
+    assert third.plan.describe() != described_second
+    assert second.plan.describe() == described_second
+    assert [
+        (e.moved_rows, e.moved_bytes) for e in second.plan.edges
+    ] == moved_second
+    assert first.plan.describe() == described
+    assert not set(map(id, second.plan.edges)) & set(map(id, third.plan.edges))
 
 
 def test_the_memo_keeps_the_most_recently_served_plans(monkeypatch):
@@ -773,3 +823,219 @@ def test_the_memo_keeps_the_most_recently_served_plans(monkeypatch):
     assert not _reused(xdb.submit(q5).context)
     assert list(xdb.pipeline._memo) == [q10, q5]
     assert _reused(xdb.submit(q10).context)
+
+
+# -- (ix) retained cascades ------------------------------------------------
+
+#: the delegation control messages (CREATE, CTAS refresh, DROP)
+_NO_DDL = ("consult", "delegation")
+
+
+def _held(deployment: Deployment, epoch: int) -> list:
+    """(db, name) of every delegated object of ``epoch`` on an engine."""
+    return sorted(
+        (db, name)
+        for db, database in deployment.databases.items()
+        for name in database.catalog.names()
+        if re.fullmatch(rf"x[fmv]_{epoch}_\d+", name)
+    )
+
+
+def _kept_epoch(xdb: XDB, sql: str) -> int:
+    cascade = xdb.pipeline._memo[sql].cascade
+    assert cascade is not None
+    return cascade.deployed.epoch
+
+
+@pytest.mark.parametrize("td", ["TD1", "TD3"])
+def test_a_kept_cascade_answers_as_a_cold_client(td):
+    deployment, _ = build_tpch_deployment(td, 0.002)
+    xdb = _client(deployment)
+    for name in TPCH_QUERIES:
+        sql = query(name)
+        _, second, third = (xdb.submit(sql) for _ in range(3))
+        assert not _cascade_reused(second.context), name
+        assert _cascade_reused(third.context), name
+        assert second.deployed.epoch == third.deployed.epoch == _kept_epoch(
+            xdb, sql
+        )
+        # the cascade runs only on engines the entry's serving checks
+        entry = xdb.pipeline._memo[sql]
+        assert set(entry.dplan.annotations()) <= set(entry.engines), name
+        assert not third.context.root.subtree_events("ddl"), name
+        assert third.consultations == 0 and third.annotation is None
+        phases = [s.name for s in third.context.root.children]
+        assert phases == ["prep", "exec"], name
+        steps = {s.name for s in third.context.root.iter_spans()}
+        assert not steps & {"parse", "optimize", "annotate", "delegate"}
+        cold = _client(deployment).submit(sql)
+        assert _run(third, _NO_DDL) == _run(cold, _NO_DDL), name
+    assert memo_failures([], [xdb]) == []
+    xdb.close()
+    assert _delegated_epochs(deployment) == set()
+
+
+def _users_and_events() -> Deployment:
+    deployment = Deployment({"A": "postgres", "B": "postgres"})
+    deployment.load_table(
+        "A",
+        "users",
+        Schema([Field("id", INTEGER), Field("name", varchar(8))]),
+        [(i, f"u{i % 7}") for i in range(40)],
+    )
+    deployment.load_table(
+        "B",
+        "events",
+        Schema([Field("user_id", INTEGER), Field("w", DOUBLE)]),
+        [(i % 50, float(i % 9)) for i in range(300)],
+    )
+    return deployment
+
+
+USERS_EVENTS = (
+    "SELECT u.name, COUNT(*) AS n, SUM(e.w) AS w FROM users u, events e "
+    "WHERE u.id = e.user_id GROUP BY u.name"
+)
+
+
+@pytest.mark.parametrize("movement", ["cost", "explicit"])
+def test_a_kept_cascade_reads_rows_inserted_since(movement):
+    deployment = _users_and_events()
+    xdb = _client(deployment, movement_policy=movement)
+    xdb.submit(USERS_EVENTS)
+    kept = xdb.submit(USERS_EVENTS)
+    assert bool(kept.deployed.materializations) == (movement == "explicit")
+    for batch in range(3):
+        deployment.database("B").execute(
+            "INSERT INTO events VALUES "
+            + ", ".join(f"({40 + batch + i}, {i}.5)" for i in range(6))
+        )
+        deployment.database("A").execute(
+            f"INSERT INTO users VALUES ({40 + batch}, 'new{batch}')"
+        )
+        report = xdb.submit(USERS_EVENTS)
+        assert _cascade_reused(report.context)
+        refreshed = report.context.root.find_all(name="refresh", kind="step")
+        assert len(refreshed) == 1
+        cold = _client(deployment, movement_policy=movement).submit(
+            USERS_EVENTS
+        )
+        assert_same_rows(report.result.rows, cold.result.rows)
+        assert any(name.startswith(f"new{batch}") for name, *_ in report.result.rows)
+    assert memo_failures([], [xdb]) == []
+
+
+def test_an_open_breaker_releases_the_cascade_before_the_run():
+    deployment = _users_and_events()
+    xdb = _client(deployment)
+    xdb.submit(USERS_EVENTS)
+    xdb.submit(USERS_EVENTS)
+    epoch = _kept_epoch(xdb, USERS_EVENTS)
+    held = _held(deployment, epoch)
+    assert {db for db, _ in held} == {"A", "B"}
+    deployment.health.report_outage("B")
+    ctx = _submit_context(xdb, USERS_EVENTS)
+    assert not _cascade_reused(ctx)
+    assert not xdb.ledger.is_live(epoch)
+    # A's objects are dropped; B's, behind the open breaker, are owed
+    assert _held(deployment, epoch) == [o for o in held if o[0] == "B"]
+    assert {(e.db, e.name) for e in xdb.ledger.leaked_entries()} == {
+        o for o in held if o[0] == "B"
+    }
+    # the deferred sweep pays them down once B is back
+    deployment.health.record_success("B")
+    xdb.submit(USERS_EVENTS)
+    assert _held(deployment, epoch) == []
+    assert xdb.ledger.leaked_count() == 0
+
+
+def _kept_and_blocked():
+    """A client keeping USERS_EVENTS's cascade, and a gate holder on
+    the one cascade engine that is not the cascade's root."""
+    deployment = _users_and_events()
+    deployment.configure_qos(GateConfig(max_concurrent=1, max_queue=0))
+    xdb = _client(deployment)
+    xdb.submit(USERS_EVENTS)
+    xdb.submit(USERS_EVENTS)
+    cascade = xdb.pipeline._memo[USERS_EVENTS].cascade
+    (other,) = set(cascade.dplan.annotations()) - {cascade.deployed.root_db}
+    blocker = deployment.workload_gate.acquire([other], at=xdb.clock.now())
+    return deployment, xdb, cascade.deployed.epoch, blocker
+
+
+def test_a_shed_run_hands_the_cascade_back():
+    deployment, xdb, epoch, blocker = _kept_and_blocked()
+    with pytest.raises(OverloadError) as err:
+        xdb.submit(USERS_EVENTS)
+    assert _cascade_reused(err.value.context)
+    # the shed run held the cascade; the memo keeps it again, as a
+    # prepared handle keeps its own
+    assert _kept_epoch(xdb, USERS_EVENTS) == epoch
+    assert xdb.ledger.is_live(epoch) and _held(deployment, epoch)
+    blocker.release(xdb.clock.now())
+    report = xdb.submit(USERS_EVENTS)
+    assert _cascade_reused(report.context) and report.deployed.epoch == epoch
+
+
+def test_a_stale_read_answers_from_the_cascade_then_drops_it():
+    deployment, xdb, epoch, _ = _kept_and_blocked()
+    report = xdb.submit(
+        USERS_EVENTS, qos=QoSPolicy(max_staleness_seconds=1e6)
+    )
+    assert _cascade_reused(report.context)
+    assert report.qos.stale_read and report.qos.stale_reason == "overload"
+    assert report.deployed.epoch == epoch
+    # the stale read evicted the entry, so the run cleaned up
+    assert USERS_EVENTS not in xdb.pipeline._memo
+    assert not xdb.ledger.is_live(epoch) and _held(deployment, epoch) == []
+
+
+def test_an_lru_pop_releases_the_cascade(monkeypatch):
+    monkeypatch.setattr(pipeline_module, "PLAN_MEMO_SIZE", 2)
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    q3, q5, q10 = (query(name) for name in ("Q3", "Q5", "Q10"))
+    for sql in (q3, q3, q5, q5):
+        xdb.submit(sql)
+    epochs = {sql: _kept_epoch(xdb, sql) for sql in (q3, q5)}
+    assert _delegated_epochs(deployment) == set(epochs.values())
+    xdb.submit(q10)  # a miss: stored, and q3 goes
+    assert list(xdb.pipeline._memo) == [q5, q10]
+    assert _held(deployment, epochs[q3]) == []
+    assert not xdb.ledger.is_live(epochs[q3])
+    assert _delegated_epochs(deployment) == {epochs[q5]}
+    assert _cascade_reused(xdb.submit(q5).context)
+    xdb.close()
+    assert _delegated_epochs(deployment) == set()
+    assert xdb.ledger.leaked_count() == 0
+
+
+@pytest.mark.parametrize("change", sorted(MISSES))
+def test_every_planning_input_releases_the_cascade(change):
+    deployment, xdb, sql = _memoized_q3()
+    epoch = _kept_epoch(xdb, sql)
+    held = _held(deployment, epoch)
+    assert held
+    MISSES[change](xdb, deployment)
+    ctx = _submit_context(xdb, sql)
+    assert not _cascade_reused(ctx)
+    assert not xdb.ledger.is_live(epoch)
+    # what an open breaker kept from being dropped is owed, not lost
+    leaked = {(e.db, e.name) for e in xdb.ledger.leaked_entries()}
+    assert set(_held(deployment, epoch)) == leaked & set(held)
+    xdb.close()
+    assert _held(deployment, epoch) == sorted(leaked & set(held))
+
+
+def test_invariant_8_judges_a_kept_cascade():
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    sql = query("Q3")
+    xdb.submit(sql)
+    xdb.submit(sql)
+    assert memo_failures([], [xdb]) == []
+    # an object of the kept cascade dropped behind the client's back
+    db, kind, name = xdb.pipeline._memo[sql].cascade.deployed.created_objects[0]
+    deployment.database(db).execute(f"DROP {kind} {name}")
+    (failure,) = memo_failures([], [xdb])
+    assert "stale cascade" in failure and name in failure

@@ -394,6 +394,9 @@ def test_submit_sheds_with_retry_after_when_gate_is_full():
     # The shed submission retried after the hint succeeds unchanged.
     report = xdb.submit(JOIN_QUERY, qos=QoSPolicy())
     assert len(report.result.rows) == 10
+    # It repeats the shed one's text, so it keeps its cascade until
+    # the client closes.
+    xdb.close()
     assert residue(dep) == []
 
 
