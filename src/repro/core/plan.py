@@ -12,7 +12,7 @@ Task expressions are ordinary logical plans whose cross-task inputs are
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import OptimizerError
@@ -59,6 +59,13 @@ class Task:
     #: cardinality-feedback loop fingerprints it to key observed row
     #: counts independently of how the plan was cut into tasks
     source_expr: Optional[algebra.LogicalPlan] = None
+    #: derivations kept across the runs that share this task, each
+    #: stored with the inputs it was derived from (see
+    #: ``core.timing._task_processing_seconds`` and
+    #: ``feedback.harvest.harvest_tasks``)
+    _memo: Dict[str, tuple] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def placeholders(self) -> List[algebra.Scan]:
         """Placeholder scans inside this task's expression."""

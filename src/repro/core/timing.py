@@ -17,12 +17,14 @@ dataflow semantics:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.connect.connector import DBMSConnector
 from repro.core.delegate import DeployedQuery
 from repro.core.plan import DelegationPlan, Movement, Task
+from repro.engine.catalog import BaseTable
 from repro.engine.cost import CardinalityEstimator, ScanStats
 from repro.net.network import Network, TransferRecord, protocol_between
 from repro.obs.runtime import current_context
@@ -192,10 +194,14 @@ def _task_processing_seconds(
     actually moved."""
     database = connectors[task.annotation].database
     model = database.cost_model
+    in_edges = dplan.in_edges(task)
+    key = _price_key(task, in_edges, dplan, connectors, database)
+    cached = task._memo.get("price")
+    if key is not None and cached is not None and _same_key(cached[0], key):
+        return cached[1]
 
     edge_rows = {
-        edge.placeholder: float(edge.moved_rows or 0)
-        for edge in dplan.in_edges(task)
+        edge.placeholder: float(edge.moved_rows or 0) for edge in in_edges
     }
 
     def stats_provider(scan: algebra.Scan) -> ScanStats:
@@ -209,7 +215,7 @@ def _task_processing_seconds(
     estimator = CardinalityEstimator(stats_provider)
     seconds = model.plan_seconds(task.expr, estimator)
 
-    for edge in dplan.in_edges(task):
+    for edge in in_edges:
         child = dplan.tasks[edge.producer_id]
         rows = float(edge.moved_rows or 0)
         _, sibling = _consuming_join_sides(task, edge.placeholder)
@@ -225,7 +231,44 @@ def _task_processing_seconds(
         seconds += model.protocol_decode_seconds(
             rows, protocol, fetch_charged=True
         )
+    if key is not None:
+        task._memo["price"] = (key, seconds)
     return seconds
+
+
+def _price_key(task, in_edges, dplan, connectors, database):
+    """Everything :func:`_task_processing_seconds` reads that a re-run
+    of a kept task can change, or ``None`` to price afresh.
+
+    Objects (the expression, the consumer's and each producer's
+    profile, each scanned table's ANALYZE snapshot) are compared by identity and held here, so an
+    identity cannot be recycled while the key lives; the rest (each
+    in-edge's placeholder, movement and moved rows, the estimate of a
+    placeholder scan no edge feeds) by value.
+    """
+    objects = [task.expr, database.profile]
+    values = []
+    for edge in in_edges:
+        producer = connectors[dplan.tasks[edge.producer_id].annotation]
+        objects.append(producer.profile)
+        values.append((edge.placeholder, edge.movement, edge.moved_rows))
+    fed = {edge.placeholder for edge in in_edges}
+    for scan in task.expr.leaves():
+        if scan.placeholder:
+            if scan.binding not in fed:
+                values.append(scan.estimated_rows)
+            continue
+        table = database.catalog.get(scan.table)
+        if not isinstance(table, BaseTable):
+            return None
+        objects.append(table.stats)
+    return objects, values
+
+
+def _same_key(old, new) -> bool:
+    return old[1] == new[1] and len(old[0]) == len(new[0]) and all(
+        map(operator.is_, old[0], new[0])
+    )
 
 
 def _consuming_join_sides(task: Task, placeholder: str):

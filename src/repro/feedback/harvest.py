@@ -48,7 +48,11 @@ def is_delegated_name(table: str) -> bool:
 
 
 def harvest_tasks(dplan, result_rows: Optional[int]) -> List[Observation]:
-    """Observations for every task boundary with a measured actual."""
+    """Observations for every task boundary with a measured actual.
+
+    A task derives its ``source_expr``'s fingerprint, locus and tables
+    once and keeps them for as long as it keeps that expression: the
+    runs of a kept plan share their tasks."""
     out: List[Observation] = []
     if dplan is None:
         return out
@@ -70,12 +74,17 @@ def harvest_tasks(dplan, result_rows: Optional[int]) -> List[Observation]:
                 # for edges no transfer record matched.  Don't learn
                 # "this subtree is empty" from a bookkeeping gap.
                 continue
+        keys = task._memo.get("harvest")
+        if keys is None or keys[0] is not src:
+            keys = (src, fingerprint(src), qerror.locus_of(src), base_tables(src))
+            task._memo["harvest"] = keys
+        _, fp, locus, tables = keys
         out.append(
             Observation(
-                fingerprint=fingerprint(src),
+                fingerprint=fp,
                 kind="task",
-                locus=qerror.locus_of(src),
-                tables=base_tables(src),
+                locus=locus,
+                tables=list(tables),
                 estimated_rows=float(task.estimated_rows or 0.0),
                 actual_rows=actual,
                 label=f"task {task.task_id}@{task.annotation}",
