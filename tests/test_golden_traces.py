@@ -8,6 +8,14 @@ Garlic, Presto(4w) and Sclera.  Each trace comes from a fresh deployment and a f
 system, so no counter (temp-table names, delegation epochs) depends on
 which traces ran before it.
 
+Two sequences pin the cascades a client keeps, on TD1: one client
+submits Q3 three times (the plan-memo miss, the hit that deploys the
+cascade it keeps, the run on that cascade) and closes; a prepared Q3
+handle under ``movement_policy="explicit"`` executes, sees a fixed
+INSERT of new ``orders`` and ``lineitem`` rows, executes again and is
+closed.  Each of their reports is pinned in turn, and so is what the
+close left on the engines.
+
 The canonical form keeps every span's name, kind and nesting, its
 attributes, its ``sim_start`` / ``sim_end``, its events (name and
 attributes) and its transfer records (src, dst, bytes, rows, tag), plus
@@ -37,6 +45,7 @@ from repro.baselines.presto import PrestoSystem
 from repro.baselines.sclera import ScleraSystem
 from repro.bench.scenarios import HETEROGENEOUS_PROFILES, build_tpch_deployment
 from repro.core.client import XDB
+from repro.drift.ledger import DELEGATED_PREFIXES
 from repro.workloads.tpch import query
 
 GOLDEN = Path(__file__).parent / "golden" / "traces.json"
@@ -76,12 +85,67 @@ SYSTEMS = {
     "Sclera": _baseline(ScleraSystem),
 }
 
+
+def _holder(deployment, table):
+    return next(
+        database
+        for database in deployment.databases.values()
+        if database.catalog.get(table) is not None
+    )
+
+
+#: A fixed write inside Q3's window: a BUILDING customer's new order and
+#: its two lineitems, large enough to lead the top ten.
+NEW_ROWS = {
+    "orders": "INSERT INTO orders VALUES (900001, 3, 'O', 900000.0, "
+    "DATE '1995-03-01', '1-URGENT', 'Clerk#000000001', 0, 'new order')",
+    "lineitem": "INSERT INTO lineitem VALUES "
+    + ", ".join(
+        f"(900001, {line}, {line}, {line}, 10.0, {price}, 0.0, 0.0, 'N', "
+        "'O', DATE '1995-04-01', DATE '1995-04-02', DATE '1995-04-03', "
+        "'NONE', 'MAIL', 'new item')"
+        for line, price in ((1, 400000.0), (2, 300000.0))
+    ),
+}
+
+
+def _repeated_submits(deployment):
+    """The miss, the deploying hit and the kept-cascade run, then close."""
+    xdb = XDB(deployment)
+    xdb.warm_metadata()
+    reports = [xdb.submit(query("Q3")) for _ in range(3)]
+    xdb.close()
+    return reports
+
+
+def _prepared_handle(deployment):
+    """Prepare, execute, insert new rows, execute, close."""
+    xdb = XDB(deployment, movement_policy="explicit")
+    xdb.warm_metadata()
+    handle = xdb.prepare(query("Q3"))
+    reports = [handle.execute()]
+    for table, sql in NEW_ROWS.items():
+        _holder(deployment, table).execute(sql)
+    reports.append(handle.execute())
+    handle.close()
+    return reports
+
+
+#: (system, config, name) -> run(deployment): the reports of one
+#: sequence of calls on one fresh client
+SEQUENCES = {
+    ("XDB-left-deep", "TD1", "Q3-submit-x3-close"): _repeated_submits,
+    ("XDB-prepared-explicit", "TD1", "Q3-prepare-insert-close"): (
+        _prepared_handle
+    ),
+}
+
 CASES = [
     (system, config, name)
     for system in SYSTEMS
     for config in CONFIGS
     for name in QUERIES
-]
+] + list(SEQUENCES)
 
 
 # -- canonical form --------------------------------------------------------
@@ -133,14 +197,34 @@ def _digest(result) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def trace(system: str, config: str, name: str) -> dict:
-    """The canonical trace of one query on a fresh deployment."""
-    td, profiles = CONFIGS[config]
-    deployment, _ = build_tpch_deployment(td, SCALE_FACTOR, profiles=profiles)
-    report = SYSTEMS[system](deployment, query(name))
+def _canonical(report) -> dict:
     return {
         "rows": _digest(report.result),
         "span": _span(report.context.root, root=True),
+    }
+
+
+def _delegated_objects(deployment) -> list:
+    return sorted(
+        [db, name]
+        for db, database in deployment.databases.items()
+        for name in database.catalog.names()
+        if name.lower().startswith(DELEGATED_PREFIXES)
+    )
+
+
+def trace(system: str, config: str, name: str) -> dict:
+    """The canonical trace of one query, or of each report of one
+    sequence plus the delegated objects it left, on a fresh
+    deployment."""
+    td, profiles = CONFIGS[config]
+    deployment, _ = build_tpch_deployment(td, SCALE_FACTOR, profiles=profiles)
+    sequence = SEQUENCES.get((system, config, name))
+    if sequence is None:
+        return _canonical(SYSTEMS[system](deployment, query(name)))
+    return {
+        "reports": [_canonical(report) for report in sequence(deployment)],
+        "left": _delegated_objects(deployment),
     }
 
 
