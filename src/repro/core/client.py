@@ -11,10 +11,11 @@ The machinery itself lives in :mod:`repro.core.pipeline`: a submission
 is a :class:`~repro.core.pipeline.PlanState` driven through the
 re-enterable stage sequence by :class:`~repro.core.pipeline.
 PlanPipeline`, whose ``execute`` is the only execute path and whose
-recovery table is the only recovery routine.  This module keeps the
-user-facing surface: :class:`XDB` (``submit`` enters the pipeline at
-``parse``, a repeated text at ``execute`` on the cascade its plan-memo
-entry keeps), :class:`PreparedQuery` (a retained state that re-enters
+recovery table is the only recovery routine, and which keeps every
+deployed cascade.  This module keeps the user-facing surface:
+:class:`XDB` (``submit`` enters the pipeline at ``parse``, a repeated
+text at ``execute`` on the cascade its plan-memo entry keeps),
+:class:`PreparedQuery` (a key on a cascade the pipeline keeps, re-run
 at ``execute``), and the :class:`XDBReport` both are answered with.
 
 Every submission runs inside one :class:`~repro.obs.context.
@@ -27,8 +28,7 @@ a submission that fails hands its context out on the error
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -45,7 +45,7 @@ from repro.core.plan import DelegationPlan
 from repro.core.timing import ScheduleResult, simulate_schedule  # noqa: F401
 from repro.drift.reaper import OrphanReaper, ReapReport
 from repro.engine.result import Result
-from repro.errors import OptimizerError, ReproError
+from repro.errors import ReproError
 from repro.federation.deployment import Deployment
 from repro.feedback.harvest import harvest_execution  # noqa: F401
 from repro.feedback.report import qerror_table
@@ -68,6 +68,7 @@ class XDBReport:
 
     result: Result
     plan: DelegationPlan
+    #: this run's copy of the cascade (a kept one runs again)
     deployed: DeployedQuery
     #: None for prepared executions and plan-memo hits (no annotation
     #: phase)
@@ -281,10 +282,8 @@ class XDB:
         # pending; the *next* submission sweeps it — sweeping inside the
         # guarded call path would recurse into the connectors.
         deployment.health.add_recovery_listener(self.reaper.note_recovery)
-        #: live PreparedQuery handles, so drift recovery can invalidate
-        #: prepared plans that scan a re-introspected table
-        self._prepared: "weakref.WeakSet[PreparedQuery]" = weakref.WeakSet()
-        #: the re-enterable planning pipeline every submission runs on
+        #: the re-enterable planning pipeline every submission runs on,
+        #: and the owner of every cascade the client keeps
         self.pipeline = PlanPipeline(
             deployment,
             self.catalog,
@@ -295,7 +294,6 @@ class XDB:
             repair_budget=repair_budget,
             feedback=feedback,
             adaptivity_threshold=adaptivity_threshold,
-            on_drift=self._invalidate_prepared,
         )
         #: this client's simulated clock (see ``PlanPipeline.clock``)
         self.clock = self.pipeline.clock
@@ -356,8 +354,9 @@ class XDB:
         :class:`QueryContext` — the body of both entry points.
 
         A state that has not been planned yet (``submit``) runs the
-        planning phases first; a prepared query's state enters at
-        ``execute`` and reports zero planning phases.
+        planning phases first (a memo hit may swap in a kept state); a
+        prepared query's state enters at ``execute`` and reports zero
+        planning phases.
         """
         # Engines that recovered since the last entry get their
         # deferred orphan sweep now, outside the query's context (and
@@ -371,13 +370,13 @@ class XDB:
         try:
             with ctx:
                 if plans:
-                    self.pipeline.plan(state, ctx, retain=cleanup)
+                    state = self.pipeline.plan(state, ctx, retain=cleanup)
                 placement_before = self.pipeline.placement(state.dplan)
                 self.pipeline.execute(state, ctx, cleanup=cleanup)
             return XDBReport(
                 result=state.result,
                 plan=state.dplan,
-                deployed=state.deployed,
+                deployed=replace(state.deployed),
                 # what *this* entry annotated: nothing for a prepared
                 # one or a plan-memo hit
                 annotation=state.annotation if plans else None,
@@ -394,12 +393,12 @@ class XDB:
             self.clock.advance(ctx.tracer.sim_now)
 
     def close(self) -> None:
-        """Drop every cascade the plan memo keeps deployed.
+        """Drop every cascade the client keeps deployed: the plan
+        memo's, and every open prepared handle's, which closes it.
 
         Best effort: a DROP that fails leaves its object in the ledger
         under a closed epoch, for the reaper.  The memo's plans stay,
-        so the client remains usable; prepared handles are closed on
-        their own (:meth:`PreparedQuery.close`).
+        so the client remains usable.
         """
         self.pipeline._release_all()
 
@@ -454,10 +453,7 @@ class XDB:
         """
         state = self.pipeline.new_state(query, budget=0)
         self.pipeline.plan(state)
-        self.pipeline.deploy(state)
-        prepared = PreparedQuery(self, state)
-        self._prepared.add(prepared)
-        return prepared
+        return PreparedQuery(self, self.pipeline.prepare(state))
 
     def invalidate_metadata(self) -> None:
         self.pipeline.metadata_fresh = False
@@ -467,35 +463,29 @@ class XDB:
         self.catalog.refresh()
         self.pipeline.metadata_fresh = True
 
-    # -- internals ------------------------------------------------------------------
-
-    def _invalidate_prepared(self, db: str, table: str) -> None:
-        """Mark prepared queries scanning ``db.table`` as stale."""
-        for prepared in list(self._prepared):
-            scanned = PlanPipeline.placement(prepared.state.dplan)
-            if table.lower() in {name.lower() for name in scanned}:
-                prepared.state.stale_plan = True
-
 
 class PreparedQuery:
     """A delegated query kept deployed for repeated execution.
 
-    The handle is a retained :class:`PlanState`: every :meth:`execute`
-    re-enters the pipeline at the ``execute`` stage under a *fresh*
-    :class:`QueryContext`, so repeated executions report identical,
-    independent numbers — counters cannot leak from one run into the
-    next.  Use as a context manager (or call :meth:`close`) so the
-    short-lived views / foreign tables are dropped from the DBMSes
-    afterwards.
+    The handle is a key on a :class:`PlanState` the client's pipeline
+    keeps: every :meth:`execute` re-runs it (``PlanPipeline.rerun``) at
+    the ``execute`` stage under a *fresh* :class:`QueryContext`, so
+    repeated executions report identical, independent numbers —
+    counters cannot leak from one run into the next.  Use as a context
+    manager (or call :meth:`close`, or the client's) so the short-lived
+    views / foreign tables are dropped from the DBMSes afterwards.
     """
 
-    def __init__(self, xdb: XDB, state: PlanState):
+    def __init__(self, xdb: XDB, key: int):
         self._xdb = xdb
-        #: the planned, deployed state — source query, plan and cascade
-        #: — that schema drift or a blown estimate replans in place
-        self.state = state
+        self._key = key
         self.executions = 0
-        self._closed = False
+
+    @property
+    def state(self) -> PlanState:
+        """The kept state — source query, plan and cascade — that
+        schema drift or a blown estimate replans in place."""
+        return self._xdb.pipeline.prepared(self._key)
 
     @property
     def deployed(self) -> Optional[DeployedQuery]:
@@ -548,25 +538,20 @@ class PreparedQuery:
         the optimizer's estimators run under the learned cardinalities,
         so the replanned cascade reflects observed row counts.
         """
-        if self._closed:
-            raise OptimizerError("prepared query is closed")
         xdb = self._xdb
-        xdb.pipeline.rearm(self.state, budget=xdb.repair_budget)
-        report = xdb._run(self.state, qos, cleanup=False)
+        state = xdb.pipeline.rerun(self.state, budget=xdb.repair_budget)
+        report = xdb._run(state, qos, cleanup=True)
         self.executions += 1
         return report
 
     def close(self) -> None:
-        """Drop every deployed object.
+        """Drop every deployed object (a no-op once closed).
 
         The handle is closed even when a drop fails: the raised
         :class:`DelegationError` reports the leak, and the ledger owns
         the leaked objects until the reaper collects them.
         """
-        if not self._closed:
-            self._closed = True
-            if self.state.deployed is not None:
-                self.state.deployed.cleanup()
+        self._xdb.pipeline._release(self._key, strict=True)
 
     def __enter__(self) -> "PreparedQuery":
         return self

@@ -7,13 +7,12 @@ One submission is a :class:`PlanState` driven through
 Every stage writes its output onto the state and advances
 ``state.stage``; running the pipeline again skips completed stages.
 :meth:`PlanPipeline.execute` is the only code that admits, delegates,
-runs, schedules and harvests a query.  A prepared query is the same
-pipeline entered later: its state keeps the deployed cascade
-(``state.deployed``), and each re-execution enters at ``execute``,
-where *no cascade yet → delegate* and *cascade retained → refresh the
-``xm_`` snapshots, or serve them stale when the policy allows* are the
-one branch.  A repeated submission whose plan-memo entry keeps a
-cascade enters there the same way.
+runs, schedules and harvests a query.  A kept cascade — a prepared
+handle's, or a repeated submission's — is its state, kept by the
+pipeline and re-run at ``execute`` (:meth:`PlanPipeline.rerun`), where
+*no cascade yet → delegate* and *cascade kept → refresh the ``xm_``
+snapshots, or serve them stale when the policy allows* are the one
+branch.
 
 Recovery is stage re-entry, and it exists once: :meth:`PlanPipeline.
 _recover` classifies a failure's cause chain in a single walk and looks
@@ -31,10 +30,10 @@ observed row counts.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from itertools import count
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.annotate import Annotation, PlanAnnotator
 from repro.core.catalog import GlobalCatalog
@@ -413,8 +412,8 @@ class MemoEntry:
     #: the engines placement found available; the entry is served only
     #: while each still is
     engines: Tuple[str, ...]
-    #: the cascade a repeat of the statement left deployed, without its
-    #: run's products (None: nothing kept, or a run holds it right now)
+    #: the state of the repeat that left its cascade deployed (None:
+    #: nothing kept, or a run holds it right now)
     cascade: Optional["PlanState"] = None
 
 
@@ -456,12 +455,11 @@ class PlanState:
     #: the plan memo key whose plan nodes this state shares (None:
     #: its plan is its own) — recovery evicts it before rewriting them
     memo_key: Optional[str] = None
-    #: the memo served this state's plan: its SQL has proved it repeats,
-    #: so a clean run may leave the cascade deployed (:meth:`_retain`)
-    repeat: bool = False
-    # -- what a retained cascade (a prepared query, or one the plan memo
-    # -- keeps) carries between executions; a one-shot submission never
-    # -- reads these back
+    #: who may keep the cascade (:meth:`PlanPipeline._keep`): a handle
+    #: key, or the key of a memo hit — its SQL repeats (None: nobody)
+    keeper: Optional[Union[int, str]] = None
+    # -- what a kept cascade (a prepared handle's, or one the plan memo
+    # -- keeps) carries between runs; a one-shot never reads these back
     #: root-query runs the deployed cascade has answered (the first
     #: reads the CTAS snapshots of its delegation, later ones refresh)
     runs: int = 0
@@ -481,11 +479,11 @@ class PlanState:
 class PlanPipeline:
     """Drives a :class:`PlanState` through the pipeline's stages.
 
-    Owns the one execute path and the one recovery routine:
-    ``XDB.submit`` enters at ``parse``, a prepared query — or a
-    submission the plan memo hands a retained cascade — re-enters at
-    ``execute`` with its cascade retained, and every recovery re-enters
-    at the stage :data:`RECOVERY` names instead of duplicating either.
+    Owns the one execute path, the one recovery routine and every
+    kept cascade: ``XDB.submit`` enters at ``parse``, a prepared handle
+    — or a submission the plan memo hands a kept cascade — re-enters at
+    ``execute`` through :meth:`rerun`, and every recovery re-enters at
+    the stage :data:`RECOVERY` names instead of duplicating either.
     """
 
     def __init__(
@@ -499,7 +497,6 @@ class PlanPipeline:
         repair_budget: int = 2,
         feedback: Optional[FeedbackStore] = None,
         adaptivity_threshold: Optional[float] = None,
-        on_drift: Optional[Callable[[str, str], None]] = None,
     ):
         self.deployment = deployment
         #: the client's simulated clock, starting at the gate's present:
@@ -521,14 +518,15 @@ class PlanPipeline:
         #: mid-query suffix replan, and a retained cascade replans
         #: before its next execution (None = adaptivity disabled)
         self.adaptivity_threshold = adaptivity_threshold
-        #: callback(db, table) on drift re-introspection — the client
-        #: invalidates prepared handles scanning the table
-        self.on_drift = on_drift
         self.metadata_fresh = False
         #: statement text -> its clean plan, all stored under
         #: ``_memo_stamp`` (see :meth:`plan`)
         self._memo: "OrderedDict[str, MemoEntry]" = OrderedDict()
         self._memo_stamp: Optional[tuple] = None
+        #: handle key -> a prepared handle's state, kept beside the memo:
+        #: never served to a submission, popped or stamped out
+        self._handles: Dict[int, PlanState] = {}
+        self._handle_keys = count()
 
     # -- state construction ------------------------------------------------
 
@@ -553,6 +551,19 @@ class PlanPipeline:
             # entry replans in full (and degrades again, if it must).
             state.stage = "optimize"
             state.missing_partitions = []
+        return state
+
+    def rerun(
+        self, state: PlanState, budget: Optional[int] = None
+    ) -> PlanState:
+        """THE re-run path of a kept state, whoever keeps it: rearmed,
+        on edges of its own (``for_run()``) its cascade points at, so
+        no run rewrites an earlier report's plan."""
+        self.rearm(state, budget)
+        if state.dplan is not None:
+            state.dplan = state.dplan.for_run()
+            if state.stage == "execute":
+                state.deployed.plan = state.dplan
         return state
 
     @staticmethod
@@ -628,8 +639,9 @@ class PlanPipeline:
         state: PlanState,
         ctx: Optional[QueryContext] = None,
         retain: bool = False,
-    ) -> None:
-        """Run the planning stages the state has not passed yet.
+    ) -> PlanState:
+        """Run the planning stages the state has not passed yet; return
+        the state to run.
 
         Under ``ctx`` the stages run inside the prep / lopt / ann phase
         spans (the report's phase breakdown reads them), and an
@@ -644,8 +656,7 @@ class PlanPipeline:
         for the same SQL text is reused (:meth:`_reuse`) and neither
         lopt nor ann runs; otherwise the plan is made and, when clean,
         stored (:meth:`_remember`).  With ``retain`` (a submission that
-        cleans up) a hit also takes the cascade the entry keeps, and
-        the state enters at ``execute``.
+        cleans up) a hit returns the state the entry keeps, if any.
         """
         tracer = ctx.tracer if ctx is not None else None
         # Only a submission shares plans with the memo: a re-entered or
@@ -659,8 +670,10 @@ class PlanPipeline:
         with self._phase(ctx, "prep"):
             # A refresh moves the catalog version, so nothing would hit.
             refresh = not self.metadata_fresh
-            if memoize and not refresh and self._reuse(state, ctx, retain):
-                return
+            if memoize and not refresh and (
+                reused := self._reuse(state, ctx, retain)
+            ):
+                return reused
             if _pending(state, "parse"):
                 with self._step(tracer, "parse"):
                     state.select = self.parse(state.query)
@@ -688,6 +701,7 @@ class PlanPipeline:
                     stamp = None  # a repaired plan is not stored
         if stamp is not None:
             self._remember(state, stamp)
+        return state
 
     # -- the middleware plan memo ------------------------------------------
 
@@ -705,7 +719,8 @@ class PlanPipeline:
     def _reset_memo(self, stamp: tuple) -> None:
         """Drop the memo whole, cascades too, when the stamp has moved."""
         if stamp != self._memo_stamp:
-            self._release_all()
+            for key in self._memo:
+                self._release(key)
             self._memo.clear()
             self._memo_stamp = stamp
 
@@ -732,48 +747,40 @@ class PlanPipeline:
 
     def _reuse(
         self, state: PlanState, ctx: QueryContext, retain: bool
-    ) -> bool:
-        """Hand ``state`` the memo's plan for its SQL, if still current.
+    ) -> Optional[PlanState]:
+        """The state to run on the memo's plan for its SQL (None: miss).
 
-        The state skips to ``delegate`` with its own edges (run
+        ``state`` skips to ``delegate`` with its own edges (run
         statistics never cross reports) and no annotation, so the
         report shows no consultations, as a prepared execution does.
-        With ``retain``, a cascade the entry keeps comes along and the
-        state skips to ``execute``, as a prepared handle's does.  An
-        entry that does not serve releases its cascade: every engine
-        the cascade runs on is one placement asked about, so
-        :meth:`_serves` has checked its breaker and availability.
+        With ``retain``, the state the entry keeps is re-run instead,
+        as a handle's is.  An entry that does not serve releases its
+        cascade: each engine the cascade runs on is one placement asked
+        about, so :meth:`_serves` checked its breaker and availability.
         """
         key = state.label
         self._reset_memo(self._stamp())
         entry = self._memo.get(key)
         if entry is None:
-            return False
+            return None
         if not self._serves(entry):
             self._release(key)
-            return False
+            return None
         self._memo.move_to_end(key)
-        cascade = entry.cascade
+        ctx.tracer.add_event("plan-reused")
+        if retain and entry.cascade is not None:
+            # The run holds the cascade until :meth:`_keep` hands it
+            # back; a recovery that evicts the entry meanwhile leaves it
+            # to the run, which then cleans up like any one-shot.
+            kept, entry.cascade = entry.cascade, None
+            ctx.tracer.add_event("cascade-reused", epoch=kept.deployed.epoch)
+            return self.rerun(kept)
         state.select = entry.select
         state.logical_plan = entry.logical_plan
         state.dplan = entry.dplan.for_run()
         state.stage = "delegate"
-        state.memo_key = key
-        state.repeat = True
-        ctx.tracer.add_event("plan-reused")
-        if retain and cascade is not None:
-            # The run holds the cascade until :meth:`_retain` hands it
-            # back; a recovery that evicts the entry meanwhile leaves it
-            # to the run, which then cleans up like any one-shot.
-            entry.cascade = None
-            state.deployed = dataclasses.replace(
-                cascade.deployed, plan=state.dplan
-            )
-            state.runs = cascade.runs
-            state.refreshed_at = cascade.refreshed_at
-            state.stage = "execute"
-            ctx.tracer.add_event("cascade-reused", epoch=cascade.deployed.epoch)
-        return True
+        state.memo_key = state.keeper = key
+        return state
 
     def _remember(self, state: PlanState, stamp: tuple) -> None:
         """Store a clean plan: made under ``stamp``, which still holds,
@@ -802,48 +809,50 @@ class PlanPipeline:
             self._memo.pop(state.memo_key, None)
             state.memo_key = None
 
-    def _retain(self, state: PlanState) -> bool:
-        """Keep a memo hit's cascade deployed on its entry, for the next
-        submission of the same SQL (:meth:`_reuse`).
+    def prepare(self, state: PlanState) -> int:
+        """Deploy a prepared handle's state and keep it under a new key."""
+        self.deploy(state)
+        state.keeper = key = next(self._handle_keys)
+        self._handles[key] = state
+        return key
 
-        Only a clean run's: every recovery — a stale read and a partial
-        answer included — evicts the entry first, so a run whose entry
-        is still there recovered from nothing; a blown estimate means
-        the next run should replan.  The entry keeps a copy of the
-        state without the run's products — the report owns those.
-        False: the run cleans its cascade up as a one-shot does.
+    def prepared(self, key: int) -> PlanState:
+        """The state an open prepared handle's key keeps."""
+        state = self._handles.get(key)
+        if state is None:
+            raise OptimizerError("prepared query is closed")
+        return state
+
+    def _keep(self, state: PlanState) -> bool:
+        """THE keep rule at a run's end (False: the run tears down).
+
+        A handle holds its state until closed, runs included.  A memo
+        entry takes it back after a clean run only: every recovery
+        evicts the entry first, and a blown estimate means replan.
         """
-        entry = self._memo.get(state.memo_key)
-        if (
-            entry is None
-            or not state.repeat
-            or state.estimates_blown
-            or entry.cascade is not None
-        ):
+        if state.keeper in self._handles:
+            return True
+        entry = self._memo.get(state.keeper)
+        if entry is None or state.estimates_blown or entry.cascade is not None:
             return False
-        entry.cascade = dataclasses.replace(
-            state,
-            annotation=None,
-            result=None,
-            schedule=None,
-            observations=[],
-            lease=None,
-        )
+        entry.cascade = state
         return True
 
-    def _release(self, key: str) -> None:
-        """Tear down the cascade the memo keeps for ``key``, if any: the
-        one routine every end of a retention goes through — eviction,
-        a stamp move, an LRU pop, a refused reuse, ``XDB.close()``.
-        Its epoch closes, so a DROP that fails is the reaper's."""
+    def _release(self, key: Union[int, str], strict: bool = False) -> None:
+        """End the cascade kept under ``key`` (a handle's goes with its
+        key): THE routine of eviction, a stamp move, an LRU pop, a
+        refused reuse, ``close()`` and ``XDB.close()``.  A DROP that
+        fails is the reaper's (``strict``: raised as well)."""
+        kept = self._handles.pop(key, None)
         entry = self._memo.get(key)
-        if entry is not None and entry.cascade is not None:
-            cascade, entry.cascade = entry.cascade, None
-            self._teardown(cascade.deployed)
+        if entry is not None:
+            kept, entry.cascade = entry.cascade, None
+        if kept is not None:
+            self._teardown(kept.deployed, strict=strict)
 
     def _release_all(self) -> None:
-        """Release every cascade the memo keeps (the plans stay)."""
-        for key in list(self._memo):
+        """End every kept cascade (the memo's plans stay)."""
+        for key in [*self._memo, *self._handles]:
             self._release(key)
 
     def deploy(
@@ -879,17 +888,15 @@ class PlanPipeline:
     def execute(
         self, state: PlanState, ctx: QueryContext, cleanup: bool = True
     ) -> None:
-        """Delegate (unless a cascade is retained) and run the query.
+        """Delegate (unless a cascade is kept) and run the query.
 
-        The exec phase of every entry point.  ``cleanup=False`` retains
-        the cascade on the state: the next call refreshes its ``xm_``
-        snapshots — or serves them stale, see :meth:`_serve_stale` —
-        and re-runs the XDB query without re-planning.  A memo hit
-        that cleans up hands its cascade to the memo instead
-        (:meth:`_retain`); one the memo handed it goes back there even
-        when the run fails, as a prepared handle keeps its own.
-        Failures re-enter earlier stages in place through
-        :meth:`_recover`.
+        The exec phase of every entry point.  A run that cleans up
+        leaves its cascade to its keeper (:meth:`_keep`) — a kept one
+        even when the run fails — or tears it down; ``cleanup=False``
+        leaves it to the caller.  A kept cascade's next run refreshes
+        its ``xm_`` snapshots (or serves them stale, see
+        :meth:`_serve_stale`) without re-planning.  Failures re-enter
+        earlier stages in place through :meth:`_recover`.
         """
         tracer = ctx.tracer
         retained = state.deployed
@@ -938,7 +945,7 @@ class PlanPipeline:
             # still under the admission lease, and — with a deadline —
             # under the grace budget, so a query that *met* its
             # deadline cannot fail while tearing itself down.
-            if cleanup and not self._retain(state):
+            if cleanup and not self._keep(state):
                 ctx.current_phase = "cleanup"
                 with grace():
                     deployed.cleanup()
@@ -956,7 +963,7 @@ class PlanPipeline:
             if state.lease is not None:
                 state.lease.release(self.clock.now() + tracer.sim_now)
             if cleanup and retained is not None and not answered:
-                if not self._retain(state):
+                if not self._keep(state):
                     with grace():
                         self._teardown(state.deployed)
 
@@ -1227,6 +1234,7 @@ class PlanPipeline:
     def _teardown(
         deployed: Optional[DeployedQuery],
         keep: List[Tuple[str, str, str]] = (),
+        strict: bool = False,
     ) -> None:
         """Release ``keep`` from a cascade, tear the rest down.
 
@@ -1245,7 +1253,8 @@ class PlanPipeline:
         try:
             deployed.cleanup()
         except ReproError:
-            pass
+            if strict:
+                raise
 
     # -- call scope: staleness-bounded reads -------------------------------
 
@@ -1318,8 +1327,11 @@ class PlanPipeline:
             # Learned cardinalities observed under the old schema are
             # as stale as the plans built on them.
             self.feedback.invalidate_table(drift.db, drift.table)
-        if self.on_drift is not None:
-            self.on_drift(drift.db, drift.table)
+        # So are the handles' cascades that scan the table.
+        for kept in self._handles.values():
+            scanned = self.placement(kept.dplan)
+            if drift.table.lower() in map(str.lower, scanned):
+                kept.stale_plan = True
         try:
             self._optimize(state, tracer)
         except ReproError:

@@ -599,6 +599,37 @@ def test_submit_recovery_invalidates_prepared_plans():
     prepared.close()
 
 
+def test_drift_marks_only_the_handles_that_scan_the_table():
+    dep = build_small()
+    xdb = XDB(dep)
+    scans = xdb.prepare(EVENTS_STAR)
+    spared = xdb.prepare("SELECT id, name FROM users WHERE score > 10")
+    for handle in (scans, spared):
+        handle.execute()
+    apply_drift(
+        dep.database("B"),
+        SchemaDrift(
+            db="B", table="events", kind="rename_column",
+            column="kind", new_name="category",
+        ),
+    )
+    assert xdb.submit(EVENTS_STAR).recovery.drifted
+    assert scans.stale_plan and not spared.stale_plan
+
+    def steps(report):
+        return {span.name for span in report.context.root.iter_spans()}
+
+    replanned, kept = scans.execute(), spared.execute()
+    assert {"optimize", "delegate"} <= steps(replanned)
+    assert not {"optimize", "annotate", "delegate"} & steps(kept)
+    assert not scans.stale_plan and not spared.stale_plan
+    assert [f.name for f in replanned.result.schema] == [
+        "user_id", "category", "weight",
+    ]
+    for handle in (scans, spared):
+        handle.close()
+
+
 def test_prepared_query_degrades_to_snapshot_on_drift():
     dep = build_small()
     # Explicit data movement materializes the moved relation, giving

@@ -5,8 +5,9 @@ its engine through exactly one DROP that finds it — whether the
 cascade is cleaned up, rolled back after a failed DDL statement,
 cancelled by a deadline (mid-cascade or after delegation), partly
 salvaged by a branch repair, pinned by a mid-query adaptation, or torn
-down by a prepared handle's ``close()`` — and whatever a path could
-not drop is owed in the ledger until the reaper collects it.  After
+down by a prepared handle's ``close()`` or by the client's — and
+whatever a path could not drop is owed in the ledger until the reaper
+collects it.  After
 every path heals, one ``reap()`` leaves no leak, and nothing on an
 engine outside a live epoch.
 
@@ -24,7 +25,7 @@ from repro.core.client import XDB
 from repro.core.partition import partition_name
 from repro.drift.ledger import DELEGATED_PREFIXES
 from repro.engine.database import Database
-from repro.errors import DeadlineExceeded, DelegationError
+from repro.errors import DeadlineExceeded, DelegationError, OptimizerError
 from repro.faults import EngineOutage, FaultInjector, FaultPolicy, ScriptedFault
 from repro.feedback import FeedbackStore
 from repro.federation.deployment import Deployment
@@ -227,6 +228,23 @@ def prepared_close():
     return xdb, dep
 
 
+def client_close_with_open_handle():
+    """``XDB.close()`` with a prepared handle open and a repeated query's
+    cascade kept: both cascades end, and the handle is closed."""
+    dep = two_dbs()
+    xdb = warmed(dep)
+    with faults().install(dep):
+        prepared = xdb.prepare(JOIN_QUERY)
+        prepared.execute()
+        for _ in range(3):
+            xdb.submit(JOIN_QUERY)
+        xdb.close()
+    with pytest.raises(OptimizerError, match="closed"):
+        prepared.execute()
+    assert xdb.ledger.live_epochs() == set()
+    return xdb, dep
+
+
 PATHS = [
     clean_submit,
     ddl_failure_mid_cascade,
@@ -235,6 +253,7 @@ PATHS = [
     branch_repair_pins_salvage,
     adaptation_pins_snapshot,
     prepared_close,
+    client_close_with_open_handle,
 ]
 
 

@@ -34,7 +34,12 @@ from repro.engine.stats import (
     TableStats,
     compute_stats,
 )
-from repro.errors import EngineUnavailableError, OverloadError, ReproError
+from repro.errors import (
+    EngineUnavailableError,
+    OptimizerError,
+    OverloadError,
+    ReproError,
+)
 from repro.faults import FaultInjector, FaultPolicy
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
@@ -810,6 +815,39 @@ def test_a_later_run_leaves_an_earlier_report_alone():
     assert not set(map(id, second.plan.edges)) & set(map(id, third.plan.edges))
 
 
+def test_a_later_execute_leaves_an_earlier_report_alone():
+    """The prepared-handle twin of the test above: each execute runs on
+    edges of its own, and its report keeps a cascade pointing at them."""
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    handle = xdb.prepare(query("Q3"))
+    reports, kept = [], []
+    for _ in range(3):
+        reports.append(handle.execute())
+        kept.append(
+            (
+                reports[-1].plan.describe(),
+                [(e.moved_rows, e.moved_bytes) for e in reports[-1].plan.edges],
+                reports[-1].deployed.plan,
+            )
+        )
+        # every order and lineitem twice over: the next run moves more
+        for table in ("orders", "lineitem"):
+            for database in deployment.databases.values():
+                stored = database.catalog.get(table)
+                if stored is not None:
+                    stored.rows.extend(list(stored.rows))
+    for report, (described, moved, plan) in zip(reports, kept):
+        assert report.plan.describe() == described
+        assert [(e.moved_rows, e.moved_bytes) for e in report.plan.edges] == moved
+        assert report.deployed.plan is plan is report.plan
+        assert report.deployed.epoch == handle.deployed.epoch
+    assert len({described for described, _, _ in kept}) == 3
+    edges = [set(map(id, report.plan.edges)) for report in reports]
+    assert not edges[0] & edges[1] and not edges[1] & edges[2]
+    handle.close()
+
+
 def test_the_memo_keeps_the_most_recently_served_plans(monkeypatch):
     monkeypatch.setattr(pipeline_module, "PLAN_MEMO_SIZE", 2)
     deployment, _ = build_tpch_deployment("TD1", 0.001)
@@ -1008,6 +1046,33 @@ def test_an_lru_pop_releases_the_cascade(monkeypatch):
     xdb.close()
     assert _delegated_epochs(deployment) == set()
     assert xdb.ledger.leaked_count() == 0
+
+
+def test_client_close_ends_every_kept_cascade():
+    """``XDB.close()`` ends an open handle's cascade as it ends the
+    memo's: nothing delegated is left, no epoch is live, and the handle
+    is closed with it."""
+    deployment, _ = build_tpch_deployment("TD1", 0.001)
+    xdb = _client(deployment)
+    handle = xdb.prepare(query("Q5"))
+    handle.execute()
+    sql = query("Q3")
+    for _ in range(3):
+        xdb.submit(sql)
+    assert _kept_epoch(xdb, sql) != handle.deployed.epoch
+    assert len(_delegated_epochs(deployment)) == 2
+    xdb.close()
+    xdb.reap()
+    assert _delegated_epochs(deployment) == set()
+    assert xdb.ledger.live_epochs() == set()
+    assert xdb.ledger.leaked_count() == 0
+    with pytest.raises(OptimizerError, match="closed"):
+        handle.execute()
+    handle.close()  # already closed: a no-op
+    # the client stays usable, and its memo still serves the plan
+    assert _reused(xdb.submit(sql).context)
+    xdb.close()
+    assert _delegated_epochs(deployment) == set()
 
 
 @pytest.mark.parametrize("change", sorted(MISSES))
