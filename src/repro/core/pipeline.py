@@ -1327,10 +1327,14 @@ class PlanPipeline:
             # Learned cardinalities observed under the old schema are
             # as stale as the plans built on them.
             self.feedback.invalidate_table(drift.db, drift.table)
-        # So are the handles' cascades that scan the table.
+        # So are the handles' cascades that scan the table on the
+        # drifted holder (a replica elsewhere did not move).
+        table = drift.table.lower()
         for kept in self._handles.values():
-            scanned = self.placement(kept.dplan)
-            if drift.table.lower() in map(str.lower, scanned):
+            if any(
+                name.lower() == table and db == drift.db
+                for name, db in self.placement(kept.dplan).items()
+            ):
                 kept.stale_plan = True
         try:
             self._optimize(state, tracer)

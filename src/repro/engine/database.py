@@ -15,7 +15,7 @@ DDL as the statement plus the text its connector rendered
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.catalog import (
     BaseTable,
@@ -25,6 +25,7 @@ from repro.engine.catalog import (
     View,
 )
 from repro.engine.cost import CardinalityEstimator, CostModel, ExplainInfo
+from repro.engine.physical import PhysicalPlan
 from repro.engine.planner import LocalPlanner
 from repro.engine.profiles import EngineProfile, profile_for
 from repro.engine.result import Result
@@ -41,16 +42,55 @@ from repro.sql.parser import parse_statement
 from repro.sql.render import Renderer
 
 
-class _Planned(NamedTuple):
-    """One plan-memo entry (immutable; EXPLAIN replaces it with a copy
-    that carries the estimate)."""
+class _Lowered(NamedTuple):
+    """The physical tree a plan-memo entry was lowered to, on its first
+    execution; every later execution of the entry runs it again."""
 
-    #: the optimized logical plan — physical operators are built per
-    #: execution and never kept
-    plan: algebra.LogicalPlan
-    #: every catalog version the plan (and ``info``) was derived under
-    stamp: VersionStamp
-    info: Optional[ExplainInfo] = None
+    root: PhysicalPlan
+    #: every operator of ``root``, whose per-run counts each run resets
+    operators: Tuple[PhysicalPlan, ...]
+    #: the result's schema
+    schema: Schema
+    #: the ``instrument_execution`` value ``root`` was lowered under
+    instrumented: bool
+
+    def reset(self) -> None:
+        """Zero what the previous run counted, so a run that was cut
+        short (a LIMIT, a failed fetch) leaves nothing behind."""
+        for operator in self.operators:
+            operator.rows_out = 0
+        if self.instrumented:
+            for operator in self.operators:
+                operator.exec_seconds = 0.0  # type: ignore[attr-defined]
+
+
+class _Planned:
+    """One plan-memo entry.  A hit returns the entry itself; EXPLAIN
+    replaces it with a copy that carries the estimate (and the tree).
+
+    The tree is safe to keep for as long as the entry is served: it was
+    lowered from ``plan``, whose stamp moves with every change the tree
+    rests on — a scan's table object and its row list (an INSERT
+    appends to the same list; replacing a table is DDL), a foreign
+    table's server, the estimates that chose each hash join's build
+    side.  It dies with the entry."""
+
+    __slots__ = ("plan", "stamp", "info", "lowered")
+
+    def __init__(
+        self,
+        plan: algebra.LogicalPlan,
+        stamp: VersionStamp,
+        info: Optional[ExplainInfo] = None,
+        lowered: Optional[_Lowered] = None,
+    ):
+        #: the optimized logical plan
+        self.plan = plan
+        #: every catalog version the plan (and ``info``) was derived under
+        self.stamp = stamp
+        self.info = info
+        #: the physical tree, once an execution lowered ``plan``
+        self.lowered = lowered
 
 
 class Database:
@@ -206,26 +246,45 @@ class Database:
             plan = entry.plan
             stamp.merge(entry.stamp)
         info = self._explain(plan, estimator) if explain else None
-        entry = _Planned(plan, stamp, info)
+        entry = _Planned(
+            plan, stamp, info, None if entry is None else entry.lowered
+        )
         if self._memo_version == version:
             self._memo[key] = entry
         return entry
 
     def execute_select(self, select) -> Result:
-        """Execute a query AST (SELECT or UNION ALL)."""
-        plan = self._planned(select).plan
-        physical_plan = self.planner.to_physical(plan)
-        if self.instrument_execution:
-            from repro.engine.instrument import instrument_plan
+        """Execute a query AST (SELECT or UNION ALL).
 
-            instrument_plan(physical_plan)
+        The plan is lowered to physical operators on its first
+        execution and the tree is kept on the memo entry; a later
+        execution resets its counts and runs it again, unless
+        ``instrument_execution`` changed since, which lowers it anew."""
+        entry = self._planned(select)
+        lowered = entry.lowered
+        if lowered is None or lowered.instrumented != self.instrument_execution:
+            lowered = entry.lowered = self._lower(entry.plan)
+        lowered.reset()
         rows: List[tuple] = []
-        for batch in physical_plan.batches():
+        for batch in lowered.root.batches():
             rows.extend(batch)
         ctx = current_context()
         if ctx is not None:
-            ctx.record_operator_tree(physical_plan, db=self.name)
-        return Result(plan.schema.unqualified(), rows)
+            ctx.record_operator_tree(lowered.root, db=self.name)
+        return Result(lowered.schema, rows)
+
+    def _lower(self, plan: algebra.LogicalPlan) -> _Lowered:
+        root = self.planner.to_physical(plan)
+        if self.instrument_execution:
+            from repro.engine.instrument import instrument_plan
+
+            instrument_plan(root)
+        return _Lowered(
+            root,
+            tuple(root.walk()),
+            plan.schema.unqualified(),
+            self.instrument_execution,
+        )
 
     def explain_select(
         self, select, reads: Optional[VersionStamp] = None

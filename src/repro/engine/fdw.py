@@ -107,7 +107,7 @@ class ForeignScan(PhysicalPlan):
         self.remote_query = remote_query
         self.schema = schema
         self.tag = tag
-        self.fetched_rows = 0
+        self._label: Optional[str] = None
 
     def _produce_batches(self, hint):
         """Stream the fetched result in chunks.
@@ -117,14 +117,17 @@ class ForeignScan(PhysicalPlan):
         chunked.
         """
         result = self.server.fetch(self.remote_query, tag=self.tag)
-        self.fetched_rows = len(result)
         return chunked(result.rows, hint)
 
     def label(self) -> str:
-        return (
-            f"ForeignScan[{self.server.name}: "
-            f"{render(self.remote_query)}]"
-        )
+        """Rendered once, on the first call: every run's operator span
+        carries it."""
+        if self._label is None:
+            self._label = (
+                f"ForeignScan[{self.server.name}: "
+                f"{render(self.remote_query)}]"
+            )
+        return self._label
 
 
 def build_remote_query(

@@ -1,10 +1,14 @@
 """Physical operators: a pull-based, chunk-at-a-time query executor.
 
-Operators hold the *expressions* they evaluate and, when first pulled,
-lower them to the generated kernels of :mod:`repro.engine.vector`.
-``batches()`` pulls ``List[tuple]`` chunks of up to
-:data:`~repro.engine.vector.BATCH_SIZE` rows through the operator tree
-and runs each kernel once per chunk, amortizing the per-tuple
+Operators hold the *expressions* they evaluate and, on their first
+pull, lower them to the generated kernels of :mod:`repro.engine.vector`,
+which they keep: a tree that runs again (a member engine keeps the tree
+of every memoized plan, :mod:`repro.engine.database`) runs the kernels
+its first run built.  Everything a run changes beyond the kernels lives
+in that run's generators, except the counts below, which the engine
+resets before each run.  ``batches()`` pulls ``List[tuple]`` chunks of
+up to :data:`~repro.engine.vector.BATCH_SIZE` rows through the operator
+tree and runs each kernel once per chunk, amortizing the per-tuple
 interpreter overhead; ``rows()`` is the same stream, flattened.
 
 A projection of plain columns is a position map: a filter, computing
@@ -13,18 +17,27 @@ instead, reads the input's wider rows through the map, and builds a
 narrowed tuple only for the rows it keeps.  Every other consumer pulls
 ``batches()`` as before.
 
-Every operator counts the rows it produces (``rows_out``), whichever
-way it is pulled.  The counts feed the ``operator`` spans of the query
-context, the feedback harvest of ``SeqScan`` actuals, the calibrator
-and ``explain_analyze`` (DESIGN.md §7: under LIMIT an input may be
-pulled up to one chunk past what the limit keeps).  The answers are
+Every operator counts the rows it produces (``rows_out``) in a run,
+whichever way it is pulled.  The counts feed the ``operator`` spans of
+the query context, the feedback harvest of ``SeqScan`` actuals, the
+calibrator and ``explain_analyze`` (DESIGN.md §7: under LIMIT an input
+may be pulled up to one chunk past what the limit keeps).  The answers are
 judged against sqlite by :mod:`repro.fuzz.reference`.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine import vector
 from repro.engine.parallel import WorkerPool
@@ -77,6 +90,16 @@ class PhysicalPlan:
 
     def __init__(self) -> None:
         self.rows_out = 0
+        #: the kernels lowered so far, by what they compute
+        self._kernels: Dict[object, object] = {}
+
+    def _lowered(self, key: object, lower: Callable[[], object]):
+        """The kernel ``lower()`` builds, built on the first pull that
+        asks for ``key`` and kept for every later run of the tree."""
+        kernels = self._kernels
+        if key not in kernels:
+            kernels[key] = lower()
+        return kernels[key]
 
     def rows(self) -> Iterator[tuple]:
         """The rows of :meth:`batches`, one at a time."""
@@ -190,7 +213,12 @@ class FilterOp(PhysicalPlan):
 
     def _select(self, hint: Optional[int], narrow: bool) -> Mapped:
         positions, chunks = self.child.mapped()
-        select = vector.filter_kernel(self.predicate, self.schema, positions, narrow)
+        select = self._lowered(
+            narrow,
+            lambda: vector.filter_kernel(
+                self.predicate, self.schema, positions, narrow
+            ),
+        )
         return positions, _limited(map(select, chunks), hint)
 
     def label(self) -> str:
@@ -215,24 +243,35 @@ class ProjectOp(PhysicalPlan):
         self.child = child
         self.items = list(items)
         self.schema = schema
+        self._plain = all(isinstance(item, ast.ColumnRef) for item in self.items)
 
     def children(self) -> List[PhysicalPlan]:
         return [self.child]
 
     def _produce_batches(self, hint: Optional[int]) -> Iterator[Chunk]:
         positions, chunks = self.child.mapped(hint)
-        project = vector.project_kernel(self.items, self.child.schema, positions)
+        project = self._lowered(
+            "project",
+            lambda: vector.project_kernel(
+                self.items, self.child.schema, positions
+            ),
+        )
         return map(project, chunks)
 
     def mapped(self, hint: Optional[int] = None) -> Mapped:
-        if not all(isinstance(item, ast.ColumnRef) for item in self.items):
+        if not self._plain:
             return super().mapped(hint)
         positions, chunks = self.child.mapped(hint)
+        narrowed = self._lowered("positions", lambda: self._narrow(positions))
+        return narrowed, self._counted(chunks)
+
+    def _narrow(self, positions: Optional[List[int]]) -> List[int]:
+        """The input positions of the items, through the child's map."""
         resolve = self.child.schema.resolve
         narrowed = [resolve(item.name, item.table) for item in self.items]
         if positions is not None:
             narrowed = [positions[index] for index in narrowed]
-        return narrowed, self._counted(chunks)
+        return narrowed
 
     def label(self) -> str:
         return f"Project[{len(self.items)} cols]"
@@ -298,9 +337,10 @@ class HashJoin(PhysicalPlan):
 
     @staticmethod
     def _build_table(
-        build: PhysicalPlan, keys: Sequence[ast.Expression]
+        build: PhysicalPlan, keys_of: vector.Kernel, single: bool
     ) -> Tuple[Dict[object, object], bool]:
-        """Consume the build input (as batches) into the hash table.
+        """Consume the build input (as batches) into the hash table,
+        keyed by ``keys_of`` (a bare value when ``single``).
 
         Returns ``(table, unique)``.  While no key collides, each value
         is the matching row itself (a tuple); the first collision turns
@@ -310,8 +350,6 @@ class HashJoin(PhysicalPlan):
         """
         table: Dict[object, object] = {}
         unique = True
-        single = len(keys) == 1
-        keys_of = vector.key_kernel(keys, build.schema)
         for rows in build.batches():
             for key, row in zip(keys_of(rows), rows):
                 if (key is None) if single else (None in key):
@@ -331,7 +369,10 @@ class HashJoin(PhysicalPlan):
 
     def _probe(self) -> Iterator[Chunk]:
         (build, build_keys), (probe, probe_keys) = self._sides()
-        table, unique = self._build_table(build, build_keys)
+        keys_of = self._lowered(
+            "build", lambda: vector.key_kernel(build_keys, build.schema)
+        )
+        table, unique = self._build_table(build, keys_of, len(self.keys) == 1)
         pad = (None,) * len(self.right.schema)
         buckets = not unique or self.residual is not None
         if buckets:
@@ -346,16 +387,24 @@ class HashJoin(PhysicalPlan):
             # One comprehension per chunk, reading through the probe
             # input and looking each row's key up inline.
             positions, chunks = probe.mapped()
-            join = vector.probe_kernel(
-                self.kind, self.build_left, buckets, probe_keys,
-                probe.schema, lookup, pad, positions,
+            join = self._lowered(
+                ("probe", buckets),
+                lambda: vector.probe_kernel(
+                    self.kind, self.build_left, buckets, probe_keys,
+                    probe.schema, pad, positions,
+                ),
             )
-            yield from map(join, chunks)
+            for rows in chunks:
+                yield join(rows, lookup)
             return
 
         # A residual joins build right and reads ``left ++ right``.
-        residual = compile_predicate(self.residual, self.schema)
-        keys_of = vector.key_kernel(probe_keys, probe.schema)
+        residual = self._lowered(
+            "residual", lambda: compile_predicate(self.residual, self.schema)
+        )
+        keys_of = self._lowered(
+            "probe", lambda: vector.key_kernel(probe_keys, probe.schema)
+        )
         left_outer = self.kind == "LEFT"
         for rows in probe.batches():
             out: Chunk = []
@@ -407,7 +456,10 @@ class NestedLoopJoin(PhysicalPlan):
         condition = (
             None
             if self.condition is None
-            else compile_predicate(self.condition, self.schema)
+            else self._lowered(
+                "condition",
+                lambda: compile_predicate(self.condition, self.schema),
+            )
         )
         right_rows = [row for batch in self.right.batches() for row in batch]
         pad = (None,) * len(self.right.schema)
@@ -455,14 +507,19 @@ class HashAggregate(PhysicalPlan):
         aggregator = vector.GroupedAggregator(self.aggregates)
         schema = self.child.schema
         positions, chunks = self.child.mapped()
-        keys_of = vector.key_kernel(self.keys, schema, positions)
+        keys_of = self._lowered(
+            "keys", lambda: vector.key_kernel(self.keys, schema, positions)
+        )
         # one kernel per aggregate, None for COUNT(*)
-        arguments = [
-            None
-            if spec.arg is None
-            else vector.column_kernel(spec.arg, schema, positions)
-            for spec in self.aggregates
-        ]
+        arguments = self._lowered(
+            "arguments",
+            lambda: [
+                None
+                if spec.arg is None
+                else vector.column_kernel(spec.arg, schema, positions)
+                for spec in self.aggregates
+            ],
+        )
         single_key = len(self.keys) == 1
 
         for rows in chunks:
@@ -540,6 +597,13 @@ class SortOp(PhysicalPlan):
 
     def _sorted_rows(self, rows: List[tuple]) -> List[tuple]:
         # Stable sorts applied from the least-significant key backwards.
+        for sort_key, ascending in self._lowered("keys", self._sort_keys):
+            rows.sort(key=sort_key, reverse=not ascending)
+        return rows
+
+    def _sort_keys(self) -> List[Tuple[Callable[[tuple], tuple], bool]]:
+        """``(sort key, ascending)`` per key, least significant first."""
+        keys = []
         for key in reversed(self.keys):
             key_fn = compile_expression(key.expr, self.schema).fn
 
@@ -547,8 +611,8 @@ class SortOp(PhysicalPlan):
                 value = key_fn(row)
                 return (1, 0) if value is None else (0, value)
 
-            rows.sort(key=sort_key, reverse=not key.ascending)
-        return rows
+            keys.append((sort_key, key.ascending))
+        return keys
 
     def label(self) -> str:
         return f"Sort[{len(self.keys)} keys]"

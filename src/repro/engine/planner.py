@@ -101,6 +101,9 @@ class LocalPlanner:
     # -- physical lowering -----------------------------------------------------
 
     def to_physical(self, plan: algebra.LogicalPlan) -> physical.PhysicalPlan:
+        """A fresh operator tree for ``plan``.  The database lowers each
+        memoized plan once and keeps the tree on the memo entry, so
+        nothing here may depend on what a single run sees."""
         pushed = self._try_foreign_pushdown(plan)
         if pushed is not None:
             return pushed

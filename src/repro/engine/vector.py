@@ -6,8 +6,8 @@ single tuple.  The operators of :mod:`repro.engine.physical` amortize
 it: they exchange plain ``List[tuple]`` chunks of up to
 :data:`BATCH_SIZE` rows — the layout every table, join, sort, FDW
 fetch and ``Result`` already holds — and an expression is lowered to a
-*kernel*: one generated list comprehension over the chunk, evaluated
-once per operator input.
+*kernel*: one generated list comprehension over the chunk, built once
+by the operator that runs it and called once per chunk.
 
 The emitter lowers an expression tree to the *source* of a Python
 expression over the row variable ``r`` with exactly the semantics of
@@ -61,12 +61,14 @@ BATCH_SIZE = 1024
 
 #: A kernel maps a chunk of rows to a list: the selected rows, the
 #: projected rows, or one value per row.  ``kernel.source`` is the
-#: generated source it was compiled from.
+#: generated source it was compiled from.  A probe kernel also takes
+#: the hash table's ``get`` (:func:`probe_kernel`).
 Kernel = Callable[[Sequence[tuple]], list]
 
 #: Distinct kernel sources whose code objects are kept.  Without the
-#: cache ``compile()`` runs once per kernel per execution (≈ 100 µs
-#: each), which costs ``plan_heavy`` +7 % end to end (DESIGN.md §7).
+#: cache ``compile()`` runs once per kernel of every lowered operator
+#: (≈ 100 µs each); when operators were lowered per execution that cost
+#: ``plan_heavy`` +7 % end to end (DESIGN.md §7).
 _CODE_CACHE_SIZE = 2048
 
 
@@ -126,17 +128,18 @@ _PROBES = {
 
 def probe_kernel(
     kind: str, build_left: bool, buckets: bool, keys: Sequence[ast.Expression],
-    schema, get, pad: tuple, positions=None,
+    schema, pad: tuple, positions=None,
 ) -> Kernel:
-    """``rows -> the joined rows`` of a hash-join probe without
+    """``(rows, get) -> the joined rows`` of a hash-join probe without
     residual: each row's ``keys`` (over ``schema``) is looked up with
     ``get``, the table's ``dict.get``; ``pad`` fills a LEFT row that
-    matched nothing."""
+    matched nothing.  The table is a call argument, so one kernel
+    probes every run's table."""
     emitter = _Emitter(schema, positions)
     template = _PROBES[kind, build_left, buckets]
     source = template.format(row=emitter.row, key=emitter.key(keys))
-    emitter.namespace.update(get=get, pad=pad, pads=[pad])
-    return _kernel(emitter, source)
+    emitter.namespace.update(pad=pad, pads=[pad])
+    return _kernel(emitter, source, "rows, get")
 
 
 def _row(positions) -> str:
@@ -152,8 +155,8 @@ def _integers(positions) -> List[int]:
     return [operator.index(index) for index in positions]
 
 
-def _kernel(emitter: "_Emitter", comprehension: str) -> Kernel:
-    source = "lambda rows: " + comprehension
+def _kernel(emitter: "_Emitter", comprehension: str, arguments: str = "rows") -> Kernel:
+    source = f"lambda {arguments}: " + comprehension
     kernel = eval(_code(source), emitter.namespace)
     kernel.source = source
     return kernel

@@ -47,7 +47,8 @@ Eight invariants, each cheap to state and brutal to uphold:
    entry an engine's local-plan memo would still serve equals the plan
    and estimate computed from scratch on the engines as they now are —
    a cached local plan is never served across a change it was not
-   built for.  The middleware's plan memo is held to the same rule:
+   built for, and neither is the physical tree a run kept for it.
+   The middleware's plan memo is held to the same rule:
    each delegation plan a client would still reuse describes the same
    tasks and edges, and delegates the same SQL, as the plan the client
    makes from scratch; a cascade it keeps deployed for that plan and
@@ -66,7 +67,9 @@ from repro.core.client import XDB
 from repro.core.delegate import DeployedQuery
 from repro.core.plan import DelegationPlan
 from repro.drift.mutate import apply_drift
+from repro.engine.catalog import BaseTable
 from repro.engine.database import Database
+from repro.engine.physical import SeqScan
 from repro.errors import ReproError, SQLError
 from repro.faults.policy import SchemaDrift
 from repro.federation.deployment import Deployment
@@ -656,9 +659,11 @@ def chain_deployment(profile: str = "postgres") -> Deployment:
 
 def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
     """Invariant 8 on live engines: every memo entry that would still
-    be served, against a plan and estimate made from scratch — and the
-    operators both lower to, since a plan carries the estimates its
-    hash joins' build sides are chosen from.
+    be served, against a plan and estimate made from scratch — and its
+    operators (the tree it keeps, or lowers to if no run kept one)
+    against the fresh plan's, since a plan carries the estimates its
+    hash joins' build sides are chosen from.  Every scan of a kept tree
+    must read the row list of the table the catalog holds now.
 
     Engines are judged one by one, so the fresh plan of an engine may
     consult the memo of the engine below it — whose entries are judged
@@ -681,7 +686,12 @@ def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
                 )
                 info = database._explain(plan, estimator)
                 lowered = database.planner.to_physical(plan).pretty()
-                served = database.planner.to_physical(entry.plan).pretty()
+                kept = entry.lowered
+                served = (
+                    database.planner.to_physical(entry.plan)
+                    if kept is None
+                    else kept.root
+                ).pretty()
             except Exception as exc:
                 failures.append(
                     f"{database.name}: memo still serves {key!r} but "
@@ -705,6 +715,15 @@ def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
                 failures.append(
                     f"{database.name}: memo serves a stale estimate for "
                     f"{key!r}: {entry.info!r} vs fresh {info!r}"
+                )
+            if kept is not None:
+                failures.extend(
+                    f"{database.name}: memo keeps a scan of "
+                    f"{scan.table_name!r} for {key!r} that reads rows the "
+                    "catalog no longer holds"
+                    for scan in kept.operators
+                    if isinstance(scan, SeqScan)
+                    and scan._rows is not _rows_of(database, scan.table_name)
                 )
     for xdb in clients:
         pipeline = xdb.pipeline
@@ -738,6 +757,13 @@ def memo_failures(databases, clients: Sequence[XDB] = ()) -> List[str]:
                     for f in _cascade_failures(xdb, cascade.deployed, fresh)
                 )
     return failures
+
+
+def _rows_of(database: Database, name: str):
+    """The row list of the stored table ``name`` on ``database``, or
+    None if there is none."""
+    table = database.catalog.get(name)
+    return table.rows if isinstance(table, BaseTable) else None
 
 
 def _cascade_failures(

@@ -630,6 +630,36 @@ def test_drift_marks_only_the_handles_that_scan_the_table():
         handle.close()
 
 
+def test_drift_on_a_replica_marks_only_the_handles_that_read_it():
+    dep = build_small(replicate=True)
+    xdb = XDB(dep)
+    on_a = xdb.prepare(EVENTS_STAR)
+    on_b = xdb.prepare("SELECT user_id, weight FROM B.events WHERE weight > 1")
+    for handle, holder in ((on_a, "A"), (on_b, "B")):
+        handle.execute()
+        assert xdb.pipeline.placement(handle.state.dplan) == {"events": holder}
+
+    def drift(db):
+        apply_drift(
+            dep.database(db),
+            SchemaDrift(
+                db=db, table="events", kind="rename_column",
+                column="kind", new_name="category",
+            ),
+        )
+        assert xdb.submit(f"SELECT * FROM {db}.events WHERE weight > 2").recovery.drifted
+
+    drift("B")  # the replica ``on_a`` does not read
+    assert on_b.stale_plan and not on_a.stale_plan
+    drift("A")  # its holder
+    assert on_a.stale_plan
+    assert [f.name for f in on_a.execute().result.schema] == [
+        "user_id", "category", "weight",
+    ]
+    for handle in (on_a, on_b):
+        handle.close()
+
+
 def test_prepared_query_degrades_to_snapshot_on_drift():
     dep = build_small()
     # Explicit data movement materializes the moved relation, giving

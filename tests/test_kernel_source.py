@@ -339,8 +339,8 @@ def test_every_kernel_reads_through_a_position_map(exprs, rows, layout, matches)
         table = _hash_table(exprs, rows, matches, buckets=shape[2])
         want = _outcome(lambda: _zip_probe(shape, exprs, table.get, pad)(rows))
         for over, through in ((rows, None), (wide, positions)):
-            probe = vector.probe_kernel(*shape, exprs, SCHEMA, table.get, pad, through)
-            assert _outcome(lambda: probe(over)) == want, probe.source
+            probe = vector.probe_kernel(*shape, exprs, SCHEMA, pad, through)
+            assert _outcome(lambda: probe(over, table.get)) == want, probe.source
 
 
 # -- a filter's AND / OR tree --------------------------------------------------
@@ -454,9 +454,9 @@ def test_hostile_literals_come_back_as_data():
         table = {name + text: (index,) for name, index in rows if name is not None}
         probe = vector.probe_kernel(
             "INNER", False, False, [ast.BinaryOp("||", column, literal)],
-            SECRET_SCHEMA, table.get, (None,), [2, 0],
+            SECRET_SCHEMA, (None,), [2, 0],
         )
-        assert probe(wide) == [(name, index, index) for name, index in rows[:-1]]
+        assert probe(wide, table.get) == [(name, index, index) for name, index in rows[:-1]]
         sources = [mapped.source, probe.source] + [
             vector.filter_kernel(predicate, SECRET_SCHEMA, [2, 0], narrow).source
             for narrow in (True, False)
