@@ -33,7 +33,9 @@ class BaseTable:
     analyses ``stats.row_count <= len(rows) <= (1 + fraction) *
     stats.row_count`` plus one batch.  The write that goes past the
     bound invalidates the snapshot (and moves the catalog version); the
-    next read takes a new one.
+    next read takes a new one.  A ``CREATE OR REPLACE TABLE … AS`` whose
+    rows equal this table's (same order, value and type) keeps the
+    object — rows, snapshot, lag and all — as if nothing was written.
     """
 
     kind = "TABLE"
@@ -152,7 +154,9 @@ class Catalog(TableResolver):
     invalidated, servers registered.  Plans and estimates read a
     table's statistics snapshot, never its rows, so an INSERT moves the
     version only when it invalidates the snapshot
-    (:meth:`BaseTable.insert`).  It only ever grows, and
+    (:meth:`BaseTable.insert`), and a replace that writes the rows the
+    table already holds (``Database._create_table_as``) keeps the table
+    and does not move it.  It only ever grows, and
     a writer changes state *first* and bumps *second*, so a reader that
     notes the version before it reads can tell afterwards whether what
     it read is still current (see :class:`VersionStamp`).  It is this

@@ -15,6 +15,7 @@ DDL as the statement plus the text its connector rendered
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.catalog import (
@@ -71,9 +72,10 @@ class _Planned:
     The tree is safe to keep for as long as the entry is served: it was
     lowered from ``plan``, whose stamp moves with every change the tree
     rests on — a scan's table object and its row list (an INSERT
-    appends to the same list; replacing a table is DDL), a foreign
-    table's server, the estimates that chose each hash join's build
-    side.  It dies with the entry."""
+    appends to the same list; replacing a table is DDL, unless the rows
+    are the same and the table is kept), a foreign table's server, the
+    estimates that chose each hash join's build side.  It dies with the
+    entry."""
 
     __slots__ = ("plan", "stamp", "info", "lowered")
 
@@ -351,6 +353,15 @@ class Database:
         # Compute before swapping: with OR REPLACE, a failing defining
         # query must leave the previous snapshot intact.
         result = self.execute_select(statement.query)
+        old = self.catalog.get(statement.name)
+        if (
+            statement.or_replace
+            and isinstance(old, BaseTable)
+            and (old.temporary, old.schema) == (statement.temporary, result.schema)
+            and _same_rows(result.rows, old.rows)
+        ):
+            # nothing to observe: keep table, statistics and version
+            return Result(Schema([]), [], command="CREATE TABLE AS")
         table = BaseTable(
             statement.name,
             result.schema,
@@ -398,6 +409,13 @@ class Database:
             rows.append(tuple(row))
         count = obj.insert(rows)
         return Result(Schema([]), [], command=f"INSERT {count}")
+
+
+def _same_rows(new: List[tuple], old: List[tuple]) -> bool:
+    """The same rows in the same order, value for value and type for
+    type: ``1``, ``1.0`` and ``True`` compare equal but answer apart."""
+    cells = zip(chain.from_iterable(new), chain.from_iterable(old))
+    return new == old and all(type(x) is type(y) for x, y in cells)
 
 
 def _text_type():

@@ -196,7 +196,9 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
     that fill the memos, interleaved with every kind of change that
     must empty them — and INSERT batches on both sides of the
     re-ANALYZE bound (12 rows for the 120 of ``t``, 5 for the 50 of
-    ``lt``), which must empty them only past it."""
+    ``lt``), which must empty them only past it, and refreshes of B's
+    ``snap`` on both sides of the kept-table rule: with the rows it
+    already holds (nothing to empty), and with other rows."""
     literal = rng.choice(["1", "1.0", "7", "30"])
     threshold = rng.randint(0, 35)
     rows = ", ".join(
@@ -206,12 +208,15 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
     local_rows = ", ".join(
         f"({rng.randint(0, 30)}, 'new')" for _ in range(rng.randint(1, 10))
     )
+    refresh = "CREATE OR REPLACE TABLE snap AS SELECT a FROM ft_c"
     reads = [
         ["explain", "A", "SELECT * FROM v_a"],
         ["query", "A", "SELECT v_a.c, lt.b FROM v_a, lt WHERE v_a.a = lt.a"],
         ["explain", "A", f"SELECT c FROM v_a WHERE a = {literal}"],
         ["explain", "B", "SELECT * FROM v_b"],
         ["query", "B", f"SELECT a FROM v_b WHERE a > {threshold}"],
+        ["query", "B", f"SELECT a FROM snap WHERE a > {threshold}"],
+        ["explain", "B", "SELECT snap.a, v_b.c FROM snap, v_b WHERE snap.a = v_b.a"],
     ]
     writes = [
         ["sql", "C", f"INSERT INTO t VALUES {rows}"],
@@ -222,7 +227,8 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
             "CREATE OR REPLACE VIEW v_b AS "
             f"SELECT a, c FROM ft_c WHERE a > {threshold}",
         ],
-        ["sql", "B", "CREATE OR REPLACE TABLE snap AS SELECT a FROM ft_c"],
+        ["sql", "B", refresh],
+        ["sql", "B", f"{refresh} WHERE a > {threshold}"],
         ["sql", "A", "CREATE TABLE aux (x INTEGER)"],
         ["sql", "A", "DROP TABLE IF EXISTS aux"],
         ["drift", "C", {"table": "t", "kind": "add_column", "column": "z"}],

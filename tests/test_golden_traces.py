@@ -95,7 +95,8 @@ def _holder(deployment, table):
 
 
 #: A fixed write inside Q3's window: a BUILDING customer's new order and
-#: its two lineitems, large enough to lead the top ten.
+#: its two lineitems, large enough to lead the top ten.  Customer 3 is
+#: BUILDING at this module's scale factor (at sf 0.001 it is customer 6).
 NEW_ROWS = {
     "orders": "INSERT INTO orders VALUES (900001, 3, 'O', 900000.0, "
     "DATE '1995-03-01', '1-URGENT', 'Clerk#000000001', 0, 'new order')",
@@ -128,6 +129,8 @@ def _prepared_handle(deployment):
         _holder(deployment, table).execute(sql)
     reports.append(handle.execute())
     handle.close()
+    # the refreshed snapshot reaches the answer
+    assert reports[1].result.rows[0][0] == 900001
     return reports
 
 

@@ -132,16 +132,23 @@ def observed(report):
 
 
 class Lowerings:
-    """Counts what a run lowers: ``to_physical`` calls and kernels."""
+    """Counts what a run plans and lowers: ``optimize`` and
+    ``to_physical`` calls, and kernels."""
 
     def __init__(self, monkeypatch):
-        self.to_physical = self.kernels = 0
+        self.optimize = self.to_physical = self.kernels = 0
+        optimize = planner.LocalPlanner.optimize
         lower = planner.LocalPlanner.to_physical
+
+        def optimizing(planner_self, *args, **kwargs):
+            self.optimize += 1
+            return optimize(planner_self, *args, **kwargs)
 
         def to_physical(planner_self, plan):
             self.to_physical += 1
             return lower(planner_self, plan)
 
+        monkeypatch.setattr(planner.LocalPlanner, "optimize", optimizing)
         monkeypatch.setattr(planner.LocalPlanner, "to_physical", to_physical)
         for module, name in (
             (vector, "_kernel"),
@@ -158,7 +165,7 @@ class Lowerings:
         return counted
 
     def reset(self):
-        self.to_physical = self.kernels = 0
+        self.optimize = self.to_physical = self.kernels = 0
 
 
 def kept_trees(deployment):
@@ -170,16 +177,29 @@ def kept_trees(deployment):
     ]
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_a_clean_repeat_lowers_nothing(scenario, monkeypatch):
-    deployment, xdb = kept(scenario, Q3)
+@pytest.mark.parametrize(
+    "scenario, options",
+    [pytest.param(scenario, {}, id=scenario) for scenario in SCENARIOS]
+    + [
+        pytest.param(
+            scenario, {"movement_policy": "explicit"}, id=f"{scenario}-explicit"
+        )
+        for scenario in SCENARIOS
+    ],
+)
+def test_a_clean_repeat_lowers_nothing(scenario, options, monkeypatch):
+    # under explicit movement every run refreshes its xm_ snapshots,
+    # with the rows they already hold
+    deployment, xdb = kept(scenario, Q3, **options)
     trees = {id(tree.root) for tree in kept_trees(deployment)}
     assert trees
     lowerings = Lowerings(monkeypatch)
     report = xdb.submit(Q3)
-    assert (lowerings.to_physical, lowerings.kernels) == (0, 0)
+    assert (lowerings.optimize, lowerings.to_physical, lowerings.kernels) == (
+        0, 0, 0,
+    )
     assert {id(tree.root) for tree in kept_trees(deployment)} == trees
-    assert observed(report) == cold(scenario, Q3)
+    assert observed(report) == cold(scenario, Q3, **options)
     xdb.close()
 
 

@@ -119,6 +119,10 @@ def _or_replace(a, b, c):
     a.execute("CREATE OR REPLACE VIEW v_a AS SELECT a, c FROM ft_b WHERE a > 20")
 
 
+def _replace_with_other_rows(a, b, c):
+    a.execute("CREATE OR REPLACE TABLE lt AS SELECT a, b FROM lt WHERE a > 10")
+
+
 def _insert_local(a, b, c):
     a.execute(
         "INSERT INTO lt VALUES "
@@ -151,6 +155,7 @@ def _register_server(a, b, c):
         _create,
         _drop,
         _or_replace,
+        _replace_with_other_rows,
         _insert_local,
         _insert_two_hops_below,
         _drift_on_remote,
@@ -171,7 +176,8 @@ def test_invalidation_source_forces_a_cold_equal_replan(
     planned = optimize_calls["A"]
     mutate(*warm)
     after = warm[0].explain_select(JOIN)
-    assert optimize_calls["A"] == planned + 1
+    # a replace also plans its own defining query on A
+    assert optimize_calls["A"] == planned + 1 + (mutate is _replace_with_other_rows)
 
     cold = federation()
     mutate(*cold)
@@ -182,6 +188,65 @@ def test_invalidation_source_forces_a_cold_equal_replan(
     assert_same_rows(
         warm[0].execute_select(JOIN).rows, cold[0].execute_select(JOIN).rows
     )
+
+
+SNAP = "CREATE TABLE snap AS SELECT lt.a, lt.b, src.x FROM lt, src"
+REFRESH = SNAP.replace("CREATE", "CREATE OR REPLACE")
+SNAP_JOIN = parse_statement(
+    "SELECT v_a.c, snap.b, snap.x FROM v_a, snap WHERE v_a.a = snap.a"
+)
+
+
+def _unchanged(a):
+    pass
+
+
+def _retype_values(a):
+    # rows that compare equal to the snapshot's, with a float for its int
+    a.execute("DROP TABLE src")
+    a.execute("CREATE TABLE src (x DOUBLE)")
+    a.execute("INSERT INTO src VALUES (1.0)")
+
+
+@pytest.mark.parametrize(
+    "change, kept",
+    [(_unchanged, True), (_retype_values, False)],
+    ids=["same-rows", "value-type"],
+)
+def test_a_refresh_keeps_its_table_only_for_the_same_rows(
+    change, kept, optimize_calls
+):
+    def federation():
+        a, _, _ = make_chain()
+        a.execute("CREATE TABLE src (x DOUBLE)")
+        a.execute("INSERT INTO src VALUES (1)")  # an int in a DOUBLE column
+        a.execute(SNAP)
+        return a
+
+    warm = federation()
+    info = warm.explain_select(SNAP_JOIN)
+    warm.execute_select(SNAP_JOIN)
+    table = warm.catalog.get("snap")
+    (entry,) = warm._memo.values()
+    change(warm)
+    version = warm.catalog.version
+    warm.execute(REFRESH)
+    assert (warm.catalog.get("snap") is table) == kept
+    assert (warm.catalog.version == version) == kept
+    planned = optimize_calls["A"]  # the refresh planned its defining query
+    served = warm.explain_select(SNAP_JOIN)
+    assert (served is info) == kept
+    assert (warm._memo[warm.dialect.render(SNAP_JOIN)] is entry) == kept
+    assert optimize_calls["A"] == planned + (0 if kept else 1)
+    rows = warm.execute_select(SNAP_JOIN).rows
+    assert {type(row[2]) for row in rows} == {int if kept else float}
+
+    cold = federation()
+    change(cold)
+    cold.execute(REFRESH)
+    assert served == cold.explain_select(SNAP_JOIN)
+    want = cold.execute_select(SNAP_JOIN).rows
+    assert sorted(map(repr, rows)) == sorted(map(repr, want))
 
 
 def test_estimate_moves_with_rows_two_hops_below():
