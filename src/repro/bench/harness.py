@@ -184,15 +184,13 @@ def build_systems(
 ) -> SystemSet:
     """Construct and warm all four systems over ``deployment``.
 
-    The fidelity benchmarks cost with the hand-set *testbed* profile
-    constants: the paper's figures are defined by the emulated testbed
-    (Hive's multi-second startup, per-engine per-tuple costs), and the
-    calibration harness fits constants to this repository's real
-    in-memory executor instead — that overlay collapses the emulated
-    mediator baselines and inverts the micro-scale comparisons (see
-    EXPERIMENTS.md, "Calibrated profiles").  A cost-model study installs
-    it with :func:`repro.engine.profiles.load_calibrated` and undoes it
-    with :func:`~repro.engine.profiles.clear_calibrated`.
+    Every system prices with the *testbed* profile constants, the one
+    price list: the paper's figures are defined by the emulated testbed
+    (Hive's multi-second startup, per-engine per-tuple costs).
+    Constants fitted to this repository's in-memory executor would
+    collapse the emulated mediator baselines and invert the
+    micro-scale comparisons (EXPERIMENTS.md, "Calibrated profiles"),
+    so the calibration harness only scores these prices.
     """
     xdb = XDB(deployment)
     garlic = GarlicSystem(deployment)

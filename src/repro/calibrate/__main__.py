@@ -1,17 +1,15 @@
-"""CLI: calibrate the engine profiles' cost constants.
+"""CLI: score the engine profiles' cost constants.
 
 Usage::
 
     PYTHONPATH=src python -m repro.calibrate \\
         --rows 40000 --repeat 3 \\
         --out benchmarks/results/BENCH_calibration.json \\
-        --emit benchmarks/results/calibrated_profiles.json \\
         --check
 
-``--check`` exits non-zero unless every profile's median Q-error
-strictly improved — the CI gate.  ``--emit`` writes a calibrated
-profile set loadable with
-``repro.engine.profiles.load_calibrated(path)``.
+``--check`` exits non-zero unless every profile's median Q-error is at
+or below its bound in :data:`_MEDIAN_BOUNDS` and every operator kind in
+:data:`_KINDS` yielded an observation — the CI gate.
 """
 
 from __future__ import annotations
@@ -21,49 +19,54 @@ import json
 import sys
 from typing import Dict
 
-from repro.calibrate.fit import (
-    evaluate_constants,
-    fit_constants,
-    fit_intercepts,
-)
-from repro.calibrate.harness import run_workload
-from repro.engine.profiles import (
-    available_profiles,
-    dump_calibrated,
-    profile_base,
+from repro.calibrate.harness import run_workload, score
+from repro.engine.profiles import available_profiles
+
+#: The highest median Q-error ``--check`` accepts, per profile: three
+#: times the worst of five runs at ``--rows 40000 --repeat 3`` on a
+#: 2-vCPU Linux container (hive 9.31, mariadb 8.52, postgres 21.42).
+#: The prices are the emulated testbed's, not
+#: this executor's, so the scored Q-error scales with the runner's
+#: speed; the bound is there to catch an order-of-magnitude break, not
+#: drift.
+_MEDIAN_BOUNDS = {"hive": 28.0, "mariadb": 25.6, "postgres": 64.3}
+
+#: The operator kinds the micro-workload runs and the price list
+#: charges.  Each must yield an observation: one that yields none means
+#: the operator spans stopped exporting their measured seconds.
+_KINDS = (
+    "DistinctOp",
+    "Filter",
+    "ForeignScan",
+    "HashAggregate",
+    "HashJoin",
+    "Limit",
+    "Project",
+    "SeqScan",
+    "Sort",
+    "UnionAllOp",
 )
 
 
-def calibrate_profile(name: str, rows: int, repeat: int) -> Dict[str, object]:
-    """Measure, fit, and score one profile; returns the report entry."""
-    profile = profile_base(name)
-    observations = run_workload(name, rows=rows, repeat=repeat)
-    before = evaluate_constants(
-        observations, profile.constants(), profile.calibration
-    )
-    fitted = fit_constants(observations, profile)
-    after = evaluate_constants(
-        observations, fitted, profile.calibration
-    )
-    # Whatever per-query time the per-row constants leave unexplained
-    # becomes the per-statement startup intercept.
-    intercepts = fit_intercepts(
-        observations, fitted, profile, repeat=repeat
-    )
-    return {
-        "constants_before": profile.constants(),
-        "constants_after": {**fitted, **intercepts},
-        "startup_fit": intercepts,
-        "before": before,
-        "after": after,
-        "improved": after["median_q_error"] < before["median_q_error"],
-    }
+def _failures(name: str, entry: Dict[str, object]) -> list:
+    """Why ``entry`` fails ``--check``; empty if it passes."""
+    failures = [
+        f"{name}: no {kind} observation"
+        for kind in _KINDS
+        if kind not in entry["per_operator"]
+    ]
+    if entry["median_q_error"] > _MEDIAN_BOUNDS[name]:
+        failures.append(
+            f"{name}: median Q-error {entry['median_q_error']:.2f} is "
+            f"above its bound {_MEDIAN_BOUNDS[name]:.2f}"
+        )
+    return failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.calibrate",
-        description="Calibrate engine-profile cost constants against "
+        description="Score the engine profiles' cost constants against "
         "measured per-operator executor timings.",
     )
     parser.add_argument(
@@ -83,13 +86,9 @@ def main(argv=None) -> int:
         help="write the calibration report JSON here",
     )
     parser.add_argument(
-        "--emit", default=None,
-        help="write the calibrated profile set JSON here",
-    )
-    parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 unless every profile's median Q-error strictly "
-        "improved",
+        help="exit 1 unless every profile's median Q-error is within "
+        "its recorded bound and every operator kind was observed",
     )
     args = parser.parse_args(argv)
 
@@ -99,42 +98,28 @@ def main(argv=None) -> int:
         "q_error": "max(estimated/actual, actual/estimated)",
         "profiles": {},
     }
-    all_improved = True
+    failures = []
     for name in names:
-        entry = calibrate_profile(name, args.rows, args.repeat)
-        report["profiles"][name] = entry
-        all_improved = all_improved and bool(entry["improved"])
-        print(
-            f"{name:>10}: median Q-error "
-            f"{entry['before']['median_q_error']:.2f} -> "
-            f"{entry['after']['median_q_error']:.2f} "
-            f"({'improved' if entry['improved'] else 'NOT improved'}, "
-            f"{entry['before']['observations']} observations)"
+        entry = score(
+            run_workload(name, rows=args.rows, repeat=args.repeat), name
         )
-    report["all_improved"] = all_improved
+        report["profiles"][name] = entry
+        failures.extend(_failures(name, entry))
+        print(
+            f"{name:>10}: median Q-error {entry['median_q_error']:.2f}, "
+            f"max {entry['max_q_error']:.2f} "
+            f"({entry['observations']} observations)"
+        )
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"report written to {args.out}")
-    if args.emit:
-        calibrated = [
-            profile_base(name).with_constants(
-                **report["profiles"][name]["constants_after"]
-            )
-            for name in names
-        ]
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            json.dump(
-                dump_calibrated(calibrated), handle, indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"calibrated profiles written to {args.emit}")
 
-    if args.check and not all_improved:
-        print("FAIL: median Q-error did not strictly improve")
+    if args.check and failures:
+        for failure in failures:
+            print(f"FAIL: {failure}")
         return 1
     return 0
 

@@ -2,8 +2,8 @@
 
 One workload instance is a two-database deployment (a local engine plus
 a same-vendor remote reached through SQL/MED) loaded with synthetic
-tables, and a fixed list of queries chosen so that every calibratable
-cost constant is exercised by at least one operator:
+tables, and a fixed list of queries chosen so that every per-row cost
+constant is exercised by at least one operator:
 
 * ``seq_scan_cost_per_row`` — full scans of ``fact``;
 * ``cpu_tuple_cost`` — filters, projections, limits, nested loops;
@@ -122,7 +122,7 @@ def build_workload(
         ),
         (
             # the same join from the other side of the FROM list, so
-            # the build constant is fitted on both orientations
+            # the build constant is scored on both orientations
             "join_flipped",
             "SELECT COUNT(*) AS n FROM dim, fact "
             "WHERE fact.did = dim.id",

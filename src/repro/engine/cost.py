@@ -6,7 +6,7 @@ The cost model turns cardinalities into engine-local cost units using
 the vendor profile's constants, and those into the common currency of
 simulated seconds (§IV footnote 6).  It is the only place that does:
 Rule 4's quotes, the schedule simulator's task times, the baselines'
-columns and the calibration features are all evaluated here.
+columns and the prices calibration scores are all evaluated here.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.engine.profiles import (
-    CALIBRATABLE_CONSTANTS,
-    EngineProfile,
-    unit_profile,
-)
+from repro.engine.profiles import EngineProfile
 from repro.engine.stats import ColumnStats
 from repro.errors import OptimizerError
 from repro.relational import algebra
@@ -792,27 +788,3 @@ class CostModel:
         the healthy holders of a replicated table."""
         return self.seconds(self.operator_cost("SeqScan", rows))
 
-
-_UNIT_MODELS = tuple(
-    (constant, CostModel(unit_profile(constant)))
-    for constant in CALIBRATABLE_CONSTANTS
-)
-
-
-def operator_features(
-    kind: str, rows_out: float, child_rows: Sequence[float] = ()
-) -> Dict[str, float]:
-    """Cost constant -> the cardinality that drives it in ``kind``'s charge.
-
-    The charge is linear in the constants, so pricing the operator at a
-    profile whose only constant is 1 reads that constant's coefficient
-    off :meth:`CostModel.operator_cost` itself; calibration regresses
-    measured seconds against exactly what the planner evaluates.  Empty
-    for kinds the model does not charge.
-    """
-    features = {}
-    for constant, model in _UNIT_MODELS:
-        driver = model.operator_cost(kind, rows_out, child_rows)
-        if driver:
-            features[constant] = driver
-    return features

@@ -1,7 +1,7 @@
 """Per-operator wall-clock instrumentation for physical plans.
 
 The calibration harness (:mod:`repro.calibrate`) needs *measured*
-per-operator timings to regress the engine profiles' cost constants
+per-operator timings to score the engine profiles' cost constants
 against.  :func:`instrument_plan` wraps both of every operator's pull
 entry points, ``batches()`` and ``mapped()``, so each node accumulates
 the wall seconds spent producing its output — including the time its

@@ -48,6 +48,8 @@ Eight invariants, each cheap to state and brutal to uphold:
    and estimate computed from scratch on the engines as they now are —
    a cached local plan is never served across a change it was not
    built for, and neither is the physical tree a run kept for it.
+   A table a ``CREATE TABLE … AS`` leaves, created, replaced or kept,
+   holds the rows its query returns at that moment.
    The middleware's plan memo is held to the same rule:
    each delegation plan a client would still reuse describes the same
    tasks and edges, and delegates the same SQL, as the plan the client
@@ -813,6 +815,37 @@ def delegated_sql(dplan: DelegationPlan) -> List[Tuple[str, str]]:
     return out
 
 
+def _snapshot_failures(
+    database: Database, statement: ast.CreateTableAs
+) -> List[str]:
+    """The rows a ``CREATE TABLE … AS`` just left in its table against
+    the rows its defining query returns now, planned and run from
+    scratch: a table kept across a refresh that wrote other rows holds
+    stale rows."""
+    try:
+        plan = database.planner.optimize(
+            build_plan(statement.query, database.catalog),
+            database.planner.make_estimator(),
+        )
+        want = [
+            row
+            for batch in database.planner.to_physical(plan).batches()
+            for row in batch
+        ]
+    except Exception as exc:
+        return [
+            f"{statement.name!r} was stored, but running its query "
+            f"from scratch fails: {exc!r}"
+        ]
+    held = _rows_of(database, statement.name)
+    if held is None or not same_rows(held, want):
+        return [
+            f"{statement.name!r} holds {len(held or ())} rows that are "
+            f"not the {len(want)} rows its query returns"
+        ]
+    return []
+
+
 def check_memo(spec: Dict[str, object]) -> List[str]:
     """Plan-memo parity across a scripted sequence of steps.
 
@@ -820,7 +853,9 @@ def check_memo(spec: Dict[str, object]) -> List[str]:
     run, or execute DDL / INSERT on one engine — and ``["drift", db,
     {SchemaDrift fields}]``.  A step the engines refuse (a query over a
     drifted-away column, say) is part of the script, not a finding;
-    :func:`memo_failures` is checked after every step.
+    :func:`memo_failures` is checked after every step, and after a
+    ``CREATE TABLE … AS`` that succeeds, the rows it stored against
+    its query's (:func:`_snapshot_failures`).
     """
     deployment = chain_deployment(str(spec.get("remote_profile", "postgres")))
     databases = list(deployment.databases.values())
@@ -833,7 +868,13 @@ def check_memo(spec: Dict[str, object]) -> List[str]:
             elif op == "query":
                 database.execute_select(parse_statement(payload))
             elif op == "sql":
-                database.execute(payload)
+                statement = parse_statement(payload)
+                database.execute_statement(statement, payload)
+                if isinstance(statement, ast.CreateTableAs):
+                    failures.extend(
+                        f"after step {index} (sql on {db}): {failure}"
+                        for failure in _snapshot_failures(database, statement)
+                    )
             elif op == "drift":
                 fields = dict(payload)
                 if fields.get("new_type") is not None:

@@ -3,14 +3,45 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.engine.cost import CostModel
 from repro.engine.database import Database
 from repro.engine.planner import LocalPlanner
+from repro.engine.profiles import profile_for
 from repro.federation.deployment import Deployment
 from repro.relational.schema import Field, Schema
 from repro.sql.types import DOUBLE, INTEGER, varchar
+
+#: The per-row cost constants a physical operator's charge
+#: (``CostModel.operator_cost``) is linear in.
+PER_ROW_CONSTANTS = (
+    "seq_scan_cost_per_row",
+    "cpu_tuple_cost",
+    "hash_build_cost_per_row",
+    "sort_cost_factor",
+    "foreign_fetch_cost_per_row",
+)
+
+
+def unit_features(kind, rows_out, child_rows=()):
+    """Per-row constant -> its coefficient in ``kind``'s charge, read off
+    ``operator_cost`` at a profile whose only non-zero constant is that
+    one, at 1.  Empty for kinds the model does not charge."""
+    zero = replace(
+        profile_for("postgres"),
+        startup_cost=0.0,
+        **dict.fromkeys(PER_ROW_CONSTANTS, 0.0),
+    )
+    features = {}
+    for constant in PER_ROW_CONSTANTS:
+        model = CostModel(replace(zero, **{constant: 1.0}))
+        driver = model.operator_cost(kind, rows_out, child_rows)
+        if driver:
+            features[constant] = driver
+    return features
 
 
 @pytest.fixture

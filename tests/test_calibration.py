@@ -1,33 +1,26 @@
-"""The calibration harness: measurement, fit, and Q-error improvement.
+"""The calibration harness: measurement and Q-error scoring.
 
-The CI-gating property: after fitting, the median Q-error of the cost
-model against measured per-operator timings must not be worse than the
-seed constants' — in practice it improves by a large factor, since the
-seed constants were never derived from this executor.
+``repro.calibrate`` prices every measured operator with the planner's
+own ``CostModel.operator_cost`` and gates on the scored median Q-error
+staying under a recorded bound, with every operator kind observed.
+The tests below show the gate passes on working code and fails on
+each of the two breaks it is there for.
 """
 
 import json
+import math
 
-import pytest
+from conftest import PER_ROW_CONSTANTS, unit_features
 
-from repro.calibrate.fit import (
-    evaluate_constants,
-    fit_constants,
-    predicted_units,
-    q_error,
-)
-from repro.calibrate.harness import Observation, run_workload
+import repro.calibrate.harness
+import repro.engine.instrument
+from repro.calibrate.__main__ import main
+from repro.calibrate.harness import MIN_SECONDS, observe_query, q_error, run_workload
 from repro.calibrate.workload import build_workload
 from repro.engine.cost import CostModel
-from repro.engine.profiles import (
-    CALIBRATABLE_CONSTANTS,
-    clear_calibrated,
-    dump_calibrated,
-    load_calibrated,
-    profile_base,
-    profile_for,
-    set_calibrated,
-)
+
+#: One profile, CI-sized: the gate's own workload at 1/20 of its rows.
+SMALL = ["--profiles", "hive", "--rows", "2000", "--repeat", "1", "--check"]
 
 
 def test_q_error_definition():
@@ -37,120 +30,72 @@ def test_q_error_definition():
     assert q_error(0.0, 10.0) > 1.0  # floored, never divides by zero
 
 
-def test_fit_recovers_planted_constants():
-    """Synthetic observations from known constants: the fit finds them."""
-    profile = profile_base("postgres")
-    truth = {
-        "seq_scan_cost_per_row": 3.0,
-        "cpu_tuple_cost": 0.5,
-        "hash_build_cost_per_row": 1.5,
-        "sort_cost_factor": 0.25,
-        "foreign_fetch_cost_per_row": 40.0,
-    }
-    observations = []
-    cases = [
-        ("SeqScan", {"seq_scan_cost_per_row": 1000.0}),
-        ("Filter", {"cpu_tuple_cost": 800.0}),
-        ("Project", {"cpu_tuple_cost": 500.0}),
-        ("Sort", {"sort_cost_factor": 4000.0}),
-        ("ForeignScan", {"foreign_fetch_cost_per_row": 100.0}),
-        (
-            "HashJoin",
-            {"hash_build_cost_per_row": 300.0, "cpu_tuple_cost": 900.0},
-        ),
-        (
-            "HashAggregate",
-            {"hash_build_cost_per_row": 700.0, "cpu_tuple_cost": 700.0},
-        ),
-    ]
-    for op, features in cases:
-        units = predicted_units(features, truth)
-        observations.append(
-            Observation(
-                op=op,
-                query="synthetic",
-                features=features,
-                seconds=units / profile.calibration,
-            )
-        )
-    fitted = fit_constants(observations, profile)
-    for name, expected in truth.items():
-        assert fitted[name] == pytest.approx(expected, rel=1e-6), name
-
-
-def test_fit_keeps_seed_value_without_observations():
-    profile = profile_base("mariadb")
-    observations = [
-        Observation(
-            op="SeqScan",
-            query="only-scans",
-            features={"seq_scan_cost_per_row": 1000.0},
-            seconds=1000.0 * 2.0 / profile.calibration,
-        )
-    ]
-    fitted = fit_constants(observations, profile)
-    assert set(fitted) == set(CALIBRATABLE_CONSTANTS)
-    assert fitted["sort_cost_factor"] == profile.sort_cost_factor
-
-
 def test_workload_covers_every_constant():
+    """Every per-row constant's operator family is observed: scan,
+    cpu-only, sort, foreign fetch and hash."""
     observations = run_workload("postgres", rows=2000, repeat=1)
     driven = {
-        name for obs in observations for name in obs.features
+        name
+        for obs in observations
+        for name in unit_features(obs.op, obs.rows_out, obs.child_rows)
     }
-    assert driven == set(CALIBRATABLE_CONSTANTS)
+    assert driven == set(PER_ROW_CONSTANTS)
 
 
-def test_calibration_smoke_improves_median_q_error():
-    """The acceptance gate, CI-sized: post-fit median Q <= pre-fit."""
-    profile = profile_base("postgres")
-    observations = run_workload("postgres", rows=4000, repeat=2)
-    assert len(observations) >= 30
-    before = evaluate_constants(
-        observations, profile.constants(), profile.calibration
+def test_foreign_scan_observations_add_the_simulated_fetch(monkeypatch):
+    """The fetch constant prices the remote production and the wire, so
+    a ForeignScan observation adds the fetch's simulated transfer
+    seconds (tagged ``fdw:<remote object>``) to its measured self time."""
+    monkeypatch.setattr(
+        repro.calibrate.harness, "_span_self_seconds", lambda span: 0.0
     )
-    fitted = fit_constants(observations, profile)
-    after = evaluate_constants(
-        observations, fitted, profile.calibration
+    workload = build_workload("postgres", rows=500)
+    workload.local.instrument_execution = True
+    observations = observe_query(workload, "foreign", "SELECT id, val FROM ffact")
+    (fetch,) = [obs for obs in observations if obs.op == "ForeignScan"]
+    assert fetch.seconds > MIN_SECONDS
+    assert all(
+        obs.seconds == MIN_SECONDS for obs in observations if obs is not fetch
     )
-    assert after["median_q_error"] <= before["median_q_error"]
 
 
-def test_calibrated_overlay_reaches_cost_model(tmp_path):
-    """set_calibrated, and a dumped overlay read back by
-    load_calibrated, propagate through profile_for into CostModel."""
-    base = profile_base("hive")
-    try:
-        calibrated = base.with_constants(cpu_tuple_cost=123.0)
-        set_calibrated([calibrated])
-        served = profile_for("hive")
-        assert served.cpu_tuple_cost == 123.0
-        assert CostModel(profile_for("hive")).profile.cpu_tuple_cost == 123.0
-        clear_calibrated()
-
-        path = tmp_path / "calibrated_profiles.json"
-        path.write_text(
-            json.dumps(
-                dump_calibrated([base.with_constants(cpu_tuple_cost=7.5)])
-            )
-        )
-        (loaded,) = load_calibrated(str(path))
-        assert loaded.name == "hive" and loaded.cpu_tuple_cost == 7.5
-        assert profile_for("hive").cpu_tuple_cost == 7.5
-        assert profile_for("hive").constants() == loaded.constants()
-    finally:
-        clear_calibrated()
-    assert profile_for("hive").cpu_tuple_cost == base.cpu_tuple_cost
+def test_small_run_passes_the_gate(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(SMALL + ["--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["profiles"]["hive"]
+    errors = [entry["median_q_error"], entry["max_q_error"]] + [
+        stats[key]
+        for stats in entry["per_operator"].values()
+        for key in ("median_q_error", "max_q_error")
+    ]
+    assert all(math.isfinite(err) and err >= 1.0 for err in errors)
+    assert entry["observations"] == sum(
+        stats["count"] for stats in entry["per_operator"].values()
+    )
 
 
-def test_with_constants_rejects_uncalibratable_fields():
-    # ``calibration`` defines the units-to-seconds currency the fit
-    # solves in; it must never be refit (startup_cost/startup_latency
-    # are intercept-fitted and therefore allowed).
-    from repro.errors import CatalogError
+def test_gate_fails_when_spans_stop_carrying_measured_seconds(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(
+        repro.engine.instrument, "instrument_plan", lambda plan: plan
+    )
+    assert main(SMALL) == 1
+    assert "FAIL: hive: no SeqScan observation" in capsys.readouterr().out
 
-    with pytest.raises(CatalogError):
-        profile_base("postgres").with_constants(calibration=1.0)
+
+def test_gate_fails_when_prices_move_by_three_orders(monkeypatch, capsys):
+    charge = CostModel.operator_cost
+
+    def inflated(self, *args, **kwargs):
+        units = charge(self, *args, **kwargs)
+        return None if units is None else units * 1000
+
+    monkeypatch.setattr(CostModel, "operator_cost", inflated)
+    assert main(SMALL) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: hive: median Q-error" in out
+    assert "FAIL: hive: no" not in out
 
 
 def test_instrumented_spans_carry_exec_seconds():

@@ -9,18 +9,14 @@ from __future__ import annotations
 
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import PER_ROW_CONSTANTS, unit_features
 
-from repro.calibrate.fit import predicted_units
-from repro.engine.cost import (
-    CardinalityEstimator,
-    CostModel,
-    ScanStats,
-    operator_features,
-)
-from repro.engine.profiles import CALIBRATABLE_CONSTANTS, profile_base
+from repro.engine.cost import CardinalityEstimator, CostModel, ScanStats
+from repro.engine.profiles import profile_for
 from repro.net.network import wire_bytes
 from repro.relational import algebra
 from repro.relational.schema import Field, Schema
@@ -38,9 +34,8 @@ PRICES = {
     "startup_latency",
     "cost_to_seconds",
 }
-#: ``calibrate/fit.py`` names constants to *write* fitted values, never
-#: to price with them.
-ALLOWED = {"engine/cost.py", "engine/profiles.py", "calibrate/fit.py"}
+#: Where the constants are defined and where they are applied.
+ALLOWED = {"engine/cost.py", "engine/profiles.py"}
 
 
 def test_no_module_outside_the_price_list_reads_a_cost_constant():
@@ -213,19 +208,21 @@ def _operators():
 )
 def test_features_times_constants_is_the_planner_charge(kind, plan):
     rng = random.Random(kind)
-    profile = profile_base("postgres").with_constants(
-        **{name: rng.uniform(0.01, 50.0) for name in CALIBRATABLE_CONSTANTS}
+    profile = replace(
+        profile_for("postgres"),
+        **{name: rng.uniform(0.01, 50.0) for name in PER_ROW_CONSTANTS},
     )
     table_rows = {"l": 4000.0, "r": 300.0, "p": 750.0}
     estimator = CardinalityEstimator(
         lambda scan: ScanStats(row_count=table_rows[scan.table], columns={})
     )
-    features = operator_features(
+    features = unit_features(
         kind,
         estimator.estimate_rows(plan),
         [estimator.estimate_rows(child) for child in plan.children()],
     )
     assert features
-    assert predicted_units(features, profile.constants()) == pytest.approx(
+    units = sum(getattr(profile, name) * value for name, value in features.items())
+    assert units == pytest.approx(
         CostModel(profile).node_self_cost(plan, estimator), rel=1e-12
     )

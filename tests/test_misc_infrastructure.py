@@ -81,7 +81,7 @@ def test_profile_characteristics():
     assert not hive.pushdown_filters
     # Hive is the slow starter; MariaDB the slowest OLAP processor.
     assert hive.startup_latency > pg.startup_latency
-    assert maria.process_rows_per_sec < pg.process_rows_per_sec
+    assert maria.calibration < pg.calibration
 
 
 # -- error hierarchy ----------------------------------------------------------------

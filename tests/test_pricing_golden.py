@@ -5,11 +5,12 @@ moved into ``engine/cost.py`` computed.
 6d5b7b7 with that commit's ``calibrate.harness._features_for`` as the
 feature function: every Rule-4 alternative's cost, the simulated
 schedule, the calibrated EXPLAIN of every stored table, the three
-baselines' columns, and the calibration features of one operator of
-each physical kind.  The comparison is to 1e-12 relative — only
+baselines' columns, and the per-constant coefficients of one operator
+of each physical kind.  The comparison is to 1e-12 relative — only
 re-association of a float sum passes, a changed term does not.  A
 change that means to move a price re-records the file the same way
-(``json.dumps(collect(operator_features), indent=1, sort_keys=True)``).
+(``json.dumps(collect(unit_features), indent=1, sort_keys=True)``,
+``unit_features`` from ``conftest``).
 """
 
 from __future__ import annotations
@@ -179,10 +180,10 @@ def test_deployment_numbers_are_where_they_were(golden, name):
 
 
 def test_calibration_features_are_where_they_were(golden):
-    from repro.engine.cost import operator_features
+    from conftest import unit_features
 
     actual = {
-        kind: operator_features(kind, rows_out, child_rows)
+        kind: unit_features(kind, rows_out, child_rows)
         for kind, rows_out, child_rows in OPERATORS
     }
     assert _mismatches(golden["features"], actual) == []
@@ -197,9 +198,9 @@ def test_probe_term_divergence_is_pinned_on_both_sides(golden):
     ) == []
 
     from repro.engine.cost import CostModel
-    from repro.engine.profiles import profile_base
+    from repro.engine.profiles import profile_for
 
-    model = CostModel(profile_base("postgres"))
+    model = CostModel(profile_for("postgres"))
     local, moved, out = 1000.0, 100.0, 100.0
     planned = model.planned_join_seconds(local, moved, out, materialized=False)
     observed = model.seconds(
