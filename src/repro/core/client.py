@@ -28,6 +28,7 @@ a submission that fails hands its context out on the error
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
@@ -358,39 +359,51 @@ class XDB:
         prepared query's state enters at ``execute`` and reports zero
         planning phases.
         """
-        # Engines that recovered since the last entry get their
-        # deferred orphan sweep now, outside the query's context (and
-        # never allowed to fail the query itself).
+        # The member engines' row tuples and chunk lists hold no
+        # cycles, yet their allocations set the cyclic collector off
+        # a dozen times a query, and each full pass walks every stored
+        # table (DESIGN.md §7 "The cycle collector").  Pause it for the
+        # submission; only the call that paused it turns it back on.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
-            self.reaper.sweep_pending()
-        except ReproError:
-            pass
-        plans = state.dplan is None
-        ctx = QueryContext(label=state.label or "prepared", qos=qos)
-        try:
-            with ctx:
-                if plans:
-                    state = self.pipeline.plan(state, ctx, retain=cleanup)
-                placement_before = self.pipeline.placement(state.dplan)
-                self.pipeline.execute(state, ctx, cleanup=cleanup)
-            return XDBReport(
-                result=state.result,
-                plan=state.dplan,
-                deployed=replace(state.deployed),
-                # what *this* entry annotated: nothing for a prepared
-                # one or a plan-memo hit
-                annotation=state.annotation if plans else None,
-                schedule=state.schedule,
-                context=ctx,
-                feedback=list(state.observations),
-                placement_before=placement_before,
-                leaked_objects=self.ledger.leaked_count(),
-                connector_names=tuple(self.connectors),
-            )
+            # Engines that recovered since the last entry get their
+            # deferred orphan sweep now, outside the query's context
+            # (and never allowed to fail the query itself).
+            try:
+                self.reaper.sweep_pending()
+            except ReproError:
+                pass
+            plans = state.dplan is None
+            ctx = QueryContext(label=state.label or "prepared", qos=qos)
+            try:
+                with ctx:
+                    if plans:
+                        state = self.pipeline.plan(state, ctx, retain=cleanup)
+                    placement_before = self.pipeline.placement(state.dplan)
+                    self.pipeline.execute(state, ctx, cleanup=cleanup)
+                return XDBReport(
+                    result=state.result,
+                    plan=state.dplan,
+                    deployed=replace(state.deployed),
+                    # what *this* entry annotated: nothing for a
+                    # prepared one or a plan-memo hit
+                    annotation=state.annotation if plans else None,
+                    schedule=state.schedule,
+                    context=ctx,
+                    feedback=list(state.observations),
+                    placement_before=placement_before,
+                    leaked_objects=self.ledger.leaked_count(),
+                    connector_names=tuple(self.connectors),
+                )
+            finally:
+                # Answered, shed or expired: the client's clock moves
+                # on by everything the query spent on the simulated
+                # clock.
+                self.clock.advance(ctx.tracer.sim_now)
         finally:
-            # Answered, shed or expired: the client's clock moves on
-            # by everything the query spent on the simulated clock.
-            self.clock.advance(ctx.tracer.sim_now)
+            if collecting:
+                gc.enable()
 
     def close(self) -> None:
         """Drop every cascade the client keeps deployed: the plan

@@ -198,7 +198,9 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
     re-ANALYZE bound (12 rows for the 120 of ``t``, 5 for the 50 of
     ``lt``), which must empty them only past it, and refreshes of B's
     ``snap`` on both sides of the kept-table rule: with the rows it
-    already holds (nothing to empty), and with other rows."""
+    already holds (nothing to empty), and with other rows.  One write
+    choice is a pair, an INSERT into ``t`` and then the refresh of
+    ``snap``, so that a seeded run meets a refresh with other rows."""
     literal = rng.choice(["1", "1.0", "7", "30"])
     threshold = rng.randint(0, 35)
     rows = ", ".join(
@@ -218,8 +220,9 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
         ["query", "B", f"SELECT a FROM snap WHERE a > {threshold}"],
         ["explain", "B", "SELECT snap.a, v_b.c FROM snap, v_b WHERE snap.a = v_b.a"],
     ]
+    insert = ["sql", "C", f"INSERT INTO t VALUES {rows}"]
     writes = [
-        ["sql", "C", f"INSERT INTO t VALUES {rows}"],
+        insert,
         ["sql", "A", f"INSERT INTO lt VALUES {local_rows}"],
         [
             "sql",
@@ -243,12 +246,14 @@ def gen_memo_case(rng: random.Random) -> Dict[str, object]:
             },
         ],
     ]
+    choices = [[write] for write in writes]
+    choices.append([insert, ["sql", "B", refresh]])
     steps = []
     for _ in range(rng.randint(2, 5)):
         steps.append(rng.choice(reads))
         if rng.random() < 0.5:
             steps.append(rng.choice(reads))
-        steps.append(rng.choice(writes))
+        steps.extend(rng.choice(choices))
     steps.append(rng.choice(reads))
     return {
         "kind": "memo",
