@@ -276,9 +276,7 @@ class XDB:
         self.delegator = DelegationEngine(self.connectors, ledger=self.ledger)
         #: epoch-fenced reaper: reconciles engine-held ``xf_/xm_/xv_``
         #: objects against the ledger, dropping only retired epochs
-        self.reaper = OrphanReaper(
-            self.ledger, self.connectors, health=deployment.health
-        )
+        self.reaper = OrphanReaper(self.ledger, self.connectors)
         # Engine recovery (breaker half-open → closed) marks the engine
         # pending; the *next* submission sweeps it — sweeping inside the
         # guarded call path would recurse into the connectors.

@@ -198,7 +198,6 @@ class PartitionExpander:
                 source_db=resolved.source_db,
                 replica_dbs=resolved.replica_dbs,
                 partition_of=scan.table,
-                partition_index=index,
             )
             branches.append(branch)
         key: KeyRef = (scan.binding.lower(), spec.key.lower())

@@ -64,14 +64,11 @@ class ReapReport:
 class OrphanReaper:
     """Sweeps delegated-object orphans off recovered engines."""
 
-    def __init__(self, ledger: ObjectLedger, connectors, health=None):
+    def __init__(self, ledger: ObjectLedger, connectors):
         self._ledger = ledger
         self._connectors = dict(connectors)
-        self._health = health
         #: engines whose breaker closed since the last sweep
         self._pending: Set[str] = set()
-        #: lifetime counter (observability)
-        self.orphans_reaped = 0
 
     # -- recovery listener (deferred trigger) ---------------------------
 
@@ -119,7 +116,6 @@ class OrphanReaper:
             )
             report.dropped.extend(dropped)
             report.failed.extend(failed)
-            self.orphans_reaped += len(dropped)
             # Ledger-side reconcile: leaked entries whose object is no
             # longer on the (reachable) engine were cleaned up out of
             # band — close them out so leaked_count() reflects reality.

@@ -48,11 +48,8 @@ class FaultInjector:
         self._script_hits: List[int] = [0] * len(policy.scripted)
         #: injected transient errors (for reporting)
         self.injected_transients = 0
-        #: guarded calls rejected by an engine outage
-        self.injected_outage_rejections = 0
         #: schema drifts already applied (each fires once)
         self._drifts_applied: List[bool] = [False] * len(policy.drifts)
-        self.injected_drifts = 0
         self._deployment = None
 
     # -- lifecycle ------------------------------------------------------
@@ -120,23 +117,6 @@ class FaultInjector:
             return False
         return outage.down_at(self.calls_by_db.get(db, 0) + 1)
 
-    def shard_down(self, db: str, table: str) -> bool:
-        """Whether the next call touching ``db.table`` would be struck.
-
-        The shard-level twin of :meth:`engine_down`, equally
-        non-consuming.
-        """
-        for outage in self.policy.outages:
-            if (
-                outage.db == db
-                and outage.table is not None
-                and outage.table.lower() == table.lower()
-            ):
-                key = (db, outage.table.lower())
-                if outage.down_at(self.calls_by_shard.get(key, 0) + 1):
-                    return True
-        return False
-
     def _outage_for(self, db: str):
         for outage in self.policy.outages:
             if outage.db == db and outage.table is None:
@@ -151,7 +131,6 @@ class FaultInjector:
         from repro.drift.mutate import apply_drift
 
         apply_drift(self._deployment.database(drift.db), drift)
-        self.injected_drifts += 1
 
     # -- the injection point -------------------------------------------
 
@@ -181,7 +160,6 @@ class FaultInjector:
             shard_count = self.calls_by_shard.get(key, 0) + 1
             self.calls_by_shard[key] = shard_count
             if outage.down_at(shard_count):
-                self.injected_outage_rejections += 1
                 raise EngineUnavailableError(
                     f"injected shard outage: {outage.table!r} on "
                     f"DBMS {db!r} is unreachable (matching call "
@@ -205,7 +183,6 @@ class FaultInjector:
 
         outage = self._outage_for(db)
         if outage is not None and outage.down_at(count):
-            self.injected_outage_rejections += 1
             raise EngineUnavailableError(
                 f"injected outage: DBMS {db!r} is down "
                 f"(call {count}, outage after {outage.after_calls})",
@@ -228,9 +205,3 @@ class FaultInjector:
             raise TransientConnectorError(
                 f"injected transient error on {db!r} during {op}"
             )
-
-
-def clear_faults(deployment, injector: Optional[FaultInjector]) -> None:
-    """Uninstall ``injector`` (tolerates ``None`` for symmetric code)."""
-    if injector is not None:
-        injector.uninstall()

@@ -52,7 +52,6 @@ def summarize(records: Iterable[TransferRecord]) -> TransferSummary:
 def site_breakdown(
     records: Iterable[TransferRecord],
     network: Network,
-    cloud_site: str = "cloud",
 ) -> Tuple[int, int, int]:
     """Byte totals ``(total, to_cloud, cross_site)`` over ``records``.
 
@@ -69,7 +68,7 @@ def site_breakdown(
         total += record.payload_bytes
         src_site = network.node_site(record.src)
         dst_site = network.node_site(record.dst)
-        if dst_site == cloud_site and src_site != cloud_site:
+        if dst_site == "cloud" and src_site != "cloud":
             to_cloud += record.payload_bytes
         if src_site != dst_site:
             cross_site += record.payload_bytes

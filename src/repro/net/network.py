@@ -1,7 +1,7 @@
 """The simulated network substrate.
 
-Nodes belong to *sites* (e.g. ``onprem``, ``cloud``, ``dc1``...); links
-are resolved per node pair with site-pair defaults, so a topology is
+Nodes belong to *sites* (e.g. ``onprem``, ``cloud``, ``dc1``...); a link
+is resolved from the pair of sites its nodes sit in, so a topology is
 described by a handful of :class:`LinkSpec` values.  Two presets mirror
 the paper's environments:
 
@@ -14,7 +14,7 @@ the paper's environments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import NetworkError, NetworkPartitionedError
 from repro.obs.runtime import current_context
@@ -102,7 +102,6 @@ class Network:
     def __init__(self, name: str = "net"):
         self.name = name
         self._nodes: Dict[str, _Node] = {}
-        self._pair_links: Dict[Tuple[str, str], LinkSpec] = {}
         self._site_links: Dict[Tuple[str, str], LinkSpec] = {}
         self._forbidden: set = set()
         #: transiently unreachable links (fault injection); heal-able,
@@ -131,14 +130,6 @@ class Network:
             raise NetworkError(f"unknown network node {name!r}")
         return node.site
 
-    def nodes(self) -> List[str]:
-        return sorted(self._nodes)
-
-    def set_link(self, src: str, dst: str, spec: LinkSpec) -> None:
-        """Override a specific directed node pair."""
-        self._pair_links[(src, dst)] = spec
-        self.version += 1
-
     def set_site_link(self, site_a: str, site_b: str, spec: LinkSpec) -> None:
         """Default link for traffic between two sites (symmetric)."""
         self._site_links[(site_a, site_b)] = spec
@@ -159,9 +150,6 @@ class Network:
         return spec
 
     def _base_link_for(self, src: str, dst: str) -> LinkSpec:
-        pair = self._pair_links.get((src, dst))
-        if pair is not None:
-            return pair
         src_site = self.node_site(src)
         dst_site = self.node_site(dst)
         site = self._site_links.get((src_site, dst_site))
@@ -249,12 +237,6 @@ class Network:
 
     def is_partitioned(self, src: str, dst: str) -> bool:
         return src != dst and (src, dst) in self._partitioned
-
-    def clear_faults(self) -> None:
-        """Heal every partition and restore every degraded link."""
-        self._partitioned.clear()
-        self._degraded.clear()
-        self.version += 1
 
     # -- accounting -------------------------------------------------------------
 

@@ -111,7 +111,6 @@ class Scan(LogicalPlan):
         requalify: bool = True,
         replica_dbs: Tuple[str, ...] = (),
         partition_of: Optional[str] = None,
-        partition_index: Optional[int] = None,
     ):
         super().__init__()
         self.table = table
@@ -123,9 +122,8 @@ class Scan(LogicalPlan):
         self.replica_dbs = tuple(replica_dbs)
         self.placeholder = placeholder
         # Set by the partition expansion pass: the logical table this
-        # scan is one shard of, and which shard.
+        # scan is one shard of.
         self.partition_of = partition_of
-        self.partition_index = partition_index
 
     def label(self) -> str:
         where = f"@{self.source_db}" if self.source_db else ""

@@ -212,7 +212,6 @@ def unique_names(names: Sequence[str]) -> List[str]:
 class _PlanBuilder:
     def __init__(self, resolver: TableResolver):
         self._resolver = resolver
-        self._synthetic = 0
 
     def build(self, select: ast.Select) -> algebra.LogicalPlan:
         plan = self._build_from(select.from_items)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.sql.types import SQLType
 
@@ -222,10 +222,6 @@ class TableRef(FromItem):
     @property
     def name(self) -> str:
         return self.parts[-1]
-
-    @property
-    def qualifier(self) -> Optional[str]:
-        return self.parts[0] if len(self.parts) > 1 else None
 
     @property
     def binding_name(self) -> str:
@@ -448,11 +444,3 @@ def column_refs(expr: Expression) -> List[ColumnRef]:
     walk(expr)
     return refs
 
-
-def referenced_tables(expr: Expression) -> List[str]:
-    """Distinct table qualifiers referenced by ``expr`` (order-preserving)."""
-    seen: Dict[str, None] = {}
-    for ref in column_refs(expr):
-        if ref.table is not None:
-            seen.setdefault(ref.table, None)
-    return list(seen)

@@ -162,4 +162,3 @@ def test_column_refs_and_referenced_tables():
     expr = parse_expression("t.a + u.w > t.b")
     refs = ast.column_refs(expr)
     assert [r.name for r in refs] == ["a", "w", "b"]
-    assert ast.referenced_tables(expr) == ["t", "u"]

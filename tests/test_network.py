@@ -26,14 +26,6 @@ def test_site_links_resolve_by_site_pair():
     assert network.link_for("mw", "client") == LAN
 
 
-def test_pair_override_beats_site_default():
-    network = Network.on_premise(["db1", "db2"])
-    slow = LinkSpec(1000.0, 1.0)
-    network.set_link("db1", "db2", slow)
-    assert network.link_for("db1", "db2") == slow
-    assert network.link_for("db2", "db1") == LAN  # directed override
-
-
 def test_geo_topology_everything_wan():
     network = Network.geo_distributed(["db1", "db2"])
     assert network.link_for("db1", "db2") == WAN

@@ -1,21 +1,12 @@
-"""Prepared-query API and CSV import/export tests."""
+"""Prepared-query API tests."""
 
 import pytest
 
 from repro.core.client import XDB
-from repro.engine.database import Database
-from repro.engine.io import (
-    export_dataset,
-    import_dataset,
-    load_table_csv,
-    save_table_csv,
-)
-from repro.errors import DelegationError, ExecutionError, OptimizerError
+from repro.errors import DelegationError, OptimizerError
 from repro.federation.deployment import Deployment
 from repro.relational.schema import Field, Schema
-from repro.sql.types import DATE, DOUBLE, INTEGER, varchar
-
-import datetime
+from repro.sql.types import INTEGER, varchar
 
 from conftest import assert_same_rows
 
@@ -127,117 +118,3 @@ def test_prepared_close_that_leaks_still_closes_the_handle():
     assert xdb.ledger.leaked_count() == 0
     for db in ("A", "B"):
         assert not dep.connector(db).list_objects(("xf_", "xm_", "xv_"))
-
-
-# -- CSV I/O --------------------------------------------------------------------
-
-
-def sample_db():
-    db = Database("D")
-    db.create_table(
-        "t",
-        Schema(
-            [
-                Field("id", INTEGER),
-                Field("name", varchar(8)),
-                Field("score", DOUBLE),
-                Field("born", DATE),
-            ]
-        ),
-        [
-            (1, "ada", 9.5, datetime.date(1815, 12, 10)),
-            (2, "", None, None),
-            (3, None, 0.0, datetime.date(2000, 1, 1)),
-        ],
-    )
-    return db
-
-
-def test_csv_roundtrip_preserves_values(tmp_path):
-    db = sample_db()
-    path = tmp_path / "t.csv"
-    written = save_table_csv(db, "t", path)
-    assert written == 3
-
-    target = Database("T2")
-    loaded = load_table_csv(target, "t", path)
-    assert loaded == 3
-    original = db.catalog.get("t").rows
-    restored = target.catalog.get("t").rows
-    assert restored == original  # exact: nulls, empty string, dates
-
-
-def test_csv_header_encodes_types(tmp_path):
-    db = sample_db()
-    path = tmp_path / "t.csv"
-    save_table_csv(db, "t", path)
-    header = path.read_text().splitlines()[0]
-    assert "id:INTEGER" in header
-    assert "born:DATE" in header
-
-
-def test_csv_load_with_explicit_schema(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a:INTEGER,b:VARCHAR(4)\n1,one\n2,two\n")
-    schema = Schema([Field("a", INTEGER), Field("b", varchar(4))])
-    db = Database("D")
-    load_table_csv(db, "x", path, schema=schema)
-    assert db.execute("SELECT COUNT(*) AS n FROM x").rows == [(2,)]
-
-
-def test_csv_schema_arity_mismatch(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a:INTEGER,b:VARCHAR(4)\n1,one\n")
-    with pytest.raises(ExecutionError):
-        load_table_csv(
-            Database("D"), "x", path, schema=Schema([Field("a", INTEGER)])
-        )
-
-
-def test_csv_bad_value_reports_type(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a:INTEGER\nnot_a_number\n")
-    with pytest.raises(ExecutionError, match="INTEGER"):
-        load_table_csv(Database("D"), "x", path)
-
-
-def test_csv_ragged_row_reports_line(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a:INTEGER,b:INTEGER\n1,2\n3\n")
-    with pytest.raises(ExecutionError, match=":3"):
-        load_table_csv(Database("D"), "x", path)
-
-
-def test_csv_untyped_header_needs_schema(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ExecutionError, match="schema"):
-        load_table_csv(Database("D"), "x", path)
-
-
-def test_export_view_rejected(tmp_path):
-    db = sample_db()
-    db.execute("CREATE VIEW v AS SELECT id FROM t")
-    with pytest.raises(ExecutionError):
-        save_table_csv(db, "v", tmp_path / "v.csv")
-
-
-def test_dataset_roundtrip(tmp_path):
-    db = sample_db()
-    db.create_table(
-        "u", Schema([Field("k", INTEGER)]), [(i,) for i in range(5)]
-    )
-    files = export_dataset(db, tmp_path / "data")
-    assert len(files) == 2
-
-    fresh = Database("F")
-    names = import_dataset(fresh, tmp_path / "data")
-    assert names == ["t", "u"]
-    assert fresh.execute("SELECT COUNT(*) AS n FROM u").rows == [(5,)]
-
-
-def test_empty_csv_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ExecutionError, match="empty"):
-        load_table_csv(Database("D"), "x", path)

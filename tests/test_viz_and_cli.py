@@ -1,52 +1,8 @@
-"""Visualization helpers and the standalone bench CLI."""
+"""The standalone bench CLI and the demo CLI."""
 
 import pytest
 
 from repro.bench.run import main as bench_main, parse_args, run_grid
-from repro.core.client import XDB
-from repro.core.viz import (
-    critical_path,
-    delegation_plan_to_dot,
-    delegation_plan_to_networkx,
-)
-from repro.workloads.tpch import query
-
-
-@pytest.fixture(scope="module")
-def q5_plan(tpch_tiny):
-    deployment, _ = tpch_tiny
-    xdb = XDB(deployment)
-    return xdb.plan_query(query("Q5"))
-
-
-def test_dot_export_structure(q5_plan):
-    dot = delegation_plan_to_dot(q5_plan)
-    assert dot.startswith("digraph")
-    for task in q5_plan.tasks.values():
-        assert f"t{task.task_id}" in dot
-        assert task.annotation in dot
-    assert "(root)" in dot
-    assert dot.rstrip().endswith("}")
-
-
-def test_dot_edge_labels(q5_plan):
-    dot = delegation_plan_to_dot(q5_plan)
-    for edge in q5_plan.edges:
-        assert f"t{edge.producer_id} -> t{edge.consumer_id}" in dot
-
-
-def test_networkx_bridge(q5_plan):
-    graph = delegation_plan_to_networkx(q5_plan)
-    assert graph.number_of_nodes() == q5_plan.task_count()
-    assert graph.number_of_edges() == len(q5_plan.edges)
-    roots = [n for n, d in graph.nodes(data=True) if d["is_root"]]
-    assert roots == [q5_plan.root_id]
-
-
-def test_critical_path_ends_at_root(q5_plan):
-    path = critical_path(q5_plan)
-    assert path[-1] == q5_plan.root_id
-    assert len(path) >= 2
 
 
 # -- CLI --------------------------------------------------------------------------
