@@ -1,10 +1,10 @@
 """The engine-local planner: logical plan → physical plan.
 
-Runs the shared logical rewrites (filter pushdown, join reordering,
-projection pruning) with the engine's own statistics, then lowers the
-plan to physical operators, choosing hash joins for equi conditions and
-pushing work into foreign wrappers according to the vendor profile's
-capabilities.
+Runs the shared logical rewrites (restriction ORs, filter pushdown,
+join reordering, projection pruning) with the engine's own statistics,
+then lowers the plan to physical operators, choosing hash joins for
+equi conditions and pushing work into foreign wrappers according to
+the vendor profile's capabilities.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.relational.optimizer import (
     prune_columns,
     push_filters,
     reorder_joins,
+    restrict_ors,
 )
 from repro.relational.schema import Schema
 from repro.sql import ast
@@ -86,7 +87,7 @@ class LocalPlanner:
         included) are not fetched again.  The inputs of every INNER
         join come back carrying their ``estimated_rows``, which is
         what :meth:`_plan_join` picks the hash build side from."""
-        plan = push_filters(plan)
+        plan = push_filters(restrict_ors(plan))
         if estimator is None:
             estimator = self.make_estimator()
         plan = reorder_joins(

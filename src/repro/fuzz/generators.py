@@ -7,8 +7,10 @@ the oracle:
 * ``foreign_table`` / ``create_table`` / ``view`` / ``drop`` /
   ``insert`` — DDL/DML statements, checked by the three-dialect
   round-trip oracle;
-* ``query`` — a SELECT over the fixed fuzz schema, round-tripped *and*
-  executed differentially (the engine vs sqlite, per vendor);
+* ``query`` — a SELECT over the fixed fuzz schema (some over an INNER
+  or LEFT join with an OR-of-ANDs WHERE across both inputs),
+  round-tripped *and* executed differentially (the engine vs sqlite,
+  per vendor);
 * ``pushdown`` — a foreign-table query on a two-engine deployment,
   compared against direct execution on the remote engine;
 * ``partition`` — a query spec plus a hash/range partitioning of the
@@ -295,7 +297,7 @@ def _gen_query(rng: random.Random) -> Dict[str, object]:
         where = ["a", rng.choice([">", "<", "=", "<>"]), rng.randint(0, 60)]
     elif roll < 0.7:
         where = ["b", rng.choice(["=", "<>"]), gen_string(rng)]
-    return {
+    spec = {
         "kind": "query",
         "join": join,
         "select": select,
@@ -304,6 +306,50 @@ def _gen_query(rng: random.Random) -> Dict[str, object]:
         "order": rng.random() < 0.4,
         "limit": rng.randint(0, 40) if rng.random() < 0.3 else None,
     }
+    if join and rng.random() < 0.6:
+        spec["join"] = "LEFT" if rng.random() < 0.5 else True
+        spec["or_where"] = _gen_or_where(rng)
+    return spec
+
+
+#: Columns an ``or_where`` atom may compare, with a literal maker each.
+_OR_COLUMNS = {
+    "t1": {
+        "a": lambda rng: rng.randint(0, 70),
+        "b": gen_string,
+        "c": lambda rng: round(rng.uniform(0.0, 50.0), 1),
+    },
+    "t2": {
+        "a": lambda rng: rng.randint(0, 70),
+        "d": lambda rng: f"d{rng.randint(0, 19)}",
+    },
+}
+
+
+def _gen_or_where(rng: random.Random) -> List[List[list]]:
+    """An OR of ANDs across both join inputs: ``[[atom, ...], ...]``,
+    each atom ``[table, column, op, value]``.  Most arms test both
+    tables, so each implies a restriction on each; a third of the
+    ``t2`` atoms test for NULL, which NULL padding of a LEFT join makes
+    true."""
+    arms = []
+    for _ in range(rng.randint(2, 3)):
+        if rng.random() < 0.8:
+            tables = ["t1", "t2"] + rng.sample(["t1", "t2"], rng.randint(0, 1))
+        else:
+            tables = [rng.choice(["t1", "t2"])]
+        rng.shuffle(tables)
+        arms.append([_gen_atom(rng, table) for table in tables])
+    return arms
+
+
+def _gen_atom(rng: random.Random, table: str) -> list:
+    column = rng.choice(sorted(_OR_COLUMNS[table]))
+    if table == "t2" and rng.random() < 0.33:
+        return [table, column, rng.choice(["IS NULL", "IS NOT NULL"]), None]
+    ops = ["=", "<>"] if column in ("b", "d") else ["=", "<", ">", "<>"]
+    value = _OR_COLUMNS[table][column](rng)
+    return [table, column, rng.choice(ops), value]
 
 
 # -- spec → AST ------------------------------------------------------------
@@ -362,10 +408,27 @@ def query_statement(spec: Dict[str, object]) -> ast.Select:
     )
     from_items: tuple = (ast.TableRef(("t1",)),)
     where = None
-    if spec.get("join"):
+    join = spec.get("join")
+    keys = ast.BinaryOp(
+        "=", ast.ColumnRef("a", "t1"), ast.ColumnRef("a", "t2")
+    )
+    if join == "LEFT":
+        left, right = ast.TableRef(("t1",)), ast.TableRef(("t2",))
+        from_items = (ast.Join(left, right, "LEFT", keys),)
+    elif join:
         from_items = (ast.TableRef(("t1",)), ast.TableRef(("t2",)))
-        where = ast.BinaryOp(
-            "=", ast.ColumnRef("a", "t1"), ast.ColumnRef("a", "t2")
+        where = keys
+    if join and spec.get("or_where"):
+        predicate = None
+        for atoms in spec["or_where"]:
+            arm = ast.conjoin([_atom(atom) for atom in atoms])
+            predicate = (
+                arm if predicate is None else ast.BinaryOp("OR", predicate, arm)
+            )
+        where = (
+            predicate
+            if where is None
+            else ast.BinaryOp("AND", where, predicate)
         )
     if spec.get("where"):
         column, op, value = spec["where"]
@@ -388,6 +451,14 @@ def query_statement(spec: Dict[str, object]) -> ast.Select:
         limit=spec.get("limit"),
         distinct=bool(spec.get("distinct", False)),
     )
+
+
+def _atom(atom: list) -> ast.Expression:
+    table, column, op, value = atom
+    ref = ast.ColumnRef(column, table)
+    if op in ("IS NULL", "IS NOT NULL"):
+        return ast.IsNull(ref, negated=op == "IS NOT NULL")
+    return ast.BinaryOp(op, ref, ast.Literal(value))
 
 
 def _columns(columns) -> tuple:

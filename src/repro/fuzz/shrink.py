@@ -80,6 +80,7 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
     if spec.get("kind") == "query":
         for key, neutral in (
             ("where", None),
+            ("or_where", None),
             ("join", False),
             ("distinct", False),
             ("order", False),
@@ -87,6 +88,17 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
         ):
             if spec.get(key) not in (neutral, None, False):
                 yield {**spec, key: neutral}
+        if spec.get("join") == "LEFT":
+            yield {**spec, "join": True}
+        arms = spec.get("or_where") or []
+        for index, atoms in enumerate(arms):
+            if len(arms) > 2:
+                yield {**spec, "or_where": arms[:index] + arms[index + 1 :]}
+            if len(atoms) > 1:
+                for drop in range(len(atoms)):
+                    kept = list(arms)
+                    kept[index] = atoms[:drop] + atoms[drop + 1 :]
+                    yield {**spec, "or_where": kept}
         select = spec.get("select")
         if isinstance(select, list) and len(select) > 1:
             yield {**spec, "select": select[:1]}

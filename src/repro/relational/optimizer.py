@@ -1,9 +1,10 @@
 """Shared logical rewrites: filter pushdown, projection pruning, and
-cost-based join reordering.
+cost-based join reordering, plus the restriction ORs of the engines.
 
 Both the local engine planners and XDB's cross-database logical
-optimizer (§IV-B step 1) run these rewrites; they differ only in the
-cardinality oracle they supply.
+optimizer (§IV-B step 1) run the first three; they differ only in the
+cardinality oracle they supply.  Only the local planners derive
+restriction ORs, as the member DBMSs' own optimizer does.
 """
 
 from __future__ import annotations
@@ -102,6 +103,91 @@ def _rewrite_through_aggregate(
 
     result = rebuild_expression(expr, replace)
     return result if ok[0] else None
+
+
+# ---------------------------------------------------------------------------
+# restriction ORs
+# ---------------------------------------------------------------------------
+
+
+def restrict_ors(plan: algebra.LogicalPlan) -> algebra.LogicalPlan:
+    """Add the per-relation restrictions a filter's ORs imply.
+
+    PostgreSQL's ``orclauses.c``: when every disjunct of an OR conjunct
+    has at least one conjunct over relation R alone, the OR of those
+    parts is implied by the OR, so it is added as one more conjunct —
+    ``(n1.a = 1 AND n2.b = 2) OR (n1.a = 3 AND n2.b = 4)`` yields
+    ``n1.a = 1 OR n1.a = 3`` and ``n2.b = 2 OR n2.b = 4``.  The answer
+    is unchanged; :func:`push_filters` then places each restriction as
+    it places any conjunct, so none goes below the NULL-padded side of
+    a LEFT join.  Unchanged subtrees are returned as they are.
+    """
+    children = plan.children()
+    new_children = [restrict_ors(child) for child in children]
+    if any(new is not old for new, old in zip(new_children, children)):
+        plan = plan.with_children(new_children)
+    if not isinstance(plan, algebra.Filter):
+        return plan
+    present = ast.conjuncts(plan.predicate)
+    derived: List[ast.Expression] = []
+    for conjunct in present:
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "OR":
+            for restriction in _or_restrictions(conjunct, plan.child.schema):
+                if restriction not in present and restriction not in derived:
+                    derived.append(restriction)
+    if not derived:
+        return plan
+    return algebra.Filter(plan.child, ast.conjoin(present + derived))
+
+
+def _or_restrictions(
+    predicate: ast.Expression, schema: Schema
+) -> List[ast.Expression]:
+    """The restriction ``predicate`` (an OR over ``schema``) implies on
+    each relation, in the order its first disjunct names them; none
+    when it references fewer than two relations."""
+    mentioned = {_relation_of(ref, schema) for ref in ast.column_refs(predicate)}
+    if len(mentioned - {None}) < 2:
+        return []
+    arms: List[Dict[str, List[ast.Expression]]] = []
+    for disjunct in _disjuncts(predicate):
+        parts: Dict[str, List[ast.Expression]] = {}
+        for conjunct in ast.conjuncts(disjunct):
+            relation = _sole_relation(conjunct, schema)
+            if relation is not None:
+                parts.setdefault(relation, []).append(conjunct)
+        arms.append(parts)
+    restrictions: List[ast.Expression] = []
+    for relation in arms[0]:
+        if not all(relation in parts for parts in arms):
+            continue
+        options: List[ast.Expression] = []
+        for parts in arms:
+            option = ast.conjoin(parts[relation])
+            if option not in options:
+                options.append(option)
+        restriction = options[0]
+        for option in options[1:]:
+            restriction = ast.BinaryOp("OR", restriction, option)
+        restrictions.append(restriction)
+    return restrictions
+
+
+def _disjuncts(expr: ast.Expression) -> List[ast.Expression]:
+    if isinstance(expr, ast.BinaryOp) and expr.op == "OR":
+        return _disjuncts(expr.left) + _disjuncts(expr.right)
+    return [expr]
+
+
+def _relation_of(ref: ast.ColumnRef, schema: Schema) -> Optional[str]:
+    index = schema.find(ref.name, ref.table)
+    return None if index is None else schema[index].relation
+
+
+def _sole_relation(expr: ast.Expression, schema: Schema) -> Optional[str]:
+    """The one relation every column of ``expr`` belongs to, if any."""
+    relations = {_relation_of(ref, schema) for ref in ast.column_refs(expr)}
+    return relations.pop() if len(relations) == 1 else None
 
 
 # ---------------------------------------------------------------------------
