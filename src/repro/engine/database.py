@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.engine import vector
 from repro.engine.catalog import (
     BaseTable,
     Catalog,
@@ -35,7 +36,7 @@ from repro.errors import CatalogError, ExecutionError
 from repro.obs.runtime import current_context
 from repro.relational import algebra
 from repro.relational.builder import build_plan
-from repro.relational.expressions import compile_expression
+from repro.relational.expressions import bind
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.dialects import dialect_for
@@ -395,7 +396,6 @@ class Database:
             ]
         else:
             indices = list(range(len(obj.schema)))
-        empty = Schema([])
         rows = []
         for value_exprs in statement.rows:
             if len(value_exprs) != len(indices):
@@ -405,10 +405,20 @@ class Database:
                 )
             row: List[object] = [None] * len(obj.schema)
             for index, expr in zip(indices, value_exprs):
-                row[index] = compile_expression(expr, empty).fn(())
+                row[index] = (
+                    expr.value if isinstance(expr, ast.Literal) else _constant(expr)
+                )
             rows.append(tuple(row))
         count = obj.insert(rows)
         return Result(Schema([]), [], command=f"INSERT {count}")
+
+
+def _constant(expr: ast.Expression) -> object:
+    """The value of an INSERT item that is not a literal (``-1``,
+    ``DATE '…' + INTERVAL …``): bound, then run by a one-row kernel."""
+    no_columns = Schema([])
+    bind(expr, no_columns)
+    return vector.column_kernel(expr, no_columns)([()])[0]
 
 
 def _same_rows(new: List[tuple], old: List[tuple]) -> bool:

@@ -44,7 +44,6 @@ from repro.engine.parallel import WorkerPool
 from repro.errors import ExecutionError
 from repro.obs.runtime import current_context
 from repro.relational.algebra import AggregateSpec, SortKey
-from repro.relational.expressions import compile_expression, compile_predicate
 from repro.relational.schema import Schema
 from repro.sql import ast
 from repro.sql.render import render
@@ -400,7 +399,7 @@ class HashJoin(PhysicalPlan):
 
         # A residual joins build right and reads ``left ++ right``.
         residual = self._lowered(
-            "residual", lambda: compile_predicate(self.residual, self.schema)
+            "residual", lambda: vector.filter_kernel(self.residual, self.schema)
         )
         keys_of = self._lowered(
             "probe", lambda: vector.key_kernel(probe_keys, probe.schema)
@@ -408,16 +407,12 @@ class HashJoin(PhysicalPlan):
         left_outer = self.kind == "LEFT"
         for rows in probe.batches():
             out: Chunk = []
-            append = out.append
             for row, bucket in zip(rows, map(lookup, keys_of(rows))):
-                matched = False
-                for match in bucket or ():
-                    joined = row + match
-                    if residual(joined):
-                        matched = True
-                        append(joined)
-                if left_outer and not matched:
-                    append(row + pad)
+                kept = residual([row + match for match in bucket]) if bucket else ()
+                if kept:
+                    out.extend(kept)
+                elif left_outer:
+                    out.append(row + pad)
             yield out
 
     def label(self) -> str:
@@ -458,7 +453,7 @@ class NestedLoopJoin(PhysicalPlan):
             if self.condition is None
             else self._lowered(
                 "condition",
-                lambda: compile_predicate(self.condition, self.schema),
+                lambda: vector.filter_kernel(self.condition, self.schema),
             )
         )
         right_rows = [row for batch in self.right.batches() for row in batch]
@@ -469,7 +464,7 @@ class NestedLoopJoin(PhysicalPlan):
             for row in rows:
                 joined = [row + right for right in right_rows]
                 if condition is not None:
-                    joined = list(filter(condition, joined))
+                    joined = condition(joined)
                 if joined:
                     out.extend(joined)
                 elif left_outer:
@@ -596,23 +591,19 @@ class SortOp(PhysicalPlan):
         return chunked(self._sorted_rows(rows), hint)
 
     def _sorted_rows(self, rows: List[tuple]) -> List[tuple]:
-        # Stable sorts applied from the least-significant key backwards.
-        for sort_key, ascending in self._lowered("keys", self._sort_keys):
-            rows.sort(key=sort_key, reverse=not ascending)
-        return rows
-
-    def _sort_keys(self) -> List[Tuple[Callable[[tuple], tuple], bool]]:
-        """``(sort key, ascending)`` per key, least significant first."""
-        keys = []
-        for key in reversed(self.keys):
-            key_fn = compile_expression(key.expr, self.schema).fn
-
-            def sort_key(row, key_fn=key_fn):
-                value = key_fn(row)
-                return (1, 0) if value is None else (0, value)
-
-            keys.append((sort_key, key.ascending))
-        return keys
+        kernels = self._lowered(
+            "keys",
+            lambda: [vector.column_kernel(key.expr, self.schema) for key in self.keys],
+        )
+        columns = [column(rows) for column in kernels]
+        # Stable sorts of the row order, from the least-significant key
+        # backwards; a NULL sorts after every value (before, descending).
+        order = list(range(len(rows)))
+        for values, key in zip(reversed(columns), reversed(self.keys)):
+            if None in values:
+                values = [(1, 0) if value is None else (0, value) for value in values]
+            order.sort(key=values.__getitem__, reverse=not key.ascending)
+        return [rows[index] for index in order]
 
     def label(self) -> str:
         return f"Sort[{len(self.keys)} keys]"

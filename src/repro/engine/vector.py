@@ -1,39 +1,44 @@
 """Chunk execution: row-tuple chunks and generated kernels.
 
-Evaluating an expression tree of closures per tuple pays Python
-iterator, closure-call and tuple-construction overhead for every
-single tuple.  The operators of :mod:`repro.engine.physical` amortize
-it: they exchange plain ``List[tuple]`` chunks of up to
-:data:`BATCH_SIZE` rows — the layout every table, join, sort, FDW
-fetch and ``Result`` already holds — and an expression is lowered to a
-*kernel*: one generated list comprehension over the chunk, built once
-by the operator that runs it and called once per chunk.
+Evaluating an expression tree per tuple pays Python iterator, call and
+tuple-construction overhead for every single tuple.  The operators of
+:mod:`repro.engine.physical` amortize it: they exchange plain
+``List[tuple]`` chunks of up to :data:`BATCH_SIZE` rows — the layout
+every table, join, sort, FDW fetch and ``Result`` already holds — and
+an expression is lowered to a *kernel*: one generated list
+comprehension over the chunk, built once by the operator that runs it
+and called once per chunk.  Kernels are the only evaluator of
+expressions: filters, projections, join keys and residuals, nested-loop
+conditions, aggregate arguments, sort keys and INSERT ``VALUES`` items
+all run one.
 
-The emitter lowers an expression tree to the *source* of a Python
-expression over the row variable ``r`` with exactly the semantics of
-the closures of :mod:`repro.relational.expressions`, operand order
-included: ``None`` is SQL NULL, comparisons and arithmetic evaluate
-their operands left to right and stop at the first NULL, NOT and
-``%`` call the closures' helpers, and so do AND/OR except in a
-filter's AND/OR tree, which joins ``is True`` tests with ``&`` / ``|``.
-A node without an inline form (CASE, scalar functions, ``||``, a
-non-literal IN list or LIKE pattern) is an inline call of the closure
-for that subtree.
+The emitter lowers an expression that :func:`repro.relational.
+expressions.bind` accepted to the *source* of a Python expression over
+the row variable ``r``, every node inline: ``None`` is SQL NULL,
+comparisons and arithmetic evaluate their operands left to right and
+stop at the first NULL; ``||``, BETWEEN's bounds and a non-literal LIKE
+pattern evaluate all their operands before testing any for NULL; a
+non-literal IN list evaluates its items left to right and stops at the
+first match; CASE tests its conditions in order and evaluates only the
+chosen result; a scalar function gets the list of its argument values.
+NOT, ``%`` and AND / OR call the helpers of :mod:`repro.relational.
+expressions`, except in a filter's (or a WHEN condition's) AND / OR
+tree, which joins ``is True`` tests with ``&`` / ``|``.
 
 Every kernel constructor takes an optional *position map*: the rows
 are then wider than the schema, column ``i`` is read as
-``r[positions[i]]``, a fallback closure is called on the narrowed
-tuple, and a filter or hash-join probe builds the narrowed tuple only
-for the rows it emits (``[(r[0], r[5], ) + m for r in rows if (m :=
-get(r[3])) is not None]``: the probe looks its key up inline).  This
-is how a consumer reads through a projection of plain columns
-(:meth:`repro.engine.physical.PhysicalPlan.mapped`).
+``r[positions[i]]``, and a filter or hash-join probe builds the
+narrowed tuple only for the rows it emits (``[(r[0], r[5], ) + m for r
+in rows if (m := get(r[3])) is not None]``: the probe looks its key up
+inline).  This is how a consumer reads through a projection of plain
+columns (:meth:`repro.engine.physical.PhysicalPlan.mapped`).
 
 Only column positions and operators from a fixed table appear in the
-source; every literal, regex, type and helper is bound by name in the
-kernel's namespace.  No statement text ever reaches ``compile()``, and
-statements that differ only in constants share one source string — the
-key of the code-object cache.  DESIGN.md §7 has the details.
+source; every literal, regex, type, helper and function implementation
+is bound by name in the kernel's namespace.  No statement text ever
+reaches ``compile()``, and statements that differ only in constants
+share one source string — the key of the code-object cache.  DESIGN.md
+§7 has the details.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.relational.expressions import (
+    SCALAR_FUNCTIONS,
     cast_value,
-    compile_expression,
     like_regex,
     shift_date,
     sql_and,
@@ -179,6 +184,7 @@ _HELPERS = {
     "sql_mod": sql_mod,
     "shift_date": shift_date,
     "cast_value": cast_value,
+    "like_regex": like_regex,
     "division_by_zero": _division_by_zero,
 }
 
@@ -200,12 +206,12 @@ _EXTRACT_ATTRIBUTES = {"YEAR": "year", "MONTH": "month", "DAY": "day"}
 
 
 class _Emitter:
-    """Expression tree -> Python source over ``r``, node for node what
-    ``repro.relational.expressions._Compiler`` builds as closures.
+    """Bound expression tree -> Python source over ``r``: one
+    ``_emit_<node>`` per node type :func:`~repro.relational.expressions.
+    bind` admits.
 
     With a position map, ``r`` is wider than ``schema``: column ``i`` of
-    the schema is ``r[positions[i]]``, and a fallback closure is called
-    on the narrowed tuple."""
+    the schema is ``r[positions[i]]``."""
 
     def __init__(self, schema, positions=None):
         self._schema = schema
@@ -216,14 +222,7 @@ class _Emitter:
         self._temps = 0
 
     def emit(self, expr: ast.Expression) -> str:
-        method = getattr(self, f"_emit_{type(expr).__name__}", None)
-        source = method(expr) if method is not None else None
-        if source is None:
-            # No inline form: call the closure (compiling it raises the
-            # compiler's error for a node it rejects).
-            fn = compile_expression(expr, self._schema).fn
-            return f"{self._bind(fn)}({self.row})"
-        return source
+        return getattr(self, f"_emit_{type(expr).__name__}")(expr)
 
     def tuple_of(self, exprs: Sequence[ast.Expression]) -> str:
         return "(" + "".join(f"{self.emit(expr)}, " for expr in exprs) + ")"
@@ -236,7 +235,7 @@ class _Emitter:
         """The source of ``expr is True``.  An AND / OR tree joins its
         operands' tests with ``&`` / ``|``, which evaluate both sides
         left to right as ``sql_and`` / ``sql_or`` do; it is exact
-        because the compiler admits only BOOLEAN or NULL operands."""
+        because the binder admits only BOOLEAN or NULL operands."""
         if isinstance(expr, ast.BinaryOp) and expr.op in ("AND", "OR"):
             join = "&" if expr.op == "AND" else "|"
             return f"({self.test(expr.left)} {join} {self.test(expr.right)})"
@@ -248,12 +247,25 @@ class _Emitter:
         self.namespace[name] = value
         return name
 
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
     def _strict(self, operands: Sequence[ast.Expression], result) -> str:
-        """NULL-strict evaluation in the closures' order: operands are
-        evaluated once each, left to right, and the first NULL one is
-        the answer; ``result`` builds the source over their names."""
+        """NULL-strict evaluation: operands are evaluated once each,
+        left to right, and the first NULL one is the answer; ``result``
+        builds the source over their names."""
         guards, names = self._guarded(operands)
         checks = "".join(f"None if {guard} else " for guard in guards)
+        return f"({checks}{result(*names)})"
+
+    def _eager(self, operands: Sequence[ast.Expression], result) -> str:
+        """Like :meth:`_strict`, but every operand is evaluated before
+        any is tested for NULL: ``|`` (not ``or``) keeps the later
+        evaluations."""
+        guards, names = self._guarded(operands)
+        tests = " | ".join(f"({guard})" for guard in guards)
+        checks = f"None if {tests} else " if guards else ""
         return f"({checks}{result(*names)})"
 
     def _guarded(self, operands: Sequence[ast.Expression]):
@@ -266,8 +278,7 @@ class _Emitter:
             if isinstance(operand, ast.Literal) and operand.value is not None:
                 names.append(self._bind(operand.value))
                 continue
-            self._temps += 1
-            name = f"t{self._temps}"
+            name = self._temp()
             guards.append(f"({name} := {self.emit(operand)}) is None")
             names.append(name)
         return guards, names
@@ -285,11 +296,15 @@ class _Emitter:
 
     # -- operators --------------------------------------------------------
 
-    def _emit_BinaryOp(self, expr: ast.BinaryOp) -> Optional[str]:
+    def _emit_BinaryOp(self, expr: ast.BinaryOp) -> str:
         op = expr.op
         if op in ("AND", "OR"):
             combine = "sql_and" if op == "AND" else "sql_or"
             return f"{combine}({self.emit(expr.left)}, {self.emit(expr.right)})"
+        if op == "||":
+            return self._eager(
+                [expr.left, expr.right], lambda a, b: f"str({a}) + str({b})"
+            )
         if op in ("+", "-") and isinstance(expr.right, ast.IntervalLiteral):
             amount = expr.right.amount if op == "+" else -expr.right.amount
             shift = f"{self._bind(amount)}, {self._bind(expr.right.unit)}"
@@ -305,63 +320,92 @@ class _Emitter:
             return self._strict(
                 [expr.left, expr.right], lambda a, b: f"sql_mod({a}, {b})"
             )
-        python_op = _OPERATORS.get(op)
-        if python_op is None:
-            return None
+        python_op = _OPERATORS[op]
         return self._strict(
             [expr.left, expr.right], lambda a, b: f"{a} {python_op} {b}"
         )
 
-    def _emit_UnaryOp(self, expr: ast.UnaryOp) -> Optional[str]:
+    def _emit_UnaryOp(self, expr: ast.UnaryOp) -> str:
         if expr.op == "NOT":
             return f"sql_not({self.emit(expr.operand)})"
-        if expr.op == "-":
-            return self._strict([expr.operand], lambda a: f"-{a}")
-        return None
+        return self._strict([expr.operand], lambda a: f"-{a}")
 
     def _emit_IsNull(self, expr: ast.IsNull) -> str:
         test = "is not" if expr.negated else "is"
         return f"({self.emit(expr.operand)} {test} None)"
 
     def _emit_Between(self, expr: ast.Between) -> str:
-        # The closure evaluates both bounds before it tests either for
-        # NULL: ``|`` (not ``or``) keeps the second evaluation.
-        guards, (low, high) = self._guarded([expr.low, expr.high])
-        tests = " | ".join(f"({guard})" for guard in guards)
-        bounds = f"None if {tests} else " if guards else ""
+        # A NULL operand skips both bounds; a NULL bound does not skip
+        # the other.
         negation = "not " if expr.negated else ""
         return self._strict(
             [expr.operand],
-            lambda value: f"({bounds}{negation}({low} <= {value} <= {high}))",
-        )
-
-    def _emit_InList(self, expr: ast.InList) -> Optional[str]:
-        if not all(isinstance(item, ast.Literal) for item in expr.items):
-            return None
-        values = {item.value for item in expr.items}
-        missing = None if None in values else expr.negated
-        members = self._bind(frozenset(values - {None}))
-        return self._strict(
-            [expr.operand],
-            lambda value: (
-                f"{not expr.negated} if {value} in {members} else {missing}"
+            lambda value: self._eager(
+                [expr.low, expr.high],
+                lambda low, high: f"{negation}({low} <= {value} <= {high})",
             ),
         )
 
-    def _emit_Like(self, expr: ast.Like) -> Optional[str]:
-        pattern = expr.pattern
-        if not isinstance(pattern, ast.Literal) or pattern.value is None:
-            return None
-        match = self._bind(like_regex(pattern.value).match)
-        test = "is" if expr.negated else "is not"
+    def _emit_InList(self, expr: ast.InList) -> str:
+        hit, miss = not expr.negated, expr.negated
+        values = [item.value for item in expr.items if isinstance(item, ast.Literal)]
+        if len(values) == len(expr.items):
+            missing = None if None in values else miss
+            members = self._bind(frozenset(values) - {None})
+            return self._strict(
+                [expr.operand],
+                lambda value: f"{hit} if {value} in {members} else {missing}",
+            )
         return self._strict(
-            [expr.operand], lambda value: f"{match}({value}) {test} None"
+            [expr.operand], lambda value: self._first_match(expr.items, value, hit, miss)
         )
 
-    def _emit_Extract(self, expr: ast.Extract) -> Optional[str]:
-        attribute = _EXTRACT_ATTRIBUTES.get(expr.unit)
-        if attribute is None:
-            return None
+    def _first_match(self, items: Sequence[ast.Expression], value: str, hit, miss) -> str:
+        """A non-literal IN list over the operand named ``value``: the
+        items are evaluated left to right up to the first one equal to
+        it; with no match, a NULL item makes the answer NULL."""
+        tests: List[str] = []
+        nulls: List[str] = []
+        for item in items:
+            if isinstance(item, ast.Literal):
+                if item.value is None:
+                    nulls.append("True")
+                else:
+                    tests.append(f"{hit} if {self._bind(item.value)} == {value} else ")
+                continue
+            name = self._temp()
+            tests.append(f"{hit} if ({name} := {self.emit(item)}) == {value} else ")
+            nulls.append(f"{name} is None")
+        missing = f"None if {' or '.join(nulls)} else {miss}" if nulls else f"{miss}"
+        return "(" + "".join(tests) + missing + ")"
+
+    def _emit_Like(self, expr: ast.Like) -> str:
+        test = "is" if expr.negated else "is not"
+        pattern = expr.pattern
+        if isinstance(pattern, ast.Literal) and pattern.value is not None:
+            match = self._bind(like_regex(pattern.value).match)
+            return self._strict(
+                [expr.operand], lambda value: f"{match}({value}) {test} None"
+            )
+        return self._eager(
+            [expr.operand, pattern],
+            lambda value, text: f"like_regex({text}).match({value}) {test} None",
+        )
+
+    def _emit_FunctionCall(self, expr: ast.FunctionCall) -> str:
+        impl = self._bind(SCALAR_FUNCTIONS[expr.name.upper()].impl)
+        return f"{impl}([{', '.join(self.emit(arg) for arg in expr.args)}])"
+
+    def _emit_CaseWhen(self, expr: ast.CaseWhen) -> str:
+        branches = "".join(
+            f"{self.emit(result)} if {self.test(condition)} else "
+            for condition, result in expr.whens
+        )
+        otherwise = expr.else_result
+        return f"({branches}{'None' if otherwise is None else self.emit(otherwise)})"
+
+    def _emit_Extract(self, expr: ast.Extract) -> str:
+        attribute = _EXTRACT_ATTRIBUTES[expr.unit]
         return self._strict([expr.operand], lambda a: f"{a}.{attribute}")
 
     def _emit_Cast(self, expr: ast.Cast) -> str:

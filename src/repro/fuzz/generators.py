@@ -8,7 +8,8 @@ the oracle:
   ``insert`` — DDL/DML statements, checked by the three-dialect
   round-trip oracle;
 * ``query`` — a SELECT over the fixed fuzz schema (some over an INNER
-  or LEFT join with an OR-of-ANDs WHERE across both inputs),
+  or LEFT join with an OR-of-ANDs WHERE across both inputs, some with a
+  computed CASE, COALESCE or IN-list item),
   round-tripped *and* executed differentially (the engine vs sqlite,
   per vendor);
 * ``pushdown`` — a foreign-table query on a two-engine deployment,
@@ -309,6 +310,11 @@ def _gen_query(rng: random.Random) -> Dict[str, object]:
     if join and rng.random() < 0.6:
         spec["join"] = "LEFT" if rng.random() < 0.5 else True
         spec["or_where"] = _gen_or_where(rng)
+    if rng.random() < 0.5:
+        tables = ["t1", "t2"] if spec["join"] else ["t1"]
+        spec["computed"] = [
+            _gen_computed(rng, tables) for _ in range(rng.randint(1, 2))
+        ]
     return spec
 
 
@@ -350,6 +356,54 @@ def _gen_atom(rng: random.Random, table: str) -> list:
     ops = ["=", "<>"] if column in ("b", "d") else ["=", "<", ">", "<>"]
     value = _OR_COLUMNS[table][column](rng)
     return [table, column, rng.choice(ops), value]
+
+
+#: The fuzz columns by type family: ``(table, column)`` pairs.
+_FAMILIES = {
+    "number": [("t1", "a"), ("t1", "c"), ("t2", "a")],
+    "text": [("t1", "b"), ("t2", "d")],
+}
+
+
+def _gen_computed(rng: random.Random, tables: List[str]) -> list:
+    """A computed select item over the columns of ``tables``, one of
+
+    * ``["case", atom, then, else]`` — ``CASE WHEN atom THEN … ELSE …
+      END`` (``else`` may be None: no ELSE);
+    * ``["coalesce", operand, …]`` — ``COALESCE(…)``;
+    * ``["in", operand, [item, …]]`` — an IN list with a column item.
+
+    An operand is ``[table, column]`` or a literal, and the operands of
+    one item share a type family.  ``t2``'s columns are NULL on the
+    padded rows of a LEFT join."""
+    family = rng.choice(sorted(_FAMILIES))
+    columns = [list(c) for c in _FAMILIES[family] if c[0] in tables]
+
+    def literal():
+        if family == "number":
+            return rng.choice([rng.randint(0, 70), round(rng.uniform(0.0, 50.0), 1)])
+        return rng.choice([gen_string(rng), f"d{rng.randint(0, 19)}"])
+
+    def operand():
+        return rng.choice(columns) if rng.random() < 0.6 else literal()
+
+    kind = rng.choice(["case", "coalesce", "in"])
+    if kind == "case":
+        atom = _gen_atom(rng, rng.choice(tables))
+        if atom[3] is not None and rng.random() < 0.3:
+            atom[3] = None  # ``x = NULL``: a WHEN condition that is NULL
+        otherwise = operand() if rng.random() < 0.7 else None
+        return ["case", atom, operand(), otherwise]
+    if kind == "coalesce":
+        return ["coalesce", rng.choice(columns)] + [
+            operand() for _ in range(rng.randint(1, 2))
+        ]
+    tested = operand()
+    others = [column for column in columns if column != tested]
+    items = [rng.choice(others or columns)]
+    items += [literal() for _ in range(rng.randint(0, 2))]
+    rng.shuffle(items)
+    return ["in", tested, items]
 
 
 # -- spec → AST ------------------------------------------------------------
@@ -405,6 +459,9 @@ def query_statement(spec: Dict[str, object]) -> ast.Select:
     items = tuple(
         ast.SelectItem(ast.ColumnRef(name, "t1"))
         for name in spec["select"]
+    ) + tuple(
+        ast.SelectItem(_computed(item), f"e{index}")
+        for index, item in enumerate(spec.get("computed") or ())
     )
     from_items: tuple = (ast.TableRef(("t1",)),)
     where = None
@@ -459,6 +516,27 @@ def _atom(atom: list) -> ast.Expression:
     if op in ("IS NULL", "IS NOT NULL"):
         return ast.IsNull(ref, negated=op == "IS NOT NULL")
     return ast.BinaryOp(op, ref, ast.Literal(value))
+
+
+def _operand(value) -> ast.Expression:
+    if isinstance(value, list):
+        table, column = value
+        return ast.ColumnRef(column, table)
+    return ast.Literal(value)
+
+
+def _computed(item: list) -> ast.Expression:
+    kind, *operands = item
+    if kind == "case":
+        atom, then, otherwise = operands
+        return ast.CaseWhen(
+            ((_atom(atom), _operand(then)),),
+            None if otherwise is None else _operand(otherwise),
+        )
+    if kind == "coalesce":
+        return ast.FunctionCall("COALESCE", tuple(map(_operand, operands)))
+    operand, items = operands
+    return ast.InList(_operand(operand), tuple(map(_operand, items)))
 
 
 def _columns(columns) -> tuple:

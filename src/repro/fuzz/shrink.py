@@ -81,13 +81,19 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
         for key, neutral in (
             ("where", None),
             ("or_where", None),
-            ("join", False),
+            ("computed", None),
             ("distinct", False),
             ("order", False),
             ("limit", None),
         ):
             if spec.get(key) not in (neutral, None, False):
                 yield {**spec, key: neutral}
+        computed = spec.get("computed") or []
+        if spec.get("join"):
+            shrunk = {**spec, "join": False}
+            if computed:  # without t2, the computed items that read it go too
+                shrunk["computed"] = [i for i in computed if not _reads_t2(i)] or None
+            yield shrunk
         if spec.get("join") == "LEFT":
             yield {**spec, "join": True}
         arms = spec.get("or_where") or []
@@ -99,6 +105,13 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
                     kept = list(arms)
                     kept[index] = atoms[:drop] + atoms[drop + 1 :]
                     yield {**spec, "or_where": kept}
+        for index, item in enumerate(computed):
+            if len(computed) > 1:
+                yield {**spec, "computed": computed[:index] + computed[index + 1 :]}
+            for simpler in _simpler_computed(item):
+                kept = list(computed)
+                kept[index] = simpler
+                yield {**spec, "computed": kept}
         select = spec.get("select")
         if isinstance(select, list) and len(select) > 1:
             yield {**spec, "select": select[:1]}
@@ -132,6 +145,32 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
         if isinstance(inner, dict):
             for shrunk in _candidates(inner):
                 yield {**spec, "query": shrunk}
+
+
+def _reads_t2(item: list) -> bool:
+    """Whether a computed select item reads a column of ``t2``."""
+    kind, *operands = item
+    if kind == "case":
+        atom, *operands = operands
+        if atom[0] == "t2":
+            return True
+    elif kind == "in":
+        operands = [operands[0]] + operands[1]
+    return any(isinstance(operand, list) and operand[0] == "t2" for operand in operands)
+
+
+def _simpler_computed(item: list) -> Iterator[list]:
+    """Smaller computed select items: a CASE without its ELSE, a
+    COALESCE or IN list with one operand or item fewer."""
+    kind = item[0]
+    if kind == "case" and item[3] is not None:
+        yield item[:3] + [None]
+    if kind == "coalesce" and len(item) > 3:
+        for index in range(2, len(item)):
+            yield item[:index] + item[index + 1 :]
+    if kind == "in" and len(item[2]) > 1:
+        for index in range(len(item[2])):
+            yield [kind, item[1], item[2][:index] + item[2][index + 1 :]]
 
 
 def _simpler_values(value) -> List[object]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import BindError, TypeCheckError
-from repro.relational.expressions import compile_expression
+from repro.relational.expressions import bind, require_boolean
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.types import BIGINT, DOUBLE, SQLType, TypeKind
@@ -85,7 +85,7 @@ def _typed(
     if isinstance(expr, ast.ColumnRef):
         field = schema.field_of(expr.name, expr.table)
         return field.type, field.relation
-    return compile_expression(expr, schema).type, None
+    return bind(expr, schema), None
 
 
 class Scan(LogicalPlan):
@@ -141,11 +141,7 @@ class Filter(LogicalPlan):
         self.predicate = predicate
         self.schema = child.schema
         # Type-check eagerly so malformed predicates fail at plan time.
-        compiled = compile_expression(predicate, child.schema)
-        if compiled.type.kind not in (TypeKind.BOOLEAN, TypeKind.NULL):
-            raise TypeCheckError(
-                f"filter predicate must be boolean, got {compiled.type}"
-            )
+        require_boolean("filter predicate", bind(predicate, child.schema))
 
     def children(self) -> List[LogicalPlan]:
         return [self.child]
@@ -234,11 +230,7 @@ class Join(LogicalPlan):
         self.kind = kind
         self.schema = left.schema.concat(right.schema)
         if condition is not None:
-            compiled = compile_expression(condition, self.schema)
-            if compiled.type.kind not in (TypeKind.BOOLEAN, TypeKind.NULL):
-                raise TypeCheckError(
-                    f"join condition must be boolean, got {compiled.type}"
-                )
+            require_boolean("join condition", bind(condition, self.schema))
 
     def children(self) -> List[LogicalPlan]:
         return [self.left, self.right]
@@ -395,7 +387,7 @@ class Sort(LogicalPlan):
         self.keys = tuple(keys)
         self.schema = child.schema
         for key in self.keys:
-            compile_expression(key.expr, child.schema)
+            bind(key.expr, child.schema)
 
     def children(self) -> List[LogicalPlan]:
         return [self.child]

@@ -1,12 +1,16 @@
-"""Compilation of AST expressions into Python closures.
+"""SQL expression semantics: one binder and the runtime helpers.
 
-``compile_expression`` binds an :class:`repro.sql.ast.Expression` against
-a :class:`repro.relational.schema.Schema` and returns a
-:class:`CompiledExpression`: a zero-allocation callable over row tuples
-plus the inferred output type.  SQL three-valued logic is implemented
-throughout (``None`` is SQL NULL and propagates per the standard).
+:func:`bind` resolves every column of an :class:`repro.sql.ast.Expression`
+against a :class:`repro.relational.schema.Schema` and returns the
+expression's :class:`~repro.sql.types.SQLType`.  It holds every
+``BindError`` / ``TypeCheckError`` rule of an expression, and it builds
+nothing to run: evaluation is the generated kernels of
+:mod:`repro.engine.vector`, which lower only expressions that bound.
+The runtime helpers those kernels call live here: Kleene logic
+(``None`` is SQL NULL), ``sql_mod``, ``shift_date``, ``like_regex``,
+the scalar-function implementations and ``cast_value``.
 
-Aggregate calls must be rewritten away before compilation (the plan
+Aggregate calls must be rewritten away before binding (the plan
 builder replaces them with references to aggregate output columns);
 encountering one here is a binding error.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BindError, ExecutionError, TypeCheckError
 from repro.sql import ast
@@ -32,19 +36,6 @@ from repro.sql.types import (
     type_of_value,
     varchar,
 )
-
-RowFn = Callable[[tuple], object]
-
-
-@dataclass(frozen=True)
-class CompiledExpression:
-    """A bound, executable expression: ``fn(row) -> value`` plus type."""
-
-    fn: RowFn
-    type: SQLType
-
-    def __call__(self, row: tuple) -> object:
-        return self.fn(row)
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +76,11 @@ def sql_mod(left, right):
     return -remainder if left < 0 else remainder
 
 
-_COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
+#: Comparison operators: NULL-strict, BOOLEAN-valued.
+COMPARISONS = frozenset(["=", "<>", "!=", "<", ">", "<=", ">="])
 
-_ARITHMETIC: Dict[str, Callable[[object, object], object]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": sql_mod,
-}
+#: Arithmetic operators: NULL-strict over numeric operands.
+ARITHMETIC = frozenset(["+", "-", "*", "/", "%"])
 
 
 def add_months(value: datetime.date, months: int) -> datetime.date:
@@ -208,28 +188,34 @@ def _fn_concat(args: List[object]) -> object:
 
 
 @dataclass(frozen=True)
-class _ScalarFunction:
+class ScalarFunction:
+    """A scalar function: its implementation, arity and typing."""
+
     impl: Callable[[List[object]], object]
     arity_min: int
     arity_max: int
     result_type: Callable[[List[SQLType]], SQLType]
+    #: the argument positions that must be numeric (or NULL)
+    numeric: Tuple[int, ...] = ()
 
 
-_SCALAR_FUNCTIONS: Dict[str, _ScalarFunction] = {
-    "UPPER": _ScalarFunction(_fn_upper, 1, 1, lambda ts: varchar()),
-    "LOWER": _ScalarFunction(_fn_lower, 1, 1, lambda ts: varchar()),
-    "LENGTH": _ScalarFunction(_fn_length, 1, 1, lambda ts: INTEGER),
-    "ABS": _ScalarFunction(_fn_abs, 1, 1, lambda ts: ts[0]),
-    "ROUND": _ScalarFunction(_fn_round, 1, 2, lambda ts: DOUBLE),
-    "COALESCE": _ScalarFunction(
+#: The scalar functions by upper-case name.  A kernel calls ``impl``
+#: with the list of its argument values.
+SCALAR_FUNCTIONS: Dict[str, ScalarFunction] = {
+    "UPPER": ScalarFunction(_fn_upper, 1, 1, lambda ts: varchar()),
+    "LOWER": ScalarFunction(_fn_lower, 1, 1, lambda ts: varchar()),
+    "LENGTH": ScalarFunction(_fn_length, 1, 1, lambda ts: INTEGER),
+    "ABS": ScalarFunction(_fn_abs, 1, 1, lambda ts: ts[0], (0,)),
+    "ROUND": ScalarFunction(_fn_round, 1, 2, lambda ts: DOUBLE, (0, 1)),
+    "COALESCE": ScalarFunction(
         _fn_coalesce,
         1,
         99,
         lambda ts: _common_of_all(ts),
     ),
-    "SUBSTR": _ScalarFunction(_fn_substr, 2, 3, lambda ts: varchar()),
-    "SUBSTRING": _ScalarFunction(_fn_substr, 2, 3, lambda ts: varchar()),
-    "CONCAT": _ScalarFunction(_fn_concat, 1, 99, lambda ts: varchar()),
+    "SUBSTR": ScalarFunction(_fn_substr, 2, 3, lambda ts: varchar(), (1, 2)),
+    "SUBSTRING": ScalarFunction(_fn_substr, 2, 3, lambda ts: varchar(), (1, 2)),
+    "CONCAT": ScalarFunction(_fn_concat, 1, 99, lambda ts: varchar()),
 }
 
 
@@ -241,304 +227,156 @@ def _common_of_all(types: List[SQLType]) -> SQLType:
 
 
 # ---------------------------------------------------------------------------
-# the compiler
+# the binder
 # ---------------------------------------------------------------------------
 
 
-def compile_expression(
-    expr: ast.Expression, schema
-) -> CompiledExpression:
-    """Bind and compile ``expr`` against ``schema``."""
-    return _Compiler(schema).compile(expr)
+def bind(expr: ast.Expression, schema) -> SQLType:
+    """The type of ``expr`` over ``schema``: every column resolved and
+    every type rule checked, or the ``BindError`` / ``TypeCheckError``
+    of the first rule it breaks."""
+    return _Binder(schema).bind(expr)
 
 
-def compile_predicate(expr: ast.Expression, schema) -> RowFn:
-    """Compile a predicate: returns ``fn(row) -> bool`` (NULL counts False)."""
-    compiled = compile_expression(expr, schema)
-    if compiled.type.kind not in (TypeKind.BOOLEAN, TypeKind.NULL):
-        raise TypeCheckError(
-            f"predicate must be boolean, got {compiled.type}"
-        )
-    inner = compiled.fn
-    return lambda row: inner(row) is True
+def require_boolean(what: str, sql_type: SQLType) -> None:
+    """The rule for a truth value (an operand of AND / OR / NOT, a
+    WHEN condition, a filter predicate or a join condition): BOOLEAN or
+    NULL, as in PostgreSQL — ``WHERE a AND b`` over an INTEGER ``a`` is
+    an error, not a truth value."""
+    if sql_type.kind not in (TypeKind.BOOLEAN, TypeKind.NULL):
+        raise TypeCheckError(f"{what} must be type boolean, got {sql_type}")
 
 
-class _Compiler:
-    """Single-schema expression compiler (one instance per plan node)."""
+def _numeric(sql_type: SQLType) -> bool:
+    return sql_type.is_numeric or sql_type.kind is TypeKind.NULL
+
+
+def _text(sql_type: SQLType) -> bool:
+    return sql_type.is_text or sql_type.kind is TypeKind.NULL
+
+
+class _Binder:
+    """Single-schema expression binder: one ``_bind_<node>`` per node
+    type it admits."""
 
     def __init__(self, schema):
         self._schema = schema
 
-    def compile(self, expr: ast.Expression) -> CompiledExpression:
-        method = getattr(self, f"_compile_{type(expr).__name__}", None)
+    def bind(self, expr: ast.Expression) -> SQLType:
+        method = getattr(self, f"_bind_{type(expr).__name__}", None)
         if method is None:
             raise BindError(
                 f"cannot compile expression node {type(expr).__name__}"
             )
         return method(expr)
 
+    def _boolean(self, what: str, operand: ast.Expression) -> None:
+        require_boolean(what, self.bind(operand))
+
     # -- leaves ---------------------------------------------------------
 
-    def _compile_ColumnRef(self, expr: ast.ColumnRef) -> CompiledExpression:
-        index = self._schema.resolve(expr.name, expr.table)
-        field_type = self._schema[index].type
-        return CompiledExpression(lambda row: row[index], field_type)
+    def _bind_ColumnRef(self, expr: ast.ColumnRef) -> SQLType:
+        return self._schema.field_of(expr.name, expr.table).type
 
-    def _compile_Literal(self, expr: ast.Literal) -> CompiledExpression:
-        value = expr.value
-        return CompiledExpression(lambda row: value, type_of_value(value))
+    def _bind_Literal(self, expr: ast.Literal) -> SQLType:
+        return type_of_value(expr.value)
 
-    def _compile_IntervalLiteral(self, expr) -> CompiledExpression:
+    def _bind_IntervalLiteral(self, expr: ast.IntervalLiteral) -> SQLType:
         raise BindError(
             "interval literals are only valid as date +/- INTERVAL operands"
         )
 
-    def _compile_Star(self, expr: ast.Star) -> CompiledExpression:
+    def _bind_Star(self, expr: ast.Star) -> SQLType:
         raise BindError("'*' is only valid in a select list or COUNT(*)")
 
     # -- operators --------------------------------------------------------
 
-    def _compile_BinaryOp(self, expr: ast.BinaryOp) -> CompiledExpression:
-        if expr.op in ("AND", "OR"):
-            lf = self._boolean(expr.op, expr.left)
-            rf = self._boolean(expr.op, expr.right)
-            combine = sql_and if expr.op == "AND" else sql_or
-            return CompiledExpression(
-                lambda row: combine(lf(row), rf(row)), BOOLEAN
-            )
-
-        if expr.op in _COMPARATORS:
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            if not comparable(left.type, right.type):
+    def _bind_BinaryOp(self, expr: ast.BinaryOp) -> SQLType:
+        op = expr.op
+        if op in ("AND", "OR"):
+            self._boolean(f"argument of {op}", expr.left)
+            self._boolean(f"argument of {op}", expr.right)
+            return BOOLEAN
+        if op in COMPARISONS:
+            left, right = self.bind(expr.left), self.bind(expr.right)
+            if not comparable(left, right):
+                raise TypeCheckError(f"cannot compare {left} {op} {right}")
+            return BOOLEAN
+        if op == "||":
+            self.bind(expr.left)
+            self.bind(expr.right)
+            return varchar()
+        if op in ("+", "-") and isinstance(expr.right, ast.IntervalLiteral):
+            operand = self.bind(expr.left)
+            if operand.kind is not TypeKind.DATE:
                 raise TypeCheckError(
-                    f"cannot compare {left.type} {expr.op} {right.type}"
+                    f"INTERVAL arithmetic requires a DATE, got {operand}"
                 )
-            compare = _COMPARATORS[expr.op]
-            lf, rf = left.fn, right.fn
-
-            def compare_fn(row, lf=lf, rf=rf, compare=compare):
-                lv = lf(row)
-                if lv is None:
-                    return None
-                rv = rf(row)
-                if rv is None:
-                    return None
-                return compare(lv, rv)
-
-            return CompiledExpression(compare_fn, BOOLEAN)
-
-        if expr.op == "||":
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            lf, rf = left.fn, right.fn
-
-            def concat_fn(row):
-                lv, rv = lf(row), rf(row)
-                if lv is None or rv is None:
-                    return None
-                return str(lv) + str(rv)
-
-            return CompiledExpression(concat_fn, varchar())
-
-        if expr.op in ("+", "-") and isinstance(
-            expr.right, ast.IntervalLiteral
-        ):
-            operand = self.compile(expr.left)
-            if operand.type.kind is not TypeKind.DATE:
+            return DATE
+        if op in ARITHMETIC:
+            left, right = self.bind(expr.left), self.bind(expr.right)
+            if not (left.is_numeric and right.is_numeric):
                 raise TypeCheckError(
-                    f"INTERVAL arithmetic requires a DATE, got {operand.type}"
+                    f"arithmetic {op} requires numeric operands, got "
+                    f"{left} and {right}"
                 )
-            amount = expr.right.amount
-            if expr.op == "-":
-                amount = -amount
-            unit = expr.right.unit
-            inner = operand.fn
+            return DOUBLE if op == "/" else common_supertype(left, right)
+        raise BindError(f"unsupported binary operator {op!r}")
 
-            def interval_fn(row):
-                value = inner(row)
-                if value is None:
-                    return None
-                return shift_date(value, amount, unit)
-
-            return CompiledExpression(interval_fn, DATE)
-
-        if expr.op in _ARITHMETIC or expr.op == "/":
-            left = self.compile(expr.left)
-            right = self.compile(expr.right)
-            if not (left.type.is_numeric and right.type.is_numeric):
-                raise TypeCheckError(
-                    f"arithmetic {expr.op} requires numeric operands, got "
-                    f"{left.type} and {right.type}"
-                )
-            lf, rf = left.fn, right.fn
-            if expr.op == "/":
-
-                def divide_fn(row):
-                    lv = lf(row)
-                    if lv is None:
-                        return None
-                    rv = rf(row)
-                    if rv is None:
-                        return None
-                    if rv == 0:
-                        raise ExecutionError("division by zero")
-                    return lv / rv
-
-                return CompiledExpression(divide_fn, DOUBLE)
-
-            operate = _ARITHMETIC[expr.op]
-
-            def arith_fn(row, operate=operate):
-                lv = lf(row)
-                if lv is None:
-                    return None
-                rv = rf(row)
-                if rv is None:
-                    return None
-                return operate(lv, rv)
-
-            return CompiledExpression(
-                arith_fn, common_supertype(left.type, right.type)
-            )
-
-        raise BindError(f"unsupported binary operator {expr.op!r}")
-
-    def _boolean(self, op: str, operand: ast.Expression) -> RowFn:
-        """The closure of a logical operator's operand, which must be
-        BOOLEAN or NULL (as in PostgreSQL: ``WHERE a AND b`` over an
-        INTEGER ``a`` is an error, not a truth value)."""
-        compiled = self.compile(operand)
-        if compiled.type.kind not in (TypeKind.BOOLEAN, TypeKind.NULL):
-            raise TypeCheckError(
-                f"argument of {op} must be type boolean, got {compiled.type}"
-            )
-        return compiled.fn
-
-    def _compile_UnaryOp(self, expr: ast.UnaryOp) -> CompiledExpression:
+    def _bind_UnaryOp(self, expr: ast.UnaryOp) -> SQLType:
         if expr.op == "NOT":
-            inner = self._boolean("NOT", expr.operand)
-            return CompiledExpression(lambda row: sql_not(inner(row)), BOOLEAN)
-        operand = self.compile(expr.operand)
-        inner = operand.fn
+            self._boolean("argument of NOT", expr.operand)
+            return BOOLEAN
+        operand = self.bind(expr.operand)
         if expr.op == "-":
-            if not operand.type.is_numeric:
+            if not operand.is_numeric:
                 raise TypeCheckError(
-                    f"unary minus requires a numeric operand, got {operand.type}"
+                    f"unary minus requires a numeric operand, got {operand}"
                 )
-
-            def negate_fn(row):
-                value = inner(row)
-                return None if value is None else -value
-
-            return CompiledExpression(negate_fn, operand.type)
+            return operand
         raise BindError(f"unsupported unary operator {expr.op!r}")
 
-    def _compile_IsNull(self, expr: ast.IsNull) -> CompiledExpression:
-        inner = self.compile(expr.operand).fn
-        if expr.negated:
-            return CompiledExpression(
-                lambda row: inner(row) is not None, BOOLEAN
-            )
-        return CompiledExpression(lambda row: inner(row) is None, BOOLEAN)
+    def _bind_IsNull(self, expr: ast.IsNull) -> SQLType:
+        self.bind(expr.operand)
+        return BOOLEAN
 
-    def _compile_Between(self, expr: ast.Between) -> CompiledExpression:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
-        for bound in (low, high):
-            if not comparable(operand.type, bound.type):
+    def _bind_Between(self, expr: ast.Between) -> SQLType:
+        operand = self.bind(expr.operand)
+        bounds = (self.bind(expr.low), self.bind(expr.high))
+        for bound in bounds:
+            if not comparable(operand, bound):
                 raise TypeCheckError(
-                    f"BETWEEN bounds must be comparable with {operand.type}"
+                    f"BETWEEN bounds must be comparable with {operand}"
                 )
-        of, lf, hf = operand.fn, low.fn, high.fn
-        negated = expr.negated
+        return BOOLEAN
 
-        def between_fn(row):
-            value = of(row)
-            if value is None:
-                return None
-            lo, hi = lf(row), hf(row)
-            if lo is None or hi is None:
-                return None
-            result = lo <= value <= hi
-            return not result if negated else result
-
-        return CompiledExpression(between_fn, BOOLEAN)
-
-    def _compile_InList(self, expr: ast.InList) -> CompiledExpression:
-        operand = self.compile(expr.operand)
-        items = [self.compile(item) for item in expr.items]
+    def _bind_InList(self, expr: ast.InList) -> SQLType:
+        operand = self.bind(expr.operand)
+        items = [self.bind(item) for item in expr.items]
         for item in items:
-            if not comparable(operand.type, item.type):
+            if not comparable(operand, item):
                 raise TypeCheckError(
-                    f"IN list item type {item.type} is not comparable "
-                    f"with {operand.type}"
+                    f"IN list item type {item} is not comparable "
+                    f"with {operand}"
                 )
-        of = operand.fn
-        item_fns = [item.fn for item in items]
-        negated = expr.negated
+        return BOOLEAN
 
-        # Fast path: all-literal IN lists become a set membership test.
-        if all(isinstance(item, ast.Literal) for item in expr.items):
-            values = {item.value for item in expr.items}  # type: ignore[union-attr]
-            has_null = None in values
-            values.discard(None)
+    def _bind_Like(self, expr: ast.Like) -> SQLType:
+        operand = self.bind(expr.operand)
+        pattern = self.bind(expr.pattern)
+        if not _text(operand):
+            raise TypeCheckError(f"LIKE requires a text operand, got {operand}")
+        if not _text(pattern):
+            raise TypeCheckError(f"LIKE requires a text pattern, got {pattern}")
+        return BOOLEAN
 
-            def in_set_fn(row):
-                value = of(row)
-                if value is None:
-                    return None
-                if value in values:
-                    return not negated
-                if has_null:
-                    return None
-                return negated
-
-            return CompiledExpression(in_set_fn, BOOLEAN)
-
-        def in_list_fn(row):
-            value = of(row)
-            if value is None:
-                return None
-            saw_null = False
-            for item_fn in item_fns:
-                item_value = item_fn(row)
-                if item_value is None:
-                    saw_null = True
-                elif item_value == value:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return CompiledExpression(in_list_fn, BOOLEAN)
-
-    def _compile_Like(self, expr: ast.Like) -> CompiledExpression:
-        operand = self.compile(expr.operand)
-        pattern = self.compile(expr.pattern)
-        if not (operand.type.is_text or operand.type.kind is TypeKind.NULL):
-            raise TypeCheckError(
-                f"LIKE requires a text operand, got {operand.type}"
-            )
-        of, pf = operand.fn, pattern.fn
-        negated = expr.negated
-
-        def like_fn(row):
-            result = like_matches(of(row), pf(row))
-            if result is None:
-                return None
-            return not result if negated else result
-
-        return CompiledExpression(like_fn, BOOLEAN)
-
-    def _compile_FunctionCall(self, expr: ast.FunctionCall) -> CompiledExpression:
+    def _bind_FunctionCall(self, expr: ast.FunctionCall) -> SQLType:
         if ast.is_aggregate_call(expr):
             raise BindError(
                 f"aggregate {expr.name} is not allowed in this context "
                 "(aggregates must appear in a grouped select list or HAVING)"
             )
-        function = _SCALAR_FUNCTIONS.get(expr.name.upper())
+        function = SCALAR_FUNCTIONS.get(expr.name.upper())
         if function is None:
             raise BindError(f"unknown function {expr.name!r}")
         if not function.arity_min <= len(expr.args) <= function.arity_max:
@@ -546,66 +384,35 @@ class _Compiler:
                 f"function {expr.name} expects between {function.arity_min} "
                 f"and {function.arity_max} arguments, got {len(expr.args)}"
             )
-        compiled_args = [self.compile(arg) for arg in expr.args]
-        arg_fns = [arg.fn for arg in compiled_args]
-        impl = function.impl
-        result_type = function.result_type([arg.type for arg in compiled_args])
-        return CompiledExpression(
-            lambda row: impl([fn(row) for fn in arg_fns]), result_type
-        )
+        types = [self.bind(arg) for arg in expr.args]
+        for position in function.numeric:
+            if position < len(types) and not _numeric(types[position]):
+                raise TypeCheckError(
+                    f"argument {position + 1} of {expr.name} must be "
+                    f"numeric, got {types[position]}"
+                )
+        return function.result_type(types)
 
-    def _compile_CaseWhen(self, expr: ast.CaseWhen) -> CompiledExpression:
-        branches = [
-            (self.compile(cond).fn, self.compile(result))
-            for cond, result in expr.whens
-        ]
-        else_compiled = (
-            self.compile(expr.else_result)
-            if expr.else_result is not None
-            else None
-        )
-        result_type = _common_of_all(
-            [result.type for _, result in branches]
-            + ([else_compiled.type] if else_compiled else [])
-        )
-        compiled_branches = [(cond, result.fn) for cond, result in branches]
-        else_fn = else_compiled.fn if else_compiled else None
+    def _bind_CaseWhen(self, expr: ast.CaseWhen) -> SQLType:
+        results = []
+        for condition, result in expr.whens:
+            self._boolean("argument of CASE/WHEN", condition)
+            results.append(self.bind(result))
+        if expr.else_result is not None:
+            results.append(self.bind(expr.else_result))
+        return _common_of_all(results)
 
-        def case_fn(row):
-            for cond_fn, result_fn in compiled_branches:
-                if cond_fn(row) is True:
-                    return result_fn(row)
-            return else_fn(row) if else_fn else None
-
-        return CompiledExpression(case_fn, result_type)
-
-    def _compile_Extract(self, expr: ast.Extract) -> CompiledExpression:
-        operand = self.compile(expr.operand)
-        if operand.type.kind is not TypeKind.DATE:
+    def _bind_Extract(self, expr: ast.Extract) -> SQLType:
+        operand = self.bind(expr.operand)
+        if operand.kind is not TypeKind.DATE:
             raise TypeCheckError(
-                f"EXTRACT requires a DATE operand, got {operand.type}"
+                f"EXTRACT requires a DATE operand, got {operand}"
             )
-        attr = expr.unit.lower()
-        inner = operand.fn
+        return INTEGER
 
-        def extract_fn(row):
-            value = inner(row)
-            return None if value is None else getattr(value, attr)
-
-        return CompiledExpression(extract_fn, INTEGER)
-
-    def _compile_Cast(self, expr: ast.Cast) -> CompiledExpression:
-        operand = self.compile(expr.operand)
-        target = expr.target
-        inner = operand.fn
-
-        def cast_fn(row):
-            value = inner(row)
-            if value is None:
-                return None
-            return cast_value(value, target)
-
-        return CompiledExpression(cast_fn, target)
+    def _bind_Cast(self, expr: ast.Cast) -> SQLType:
+        self.bind(expr.operand)
+        return expr.target
 
 
 def cast_value(value: object, target: SQLType) -> object:

@@ -311,8 +311,8 @@ def read_through_twins():
 
 
 READ_THROUGH_QUERIES = [
-    # A filter whose predicate has no inline form: the fallback closure
-    # is called on the narrowed tuple.
+    # Filters over a CASE, a non-literal LIKE pattern and ``||``, read
+    # through the narrowing map.
     "SELECT a, d FROM w WHERE CASE WHEN c > 1 THEN e ELSE b END > 2",
     "SELECT a, f FROM w WHERE d LIKE f",
     "SELECT a FROM w WHERE d LIKE f || '%'",

@@ -63,10 +63,10 @@ def walk(plan):
 def assert_fast_path_equals_constructor(plan, monkeypatch):
     """Every Filter / Project / Join / Aggregate / Sort under ``plan``:
     ``with_children(children())`` is, attribute for attribute, a fresh
-    constructor call — and compiled nothing to get there."""
+    constructor call — and bound nothing to get there."""
     checked = 0
     with monkeypatch.context() as patch:
-        compiled = count_calls(patch, expressions, "compile_expression")
+        bound = count_calls(patch, expressions, "bind")
         for node in walk(plan):
             construct = CONSTRUCT.get(type(node))
             if construct is None:
@@ -74,9 +74,9 @@ def assert_fast_path_equals_constructor(plan, monkeypatch):
             children = node.children()
             fresh = construct(node, children)
             node.estimated_rows = 42.0  # must not survive the rewrite
-            before = compiled[0]
+            before = bound[0]
             fast = node.with_children(children)
-            assert compiled[0] == before
+            assert bound[0] == before
             assert fast is not node and type(fast) is type(node)
             assert vars(fast).keys() == vars(fresh).keys()
             for name, value in vars(fresh).items():
@@ -198,7 +198,8 @@ def test_changed_input_schema_that_still_types_gives_the_new_schema():
 # -- deterministic work guard ------------------------------------------------
 
 #: calls made by the second ``XDB.submit`` of Q5 on TD3 (sf 0.001, seed
-#: 19921) at the parent commit e0f0e56, counted exactly as below
+#: 19921) at the parent commit e0f0e56, counted exactly as below — of
+#: ``compile_expression``, the closure compiler ``bind`` replaced
 PARENT_COMPILE_EXPRESSION_CALLS = 767
 PARENT_SCHEMA_INIT_CALLS = 315
 
@@ -207,8 +208,8 @@ def test_submit_binds_less_than_the_parent_commit(monkeypatch):
     deployment, _ = build_tpch_deployment("TD3", 0.001)
     xdb = XDB(deployment)
     xdb.submit(query("Q5"))  # first-touch statistics and metadata
-    compiled = count_calls(monkeypatch, expressions, "compile_expression")
+    bound = count_calls(monkeypatch, expressions, "bind")
     schemas = count_calls(monkeypatch, Schema, "__init__")
     xdb.submit(query("Q5"))
-    assert compiled[0] <= 0.6 * PARENT_COMPILE_EXPRESSION_CALLS
+    assert bound[0] <= 0.6 * PARENT_COMPILE_EXPRESSION_CALLS
     assert schemas[0] <= 0.6 * PARENT_SCHEMA_INIT_CALLS

@@ -1,4 +1,5 @@
-"""Expression compiler tests: evaluation, 3VL, functions, casts."""
+"""Expression tests: binding, evaluation by kernel, 3VL, functions,
+casts."""
 
 import datetime
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from repro.engine import vector
 from repro.engine.database import Database
 from repro.errors import BindError, ExecutionError, TypeCheckError
+from repro.relational import algebra
 from repro.relational.expressions import (
     add_months,
-    compile_expression,
-    compile_predicate,
+    bind,
     like_matches,
     shift_date,
     sql_and,
@@ -45,7 +46,10 @@ NULL_ROW = (None, None, None, None, None)
 
 
 def evaluate(text, row=ROW):
-    return compile_expression(parse_expression(text), SCHEMA)(row)
+    """``text`` bound over ``SCHEMA``, then run by a kernel on ``row``."""
+    expr = parse_expression(text)
+    bind(expr, SCHEMA)
+    return vector.column_kernel(expr, SCHEMA)([row])[0]
 
 
 # -- basic evaluation ---------------------------------------------------------
@@ -79,20 +83,14 @@ def test_division_is_float_and_zero_raises():
     ],
 )
 def test_modulo_takes_the_sign_of_the_dividend(text, want):
-    """As in PostgreSQL, MariaDB, Hive and sqlite — in the closures and
-    in the kernels alike."""
-    expr = parse_expression(text)
-    assert compile_expression(expr, SCHEMA)(ROW) == want
-    assert vector.column_kernel(expr, SCHEMA)([ROW]) == [want]
+    """As in PostgreSQL, MariaDB, Hive and sqlite."""
+    assert evaluate(text) == want
 
 
 @pytest.mark.parametrize("text", ["a % 0", "b % (a - a)", "a % 0.0"])
 def test_modulo_by_zero_raises_like_division(text):
-    expr = parse_expression(text)
     with pytest.raises(ExecutionError, match="division by zero"):
-        compile_expression(expr, SCHEMA)(ROW)
-    with pytest.raises(ExecutionError, match="division by zero"):
-        vector.column_kernel(expr, SCHEMA)([ROW])
+        evaluate(text)
 
 
 def test_comparisons():
@@ -194,14 +192,13 @@ def test_null_in_list_semantics():
 
 
 def test_predicate_treats_null_as_false():
-    predicate = compile_predicate(parse_expression("a > 5"), SCHEMA)
-    assert predicate(ROW) is True
-    assert predicate(NULL_ROW) is False
+    select = vector.filter_kernel(parse_expression("a > 5"), SCHEMA)
+    assert select([ROW, NULL_ROW]) == [ROW]
 
 
 def test_predicate_requires_boolean():
-    with pytest.raises(TypeCheckError):
-        compile_predicate(parse_expression("a + 1"), SCHEMA)
+    with pytest.raises(TypeCheckError, match="must be type boolean"):
+        algebra.Filter(algebra.Scan("t", "t", SCHEMA), parse_expression("a + 1"))
 
 
 @pytest.mark.parametrize(
@@ -319,12 +316,49 @@ def test_interval_on_non_date_rejected():
 
 
 def test_result_type_inference():
-    compiled = compile_expression(parse_expression("a + 1"), SCHEMA)
-    assert compiled.type.kind is TypeKind.INTEGER
-    compiled = compile_expression(parse_expression("a / 2"), SCHEMA)
-    assert compiled.type.kind is TypeKind.DOUBLE
-    compiled = compile_expression(parse_expression("a > 1"), SCHEMA)
-    assert compiled.type.kind is TypeKind.BOOLEAN
+    assert bind(parse_expression("a + 1"), SCHEMA).kind is TypeKind.INTEGER
+    assert bind(parse_expression("a / 2"), SCHEMA).kind is TypeKind.DOUBLE
+    assert bind(parse_expression("a > 1"), SCHEMA).kind is TypeKind.BOOLEAN
+
+
+def _integer_table():
+    database = Database("D")
+    database.create_table(
+        "t",
+        Schema([Field("a", INTEGER), Field("s", varchar(8))]),
+        [(1, "x"), (0, "y"), (None, None)],
+    )
+    return database
+
+
+def test_a_when_condition_must_be_boolean():
+    """As in PostgreSQL ("argument of CASE/WHEN must be type boolean"):
+    an INTEGER condition once answered 'n' for a = 1, where sqlite
+    reads 1 as true and answers 'y'."""
+    with pytest.raises(TypeCheckError, match="argument of CASE/WHEN must be type boolean"):
+        _integer_table().execute("SELECT CASE WHEN a THEN 'y' ELSE 'n' END FROM t")
+    with pytest.raises(TypeCheckError, match="CASE/WHEN"):
+        evaluate("CASE WHEN a > 1 THEN 1 WHEN s THEN 2 END")
+    assert evaluate("CASE WHEN NULL THEN 1 WHEN flag THEN 2 END") == 2
+
+
+@pytest.mark.parametrize(
+    "item",
+    ["s LIKE 5", "ABS(s)", "ROUND(s)", "SUBSTR(s, s)", "SUBSTR(s, 1, s)", "ROUND(a, s)"],
+)
+def test_argument_types_are_checked_at_bind(item):
+    """Each once raised Python's TypeError or ValueError mid-execution
+    over a VARCHAR ``s``: no ReproError, and only once a row arrived."""
+    with pytest.raises(TypeCheckError):
+        _integer_table().execute(f"SELECT {item} FROM t")
+
+
+def test_argument_type_rules_admit_null():
+    assert evaluate("NULL LIKE NULL") is None
+    assert evaluate("s LIKE NULL") is None
+    assert evaluate("ABS(NULL)") is None
+    assert evaluate("SUBSTR(s, NULL)") is None
+    assert evaluate("UPPER(a)") == "7" and evaluate("LENGTH(d)") == 10
 
 
 # -- property-based 3VL laws ------------------------------------------------------

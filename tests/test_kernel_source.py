@@ -1,35 +1,146 @@
-"""Generated kernels ≡ row closures, and nothing of a statement's text
-reaches ``compile()``.
+"""Generated kernels ≡ a plain recursive evaluator, and nothing of a
+statement's text reaches ``compile()``.
 
 ``repro.engine.vector`` lowers an expression to the source of one
-comprehension; ``repro.relational.expressions`` lowers the same
-expression to closures, and is the reference.  For random well-typed
-expression trees and random rows with NULLs and zeros, every kernel
-shape (filter, project, column, key) must return exactly what the
-closures return row by row — or raise the same exception type, which
-pins operand evaluation order.  Read through a position map over wider
-rows, every kernel returns what it returns over the narrowed rows; a
-fused hash-join probe returns what the three passes it replaced return
-(key kernel, ``map(dict.get)``, zip), and a filter's ``&`` / ``|``
-tree keeps what the closures keep over random AND / OR / NOT trees.
-The last part is the injection guard: literals are data, and the
-generated source — position-mapped or not, probes included — carries
-neither literal nor identifier text.
+comprehension, every node inline.  The reference here, :func:`evaluate`,
+walks the expression tree per row and shares only the runtime helpers
+of ``repro.relational.expressions`` (Kleene logic, ``sql_mod``,
+``shift_date``, ``like_matches``, the scalar-function implementations,
+``cast_value``) — none of the binding or the lowering.  For random
+well-typed expression trees and random rows with NULLs and zeros, every
+kernel shape (filter, project, column, key) must return exactly what
+the reference returns row by row — or raise the same exception type,
+which pins operand evaluation order.  Read through a position map over
+wider rows, every kernel returns what it returns over the narrowed
+rows; a fused hash-join probe returns what the three passes it replaced
+return (key kernel, ``map(dict.get)``, zip), and a filter's ``&`` /
+``|`` tree keeps what the reference keeps over random AND / OR / NOT
+trees.  The last part is the injection guard: literals are data, and
+the generated source — position-mapped or not, probes included —
+carries neither literal nor identifier text.
 """
 
 from __future__ import annotations
 
 import datetime
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import vector
 from repro.engine.database import Database
-from repro.relational.expressions import compile_expression
+from repro.errors import ExecutionError
+from repro.relational.expressions import (
+    SCALAR_FUNCTIONS,
+    cast_value,
+    like_matches,
+    shift_date,
+    sql_and,
+    sql_mod,
+    sql_not,
+    sql_or,
+)
 from repro.relational.schema import Field, Schema
 from repro.sql import ast
 from repro.sql.types import BOOLEAN, DATE, DOUBLE, INTEGER, varchar
+
+_BINARY = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "%": sql_mod,
+}
+
+
+def _divide(left, right):
+    if right == 0:
+        raise ExecutionError("division by zero")
+    return left / right
+
+
+def evaluate(expr: ast.Expression, schema: Schema, row: tuple):
+    """The value of ``expr`` on ``row``, one node at a time: the SQL
+    semantics the kernels must keep, operand order included."""
+
+    def value(node):
+        return evaluate(node, schema, row)
+
+    if isinstance(expr, ast.ColumnRef):
+        return row[schema.resolve(expr.name, expr.table)]
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.BinaryOp):
+        if expr.op in ("AND", "OR"):
+            combine = sql_and if expr.op == "AND" else sql_or
+            return combine(value(expr.left), value(expr.right))
+        if expr.op == "||":
+            left, right = value(expr.left), value(expr.right)
+            return None if left is None or right is None else str(left) + str(right)
+        if isinstance(expr.right, ast.IntervalLiteral):
+            left = value(expr.left)
+            amount = expr.right.amount if expr.op == "+" else -expr.right.amount
+            return None if left is None else shift_date(left, amount, expr.right.unit)
+        left = value(expr.left)  # NULL-strict: a NULL left skips the right
+        if left is None:
+            return None
+        right = value(expr.right)
+        if right is None:
+            return None
+        return (_divide if expr.op == "/" else _BINARY[expr.op])(left, right)
+    if isinstance(expr, ast.UnaryOp):
+        operand = value(expr.operand)
+        if expr.op == "NOT":
+            return sql_not(operand)
+        return None if operand is None else -operand
+    if isinstance(expr, ast.IsNull):
+        return (value(expr.operand) is None) != expr.negated
+    if isinstance(expr, ast.Between):
+        operand = value(expr.operand)
+        if operand is None:
+            return None
+        low, high = value(expr.low), value(expr.high)  # both, then NULL
+        if low is None or high is None:
+            return None
+        return (low <= operand <= high) != expr.negated
+    if isinstance(expr, ast.InList):
+        operand = value(expr.operand)
+        if operand is None:
+            return None
+        saw_null = False
+        for item in expr.items:  # left to right, up to the first match
+            found = value(item)
+            if found is None:
+                saw_null = True
+            elif found == operand:
+                return not expr.negated
+        return None if saw_null else expr.negated
+    if isinstance(expr, ast.Like):
+        matched = like_matches(value(expr.operand), value(expr.pattern))
+        return None if matched is None else matched != expr.negated
+    if isinstance(expr, ast.FunctionCall):
+        impl = SCALAR_FUNCTIONS[expr.name.upper()].impl
+        return impl([value(arg) for arg in expr.args])
+    if isinstance(expr, ast.CaseWhen):
+        for condition, result in expr.whens:
+            if value(condition) is True:
+                return value(result)
+        return None if expr.else_result is None else value(expr.else_result)
+    if isinstance(expr, ast.Extract):
+        operand = value(expr.operand)
+        return None if operand is None else getattr(operand, expr.unit.lower())
+    if isinstance(expr, ast.Cast):
+        operand = value(expr.operand)
+        return None if operand is None else cast_value(operand, expr.target)
+    raise AssertionError(f"no reference for {type(expr).__name__}")
+
 
 SCHEMA = Schema(
     [
@@ -168,8 +279,8 @@ _I, _J, _X, _S = (ast.ColumnRef(name) for name in "ijxs")
 _BOOM = ast.BinaryOp("/", _I, ast.BinaryOp("-", _J, _J))  # raises unless NULL
 _NULL_X = [(1, 1, None, "a", None)]
 
-#: Where the closures' operand order shows: what is evaluated, and
-#: what is skipped, next to a NULL.
+#: Where operand order shows: what is evaluated, and what is skipped,
+#: next to a NULL.
 ORDER_SENSITIVE = [
     ast.BinaryOp("+", _X, _BOOM),  # a NULL left operand skips the right
     ast.BinaryOp(">", _X, _BOOM),
@@ -179,20 +290,33 @@ ORDER_SENSITIVE = [
     ast.BinaryOp("AND", ast.BinaryOp(">", _I, _J), ast.BinaryOp(">", _BOOM, _I)),
     ast.BinaryOp("||", ast.Cast(_X, varchar(3)), ast.Cast(_S, INTEGER)),
     ast.InList(_I, (_X, _BOOM)),
+    ast.InList(_J, (_X, _J, _BOOM)),  # the first match skips the rest
     ast.Like(ast.Cast(_X, varchar(3)), ast.Cast(_BOOM, varchar(3))),
+    # CASE evaluates the conditions up to the first True, then its result
+    ast.CaseWhen(((ast.BinaryOp(">", _I, _X), _BOOM), (ast.IsNull(_X, False), _J)), _BOOM),
+    ast.FunctionCall("COALESCE", (_J, _BOOM)),  # every argument, then the call
 ]
 
 
 #: SQL ``%`` keeps the dividend's sign, unlike Python's.
 NEGATIVE_DIVIDEND = [ast.BinaryOp("%", _I, _J), ast.BinaryOp("%", _X, _J)]
 
+#: A NULL item of a non-literal IN list: NULL without a match, moot
+#: with one.
+NULL_ITEMS = [
+    ast.InList(_I, (_X, ast.Literal(2))),
+    ast.InList(_I, (_X, ast.Literal(None), _J), True),
+    ast.InList(_I, (ast.Literal(None), ast.BinaryOp("+", _J, _J))),
+]
+
 
 @settings(max_examples=400, deadline=None)
 @given(exprs=st.lists(EXPRESSIONS, min_size=1, max_size=3), rows=ROWS)
 @example(exprs=ORDER_SENSITIVE, rows=_NULL_X)
 @example(exprs=NEGATIVE_DIVIDEND, rows=[(-3, 2, -1.5, "a", None), (3, -2, 2.0, "a", None)])
+@example(exprs=NULL_ITEMS, rows=_NULL_X + [(2, 1, 0.5, "b", None)])
 def test_every_kernel_returns_what_the_closures_return(exprs, rows):
-    fns = [compile_expression(expr, SCHEMA).fn for expr in exprs]
+    fns = [lambda row, expr=expr: evaluate(expr, SCHEMA, row) for expr in exprs]
     for expr, fn in zip(exprs, fns):
         column = vector.column_kernel(expr, SCHEMA)
         assert _outcome(lambda: column(rows)) == _outcome(
@@ -313,8 +437,8 @@ _SUM = ast.BinaryOp("+", _I, _J)
 )
 def test_every_kernel_reads_through_a_position_map(exprs, rows, layout, matches):
     """Over the wide rows, a kernel given the map returns what the same
-    kernel returns over the narrowed rows (fallback closures included),
-    or raises the same exception type.  A fused probe, keyed by
+    kernel returns over the narrowed rows, or raises the same exception
+    type.  A fused probe, keyed by
     ``exprs``, returns what the key kernel, ``map(dict.get)`` and the
     zip it replaced return, through a map or not."""
     positions, width = layout
@@ -372,7 +496,7 @@ TRUTH_TREES = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(predicate=TRUTH_TREES, rows=BOOLEAN_ROWS)
-@example(  # ``&`` evaluates its right side under a False left, as sql_and did
+@example(  # ``&`` evaluates its right side under a False left, as sql_and does
     predicate=ast.BinaryOp("AND", _P, _RECIPROCAL), rows=[(False, None, 0)]
 )
 @example(predicate=ast.BinaryOp("OR", _P, _RECIPROCAL), rows=[(True, None, 0)])
@@ -381,7 +505,7 @@ TRUTH_TREES = st.recursive(
     rows=[(None, True, 1), (False, None, 1), (True, True, None), (None, None, None)],
 )
 def test_a_filter_keeps_the_rows_its_closure_finds_true(predicate, rows):
-    fn = compile_expression(predicate, BOOLEAN_SCHEMA).fn
+    fn = lambda row: evaluate(predicate, BOOLEAN_SCHEMA, row)  # noqa: E731
     selection = vector.filter_kernel(predicate, BOOLEAN_SCHEMA)
     assert _outcome(lambda: selection(rows)) == _outcome(
         lambda: [row for row in rows if fn(row) is True]

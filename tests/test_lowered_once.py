@@ -17,7 +17,7 @@ import pytest
 from repro.bench.scenarios import build_tpch_deployment
 from repro.core.client import XDB
 from repro.drift import apply_drift
-from repro.engine import physical, planner, vector
+from repro.engine import planner, vector
 from repro.engine.fdw import RemoteServer
 from repro.errors import ConnectorError, ReproError
 from repro.faults import SchemaDrift
@@ -150,12 +150,7 @@ class Lowerings:
 
         monkeypatch.setattr(planner.LocalPlanner, "optimize", optimizing)
         monkeypatch.setattr(planner.LocalPlanner, "to_physical", to_physical)
-        for module, name in (
-            (vector, "_kernel"),
-            (physical, "compile_predicate"),
-            (physical, "compile_expression"),
-        ):
-            monkeypatch.setattr(module, name, self._counting(getattr(module, name)))
+        monkeypatch.setattr(vector, "_kernel", self._counting(vector._kernel))
 
     def _counting(self, build):
         def counted(*args, **kwargs):
