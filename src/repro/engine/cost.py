@@ -81,12 +81,12 @@ class CardinalityEstimator:
         plan.estimated_rows = estimate.rows
         return estimate.rows
 
-    def estimate_ndv(
-        self, plan: algebra.LogicalPlan, ref: ast.ColumnRef
-    ) -> float:
-        """Estimated distinct values of ``ref`` in ``plan``'s output."""
+    def estimate_ndv(self, plan: algebra.LogicalPlan, position: int) -> float:
+        """Estimated distinct values of column ``position`` of ``plan``'s
+        output."""
         estimate = self._estimate(plan)
-        stats = _column_stats_for(ref, plan.schema, estimate.columns)
+        field = plan.schema[position]
+        stats = estimate.columns.get((field.relation, field.name.lower()))
         if stats is None or stats.ndv <= 0:
             return max(estimate.rows, 1.0)
         return float(min(stats.ndv, max(estimate.rows, 1.0)))

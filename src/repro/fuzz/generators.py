@@ -8,8 +8,9 @@ the oracle:
   ``insert`` — DDL/DML statements, checked by the three-dialect
   round-trip oracle;
 * ``query`` — a SELECT over the fixed fuzz schema (some over an INNER
-  or LEFT join with an OR-of-ANDs WHERE across both inputs, some with a
-  computed CASE, COALESCE or IN-list item),
+  or LEFT join with an OR-of-ANDs WHERE across both inputs or an
+  equality chain over a third relation, some with a computed CASE,
+  COALESCE or IN-list item),
   round-tripped *and* executed differentially (the engine vs sqlite,
   per vendor);
 * ``pushdown`` — a foreign-table query on a two-engine deployment,
@@ -310,12 +311,26 @@ def _gen_query(rng: random.Random) -> Dict[str, object]:
     if join and rng.random() < 0.6:
         spec["join"] = "LEFT" if rng.random() < 0.5 else True
         spec["or_where"] = _gen_or_where(rng)
+    if join and rng.random() < 0.4:
+        spec["chain"] = rng.sample(_CHAIN_LINKS, rng.randint(1, 2))
     if rng.random() < 0.5:
         tables = ["t1", "t2"] if spec["join"] else ["t1"]
         spec["computed"] = [
             _gen_computed(rng, tables) for _ in range(rng.randint(1, 2))
         ]
     return spec
+
+
+#: Equalities a ``chain`` adds to the join's ``t1.a = t2.a``, over a
+#: third relation ``t2 AS t3`` where named: with the join key they put
+#: three units' columns in one equivalence class (the join order may
+#: then join t1 and t3 directly), or two columns of t1 in one class.
+_CHAIN_LINKS = (
+    [["t2", "a"], ["t3", "a"]],
+    [["t3", "a"], ["t1", "a"]],
+    [["t2", "a"], ["t1", "c"]],
+    [["t3", "a"], ["t1", "c"]],
+)
 
 
 #: Columns an ``or_where`` atom may compare, with a literal maker each.
@@ -475,6 +490,12 @@ def query_statement(spec: Dict[str, object]) -> ast.Select:
     elif join:
         from_items = (ast.TableRef(("t1",)), ast.TableRef(("t2",)))
         where = keys
+    chain = spec.get("chain") or ()
+    if join and any("t3" in (one[0], other[0]) for one, other in chain):
+        from_items += (ast.TableRef(("t2",), "t3"),)
+    for one, other in chain if join else ():
+        link = ast.BinaryOp("=", _operand(one), _operand(other))
+        where = link if where is None else ast.BinaryOp("AND", where, link)
     if join and spec.get("or_where"):
         predicate = None
         for atoms in spec["or_where"]:

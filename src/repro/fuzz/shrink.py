@@ -13,7 +13,19 @@ from typing import Dict, Iterator, List
 
 
 def _size(spec: Dict[str, object]) -> int:
-    return len(json.dumps(spec, sort_keys=True, ensure_ascii=False))
+    """The JSON length of ``spec`` with its switched-off keys left out,
+    so turning a feature off (``"join": true`` → ``false``) shrinks."""
+    return len(json.dumps(_switched_on(spec), sort_keys=True, ensure_ascii=False))
+
+
+def _switched_on(value):
+    if isinstance(value, dict):
+        return {
+            key: _switched_on(item)
+            for key, item in value.items()
+            if item is not None and item is not False
+        }
+    return value
 
 
 def _simpler_strings(value: str) -> List[str]:
@@ -81,6 +93,7 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
         for key, neutral in (
             ("where", None),
             ("or_where", None),
+            ("chain", None),
             ("computed", None),
             ("distinct", False),
             ("order", False),
@@ -91,11 +104,16 @@ def _candidates(spec: Dict[str, object]) -> Iterator[Dict[str, object]]:
         computed = spec.get("computed") or []
         if spec.get("join"):
             shrunk = {**spec, "join": False}
+            shrunk.pop("chain", None)  # its links read t2
             if computed:  # without t2, the computed items that read it go too
                 shrunk["computed"] = [i for i in computed if not _reads_t2(i)] or None
             yield shrunk
         if spec.get("join") == "LEFT":
             yield {**spec, "join": True}
+        chain = spec.get("chain") or []
+        if len(chain) > 1:
+            for index in range(len(chain)):
+                yield {**spec, "chain": chain[:index] + chain[index + 1 :]}
         arms = spec.get("or_where") or []
         for index, atoms in enumerate(arms):
             if len(arms) > 2:

@@ -9,6 +9,7 @@ restriction ORs, as the member DBMSs' own optimizer does.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -21,8 +22,8 @@ from repro.sql import ast
 
 # A cardinality oracle: unit plan -> estimated rows (>= 1).
 CardinalityFn = Callable[[algebra.LogicalPlan], float]
-# A distinct-count oracle: (unit plan, column name) -> ndv (>= 1).
-NdvFn = Callable[[algebra.LogicalPlan, ast.ColumnRef], float]
+# A distinct-count oracle: (unit plan, column position) -> ndv (>= 1).
+NdvFn = Callable[[algebra.LogicalPlan, int], float]
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +431,50 @@ def _prune(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class EquiEdge:
+    """An equality between a column of each of two units.
+
+    ``first < second`` index the units, and ``positions`` are the two
+    columns in that order, resolved against the units once.  The edges
+    of one equivalence class share ``klass``; the edges a class implies
+    but the query does not write come after every written one.
+    """
+
+    first: int
+    second: int
+    predicate: ast.Expression
+    positions: Tuple[int, int]
+    klass: int
+
+
 @dataclass
 class JoinRegion:
     """A maximal region of INNER/CROSS joins plus its predicate pool."""
 
     units: List[algebra.LogicalPlan]
-    equi_edges: List[Tuple[int, int, ast.Expression]]
+    equi_edges: List[EquiEdge]
     complex_predicates: List[Tuple[FrozenSet[int], ast.Expression]]
 
 
-def _unit_index(
+Column = Tuple[int, int]  # (unit index, position in the unit's schema)
+
+
+def _locate(
     units: Sequence[algebra.LogicalPlan], expr: ast.Expression
-) -> Optional[FrozenSet[int]]:
-    """Which units an expression's references span (None if unresolvable)."""
-    spanned: Set[int] = set()
+) -> Optional[List[Column]]:
+    """The unit column each reference in ``expr`` binds to, in tree
+    order (None if one binds in no unit)."""
+    located: List[Column] = []
     for ref in ast.column_refs(expr):
         for index, unit in enumerate(units):
-            if unit.schema.find(ref.name, ref.table) is not None:
-                spanned.add(index)
+            position = unit.schema.find(ref.name, ref.table)
+            if position is not None:
+                located.append((index, position))
                 break
         else:
             return None
-    return frozenset(spanned)
+    return located
 
 
 def collect_join_region(
@@ -461,6 +484,8 @@ def collect_join_region(
 
     Returns the region plus leftover predicates that could not be
     classified, or None when ``plan`` is not a reorderable join tree.
+    The region's equi edges are the written ones followed by those
+    their equivalence classes imply (:func:`_implied_edges`).
     """
     units: List[algebra.LogicalPlan] = []
     predicates: List[ast.Expression] = []
@@ -493,23 +518,87 @@ def collect_join_region(
     if len(units) < 2:
         return None
 
-    equi_edges: List[Tuple[int, int, ast.Expression]] = []
+    written: List[EquiEdge] = []
+    refs: Dict[Column, ast.ColumnRef] = {}
     complex_predicates: List[Tuple[FrozenSet[int], ast.Expression]] = []
     leftover: List[ast.Expression] = []
     for predicate in predicates:
-        span = _unit_index(units, predicate)
-        if span is None:
+        located = _locate(units, predicate)
+        if located is None:
             leftover.append(predicate)
-        elif len(span) == 2 and _is_equi(predicate):
-            first, second = sorted(span)
-            equi_edges.append((first, second, predicate))
-        elif len(span) <= 1:
-            # Should have been pushed down already; treat as complex.
-            complex_predicates.append((span, predicate))
+            continue
+        span = frozenset(unit for unit, _ in located)
+        if len(span) == 2 and _is_equi(predicate):
+            assert isinstance(predicate, ast.BinaryOp)
+            one, other = located
+            refs[one], refs[other] = predicate.left, predicate.right
+            if one > other:
+                one, other = other, one
+            written.append(
+                EquiEdge(
+                    one[0], other[0], predicate, (one[1], other[1]), len(written)
+                )
+            )
         else:
+            # (A one-unit span should have been pushed down already.)
             complex_predicates.append((span, predicate))
-    region = JoinRegion(units, equi_edges, complex_predicates)
-    return region, leftover
+    equi_edges = _implied_edges(written, refs)
+    return JoinRegion(units, equi_edges, complex_predicates), leftover
+
+
+def _implied_edges(
+    written: List[EquiEdge], refs: Dict[Column, ast.ColumnRef]
+) -> List[EquiEdge]:
+    """``written`` merged into equivalence classes, plus an edge for
+    each pair of units a class spans that no written edge joins.
+
+    PostgreSQL's ``equivclass.c``: ``a = b AND b = c`` puts a, b and c
+    in one class, and the join order may then join any two of their
+    units.  A class with two columns of one unit (``t1.a = t2.a AND
+    t2.a = t1.c``) stays as written, one class per edge: no join of
+    other units could equate those two columns.
+    """
+    parent: Dict[Column, Column] = {}
+
+    def root(column: Column) -> Column:
+        while parent.setdefault(column, column) != column:
+            column = parent[column]
+        return column
+
+    for edge in written:
+        one = root((edge.first, edge.positions[0]))
+        other = root((edge.second, edge.positions[1]))
+        if one != other:
+            parent[max(one, other)] = min(one, other)
+    classes: Dict[Column, List[Column]] = {}
+    for column in sorted(parent):
+        classes.setdefault(root(column), []).append(column)
+
+    edges: List[EquiEdge] = []
+    first_edge: Dict[Column, int] = {}
+    joined: Set[Tuple[int, int, int]] = set()
+    for edge in written:
+        key = root((edge.first, edge.positions[0]))
+        members = classes[key]
+        if len({unit for unit, _ in members}) < len(members):
+            edges.append(edge)
+            continue
+        klass = first_edge.setdefault(key, edge.klass)
+        edges.append(dataclasses.replace(edge, klass=klass))
+        joined.add((klass, edge.first, edge.second))
+    for key, klass in first_edge.items():
+        for one, other in itertools.combinations(classes[key], 2):
+            if (klass, one[0], other[0]) not in joined:
+                edges.append(
+                    EquiEdge(
+                        one[0],
+                        other[0],
+                        ast.BinaryOp("=", refs[one], refs[other]),
+                        (one[1], other[1]),
+                        klass,
+                    )
+                )
+    return edges
 
 
 def _is_equi(predicate: ast.Expression) -> bool:
@@ -565,23 +654,22 @@ def _edge_stats(
 ) -> Tuple[
     List[float],
     Dict[Tuple[int, int], float],
-    Dict[Tuple[int, int], List[ast.Expression]],
+    Dict[Tuple[int, int], List[int]],
 ]:
-    """Unit cardinalities plus per-pair selectivities and predicates."""
+    """Unit cardinalities plus per-pair selectivities and equi edges
+    (indexes into ``region.equi_edges``)."""
     units = region.units
     unit_rows = [max(cardinality(unit), 1.0) for unit in units]
 
     # Per-edge selectivity: 1 / max(ndv(left key), ndv(right key)).
     edge_selectivity: Dict[Tuple[int, int], float] = {}
-    edges_between: Dict[Tuple[int, int], List[ast.Expression]] = {}
-    for first, second, predicate in region.equi_edges:
-        assert isinstance(predicate, ast.BinaryOp)
-        left_ref, right_ref = predicate.left, predicate.right
-        # Align refs with units.
-        if units[first].schema.find(left_ref.name, left_ref.table) is None:
-            left_ref, right_ref = right_ref, left_ref
+    edges_between: Dict[Tuple[int, int], List[int]] = {}
+    for index, edge in enumerate(region.equi_edges):
+        first, second = edge.first, edge.second
         sel = 1.0 / max(
-            ndv(units[first], left_ref), ndv(units[second], right_ref), 1.0
+            ndv(units[first], edge.positions[0]),
+            ndv(units[second], edge.positions[1]),
+            1.0,
         )
         key = (first, second)
         if key in edge_selectivity:
@@ -589,7 +677,7 @@ def _edge_stats(
             edge_selectivity[key] *= sel
         else:
             edge_selectivity[key] = sel
-        edges_between.setdefault(key, []).append(predicate)
+        edges_between.setdefault(key, []).append(index)
     return unit_rows, edge_selectivity, edges_between
 
 
@@ -698,21 +786,24 @@ def _dp_order(
 def _assemble(
     region: JoinRegion,
     splits: Dict[FrozenSet[int], Tuple[FrozenSet[int], FrozenSet[int]]],
-    edges_between: Dict[Tuple[int, int], List[ast.Expression]],
+    edges_between: Dict[Tuple[int, int], List[int]],
     full: FrozenSet[int],
 ) -> algebra.LogicalPlan:
     """Build the join tree ``splits`` describes and attach predicates.
 
     ``splits`` maps each joined unit set to its two sides; a unit set
-    it does not name is a single unit.  Each equi predicate goes on the
-    first join that connects its two units, each complex predicate in a
-    filter over the first join whose units cover its span, and any left
-    unplaced in a filter over the root.  Both join-order searches build
-    their trees here.
+    it does not name is a single unit.  A join gets one equality per
+    equivalence class that spans its two sides, the written one where
+    there is one (the lowest edge index): each side already equates
+    the class's columns within it, and a second equality would only be
+    estimated again.  Each complex predicate goes in a filter over the
+    first join whose units cover its span, and any left unplaced in a
+    filter over the root.  Both join-order searches build their trees
+    here.
     """
     units = region.units
+    edges = region.equi_edges
     remaining_complex = list(region.complex_predicates)
-    used_edges: Set[Tuple[int, int]] = set()
 
     def build(members: FrozenSet[int]) -> algebra.LogicalPlan:
         nonlocal remaining_complex
@@ -723,14 +814,22 @@ def _assemble(
         one_set, other_set = split
         left = build(one_set)
         right = build(other_set)
-        conditions: List[ast.Expression] = []
+        crossing: List[int] = []
         for a in one_set:
             for b in other_set:
-                key = (min(a, b), max(a, b))
-                if key in edges_between and key not in used_edges:
-                    conditions.extend(edges_between[key])
-                    used_edges.add(key)
-        condition = ast.conjoin(conditions)
+                crossing.extend(edges_between.get((min(a, b), max(a, b)), ()))
+        chosen: Dict[int, int] = {}
+        for index in crossing:
+            klass = edges[index].klass
+            if klass not in chosen or index < chosen[klass]:
+                chosen[klass] = index
+        condition = ast.conjoin(
+            [
+                edges[index].predicate
+                for index in crossing
+                if chosen[edges[index].klass] == index
+            ]
+        )
         kind = "INNER" if condition is not None else "CROSS"
         plan: algebra.LogicalPlan = algebra.Join(left, right, condition, kind)
         still_pending = []

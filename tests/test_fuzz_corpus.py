@@ -89,3 +89,20 @@ def test_save_case_roundtrips(tmp_path):
     entries = load_corpus(str(tmp_path))
     assert entries[0][1]["spec"] == spec
     assert run_case(spec) == []
+
+
+def test_shrinker_switches_a_needless_join_off():
+    """``{"join": false}`` is longer JSON than ``{"join": true}``; the
+    flip still counts as smaller, so a join-free failure loses its join."""
+    spec = {
+        "kind": "query",
+        "join": True,
+        "select": ["a"],
+        "where": ["a", ">", 3],
+        "distinct": False,
+        "order": False,
+        "limit": None,
+    }
+    shrunk = shrink_case(spec, lambda candidate: candidate.get("where") is not None)
+    assert shrunk["join"] is False
+    assert shrunk["where"] == ["a", ">", 3]
