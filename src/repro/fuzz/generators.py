@@ -6,7 +6,8 @@ the oracle:
 
 * ``foreign_table`` / ``create_table`` / ``view`` / ``drop`` /
   ``insert`` — DDL/DML statements, checked by the three-dialect
-  round-trip oracle;
+  round-trip oracle (INSERT items are strings, numbers, NULL,
+  booleans and ``DATE '…'`` literals, held as ``{"date": iso}``);
 * ``query`` — a SELECT over the fixed fuzz schema (some over an INNER
   or LEFT join with an OR-of-ANDs WHERE across both inputs or an
   equality chain over a third relation, some with a computed CASE,
@@ -31,6 +32,7 @@ separator), spaces, reserved keywords, leading digits, and unicode.
 
 from __future__ import annotations
 
+import datetime
 import random
 from typing import Dict, List
 
@@ -131,7 +133,15 @@ def _gen_value(rng: random.Random):
         return round(rng.uniform(0.0, 100.0), 3)
     if roll < 0.88:
         return None
-    return rng.random() < 0.5
+    pick = rng.random()
+    if pick < 0.5:
+        return pick < 0.25
+    # a two-token literal, DATE '…', from the same draw; a spec holds
+    # it as ``{"date": iso}`` so that it stays JSON
+    day = datetime.date(1992, 1, 1) + datetime.timedelta(
+        days=int((pick - 0.5) * 5000)
+    )
+    return {"date": day.isoformat()}
 
 
 def generate_case(rng: random.Random) -> Dict[str, object]:
@@ -460,13 +470,19 @@ def spec_to_statement(spec: Dict[str, object]) -> ast.Statement:
             table=spec["table"],
             columns=tuple(spec.get("columns") or ()),
             rows=tuple(
-                tuple(ast.Literal(value) for value in row)
+                tuple(ast.Literal(_insert_value(value)) for value in row)
                 for row in spec["values"]
             ),
         )
     if kind == "query":
         return query_statement(spec)
     raise ValueError(f"spec kind {kind!r} is not statement-shaped")
+
+
+def _insert_value(value):
+    if isinstance(value, dict):
+        return datetime.date.fromisoformat(value["date"])
+    return value
 
 
 def query_statement(spec: Dict[str, object]) -> ast.Select:

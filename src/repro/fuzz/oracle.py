@@ -30,7 +30,8 @@ Eight invariants, each cheap to state and brutal to uphold:
    engine draining the branches in order) must not change any query's
    result — the
    partitioned deployment returns exactly the unpartitioned
-   deployment's rows.
+   deployment's rows (under a LIMIT, as many rows; under ORDER BY, the
+   same sort-key column in the same order).
 6. **Feedback parity**: the Q-Error loop only changes *how* a query
    runs, never *what* it returns — a client with skewed statistics,
    a warmed :class:`~repro.feedback.store.FeedbackStore`, and
@@ -396,11 +397,13 @@ def check_partition(spec: Dict[str, object]) -> List[str]:
     qspec = dict(spec["query"])
     select = query_statement(qspec)
     sql = dialect_for("postgres").render(select)
-    # LIMIT without ORDER BY leaves *which* rows implementation-defined
-    # (and partitioning legitimately changes arrival order).
-    compare_rows = not (
-        qspec.get("limit") is not None and not qspec.get("order")
-    )
+    # Which rows a LIMIT keeps is implementation-defined unless ORDER BY
+    # decides it, and even then not among ties on the sort key; so, as
+    # in check_query_differential, a limited query compares only its
+    # cardinality, and an ordered one its sort-key column (the first)
+    # in order.
+    limited = qspec.get("limit") is not None
+    ordered = bool(qspec.get("order"))
     try:
         plain = XDB(_parity_deployment(spec, False)).submit(sql)
     except Exception as exc:
@@ -421,14 +424,20 @@ def check_partition(spec: Dict[str, object]) -> List[str]:
             f"({spec['scheme']}/{spec['partitions']}): {len(plain_c)} "
             f"unpartitioned vs {len(sharded_c)} rows for {sql!r}"
         ]
-    if compare_rows and plain_c != sharded_c:
-        return [
-            f"partition parity mismatch "
-            f"({spec['scheme']}/{spec['partitions']}, "
-            f"co_partition={spec.get('co_partition')}): rows differ "
-            f"for {sql!r}"
-        ]
-    return []
+    if not limited and plain_c != sharded_c:
+        difference = "rows differ"
+    elif ordered and [row[:1] for row in plain.result.rows] != [
+        row[:1] for row in sharded.result.rows
+    ]:
+        difference = "sort-key order differs"
+    else:
+        return []
+    return [
+        f"partition parity mismatch "
+        f"({spec['scheme']}/{spec['partitions']}, "
+        f"co_partition={spec.get('co_partition')}): {difference} "
+        f"for {sql!r}"
+    ]
 
 
 # -- partial-result parity ---------------------------------------------------

@@ -27,7 +27,7 @@ def _quoted(quote: str) -> str:
 #: INTEGER, and each ``bad_*`` after the well-formed form it is the
 #: unterminated opening of.  Character classes are ASCII on purpose
 #: (``\d`` and ``\s`` would admit Unicode digits and spaces).
-_match_token = re.compile(
+_tokens_at = re.compile(
     r"[ \t\r\n]*(?:"
     + "|".join(
         [
@@ -47,7 +47,7 @@ _match_token = re.compile(
         ]
     )
     + ")"
-).match
+).finditer
 
 _UNTERMINATED = {
     "bad_comment": "unterminated block comment",
@@ -65,60 +65,60 @@ class Lexer:
     def tokens(self) -> Iterator[Token]:
         """Yield tokens until (and including) an EOF token."""
         text = self._text
+        # a VALUES batch lexes thousands of tokens: each is built by
+        # ``tuple.__new__`` (no ``Token.__new__`` frame), kinds in locals
+        new = tuple.__new__
+        punctuation, integer = TokenKind.PUNCTUATION, TokenKind.INTEGER
+        float_, string = TokenKind.FLOAT, TokenKind.STRING
+        keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
         pos = 0
         # 1-based line of ``pos`` and the offset its line starts at;
         # only whitespace, comments and quoted tokens can hold newlines
         line = 1
         line_start = 0
-        while True:
-            match = _match_token(text, pos)
+        # every position starts a match (``bad_character``, ``eof``), so
+        # the matches are consecutive
+        for match in _tokens_at(text):
             group = match.lastgroup
-            start = match.start(group)
-            newlines = text.count("\n", pos, start)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, start) + 1
-            pos = match.end()
+            start, end = match.span(group)
+            if start != pos:
+                newlines = text.count("\n", pos, start)
+                if newlines:
+                    line += newlines
+                    line_start = text.rindex("\n", pos, start) + 1
+            pos = end
             column = start - line_start + 1
+            if group == "punctuation":
+                yield new(Token, (punctuation, text[start:pos], line, column))
+                continue
             if group == "word":
                 word = text[start:pos]
                 upper = word.upper()
                 if upper in KEYWORDS:
-                    yield Token(TokenKind.KEYWORD, upper, line, column)
+                    yield new(Token, (keyword, upper, line, column))
                 else:
-                    yield Token(TokenKind.IDENTIFIER, word, line, column)
-                continue
-            if group == "punctuation":
-                yield Token(
-                    TokenKind.PUNCTUATION, text[start:pos], line, column
-                )
+                    yield new(Token, (identifier, word, line, column))
                 continue
             if group == "integer":
-                yield Token(
-                    TokenKind.INTEGER, int(text[start:pos]), line, column
-                )
-                continue
-            if group == "operator":
-                yield Token(TokenKind.OPERATOR, text[start:pos], line, column)
+                yield new(Token, (integer, int(text[start:pos]), line, column))
                 continue
             if group == "float":
-                yield Token(
-                    TokenKind.FLOAT, float(text[start:pos]), line, column
+                yield new(Token, (float_, float(text[start:pos]), line, column))
+                continue
+            if group == "operator":
+                yield new(
+                    Token, (TokenKind.OPERATOR, text[start:pos], line, column)
                 )
                 continue
             if group == "string" or group == "quoted":
                 quote = text[start]
                 kind = (
-                    TokenKind.STRING
-                    if group == "string"
-                    else TokenKind.QUOTED_IDENTIFIER
+                    string if group == "string" else TokenKind.QUOTED_IDENTIFIER
                 )
-                body = text[start + 1 : pos - 1]
-                yield Token(
-                    kind, body.replace(quote + quote, quote), line, column
-                )
+                body = text[start + 1 : pos - 1].replace(quote + quote, quote)
+                yield new(Token, (kind, body, line, column))
             elif group == "eof":
-                yield Token(TokenKind.EOF, "", line, column)
+                yield new(Token, (TokenKind.EOF, "", line, column))
                 return
             elif group == "bad_character":
                 raise LexerError(

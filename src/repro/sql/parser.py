@@ -41,6 +41,7 @@ _COMPARISON_LEVEL = 4
 
 _EXTRACT_UNITS = {"YEAR", "MONTH", "DAY"}
 _INTERVAL_UNITS = {"DAY", "MONTH", "YEAR"}
+_LITERAL_KINDS = (TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING)
 
 
 class Parser:
@@ -49,6 +50,9 @@ class Parser:
     def __init__(self, text: str):
         self._text = text
         self._tokens = tokenize(text)
+        # two spare EOFs: ``_peek`` reaches two past the cursor, which
+        # ``_advance`` never moves past the first EOF
+        self._tokens += self._tokens[-1:] * 2
         self._index = 0
 
     # -- public entry points -------------------------------------------------
@@ -69,8 +73,7 @@ class Parser:
     # -- token plumbing --------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._index + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -97,8 +100,9 @@ class Parser:
         return token
 
     def _accept_punct(self, value: str) -> bool:
-        if self._peek().matches(TokenKind.PUNCTUATION, value):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.kind is TokenKind.PUNCTUATION and token.value == value:
+            self._index += 1  # punctuation is never the EOF
             return True
         return False
 
@@ -352,14 +356,32 @@ class Parser:
         rows: List[Tuple[ast.Expression, ...]] = []
         while True:
             self._expect_punct("(")
-            row = [self._expression()]
+            row = [self._values_item()]
             while self._accept_punct(","):
-                row.append(self._expression())
+                row.append(self._values_item())
             self._expect_punct(")")
             rows.append(tuple(row))
             if not self._accept_punct(","):
                 break
         return ast.Insert(table=table, columns=columns, rows=tuple(rows))
+
+    def _values_item(self) -> ast.Expression:
+        """One VALUES item: a literal that punctuation ends is read
+        directly, any other item climbs ``_expression`` to its AST."""
+        tokens, index = self._tokens, self._index
+        token = tokens[index]
+        if token.kind in _LITERAL_KINDS:
+            if tokens[index + 1].kind is TokenKind.PUNCTUATION:
+                self._index = index + 1
+                return ast.Literal(token.value)
+        elif (
+            token.kind is TokenKind.KEYWORD
+            and token.value == "DATE"
+            and tokens[index + 2].kind is TokenKind.PUNCTUATION
+        ):
+            self._index = index + 1
+            return self._date()
+        return self._expression()
 
     # SELECT ----------------------------------------------------------------
 
@@ -530,6 +552,8 @@ class Parser:
         left = self._prefix()
         while True:
             token = self._peek()
+            if token.kind is TokenKind.PUNCTUATION:
+                return left  # no punctuation continues an expression
             negated = False
             lookahead = token
             if token.is_keyword("NOT") and self._peek(1).is_keyword(
@@ -589,6 +613,9 @@ class Parser:
 
     def _prefix(self) -> ast.Expression:
         token = self._peek()
+        kind = token.kind
+        if kind is not TokenKind.KEYWORD and kind is not TokenKind.OPERATOR:
+            return self._primary()
         if token.is_keyword("NOT"):
             self._advance()
             operand = self._expression(3)
@@ -635,12 +662,7 @@ class Parser:
 
         if token.is_keyword("DATE"):
             self._advance()
-            text = self._string("date literal")
-            try:
-                value = datetime.date.fromisoformat(text)
-            except ValueError as exc:
-                raise self._error(f"invalid date literal {text!r}: {exc}")
-            return ast.Literal(value)
+            return self._date()
 
         if token.is_keyword("INTERVAL"):
             self._advance()
@@ -699,6 +721,15 @@ class Parser:
             return ast.ColumnRef(name=name)
 
         raise self._error("expected an expression")
+
+    def _date(self) -> ast.Literal:
+        """The string of a ``DATE '…'`` literal, its keyword consumed."""
+        text = self._string("date literal")
+        try:
+            value = datetime.date.fromisoformat(text)
+        except ValueError as exc:
+            raise self._error(f"invalid date literal {text!r}: {exc}")
+        return ast.Literal(value)
 
     def _function_call(self, name: str) -> ast.FunctionCall:
         self._expect_punct("(")

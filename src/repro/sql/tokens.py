@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class TokenKind(enum.Enum):
@@ -101,9 +100,9 @@ OPERATORS = ("<>", "!=", ">=", "<=", "||", "=", "<", ">", "+", "-", "*", "/", "%
 PUNCTUATION = ("(", ")", ",", ".", ";")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source location (1-based line/column)."""
+class Token(NamedTuple):
+    """One lexical token with its source location (1-based line/column);
+    a tuple, as a VALUES batch lexes thousands of them."""
 
     kind: TokenKind
     value: Union[str, int, float]
