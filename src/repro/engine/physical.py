@@ -11,6 +11,11 @@ up to :data:`~repro.engine.vector.BATCH_SIZE` rows through the operator
 tree and runs each kernel once per chunk, amortizing the per-tuple
 interpreter overhead; ``rows()`` is the same stream, flattened.
 
+An operator resolves its expressions against its inputs' schemas (a
+join's residual against the joined row it was built with), never its
+own ``schema``: a renaming only sets the output names of the operator
+it lands on, and runs nothing.
+
 A projection of plain columns is a position map: a filter, computing
 projection, hash-join probe or aggregation above it pulls ``mapped()``
 instead, reads the input's wider rows through the map, and builds a
@@ -119,11 +124,11 @@ class PhysicalPlan:
         that reads through it.
 
         With ``positions`` None the chunks are :meth:`batches`.  A
-        projection of plain columns, and a filter or rebind over one,
-        hand on their input's wider rows instead: each stands for the
-        output row ``tuple(row[p] for p in positions)``, which the
-        consumer builds only for the rows it keeps.  Rows are counted
-        as in :meth:`batches`, and ``hint`` is passed on as there.
+        projection of plain columns, and a filter over one, hand on
+        their input's wider rows instead: each stands for the output
+        row ``tuple(row[p] for p in positions)``, which the consumer
+        builds only for the rows it keeps.  Rows are counted as in
+        :meth:`batches`, and ``hint`` is passed on as there.
         """
         return None, self.batches(hint)
 
@@ -215,7 +220,7 @@ class FilterOp(PhysicalPlan):
         select = self._lowered(
             narrow,
             lambda: vector.filter_kernel(
-                self.predicate, self.schema, positions, narrow
+                self.predicate, self.child.schema, positions, narrow
             ),
         )
         return positions, _limited(map(select, chunks), hint)
@@ -320,6 +325,9 @@ class HashJoin(PhysicalPlan):
         #: ``(left expression, right expression)`` per equated pair
         self.keys = list(keys)
         self.schema = schema
+        #: the joined row's names, which the residual reads; a renaming
+        #: moves ``schema`` only
+        self._joined = schema
         self.kind = kind
         #: extra predicate over the joined row, or None
         self.residual = residual
@@ -399,7 +407,7 @@ class HashJoin(PhysicalPlan):
 
         # A residual joins build right and reads ``left ++ right``.
         residual = self._lowered(
-            "residual", lambda: vector.filter_kernel(self.residual, self.schema)
+            "residual", lambda: vector.filter_kernel(self.residual, self._joined)
         )
         keys_of = self._lowered(
             "probe", lambda: vector.key_kernel(probe_keys, probe.schema)
@@ -438,6 +446,7 @@ class NestedLoopJoin(PhysicalPlan):
         self.left = left
         self.right = right
         self.schema = schema
+        self._joined = schema
         self.condition = condition
         self.kind = kind
 
@@ -453,7 +462,7 @@ class NestedLoopJoin(PhysicalPlan):
             if self.condition is None
             else self._lowered(
                 "condition",
-                lambda: vector.filter_kernel(self.condition, self.schema),
+                lambda: vector.filter_kernel(self.condition, self._joined),
             )
         )
         right_rows = [row for batch in self.right.batches() for row in batch]
@@ -591,9 +600,10 @@ class SortOp(PhysicalPlan):
         return chunked(self._sorted_rows(rows), hint)
 
     def _sorted_rows(self, rows: List[tuple]) -> List[tuple]:
+        schema = self.child.schema
         kernels = self._lowered(
             "keys",
-            lambda: [vector.column_kernel(key.expr, self.schema) for key in self.keys],
+            lambda: [vector.column_kernel(key.expr, schema) for key in self.keys],
         )
         columns = [column(rows) for column in kernels]
         # Stable sorts of the row order, from the least-significant key

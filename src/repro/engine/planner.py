@@ -121,9 +121,11 @@ class LocalPlanner:
             return _project(self.to_physical(plan.child), plan)
 
         if isinstance(plan, algebra.Alias):
-            # Pure renaming: execution is the child's.
+            # A renaming runs nothing: the child's operator takes the
+            # new output names (operators read only their inputs' names).
             child = self.to_physical(plan.child)
-            return _Rebind(child, plan.schema)
+            child.schema = plan.schema
+            return child
 
         if isinstance(plan, algebra.Join):
             return self._plan_join(plan)
@@ -337,7 +339,7 @@ def _project(
 
     A projection that hands on all of its input's columns, in order —
     the SELECT list over a pruned join, the pass-through over a pruned
-    scan — computes nothing: it runs as a renaming.
+    scan — computes nothing: ``child`` takes its output names.
     """
     find = child.schema.find
     if len(project.items) == len(child.schema) and all(
@@ -345,30 +347,9 @@ def _project(
         and find(item.expr.name, item.expr.table) == position
         for position, item in enumerate(project.items)
     ):
-        return _Rebind(child, project.schema)
+        child.schema = project.schema
+        return child
     return physical.ProjectOp(
         child, [item.expr for item in project.items], project.schema
     )
 
-
-class _Rebind(physical.PhysicalPlan):
-    """Schema-only wrapper: a logical Alias, or an identity projection,
-    at runtime."""
-
-    def __init__(self, child: physical.PhysicalPlan, schema):
-        super().__init__()
-        self.child = child
-        self.schema = schema
-
-    def children(self) -> List[physical.PhysicalPlan]:
-        return [self.child]
-
-    def _produce_batches(self, hint):
-        return self.child.batches(hint)
-
-    def mapped(self, hint=None):
-        positions, chunks = self.child.mapped(hint)
-        return positions, self._counted(chunks)
-
-    def label(self) -> str:
-        return "Rebind"

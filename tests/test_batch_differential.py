@@ -187,6 +187,13 @@ EDGE_QUERIES = [
     "SELECT t.k, u.w FROM t LEFT JOIN u ON t.k > u.k",
     "SELECT t.k, u.w FROM t JOIN u ON t.k > u.k",
     "SELECT t.s, u.w FROM t CROSS JOIN u",
+    # A derived table's alias renames the operator below it, which
+    # still evaluates over its inputs' names: a hash-join residual, a
+    # nested-loop condition, a filter and a sort.
+    "SELECT * FROM (SELECT * FROM t LEFT JOIN u ON t.k = u.k AND u.w > 10) AS q",
+    "SELECT * FROM (SELECT * FROM t LEFT JOIN u ON t.k > u.k) AS q",
+    "SELECT q.k, q.s FROM (SELECT * FROM t WHERE v > 1) AS q",
+    "SELECT * FROM (SELECT k, v FROM t ORDER BY v, k) AS q ORDER BY q.v, q.k",
     # Expression kernels: three-valued logic, LIKE, IN, BETWEEN, CASE.
     "SELECT k FROM t WHERE v > 2 OR s LIKE 'a%'",
     "SELECT k FROM t WHERE k IN (1, 3) AND v BETWEEN 0 AND 10",
