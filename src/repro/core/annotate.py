@@ -131,9 +131,9 @@ class PlanAnnotator:
         self._movement_policy = movement_policy
         self._prune_candidates = prune_candidates
         #: optional GlobalCatalog — when set, Rule 1 skips holders the
-        #: catalog quarantined after unreconcilable schema drift (cached
-        #: logical plans may carry replica sets that predate the
-        #: quarantine)
+        #: catalog quarantined after unreconcilable schema drift or a
+        #: shard outage (cached logical plans may carry replica sets
+        #: that predate the quarantine)
         self._catalog = catalog
 
     def annotate(self, plan: algebra.LogicalPlan) -> Annotation:
@@ -242,13 +242,15 @@ class PlanAnnotator:
                 if not self._catalog.is_quarantined(db, scan.table)
             ]
             if not admitted:
-                # Every holder drifted beyond reconciliation: like an
-                # all-holders outage, but no amount of waiting repairs
-                # it — only a catalog refresh re-admits the table.
+                # Every holder drifted beyond reconciliation or lost its
+                # shard: like an all-holders outage, but no amount of
+                # waiting repairs it — only a catalog refresh re-admits
+                # the table.
+                cause = self._catalog.quarantine_causes(holders, scan.table)
                 raise EngineUnavailableError(
                     f"every holder {holders} of table {scan.table!r} is "
-                    "quarantined after unreconcilable schema drift; "
-                    "refresh the catalog to re-admit one",
+                    f"quarantined after {cause}; refresh the catalog to "
+                    "re-admit one",
                     table=scan.table,
                 )
             holders = admitted

@@ -22,7 +22,7 @@ dead engines until the next full refresh.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.connect.connector import DBMSConnector
 from repro.core.partition import PartitionSpec, partition_name
@@ -73,8 +73,9 @@ class GlobalCatalog(TableResolver):
         self._stats_epochs: Dict[Tuple[str, str], int] = {}
         #: (db, table_lower) -> catalog_version it was last verified at
         self._verified: Dict[Tuple[str, str], int] = {}
-        #: (db, table_lower) quarantined after unreconcilable drift
-        self._quarantined: Set[Tuple[str, str]] = set()
+        #: (db, table_lower) out of placement -> why (the drift or
+        #: shard outage that put it there)
+        self._quarantined: Dict[Tuple[str, str], str] = {}
 
     # -- prep phase ------------------------------------------------------------
 
@@ -139,8 +140,9 @@ class GlobalCatalog(TableResolver):
         key = (db, table.lower())
         if key in self._quarantined:
             raise SchemaDriftError(
-                f"table {db}.{table} is quarantined after unreconcilable "
-                "schema drift (refresh the catalog to re-admit it)",
+                f"table {db}.{table} is quarantined after "
+                f"{self._quarantined[key]} (refresh the catalog to "
+                "re-admit it)",
                 db=db,
                 table=self._names.get(key, table),
                 quarantined=True,
@@ -219,7 +221,7 @@ class GlobalCatalog(TableResolver):
         connector = self._connectors[db]
         live = connector.table_schema(name)
         self.catalog_version += 1
-        self._quarantined.discard((db, key))
+        self._quarantined.pop((db, key), None)
         if live is None:
             self._forget(db, key)
             return None
@@ -241,15 +243,28 @@ class GlobalCatalog(TableResolver):
 
     # -- quarantine ---------------------------------------------------------------
 
-    def quarantine(self, db: str, table: str) -> None:
+    def quarantine(self, db: str, table: str, cause: str) -> None:
         """Exclude ``db``'s copy of ``table`` from placement until the
-        next refresh (Rule 4 treats it like a dead holder)."""
+        next refresh (Rule 4 treats it like a dead holder); ``cause``
+        ("unreconcilable schema drift", "a shard outage") is what the
+        errors of a query that then finds no holder name."""
         self._ensure_loaded()
-        self._quarantined.add((db, table.lower()))
+        self._quarantined[(db, table.lower())] = cause
         self.catalog_version += 1
 
     def is_quarantined(self, db: str, table: str) -> bool:
         return (db, table.lower()) in self._quarantined
+
+    def quarantine_causes(self, dbs: Iterable[str], table: str) -> str:
+        """Why the quarantined holders among ``dbs`` of ``table`` are
+        out, each cause once: ``"a shard outage"``, ``"… and …"``."""
+        key = table.lower()
+        causes = {
+            self._quarantined[(db, key)]: None
+            for db in dbs
+            if (db, key) in self._quarantined
+        }
+        return " and ".join(causes)
 
     def _live_holders(self, key: str) -> List[str]:
         return [
@@ -300,9 +315,10 @@ class GlobalCatalog(TableResolver):
         locations = self._live_holders(key)
         if not locations:
             if self._locations.get(key):
+                cause = self.quarantine_causes(self._locations[key], key)
                 raise CatalogError(
                     f"every holder of table {table!r} is quarantined "
-                    "after schema drift; refresh the catalog to re-admit"
+                    f"after {cause}; refresh the catalog to re-admit"
                 )
             raise CatalogError(f"unknown table {table!r} in the federation")
         if len(locations) > 1 and not self._replicated(key):

@@ -1340,7 +1340,9 @@ class PlanPipeline:
             self._optimize(state, tracer)
         except ReproError:
             if adopted is not None:
-                self.catalog.quarantine(drift.db, drift.table)
+                self.catalog.quarantine(
+                    drift.db, drift.table, "unreconcilable schema drift"
+                )
             tracer.add_event("quarantine", db=drift.db, table=drift.table)
             try:
                 self._optimize(state, tracer)
@@ -1513,7 +1515,7 @@ class PlanPipeline:
                 # The disk under one shard died, not the server: only
                 # that holder leaves placement, via quarantine — never
                 # the breaker.
-                self.catalog.quarantine(blamed, shard)
+                self.catalog.quarantine(blamed, shard, "a shard outage")
                 health.report_shard_outage(
                     blamed, shard, "branch execution failed"
                 )
@@ -1557,8 +1559,9 @@ class PlanPipeline:
         Opt-in via ``QoSPolicy.completeness_floor``: when the shard has
         no healthy holder left, its gather branches are pruned and the
         row-weighted completeness (from catalog shard statistics) is
-        checked against the floor.  Returns True when the plan was
-        degraded in place.
+        checked against the floor; a completeness of 0 is refused even
+        under a floor of 0.  Returns True when the plan was degraded in
+        place.
         """
         if qos is None or qos.completeness_floor is None:
             return False
@@ -1572,7 +1575,9 @@ class PlanPipeline:
         completeness = partition_completeness(
             missing, self.catalog.partition_spec, self._shard_rows
         )
-        if completeness < qos.completeness_floor:
+        if completeness <= 0.0 or completeness < qos.completeness_floor:
+            # Nothing of some table the query reads survives: there
+            # is no partial answer to give, whatever the floor.
             tracer.add_event(
                 "partial-refused",
                 table=shard,

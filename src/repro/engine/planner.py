@@ -337,19 +337,29 @@ def _project(
 ) -> physical.PhysicalPlan:
     """Lower ``project`` over its already lowered child.
 
-    A projection that hands on all of its input's columns, in order —
-    the SELECT list over a pruned join, the pass-through over a pruned
-    scan — computes nothing: ``child`` takes its output names.
+    A projection of plain columns over another one picks its columns
+    from the grandchild directly: the two position maps compose into
+    one operator.  A projection that hands on all of its input's
+    columns, in order — the SELECT list over a pruned join, the
+    pass-through over a pruned scan — computes nothing: ``child`` takes
+    its output names.
     """
+    items = [item.expr for item in project.items]
+    plain = all(isinstance(item, ast.ColumnRef) for item in items)
+    if plain and isinstance(child, physical.ProjectOp) and child._plain:
+        resolve = child.schema.resolve
+        items = [child.items[resolve(item.name, item.table)] for item in items]
+        child = child.child
     find = child.schema.find
-    if len(project.items) == len(child.schema) and all(
-        isinstance(item.expr, ast.ColumnRef)
-        and find(item.expr.name, item.expr.table) == position
-        for position, item in enumerate(project.items)
+    if (
+        plain
+        and len(items) == len(child.schema)
+        and all(
+            find(item.name, item.table) == position
+            for position, item in enumerate(items)
+        )
     ):
         child.schema = project.schema
         return child
-    return physical.ProjectOp(
-        child, [item.expr for item in project.items], project.schema
-    )
+    return physical.ProjectOp(child, items, project.schema)
 

@@ -3,7 +3,7 @@
 Usage::
 
     PYTHONPATH=src python -m repro.fuzz \\
-        --seed 7 --cases 500 \\
+        --seed 7 --cases 1500 \\
         --corpus tests/corpus --artifacts fuzz-failures
 
 Replays the regression corpus first, then runs ``--cases`` seeded

@@ -15,11 +15,14 @@ the oracle:
   round-tripped *and* executed differentially (the engine vs sqlite,
   per vendor);
 * ``pushdown`` — a foreign-table query on a two-engine deployment,
-  compared against direct execution on the remote engine;
+  compared against sqlite over the remote table;
 * ``partition`` — a query spec plus a hash/range partitioning of the
-  fuzz tables across a four-engine federation, checked by the
-  partition-parity oracle (partitioned and unpartitioned deployments
-  must return identical rows through XDB);
+  fuzz tables across a four-engine federation, whose rows through XDB
+  must be sqlite's over the unsharded tables;
+* ``partial`` — a ``partition`` spec without LIMIT whose ``dead_shard``
+  of ``t1`` dies: the answer is a subset of sqlite's rows with the
+  completeness its missing shards imply, or a refusal when less than
+  the ``completeness_floor``, or nothing of a table, survives;
 * ``memo`` — a script of plan / query / DDL / INSERT / drift steps on a
   three-engine foreign-table chain, checked after every step by the
   plan-memo oracle (no engine may still serve a plan or estimate that
@@ -282,6 +285,10 @@ def gen_partition_case(rng: random.Random) -> Dict[str, object]:
     The key column ``a`` takes values in ``[0, 70)``, so range bounds
     split that domain evenly; ``co_partition`` also partitions ``t2``
     with the same spec (compatible keys — joins can zip shard-wise).
+    Half of the specs are ``partial``: the query loses its LIMIT, one
+    ``dead_shard`` of ``t1`` dies, and the policy's
+    ``completeness_floor`` is 0 (any surviving fraction is an answer)
+    or 0.5 (losing a large shard is a refusal).
     """
     partitions = rng.randint(2, 4)
     scheme = rng.choice(["hash", "range"])
@@ -290,7 +297,7 @@ def gen_partition_case(rng: random.Random) -> Dict[str, object]:
         if scheme == "hash"
         else [70 * i // partitions for i in range(1, partitions)]
     )
-    return {
+    spec = {
         "kind": "partition",
         "scheme": scheme,
         "partitions": partitions,
@@ -298,6 +305,12 @@ def gen_partition_case(rng: random.Random) -> Dict[str, object]:
         "co_partition": rng.random() < 0.5,
         "query": _gen_query(rng),
     }
+    if rng.random() < 0.5:
+        spec["kind"] = "partial"
+        spec["query"]["limit"] = None
+        spec["dead_shard"] = rng.randrange(partitions)
+        spec["completeness_floor"] = rng.choice([0.0, 0.5])
+    return spec
 
 
 def _gen_query(rng: random.Random) -> Dict[str, object]:

@@ -137,6 +137,23 @@ def same_rows(got: Sequence[tuple], want: Sequence[tuple], ordered: bool = False
     )
 
 
+def contains_rows(whole: Sequence[tuple], part: Sequence[tuple]) -> bool:
+    """Whether ``part`` is a sub-multiset of ``whole``, each row of
+    ``part`` matching its own row of ``whole`` as :func:`same_rows`
+    matches them."""
+    rest = iter(sorted(whole, key=_sort_key))
+    for row in sorted(part, key=_sort_key):
+        key = _sort_key(row)
+        for other in rest:
+            if len(other) == len(row) and all(map(_same_value, row, other)):
+                break
+            if _sort_key(other) > key:
+                return False
+        else:
+            return False
+    return True
+
+
 def _sort_key(row: tuple) -> tuple:
     return tuple(
         (value is not None, float(value) if isinstance(value, (int, float)) else value)

@@ -21,8 +21,8 @@ A :class:`QoSPolicy` travels with one query submission (``XDB.submit``
 * its **partial-results bound** — with ``completeness_floor`` set, a
   query whose partition shard lost every healthy holder is answered
   from the surviving shards, provided the row-weighted completeness
-  stays at or above the floor.  The partial answer is reported once,
-  in ``XDBReport.recovery``.
+  stays at or above the floor and above zero.  The partial answer is
+  reported once, in ``XDBReport.recovery``.
 
 The :class:`QoSReport` is the submission-side receipt: admission wait,
 deadline spend, and whether (and how stale) a stale read was — read
@@ -62,8 +62,8 @@ class QoSPolicy:
     #: opt-in *partial results*: when a partition shard has lost every
     #: healthy holder, answer from the surviving shards instead of
     #: failing, provided the row-weighted completeness (fraction of
-    #: partitioned rows still reachable) stays at or above this floor;
-    #: None means the query insists on a complete answer
+    #: partitioned rows still reachable) stays above 0 and at or above
+    #: this floor; None means the query insists on a complete answer
     completeness_floor: Optional[float] = None
 
     def make_deadline(self) -> Optional[Deadline]:

@@ -239,7 +239,7 @@ def test_partial_below_completeness_floor_is_refused():
     xdb.warm_metadata()
     qos = QoSPolicy(completeness_floor=0.95)
     with shard_outage(3).install(dep):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="quarantined after a shard outage"):
             xdb.submit(SCAN_SQL, qos=qos)
 
 
@@ -248,7 +248,7 @@ def test_partial_requires_opt_in():
     xdb = XDB(dep)
     xdb.warm_metadata()
     with shard_outage(3).install(dep):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="quarantined after a shard outage"):
             xdb.submit(SCAN_SQL, qos=QoSPolicy())
 
 

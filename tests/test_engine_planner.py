@@ -167,12 +167,10 @@ def test_distinct_lowering(db):
         # the pruning projection narrows; the SELECT list over it is free
         ("SELECT id, v FROM fact", ["Project[2 cols]", "SeqScan[fact]"]),
         ("SELECT k FROM t", ["Project[1 cols]", "SeqScan[t]"]),
-        # a reordering computes
+        # a reordering computes; over the pruning projection the two
+        # position maps compose into one operator
         ("SELECT v, k FROM t", ["Project[2 cols]", "SeqScan[t]"]),
-        (
-            "SELECT v, id FROM fact",
-            ["Project[2 cols]", "Project[2 cols]", "SeqScan[fact]"],
-        ),
+        ("SELECT v, id FROM fact", ["Project[2 cols]", "SeqScan[fact]"]),
     ],
 )
 def test_identity_projection_is_a_renaming(db, sql, labels):

@@ -7,6 +7,9 @@ fast CI-sized slice of the full ``python -m repro.fuzz`` run.
 
 import os
 
+import pytest
+
+from repro.engine import vector
 from repro.fuzz.corpus import load_corpus, replay_corpus, save_case
 from repro.fuzz.generators import generate_case, spec_to_statement
 from repro.fuzz.oracle import run_case
@@ -48,7 +51,7 @@ def test_generator_is_deterministic():
 def test_generated_specs_are_statement_convertible():
     for i in range(50):
         spec = generate_case(random.Random(i))
-        if spec["kind"] in ("pushdown", "partition", "memo"):
+        if spec["kind"] in ("pushdown", "partition", "partial", "memo"):
             continue
         spec_to_statement(spec)  # must not raise
 
@@ -106,3 +109,73 @@ def test_shrinker_switches_a_needless_join_off():
     shrunk = shrink_case(spec, lambda candidate: candidate.get("where") is not None)
     assert shrunk["join"] is False
     assert shrunk["where"] == ["a", ">", 3]
+
+
+#: One spec per invariant that sqlite judges besides the differential
+#: one, each filtering on ``a > 10`` (or ``rt.a > 10``) over data that
+#: holds rows with ``a = 10``.
+_GREATER_THAN_SPECS = {
+    "pushdown": {
+        "kind": "pushdown",
+        "remote_profile": "postgres",
+        "where_value": 10,
+        "project_all": True,
+    },
+    "drift": {
+        "kind": "drift",
+        "remote_profile": "postgres",
+        "query": "SELECT lt.b, rt.c FROM lt, rt WHERE lt.a = rt.a AND rt.a > 10",
+        "drift": {"kind": "retype_column", "column": "c", "new_type": ["INTEGER"]},
+    },
+    "feedback": {
+        "kind": "feedback",
+        "remote_profile": "postgres",
+        "query": "SELECT lt.b, rt.c FROM lt, rt WHERE lt.a = rt.a AND rt.a > 10",
+        "skew": {"db": "R", "table": "rt", "row_count": 1},
+    },
+    "partition": {
+        "kind": "partition",
+        "scheme": "hash",
+        "partitions": 2,
+        "bounds": [],
+        "co_partition": False,
+        "query": {
+            "kind": "query",
+            "join": False,
+            "select": ["a", "b"],
+            "where": ["a", ">", 10],
+            "distinct": False,
+            "order": False,
+            "limit": None,
+        },
+    },
+    "partial": {
+        "kind": "partial",
+        "scheme": "range",
+        "partitions": 3,
+        "bounds": [23, 46],
+        "co_partition": False,
+        "dead_shard": 2,
+        "completeness_floor": 0.0,
+        "query": {
+            "kind": "query",
+            "join": False,
+            "select": ["a", "b"],
+            "where": ["a", ">", 10],
+            "distinct": False,
+            "order": False,
+            "limit": None,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GREATER_THAN_SPECS))
+def test_a_fault_every_federation_shares_fails_the_invariant(kind, monkeypatch):
+    """A comparison fault planted in the engine's kernels runs on both
+    sides of any comparison between federations; sqlite does not
+    share it."""
+    spec = _GREATER_THAN_SPECS[kind]
+    assert run_case(spec) == []
+    monkeypatch.setitem(vector._OPERATORS, ">", ">=")
+    assert run_case(spec), f"{kind} passed with '>' evaluated as '>='"

@@ -35,6 +35,23 @@ def test_duplicate_table_requires_qualification(two_db_deployment):
     assert resolved.source_db == "A"
 
 
+def test_a_quarantine_names_its_cause(two_db_deployment):
+    two_db_deployment.load_table(
+        "B", "users", Schema([Field("id", INTEGER)]), [(1,)]
+    )
+    catalog = catalog_of(two_db_deployment)
+    catalog.quarantine("A", "users", "a shard outage")
+    catalog.quarantine("B", "users", "unreconcilable schema drift")
+    assert catalog.quarantine_causes(["A"], "USERS") == "a shard outage"
+    with pytest.raises(
+        CatalogError,
+        match="quarantined after a shard outage and unreconcilable schema drift",
+    ):
+        catalog.locate("users")
+    catalog.refresh()
+    assert catalog.quarantine_causes(["A", "B"], "users") == ""
+
+
 def test_resolve_sets_source_db(two_db_deployment):
     catalog = catalog_of(two_db_deployment)
     resolved = catalog.resolve_table(("events",))

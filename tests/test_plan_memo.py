@@ -735,7 +735,9 @@ MISSES = {
     "drift_reintrospection": lambda xdb, dep: xdb.catalog.reintrospect(
         "db2", "orders"
     ),
-    "quarantine": lambda xdb, dep: xdb.catalog.quarantine("db4", "part"),
+    "quarantine": lambda xdb, dep: xdb.catalog.quarantine(
+        "db4", "part", "unreconcilable schema drift"
+    ),
     "override_stats": lambda xdb, dep: xdb.catalog.override_stats(
         "db2", "orders", 10
     ),
